@@ -18,6 +18,25 @@ for the closed forms.
 Supported kinds: ``uniform``, ``beta_poly`` (polynomial Beta-shaped density),
 ``cosine_bump`` (raised-cosine bump, C^1 everywhere), ``pw_linear``
 (piecewise-linear density) and flat ``mixture`` of the above.
+
+Inverse cdf. ``quantile`` returns the leftmost x with F(x) >= u. A law whose
+only component is a uniform spanning the support inverts affinely. Any other
+law inverts by table search plus safeguarded Newton steps on the closed-form F
+and f (Devroye, *Non-Uniform Random Variate Generation*, 1986, section 2.2):
+
+* F is tabulated once per law (a few hundred points over the support plus
+  each component's own interval, made monotone by a running max);
+* each level u is bracketed by a search of that table and starts from linear
+  interpolation inside its bracket;
+* Newton steps x <- x - (F(x) - u)/f(x) shrink the bracket; a step that leaves
+  it, or meets zero density, bisects instead;
+* a level is final once its step is within a few ulps where f > 0; levels
+  still open after a few steps (flat stretches, density edges) finish by
+  bisection inside their bracket, which keeps the leftmost-x contract.
+
+Every level iterates on its own, so a result never depends on the rest of the
+array: scalar and vector calls agree bit for bit, and so do Monte Carlo runs
+on any number of threads.
 """
 
 from __future__ import annotations
@@ -34,7 +53,11 @@ from scipy.special import betainc, betaln
 from .rng import uniform_stream
 
 _NORM_TOL = 1e-8
-_QUANTILE_ITERS = 64
+_TABLE_POINTS = 257        # inverse-cdf table rows over the whole support ...
+_PART_TABLE_POINTS = 65    # ... plus these over each component's own interval
+_NEWTON_STEPS = 8          # then the unconverged levels finish by bisection
+_X_REL_TOL = 4.0 * np.finfo(float).eps   # a few ulps of x ...
+_X_ABS_TOL = 2.0**-64                    # ... or this share of the support width
 
 _KIND_CODES = {"uniform": 0, "beta_poly": 1, "cosine_bump": 2, "pw_linear": 3}
 _CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
@@ -166,15 +189,26 @@ class _CosineBump:
     def mean(self) -> float:
         return self.c
 
+    # The vector forms update in place where they can: the inverse cdf calls
+    # them on every level, and each full-size temporary costs memory per thread.
+
     def cdf_v(self, x: np.ndarray) -> np.ndarray:
         t = np.clip((x - self.c) / self.s, -1.0, 1.0)
-        return 0.5 * (1.0 + t + np.sin(np.pi * t) / np.pi)
+        tail = np.sin(np.pi * t)
+        tail /= np.pi
+        t += 1.0
+        t += tail
+        t *= 0.5
+        # sin(-pi)/pi is -3.9e-17, not 0: clip to the exact 0 and 1 of cdf_s
+        return np.clip(t, 0.0, 1.0)
 
     def pdf_v(self, x: np.ndarray) -> np.ndarray:
         t = (x - self.c) / self.s
         inside = np.abs(t) <= 1.0
-        tt = np.clip(t, -1.0, 1.0)
-        return np.where(inside, (1.0 + np.cos(np.pi * tt)) / (2.0 * self.s), 0.0)
+        t = np.cos(np.pi * np.clip(t, -1.0, 1.0))
+        t += 1.0
+        t /= 2.0 * self.s
+        return np.where(inside, t, 0.0)
 
     def dpdf_v(self, x: np.ndarray) -> np.ndarray:
         t = (x - self.c) / self.s
@@ -542,39 +576,98 @@ class DistributionSpec:
             and self.parts[0].hi == self.support.hi
         )
 
+    @cached_property
+    def _cdf_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(x, F(x), dx/dF per row) on a support-wide grid plus each component's
+        own interval.
+
+        The running max keeps F monotone where rounding does not. F(lo) = 0, so
+        every level in (0, 1) at or below the last row has a bracket row j >= 1
+        with F[j-1] < u <= F[j], and that row's F rises.
+        """
+        lo, hi = self.support.lo, self.support.hi
+        grids = [np.linspace(lo, hi, _TABLE_POINTS)]
+        grids += [np.linspace(p.lo, p.hi, _PART_TABLE_POINTS) for p in self.parts]
+        xs = np.unique(np.concatenate(grids))
+        fs = np.maximum.accumulate(self.cdf(xs))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = np.diff(xs) / np.diff(fs)
+        return xs, fs, slope
+
     def quantile(self, q):
         """Leftmost x with cdf(x) >= q (flat-region infimum); q=1 maps to the support top."""
         if isinstance(q, np.ndarray):
-            if q.size and (q.min() < 0.0 or q.max() > 1.0):
+            top = q.max() if q.size else 0.0
+            if q.size and (q.min() < 0.0 or top > 1.0):
                 raise DistributionError("quantile levels must lie in [0, 1]")
             if self._affine_quantile:
-                return self.support.lo + q * self.support.width
-            lo = np.full(q.shape, self.support.lo)
-            hi = np.full(q.shape, self.support.hi)
-            for _ in range(_QUANTILE_ITERS):
-                mid = 0.5 * (lo + hi)
-                ge = self.cdf(mid) >= q
-                hi = np.where(ge, mid, hi)
-                lo = np.where(ge, lo, mid)
-            out = np.where(q <= 0.0, self.support.lo, hi)
-            return np.where(q >= 1.0, self.support.hi, out)
-        qs = float(q)
-        if qs < 0.0 or qs > 1.0:
-            raise DistributionError(f"quantile level must lie in [0, 1], got {qs}")
-        if qs <= 0.0:
-            return self.support.lo
-        if qs >= 1.0:
-            return self.support.hi
-        if self._affine_quantile:
-            return self.support.lo + qs * self.support.width
-        lo, hi = self.support.lo, self.support.hi
-        for _ in range(_QUANTILE_ITERS):
-            mid = 0.5 * (lo + hi)
-            if self.cdf(mid) >= qs:
-                hi = mid
-            else:
-                lo = mid
-        return hi
+                x = self.support.lo + q * self.support.width
+                # lo + width can miss hi by an ulp
+                return np.where(q == 1.0, self.support.hi, x) if top == 1.0 else x
+            # reshape, not ravel: a strided column (one bidder's draws) stays a view
+            return self._invert(q.reshape(-1)).reshape(q.shape)
+        return float(self.quantile(np.array([float(q)]))[0])
+
+    def _invert(self, q: np.ndarray) -> np.ndarray:
+        """Table bracket, then safeguarded Newton, then bisection; elementwise.
+
+        Each level's iterations depend on that level alone, so a result does not
+        depend on the other levels in the array. Brackets are updated in place
+        and converged levels leave the working arrays, to keep the temporaries
+        near those of a plain bisection (which Monte Carlo threads pay each).
+        """
+        xt, ft, slope = self._cdf_table
+        finished = []                 # (positions, results), written out at the end
+        # levels above the rounded F(hi) map to hi, like q = 1
+        idx = np.flatnonzero((q > 0.0) & (q < 1.0) & (q <= ft[-1]))
+        u = q[idx]
+        j = np.searchsorted(ft, u)
+        b = xt[j]
+        j -= 1
+        a = xt[j]
+        x = u - ft[j]                 # linear interpolation inside the bracket
+        x *= slope[j]
+        x += a
+        del j
+        tiny = self.support.width * _X_ABS_TOL
+        for _ in range(_NEWTON_STEPS):
+            if not idx.size:
+                break
+            r = self.cdf(x)
+            r -= u
+            below = r < 0.0
+            np.copyto(a, x, where=below)
+            np.copyto(b, x, where=~below)
+            f = self.pdf(x)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                r /= f                # the Newton step
+            x -= r
+            # a step that leaves the bracket (or meets no density) bisects instead
+            off = (x < a) | (x > b) | np.isnan(x)
+            if off.any():
+                np.copyto(x, 0.5 * (a + b), where=off)
+            tol = _X_REL_TOL * np.abs(x) + tiny
+            conv = (np.abs(r) <= tol) & (f > 0.0) & ~off
+            done = conv | (b - a <= tol)
+            del r, f, tol             # before the next cdf call allocates
+            if done.any():
+                finished.append((idx[done], np.where(conv[done], x[done], b[done])))
+                keep = ~done
+                idx, u, x, a, b = idx[keep], u[keep], x[keep], a[keep], b[keep]
+        while idx.size:
+            mid = 0.5 * (a + b)
+            ge = self.cdf(mid) >= u
+            np.copyto(b, mid, where=ge)
+            np.copyto(a, mid, where=~ge)
+            done = b - a <= _X_REL_TOL * np.abs(b) + tiny
+            if done.any():
+                finished.append((idx[done], b[done]))
+                keep = ~done
+                idx, u, a, b = idx[keep], u[keep], a[keep], b[keep]
+        out = np.where(q <= 0.0, self.support.lo, self.support.hi)
+        for pos, res in finished:
+            out[pos] = res
+        return out
 
     def sample(self, seed: int, index: int) -> float:
         """Deterministic inverse-cdf draw at one absolute stream position."""
@@ -631,7 +724,7 @@ class DistributionSpec:
         if t <= self.support.lo:
             return float(self.support.lo)
         lo, hi = self.support.lo, self.support.hi
-        for _ in range(_QUANTILE_ITERS + 16):
+        for _ in range(80):
             mid = 0.5 * (lo + hi)
             if self.mean_below(mid) >= t:
                 hi = mid

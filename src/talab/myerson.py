@@ -63,19 +63,22 @@ def regularity_check(d: DistributionSpec, grid_size: int = 1000) -> dict:
 
 @dataclass(frozen=True)
 class VirtualValueFn:
-    """Ironed virtual value: step function derived from the revenue-curve hull."""
+    """Ironed virtual value: step function derived from the revenue-curve hull.
 
-    dist: DistributionSpec
+    It is keyed on the cdf level u = D(x), not on the value x: psi-bar at x is
+    the hull slope at the sell probability s = 1 - u, and it is nondecreasing
+    in u. To evaluate at values, pass ``d.cdf(x)``.
+    """
+
     ironed: bool                       # True when the hull differs from the raw curve
     hull_s: np.ndarray = field(repr=False)       # ascending sell probabilities
     hull_slopes: np.ndarray = field(repr=False)  # psi-bar per hull segment
 
-    def __call__(self, x):
-        s = 1.0 - self.dist.cdf(x)
-        j = np.searchsorted(self.hull_s, s, side="right") - 1
+    def __call__(self, u):
+        j = np.searchsorted(self.hull_s, 1.0 - u, side="right") - 1
         j = np.clip(j, 0, self.hull_slopes.size - 1)
         out = self.hull_slopes[j]
-        return float(out) if np.isscalar(x) else out
+        return float(out) if np.isscalar(u) else out
 
 
 def ironed_virtual(d: DistributionSpec, quantile_grid_size: int = 20_000) -> VirtualValueFn:
@@ -86,12 +89,16 @@ def ironed_virtual(d: DistributionSpec, quantile_grid_size: int = 20_000) -> Vir
     s = 1.0 - q[::-1]          # ascending 0 .. 1
     r = x[::-1] * s            # exact posted-price revenue at each grid point
 
-    # monotone-chain upper hull over the (s, r) polyline
+    # monotone-chain upper hull over the (s, r) polyline. Items of a memoryview
+    # are Python floats, whose arithmetic here is about 3x faster than numpy
+    # scalars'; unlike tolist(), it does not hold all of them at once.
+    sl, rl = memoryview(s), memoryview(r)
     idx: list[int] = []
-    for i in range(s.size):
+    for i in range(len(sl)):
+        si, ri = sl[i], rl[i]
         while len(idx) >= 2:
             a, b = idx[-2], idx[-1]
-            cross = (s[b] - s[a]) * (r[i] - r[a]) - (r[b] - r[a]) * (s[i] - s[a])
+            cross = (sl[b] - sl[a]) * (ri - rl[a]) - (rl[b] - rl[a]) * (si - sl[a])
             if cross >= 0:  # keeping b would dent the hull
                 idx.pop()
             else:
@@ -102,7 +109,6 @@ def ironed_virtual(d: DistributionSpec, quantile_grid_size: int = 20_000) -> Vir
     hr = r[keep]
     slopes = np.diff(hr) / np.diff(hs)
     return VirtualValueFn(
-        dist=d,
         ironed=keep.size != s.size,
         hull_s=hs[:-1],
         hull_slopes=slopes,
@@ -145,7 +151,14 @@ def oa_revenue(
     quantile_grid_size: int = 20_000,
 ) -> RevenueEstimate:
     """Monte Carlo E[max(0, psi_bar over all bidders)] under the draw keying of
-    the mechanism engine (stride N+3, replicate-indexed uniforms)."""
+    the mechanism engine (stride N+3, replicate-indexed uniforms).
+
+    A draw's value is the inverse cdf of its uniform u, and for these continuous
+    laws D(Q(u)) = u, so psi-bar of the draw is the hull lookup at the level u
+    itself: no inverse cdf and no cdf is evaluated per draw. psi-bar is
+    nondecreasing in u, so the weak side needs only the largest of a row's
+    N_weak uniforms.
+    """
     if n_weak < 0:
         raise ValueError(f"n_weak must be >= 0, got {n_weak}")
     if n_weak > 0 and weak is None:
@@ -164,11 +177,9 @@ def oa_revenue(
         u = uniform_block(seed, i0, m, stride)
         best = np.zeros(m)
         if psi_w is not None:
-            v = weak.quantile(u[:, :n_weak])
-            best = np.maximum(best, psi_w(v).max(axis=1))
+            best = np.maximum(best, psi_w(u[:, :n_weak].max(axis=1)))
         if psi_s is not None:
-            w = strong.quantile(u[:, n_weak])
-            best = np.maximum(best, psi_s(w))
+            best = np.maximum(best, psi_s(u[:, n_weak]))
         values[i0 : i0 + m] = best
 
     if threads > 1:

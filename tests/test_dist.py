@@ -114,6 +114,18 @@ def test_quantile_examples(u01, gap_mixture, test_distributions):
         assert d.quantile(0.0) == d.support.lo
 
 
+def test_bump_cdf_edges(gap_mixture):
+    # sin(+-pi)/pi is not 0 in floating point: the vector cdf must still be
+    # exactly 0 and 1 at and beyond the bump edges, like the scalar one
+    for c, s in ((2.0, 0.1), (1.0, 0.4), (0.0625, 0.0625)):
+        b = dist.cosine_bump(c, s).parts[0]
+        xs = np.array([b.lo - 1.0, b.lo - 1e-9, b.lo, b.hi, b.hi + 1e-9, b.hi + 1.0])
+        vec = b.cdf_v(xs)
+        assert vec.tolist() == [b.cdf_s(float(x)) for x in xs]
+        assert vec.tolist() == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+    assert gap_mixture.quantile(np.array([0.25]))[0] == pytest.approx(0.1, abs=1e-10)
+
+
 def test_cdf_quantile_roundtrip(test_distributions):
     qs = np.linspace(0.01, 0.99, 23)
     for name, d in test_distributions.items():

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate
 
 from talab import dist
+from talab.mechanisms import STRIDE_EXTRA
 from talab.myerson import (
     ironed_virtual,
     oa_revenue,
@@ -10,6 +13,8 @@ from talab.myerson import (
     single_buyer_reserve,
     virtual_value,
 )
+from talab.rng import uniform_block
+from talab.sequences import make_family
 
 
 @pytest.fixture(scope="module")
@@ -64,14 +69,71 @@ def test_ironed_equals_virtual_when_regular(u01, u02):
         iv = ironed_virtual(d)
         assert not iv.ironed
         xs = np.linspace(d.support.lo + 1e-6, d.support.hi - 1e-6, 257)
-        assert np.max(np.abs(iv(xs) - virtual_value(d, xs))) <= 1e-4 * d.support.width
+        assert np.max(np.abs(iv(d.cdf(xs)) - virtual_value(d, xs))) <= 1e-4 * d.support.width
 
 
 def test_ironed_nondecreasing(two_bump):
     iv = ironed_virtual(two_bump)
     assert iv.ironed
     xs = np.linspace(0.0, 2.5, 3000)
-    assert np.all(np.diff(iv(xs)) >= -1e-12)
+    assert np.all(np.diff(iv(two_bump.cdf(xs))) >= -1e-12)
+
+
+def hull_indices_reference(s, r):
+    """Monotone-chain upper hull of (s, r) in numpy scalar arithmetic."""
+    idx = []
+    for i in range(s.size):
+        while len(idx) >= 2:
+            a, b = idx[-2], idx[-1]
+            cross = (s[b] - s[a]) * (r[i] - r[a]) - (r[b] - r[a]) * (s[i] - s[a])
+            if cross >= 0:
+                idx.pop()
+            else:
+                break
+        idx.append(i)
+    return np.asarray(idx)
+
+
+def test_hull_matches_numpy_scalar_loop(two_bump):
+    for d in (two_bump, make_family("slow_drain", 2.0, 2.5, 8).member(5)):
+        iv = ironed_virtual(d, 4000)
+        q = np.linspace(0.0, 1.0, 4001)
+        s = 1.0 - q[::-1]
+        r = d.quantile(q)[::-1] * s
+        keep = hull_indices_reference(s, r)
+        # the grid s is strictly increasing, so the breakpoints give the indices
+        assert np.array_equal(np.searchsorted(s, iv.hull_s), keep[:-1])
+        assert np.array_equal(iv.hull_slopes, np.diff(r[keep]) / np.diff(s[keep]))
+
+
+def oa_revenue_by_value(weak, strong, n_weak, n, seed, block=1 << 15):
+    """Reference OA estimator: psi-bar of each inverse-cdf draw, at the draw's cdf."""
+    psi_w = ironed_virtual(weak) if n_weak > 0 else None
+    psi_s = ironed_virtual(strong) if strong is not None else None
+    values = np.empty(n)
+    for i0 in range(0, n, block):
+        m = min(block, n - i0)
+        u = uniform_block(seed, i0, m, n_weak + STRIDE_EXTRA)
+        best = np.zeros(m)
+        if psi_w is not None:
+            v = weak.quantile(u[:, :n_weak])
+            best = np.maximum(best, psi_w(weak.cdf(v)).max(axis=1))
+        if psi_s is not None:
+            w = strong.quantile(u[:, n_weak])
+            best = np.maximum(best, psi_s(strong.cdf(w)))
+        values[i0 : i0 + m] = best
+    return values.mean(), values.std(ddof=1) / math.sqrt(n)
+
+
+def test_oa_level_keyed_matches_value_keyed(u01, two_bump):
+    fam = make_family("slow_drain", 2.0, 2.5, 8)
+    cases = [(u01, fam.member(l), 2) for l in (1, 4, 8)]
+    cases += [(u01, two_bump, 2), (two_bump, None, 3)]
+    for weak, strong, n_weak in cases:
+        est = oa_revenue(weak, strong, n_weak, 70_001, seed=13)
+        mean, se = oa_revenue_by_value(weak, strong, n_weak, 70_001, seed=13)
+        assert est.mean == pytest.approx(mean, rel=1e-12, abs=0.0)
+        assert est.std_error == pytest.approx(se, rel=1e-12, abs=0.0)
 
 
 def test_ironed_single_buyer_revenue(two_bump, u01):
