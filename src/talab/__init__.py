@@ -3,7 +3,7 @@
 Modules map one-to-one onto the lab's concerns:
 
 * ``dist``        value distributions, order statistics, conditional means
-* ``equilibrium`` symmetric bid-schedule solvers and best-response verification
+* ``equilibrium`` symmetric bid-schedule solver and best-response verification
 * ``mechanisms``  per-draw auction outcomes and deterministic Monte Carlo
 * ``myerson``     virtual values, ironing, optimal-auction revenue benchmark
 * ``sequences``   families converging to an atom, reserve rules, limit experiments
@@ -15,7 +15,6 @@ from .equilibrium import (
     BidFunction,
     SolveOptions,
     StrongBidLaw,
-    solve_fixed_point,
     solve_ode,
     verify_best_response,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "sa_reserve_closed_form",
     "simulate",
     "single_buyer_reserve",
-    "solve_fixed_point",
     "solve_ode",
     "verify_best_response",
     "virtual_value",

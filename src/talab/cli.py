@@ -30,7 +30,6 @@ from .equilibrium import (
     BidFunction,
     EquilibriumError,
     StrongBidLaw,
-    solve_fixed_point,
     solve_ode,
     verify_best_response,
 )
@@ -104,20 +103,14 @@ def _require(cfg_value, name: str):
 def _solve_bid(cfg: ExperimentConfig, strong, collect: list[str]):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RuntimeWarning)
-        if cfg.solver_method == "picard":
-            bid, report = solve_fixed_point(cfg.weak, strong, cfg.n_weak, cfg.solver)
-        else:
-            bid, report = solve_ode(cfg.weak, strong, cfg.n_weak, cfg.solver)
+        bid, report = solve_ode(cfg.weak, strong, cfg.n_weak, cfg.solver)
     collect.extend(str(w.message) for w in caught)
     return bid, report
 
 
 def _solve_report_dict(report) -> dict:
     return {
-        "method": report.method,
         "max_ode_residual": report.max_ode_residual,
-        "picard_iterations": report.picard_iterations,
-        "sup_norm_delta": report.sup_norm_delta,
         "warnings": list(report.warnings),
     }
 

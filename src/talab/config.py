@@ -37,7 +37,6 @@ class ExperimentConfig:
     mechanism: str | None
     reserve: float | None
     intervention_p: float | None
-    solver_method: str
     solver: SolveOptions
     mc_n: int
     mc_seed: int
@@ -101,8 +100,7 @@ _TOP_KEYS = {"version", "n_weak", "weak", "strong", "mechanism", "solver", "mc",
              "sweep", "verify"}
 _STRONG_KEYS = {"dist", "atom", "family"}
 _MECH_KEYS = {"kind", "reserve", "intervention_p"}
-_SOLVER_KEYS = {"method", "v0_fraction", "grid_size", "rk_tolerance",
-                "residual_tolerance", "max_iter", "fp_tolerance", "damping"}
+_SOLVER_KEYS = {"v0_fraction", "grid_size", "rk_tolerance", "residual_tolerance"}
 _MC_KEYS = {"n", "seed"}
 _SWEEP_KEYS = {"prop", "rule", "intervention_p"}
 _RULE_KEYS = {"kind", "value", "eps"}
@@ -185,7 +183,6 @@ def parse_config(obj: dict) -> ExperimentConfig:
                 intervention_p = ck.number(m["intervention_p"],
                                            "mechanism.intervention_p", lo=0.0, hi=1.0)
 
-    solver_method = "ode"
     solver_kwargs = {}
     if "solver" in obj:
         s = obj["solver"]
@@ -193,19 +190,12 @@ def parse_config(obj: dict) -> ExperimentConfig:
             ck.fail("solver", "expected an object")
         else:
             ck.expect_keys(s, "solver", _SOLVER_KEYS, set())
-            solver_method = s.get("method", "ode")
-            if solver_method not in ("ode", "picard"):
-                ck.fail("solver.method", "expected 'ode' or 'picard'")
-            for key, lo in (("v0_fraction", 1e-12), ("rk_tolerance", 1e-14),
-                            ("residual_tolerance", 1e-14), ("fp_tolerance", 1e-14),
-                            ("damping", 1e-3)):
+            for key, lo, integer in (("v0_fraction", 1e-12, False),
+                                     ("rk_tolerance", 1e-14, False),
+                                     ("residual_tolerance", 1e-14, False),
+                                     ("grid_size", 8, True)):
                 if key in s:
-                    val = ck.number(s[key], f"solver.{key}", lo=lo)
-                    if val is not None:
-                        solver_kwargs[key] = val
-            for key in ("grid_size", "max_iter"):
-                if key in s:
-                    val = ck.number(s[key], f"solver.{key}", lo=8, integer=True)
+                    val = ck.number(s[key], f"solver.{key}", lo=lo, integer=integer)
                     if val is not None:
                         solver_kwargs[key] = val
 
@@ -309,7 +299,6 @@ def parse_config(obj: dict) -> ExperimentConfig:
         mechanism=mechanism,
         reserve=reserve,
         intervention_p=intervention_p,
-        solver_method=solver_method,
         solver=SolveOptions(**solver_kwargs),
         mc_n=mc_n,
         mc_seed=mc_seed,

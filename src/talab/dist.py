@@ -5,7 +5,7 @@ limit families) consumes distributions through this module. Each supported
 density kind carries exact piecewise closed forms for
 
 * ``cdf``            F(x)
-* ``pdf``            f(x)  and its derivative
+* ``pdf``            f(x)
 * ``partial_mean``   M(x) = integral of t f(t) over [lo, x]
 
 which makes the conditional means E[w | w <= b] = M(b)/F(b) and
@@ -49,8 +49,6 @@ from functools import cached_property
 import numpy as np
 from scipy import integrate
 from scipy.special import betainc, betaln
-
-from .rng import uniform_stream
 
 _NORM_TOL = 1e-8
 _TABLE_POINTS = 257        # inverse-cdf table rows over the whole support ...
@@ -113,9 +111,6 @@ class _Uniform:
     def pdf_s(self, x: float) -> float:
         return self.h if self.lo <= x <= self.hi else 0.0
 
-    def dpdf_s(self, x: float) -> float:
-        return 0.0
-
     def pm_s(self, x: float) -> float:
         m = min(max(x, self.lo), self.hi)
         return 0.5 * self.h * (m * m - self.lo * self.lo)
@@ -128,9 +123,6 @@ class _Uniform:
 
     def pdf_v(self, x: np.ndarray) -> np.ndarray:
         return np.where((x >= self.lo) & (x <= self.hi), self.h, 0.0)
-
-    def dpdf_v(self, x: np.ndarray) -> np.ndarray:
-        return np.zeros_like(x)
 
     def pm_v(self, x: np.ndarray) -> np.ndarray:
         m = np.clip(x, self.lo, self.hi)
@@ -169,12 +161,6 @@ class _CosineBump:
             return 0.0
         return (1.0 + math.cos(math.pi * t)) / (2.0 * self.s)
 
-    def dpdf_s(self, x: float) -> float:
-        t = (x - self.c) / self.s
-        if t < -1.0 or t > 1.0:
-            return 0.0
-        return -math.pi * math.sin(math.pi * t) / (2.0 * self.s * self.s)
-
     def _a(self, t: float) -> float:
         # integral of u*(1+cos(pi u))/2 over [-1, t]
         return 0.25 * (t * t - 1.0) + 0.5 * (
@@ -209,12 +195,6 @@ class _CosineBump:
         t += 1.0
         t /= 2.0 * self.s
         return np.where(inside, t, 0.0)
-
-    def dpdf_v(self, x: np.ndarray) -> np.ndarray:
-        t = (x - self.c) / self.s
-        inside = np.abs(t) <= 1.0
-        tt = np.clip(t, -1.0, 1.0)
-        return np.where(inside, -np.pi * np.sin(np.pi * tt) / (2.0 * self.s**2), 0.0)
 
     def pm_v(self, x: np.ndarray) -> np.ndarray:
         t = np.clip((x - self.c) / self.s, -1.0, 1.0)
@@ -268,15 +248,6 @@ class _BetaPoly:
             return 0.0
         return self._pdf_y(self._y(x))
 
-    def dpdf_s(self, x: float) -> float:
-        if x < self.lo or x > self.hi:
-            return 0.0
-        y = self._y(x)
-        eps = 1e-12
-        y = min(max(y, eps), 1.0 - eps)
-        p = self._pdf_y(y)
-        return p * ((self.a - 1.0) / y - (self.b - 1.0) / (1.0 - y)) / self.width
-
     def pm_s(self, x: float) -> float:
         y = self._y(x)
         head = self.lo * float(betainc(self.a, self.b, y))
@@ -297,14 +268,6 @@ class _BetaPoly:
             out = np.power(y, self.a - 1.0) * np.power(1.0 - y, self.b - 1.0)
         out = np.nan_to_num(out, nan=0.0, posinf=0.0)
         return np.where(inside, out * math.exp(-self.log_norm) / self.width, 0.0)
-
-    def dpdf_v(self, x: np.ndarray) -> np.ndarray:
-        y = np.clip((x - self.lo) / self.width, 1e-12, 1.0 - 1e-12)
-        inside = (x >= self.lo) & (x <= self.hi)
-        p = np.power(y, self.a - 1.0) * np.power(1.0 - y, self.b - 1.0)
-        p = p * math.exp(-self.log_norm) / self.width
-        d = p * ((self.a - 1.0) / y - (self.b - 1.0) / (1.0 - y)) / self.width
-        return np.where(inside, d, 0.0)
 
     def pm_v(self, x: np.ndarray) -> np.ndarray:
         y = np.clip((x - self.lo) / self.width, 0.0, 1.0)
@@ -373,12 +336,6 @@ class _PwLinear:
         i = self._seg_idx_s(x)
         return float(self.ys[i] + self.slopes[i] * (x - self.xs[i]))
 
-    def dpdf_s(self, x: float) -> float:
-        # at a knot this is the right-segment slope
-        if x < self.lo or x > self.hi:
-            return 0.0
-        return float(self.slopes[self._seg_idx_s(x)])
-
     def pm_s(self, x: float) -> float:
         if x <= self.lo:
             return 0.0
@@ -403,11 +360,6 @@ class _PwLinear:
         i = self._seg_idx_v(x)
         inside = (x >= self.lo) & (x <= self.hi)
         return np.where(inside, self.ys[i] + self.slopes[i] * (x - self.xs[i]), 0.0)
-
-    def dpdf_v(self, x: np.ndarray) -> np.ndarray:
-        i = self._seg_idx_v(x)
-        inside = (x >= self.lo) & (x <= self.hi)
-        return np.where(inside, self.slopes[i], 0.0)
 
     def pm_v(self, x: np.ndarray) -> np.ndarray:
         i = self._seg_idx_v(x)
@@ -529,17 +481,6 @@ class DistributionSpec:
         self._check_domain_s(xs)
         return sum(w * p.pdf_s(xs) for w, p in zip(self.weights, self.parts))
 
-    def pdf_deriv(self, x):
-        if isinstance(x, np.ndarray):
-            self._check_domain_v(x)
-            out = np.zeros(x.shape, dtype=float)
-            for w, p in zip(self.weights, self.parts):
-                out += w * p.dpdf_v(x)
-            return out
-        xs = float(x)
-        self._check_domain_s(xs)
-        return sum(w * p.dpdf_s(xs) for w, p in zip(self.weights, self.parts))
-
     def partial_mean(self, x):
         """M(x) = integral of t * pdf(t) over [lo, min(x, hi)]."""
         if isinstance(x, np.ndarray):
@@ -564,7 +505,7 @@ class DistributionSpec:
     def mean(self) -> float:
         return sum(w * p.mean() for w, p in zip(self.weights, self.parts))
 
-    # -- quantiles and sampling ----------------------------------------------
+    # -- quantiles -----------------------------------------------------------
 
     @cached_property
     def _affine_quantile(self) -> bool:
@@ -669,15 +610,6 @@ class DistributionSpec:
             out[pos] = res
         return out
 
-    def sample(self, seed: int, index: int) -> float:
-        """Deterministic inverse-cdf draw at one absolute stream position."""
-        return float(self.sample_stream(seed, index, 1)[0])
-
-    def sample_stream(self, seed: int, start: int, count: int) -> np.ndarray:
-        """Inverse-cdf draws at stream positions [start, start+count)."""
-        u = uniform_stream(seed, start, count)
-        return self.quantile(u)
-
     # -- integral quantities ---------------------------------------------------
 
     def order_statistic_mean(self, n: int, rank: int) -> float:
@@ -715,22 +647,6 @@ class DistributionSpec:
         if g <= 0.0:
             raise DistributionError(f"no mass at or below b={bf}")
         return self.partial_mean(bf) / g
-
-    def mean_below_inverse(self, target: float) -> float:
-        """Inverse of mean_below on [lo, hi]."""
-        t = float(target)
-        if t > self.mean + 1e-12:
-            raise DistributionError(f"target {t} exceeds the mean {self.mean}")
-        if t <= self.support.lo:
-            return float(self.support.lo)
-        lo, hi = self.support.lo, self.support.hi
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if self.mean_below(mid) >= t:
-                hi = mid
-            else:
-                lo = mid
-        return hi
 
     def mean_above(self, r: float) -> float:
         """E[w | w >= r]."""

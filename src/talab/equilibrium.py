@@ -8,15 +8,10 @@ on 0 < v <= v_bar, b(0) = 0, where m(b) = E[w | w <= b] and (F, f) / (G, g)
 are the weak / strong value laws. Solutions live strictly inside the band
 v < b < m^{-1}(v); H blows up at the lower edge and vanishes at the upper one.
 
-Two independent routes are provided:
-
-* ``solve_ode``          adaptive embedded Runge-Kutta (Dormand-Prince 4(5))
-                         with band-aware step rejection and a series start at
-                         the singular origin;
-* ``solve_fixed_point``  damped iteration of the averaging operator
-                         T(gamma)(v) = (1/v) * integral of K(gamma(s), s) over [0, v]
-                         in bid-ratio space gamma = b/v, clamped to per-node
-                         envelopes.
+``solve_ode`` integrates it with an adaptive embedded Runge-Kutta method
+(Dormand-Prince 4(5)) that rejects steps leaving the band, starting from a
+series expansion at the singular origin. The tests check it against scipy's
+DOP853 started from the same series-start node.
 
 ``verify_best_response`` checks the solved schedule against grid deviations of
 the reported value (and raw bids above b(v_bar)), which is the acceptance
@@ -25,8 +20,7 @@ oracle for equilibrium claims.
 The strong side may carry an atom at bid zero (announced auctioneer zeroing
 with probability 1-p). The same ODE applies against the effective bid law;
 only the singular start changes, to b ~ sqrt(2 (N-1)/N * kappa0 * v) with
-kappa0 the atom-to-density ratio at the origin. The ratio-space fixed point
-needs gamma(0) = 2N/(N+1) and therefore rejects atom-carrying laws.
+kappa0 the atom-to-density ratio at the origin.
 """
 
 from __future__ import annotations
@@ -46,7 +40,6 @@ __all__ = [
     "BestResponseReport",
     "BidFunction",
     "EquilibriumError",
-    "FixedPointDivergence",
     "SingularStartError",
     "SolveOptions",
     "SolveReport",
@@ -56,9 +49,7 @@ __all__ = [
     "deviation_payoff",
     "discrete_atom_equilibrium",
     "initial_bid_ratio",
-    "ratio_rhs",
     "raw_bid_payoff",
-    "solve_fixed_point",
     "solve_ode",
     "verify_best_response",
 ]
@@ -74,14 +65,6 @@ class BandEscape(EquilibriumError):
 
 class SingularStartError(EquilibriumError):
     """No valid series start at the singular origin."""
-
-
-class FixedPointDivergence(EquilibriumError):
-    """Damped iteration failed to reach tolerance."""
-
-    def __init__(self, message: str, last_delta: float):
-        super().__init__(message)
-        self.last_delta = last_delta
 
 
 def initial_bid_ratio(n_weak: int) -> float:
@@ -139,18 +122,6 @@ class StrongBidLaw:
                 out = self.partial_mean(b) / g
             return np.where(g <= 0.0, 0.0, out)
         return 0.0 if g <= 0.0 else self.partial_mean(b) / g
-
-    def mean_below_inverse(self, targets: np.ndarray) -> np.ndarray:
-        """Vector inverse of mean_below on [0, hi] (leftmost crossing)."""
-        t = np.asarray(targets, dtype=float)
-        lo = np.zeros(t.shape)
-        hi = np.full(t.shape, self.hi)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            ge = self.mean_below(mid) >= t
-            hi = np.where(ge, mid, hi)
-            lo = np.where(ge, lo, mid)
-        return hi
 
     def eval3(self, b: float) -> tuple[float, float, float]:
         """(cdf, pdf, partial_mean) at a scalar bid, one component sweep."""
@@ -249,10 +220,7 @@ class BidFunction:
 
 @dataclass(frozen=True)
 class SolveReport:
-    method: str
     max_ode_residual: float
-    picard_iterations: int
-    sup_norm_delta: float
     warnings: tuple[str, ...] = ()
 
 
@@ -270,9 +238,6 @@ class SolveOptions:
     grid_size: int = 1000
     rk_tolerance: float = 1e-10
     residual_tolerance: float = 5e-7   # midpoint |b' - H| / (1 + |H|) gate
-    max_iter: int = 1500
-    fp_tolerance: float = 1e-9
-    damping: float = 0.2   # fixed-point slope at the solution is ~ -5, so < 1/3 is needed
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +284,6 @@ def bid_ode_rhs(b: float, v: float, weak: DistributionSpec, strong, n_weak: int)
         raise EquilibriumError(
             f"(b, v)=({b}, {v}) outside the bid band v < b < m^-1(v)"
         ) from None
-
-
-def ratio_rhs(beta: float, v: float, weak: DistributionSpec, strong, n_weak: int) -> float:
-    """Slope field in bid-ratio space: K(beta, v) = H(beta*v, v)."""
-    return bid_ode_rhs(beta * v, v, weak, strong, n_weak)
 
 
 # ---------------------------------------------------------------------------
@@ -481,15 +441,7 @@ def solve_ode(
 
     vs[-1] = v_bar  # the last step lands within an ulp of the top; pin it
     bid = BidFunction(np.asarray(vs), np.asarray(bs), np.asarray(ks))
-    residual = _max_residual(bid, rhs)
-    report = SolveReport(
-        method="ode",
-        max_ode_residual=residual,
-        picard_iterations=0,
-        sup_norm_delta=0.0,
-        warnings=tuple(notes),
-    )
-    return bid, report
+    return bid, SolveReport(max_ode_residual=_max_residual(bid, rhs), warnings=tuple(notes))
 
 
 def _max_residual(bid: BidFunction, rhs) -> float:
@@ -507,116 +459,6 @@ def _max_residual(bid: BidFunction, rhs) -> float:
             return math.inf
         worst = max(worst, abs(s - hval) / (1.0 + abs(hval)))
     return worst
-
-
-# ---------------------------------------------------------------------------
-# fixed point of the averaging operator in ratio space
-# ---------------------------------------------------------------------------
-
-
-def _ratio_grid(v_bar: float, v0: float, grid_size: int) -> np.ndarray:
-    n_geo = max(grid_size // 5, 16)
-    n_lin = max(grid_size - n_geo, 16)
-    knee = 0.08 * v_bar
-    geo = np.geomspace(v0, knee, n_geo, endpoint=False)
-    lin = np.linspace(knee, v_bar, n_lin)
-    return np.concatenate([[0.0], geo, lin])
-
-
-def solve_fixed_point(
-    weak: DistributionSpec,
-    strong,
-    n_weak: int,
-    opts: SolveOptions = SolveOptions(),
-) -> tuple[BidFunction, SolveReport]:
-    """Damped iteration of the clamped averaging operator; atom-free laws only."""
-    if n_weak < 2:
-        raise EquilibriumError(f"need at least 2 weak bidders, got {n_weak}")
-    law = as_strong_law(strong)
-    if law.atom > 0.0:
-        raise EquilibriumError(
-            "fixed-point solver requires an atom-free strong law "
-            "(the ratio-space boundary value breaks under a zero-bid atom)"
-        )
-    if weak.support.lo != 0.0 or law.dist.support.lo != 0.0:
-        raise EquilibriumError("the model requires value supports starting at 0")
-    notes = _model_warnings(weak, law)
-    for msg in notes:
-        warnings.warn(msg, RuntimeWarning, stacklevel=2)
-
-    v_bar = weak.support.hi
-    beta0 = initial_bid_ratio(n_weak)
-    grid = _ratio_grid(v_bar, opts.v0_fraction * v_bar, opts.grid_size)
-    vpos = grid[1:]
-
-    # clamp envelopes: [1 + 1e-6, m^-1(v)/v - 1e-6], falling back to the law's
-    # top where v exceeds E[strong bid] (no band ceiling exists there)
-    ceil_b = law.mean_below_inverse(np.minimum(vpos, law.mean * (1.0 - 1e-12)))
-    ceil_b = np.where(vpos >= law.mean, law.hi * (1.0 - 1e-12), ceil_b)
-    env_lo = 1.0 + 1e-6
-    env_hi = ceil_b / vpos - 1e-6
-    if np.any(env_hi <= env_lo):
-        raise EquilibriumError("degenerate clamp envelope; strength assumption too tight")
-
-    Fv = weak.cdf(vpos)
-    fv = weak.pdf(vpos)
-    nm1 = float(n_weak - 1)
-
-    def k_vec(gamma_pos: np.ndarray) -> np.ndarray:
-        b = gamma_pos * vpos
-        Gb = law.cdf(b)
-        gb = law.pdf(b)
-        Mb = law.partial_mean(b)
-        m = np.where(Gb > 0, Mb / np.where(Gb > 0, Gb, 1.0), 0.0)
-        return nm1 * (fv / Fv) * (Gb / gb) * (vpos - m) / (b - vpos)
-
-    def k_origin(beta: float) -> float:
-        return nm1 * beta / (beta - 1.0) * (1.0 - 0.5 * beta)
-
-    gamma = np.full(grid.shape, beta0)
-    alpha = opts.damping
-    delta = math.inf
-    grow_streak = 0
-    iterations = 0
-    t_full = gamma.copy()
-    for iterations in range(1, opts.max_iter + 1):
-        kk = np.concatenate([[k_origin(gamma[0])], k_vec(gamma[1:])])
-        integral = np.concatenate([[0.0], np.cumsum(0.5 * (kk[1:] + kk[:-1]) * np.diff(grid))])
-        t_full = np.concatenate([[beta0], integral[1:] / vpos])
-        new_delta = float(np.max(np.abs(gamma - t_full)))
-        if new_delta <= opts.fp_tolerance:
-            delta = new_delta
-            break
-        grow_streak = grow_streak + 1 if new_delta > delta else 0
-        if grow_streak >= 5 and alpha > 0.01:
-            alpha *= 0.5
-            grow_streak = 0
-        delta = new_delta
-        clamped = np.concatenate([[beta0], np.clip(t_full[1:], env_lo, env_hi)])
-        gamma = (1.0 - alpha) * gamma + alpha * clamped
-    else:
-        raise FixedPointDivergence(
-            f"no convergence after {opts.max_iter} iterations "
-            f"(last sup-norm delta {delta:.3g})",
-            delta,
-        )
-
-    clamp_active = int(np.sum((t_full[1:] < env_lo) | (t_full[1:] > env_hi)))
-    if clamp_active:
-        notes = notes + [f"clamp active at {clamp_active} nodes on the converged iterate"]
-
-    values = gamma * grid
-    slopes = np.concatenate([[beta0], k_vec(gamma[1:])])
-    bid = BidFunction(grid, values, slopes)
-    rhs = _rhs_factory(weak, law, n_weak)
-    report = SolveReport(
-        method="picard",
-        max_ode_residual=_max_residual(bid, rhs),
-        picard_iterations=iterations,
-        sup_norm_delta=delta,
-        warnings=tuple(notes),
-    )
-    return bid, report
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ Five mechanisms share one draw layout. Replicate j owns positions
     u[N+2]     intervention randomization (consumed only when announced)
 
 ``run_once`` is the scalar rule-by-rule reference; ``simulate`` evaluates the
-same rules vectorized over fixed-size replicate blocks. Blocks are keyed by
-absolute replicate index and reduced in index order, so the estimate is
-bit-identical for any thread count.
+same rules vectorized over fixed-size replicate blocks (``run_blocks``, which
+the optimal-auction estimator shares). Blocks are keyed by absolute replicate
+index and reduced in index order, so the estimate is bit-identical for any
+thread count.
 """
 
 from __future__ import annotations
@@ -283,6 +284,27 @@ def _estimate(values: np.ndarray, n: int, seed: int) -> RevenueEstimate:
     return RevenueEstimate(mean=float(values.mean()), std_error=se, n=n, seed=seed)
 
 
+def run_blocks(seed: int, n: int, stride: int, block_fn, outs, threads: int = 1):
+    """Fill the arrays in ``outs`` over replicates [0, n), one block at a time.
+
+    block_fn maps a block's uniforms (one row per replicate, ``stride`` wide)
+    to one array per output. Blocks are keyed by absolute replicate index, so
+    the outputs do not depend on the thread count.
+    """
+    def work(i0: int):
+        m = min(_BLOCK_REPLICATES, n - i0)
+        for out, res in zip(outs, block_fn(uniform_block(seed, i0, m, stride))):
+            out[i0 : i0 + m] = res
+
+    starts = range(0, n, _BLOCK_REPLICATES)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(work, starts))
+    else:
+        for i0 in starts:
+            work(i0)
+
+
 def simulate_draws(spec: AuctionSpec, n: int, seed: int,
                    threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Per-replicate (revenue, surplus) arrays, replicate index order."""
@@ -290,21 +312,8 @@ def simulate_draws(spec: AuctionSpec, n: int, seed: int,
         raise MechanismError(f"need n >= 1 replicates, got {n}")
     revenue = np.empty(n)
     surplus = np.empty(n)
-    starts = range(0, n, _BLOCK_REPLICATES)
-
-    def work(i0: int):
-        m = min(_BLOCK_REPLICATES, n - i0)
-        u = uniform_block(seed, i0, m, spec.stride)
-        r, s = _block_outcomes(spec, u)
-        revenue[i0 : i0 + m] = r
-        surplus[i0 : i0 + m] = s
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, starts))
-    else:
-        for i0 in starts:
-            work(i0)
+    run_blocks(seed, n, spec.stride, lambda u: _block_outcomes(spec, u),
+               (revenue, surplus), threads)
     return revenue, surplus
 
 

@@ -15,16 +15,12 @@ vanishes or spikes.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dist import DistributionSpec
-from .mechanisms import STRIDE_EXTRA, RevenueEstimate
-from .rng import uniform_block
-
-_BLOCK_REPLICATES = 1 << 15
+from .mechanisms import STRIDE_EXTRA, RevenueEstimate, _estimate, run_blocks
 
 
 def virtual_value(d: DistributionSpec, x):
@@ -168,26 +164,14 @@ def oa_revenue(
     psi_w = ironed_virtual(weak, quantile_grid_size) if n_weak > 0 else None
     psi_s = ironed_virtual(strong, quantile_grid_size) if strong is not None else None
 
-    stride = n_weak + STRIDE_EXTRA
-    values = np.empty(n)
-    starts = range(0, n, _BLOCK_REPLICATES)
-
-    def work(i0: int):
-        m = min(_BLOCK_REPLICATES, n - i0)
-        u = uniform_block(seed, i0, m, stride)
-        best = np.zeros(m)
+    def block(u: np.ndarray):
+        best = np.zeros(u.shape[0])
         if psi_w is not None:
             best = np.maximum(best, psi_w(u[:, :n_weak].max(axis=1)))
         if psi_s is not None:
             best = np.maximum(best, psi_s(u[:, n_weak]))
-        values[i0 : i0 + m] = best
+        return (best,)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, starts))
-    else:
-        for i0 in starts:
-            work(i0)
-
-    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return RevenueEstimate(mean=float(values.mean()), std_error=se, n=n, seed=seed)
+    values = np.empty(n)
+    run_blocks(seed, n, n_weak + STRIDE_EXTRA, block, (values,), threads)
+    return _estimate(values, n, seed)

@@ -31,11 +31,6 @@ def uniform_stream(seed: int, start: int, count: int) -> np.ndarray:
     return out[pad:] if pad else out
 
 
-def uniform_at(seed: int, index: int) -> float:
-    """Single uniform at an absolute stream position."""
-    return float(uniform_stream(seed, index, 1)[0])
-
-
 def uniform_block(seed: int, first_replicate: int, n_replicates: int, stride: int) -> np.ndarray:
     """Replicate-shaped window: row j holds the uniforms of replicate first_replicate+j.
 

@@ -285,7 +285,7 @@ class ReserveRule:
             return np.full(fam.size, float(self.value))
         if self.kind == "quantile_below":
             return from_below_reserves(fam)
-        return block_step_reserves(fam, float(self.eps))
+        return block_steps(fam, float(self.eps))[0]
 
 
 def from_below_reserves(fam: FamilySpec) -> np.ndarray:
@@ -307,34 +307,17 @@ def from_below_reserves(fam: FamilySpec) -> np.ndarray:
     return out
 
 
-def reserve_from_below(fam: FamilySpec, l: int) -> float:
-    if not 1 <= l <= fam.size:
-        raise ExperimentError(f"index {l} outside 1..{fam.size}")
-    return float(from_below_reserves(fam)[l - 1])
-
-
-def block_step_reserves(fam: FamilySpec, eps: float) -> np.ndarray:
-    """r_l = k - eps/n with n stepped up once G_l(k - eps/(n+1)) <= 1/(n+1)."""
-    out = np.empty(fam.size)
+def block_steps(fam: FamilySpec, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(reserves, block indices): r_l = k - eps/n, with the block index n
+    stepped up once G_l(k - eps/(n+1)) <= 1/(n+1)."""
+    counts = np.empty(fam.size, dtype=int)
     n = 1
     for l in range(1, fam.size + 1):
         member = fam.member(l)
         while member.cdf(fam.k - eps / (n + 1)) <= 1.0 / (n + 1):
             n += 1
-        out[l - 1] = fam.k - eps / n
-    return out
-
-
-def block_step_counts(fam: FamilySpec, eps: float) -> np.ndarray:
-    """The block index n used at each family index (diagnostic for the bound)."""
-    out = np.empty(fam.size, dtype=int)
-    n = 1
-    for l in range(1, fam.size + 1):
-        member = fam.member(l)
-        while member.cdf(fam.k - eps / (n + 1)) <= 1.0 / (n + 1):
-            n += 1
-        out[l - 1] = n
-    return out
+        counts[l - 1] = n
+    return fam.k - eps / counts, counts
 
 
 # ---------------------------------------------------------------------------
@@ -531,9 +514,11 @@ def run_limit_experiment(
     else:  # pragma: no cover
         raise ExperimentError(prop)
 
-    reserves = rule.reserves(fam)
+    if prop == "P7":
+        reserves, counts = block_steps(fam, float(rule.eps))
+    else:
+        reserves = rule.reserves(fam)
     rows = []
-    counts = block_step_counts(fam, float(rule.eps)) if prop == "P7" else None
     for l in range(1, fam.size + 1):
         member = fam.member(l)
         r_l = float(reserves[l - 1])
@@ -566,7 +551,7 @@ def _tournament_rows(fam, weak, n_weak, target, n, seed, threads, solver,
         law = StrongBidLaw(member, zero_bid_prob=zero_prob)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            bid, report = solve_ode(weak, law, n_weak, solver)
+            bid, _ = solve_ode(weak, law, n_weak, solver)
             br = verify_best_response(bid, weak, law, n_weak)
         if intervention_p is None:
             spec = AuctionSpec("ta", n_weak, weak, member, bid_fn=bid)
@@ -582,7 +567,7 @@ def _tournament_rows(fam, weak, n_weak, target, n, seed, threads, solver,
             surplus_se=out["surplus"].std_error,
             target=target,
             gap=abs(out["revenue"].mean - target),
-            method=report.method,
+            method="ode",
             max_regret=br.max_regret,
         ))
     return rows

@@ -64,8 +64,11 @@ def test_parse_discrete_feasibility():
 
 
 def test_parse_unknown_solver_key():
-    with pytest.raises(ConfigError, match="solver.fancy"):
-        parse_config(base_config(solver={"fancy": True}))
+    for key, value in (("fancy", True), ("method", "picard"), ("damping", 0.2),
+                       ("max_iter", 1500), ("fp_tolerance", 1e-9)):
+        with pytest.raises(ConfigError, match=f"solver.{key}") as err:
+            parse_config(base_config(solver={key: value}))
+        assert err.value.errors == [(f"solver.{key}", "unknown key")]
 
 
 def test_hash_roundtrip_and_key_order():

@@ -5,7 +5,7 @@ import pytest
 
 from talab import dist
 from talab.dist import DistributionError
-from talab.rng import uniform_at, uniform_stream
+from talab.rng import uniform_stream
 
 from conftest import quad_cdf, quad_partial_mean
 
@@ -20,7 +20,6 @@ def test_stream_partition_independence():
     parts = np.concatenate([uniform_stream(7, 0, 10), uniform_stream(7, 10, 30),
                             uniform_stream(7, 40, 24)])
     assert np.array_equal(full, parts)
-    assert uniform_at(7, 13) == full[13]
 
 
 def test_stream_determinism():
@@ -69,35 +68,6 @@ def test_partial_mean_matches_quadrature(test_distributions):
 
 def test_uniform_pdf_examples(u01):
     assert u01.pdf(0.3) == 1.0
-    assert u01.pdf_deriv(0.3) == 0.0
-
-
-def test_bump_pdf_deriv_zero_at_center():
-    b = dist.cosine_bump(1.3, 0.4)
-    assert b.pdf_deriv(1.3) == 0.0
-
-
-def test_pw_linear_pdf_deriv_is_segment_slope():
-    d = dist.piecewise_linear([0.0, 0.5, 1.0], [0.5, 1.5, 0.5])
-    # normalized density keeps the knot ratios; slope of the first segment
-    y0, y1 = d.pdf(0.0), d.pdf(0.5)
-    assert d.pdf_deriv(0.25) == pytest.approx((y1 - y0) / 0.5, rel=1e-12)
-
-
-def test_pdf_deriv_matches_finite_differences(test_distributions):
-    for name, d in test_distributions.items():
-        lo, hi = d.support.lo, d.support.hi
-        h = 1e-7 * (hi - lo)
-        for x in np.linspace(lo + 0.13 * (hi - lo), hi - 0.13 * (hi - lo), 9):
-            if name == "pw_linear":
-                # keep the stencil inside one segment
-                seg = d.parts[0]
-                i = seg._seg_idx_s(x)
-                if not (seg.xs[i] + 2 * h < x < seg.xs[i + 1] - 2 * h):
-                    continue
-            fd = (d.pdf(x + h) - d.pdf(x - h)) / (2 * h)
-            got = d.pdf_deriv(x)
-            assert got == pytest.approx(fd, rel=1e-6, abs=1e-6 * (1 + abs(fd))), name
 
 
 def test_pdf_domain_error(u01):
@@ -143,20 +113,12 @@ def test_quantile_rejects_bad_level(u01):
 # ---------------------------------------------------------------------------
 
 
-def test_sample_deterministic(floored_mixture):
-    a = floored_mixture.sample(99, 4)
-    b = floored_mixture.sample(99, 4)
-    assert a == b
-    block = floored_mixture.sample_stream(99, 0, 10)
-    assert block[4] == a
-
-
 def test_sample_ks_bound(test_distributions):
     # KS statistic below 1.63/sqrt(n) (1% level) for inverse-cdf sampling
     n = 100_000
     for name in ("u01", "floored_mixture", "pw_linear"):
         d = test_distributions[name]
-        xs = np.sort(d.sample_stream(2024, 0, n))
+        xs = np.sort(d.quantile(uniform_stream(2024, 0, n)))
         ecdf_hi = np.arange(1, n + 1) / n
         ecdf_lo = np.arange(0, n) / n
         F = d.cdf(xs)
@@ -166,7 +128,7 @@ def test_sample_ks_bound(test_distributions):
 
 def test_sample_mean_clt(floored_mixture):
     n = 1_000_000
-    xs = floored_mixture.sample_stream(5, 0, n)
+    xs = floored_mixture.quantile(uniform_stream(5, 0, n))
     se = xs.std(ddof=1) / math.sqrt(n)
     assert abs(xs.mean() - floored_mixture.mean) < 4 * se
 
@@ -195,7 +157,7 @@ def test_order_stat_rank_rejected(u01):
 
 def test_order_stat_monte_carlo_oracle(floored_mixture):
     n = 200_000
-    draws = floored_mixture.sample_stream(11, 0, 3 * n).reshape(n, 3)
+    draws = floored_mixture.quantile(uniform_stream(11, 0, 3 * n)).reshape(n, 3)
     top = np.sort(draws, axis=1)[:, ::-1]
     for rank in (1, 2):
         est = top[:, rank - 1]
@@ -242,25 +204,6 @@ def test_mean_below_domain_error(u02):
         u02.mean_below(2.5)
 
 
-def test_mean_below_inverse(u01, u02):
-    assert u01.mean_below_inverse(0.4) == pytest.approx(0.8, abs=1e-9)
-    assert u01.mean_below_inverse(0.0) == 0.0
-    xi = 1e-4
-    assert u02.mean_below_inverse(xi) / xi == pytest.approx(2.0, abs=1e-3)
-
-
-def test_mean_below_inverse_roundtrip(floored_mixture):
-    for xi in np.linspace(0.01, floored_mixture.mean * 0.999, 17):
-        b = floored_mixture.mean_below_inverse(float(xi))
-        assert floored_mixture.mean_below(b) == pytest.approx(xi, abs=1e-9)
-        assert b > xi
-
-
-def test_mean_below_inverse_domain(u01):
-    with pytest.raises(DistributionError):
-        u01.mean_below_inverse(0.9)
-
-
 def test_mean_above(u02, floored_mixture):
     assert u02.mean_above(1.0) == pytest.approx(1.5, abs=1e-12)
     assert u02.mean_above(0.0) == pytest.approx(u02.mean, abs=1e-12)
@@ -269,7 +212,7 @@ def test_mean_above(u02, floored_mixture):
     # rejection-sampling oracle near the atom bump
     r = 1.95
     n = 400_000
-    xs = floored_mixture.sample_stream(21, 0, n)
+    xs = floored_mixture.quantile(uniform_stream(21, 0, n))
     kept = xs[xs >= r]
     se = kept.std(ddof=1) / math.sqrt(len(kept))
     assert abs(kept.mean() - floored_mixture.mean_above(r)) < 3 * se

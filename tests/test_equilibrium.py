@@ -15,9 +15,7 @@ from talab.equilibrium import (
     deviation_payoff,
     discrete_atom_equilibrium,
     initial_bid_ratio,
-    ratio_rhs,
     raw_bid_payoff,
-    solve_fixed_point,
     solve_ode,
     verify_best_response,
 )
@@ -76,16 +74,14 @@ def test_rhs_domain_errors(u01, u02):
         bid_ode_rhs(0.6, 0.0, u01, u02, 2)  # v outside (0, v_bar]
 
 
-def test_ratio_rhs_consistency(u01, u02):
-    assert ratio_rhs(1.2, 0.5, u01, u02, 2) == bid_ode_rhs(0.6, 0.5, u01, u02, 2)
-
-
 def test_ratio_rhs_origin_limit(u01, u02):
-    # lim K(beta, v) = (N-1) beta/(beta-1) (1 - beta/2); at beta = 4/3, N = 2 it is 4/3
+    # along b = beta v, lim H(beta v, v) = (N-1) beta/(beta-1) (1 - beta/2) as v -> 0;
+    # at beta = 4/3, N = 2 it is 4/3
     beta = 4.0 / 3.0
     limit = 1.0 * beta / (beta - 1.0) * (1.0 - 0.5 * beta)
     assert limit == pytest.approx(4.0 / 3.0, rel=1e-12)
-    assert ratio_rhs(beta, 1e-7, u01, u02, 2) == pytest.approx(limit, abs=1e-6)
+    v = 1e-7
+    assert bid_ode_rhs(beta * v, v, u01, u02, 2) == pytest.approx(limit, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -96,10 +92,10 @@ def test_ratio_rhs_origin_limit(u01, u02):
 def test_solver_exact_uniform_instances(u01, u02):
     # constant-ratio closed form b(v) = 2N/(N+1) v solves the uniform instance
     vs = np.linspace(1e-3, 1.0, 400)
-    for n in (2, 3, 5):
+    for n in range(2, 9):
         bid, report = solve_ode(u01, u02, n)
-        assert np.max(np.abs(bid(vs) - initial_bid_ratio(n) * vs)) < 1e-9
-        assert report.max_ode_residual < 1e-6
+        assert np.max(np.abs(bid(vs) - 2.0 * n / (n + 1.0) * vs)) < 1e-9, n
+        assert report.max_ode_residual < 1e-6, n
 
 
 def test_initial_slope(u01, u02, bump_member):
@@ -143,7 +139,8 @@ def test_solution_extends_to_top(u01, bump_member):
     bid, _ = solve_ode(u01, bump_member, 2)
     v_bar = 1.0
     assert bid.v_top == v_bar
-    assert v_bar < bid.b_top < law.mean_below_inverse(np.array([v_bar]))[0] + 1e-9
+    assert v_bar < bid.b_top
+    assert law.mean_below(bid.b_top) < v_bar  # below the band ceiling m^-1(v_bar)
 
 
 def test_strength_warning():
@@ -217,39 +214,6 @@ def test_raw_bids_above_top_suboptimal(uniform_solution, u01, u02):
     eq = deviation_payoff(v, v, bid, u01, u02, 2)
     for raw in (bid.b_top + 0.1, 1.9):
         assert raw_bid_payoff(v, raw, u01, u02, 2) < eq
-
-
-# ---------------------------------------------------------------------------
-# fixed-point route
-# ---------------------------------------------------------------------------
-
-
-def test_fixed_point_agreement(u01, u02, uniform_solution):
-    bid_o, _ = uniform_solution
-    bid_p, report = solve_fixed_point(u01, u02, 2)
-    vs = np.linspace(0.0, 1.0, 1001)
-    assert np.max(np.abs(bid_p(vs) - bid_o(vs))) <= 1e-3
-    assert report.sup_norm_delta <= 1e-10
-    assert not any("clamp active" in w for w in report.warnings)
-
-
-def test_fixed_point_nontrivial_instance(u01):
-    strong = dist.mixture(
-        [(0.3, dist.uniform(0.0, 2.0)), (0.7, dist.beta_poly(0.0, 2.0, 2.0, 1.5))],
-        support=(0.0, 2.0),
-    )
-    bid_p, report = solve_fixed_point(u01, strong, 2)
-    bid_o, _ = solve_ode(u01, strong, 2)
-    vs = np.linspace(0.0, 1.0, 1001)
-    assert report.picard_iterations > 5  # the iteration did real work
-    assert np.max(np.abs(bid_p(vs) - bid_o(vs))) <= 1e-3
-    assert verify_best_response(bid_p, u01, strong, 2).max_regret <= 1e-4
-
-
-def test_fixed_point_rejects_atom(u01, u02):
-    law = StrongBidLaw(u02, zero_bid_prob=0.25)
-    with pytest.raises(EquilibriumError, match="atom"):
-        solve_fixed_point(u01, law, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,11 @@ from talab.mechanisms import sa_reserve_closed_form
 from talab.sequences import (
     ExperimentError,
     ReserveRule,
-    block_step_counts,
-    block_step_reserves,
+    block_steps,
     check_atom_convergence,
     check_low_drain,
     from_below_reserves,
     make_family,
-    reserve_from_below,
     run_limit_experiment,
 )
 
@@ -152,7 +150,6 @@ def test_from_below_window_and_monotonicity(slow16):
         g_r = member.cdf(rs[l - 1])
         g_k = member.cdf(K)
         assert g_k - 1.0 / l < g_r < g_k, l
-    assert reserve_from_below(slow16, 16) == rs[-1]
 
 
 def test_from_below_split_family_limits():
@@ -165,9 +162,9 @@ def test_from_below_split_family_limits():
 
 def test_block_steps_bound(slow16):
     eps = 0.5
-    rs = block_step_reserves(slow16, eps)
-    ns = block_step_counts(slow16, eps)
+    rs, ns = block_steps(slow16, eps)
     assert np.all(np.diff(ns) >= 0)
+    assert np.array_equal(ReserveRule("block_steps", eps=eps).reserves(slow16), rs)
     u01 = dist.uniform(0.0, 1.0)
     for l in range(1, slow16.size + 1):
         member = slow16.member(l)
