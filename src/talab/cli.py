@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -109,10 +110,7 @@ def _solve_bid(cfg: ExperimentConfig, strong, collect: list[str]):
 
 
 def _solve_report_dict(report) -> dict:
-    return {
-        "max_ode_residual": report.max_ode_residual,
-        "warnings": list(report.warnings),
-    }
+    return {**dataclasses.asdict(report), "warnings": list(report.warnings)}
 
 
 def _write_bid_outputs(bid: BidFunction, report, out_dir, tag, extra: dict) -> dict:
@@ -330,6 +328,12 @@ def cmd_report(args) -> dict:
     if "surplus" in obj and isinstance(obj["surplus"], dict):
         s = obj["surplus"]
         lines.append(f"  surplus: {s['mean']:.6g} +- {s['se']:.2g}")
+    if "accepted_steps" in obj:
+        lines.append("  solve: max_ode_residual {max_ode_residual:.3g}, "
+                     "series start v0 = {v0:.6g}".format(**obj))
+        lines.append("  steps: {accepted_steps} accepted; rejected {rejected_error} error, "
+                     "{rejected_band} band, {rejected_residual} residual; smallest "
+                     "{min_step:.3g} at v = {min_step_v:.6g}".format(**obj))
     if "max_regret" in obj:
         lines.append(f"  max_regret: {obj['max_regret']:.3g} "
                      f"(passed: {obj.get('passed')})")

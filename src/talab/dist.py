@@ -15,6 +15,11 @@ no closed form exists (order-statistic integrals, construction-time norm check)
 with panel splits at the density knots; tests use it as the independent oracle
 for the closed forms.
 
+For the bid ODE each component also has a fused scalar ``eval3_s(x) -> (F, f,
+M)`` that computes the shared parts once (one sin and one cos per bump, one
+betainc(a, b, y) per beta). Its F and f equal the scalar ``cdf_s``/``pdf_s``
+bit for bit; the scalar ``partial_mean`` sums its M.
+
 Supported kinds: ``uniform``, ``beta_poly`` (polynomial Beta-shaped density),
 ``cosine_bump`` (raised-cosine bump, C^1 everywhere), ``pw_linear``
 (piecewise-linear density) and flat ``mixture`` of the above.
@@ -111,9 +116,12 @@ class _Uniform:
     def pdf_s(self, x: float) -> float:
         return self.h if self.lo <= x <= self.hi else 0.0
 
-    def pm_s(self, x: float) -> float:
-        m = min(max(x, self.lo), self.hi)
-        return 0.5 * self.h * (m * m - self.lo * self.lo)
+    def eval3_s(self, x: float) -> tuple[float, float, float]:
+        lo, h = self.lo, self.h
+        if lo < x < self.hi:
+            return (x - lo) * h, h, 0.5 * h * (x * x - lo * lo)
+        m = min(max(x, lo), self.hi)
+        return self.cdf_s(x), self.pdf_s(x), 0.5 * h * (m * m - lo * lo)
 
     def mean(self) -> float:
         return 0.5 * (self.lo + self.hi)
@@ -142,6 +150,10 @@ class _CosineBump:
             raise DistributionError(f"bump half_width must be > 0, got {half_width}")
         self.c, self.s = float(center), float(half_width)
         self.lo, self.hi = self.c - self.s, self.c + self.s
+        # eval3_s at t = -1 and t = 1 exactly, and beyond them (where f = 0)
+        self._edges = tuple((F, (1.0 + math.cos(math.pi * t)) / (2.0 * self.s),
+                             self.c * F + self.s * self._a(t)) for t, F in ((-1.0, 0.0), (1.0, 1.0)))
+        self._beyond = tuple((F, 0.0, M) for F, _, M in self._edges)
 
     @property
     def params(self):
@@ -168,9 +180,17 @@ class _CosineBump:
             + (math.cos(math.pi * t) + 1.0) / (math.pi * math.pi)
         )
 
-    def pm_s(self, x: float) -> float:
-        t = min(max((x - self.c) / self.s, -1.0), 1.0)
-        return self.c * self.cdf_s(x) + self.s * self._a(t)
+    def eval3_s(self, x: float) -> tuple[float, float, float]:
+        t = (x - self.c) / self.s
+        if t < -1.0 or t > 1.0:
+            return self._beyond[0] if t < 0.0 else self._beyond[1]
+        if t == -1.0 or t == 1.0:
+            return self._edges[0] if t < 0.0 else self._edges[1]
+        u = math.pi * t
+        sn, cs = math.sin(u), math.cos(u)
+        F = 0.5 * (1.0 + t + sn / math.pi)
+        a = 0.25 * (t * t - 1.0) + 0.5 * (t * sn / math.pi + (cs + 1.0) / (math.pi * math.pi))
+        return F, (1.0 + cs) / (2.0 * self.s), self.c * F + self.s * a
 
     def mean(self) -> float:
         return self.c
@@ -248,11 +268,12 @@ class _BetaPoly:
             return 0.0
         return self._pdf_y(self._y(x))
 
-    def pm_s(self, x: float) -> float:
+    def eval3_s(self, x: float) -> tuple[float, float, float]:
         y = self._y(x)
-        head = self.lo * float(betainc(self.a, self.b, y))
+        F = float(betainc(self.a, self.b, y))
+        f = 0.0 if x < self.lo or x > self.hi else self._pdf_y(y)
         tail = self.width * (self.a / (self.a + self.b)) * float(betainc(self.a + 1.0, self.b, y))
-        return head + tail
+        return F, f, self.lo * F + tail
 
     def mean(self) -> float:
         return self.lo + self.width * self.a / (self.a + self.b)
@@ -336,13 +357,13 @@ class _PwLinear:
         i = self._seg_idx_s(x)
         return float(self.ys[i] + self.slopes[i] * (x - self.xs[i]))
 
-    def pm_s(self, x: float) -> float:
-        if x <= self.lo:
-            return 0.0
-        if x >= self.hi:
-            return float(self.cum_pm[-1])
+    def eval3_s(self, x: float) -> tuple[float, float, float]:
+        if x <= self.lo or x >= self.hi:
+            return self.cdf_s(x), self.pdf_s(x), 0.0 if x <= self.lo else float(self.cum_pm[-1])
         i = self._seg_idx_s(x)
-        return float(self.cum_pm[i] + self._seg_pm(i, x))
+        d = x - self.xs[i]
+        return (float(self.cum_mass[i] + self.ys[i] * d + 0.5 * self.slopes[i] * d * d),
+                float(self.ys[i] + self.slopes[i] * d), float(self.cum_pm[i] + self._seg_pm(i, x)))
 
     def mean(self) -> float:
         return float(self.cum_pm[-1])
@@ -489,7 +510,12 @@ class DistributionSpec:
                 out += w * p.pm_v(x)
             return out
         xs = float(x)
-        return sum(w * p.pm_s(xs) for w, p in zip(self.weights, self.parts))
+        return sum(w * ev(xs)[2] for w, ev in self._sweep)
+
+    @cached_property
+    def _sweep(self) -> tuple:
+        """(weight, component ``eval3_s``) pairs: F, f and M of a scalar in one pass."""
+        return tuple((w, p.eval3_s) for w, p in zip(self.weights, self.parts))
 
     def _check_domain_s(self, x: float):
         if x < self.support.lo - 1e-12 or x > self.support.hi + 1e-12:

@@ -11,7 +11,10 @@ v < b < m^{-1}(v); H blows up at the lower edge and vanishes at the upper one.
 ``solve_ode`` integrates it with an adaptive embedded Runge-Kutta method
 (Dormand-Prince 4(5)) that rejects steps leaving the band, starting from a
 series expansion at the singular origin. The tests check it against scipy's
-DOP853 started from the same series-start node.
+DOP853 started from the same series-start node. An rhs evaluation sweeps each
+law's components once (``eval3_s``) and the stages are written out, with every
+floating-point operation of the separate cdf/pdf/partial_mean calls and of
+``sum()`` over the tableau kept: the schedules are bit-identical to that form.
 
 ``verify_best_response`` checks the solved schedule against grid deviations of
 the reported value (and raw bids above b(v_bar)), which is the acceptance
@@ -124,15 +127,16 @@ class StrongBidLaw:
         return 0.0 if g <= 0.0 else self.partial_mean(b) / g
 
     def eval3(self, b: float) -> tuple[float, float, float]:
-        """(cdf, pdf, partial_mean) at a scalar bid, one component sweep."""
-        d = self.dist
+        """(cdf, pdf, partial_mean) at a scalar bid b >= 0, one component sweep."""
         c = p = m = 0.0
-        for w, part in zip(d.weights, d.parts):
-            c += w * part.cdf_s(b)
-            p += w * part.pdf_s(b)
-            m += w * part.pm_s(b)
-        s = self.scale
-        return self.atom + s * c, s * p, s * m
+        for w, ev in self.dist._sweep:
+            F, f, M = ev(b)
+            c += w * F
+            p += w * f
+            m += w * M
+        z = self.zero_bid_prob
+        s = 1.0 - z  # self.atom and self.scale, without the property calls
+        return z + s * c, s * p, s * m
 
 
 def as_strong_law(strong) -> StrongBidLaw:
@@ -221,6 +225,13 @@ class BidFunction:
 @dataclass(frozen=True)
 class SolveReport:
     max_ode_residual: float
+    v0: float                   # series-start node
+    accepted_steps: int         # grid size - 2
+    rejected_error: int         # rejected attempts: error estimate over tolerance,
+    rejected_band: int          # an rhs outside the band (or overflow, zero division),
+    rejected_residual: int      # the midpoint-residual gate
+    min_step: float             # smallest accepted step and its left end
+    min_step_v: float
     warnings: tuple[str, ...] = ()
 
 
@@ -251,13 +262,20 @@ class _OutOfBand(Exception):
 
 def _rhs_factory(weak: DistributionSpec, law: StrongBidLaw, n_weak: int):
     nm1 = float(n_weak - 1)
+    weak_sweep, eval3 = weak._sweep, law.eval3
+    v_lo, v_hi = weak.support.lo - 1e-12, weak.support.hi + 1e-12  # weak.pdf's domain
 
     def rhs(v: float, b: float) -> float:
-        Fv = weak.cdf(v)
+        Fv = fv = 0.0  # weak.cdf(v) and weak.pdf(v) in one sweep
+        for w, ev in weak_sweep:
+            F, f, _ = ev(v)
+            Fv += w * F
+            fv += w * f
         if Fv <= 0.0 or v <= 0.0:
             raise _OutOfBand
-        fv = weak.pdf(v)
-        Gb, gb, Mb = law.eval3(b)
+        if v < v_lo or v > v_hi:
+            weak._check_domain_s(v)
+        Gb, gb, Mb = eval3(b)
         if b <= v:
             raise _OutOfBand
         m = Mb / Gb if Gb > 0.0 else 0.0
@@ -302,6 +320,33 @@ _DP_A = (
 )
 _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+
+
+def _dp_stepper(rhs):
+    """One Dormand-Prince attempt (v, b, h, k1) -> (b5, b4, k7 = the next k1).
+
+    Each sum keeps the terms and order of sum() over its _DP_* row (zero B5/B4
+    weights skipped). Without sum()'s leading 0 only the sign of a zero total can
+    differ, and b + h * total hides it because b > 0: the results are bit-identical."""
+    _, c2, c3, c4, c5, c6, c7 = _DP_C
+    _, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65), (a71, a72, a73, a74, a75, a76) = _DP_A
+    p1, _, p3, p4, p5, p6, _ = _DP_B5
+    q1, _, q3, q4, q5, q6, q7 = _DP_B4
+
+    def step(v: float, b: float, h: float, k1: float) -> tuple[float, float, float]:
+        k2 = rhs(v + c2 * h, b + h * (a21 * k1))
+        k3 = rhs(v + c3 * h, b + h * (a31 * k1 + a32 * k2))
+        k4 = rhs(v + c4 * h, b + h * (a41 * k1 + a42 * k2 + a43 * k3))
+        k5 = rhs(v + c5 * h, b + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4))
+        k6 = rhs(v + c6 * h, b + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5))
+        k7 = rhs(v + c7 * h, b + h * (a71 * k1 + a72 * k2 + a73 * k3 + a74 * k4
+                                      + a75 * k5 + a76 * k6))
+        b5 = b + h * (p1 * k1 + p3 * k3 + p4 * k4 + p5 * k5 + p6 * k6)
+        b4 = b + h * (q1 * k1 + q3 * k3 + q4 * k4 + q5 * k5 + q6 * k6 + q7 * k7)
+        return b5, b4, k7
+
+    return step
 
 
 def _model_warnings(weak: DistributionSpec, law: StrongBidLaw) -> list[str]:
@@ -379,6 +424,7 @@ def solve_ode(
 
     v_bar = weak.support.hi
     rhs = _rhs_factory(weak, law, n_weak)
+    step = _dp_stepper(rhs)
     v0, b0, slope0 = _series_start(weak, law, n_weak, opts.v0_fraction)
 
     h_max = (v_bar - v0) / max(opts.grid_size, 16)
@@ -393,8 +439,8 @@ def solve_ode(
     v, b = v0, b0
     k1 = ks[-1]
     h = min(h_max, v0)
-    n_stages = 7
-    stage = [0.0] * n_stages
+    n_error = n_band = n_residual = 0
+    min_h, min_h_v = math.inf, v0
 
     while v < v_bar - 1e-15 * v_bar:
         h = min(h, v_bar - v, h_max)
@@ -402,38 +448,38 @@ def solve_ode(
             raise BandEscape(
                 f"step size underflow at v={v:.6g} (b={b:.6g}); band escape"
             )
-        stage[0] = k1
         try:
-            for i in range(1, n_stages):
-                bi = b + h * sum(a * stage[j] for j, a in enumerate(_DP_A[i]))
-                stage[i] = rhs(v + _DP_C[i] * h, bi)
-            b5 = b + h * sum(w * stage[i] for i, w in enumerate(_DP_B5) if w)
-            b4 = b + h * sum(w * stage[i] for i, w in enumerate(_DP_B4) if w)
+            b5, b4, k_end = step(v, b, h, k1)
         except (_OutOfBand, OverflowError, ZeroDivisionError):
+            n_band += 1
             h *= 0.5
             continue
         err = abs(b5 - b4)
         scale = atol + rtol * max(abs(b), abs(b5))
         if not math.isfinite(err) or err > scale:
+            n_error += 1
             h *= max(0.2, 0.9 * (scale / err) ** 0.2) if math.isfinite(err) else 0.5
             continue
         # gate the step on interpolation quality: the cubic-Hermite midpoint of
         # this interval must satisfy the ODE to residual_tolerance, since the
         # returned schedule is exactly that interpolant
-        k_end = stage[-1]
         b_mid = 0.5 * (b + b5) + h * (k1 - k_end) / 8.0
         d_mid = 1.5 * (b5 - b) / h - 0.25 * (k1 + k_end)
         try:
             h_mid = rhs(v + 0.5 * h, b_mid)
         except (_OutOfBand, OverflowError, ZeroDivisionError):
+            n_band += 1
             h *= 0.5
             continue
         if abs(d_mid - h_mid) > opts.residual_tolerance * (1.0 + abs(h_mid)):
+            n_residual += 1
             h *= 0.5
             continue
-        # accepted; stage[-1] is f(v+h, b5) by the FSAL property
+        # accepted; k_end is f(v+h, b5) by the FSAL property
+        if h < min_h:
+            min_h, min_h_v = h, v
         v, b = v + h, b5
-        k1 = stage[-1]
+        k1 = k_end
         vs.append(v)
         bs.append(b)
         ks.append(k1)
@@ -441,7 +487,8 @@ def solve_ode(
 
     vs[-1] = v_bar  # the last step lands within an ulp of the top; pin it
     bid = BidFunction(np.asarray(vs), np.asarray(bs), np.asarray(ks))
-    return bid, SolveReport(max_ode_residual=_max_residual(bid, rhs), warnings=tuple(notes))
+    return bid, SolveReport(_max_residual(bid, rhs), v0, len(vs) - 2, n_error, n_band,
+                            n_residual, min_h, min_h_v, tuple(notes))
 
 
 def _max_residual(bid: BidFunction, rhs) -> float:

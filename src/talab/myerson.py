@@ -157,6 +157,8 @@ def oa_revenue(
     """
     if n_weak < 0:
         raise ValueError(f"n_weak must be >= 0, got {n_weak}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if n_weak > 0 and weak is None:
         raise ValueError("weak distribution required when n_weak > 0")
     if n_weak == 0 and strong is None:

@@ -226,3 +226,19 @@ def test_report_subcommand(tmp_path, capsys):
     assert run(["report", result]) == 0
     text = capsys.readouterr().out
     assert "revenue" in text and "config_hash" in text
+
+
+def test_report_renders_solve_counters(tmp_path, capsys):
+    path = write_config(tmp_path, base_config())
+    out = tmp_path / "out"
+    assert run(["solve", "--config", path, "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    report_path = next(out.glob("solve_report.*.json"))
+    rep = json.loads(report_path.read_text())
+    assert rep["accepted_steps"] > 0 and rep["v0"] > 0.0
+    assert {"rejected_error", "rejected_band", "rejected_residual", "min_step",
+            "min_step_v"} <= set(rep)
+    assert run(["report", str(report_path)]) == 0
+    text = capsys.readouterr().out
+    assert f"steps: {rep['accepted_steps']} accepted" in text
+    assert "series start v0" in text

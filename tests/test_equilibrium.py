@@ -134,6 +134,32 @@ def test_solver_tolerance_refinement(u01, bump_member):
     assert np.max(np.abs(coarse(vs) - fine(vs))) < 1e-6
 
 
+def test_solve_counters_uniform(u01, u02):
+    bid, report = solve_ode(u01, u02, 2)
+    assert report.accepted_steps == bid.grid.size - 2
+    assert report.v0 == bid.grid[1]
+    steps = np.diff(bid.grid[1:])
+    assert report.min_step == pytest.approx(steps.min(), rel=1e-9)
+    assert bid.grid[1] <= report.min_step_v < 1.0
+    for n in (report.rejected_error, report.rejected_band, report.rejected_residual):
+        assert isinstance(n, int) and n >= 0
+
+
+def test_solve_counters_residual_gate(u01, bump_member):
+    loose = solve_ode(u01, bump_member, 2)[1]
+    tight = solve_ode(u01, bump_member, 2, SolveOptions(residual_tolerance=5e-9))[1]
+    assert 0 < loose.rejected_residual < tight.rejected_residual
+    assert loose.accepted_steps < tight.accepted_steps
+    assert tight.min_step <= loose.min_step
+
+
+def test_solve_counters_repeat(u01, bump_member):
+    law = StrongBidLaw(bump_member, zero_bid_prob=0.25)
+    first = solve_ode(u01, law, 3)[1]
+    assert solve_ode(u01, law, 3)[1] == first
+    assert first.rejected_error > 0 and first.rejected_band > 0
+
+
 def test_solution_extends_to_top(u01, bump_member):
     law = as_strong_law(bump_member)
     bid, _ = solve_ode(u01, bump_member, 2)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -190,3 +191,12 @@ def test_oa_deterministic_and_thread_invariant(u01, u02):
     a = oa_revenue(u01, u02, 2, 100_000, seed=5, threads=1)
     b = oa_revenue(u01, u02, 2, 100_000, seed=5, threads=8)
     assert a == b
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_oa_rejects_empty_sample(u01, u02, n):
+    # n = 0 used to return mean nan with numpy's "Mean of empty slice" warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            oa_revenue(u01, u02, 2, n, seed=5)
