@@ -819,3 +819,85 @@ def mixture(components, support: tuple[float, float] | None = None) -> Distribut
     return DistributionSpec(
         "mixture", SupportInterval(*support), tuple(weights), tuple(parts)
     )
+
+
+# ---------------------------------------------------------------------------
+# sorted-interval search
+# ---------------------------------------------------------------------------
+
+
+class SortedIndex:
+    """``np.searchsorted(breaks, x, side)``, exactly, by an indexed search.
+
+    This is the guide table of Devroye (1986), section III.2.4. With n breaks,
+    [lo, hi] = [breaks[0], breaks[-1]] is cut into n - 1 equal buckets, plus one
+    for hi and above, and keys and breaks go through the same monotone
+    map to a bucket: x - lo clipped to [0, hi - lo], times the scale, truncated.
+    A break in a lower (higher) bucket than a key therefore lies below (above)
+    it, and the answer for a key in bucket k is ``first[k]`` (the breaks in
+    lower buckets) plus at most the widest bucket's count. A fixed number of
+    vectorised bisection steps, the bit length of that count, finish the
+    search. NaN keys sort last, as in numpy.
+
+    Calls with no more keys than breaks, or with fewer than two breaks, go
+    straight to ``np.searchsorted``; the directory is built on the first larger
+    call (or by ``build``) and is only read after that. Threads that make the
+    first large call together may each build it; the directories are equal,
+    and each call uses a whole one.
+    """
+
+    def __init__(self, breaks, side: str = "left"):
+        b = np.ascontiguousarray(breaks, dtype=float)
+        if b.ndim != 1:
+            raise ValueError("breaks must be a 1-D array")
+        if side not in ("left", "right"):
+            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        self.breaks = b
+        self.side = side
+        self._dir = None
+
+    @staticmethod
+    def _bucket(x: np.ndarray, lo: float, span: float, scale: float) -> np.ndarray:
+        t = x - lo
+        np.fmin(t, span, out=t)   # +inf and NaN go to the top bucket
+        np.fmax(t, 0.0, out=t)
+        t *= scale
+        return t.astype(np.intp)
+
+    def build(self) -> "SortedIndex":
+        """Build the bucket directory if it is not there yet (and there are at
+        least two breaks)."""
+        if self._dir is None and self.breaks.size > 1:
+            b = self.breaks
+            n = b.size
+            lo = float(b[0])
+            span = float(b[-1]) - lo
+            # span * scale rounds to n - 1 within an ulp, so buckets are 0 .. n - 1
+            scale = (n - 1) / span if span > 0.0 else 0.0
+            if not (math.isfinite(span) and math.isfinite(scale)):
+                span = scale = 0.0    # one bucket
+            first = np.searchsorted(self._bucket(b, lo, span, scale), np.arange(n))
+            depth = int(np.diff(first, append=n).max()).bit_length()
+            # steps probe b[pos + step - 1]; +inf past the end is never before a key
+            padded = np.concatenate([b, np.full((1 << depth) - 1, np.inf)])
+            steps = tuple((1 << i, padded[(1 << i) - 1:]) for i in reversed(range(depth)))
+            self._dir = (lo, span, scale, first.astype(np.int32), steps)
+        return self
+
+    def __call__(self, x):
+        b = self.breaks
+        if np.size(x) <= b.size or b.size < 2:
+            return np.searchsorted(b, x, self.side)
+        lo, span, scale, first, steps = self.build()._dir
+        x = np.asarray(x, dtype=float)
+        keys = x.reshape(-1)
+        pos = first.take(self._bucket(keys, lo, span, scale)).astype(np.intp)
+        before = np.empty(keys.shape, dtype=bool)
+        at_or_after = np.less_equal if self.side == "left" else np.less
+        for step, tail in steps:
+            # is break pos + step - 1 before the key? (always, for a NaN key)
+            at_or_after(keys, tail.take(pos), out=before)
+            np.logical_not(before, out=before)
+            pos += before * step
+        np.minimum(pos, b.size, out=pos)
+        return pos.reshape(x.shape)[()]

@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
-from .dist import DistributionSpec
+from .dist import DistributionSpec, SortedIndex
 
 __all__ = [
     "BandEscape",
@@ -63,7 +63,14 @@ class EquilibriumError(RuntimeError):
 
 
 class BandEscape(EquilibriumError):
-    """Integration hit b <= v or m(b) >= v and could not recover."""
+    """The step size fell below its floor: every attempt at the current node was
+    rejected. The message names the gate that rejected the last attempt (the
+    band b <= v or m(b) >= v, the error estimate, or the midpoint residual);
+    ``report`` holds the solver counters up to there (``max_ode_residual`` nan)."""
+
+    def __init__(self, message: str, report: "SolveReport | None" = None):
+        super().__init__(message)
+        self.report = report
 
 
 class SingularStartError(EquilibriumError):
@@ -154,7 +161,13 @@ def as_strong_law(strong) -> StrongBidLaw:
 
 @dataclass(frozen=True)
 class BidFunction:
-    """Tabulated strictly increasing bid schedule with monotone-cubic interpolation."""
+    """Tabulated strictly increasing bid schedule with monotone-cubic interpolation.
+
+    A call finds each point's interval by an exact indexed search of the grid
+    (``dist.SortedIndex``) and evaluates the cubic Hermite spline's own
+    coefficients in scipy's term order, so it equals
+    ``CubicHermiteSpline.__call__`` bit for bit. Scalar and array calls share
+    that path."""
 
     grid: np.ndarray
     values: np.ndarray
@@ -192,9 +205,20 @@ class BidFunction:
     def b_top(self) -> float:
         return float(self.values[-1])
 
+    @cached_property
+    def _interval(self) -> SortedIndex:
+        # on [grid[0], grid[-1]] the count of interior nodes <= x is PPoly's
+        # interval: searchsorted(grid, x, "right") - 1, clipped to [0, n - 2]
+        return SortedIndex(self.grid[1:-1], "right")
+
     def __call__(self, v):
         x = np.clip(v, self.grid[0], self.grid[-1])
-        out = self._spline(x)
+        i = self._interval(x)
+        c0, c1, c2, c3 = self._spline.c
+        s = x - self.grid.take(i)
+        ss = s * s
+        # the terms and order of scipy's evaluate_poly1: bit-identical to PPoly
+        out = c3.take(i) + c2.take(i) * s + c1.take(i) * ss + c0.take(i) * (ss * s)
         return float(out) if np.isscalar(v) else out
 
     def deriv(self, v):
@@ -441,23 +465,33 @@ def solve_ode(
     h = min(h_max, v0)
     n_error = n_band = n_residual = 0
     min_h, min_h_v = math.inf, v0
+    gate = None  # the gate that rejected the last attempt
 
     while v < v_bar - 1e-15 * v_bar:
         h = min(h, v_bar - v, h_max)
         if h < h_min:
+            report = SolveReport(math.nan, v0, len(vs) - 2, n_error, n_band, n_residual,
+                                 min_h, min_h_v, tuple(notes))
             raise BandEscape(
-                f"step size underflow at v={v:.6g} (b={b:.6g}); band escape"
+                f"step size underflow at v={v:.6g} (b={b:.6g}); "
+                + (f"the {gate} gate rejected the last attempt" if gate
+                   else "no attempt was rejected")
+                + f" (rejections: {n_error} error-estimate, {n_band} band, "
+                f"{n_residual} midpoint-residual)",
+                report,
             )
         try:
             b5, b4, k_end = step(v, b, h, k1)
         except (_OutOfBand, OverflowError, ZeroDivisionError):
             n_band += 1
+            gate = "band"
             h *= 0.5
             continue
         err = abs(b5 - b4)
         scale = atol + rtol * max(abs(b), abs(b5))
         if not math.isfinite(err) or err > scale:
             n_error += 1
+            gate = "error-estimate"
             h *= max(0.2, 0.9 * (scale / err) ** 0.2) if math.isfinite(err) else 0.5
             continue
         # gate the step on interpolation quality: the cubic-Hermite midpoint of
@@ -469,10 +503,12 @@ def solve_ode(
             h_mid = rhs(v + 0.5 * h, b_mid)
         except (_OutOfBand, OverflowError, ZeroDivisionError):
             n_band += 1
+            gate = "band"
             h *= 0.5
             continue
         if abs(d_mid - h_mid) > opts.residual_tolerance * (1.0 + abs(h_mid)):
             n_residual += 1
+            gate = "midpoint-residual"
             h *= 0.5
             continue
         # accepted; k_end is f(v+h, b5) by the FSAL property

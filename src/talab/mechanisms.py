@@ -13,6 +13,16 @@ same rules vectorized over fixed-size replicate blocks (``run_blocks``, which
 the optimal-auction estimator shares). Blocks are keyed by absolute replicate
 index and reduced in index order, so the estimate is bit-identical for any
 thread count.
+
+A block is evaluated bidder by bidder: the weak uniforms are copied to an
+(N, m) array, so each bidder's values and bids are one contiguous row, and the
+ranking rules run over those rows instead of reducing along rows N wide. The
+first-price stage is a running max whose strict > keeps the first index, as
+argmax does, with a column-wise count of bids equal to the max; the
+second-price rules keep a running top two (largest and second largest, equal
+values counted twice). A tie is resolved by counting the tied (or, under
+``ta_discrete``, the positive) bidders in order and taking the (j+1)-th, j
+drawn from the tie uniform as in ``run_once``.
 """
 
 from __future__ import annotations
@@ -213,30 +223,50 @@ def draw_from_uniforms(spec: AuctionSpec, u: np.ndarray) -> Draw:
 # ---------------------------------------------------------------------------
 
 
-def _jth_true_index(mask: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Row-wise index of the (j+1)-th True in a boolean matrix."""
-    c = np.cumsum(mask, axis=1)
-    return np.argmax(c == (j + 1)[:, None], axis=1)
+def _top_two(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Largest and second largest entry of each column over a sequence of at
+    least two equal-length rows; equal values count twice."""
+    first = np.maximum(rows[0], rows[1])
+    second = np.minimum(rows[0], rows[1])
+    for r in rows[2:]:
+        np.maximum(second, np.minimum(first, r), out=second)
+        np.maximum(first, r, out=first)
+    return first, second
+
+
+def _pick(v: np.ndarray, hit: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Per column of v (n, m), the entry at the (j+1)-th True of hit down the
+    column, counted bidder by bidder; v[0] where there is none."""
+    out = v[0].copy()
+    seen = np.zeros(j.shape, dtype=np.int64)
+    target = j + 1
+    for v_i, hit_i in zip(v, hit):
+        seen += hit_i
+        np.copyto(out, v_i, where=hit_i & (seen == target))
+    return out
 
 
 def _block_outcomes(spec: AuctionSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(revenue, surplus) arrays for a block of replicate uniforms (m, stride)."""
+    """(revenue, surplus) arrays for a block of replicate uniforms (m, stride).
+
+    Bidder-major: row i of v holds weak bidder i's values over the block, and the
+    rules run over those rows one bidder at a time.
+    """
     n = spec.n_weak
-    v = spec.weak.quantile(u[:, :n])
+    v = spec.weak.quantile(np.ascontiguousarray(u[:, :n].T))
     tie_u = u[:, n + 1]
 
     if spec.kind == "ta_discrete":
         k = spec.strong.k
         w = np.where(u[:, n] < spec.strong.p, k, 0.0)
-        bids = np.where(v > 0.0, k, 0.0)
-        top = bids.max(axis=1)
-        n_pos = (bids > 0.0).sum(axis=1)
+        pos = v > 0.0                       # weak bid k, else 0
+        n_pos = pos.sum(axis=0)
+        top = np.where(n_pos > 0, k, 0.0)
         j = np.minimum((tie_u * np.maximum(n_pos, 1)).astype(np.int64), np.maximum(n_pos - 1, 0))
-        istar = np.where(n_pos > 0, _jth_true_index(bids > 0.0, j), 0)
+        v_win = _pick(v, pos, j)
         strong_bid = np.where(w >= k, k, 0.0)
         weak_wins = top > strong_bid
         price = np.minimum(top, strong_bid)
-        v_win = v[np.arange(v.shape[0]), istar]
         surplus = np.where(weak_wins, v_win, w)
         return price, surplus
 
@@ -245,36 +275,35 @@ def _block_outcomes(spec: AuctionSpec, u: np.ndarray) -> tuple[np.ndarray, np.nd
     w = spec.strong.quantile(u[:, n])
 
     if spec.kind == "sa":
-        allv = np.concatenate([v, w[:, None]], axis=1)
-        part = np.partition(allv, allv.shape[1] - 2, axis=1)
-        price = part[:, -2]
-        surplus = allv.max(axis=1)
-        return price, surplus
+        first, second = _top_two([*v, w])
+        return second, first
 
     if spec.kind == "sa_reserve":
-        vs = np.sort(v, axis=1)
+        first, second = _top_two(v)
         clears = w >= spec.reserve
-        price = np.where(clears, np.maximum(spec.reserve, vs[:, -1]), vs[:, -2])
-        surplus = np.where(clears, w, vs[:, -1])
+        price = np.where(clears, np.maximum(spec.reserve, first), second)
+        surplus = np.where(clears, w, first)
         return price, surplus
 
-    # ta / ta_intervention
+    # ta / ta_intervention: a running max whose strict > keeps the first index
     bids = spec.bid_fn(v)
-    rows = np.arange(v.shape[0])
-    istar = bids.argmax(axis=1)
-    top = bids[rows, istar]
-    n_top = (bids == top[:, None]).sum(axis=1)
+    top = bids[0].copy()
+    v_win = v[0].copy()
+    for b_i, v_i in zip(bids[1:], v[1:]):
+        np.copyto(v_win, v_i, where=b_i > top)
+        np.maximum(top, b_i, out=top)
+    n_top = np.zeros(top.shape, dtype=np.int64)
+    for b_i in bids:
+        n_top += b_i == top
     tied = np.flatnonzero(n_top > 1)
     if tied.size:  # probability-zero under a continuous F; resolved uniformly
         j = np.minimum((tie_u[tied] * n_top[tied]).astype(np.int64), n_top[tied] - 1)
-        istar = istar.copy()
-        istar[tied] = _jth_true_index(bids[tied] == top[tied, None], j)
+        v_win[tied] = _pick(v[:, tied], bids[:, tied] == top[tied], j)
     strong_bid = w
     if spec.kind == "ta_intervention":
         strong_bid = np.where(u[:, n + 2] < spec.intervention_p, w, 0.0)
     weak_wins = (top > strong_bid) | ((top == strong_bid) & (tie_u < 0.5))
     price = np.minimum(top, strong_bid)
-    v_win = v[rows, istar]
     surplus = np.where(weak_wins, v_win, w)
     return price, surplus
 

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .dist import DistributionSpec
+from .dist import DistributionSpec, SortedIndex
 from .mechanisms import STRIDE_EXTRA, RevenueEstimate, _estimate, run_blocks
 
 
@@ -64,16 +65,24 @@ class VirtualValueFn:
     It is keyed on the cdf level u = D(x), not on the value x: psi-bar at x is
     the hull slope at the sell probability s = 1 - u, and it is nondecreasing
     in u. To evaluate at values, pass ``d.cdf(x)``.
+
+    The segment holding s is found by an exact indexed search of ``hull_s``
+    (``dist.SortedIndex``; a subset of a uniform grid, so about one bisection
+    step per point), equal to ``np.searchsorted(hull_s, s, "right") - 1``
+    clipped to the segments.
     """
 
     ironed: bool                       # True when the hull differs from the raw curve
     hull_s: np.ndarray = field(repr=False)       # ascending sell probabilities
     hull_slopes: np.ndarray = field(repr=False)  # psi-bar per hull segment
 
+    @cached_property
+    def _segment(self) -> SortedIndex:
+        # hull_s[0] = 0, so the count of later breakpoints <= s is the segment
+        return SortedIndex(self.hull_s[1:], "right")
+
     def __call__(self, u):
-        j = np.searchsorted(self.hull_s, 1.0 - u, side="right") - 1
-        j = np.clip(j, 0, self.hull_slopes.size - 1)
-        out = self.hull_slopes[j]
+        out = self.hull_slopes.take(self._segment(1.0 - u))
         return float(out) if np.isscalar(u) else out
 
 
@@ -169,11 +178,17 @@ def oa_revenue(
     def block(u: np.ndarray):
         best = np.zeros(u.shape[0])
         if psi_w is not None:
-            best = np.maximum(best, psi_w(u[:, :n_weak].max(axis=1)))
+            top = u[:, 0]
+            for i in range(1, n_weak):
+                top = np.maximum(top, u[:, i])
+            best = np.maximum(best, psi_w(top))
         if psi_s is not None:
             best = np.maximum(best, psi_s(u[:, n_weak]))
         return (best,)
 
+    for psi in (psi_w, psi_s):  # worker threads only read the search directories
+        if psi is not None:
+            psi._segment.build()
     values = np.empty(n)
     run_blocks(seed, n, n_weak + STRIDE_EXTRA, block, (values,), threads)
     return _estimate(values, n, seed)

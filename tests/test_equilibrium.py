@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ from scipy import integrate
 
 from talab import dist
 from talab.equilibrium import (
+    BandEscape,
     BidFunction,
     EquilibriumError,
     SolveOptions,
@@ -19,6 +21,7 @@ from talab.equilibrium import (
     solve_ode,
     verify_best_response,
 )
+from talab.sequences import make_family
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +161,32 @@ def test_solve_counters_repeat(u01, bump_member):
     first = solve_ode(u01, law, 3)[1]
     assert solve_ode(u01, law, 3)[1] == first
     assert first.rejected_error > 0 and first.rejected_band > 0
+
+
+@pytest.mark.parametrize("case, gate", [
+    ("sqrt_edge", "midpoint-residual"),   # beta(1, 1.5) density: sqrt edge at v_bar
+    ("fast_drain_8", "midpoint-residual"),  # atom start off the flat-density series
+    ("fast_drain_4_z06", "band"),          # bids run into the strong support top
+])
+def test_underflow_names_gate_and_reports_counters(u01, u02, case, gate):
+    fast = make_family("fast_drain", 2.0, 2.5, 8)
+    weak, strong = {
+        "sqrt_edge": (dist.beta_poly(0.0, 1.0, 1.0, 1.5), u02),
+        "fast_drain_8": (u01, StrongBidLaw(fast.member(8), 0.0)),
+        "fast_drain_4_z06": (u01, StrongBidLaw(fast.member(4), 0.6)),
+    }[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(BandEscape, match=f"the {gate} gate rejected the last attempt") as err:
+            solve_ode(weak, strong, 3)
+    report = err.value.report
+    assert math.isnan(report.max_ode_residual)
+    assert report.v0 > 0.0 and report.accepted_steps > 0
+    assert report.min_step < 1e-9
+    counts = (f"{report.rejected_error} error-estimate, {report.rejected_band} band, "
+              f"{report.rejected_residual} midpoint-residual")
+    assert counts in str(err.value)
+    assert (report.rejected_band if gate == "band" else report.rejected_residual) > 0
 
 
 def test_solution_extends_to_top(u01, bump_member):

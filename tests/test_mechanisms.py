@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from talab.mechanisms import (
     simulate,
     simulate_draws,
 )
+from talab.myerson import oa_revenue
 from talab.rng import uniform_block
 
 
@@ -128,21 +130,78 @@ def test_simulate_deterministic_and_thread_invariant(solved_ta):
     assert a != simulate(solved_ta, 50_000, seed=8)
 
 
+def crafted_block(n: int, stride: int, bid_fn=None) -> np.ndarray:
+    """Replicate uniforms for U[0,1] weak and U[0,2] strong laws: uniform rows
+    plus rows built for the tie paths.
+
+    Rows 0-199 are plain uniforms. Rows 200-399 copy one weak uniform into two
+    or more bidders (often the top one); 400-599 set weak uniforms to 0.0 (zero
+    bids under ta_discrete, all of them in some rows); 600-799 put the strong
+    value at the top weak value (w = 2 u_N); 800-999 put it at the top weak bid
+    when a bid schedule is given, else at the top weak value too, with ties.
+    From row 200 on, tie breakers cycle through 0, 0.25, 0.5, 0.75 and 0.999.
+    """
+    rng = np.random.default_rng(100 + n)
+    u = rng.random((1000, stride))
+    weak = u[:, :n]
+    for r in range(200, 400):
+        k = int(rng.integers(2, n + 1))
+        who = rng.choice(n, size=k, replace=False)
+        weak[r, who] = weak[r].max() if r % 3 else weak[r, who[0]]
+    for r in range(400, 600):
+        weak[r, rng.random(n) < (1.0 if r % 5 == 0 else 0.5)] = 0.0
+    for r in range(800, 1000, 2):
+        weak[r, : 2 if r % 4 else n] = weak[r].max()
+    top = weak.max(axis=1)
+    u[600:800, n] = top[600:800] / 2.0
+    top_bid = top[800:] if bid_fn is None else bid_fn(top[800:])
+    u[800:, n] = top_bid / 2.0
+    u[200:, n + 1] = np.resize([0.0, 0.25, 0.5, 0.75, 0.999], 800)
+    return u
+
+
 def test_block_matches_run_once(u01, u02, solved_ta, doubling_bid):
-    specs = [
-        solved_ta,
-        AuctionSpec("sa", 2, u01, u02),
-        AuctionSpec("sa_reserve", 2, u01, u02, reserve=1.5),
-        AuctionSpec("ta_intervention", 2, u01, u02, intervention_p=0.75,
-                    bid_fn=doubling_bid),
-        AuctionSpec("ta_discrete", 2, u01, DiscreteAtomSpec(k=2.0, p=0.75)),
-    ]
-    for spec in specs:
-        u = uniform_block(31, 0, 400, spec.stride)
-        scalars = [run_once(spec, draw_from_uniforms(spec, row)) for row in u]
-        rev, sur = mech._block_outcomes(spec, u)
-        assert np.array_equal([o.price for o in scalars], rev), spec.kind
-        assert np.array_equal([o.surplus for o in scalars], sur), spec.kind
+    # a schedule that stops at v = 0.6: every value above bids 1.2, so first-stage
+    # ties come from different values and the tie breaker decides the surplus
+    capped = BidFunction(np.linspace(0.0, 0.6, 31), np.linspace(0.0, 1.2, 31),
+                         np.full(31, 2.0))
+    for n in (2, 3, 5):
+        bid = solved_ta.bid_fn if n == 2 else solve_ode(u01, u02, n)[0]
+        specs = [
+            AuctionSpec("ta", n, u01, u02, bid_fn=bid),
+            AuctionSpec("sa", n, u01, u02),
+            AuctionSpec("sa_reserve", n, u01, u02, reserve=1.5),
+            AuctionSpec("ta", n, u01, u02, bid_fn=capped),
+            AuctionSpec("ta_intervention", n, u01, u02, intervention_p=0.75,
+                        bid_fn=doubling_bid),
+            AuctionSpec("ta_intervention", n, u01, u02, intervention_p=0.75,
+                        bid_fn=capped),
+            AuctionSpec("ta_discrete", n, u01, DiscreteAtomSpec(k=2.0, p=0.75)),
+        ]
+        for spec in specs:
+            blocks = [uniform_block(31, 0, 400, spec.stride),
+                      crafted_block(n, spec.stride, spec.bid_fn)]
+            for u in blocks:
+                scalars = [run_once(spec, draw_from_uniforms(spec, row)) for row in u]
+                rev, sur = mech._block_outcomes(spec, u)
+                assert np.array_equal([o.price for o in scalars], rev), (n, spec.kind)
+                assert np.array_equal([o.surplus for o in scalars], sur), (n, spec.kind)
+
+
+def test_crafted_block_hits_tie_paths(u01, u02, doubling_bid):
+    """The crafted rows reach every tie path the engine has."""
+    for n in (2, 3, 5):
+        u = crafted_block(n, n + 3, doubling_bid)
+        v = u01.quantile(u[:, :n])
+        w = u02.quantile(u[:, n])
+        bids = doubling_bid(v)
+        top = bids.max(axis=1)
+        n_top = (bids == top[:, None]).sum(axis=1)
+        assert (n_top == 2).sum() > 20 and (n_top == n).sum() > 20
+        assert ((v == 0.0).all(axis=1)).sum() > 10 and ((v == 0.0).sum(axis=1) == 1).sum() > 10
+        assert (w == v.max(axis=1)).sum() > 150
+        assert ((top == w) & (n_top > 1)).sum() > 20
+        assert {0.0, 0.25, 0.5, 0.75, 0.999} <= set(u[:, n + 1])
 
 
 def test_ta_revenue_identity_per_draw(solved_ta):
@@ -265,6 +324,41 @@ def test_reserve_closed_form_vs_monte_carlo(u01, u02):
         for key in ("revenue", "surplus"):
             est = out[key]
             assert abs(est.mean - cf[key]) <= 3 * est.std_error, (r, key)
+
+
+# sha256 of the per-draw revenue and surplus bytes, and the optimal-auction
+# estimate as hex floats, for U[0,1] weak against U[0,2] strong at N = 2:
+# 3 blocks of 2**15 replicates plus a ragged tail of 5. The path has no libm
+# call (affine inverse cdf, the exact schedule 4v/3 as a spline on a squared
+# grid, rules and hull lookups), so the bits hold on any IEEE-754 machine; an
+# engine change that moves one of them fails here.
+ENGINE_PINS = {
+    "ta": "4b6ae34417b96ad23bac862f669644b4195740ae5ada8ba3fcf13586062214f2",
+    "sa": "78a1d10138536cb3b50186e6b3cb04509ae35fc57916725717c61d445425e2a3",
+    "sa_reserve": "833d5c59fe927fe53b6fbfd677fbd2d013d6cd662b564b2d2e96e698951d65d5",
+    "ta_intervention": "34ab9104dffe41b3776b0b216be0eb2b0161fb4ba0effc3ca3397df0fc2d8fe7",
+    "ta_discrete": "be9c5e0f16a641166cd3dba9646eeeff96790c7d37660a99fa7a3861655a1767",
+}
+OA_PIN = ("0x1.7f1ae6657ae41p-1", "0x1.c5c8be2c68dd2p-10")
+
+
+def test_engine_bits_pinned(u01, u02):
+    grid = np.linspace(0.0, 1.0, 201) ** 2
+    bid = BidFunction(grid, 4.0 / 3.0 * grid, np.full_like(grid, 4.0 / 3.0))
+    specs = {
+        "ta": AuctionSpec("ta", 2, u01, u02, bid_fn=bid),
+        "sa": AuctionSpec("sa", 2, u01, u02),
+        "sa_reserve": AuctionSpec("sa_reserve", 2, u01, u02, reserve=1.2),
+        "ta_intervention": AuctionSpec("ta_intervention", 2, u01, u02,
+                                       intervention_p=0.75, bid_fn=bid),
+        "ta_discrete": AuctionSpec("ta_discrete", 2, u01, DiscreteAtomSpec(2.0, 0.75)),
+    }
+    n = 3 * (1 << 15) + 5
+    for kind, spec in specs.items():
+        rev, sur = simulate_draws(spec, n, seed=2024)
+        assert hashlib.sha256(rev.tobytes() + sur.tobytes()).hexdigest() == ENGINE_PINS[kind], kind
+    est = oa_revenue(u01, u02, 2, n, seed=2024)
+    assert (est.mean.hex(), est.std_error.hex()) == OA_PIN
 
 
 def test_revenue_estimate_fields(solved_ta):
