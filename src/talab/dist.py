@@ -827,7 +827,7 @@ def mixture(components, support: tuple[float, float] | None = None) -> Distribut
 
 
 class SortedIndex:
-    """``np.searchsorted(breaks, x, side)``, exactly, by an indexed search.
+    """``np.searchsorted(breaks, x, "right")``, exactly, by an indexed search.
 
     This is the guide table of Devroye (1986), section III.2.4. With n breaks,
     [lo, hi] = [breaks[0], breaks[-1]] is cut into n - 1 equal buckets, plus one
@@ -841,19 +841,16 @@ class SortedIndex:
 
     Calls with no more keys than breaks, or with fewer than two breaks, go
     straight to ``np.searchsorted``; the directory is built on the first larger
-    call (or by ``build``) and is only read after that. Threads that make the
-    first large call together may each build it; the directories are equal,
-    and each call uses a whole one.
+    call and is only read after that. Threads that make the first large call
+    together may each build it; the directories are equal, and each call uses
+    a whole one.
     """
 
-    def __init__(self, breaks, side: str = "left"):
+    def __init__(self, breaks):
         b = np.ascontiguousarray(breaks, dtype=float)
         if b.ndim != 1:
             raise ValueError("breaks must be a 1-D array")
-        if side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         self.breaks = b
-        self.side = side
         self._dir = None
 
     @staticmethod
@@ -864,10 +861,9 @@ class SortedIndex:
         t *= scale
         return t.astype(np.intp)
 
-    def build(self) -> "SortedIndex":
-        """Build the bucket directory if it is not there yet (and there are at
-        least two breaks)."""
-        if self._dir is None and self.breaks.size > 1:
+    def _directory(self):
+        """The bucket directory, built on first use (needs two or more breaks)."""
+        if self._dir is None:
             b = self.breaks
             n = b.size
             lo = float(b[0])
@@ -882,21 +878,20 @@ class SortedIndex:
             padded = np.concatenate([b, np.full((1 << depth) - 1, np.inf)])
             steps = tuple((1 << i, padded[(1 << i) - 1:]) for i in reversed(range(depth)))
             self._dir = (lo, span, scale, first.astype(np.int32), steps)
-        return self
+        return self._dir
 
     def __call__(self, x):
         b = self.breaks
         if np.size(x) <= b.size or b.size < 2:
-            return np.searchsorted(b, x, self.side)
-        lo, span, scale, first, steps = self.build()._dir
+            return np.searchsorted(b, x, "right")
+        lo, span, scale, first, steps = self._directory()
         x = np.asarray(x, dtype=float)
         keys = x.reshape(-1)
         pos = first.take(self._bucket(keys, lo, span, scale)).astype(np.intp)
         before = np.empty(keys.shape, dtype=bool)
-        at_or_after = np.less_equal if self.side == "left" else np.less
         for step, tail in steps:
-            # is break pos + step - 1 before the key? (always, for a NaN key)
-            at_or_after(keys, tail.take(pos), out=before)
+            # is break pos + step - 1 at or before the key? (always, for a NaN key)
+            np.less(keys, tail.take(pos), out=before)
             np.logical_not(before, out=before)
             pos += before * step
         np.minimum(pos, b.size, out=pos)

@@ -63,10 +63,11 @@ class EquilibriumError(RuntimeError):
 
 
 class BandEscape(EquilibriumError):
-    """The step size fell below its floor: every attempt at the current node was
-    rejected. The message names the gate that rejected the last attempt (the
-    band b <= v or m(b) >= v, the error estimate, or the midpoint residual);
-    ``report`` holds the solver counters up to there (``max_ode_residual`` nan)."""
+    """The step size fell below its floor. The message names the gate that
+    rejected the last attempt (the band b <= v or m(b) >= v, the error estimate,
+    or the midpoint residual), or says that none was rejected since the last
+    accepted step; ``report`` holds the solver counters up to there
+    (``max_ode_residual`` nan)."""
 
     def __init__(self, message: str, report: "SolveReport | None" = None):
         super().__init__(message)
@@ -209,7 +210,7 @@ class BidFunction:
     def _interval(self) -> SortedIndex:
         # on [grid[0], grid[-1]] the count of interior nodes <= x is PPoly's
         # interval: searchsorted(grid, x, "right") - 1, clipped to [0, n - 2]
-        return SortedIndex(self.grid[1:-1], "right")
+        return SortedIndex(self.grid[1:-1])
 
     def __call__(self, v):
         x = np.clip(v, self.grid[0], self.grid[-1])
@@ -465,7 +466,7 @@ def solve_ode(
     h = min(h_max, v0)
     n_error = n_band = n_residual = 0
     min_h, min_h_v = math.inf, v0
-    gate = None  # the gate that rejected the last attempt
+    gate = None  # the gate that rejected the last attempt, if it was rejected
 
     while v < v_bar - 1e-15 * v_bar:
         h = min(h, v_bar - v, h_max)
@@ -475,7 +476,7 @@ def solve_ode(
             raise BandEscape(
                 f"step size underflow at v={v:.6g} (b={b:.6g}); "
                 + (f"the {gate} gate rejected the last attempt" if gate
-                   else "no attempt was rejected")
+                   else "no attempt was rejected since the last accepted step")
                 + f" (rejections: {n_error} error-estimate, {n_band} band, "
                 f"{n_residual} midpoint-residual)",
                 report,
@@ -516,6 +517,7 @@ def solve_ode(
             min_h, min_h_v = h, v
         v, b = v + h, b5
         k1 = k_end
+        gate = None
         vs.append(v)
         bs.append(b)
         ks.append(k1)

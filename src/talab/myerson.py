@@ -79,7 +79,7 @@ class VirtualValueFn:
     @cached_property
     def _segment(self) -> SortedIndex:
         # hull_s[0] = 0, so the count of later breakpoints <= s is the segment
-        return SortedIndex(self.hull_s[1:], "right")
+        return SortedIndex(self.hull_s[1:])
 
     def __call__(self, u):
         out = self.hull_slopes.take(self._segment(1.0 - u))
@@ -186,9 +186,6 @@ def oa_revenue(
             best = np.maximum(best, psi_s(u[:, n_weak]))
         return (best,)
 
-    for psi in (psi_w, psi_s):  # worker threads only read the search directories
-        if psi is not None:
-            psi._segment.build()
     values = np.empty(n)
     run_blocks(seed, n, n_weak + STRIDE_EXTRA, block, (values,), threads)
     return _estimate(values, n, seed)

@@ -6,6 +6,7 @@ import pytest
 from scipy import integrate
 
 from talab import dist
+from talab import equilibrium as eq
 from talab.equilibrium import (
     BandEscape,
     BidFunction,
@@ -187,6 +188,31 @@ def test_underflow_names_gate_and_reports_counters(u01, u02, case, gate):
               f"{report.rejected_residual} midpoint-residual")
     assert counts in str(err.value)
     assert (report.rejected_band if gate == "band" else report.rejected_residual) > 0
+
+
+def test_underflow_after_accepted_step_names_no_gate(u01, u02, monkeypatch):
+    # the first attempt is rejected by the band gate (h 2.1e-12 -> 1.05e-12);
+    # the next is accepted with an error estimate just under its bound, so the
+    # controller shrinks h by 0.9, below h_min = 1e-12, with no rejection since
+    real_stepper = eq._dp_stepper
+
+    def stepper(rhs):
+        step, calls = real_stepper(rhs), []
+
+        def attempt(v, b, h, k1):
+            calls.append(h)
+            if len(calls) == 1:
+                raise eq._OutOfBand
+            b5, _, k_end = step(v, b, h, k1)
+            return b5, b5 + 0.999e-13, k_end   # atol = 1e-13 at v_bar = 1
+
+        return attempt
+
+    monkeypatch.setattr(eq, "_dp_stepper", stepper)
+    with pytest.raises(BandEscape, match="no attempt was rejected since the last accepted step") as err:
+        solve_ode(u01, u02, 2, SolveOptions(v0_fraction=2.1e-12))
+    report = err.value.report
+    assert (report.accepted_steps, report.rejected_band) == (1, 1)
 
 
 def test_solution_extends_to_top(u01, bump_member):

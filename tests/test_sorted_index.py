@@ -52,13 +52,12 @@ def keys_for(b, extra):
 def test_matches_searchsorted(b, extra, rnd):
     keys = keys_for(b, extra)
     rnd.shuffle(keys)
-    for side in ("left", "right"):
-        index = SortedIndex(b, side)
-        expect = np.searchsorted(b, keys, side)
-        assert np.array_equal(index(keys), expect)            # builds the directory
-        assert np.array_equal(index(keys[:1]), expect[:1])    # small call: plain search
-        half = keys[: keys.size // 2 * 2].reshape(2, -1)
-        assert np.array_equal(index(half), np.searchsorted(b, half, side))
+    index = SortedIndex(b)
+    expect = np.searchsorted(b, keys, "right")
+    assert np.array_equal(index(keys), expect)            # builds the directory
+    assert np.array_equal(index(keys[:1]), expect[:1])    # small call: plain search
+    half = keys[: keys.size // 2 * 2].reshape(2, -1)
+    assert np.array_equal(index(half), np.searchsorted(b, half, "right"))
 
 
 def test_matches_searchsorted_edge_cases():
@@ -71,25 +70,22 @@ def test_matches_searchsorted_edge_cases():
     ]
     for b in cases:
         keys = keys_for(b, [0.5, 1e-320])
-        for side in ("left", "right"):
-            assert np.array_equal(SortedIndex(b, side)(keys), np.searchsorted(b, keys, side))
+        assert np.array_equal(SortedIndex(b)(keys), np.searchsorted(b, keys, "right"))
 
 
 def test_scalar_and_empty_keys_and_breaks():
     b = np.linspace(0.0, 1.0, 11)
-    index = SortedIndex(b, "right")
+    index = SortedIndex(b)
     assert index(0.35) == np.searchsorted(b, 0.35, "right")
     assert index(np.empty(0)).shape == (0,)
-    assert SortedIndex(np.array([2.0]))(2.0) == 0
-    empty = SortedIndex(np.empty(0)).build()
+    assert SortedIndex(np.array([2.0]))(2.0) == 1
+    empty = SortedIndex(np.empty(0))
     assert np.array_equal(empty(np.linspace(-1.0, 1.0, 7)), np.zeros(7, dtype=np.intp))
 
 
 def test_rejects_bad_input():
     with pytest.raises(ValueError):
         SortedIndex(np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        SortedIndex(np.ones(3), side="middle")
 
 
 # ---------------------------------------------------------------------------
