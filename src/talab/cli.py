@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -28,6 +29,7 @@ from . import __version__
 from .config import ConfigError, ExperimentConfig, load_config
 from .dist import DistributionError
 from .equilibrium import (
+    BandEscape,
     BidFunction,
     EquilibriumError,
     StrongBidLaw,
@@ -110,7 +112,12 @@ def _solve_bid(cfg: ExperimentConfig, strong, collect: list[str]):
 
 
 def _solve_report_dict(report) -> dict:
-    return {**dataclasses.asdict(report), "warnings": list(report.warnings)}
+    # a failed solve reports a nan defect (and an inf smallest step if it
+    # accepted none); JSON has neither, so they are written as null
+    out = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+           for k, v in dataclasses.asdict(report).items()}
+    out["warnings"] = list(report.warnings)
+    return out
 
 
 def _write_bid_outputs(bid: BidFunction, report, out_dir, tag, extra: dict) -> dict:
@@ -124,32 +131,42 @@ def _write_bid_outputs(bid: BidFunction, report, out_dir, tag, extra: dict) -> d
     return files
 
 
+def _solve_and_write(cfg: ExperimentConfig, args, notes: list[str]):
+    """Solve against ``strong.dist`` and write the bid outputs. A solve that
+    stops on a step-size underflow still writes its solve report (counters up
+    to the failure, ``max_ode_residual`` null) before the error propagates."""
+    _require(cfg.weak, "weak")
+    strong = _require(cfg.strong_dist, "strong.dist")
+    tag = f"{cfg.config_hash}.s{cfg.mc_seed}"
+    extra = {"config_hash": cfg.config_hash, "seed": cfg.mc_seed}
+    try:
+        bid, report = _solve_bid(cfg, strong, notes)
+    except BandEscape as exc:
+        if exc.report is not None:
+            write_json(_out_path(args.out_dir, "solve_report", tag, "json"),
+                       {**extra, **_solve_report_dict(exc.report)})
+        raise
+    return bid, report, _write_bid_outputs(bid, report, args.out_dir, tag, extra)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
 def cmd_solve(cfg: ExperimentConfig, args) -> dict:
-    _require(cfg.weak, "weak")
-    strong = _require(cfg.strong_dist, "strong.dist")
     notes: list[str] = []
-    bid, report = _solve_bid(cfg, strong, notes)
-    tag = f"{cfg.config_hash}.s{cfg.mc_seed}"
-    extra = {"config_hash": cfg.config_hash, "seed": cfg.mc_seed}
-    files = _write_bid_outputs(bid, report, args.out_dir, tag, extra)
+    _, report, files = _solve_and_write(cfg, args, notes)
     return {"files": files, "solve": _solve_report_dict(report), "warnings": notes}
 
 
 def cmd_verify(cfg: ExperimentConfig, args) -> dict:
-    _require(cfg.weak, "weak")
-    strong = _require(cfg.strong_dist, "strong.dist")
     notes: list[str] = []
-    bid, report = _solve_bid(cfg, strong, notes)
-    br = verify_best_response(bid, cfg.weak, strong, cfg.n_weak)
+    bid, _, files = _solve_and_write(cfg, args, notes)
+    br = verify_best_response(bid, cfg.weak, cfg.strong_dist, cfg.n_weak)
     tol = cfg.verify_tolerance * cfg.weak.support.hi
     tag = f"{cfg.config_hash}.s{cfg.mc_seed}"
     extra = {"config_hash": cfg.config_hash, "seed": cfg.mc_seed}
-    files = _write_bid_outputs(bid, report, args.out_dir, tag, extra)
     result = {
         **extra,
         "max_regret": br.max_regret,
@@ -329,11 +346,15 @@ def cmd_report(args) -> dict:
         s = obj["surplus"]
         lines.append(f"  surplus: {s['mean']:.6g} +- {s['se']:.2g}")
     if "accepted_steps" in obj:
-        lines.append("  solve: max_ode_residual {max_ode_residual:.3g}, "
-                     "series start v0 = {v0:.6g}".format(**obj))
+        defect = obj["max_ode_residual"]
+        lines.append("  solve: " + ("failed (step size underflow)" if defect is None
+                                    else f"max Gauss-point defect {defect:.3g}")
+                     + f", series start v0 = {obj['v0']:.6g}")
+        smallest = ("none" if obj["min_step"] is None
+                    else "{min_step:.3g} at v = {min_step_v:.6g}".format(**obj))
         lines.append("  steps: {accepted_steps} accepted; rejected {rejected_error} error, "
-                     "{rejected_band} band, {rejected_residual} residual; smallest "
-                     "{min_step:.3g} at v = {min_step_v:.6g}".format(**obj))
+                     "{rejected_band} band, {rejected_residual} defect; smallest "
+                     .format(**obj) + smallest)
     if "max_regret" in obj:
         lines.append(f"  max_regret: {obj['max_regret']:.3g} "
                      f"(passed: {obj.get('passed')})")

@@ -100,7 +100,7 @@ _TOP_KEYS = {"version", "n_weak", "weak", "strong", "mechanism", "solver", "mc",
              "sweep", "verify"}
 _STRONG_KEYS = {"dist", "atom", "family"}
 _MECH_KEYS = {"kind", "reserve", "intervention_p"}
-_SOLVER_KEYS = {"v0_fraction", "grid_size", "rk_tolerance", "residual_tolerance"}
+_SOLVER_KEYS = {"v0_fraction", "rk_tolerance", "residual_tolerance"}
 _MC_KEYS = {"n", "seed"}
 _SWEEP_KEYS = {"prop", "rule", "intervention_p"}
 _RULE_KEYS = {"kind", "value", "eps"}
@@ -190,12 +190,10 @@ def parse_config(obj: dict) -> ExperimentConfig:
             ck.fail("solver", "expected an object")
         else:
             ck.expect_keys(s, "solver", _SOLVER_KEYS, set())
-            for key, lo, integer in (("v0_fraction", 1e-12, False),
-                                     ("rk_tolerance", 1e-14, False),
-                                     ("residual_tolerance", 1e-14, False),
-                                     ("grid_size", 8, True)):
+            for key, lo in (("v0_fraction", 1e-12), ("rk_tolerance", 1e-14),
+                            ("residual_tolerance", 1e-14)):
                 if key in s:
-                    val = ck.number(s[key], f"solver.{key}", lo=lo, integer=integer)
+                    val = ck.number(s[key], f"solver.{key}", lo=lo)
                     if val is not None:
                         solver_kwargs[key] = val
 

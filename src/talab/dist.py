@@ -140,8 +140,27 @@ class _Uniform:
         return (self.lo, self.hi)
 
 
+# Lower-edge series of the cosine bump: with z = (pi r)^2,
+# (1 - cos(pi rho))/2 = sum_k>=1 (-1)^(k+1) (pi rho)^(2k) / (2 (2k)!), so
+# F = (r/2) sum (-1)^(k+1) z^k / ((2k)! (2k+1)) and
+# A = (r^2/2) sum (-1)^(k+1) z^k / ((2k)! (2k+2)). Ten terms reach the
+# rounding floor below r = 0.25 (the k = 11 term is under 1e-20 of the first).
+_BUMP_SERIES_R = 0.25
+_PI2 = math.pi * math.pi
+_BUMP_SERIES = tuple(
+    ((-1) ** (k + 1) / (math.factorial(2 * k) * (2 * k + 1)),
+     (-1) ** (k + 1) / (math.factorial(2 * k) * (2 * k + 2)))
+    for k in range(10, 0, -1)
+)
+
+
 class _CosineBump:
-    """Raised-cosine density on [c-s, c+s]: f = (1 + cos(pi (x-c)/s)) / (2s)."""
+    """Raised-cosine density on [c-s, c+s]: f = (1 + cos(pi (x-c)/s)) / (2s).
+
+    Near the lower edge 0.5 (1 + t + sin(pi t)/pi) cancels to an absolute error
+    of about 1e-16, so the scalar F and M there use r = (x - lo)/s and the
+    series of F = (r - sin(pi r)/pi)/2 and M = lo F + s A(r), with
+    A(r) = integral of rho (1 - cos(pi rho))/2 over [0, r]."""
 
     kind = "cosine_bump"
 
@@ -150,14 +169,21 @@ class _CosineBump:
             raise DistributionError(f"bump half_width must be > 0, got {half_width}")
         self.c, self.s = float(center), float(half_width)
         self.lo, self.hi = self.c - self.s, self.c + self.s
-        # eval3_s at t = -1 and t = 1 exactly, and beyond them (where f = 0)
-        self._edges = tuple((F, (1.0 + math.cos(math.pi * t)) / (2.0 * self.s),
-                             self.c * F + self.s * self._a(t)) for t, F in ((-1.0, 0.0), (1.0, 1.0)))
-        self._beyond = tuple((F, 0.0, M) for F, _, M in self._edges)
+        # eval3_s at and beyond t = -1 and t = 1 (where f = 0)
+        self._edges = ((0.0, 0.0, 0.0), (1.0, 0.0, self.c + self.s * self._a(1.0)))
 
     @property
     def params(self):
         return (self.c, self.s)
+
+    def _lower_series(self, r: float) -> tuple[float, float]:
+        """(F, A(r)) for 0 <= r < _BUMP_SERIES_R, Horner in z = (pi r)^2."""
+        z = _PI2 * r * r
+        pf = pa = 0.0
+        for cf, ca in _BUMP_SERIES:
+            pf = z * (cf + pf)
+            pa = z * (ca + pa)
+        return 0.5 * r * pf, 0.5 * r * r * pa
 
     def cdf_s(self, x: float) -> float:
         t = (x - self.c) / self.s
@@ -165,6 +191,9 @@ class _CosineBump:
             return 0.0
         if t >= 1.0:
             return 1.0
+        r = (x - self.lo) / self.s
+        if r < _BUMP_SERIES_R:
+            return self._lower_series(r)[0]
         return 0.5 * (1.0 + t + math.sin(math.pi * t) / math.pi)
 
     def pdf_s(self, x: float) -> float:
@@ -182,12 +211,15 @@ class _CosineBump:
 
     def eval3_s(self, x: float) -> tuple[float, float, float]:
         t = (x - self.c) / self.s
-        if t < -1.0 or t > 1.0:
-            return self._beyond[0] if t < 0.0 else self._beyond[1]
-        if t == -1.0 or t == 1.0:
+        if t <= -1.0 or t >= 1.0:
             return self._edges[0] if t < 0.0 else self._edges[1]
         u = math.pi * t
-        sn, cs = math.sin(u), math.cos(u)
+        cs = math.cos(u)
+        r = (x - self.lo) / self.s
+        if r < _BUMP_SERIES_R:
+            F, A = self._lower_series(r)
+            return F, (1.0 + cs) / (2.0 * self.s), self.lo * F + self.s * A
+        sn = math.sin(u)
         F = 0.5 * (1.0 + t + sn / math.pi)
         a = 0.25 * (t * t - 1.0) + 0.5 * (t * sn / math.pi + (cs + 1.0) / (math.pi * math.pi))
         return F, (1.0 + cs) / (2.0 * self.s), self.c * F + self.s * a

@@ -10,11 +10,19 @@ v < b < m^{-1}(v); H blows up at the lower edge and vanishes at the upper one.
 
 ``solve_ode`` integrates it with an adaptive embedded Runge-Kutta method
 (Dormand-Prince 4(5)) that rejects steps leaving the band, starting from a
-series expansion at the singular origin. The tests check it against scipy's
-DOP853 started from the same series-start node. An rhs evaluation sweeps each
-law's components once (``eval3_s``) and the stages are written out, with every
-floating-point operation of the separate cdf/pdf/partial_mean calls and of
-``sum()`` over the tableau kept: the schedules are bit-identical to that form.
+series expansion at the singular origin. The returned schedule is the cubic
+Hermite interpolant of the accepted nodes and slopes; each step is also gated
+on its defect |b' - H(b, v)| / (1 + |H|) at both Gauss points of the interval
+(Enright & Hayes, "Robust and reliable defect control for Runge-Kutta
+methods", ACM TOMS 33(1), 2007), not at the midpoint, where the leading term
+of the derivative error vanishes. The defect scales like h^3 and sets the
+step size next to the error estimate; ``max_ode_residual`` is the worst
+accepted defect. The tests check the solver against scipy's DOP853 started
+from the same series-start node and recompute the defect from the returned
+schedule. An rhs evaluation sweeps each law's components once (``eval3_s``)
+and the stages are written out, with every floating-point operation of the
+separate cdf/pdf/partial_mean calls and of ``sum()`` over the tableau kept:
+the schedules are bit-identical to that form.
 
 ``verify_best_response`` checks the solved schedule against grid deviations of
 the reported value (and raw bids above b(v_bar)), which is the acceptance
@@ -65,7 +73,7 @@ class EquilibriumError(RuntimeError):
 class BandEscape(EquilibriumError):
     """The step size fell below its floor. The message names the gate that
     rejected the last attempt (the band b <= v or m(b) >= v, the error estimate,
-    or the midpoint residual), or says that none was rejected since the last
+    or the Gauss-point defect), or says that none was rejected since the last
     accepted step; ``report`` holds the solver counters up to there
     (``max_ode_residual`` nan)."""
 
@@ -249,12 +257,12 @@ class BidFunction:
 
 @dataclass(frozen=True)
 class SolveReport:
-    max_ode_residual: float
+    max_ode_residual: float     # worst Gauss-point defect of the accepted steps
     v0: float                   # series-start node
     accepted_steps: int         # grid size - 2
     rejected_error: int         # rejected attempts: error estimate over tolerance,
     rejected_band: int          # an rhs outside the band (or overflow, zero division),
-    rejected_residual: int      # the midpoint-residual gate
+    rejected_residual: int      # the Gauss-point defect gate
     min_step: float             # smallest accepted step and its left end
     min_step_v: float
     warnings: tuple[str, ...] = ()
@@ -271,9 +279,8 @@ class BestResponseReport:
 @dataclass(frozen=True)
 class SolveOptions:
     v0_fraction: float = 1e-4
-    grid_size: int = 1000
     rk_tolerance: float = 1e-10
-    residual_tolerance: float = 5e-7   # midpoint |b' - H| / (1 + |H|) gate
+    residual_tolerance: float = 5e-7   # Gauss-point defect |b' - H| / (1 + |H|) gate
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +459,10 @@ def solve_ode(
     step = _dp_stepper(rhs)
     v0, b0, slope0 = _series_start(weak, law, n_weak, opts.v0_fraction)
 
-    h_max = (v_bar - v0) / max(opts.grid_size, 16)
-    h_min = 1e-12 * v_bar
-    rtol = opts.rk_tolerance
+    # the floor follows v0 too: from an atom start at v0 = 1e-10 the sqrt(v)
+    # transient needs steps below 1e-12 * v_bar
+    h_min = min(1e-12 * v_bar, 1e-4 * v0)
+    rtol, dtol = opts.rk_tolerance, opts.residual_tolerance
     atol = 1e-3 * rtol * v_bar
 
     vs = [0.0, v0]
@@ -463,86 +471,84 @@ def solve_ode(
 
     v, b = v0, b0
     k1 = ks[-1]
-    h = min(h_max, v0)
-    n_error = n_band = n_residual = 0
+    h = v0
+    n_error = n_band = n_defect = 0
     min_h, min_h_v = math.inf, v0
+    max_defect = 0.0
     gate = None  # the gate that rejected the last attempt, if it was rejected
 
     while v < v_bar - 1e-15 * v_bar:
-        h = min(h, v_bar - v, h_max)
+        # a step the grid represents exactly: the returned interpolant's
+        # derivative is (b1 - b0)/(v1 - v0), so the gate must use that width
+        h = (v + min(h, v_bar - v)) - v
         if h < h_min:
-            report = SolveReport(math.nan, v0, len(vs) - 2, n_error, n_band, n_residual,
+            report = SolveReport(math.nan, v0, len(vs) - 2, n_error, n_band, n_defect,
                                  min_h, min_h_v, tuple(notes))
             raise BandEscape(
                 f"step size underflow at v={v:.6g} (b={b:.6g}); "
                 + (f"the {gate} gate rejected the last attempt" if gate
                    else "no attempt was rejected since the last accepted step")
                 + f" (rejections: {n_error} error-estimate, {n_band} band, "
-                f"{n_residual} midpoint-residual)",
+                f"{n_defect} defect)",
                 report,
             )
         try:
             b5, b4, k_end = step(v, b, h, k1)
+            err = abs(b5 - b4)
+            scale = atol + rtol * max(abs(b), abs(b5))
+            if not math.isfinite(err) or err > scale:
+                n_error += 1
+                gate = "error-estimate"
+                h *= max(0.2, 0.9 * (scale / err) ** 0.2) if math.isfinite(err) else 0.5
+                continue
+            defect = _gauss_defect(rhs, v, b, b5, k1, k_end, h)
         except (_OutOfBand, OverflowError, ZeroDivisionError):
             n_band += 1
             gate = "band"
             h *= 0.5
             continue
-        err = abs(b5 - b4)
-        scale = atol + rtol * max(abs(b), abs(b5))
-        if not math.isfinite(err) or err > scale:
-            n_error += 1
-            gate = "error-estimate"
-            h *= max(0.2, 0.9 * (scale / err) ** 0.2) if math.isfinite(err) else 0.5
-            continue
-        # gate the step on interpolation quality: the cubic-Hermite midpoint of
-        # this interval must satisfy the ODE to residual_tolerance, since the
-        # returned schedule is exactly that interpolant
-        b_mid = 0.5 * (b + b5) + h * (k1 - k_end) / 8.0
-        d_mid = 1.5 * (b5 - b) / h - 0.25 * (k1 + k_end)
-        try:
-            h_mid = rhs(v + 0.5 * h, b_mid)
-        except (_OutOfBand, OverflowError, ZeroDivisionError):
-            n_band += 1
-            gate = "band"
-            h *= 0.5
-            continue
-        if abs(d_mid - h_mid) > opts.residual_tolerance * (1.0 + abs(h_mid)):
-            n_residual += 1
-            gate = "midpoint-residual"
-            h *= 0.5
+        # the returned schedule is this interval's cubic Hermite interpolant: its
+        # defect scales like h^3, so it sets the step as the error estimate does
+        grow_defect = 0.9 * (dtol / max(defect, 1e-300)) ** (1.0 / 3.0)
+        if not defect <= dtol:
+            n_defect += 1
+            gate = "defect"
+            h *= max(0.2, grow_defect)
             continue
         # accepted; k_end is f(v+h, b5) by the FSAL property
         if h < min_h:
             min_h, min_h_v = h, v
+        max_defect = max(max_defect, defect)
         v, b = v + h, b5
         k1 = k_end
         gate = None
         vs.append(v)
         bs.append(b)
         ks.append(k1)
-        h *= min(5.0, 0.9 * (scale / max(err, 1e-300)) ** 0.2)
+        h *= min(5.0, 0.9 * (scale / max(err, 1e-300)) ** 0.2, grow_defect)
 
     vs[-1] = v_bar  # the last step lands within an ulp of the top; pin it
     bid = BidFunction(np.asarray(vs), np.asarray(bs), np.asarray(ks))
-    return bid, SolveReport(_max_residual(bid, rhs), v0, len(vs) - 2, n_error, n_band,
-                            n_residual, min_h, min_h_v, tuple(notes))
+    return bid, SolveReport(max_defect, v0, len(vs) - 2, n_error, n_band, n_defect,
+                            min_h, min_h_v, tuple(notes))
 
 
-def _max_residual(bid: BidFunction, rhs) -> float:
-    """max |b' - H(b, v)| / (1 + |H|) at interior midpoints of the solved grid."""
-    mids = 0.5 * (bid.grid[1:-1] + bid.grid[2:])
-    if mids.size == 0:
-        return 0.0
-    bb = bid(mids)
-    db = bid.deriv(mids)
+_GAUSS_OFFSET = math.sqrt(3.0) / 6.0   # Gauss points at theta = 1/2 -+ this
+
+
+def _gauss_defect(rhs, v, b0, b1, k0, k1, h) -> float:
+    """max |b' - H(b, v)| / (1 + |H|) of the cubic Hermite interpolant of
+    (v, b0, k0), (v + h, b1, k1) at the two Gauss points of the interval.
+
+    At theta(1 - theta) = 1/6 the Hermite basis reduces to
+    b = b0 + (4 theta/3 - 1/6) (b1 - b0) + h ((1 - theta) k0 - theta k1) / 6 and
+    b' = (b1 - b0)/h + (1/2 - theta)(k0 - k1)."""
     worst = 0.0
-    for v, b, s in zip(mids, bb, db):
-        try:
-            hval = rhs(float(v), float(b))
-        except _OutOfBand:
-            return math.inf
-        worst = max(worst, abs(s - hval) / (1.0 + abs(hval)))
+    for th in (0.5 - _GAUSS_OFFSET, 0.5 + _GAUSS_OFFSET):
+        bg = b0 + (4.0 * th / 3.0 - 1.0 / 6.0) * (b1 - b0) + h * ((1.0 - th) * k0 - th * k1) / 6.0
+        dg = (b1 - b0) / h + (0.5 - th) * (k0 - k1)
+        hg = rhs(v + th * h, bg)
+        worst = max(worst, abs(dg - hg) / (1.0 + abs(hg)))
     return worst
 
 

@@ -1,6 +1,10 @@
+import math
+
+import numpy as np
 import pytest
 
 from talab import dist
+from talab.equilibrium import bid_ode_rhs
 
 
 @pytest.fixture(scope="session")
@@ -74,3 +78,21 @@ def quad_partial_mean(d, x):
     val, _ = integrate.quad(lambda t: t * d.pdf(t), lo, x, points=pts or None,
                             limit=200, epsabs=1e-13, epsrel=1e-11)
     return val
+
+
+GAUSS_THETAS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+
+
+def schedule_defects(bid, weak, law, n_weak, thetas=GAUSS_THETAS):
+    """Independent defect oracle: signed (b' - H(b, v)) / (1 + |H|) of a bid
+    schedule at a + theta h of each interval [a, a + h] from its series-start
+    node on, through ``__call__``, ``deriv`` and the public right-hand side;
+    one row per theta."""
+    a, h = bid.grid[1:-1], np.diff(bid.grid[1:])
+    rows = []
+    for theta in thetas:
+        x = a + theta * h
+        H = np.array([bid_ode_rhs(float(b), float(v), weak, law, n_weak)
+                      for v, b in zip(x, bid(x))])
+        rows.append((bid.deriv(x) - H) / (1.0 + np.abs(H)))
+    return np.array(rows)

@@ -18,6 +18,7 @@ from talab.cli import run as cli_run
 from talab.equilibrium import (
     BidFunction,
     EquilibriumError,
+    SolveOptions,
     StrongBidLaw,
     bid_ode_rhs,
     initial_bid_ratio,
@@ -38,6 +39,8 @@ from talab.sequences import (
     make_family,
     run_limit_experiment,
 )
+
+from conftest import schedule_defects
 
 K = 2.0
 W_BAR = 2.5
@@ -106,9 +109,9 @@ def dop853_reference(weak, strong, n_weak, start):
 
 
 @pytest.fixture(scope="module")
-def reference_cases(u01, slow8):
-    """criterion-5 cases: (name, solve_ode schedule, DOP853 reference from its
-    series-start node) on slow_drain members and one smooth mixture."""
+def criterion5_solves(u01, slow8):
+    """criterion-5 cases: (name, law, N, solve_ode schedule, solve report) on
+    slow_drain members and one smooth mixture."""
     laws = [(f"l={l}/N={n}/zero={zero}", StrongBidLaw(slow8.member(l), zero), n)
             for l in (3, 5, 8) for n in (2, 5) for zero in (0.0, 0.25)]
     mixture = dist.mixture(
@@ -116,11 +119,20 @@ def reference_cases(u01, slow8):
         support=(0.0, 2.0),
     )
     laws.append(("mixture/N=2", StrongBidLaw(mixture), 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return [(name, law, n_weak, *solve_ode(u01, law, n_weak))
+                for name, law, n_weak in laws]
+
+
+@pytest.fixture(scope="module")
+def reference_cases(u01, criterion5_solves):
+    """criterion-5 cases: (name, solve_ode schedule, DOP853 reference from its
+    series-start node)."""
     out = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        for name, law, n_weak in laws:
-            bid, _ = solve_ode(u01, law, n_weak)
+        for name, law, n_weak, bid, _ in criterion5_solves:
             ref = dop853_reference(u01, law, n_weak, (bid.grid[1], bid.values[1]))
             out.append((name, bid, ref))
     return out
@@ -190,6 +202,39 @@ def test_criterion_5_solver_cross_validation(reference_cases):
     report(5, all(g <= 1e-3 for g in gaps.values()),
            f"sup|b_ode - b_dop853| <= {gaps[worst]:.2e} over {len(gaps)} cases "
            f"(worst {worst}; tolerance 1e-3)")
+
+
+def test_criterion_5_reported_defect_is_the_schedules(u01, criterion5_solves):
+    # max_ode_residual is the Gauss-point defect of the schedule the solver
+    # returns, recomputed here from the schedule alone, and within the gate
+    tol = SolveOptions().residual_tolerance
+    for name, law, n_weak, bid, rep in criterion5_solves:
+        defect = np.abs(schedule_defects(bid, u01, law, n_weak)).max()
+        assert abs(defect - rep.max_ode_residual) <= 1e-9, name
+        assert defect <= tol, (name, defect)
+
+
+# fast_drain members 6-8 with no zero-bid atom, where the series start meets a
+# strong density rising off a small floor, and the two atom starts at v0 = 1e-10
+ATOM_EDGE_CASES = (
+    [("fast_drain", l, 0.0, n) for l in (6, 7, 8) for n in (2, 3, 5, 8)]
+    + [("slow_drain", 8, 0.25, 8), ("split_atom", 8, 0.25, 8)]
+)
+
+
+@pytest.mark.parametrize("kind, l, zero, n_weak", ATOM_EDGE_CASES)
+def test_atom_edge_cases_solve(u01, kind, l, zero, n_weak):
+    law = StrongBidLaw(make_family(kind, K, W_BAR, 8).member(l), zero)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        bid, rep = solve_ode(u01, law, n_weak)
+        assert verify_best_response(bid, u01, law, n_weak).max_regret <= 1e-4
+        assert rep.max_ode_residual <= SolveOptions().residual_tolerance
+        if zero > 0.0:   # steps below 1e-12 v_bar, under the v0-relative floor
+            assert rep.v0 < 1e-9 and rep.min_step < 1e-12
+        if (kind, l, n_weak) == ("fast_drain", 8, 3):
+            ref = dop853_reference(u01, law, n_weak, (bid.grid[1], bid.values[1]))
+            assert reference_gap(bid, ref, bid.grid[1]) <= 1e-3   # criterion 5's bound
 
 
 def test_criterion_5_rejects_scaled_schedule(reference_cases):

@@ -63,12 +63,17 @@ def test_parse_discrete_feasibility():
         parse_config(cfg)
 
 
-def test_parse_unknown_solver_key():
+def test_parse_unknown_solver_key(tmp_path, capsys):
     for key, value in (("fancy", True), ("method", "picard"), ("damping", 0.2),
-                       ("max_iter", 1500), ("fp_tolerance", 1e-9)):
+                       ("max_iter", 1500), ("fp_tolerance", 1e-9), ("grid_size", 1000)):
         with pytest.raises(ConfigError, match=f"solver.{key}") as err:
             parse_config(base_config(solver={key: value}))
         assert err.value.errors == [(f"solver.{key}", "unknown key")]
+    # the step count is set by the defect gate; the old cap's key is refused
+    path = write_config(tmp_path, base_config(solver={"grid_size": 1000}))
+    assert run(["solve", "--config", path, "--out-dir", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert [v["path"] for v in err["error"]["violations"]] == ["solver.grid_size"]
 
 
 def test_hash_roundtrip_and_key_order():
@@ -191,6 +196,33 @@ def test_numeric_error_exit(tmp_path, capsys):
     assert "drain" in err["error"]["message"]
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_failed_solve_writes_its_report(tmp_path, capsys, command):
+    # a weak density with a square-root edge at v_bar: the defect gate cannot
+    # be met above the step floor, so the solve stops with exit 3 and still
+    # writes its solve report, with a null defect
+    cfg = base_config(n_weak=3, weak={"kind": "beta_poly", "params": [1.0, 1.5],
+                                      "support": [0, 1]})
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "o"
+    assert run([command, "--config", path, "--out-dir", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"]["type"] == "numeric"
+    assert "the defect gate rejected the last attempt" in err["error"]["message"]
+    assert sorted(p.name.split(".")[0] for p in out.iterdir()) == ["solve_report"]
+    report_path = next(out.glob("solve_report.*.json"))
+    def no_constant(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    rep = json.loads(report_path.read_text(), parse_constant=no_constant)
+    assert rep["max_ode_residual"] is None
+    assert rep["accepted_steps"] > 0 and rep["rejected_residual"] > 0
+    assert f"{rep['rejected_residual']} defect" in err["error"]["message"]
+    assert run(["report", str(report_path)]) == 0
+    text = capsys.readouterr().out
+    assert "solve: failed" in text and f"{rep['rejected_residual']} defect" in text
+
+
 def test_verify_failure_exit(tmp_path, capsys, monkeypatch):
     import talab.cli as cli
     from talab.equilibrium import BestResponseReport
@@ -241,4 +273,6 @@ def test_report_renders_solve_counters(tmp_path, capsys):
     assert run(["report", str(report_path)]) == 0
     text = capsys.readouterr().out
     assert f"steps: {rep['accepted_steps']} accepted" in text
+    assert f"{rep['rejected_residual']} defect" in text
+    assert f"max Gauss-point defect {rep['max_ode_residual']:.3g}" in text
     assert "series start v0" in text

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from talab import dist
 from talab.dist import DistributionError
@@ -94,6 +95,28 @@ def test_bump_cdf_edges(gap_mixture):
         assert vec.tolist() == [b.cdf_s(float(x)) for x in xs]
         assert vec.tolist() == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
     assert gap_mixture.quantile(np.array([0.25]))[0] == pytest.approx(0.1, abs=1e-10)
+
+
+@pytest.mark.parametrize("c, s", [(0.6, 0.6), (1.0, 0.4), (2.0, 0.05)])
+def test_bump_lower_edge_relative_accuracy(c, s):
+    # F and M near the lower edge against quadrature of f = sin^2(pi r/2)/s in
+    # r = (x - lo)/s; 0.5 (1 + t + sin(pi t)/pi) is off by a factor 3e7 at r = 1e-8
+    b = dist.cosine_bump(c, s).parts[0]
+    below, above = math.nextafter(0.25, 0.0), math.nextafter(0.25, 1.0)
+    for r in (1e-8, 1e-4, 1e-2, 0.2, below, above):
+        x = b.lo + r * s
+        r = (x - b.lo) / s          # the r that x represents
+        F_ref = integrate.quad(lambda p: math.sin(0.5 * math.pi * p) ** 2, 0.0, r,
+                               epsabs=0.0, epsrel=2e-14)[0]
+        M_ref = integrate.quad(lambda p: (b.lo + s * p) * math.sin(0.5 * math.pi * p) ** 2,
+                               0.0, r, epsabs=0.0, epsrel=2e-14)[0]
+        F, _, M = b.eval3_s(x)
+        # the series (r < 0.25) is at the rounding floor; above it the closed
+        # form's t = (x - c)/s carries the rounding of x - c
+        rel = 1e-15 if r < 0.25 else 1e-14
+        assert F == b.cdf_s(x)
+        assert F == pytest.approx(F_ref, rel=rel, abs=0.0), r
+        assert M == pytest.approx(M_ref, rel=rel, abs=0.0), r
 
 
 def test_cdf_quantile_roundtrip(test_distributions):

@@ -24,6 +24,8 @@ from talab.equilibrium import (
 )
 from talab.sequences import make_family
 
+from conftest import schedule_defects
+
 
 @pytest.fixture(scope="module")
 def uniform_solution(u01, u02):
@@ -165,35 +167,37 @@ def test_solve_counters_repeat(u01, bump_member):
 
 
 @pytest.mark.parametrize("case, gate", [
-    ("sqrt_edge", "midpoint-residual"),   # beta(1, 1.5) density: sqrt edge at v_bar
-    ("fast_drain_8", "midpoint-residual"),  # atom start off the flat-density series
-    ("fast_drain_4_z06", "band"),          # bids run into the strong support top
+    ("sqrt_edge", "defect"),         # beta(1, 1.5) density: sqrt edge at v_bar
+    ("sqrt_edge_n5", "defect"),      # the same at N = 5
+    ("fast_drain_4_z06", "band"),    # bids run into the strong support top
 ])
 def test_underflow_names_gate_and_reports_counters(u01, u02, case, gate):
     fast = make_family("fast_drain", 2.0, 2.5, 8)
-    weak, strong = {
-        "sqrt_edge": (dist.beta_poly(0.0, 1.0, 1.0, 1.5), u02),
-        "fast_drain_8": (u01, StrongBidLaw(fast.member(8), 0.0)),
-        "fast_drain_4_z06": (u01, StrongBidLaw(fast.member(4), 0.6)),
+    sqrt_edge = dist.beta_poly(0.0, 1.0, 1.0, 1.5)
+    weak, strong, n = {
+        "sqrt_edge": (sqrt_edge, u02, 3),
+        "sqrt_edge_n5": (sqrt_edge, u02, 5),
+        "fast_drain_4_z06": (u01, StrongBidLaw(fast.member(4), 0.6), 3),
     }[case]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(BandEscape, match=f"the {gate} gate rejected the last attempt") as err:
-            solve_ode(weak, strong, 3)
+            solve_ode(weak, strong, n)
     report = err.value.report
     assert math.isnan(report.max_ode_residual)
     assert report.v0 > 0.0 and report.accepted_steps > 0
     assert report.min_step < 1e-9
     counts = (f"{report.rejected_error} error-estimate, {report.rejected_band} band, "
-              f"{report.rejected_residual} midpoint-residual")
+              f"{report.rejected_residual} defect")
     assert counts in str(err.value)
     assert (report.rejected_band if gate == "band" else report.rejected_residual) > 0
 
 
 def test_underflow_after_accepted_step_names_no_gate(u01, u02, monkeypatch):
-    # the first attempt is rejected by the band gate (h 2.1e-12 -> 1.05e-12);
-    # the next is accepted with an error estimate just under its bound, so the
-    # controller shrinks h by 0.9, below h_min = 1e-12, with no rejection since
+    # v0 = 1.72e-8 puts the step floor at 1e-12 (not 1e-4 * v0); the first 14
+    # attempts are rejected by the band gate (h 1.72e-8 -> 1.0498e-12); the
+    # next is accepted with an error estimate just under its bound, so the
+    # controller shrinks h by 0.9, below h_min, with no rejection since
     real_stepper = eq._dp_stepper
 
     def stepper(rhs):
@@ -201,7 +205,7 @@ def test_underflow_after_accepted_step_names_no_gate(u01, u02, monkeypatch):
 
         def attempt(v, b, h, k1):
             calls.append(h)
-            if len(calls) == 1:
+            if len(calls) <= 14:
                 raise eq._OutOfBand
             b5, _, k_end = step(v, b, h, k1)
             return b5, b5 + 0.999e-13, k_end   # atol = 1e-13 at v_bar = 1
@@ -210,9 +214,36 @@ def test_underflow_after_accepted_step_names_no_gate(u01, u02, monkeypatch):
 
     monkeypatch.setattr(eq, "_dp_stepper", stepper)
     with pytest.raises(BandEscape, match="no attempt was rejected since the last accepted step") as err:
-        solve_ode(u01, u02, 2, SolveOptions(v0_fraction=2.1e-12))
+        solve_ode(u01, u02, 2, SolveOptions(v0_fraction=1.72e-8))
     report = err.value.report
-    assert (report.accepted_steps, report.rejected_band) == (1, 1)
+    assert (report.accepted_steps, report.rejected_band) == (1, 14)
+
+
+@pytest.mark.parametrize("l", [1, 5, 8])
+def test_defect_gate_fails_a_perturbed_node(u01, l):
+    # the leading defect term is antisymmetric about the midpoint, where it
+    # vanishes. Nudge the slope at one node of the worst interval by 2 tol
+    # (1 + |H|) in the sign that grows both of its Gauss-point defects: the
+    # midpoint residual moves by about tol / 2 and stays under the gate, the
+    # Gauss-point defect passes it, and the solver's gate rejects the schedule
+    tol = SolveOptions().residual_tolerance
+    law = StrongBidLaw(make_family("slow_drain", 2.0, 2.5, 8).member(l), 0.0)
+    bid, report = solve_ode(u01, law, 2)
+    gauss = schedule_defects(bid, u01, law, 2)
+    j = int(np.argmax(np.abs(gauss).max(axis=0)))   # interval [grid[j+1], grid[j+2]]
+    i, sign = (j + 1, 1.0) if j >= 1 else (j + 2, -1.0)   # an interior node past v0
+    slopes = bid.slopes.copy()
+    slopes[i] += sign * np.sign(gauss[0, j]) * 2.0 * tol * (1.0 + abs(slopes[i]))
+    nudged = BidFunction(bid.grid, bid.values, slopes)
+
+    midpoint = np.abs(schedule_defects(nudged, u01, law, 2, (0.5,))).max()
+    assert midpoint <= tol                    # the midpoint gate passes it
+    assert np.abs(schedule_defects(nudged, u01, law, 2)).max() > tol
+    rhs = eq._rhs_factory(u01, law, 2)
+    g, b, k = nudged.grid, nudged.values, nudged.slopes
+    gate = max(eq._gauss_defect(rhs, g[m], b[m], b[m + 1], k[m], k[m + 1], g[m + 1] - g[m])
+               for m in range(1, g.size - 1))
+    assert gate > tol and report.max_ode_residual <= tol
 
 
 def test_solution_extends_to_top(u01, bump_member):
