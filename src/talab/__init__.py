@@ -22,7 +22,6 @@ from .mechanisms import (
     AuctionSpec,
     DiscreteAtomSpec,
     RevenueEstimate,
-    run_once,
     sa_reserve_closed_form,
     simulate,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "make_family",
     "oa_revenue",
     "run_limit_experiment",
-    "run_once",
     "sa_reserve_closed_form",
     "simulate",
     "single_buyer_reserve",

@@ -26,7 +26,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, load_config, refusal_path
 from .dist import DistributionError
 from .equilibrium import (
     BandEscape,
@@ -37,7 +37,7 @@ from .equilibrium import (
     verify_best_response,
 )
 from .mechanisms import AuctionSpec, MechanismError, simulate, simulate_draws
-from .myerson import oa_revenue, regularity_check, single_buyer_reserve
+from .myerson import check_oa, oa_revenue, regularity_check, single_buyer_reserve
 from .sequences import ExperimentError, LimitTable, run_limit_experiment
 
 EXIT_CONFIG = 2
@@ -186,24 +186,19 @@ def cmd_verify(cfg: ExperimentConfig, args) -> dict:
 
 
 def cmd_simulate(cfg: ExperimentConfig, args) -> dict:
+    # parse_config has run check_auction on the mechanism once weak is given
     _require(cfg.weak, "weak")
     mechanism = _require(cfg.mechanism, "mechanism.kind")
+    strong = cfg.strong_atom if mechanism == "ta_discrete" else cfg.strong_dist
     notes: list[str] = []
     bid = None
     if mechanism in ("ta", "ta_intervention"):
-        strong = _require(cfg.strong_dist, "strong.dist")
         law = strong
         if mechanism == "ta_intervention":
             law = StrongBidLaw(strong, zero_bid_prob=1.0 - cfg.intervention_p)
         bid, _ = _solve_bid(cfg, law, notes)
-        spec = AuctionSpec(mechanism, cfg.n_weak, cfg.weak, strong,
-                           intervention_p=cfg.intervention_p, bid_fn=bid)
-    elif mechanism == "ta_discrete":
-        spec = AuctionSpec(mechanism, cfg.n_weak, cfg.weak, cfg.strong_atom)
-    else:
-        strong = _require(cfg.strong_dist, "strong.dist")
-        spec = AuctionSpec(mechanism, cfg.n_weak, cfg.weak, strong,
-                           reserve=cfg.reserve)
+    spec = AuctionSpec(mechanism, cfg.n_weak, cfg.weak, strong, reserve=cfg.reserve,
+                       intervention_p=cfg.intervention_p, bid_fn=bid)
     out = simulate(spec, cfg.mc_n, cfg.mc_seed, threads=args.threads)
     tag = f"{cfg.config_hash}.s{cfg.mc_seed}"
     result = {
@@ -232,8 +227,11 @@ def cmd_oa(cfg: ExperimentConfig, args) -> dict:
         raise ConfigError([("strong.dist",
                             "oa needs a continuous strong distribution "
                             "(use sweep P5 for family benchmarks)")])
-    if cfg.n_weak > 0:
-        _require(weak, "weak")
+    try:
+        check_oa(weak, strong, cfg.n_weak)
+    except MechanismError as exc:
+        raise ConfigError([(refusal_path(exc.field, {"strong": "strong.dist"}),
+                            str(exc))]) from exc
     est = oa_revenue(weak, strong, cfg.n_weak, cfg.mc_n, cfg.mc_seed,
                      threads=args.threads)
     result = {
@@ -271,7 +269,6 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> dict:
     _require(cfg.weak, "weak")
     fam = _require(cfg.family, "strong.family")
     prop = _require(cfg.sweep_prop, "sweep.prop")
-    sweep_cfg = cfg.raw.get("sweep", {})
     table = run_limit_experiment(
         prop,
         fam,
@@ -281,7 +278,7 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> dict:
         n=cfg.mc_n,
         seed=cfg.mc_seed,
         threads=args.threads,
-        intervention_p=sweep_cfg.get("intervention_p"),
+        intervention_p=cfg.sweep_intervention_p,
         solver=cfg.solver,
     )
     tag = f"{cfg.config_hash}.s{cfg.mc_seed}"
@@ -425,11 +422,7 @@ def run(argv: list[str] | None = None) -> int:
             return 0
         cfg = load_config(args.config)
         if args.seed is not None:
-            raw = dict(cfg.raw)
-            raw["mc"] = {**raw.get("mc", {}), "seed": args.seed}
-            from .config import parse_config
-
-            cfg = parse_config(raw)
+            cfg = cfg.with_seed(args.seed)
         bundle = _DISPATCH[args.command](cfg, args)
     except ConfigError as exc:
         _emit_error("config", exc)

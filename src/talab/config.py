@@ -1,9 +1,13 @@
-"""Experiment configuration: strict JSON schema, semantic checks, stable hashing.
+"""Experiment configuration: strict JSON schema and stable hashing.
 
 Configs are plain JSON objects. Validation is all-at-once: every violation is
-collected with its field path before raising, unknown keys are rejected
-everywhere, and semantic rules (atom value vs support top, reserve floor,
-intervention feasibility) are checked before any computation starts.
+collected with its field path before raising, and unknown keys are rejected
+everywhere. This module checks the JSON's shape (keys, types, integers) and
+the bounds of the run settings (``mc``, ``solver``, ``verify``). Each rule of
+the model is stated once, in the domain module it concerns (the spec
+constructors, ``check_auction``, ``check_experiment``); config calls it and
+files its refusal under the config path of the field it names, before any
+computation starts.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from dataclasses import dataclass, field
 from . import dist
 from .dist import DistributionError, DistributionSpec
 from .equilibrium import SolveOptions
-from .mechanisms import MECHANISMS, DiscreteAtomSpec
-from .sequences import FAMILY_KINDS, PROPS, FamilySpec, ReserveRule
+from .mechanisms import DiscreteAtomSpec, InputError, check_auction
+from .sequences import FamilySpec, ReserveRule, check_experiment
 
 
 class ConfigError(ValueError):
@@ -42,6 +46,7 @@ class ExperimentConfig:
     mc_seed: int
     sweep_prop: str | None
     sweep_rule: ReserveRule | None
+    sweep_intervention_p: float | None
     verify_tolerance: float
     raw: dict = field(repr=False, compare=False)
 
@@ -49,10 +54,26 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         return hash_config(self.raw)
 
+    def with_seed(self, seed: int) -> "ExperimentConfig":
+        """This config with ``mc.seed`` replaced, validated and hashed anew."""
+        return parse_config({**self.raw, "mc": {**self.raw.get("mc", {}), "seed": seed}})
+
 
 def hash_config(obj: dict) -> str:
     canon = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+
+def refusal_path(field: str | None, paths: dict[str, str]) -> str:
+    """Config path of the field a domain refusal names: its first part mapped
+    through ``paths`` (a name not in it is a top-level key), the rest kept."""
+    head, _, rest = (field or "").partition(".")
+    base = paths.get(head, head)
+    return f"{base}.{rest}" if rest else base
+
+
+def _under(path: str, keys) -> dict[str, str]:
+    return {key: f"{path}.{key}" for key in keys}
 
 
 class _Checker:
@@ -68,7 +89,21 @@ class _Checker:
         for key in sorted(required - set(obj)):
             self.fail(f"{path}.{key}" if path else key, "missing required key")
 
-    def number(self, obj, path, lo=None, hi=None, integer=False):
+    def section(self, obj: dict, path: str, allowed: set[str],
+                required: set[str]) -> dict | None:
+        """The object at the last key of path in obj with its keys checked, or
+        None if it is absent or not an object."""
+        key = path.rpartition(".")[2]
+        if key not in obj:
+            return None
+        val = obj[key]
+        if not isinstance(val, dict):
+            self.fail(path, "expected an object")
+            return None
+        self.expect_keys(val, path, allowed, required)
+        return val
+
+    def number(self, obj, path, lo=None, integer=False):
         val = obj
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             self.fail(path, f"expected a number, got {type(val).__name__}")
@@ -79,10 +114,16 @@ class _Checker:
         if lo is not None and val < lo:
             self.fail(path, f"must be >= {lo}, got {val}")
             return None
-        if hi is not None and val > hi:
-            self.fail(path, f"must be <= {hi}, got {val}")
-            return None
         return int(val) if integer else float(val)
+
+    def domain(self, paths: dict[str, str], fn, *args, **kwargs):
+        """fn(*args, **kwargs), or None once its refusal is recorded at the
+        config path of the field it names."""
+        try:
+            return fn(*args, **kwargs)
+        except InputError as exc:
+            self.fail(refusal_path(exc.field, paths), str(exc))
+            return None
 
 
 def _parse_distribution(ck: _Checker, obj, path: str) -> DistributionSpec | None:
@@ -120,169 +161,99 @@ def parse_config(obj: dict) -> ExperimentConfig:
     if version is not None and version != "1":
         ck.fail("version", f"unsupported version {version!r}")
 
-    n_weak = ck.number(obj.get("n_weak", 2), "n_weak", lo=0, integer=True)
+    n_weak = ck.number(obj.get("n_weak", 2), "n_weak", integer=True)
 
     weak = None
     if "weak" in obj:
         weak = _parse_distribution(ck, obj["weak"], "weak")
 
-    strong_dist = strong_atom = family = None
-    if "strong" in obj:
-        s = obj["strong"]
-        if not isinstance(s, dict):
-            ck.fail("strong", "expected an object")
-        else:
-            ck.expect_keys(s, "strong", _STRONG_KEYS, set())
-            given = [k for k in _STRONG_KEYS if k in s]
-            if len(given) != 1:
-                ck.fail("strong", f"exactly one of {sorted(_STRONG_KEYS)} required")
-            if "dist" in s:
-                strong_dist = _parse_distribution(ck, s["dist"], "strong.dist")
-            if "atom" in s and isinstance(s["atom"], dict):
-                ck.expect_keys(s["atom"], "strong.atom", _ATOM_KEYS, _ATOM_KEYS)
-                k = ck.number(s["atom"].get("k", 1.0), "strong.atom.k", lo=0.0)
-                p = ck.number(s["atom"].get("p", 0.5), "strong.atom.p")
-                if k is not None and p is not None:
-                    try:
-                        strong_atom = DiscreteAtomSpec(k=k, p=p)
-                    except ValueError as exc:
-                        ck.fail("strong.atom", str(exc))
-            if "family" in s and isinstance(s["family"], dict):
-                f = s["family"]
-                ck.expect_keys(f, "strong.family", _FAMILY_KEYS, {"kind", "k", "w_bar"})
-                kind = f.get("kind")
-                if kind not in FAMILY_KINDS:
-                    ck.fail("strong.family.kind", f"expected one of {FAMILY_KINDS}")
-                k = ck.number(f.get("k", 2.0), "strong.family.k", lo=0.0)
-                w_bar = ck.number(f.get("w_bar", 2.5), "strong.family.w_bar", lo=0.0)
-                size = ck.number(f.get("size", 8), "strong.family.size", lo=2, integer=True)
-                share = ck.number(f.get("atom_share", 1.0), "strong.family.atom_share",
-                                  lo=0.0, hi=1.0)
-                split_p = ck.number(f.get("split_p", 0.5), "strong.family.split_p",
-                                    lo=0.0, hi=1.0)
-                if not ck.errors:
-                    try:
-                        family = FamilySpec(kind=kind, k=k, w_bar=w_bar, size=size,
-                                            atom_share=share, split_p=split_p)
-                    except ValueError as exc:
-                        ck.fail("strong.family", str(exc))
+    strong = strong_dist = strong_atom = family = None
+    strong_path, strong_ok = "strong", True
+    s = ck.section(obj, "strong", _STRONG_KEYS, set())
+    if s is not None:
+        n_errors = len(ck.errors)
+        given = sorted(_STRONG_KEYS & set(s))
+        if len(given) != 1:
+            ck.fail("strong", f"exactly one of {sorted(_STRONG_KEYS)} required")
+        if "dist" in s:
+            strong_dist = _parse_distribution(ck, s["dist"], "strong.dist")
+        a = ck.section(s, "strong.atom", _ATOM_KEYS, _ATOM_KEYS)
+        if a is not None:
+            k = ck.number(a.get("k", 1.0), "strong.atom.k")
+            p = ck.number(a.get("p", 0.5), "strong.atom.p")
+            if k is not None and p is not None:
+                strong_atom = ck.domain(_under("strong.atom", _ATOM_KEYS),
+                                        DiscreteAtomSpec, k=k, p=p)
+        f = ck.section(s, "strong.family", _FAMILY_KEYS, {"kind", "k", "w_bar"})
+        if f is not None:
+            fields = {
+                "kind": f.get("kind"),
+                "k": ck.number(f.get("k", 2.0), "strong.family.k"),
+                "w_bar": ck.number(f.get("w_bar", 2.5), "strong.family.w_bar"),
+                "size": ck.number(f.get("size", 8), "strong.family.size", integer=True),
+                "atom_share": ck.number(f.get("atom_share", 1.0), "strong.family.atom_share"),
+                "split_p": ck.number(f.get("split_p", 0.5), "strong.family.split_p"),
+            }
+            if None not in fields.values():
+                family = ck.domain(_under("strong.family", _FAMILY_KEYS), FamilySpec, **fields)
+        if len(given) == 1:
+            strong_path = f"strong.{given[0]}"
+            strong = {"dist": strong_dist, "atom": strong_atom, "family": family}[given[0]]
+        strong_ok = len(ck.errors) == n_errors
 
     mechanism = reserve = intervention_p = None
-    if "mechanism" in obj:
-        m = obj["mechanism"]
-        if not isinstance(m, dict):
-            ck.fail("mechanism", "expected an object")
-        else:
-            ck.expect_keys(m, "mechanism", _MECH_KEYS, {"kind"})
-            mechanism = m.get("kind")
-            if mechanism not in MECHANISMS:
-                ck.fail("mechanism.kind", f"expected one of {MECHANISMS}")
-            if "reserve" in m:
-                reserve = ck.number(m["reserve"], "mechanism.reserve", lo=0.0)
-            if "intervention_p" in m:
-                intervention_p = ck.number(m["intervention_p"],
-                                           "mechanism.intervention_p", lo=0.0, hi=1.0)
+    m = ck.section(obj, "mechanism", _MECH_KEYS, {"kind"})
+    if m is not None:
+        n_errors = len(ck.errors)
+        mechanism = m.get("kind")
+        if "reserve" in m:
+            reserve = ck.number(m["reserve"], "mechanism.reserve")
+        if "intervention_p" in m:
+            intervention_p = ck.number(m["intervention_p"], "mechanism.intervention_p")
+        if len(ck.errors) == n_errors and strong_ok and None not in (weak, n_weak):
+            ck.domain({**_under("mechanism", _MECH_KEYS), "strong": strong_path},
+                      check_auction, mechanism, n_weak, weak, strong, reserve,
+                      intervention_p)
 
     solver_kwargs = {}
-    if "solver" in obj:
-        s = obj["solver"]
-        if not isinstance(s, dict):
-            ck.fail("solver", "expected an object")
-        else:
-            ck.expect_keys(s, "solver", _SOLVER_KEYS, set())
-            for key, lo in (("v0_fraction", 1e-12), ("rk_tolerance", 1e-14),
-                            ("residual_tolerance", 1e-14)):
-                if key in s:
-                    val = ck.number(s[key], f"solver.{key}", lo=lo)
-                    if val is not None:
-                        solver_kwargs[key] = val
+    sol = ck.section(obj, "solver", _SOLVER_KEYS, set())
+    for key, lo in (("v0_fraction", 1e-12), ("rk_tolerance", 1e-14),
+                    ("residual_tolerance", 1e-14)):
+        if sol is not None and key in sol:
+            val = ck.number(sol[key], f"solver.{key}", lo=lo)
+            if val is not None:
+                solver_kwargs[key] = val
 
     mc_n, mc_seed = 100_000, 0
-    if "mc" in obj:
-        m = obj["mc"]
-        if not isinstance(m, dict):
-            ck.fail("mc", "expected an object")
-        else:
-            ck.expect_keys(m, "mc", _MC_KEYS, set())
-            if "n" in m:
-                mc_n = ck.number(m["n"], "mc.n", lo=1, integer=True) or mc_n
-            if "seed" in m:
-                val = ck.number(m["seed"], "mc.seed", lo=0, integer=True)
-                mc_seed = mc_seed if val is None else val
+    mc = ck.section(obj, "mc", _MC_KEYS, set())
+    if mc is not None and "n" in mc:
+        mc_n = ck.number(mc["n"], "mc.n", lo=1, integer=True) or mc_n
+    if mc is not None and "seed" in mc:
+        val = ck.number(mc["seed"], "mc.seed", lo=0, integer=True)
+        mc_seed = mc_seed if val is None else val
 
-    sweep_prop = None
-    sweep_rule = None
-    sweep_intervention = None
-    if "sweep" in obj:
-        s = obj["sweep"]
-        if not isinstance(s, dict):
-            ck.fail("sweep", "expected an object")
-        else:
-            ck.expect_keys(s, "sweep", _SWEEP_KEYS, {"prop"})
-            sweep_prop = s.get("prop")
-            if sweep_prop not in PROPS:
-                ck.fail("sweep.prop", f"expected one of {PROPS}")
-            if "intervention_p" in s:
-                sweep_intervention = ck.number(s["intervention_p"],
-                                               "sweep.intervention_p", lo=0.0, hi=1.0)
-            if "rule" in s:
-                r = s["rule"]
-                if not isinstance(r, dict):
-                    ck.fail("sweep.rule", "expected an object")
-                else:
-                    ck.expect_keys(r, "sweep.rule", _RULE_KEYS, {"kind"})
-                    value = eps = None
-                    if "value" in r:
-                        value = ck.number(r["value"], "sweep.rule.value")
-                    if "eps" in r:
-                        eps = ck.number(r["eps"], "sweep.rule.eps", lo=0.0)
-                    try:
-                        sweep_rule = ReserveRule(kind=r.get("kind"), value=value, eps=eps)
-                    except ValueError as exc:
-                        ck.fail("sweep.rule", str(exc))
+    sweep_prop = sweep_rule = sweep_p = None
+    sw = ck.section(obj, "sweep", _SWEEP_KEYS, {"prop"})
+    if sw is not None:
+        n_errors = len(ck.errors)
+        sweep_prop = sw.get("prop")
+        if "intervention_p" in sw:
+            sweep_p = ck.number(sw["intervention_p"], "sweep.intervention_p")
+        r = ck.section(sw, "sweep.rule", _RULE_KEYS, {"kind"})
+        if r is not None:
+            value = ck.number(r["value"], "sweep.rule.value") if "value" in r else None
+            eps = ck.number(r["eps"], "sweep.rule.eps") if "eps" in r else None
+            sweep_rule = ck.domain(_under("sweep.rule", _RULE_KEYS), ReserveRule,
+                                   kind=r.get("kind"), value=value, eps=eps)
+        if len(ck.errors) == n_errors and None not in (family, weak, n_weak):
+            ck.domain({**_under("sweep", _SWEEP_KEYS), "fam": "strong.family"},
+                      check_experiment, sweep_prop, family, weak, n_weak, sweep_rule, sweep_p)
 
     verify_tolerance = 1e-4
-    if "verify" in obj:
-        v = obj["verify"]
-        if not isinstance(v, dict):
-            ck.fail("verify", "expected an object")
-        else:
-            ck.expect_keys(v, "verify", _VERIFY_KEYS, set())
-            if "tolerance" in v:
-                val = ck.number(v["tolerance"], "verify.tolerance", lo=0.0)
-                verify_tolerance = verify_tolerance if val is None else val
-
-    # semantic rules across sections
-    if weak is not None:
-        v_bar = weak.support.hi
-        if mechanism == "sa_reserve" and reserve is not None and reserve < v_bar:
-            ck.fail("mechanism.reserve",
-                    f"reserve {reserve} below the weak support top {v_bar}; the "
-                    "reserve mechanism requires r >= v_bar")
-        if strong_atom is not None and strong_atom.k <= v_bar:
-            ck.fail("strong.atom.k",
-                    f"atom value {strong_atom.k} must exceed the weak support top {v_bar}")
-        if (strong_atom is not None and mechanism == "ta_discrete"
-                and strong_atom.p * strong_atom.k <= v_bar):
-            ck.fail("strong.atom",
-                    f"p*k = {strong_atom.p * strong_atom.k:.6g} <= v_bar = {v_bar}: "
-                    "the all-in equilibrium is not guaranteed")
-        if family is not None and family.k <= v_bar:
-            ck.fail("strong.family.k",
-                    f"atom k={family.k} must exceed the weak support top {v_bar}")
-    if mechanism == "sa_reserve" and reserve is None:
-        ck.fail("mechanism.reserve", "required for sa_reserve")
-    if mechanism not in (None, "sa_reserve") and reserve is not None:
-        ck.fail("mechanism.reserve", f"{mechanism} does not take a reserve")
-    if mechanism == "ta_intervention" and intervention_p is None:
-        ck.fail("mechanism.intervention_p", "required for ta_intervention")
-    if mechanism not in (None, "ta_intervention") and intervention_p is not None:
-        ck.fail("mechanism.intervention_p", f"{mechanism} does not take intervention_p")
-    if mechanism == "ta_discrete" and strong_atom is None:
-        ck.fail("strong.atom", "ta_discrete requires a two-point strong spec")
-    if mechanism in ("ta", "sa", "sa_reserve", "ta_intervention") and strong_dist is None:
-        if mechanism is not None and "mechanism" in obj:
-            ck.fail("strong.dist", f"{mechanism} requires a continuous strong distribution")
+    v = ck.section(obj, "verify", _VERIFY_KEYS, set())
+    if v is not None and "tolerance" in v:
+        val = ck.number(v["tolerance"], "verify.tolerance", lo=0.0)
+        verify_tolerance = verify_tolerance if val is None else val
 
     if ck.errors:
         raise ConfigError(ck.errors)
@@ -302,6 +273,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
         mc_seed=mc_seed,
         sweep_prop=sweep_prop,
         sweep_rule=sweep_rule,
+        sweep_intervention_p=sweep_p,
         verify_tolerance=verify_tolerance,
         raw=obj,
     )

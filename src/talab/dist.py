@@ -46,7 +46,6 @@ on any number of threads.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -439,9 +438,9 @@ class DistributionSpec:
     """Immutable univariate distribution on a bounded support.
 
     Build through the constructors at the bottom of this module (``uniform``,
-    ``cosine_bump``, ``beta_poly``, ``piecewise_linear``, ``mixture``) or via
-    ``from_json``. ``weights``/``parts`` always describe a mixture; single-kind
-    distributions are one-component mixtures.
+    ``cosine_bump``, ``mixture``) or, for any kind, via ``from_json_dict``.
+    ``weights``/``parts`` always describe a mixture; single-kind distributions
+    are one-component mixtures.
     """
 
     kind: str
@@ -739,10 +738,6 @@ class DistributionSpec:
             "support": [self.support.lo, self.support.hi],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-
 def _part_from(kind: str, params: list[float], lo: float, hi: float):
     if kind == "uniform":
         return _Uniform(lo, hi)
@@ -805,10 +800,6 @@ def from_json_dict(obj: dict) -> DistributionSpec:
     return DistributionSpec(kind, support, (1.0,), (part,))
 
 
-def from_json(text: str) -> DistributionSpec:
-    return from_json_dict(json.loads(text))
-
-
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
@@ -822,19 +813,6 @@ def cosine_bump(center: float, half_width: float) -> DistributionSpec:
     part = _CosineBump(center, half_width)
     return DistributionSpec(
         "cosine_bump", SupportInterval(part.lo, part.hi), (1.0,), (part,)
-    )
-
-
-def beta_poly(lo: float, hi: float, a: float, b: float) -> DistributionSpec:
-    return DistributionSpec(
-        "beta_poly", SupportInterval(lo, hi), (1.0,), (_BetaPoly(lo, hi, a, b),)
-    )
-
-
-def piecewise_linear(xs, ys) -> DistributionSpec:
-    part = _PwLinear(xs, ys)
-    return DistributionSpec(
-        "pw_linear", SupportInterval(part.lo, part.hi), (1.0,), (part,)
     )
 
 

@@ -56,9 +56,7 @@ __all__ = [
     "SolveReport",
     "StrongBidLaw",
     "as_strong_law",
-    "bid_ode_rhs",
     "deviation_payoff",
-    "discrete_atom_equilibrium",
     "initial_bid_ratio",
     "raw_bid_payoff",
     "solve_ode",
@@ -202,14 +200,6 @@ class BidFunction:
     def _spline(self) -> CubicHermiteSpline:
         return CubicHermiteSpline(self.grid, self.values, self.slopes)
 
-    @cached_property
-    def _dspline(self):
-        return self._spline.derivative()
-
-    @property
-    def v_top(self) -> float:
-        return float(self.grid[-1])
-
     @property
     def b_top(self) -> float:
         return float(self.values[-1])
@@ -228,11 +218,6 @@ class BidFunction:
         ss = s * s
         # the terms and order of scipy's evaluate_poly1: bit-identical to PPoly
         out = c3.take(i) + c2.take(i) * s + c1.take(i) * ss + c0.take(i) * (ss * s)
-        return float(out) if np.isscalar(v) else out
-
-    def deriv(self, v):
-        x = np.clip(v, self.grid[0], self.grid[-1])
-        out = self._dspline(x)
         return float(out) if np.isscalar(v) else out
 
     def to_json_dict(self) -> dict:
@@ -318,22 +303,6 @@ def _rhs_factory(weak: DistributionSpec, law: StrongBidLaw, n_weak: int):
         return nm1 * (fv / Fv) * (Gb / gb) * (v - m) / (b - v)
 
     return rhs
-
-
-def bid_ode_rhs(b: float, v: float, weak: DistributionSpec, strong, n_weak: int) -> float:
-    """Equilibrium bid slope H(b, v); domain error outside the open band."""
-    if n_weak < 2:
-        raise EquilibriumError(f"need at least 2 weak bidders, got {n_weak}")
-    law = as_strong_law(strong)
-    v_bar = weak.support.hi
-    if not 0.0 < v <= v_bar:
-        raise EquilibriumError(f"v={v} outside (0, {v_bar}]")
-    try:
-        return _rhs_factory(weak, law, n_weak)(v, b)
-    except _OutOfBand:
-        raise EquilibriumError(
-            f"(b, v)=({b}, {v}) outside the bid band v < b < m^-1(v)"
-        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -601,14 +570,8 @@ def verify_best_response(
     v_grid = np.asarray(v_grid, dtype=float)
     dev_grid = np.asarray(dev_grid, dtype=float)
 
-    b_dev = bid(dev_grid)
-    win1 = weak.cdf(dev_grid) ** (n_weak - 1)
-    G = law.cdf(b_dev)
-    M = law.partial_mean(b_dev)
-    pi = win1[None, :] * (v_grid[:, None] * G[None, :] - M[None, :])
-
-    b_eq = bid(v_grid)
-    pi_eq = weak.cdf(v_grid) ** (n_weak - 1) * (v_grid * law.cdf(b_eq) - law.partial_mean(b_eq))
+    pi = deviation_payoff(v_grid[:, None], dev_grid, bid, weak, law, n_weak)
+    pi_eq = deviation_payoff(v_grid, v_grid, bid, weak, law, n_weak)
 
     regret = pi - pi_eq[:, None]
     i, j = np.unravel_index(np.argmax(regret), regret.shape)
@@ -619,7 +582,7 @@ def verify_best_response(
     top = bid.b_top
     if law.hi > top and n_raw_bids > 0:
         raws = np.linspace(top, law.hi, n_raw_bids + 1)[1:]
-        pi_raw = v_grid[:, None] * law.cdf(raws)[None, :] - law.partial_mean(raws)[None, :]
+        pi_raw = raw_bid_payoff(v_grid[:, None], raws, weak, law, n_weak)
         raw_regret = pi_raw - pi_eq[:, None]
         ri, rj = np.unravel_index(np.argmax(raw_regret), raw_regret.shape)
         if float(raw_regret[ri, rj]) > max_regret:
@@ -644,29 +607,3 @@ def verify_best_response(
         max_argmax_offset=max_offset,
     )
 
-
-# ---------------------------------------------------------------------------
-# discrete two-point benchmark
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DiscreteEquilibrium:
-    threshold_bid: float
-    expected_revenue: float
-
-    def bid(self, v: float) -> float:
-        return self.threshold_bid if v > 0.0 else 0.0
-
-
-def discrete_atom_equilibrium(p: float, k: float, weak: DistributionSpec,
-                              n_weak: int) -> DiscreteEquilibrium:
-    """All-in equilibrium of the two-point strong law (bid k when v > 0); revenue p*k."""
-    v_bar = weak.support.hi
-    if not 0.0 < p < 1.0:
-        raise EquilibriumError(f"p must be in (0, 1), got {p}")
-    if p * k <= v_bar:
-        raise EquilibriumError(
-            f"pk = {p * k:.6g} <= v_bar = {v_bar:.6g}: all-in equilibrium not guaranteed"
-        )
-    return DiscreteEquilibrium(threshold_bid=k, expected_revenue=p * k)

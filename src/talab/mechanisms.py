@@ -8,9 +8,9 @@ Five mechanisms share one draw layout. Replicate j owns positions
     u[N+1]     tie breaker
     u[N+2]     intervention randomization (consumed only when announced)
 
-``run_once`` is the scalar rule-by-rule reference; ``simulate`` evaluates the
-same rules vectorized over fixed-size replicate blocks (``run_blocks``, which
-the optimal-auction estimator shares). Blocks are keyed by absolute replicate
+``simulate`` evaluates the rules vectorized over fixed-size replicate blocks
+(``run_blocks``, which the optimal-auction estimator shares); the scalar
+rule-by-rule reference it is tested against lives in ``tests/``. Blocks are keyed by absolute replicate
 index and reduced in index order, so the estimate is bit-identical for any
 thread count.
 
@@ -22,7 +22,7 @@ argmax does, with a column-wise count of bids equal to the max; the
 second-price rules keep a running top two (largest and second largest, equal
 values counted twice). A tie is resolved by counting the tied (or, under
 ``ta_discrete``, the positive) bidders in order and taking the (j+1)-th, j
-drawn from the tie uniform as in ``run_once``.
+drawn from the tie uniform.
 """
 
 from __future__ import annotations
@@ -42,7 +42,17 @@ STRIDE_EXTRA = 3       # strong draw + tie + intervention uniforms per replicate
 _BLOCK_REPLICATES = 1 << 15
 
 
-class MechanismError(ValueError):
+class InputError(ValueError):
+    """An input breaks a rule of the model. ``field`` names the argument or
+    attribute at fault (``strong.k`` for attribute k of argument strong), so
+    a caller can point at where the input came from."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
+
+
+class MechanismError(InputError):
     pass
 
 
@@ -55,9 +65,52 @@ class DiscreteAtomSpec:
 
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
-            raise MechanismError(f"atom probability must be in (0, 1), got {self.p}")
+            raise MechanismError(f"atom probability must be in (0, 1), got {self.p}", "p")
         if self.k <= 0.0:
-            raise MechanismError(f"atom value must be positive, got {self.k}")
+            raise MechanismError(f"atom value must be positive, got {self.k}", "k")
+
+
+def check_auction(kind: str, n_weak: int, weak: DistributionSpec, strong,
+                  reserve: float | None = None, intervention_p: float | None = None):
+    """Refuse an auction outside the model; the error's ``field`` names the
+    argument at fault. Every rule on these inputs is stated here once."""
+    if kind not in MECHANISMS:
+        raise MechanismError(f"unknown mechanism {kind!r}; expected one of {MECHANISMS}",
+                             "kind")
+    if n_weak < 2:
+        raise MechanismError(f"need at least 2 weak bidders, got {n_weak}", "n_weak")
+    v_bar = weak.support.hi
+
+    if kind == "sa_reserve":
+        if reserve is None:
+            raise MechanismError("sa_reserve requires a reserve", "reserve")
+        if reserve < v_bar:
+            raise MechanismError(
+                f"reserve {reserve} below the weak support top {v_bar}; the reserve "
+                "mechanism's closed forms are only valid for r >= v_bar", "reserve")
+    elif reserve is not None:
+        raise MechanismError(f"{kind} does not take a reserve", "reserve")
+
+    if kind == "ta_intervention":
+        if intervention_p is None or not 0.0 < intervention_p < 1.0:
+            raise MechanismError("ta_intervention requires intervention_p in (0, 1)",
+                                 "intervention_p")
+    elif intervention_p is not None:
+        raise MechanismError(f"{kind} does not take intervention_p", "intervention_p")
+
+    if kind == "ta_discrete":
+        if not isinstance(strong, DiscreteAtomSpec):
+            raise MechanismError("ta_discrete requires a two-point strong spec", "strong")
+        if strong.k <= v_bar:
+            raise MechanismError(
+                f"atom value k={strong.k} must exceed the weak support top {v_bar}",
+                "strong.k")
+        if strong.p * strong.k <= v_bar:
+            raise MechanismError(
+                f"p*k = {strong.p * strong.k:.6g} <= v_bar = {v_bar}: the all-in "
+                "equilibrium is not guaranteed", "strong")
+    elif not isinstance(strong, DistributionSpec):
+        raise MechanismError(f"{kind} requires a continuous strong distribution", "strong")
 
 
 @dataclass(frozen=True)
@@ -71,70 +124,17 @@ class AuctionSpec:
     bid_fn: BidFunction | None = None
 
     def __post_init__(self):
-        if self.kind not in MECHANISMS:
-            raise MechanismError(f"unknown mechanism {self.kind!r}; expected one of {MECHANISMS}")
-        if self.n_weak < 2:
-            raise MechanismError(f"need at least 2 weak bidders, got {self.n_weak}")
-        v_bar = self.weak.support.hi
-
+        check_auction(self.kind, self.n_weak, self.weak, self.strong, self.reserve,
+                      self.intervention_p)
         needs_bids = self.kind in ("ta", "ta_intervention")
         if needs_bids and self.bid_fn is None:
-            raise MechanismError(f"{self.kind} requires a bid schedule")
+            raise MechanismError(f"{self.kind} requires a bid schedule", "bid_fn")
         if not needs_bids and self.bid_fn is not None:
-            raise MechanismError(f"{self.kind} does not take a bid schedule")
-
-        if self.kind == "sa_reserve":
-            if self.reserve is None:
-                raise MechanismError("sa_reserve requires a reserve")
-            if self.reserve < v_bar:
-                raise MechanismError(
-                    f"reserve {self.reserve} below the weak support top {v_bar}; the "
-                    "reserve mechanism's closed forms are only valid for r >= v_bar"
-                )
-        elif self.reserve is not None:
-            raise MechanismError(f"{self.kind} does not take a reserve")
-
-        if self.kind == "ta_intervention":
-            if self.intervention_p is None or not 0.0 < self.intervention_p < 1.0:
-                raise MechanismError("ta_intervention requires intervention_p in (0, 1)")
-        elif self.intervention_p is not None:
-            raise MechanismError(f"{self.kind} does not take intervention_p")
-
-        if self.kind == "ta_discrete":
-            if not isinstance(self.strong, DiscreteAtomSpec):
-                raise MechanismError("ta_discrete requires a two-point strong spec")
-            if self.strong.k <= v_bar:
-                raise MechanismError(
-                    f"atom value k={self.strong.k} must exceed the weak support top {v_bar}"
-                )
-        elif not isinstance(self.strong, DistributionSpec):
-            raise MechanismError(f"{self.kind} requires a continuous strong distribution")
+            raise MechanismError(f"{self.kind} does not take a bid schedule", "bid_fn")
 
     @property
     def stride(self) -> int:
         return self.n_weak + STRIDE_EXTRA
-
-
-@dataclass(frozen=True)
-class Draw:
-    v: np.ndarray
-    w: float
-    tie_u: float
-    intervention_u: float
-
-
-@dataclass(frozen=True)
-class Outcome:
-    winner: str                # "weak" or "strong"
-    winner_index: int | None   # weak bidder index, None for the strong bidder
-    price: float
-    surplus: float             # winner's value
-
-    def __post_init__(self):
-        if self.winner not in ("weak", "strong"):
-            raise MechanismError(f"invalid winner {self.winner!r}")
-        if self.price < 0.0 or self.surplus < 0.0:
-            raise MechanismError("price and surplus must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -143,79 +143,6 @@ class RevenueEstimate:
     std_error: float
     n: int
     seed: int
-
-
-# ---------------------------------------------------------------------------
-# scalar reference
-# ---------------------------------------------------------------------------
-
-
-def _pick_max(values: np.ndarray, tie_u: float) -> int:
-    top = values.max()
-    ties = np.flatnonzero(values == top)
-    if ties.size == 1:
-        return int(ties[0])
-    return int(ties[min(int(tie_u * ties.size), ties.size - 1)])
-
-
-def run_once(spec: AuctionSpec, draw: Draw) -> Outcome:
-    """Outcome of a single auction under the mechanism's rules."""
-    v = np.asarray(draw.v, dtype=float)
-    if v.shape != (spec.n_weak,):
-        raise MechanismError(f"draw has {v.shape} weak values, spec wants {spec.n_weak}")
-    w = float(draw.w)
-
-    if spec.kind == "sa":
-        allv = np.append(v, w)
-        i = _pick_max(allv, draw.tie_u)
-        price = float(np.sort(allv)[-2])
-        if i < spec.n_weak:
-            return Outcome("weak", i, price, float(v[i]))
-        return Outcome("strong", None, price, w)
-
-    if spec.kind == "sa_reserve":
-        v_sorted = np.sort(v)
-        if w >= spec.reserve:
-            price = max(spec.reserve, float(v_sorted[-1]))
-            return Outcome("strong", None, price, w)
-        i = _pick_max(v, draw.tie_u)
-        return Outcome("weak", i, float(v_sorted[-2]), float(v[i]))
-
-    if spec.kind == "ta_discrete":
-        k = spec.strong.k
-        bids = np.where(v > 0.0, k, 0.0)
-        i = _pick_max(bids, draw.tie_u)
-        top_bid = float(bids[i])
-        strong_bid = k if draw.w >= k else 0.0
-        if strong_bid >= top_bid:  # second-stage ties go to the strong bidder
-            return Outcome("strong", None, top_bid, w)
-        return Outcome("weak", i, strong_bid, float(v[i]))
-
-    # ta / ta_intervention
-    bids = spec.bid_fn(v)
-    i = _pick_max(bids, draw.tie_u)
-    top_bid = float(bids[i])
-    strong_bid = w
-    if spec.kind == "ta_intervention" and draw.intervention_u >= spec.intervention_p:
-        strong_bid = 0.0
-    weak_wins = top_bid > strong_bid or (top_bid == strong_bid and draw.tie_u < 0.5)
-    price = min(top_bid, strong_bid)
-    if weak_wins:
-        return Outcome("weak", i, price, float(v[i]))
-    return Outcome("strong", None, price, w)
-
-
-def draw_from_uniforms(spec: AuctionSpec, u: np.ndarray) -> Draw:
-    """Map one replicate's uniforms to a Draw (the layout in the module docstring)."""
-    n = spec.n_weak
-    if u.shape != (spec.stride,):
-        raise MechanismError(f"expected {spec.stride} uniforms, got {u.shape}")
-    v = spec.weak.quantile(u[:n])
-    if isinstance(spec.strong, DiscreteAtomSpec):
-        w = spec.strong.k if u[n] < spec.strong.p else 0.0
-    else:
-        w = float(spec.strong.quantile(float(u[n])))
-    return Draw(v=v, w=w, tie_u=float(u[n + 1]), intervention_u=float(u[n + 2]))
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +197,6 @@ def _block_outcomes(spec: AuctionSpec, u: np.ndarray) -> tuple[np.ndarray, np.nd
         surplus = np.where(weak_wins, v_win, w)
         return price, surplus
 
-    if isinstance(spec.strong, DiscreteAtomSpec):
-        raise MechanismError("two-point strong spec only valid for ta_discrete")
     w = spec.strong.quantile(u[:, n])
 
     if spec.kind == "sa":
@@ -367,18 +292,10 @@ def sa_reserve_closed_form(weak: DistributionSpec, strong: DistributionSpec,
     revenue = G(r) E[v_(2:N)] + (1 - G(r)) r
     surplus = G(r) E[v_(1:N)] + (1 - G(r)) E[w | w >= r]
 
-    valid for r >= v_bar (the reserve binds only against the strong bidder).
+    valid for r >= v_bar (the reserve binds only against the strong bidder);
+    above the strong support top G(r) = 1 and the reserve never binds.
     """
-    v_bar = weak.support.hi
-    if reserve < v_bar:
-        raise MechanismError(
-            f"reserve {reserve} below the weak support top {v_bar}; closed forms "
-            "require r >= v_bar"
-        )
-    if reserve > strong.support.hi:
-        raise MechanismError(
-            f"reserve {reserve} above the strong support top {strong.support.hi}"
-        )
+    check_auction("sa_reserve", n_weak, weak, strong, reserve=reserve)
     g_at_r = strong.cdf(reserve)
     ev2 = weak.order_statistic_mean(n_weak, 2)
     ev1 = weak.order_statistic_mean(n_weak, 1)

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .dist import DistributionSpec, SortedIndex
-from .mechanisms import STRIDE_EXTRA, RevenueEstimate, _estimate, run_blocks
+from .mechanisms import STRIDE_EXTRA, MechanismError, RevenueEstimate, _estimate, run_blocks
 
 
 def virtual_value(d: DistributionSpec, x):
@@ -146,6 +146,17 @@ def single_buyer_reserve(d: DistributionSpec) -> dict:
     return {"r_star": float(r_star), "revenue": float(r_star * (1.0 - d.cdf(r_star)))}
 
 
+def check_oa(weak: DistributionSpec | None, strong: DistributionSpec | None, n_weak: int):
+    """Refuse an optimal-auction benchmark with nothing to sell or a missing
+    law; the error's ``field`` names the argument at fault."""
+    if n_weak < 0:
+        raise MechanismError(f"n_weak must be >= 0, got {n_weak}", "n_weak")
+    if n_weak > 0 and weak is None:
+        raise MechanismError("weak distribution required when n_weak > 0", "weak")
+    if n_weak == 0 and strong is None:
+        raise MechanismError("nothing to sell: no weak bidders and no strong bidder", "strong")
+
+
 def oa_revenue(
     weak: DistributionSpec | None,
     strong: DistributionSpec | None,
@@ -164,14 +175,9 @@ def oa_revenue(
     nondecreasing in u, so the weak side needs only the largest of a row's
     N_weak uniforms.
     """
-    if n_weak < 0:
-        raise ValueError(f"n_weak must be >= 0, got {n_weak}")
+    check_oa(weak, strong, n_weak)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n_weak > 0 and weak is None:
-        raise ValueError("weak distribution required when n_weak > 0")
-    if n_weak == 0 and strong is None:
-        raise ValueError("nothing to sell: no weak bidders and no strong bidder")
     psi_w = ironed_virtual(weak, quantile_grid_size) if n_weak > 0 else None
     psi_s = ironed_virtual(strong, quantile_grid_size) if strong is not None else None
 

@@ -52,14 +52,14 @@ import numpy as np
 from . import dist
 from .dist import DistributionSpec
 from .equilibrium import SolveOptions, StrongBidLaw, solve_ode, verify_best_response
-from .mechanisms import AuctionSpec, sa_reserve_closed_form, simulate
+from .mechanisms import AuctionSpec, InputError, check_auction, sa_reserve_closed_form, simulate
 from .myerson import oa_revenue
 
 PROPS = ("P4", "P5", "P6", "P7", "P8", "P9", "P10", "S8")
 FAMILY_KINDS = ("slow_drain", "fast_drain", "smoothed_discrete", "split_atom")
 
 
-class ExperimentError(ValueError):
+class ExperimentError(InputError):
     pass
 
 
@@ -79,15 +79,18 @@ class FamilySpec:
 
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
-            raise ExperimentError(f"unknown family kind {self.kind!r}")
+            raise ExperimentError(f"unknown family kind {self.kind!r}; expected one of "
+                                  f"{FAMILY_KINDS}", "kind")
         if not 0.0 < self.k < self.w_bar:
-            raise ExperimentError(f"need 0 < k < w_bar, got k={self.k}, w_bar={self.w_bar}")
+            raise ExperimentError(f"need 0 < k < w_bar, got k={self.k}, w_bar={self.w_bar}",
+                                  "k")
         if self.size < 2:
-            raise ExperimentError(f"family needs at least 2 members, got {self.size}")
+            raise ExperimentError(f"family needs at least 2 members, got {self.size}", "size")
         if not 0.0 < self.atom_share <= 1.0:
-            raise ExperimentError(f"atom_share must be in (0, 1], got {self.atom_share}")
+            raise ExperimentError(f"atom_share must be in (0, 1], got {self.atom_share}",
+                                  "atom_share")
         if not 0.0 <= self.split_p <= 1.0:
-            raise ExperimentError(f"split_p must be in [0, 1], got {self.split_p}")
+            raise ExperimentError(f"split_p must be in [0, 1], got {self.split_p}", "split_p")
 
     # per-index schedules -----------------------------------------------------
 
@@ -274,11 +277,11 @@ class ReserveRule:
 
     def __post_init__(self):
         if self.kind not in ("constant", "quantile_below", "block_steps"):
-            raise ExperimentError(f"unknown reserve rule {self.kind!r}")
+            raise ExperimentError(f"unknown reserve rule {self.kind!r}", "kind")
         if self.kind == "constant" and self.value is None:
-            raise ExperimentError("constant rule needs a value")
+            raise ExperimentError("constant rule needs a value", "value")
         if self.kind == "block_steps" and (self.eps is None or self.eps <= 0):
-            raise ExperimentError("block_steps rule needs eps > 0")
+            raise ExperimentError("block_steps rule needs eps > 0", "eps")
 
     def reserves(self, fam: FamilySpec) -> np.ndarray:
         if self.kind == "constant":
@@ -360,19 +363,10 @@ class LimitTable:
     extrapolated: float
     notes: tuple[str, ...] = ()
 
-    def revenues(self) -> np.ndarray:
-        return np.array([r.revenue for r in self.rows])
 
-    def surpluses(self) -> np.ndarray:
-        return np.array([r.surplus for r in self.rows])
-
-    def gaps(self) -> np.ndarray:
-        return np.array([r.gap for r in self.rows])
-
-
-def _require(condition: bool, message: str):
+def _require(condition: bool, message: str, field: str | None = None):
     if not condition:
-        raise ExperimentError(message)
+        raise ExperimentError(message, field)
 
 
 def _checker_gate(prop: str, fam: FamilySpec, need_atom: bool, need_drain: bool):
@@ -418,6 +412,45 @@ def _table(prop, rows, target, notes=()):
     )
 
 
+def check_experiment(prop: str, fam: FamilySpec, weak: DistributionSpec, n_weak: int,
+                     rule: ReserveRule | None = None, intervention_p: float | None = None):
+    """Refuse an experiment outside its model before any computation; the
+    error's ``field`` names the argument at fault (``fam.k`` for the family's
+    atom). The family checkers are computed, so ``run_limit_experiment``
+    applies them."""
+    _require(prop in PROPS, f"unknown experiment {prop!r}; expected one of {PROPS}", "prop")
+    v_bar, k = weak.support.hi, fam.k
+    _require(k > v_bar, f"atom k={k} must exceed the weak support top {v_bar}", "fam.k")
+    if prop != "P5":  # the optimal auction also sells to fewer weak bidders
+        _require(n_weak >= 2, f"{prop} needs at least 2 weak bidders, got {n_weak}", "n_weak")
+    if prop == "S8":  # each row runs ta_intervention against a member
+        check_auction("ta_intervention", n_weak, weak, fam.member(1),
+                      intervention_p=intervention_p)
+        _require(intervention_p * k > v_bar,
+                 f"S8 requires p*k > v_bar, got {intervention_p * k:.6g} <= {v_bar}",
+                 "intervention_p")
+    if prop not in ("P7", "P8", "P9", "P10"):
+        return
+    _require(rule is not None, f"{prop} requires a reserve rule", "rule")
+    if prop == "P7":
+        _require(rule.kind == "block_steps", "P7 uses the block_steps rule", "rule")
+        _require(rule.eps < k - v_bar,
+                 f"block eps must keep reserves above v_bar: eps < {k - v_bar}", "rule.eps")
+    elif prop == "P8":
+        _require(rule.kind == "constant" and v_bar < rule.value < k,
+                 f"P8 needs a constant rule with value in (v_bar, k) = ({v_bar}, {k})", "rule")
+    elif prop == "P9":
+        _require(rule.kind == "constant" and rule.value > k,
+                 f"P9 needs a constant rule with value above k = {k}", "rule")
+        _require(rule.value <= fam.w_bar,
+                 f"overshoot level {rule.value} above the strong support top {fam.w_bar}",
+                 "rule.value")
+    else:
+        _require(fam.kind == "split_atom",
+                 "P10 needs a split_atom family (G_l(k) converging to the chosen p)", "fam.kind")
+        _require(rule.kind == "quantile_below", "P10 uses the quantile_below rule", "rule")
+
+
 def run_limit_experiment(
     prop: str,
     fam: FamilySpec,
@@ -433,10 +466,8 @@ def run_limit_experiment(
     surplus_gamma: float | None = None,
 ) -> LimitTable:
     """Per-index revenue/surplus table for one limit result, with its target."""
-    if prop not in PROPS:
-        raise ExperimentError(f"unknown experiment {prop!r}; expected one of {PROPS}")
+    check_experiment(prop, fam, weak, n_weak, rule, intervention_p)
     v_bar = weak.support.hi
-    _require(fam.k > v_bar, f"atom k={fam.k} must exceed the weak support top {v_bar}")
     k = fam.k
 
     if prop in ("P4", "P6"):
@@ -459,10 +490,6 @@ def run_limit_experiment(
         return _table(prop, rows, k, notes)
 
     if prop == "S8":
-        _require(intervention_p is not None and 0.0 < intervention_p < 1.0,
-                 "S8 requires intervention_p in (0, 1)")
-        _require(intervention_p * k > v_bar,
-                 f"S8 requires p*k > v_bar, got {intervention_p * k:.6g} <= {v_bar}")
         _checker_gate(prop, fam, need_atom=True, need_drain=False)
         rows = _tournament_rows(fam, weak, n_weak, intervention_p * k, n, seed,
                                 threads, solver, intervention_p)
@@ -478,41 +505,22 @@ def run_limit_experiment(
         return _table(prop, rows, k)
 
     # reserve second-price experiments, exact closed forms per index
-    _require(rule is not None, f"{prop} requires a reserve rule")
+    _checker_gate(prop, fam, need_atom=True, need_drain=True)
     ev1 = weak.order_statistic_mean(n_weak, 1)
     ev2 = weak.order_statistic_mean(n_weak, 2)
     notes = []
-
     if prop == "P7":
-        _require(rule.kind == "block_steps", "P7 uses the block_steps rule")
-        _require(rule.eps < k - v_bar,
-                 f"block eps must keep reserves above v_bar: eps < {k - v_bar}")
-        _checker_gate(prop, fam, need_atom=True, need_drain=True)
         target = k
     elif prop == "P8":
-        _require(rule.kind == "constant" and v_bar < rule.value < k,
-                 f"P8 needs a constant rule with value in (v_bar, k) = ({v_bar}, {k})")
-        _checker_gate(prop, fam, need_atom=True, need_drain=True)
         target = float(rule.value)
         notes.append(f"surplus target: {k:.6g} (full atom value despite the low reserve)")
     elif prop == "P9":
-        _require(rule.kind == "constant" and rule.value > k,
-                 f"P9 needs a constant rule with value above k = {k}")
-        _require(rule.value <= fam.w_bar,
-                 f"overshoot level {rule.value} above the strong support top {fam.w_bar}")
-        _checker_gate(prop, fam, need_atom=True, need_drain=True)
         target = ev2
         notes.append(f"surplus target: E[v_(1:N)] = {ev1:.6g}")
-    elif prop == "P10":
-        _require(fam.kind == "split_atom",
-                 "P10 needs a split_atom family (G_l(k) converging to the chosen p)")
-        _require(rule.kind == "quantile_below", "P10 uses the quantile_below rule")
-        _checker_gate(prop, fam, need_atom=True, need_drain=True)
+    else:
         p = fam.split_p
         target = p * ev2 + (1.0 - p) * k
         notes.append(f"surplus target: {p * ev1 + (1.0 - p) * k:.6g}")
-    else:  # pragma: no cover
-        raise ExperimentError(prop)
 
     if prop == "P7":
         reserves, counts = block_steps(fam, float(rule.eps))

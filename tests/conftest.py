@@ -2,9 +2,32 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicHermiteSpline
 
 from talab import dist
-from talab.equilibrium import bid_ode_rhs
+from talab import equilibrium as eq
+
+
+def beta_poly(lo, hi, a, b):
+    return dist.from_json_dict({"kind": "beta_poly", "params": [a, b], "support": [lo, hi]})
+
+
+def piecewise_linear(xs, ys):
+    params = [float(c) for xy in zip(xs, ys) for c in xy]
+    return dist.from_json_dict({"kind": "pw_linear", "params": params,
+                                "support": [xs[0], xs[-1]]})
+
+
+def bid_ode_rhs(b: float, v: float, weak, strong, n_weak: int) -> float:
+    """Equilibrium bid slope H(b, v) through the solver's own right-hand side;
+    EquilibriumError outside the open band v < b < m^-1(v) or for v outside
+    (0, v_bar]."""
+    if not 0.0 < v <= weak.support.hi:
+        raise eq.EquilibriumError(f"v={v} outside (0, {weak.support.hi}]")
+    try:
+        return eq._rhs_factory(weak, eq.as_strong_law(strong), n_weak)(v, b)
+    except eq._OutOfBand:
+        raise eq.EquilibriumError(f"(b, v)=({b}, {v}) outside the bid band") from None
 
 
 @pytest.fixture(scope="session")
@@ -41,8 +64,8 @@ def floored_mixture():
 
 @pytest.fixture(scope="session")
 def test_distributions(u01, u02, gap_mixture, floored_mixture):
-    pw = dist.piecewise_linear([0.0, 0.5, 1.0, 2.0], [0.2, 1.0, 0.6, 0.2])
-    bp = dist.beta_poly(0.0, 1.0, 2.0, 3.0)
+    pw = piecewise_linear([0.0, 0.5, 1.0, 2.0], [0.2, 1.0, 0.6, 0.2])
+    bp = beta_poly(0.0, 1.0, 2.0, 3.0)
     return {
         "u01": u01,
         "u02": u02,
@@ -86,13 +109,14 @@ GAUSS_THETAS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 def schedule_defects(bid, weak, law, n_weak, thetas=GAUSS_THETAS):
     """Independent defect oracle: signed (b' - H(b, v)) / (1 + |H|) of a bid
     schedule at a + theta h of each interval [a, a + h] from its series-start
-    node on, through ``__call__``, ``deriv`` and the public right-hand side;
-    one row per theta."""
+    node on, through ``__call__``, scipy's derivative of the same spline and
+    ``bid_ode_rhs``; one row per theta."""
+    deriv = CubicHermiteSpline(bid.grid, bid.values, bid.slopes).derivative()
     a, h = bid.grid[1:-1], np.diff(bid.grid[1:])
     rows = []
     for theta in thetas:
         x = a + theta * h
         H = np.array([bid_ode_rhs(float(b), float(v), weak, law, n_weak)
                       for v, b in zip(x, bid(x))])
-        rows.append((bid.deriv(x) - H) / (1.0 + np.abs(H)))
+        rows.append((deriv(x) - H) / (1.0 + np.abs(H)))
     return np.array(rows)

@@ -20,7 +20,6 @@ from talab.equilibrium import (
     EquilibriumError,
     SolveOptions,
     StrongBidLaw,
-    bid_ode_rhs,
     initial_bid_ratio,
     solve_ode,
     verify_best_response,
@@ -40,7 +39,7 @@ from talab.sequences import (
     run_limit_experiment,
 )
 
-from conftest import schedule_defects
+from conftest import beta_poly, bid_ode_rhs, schedule_defects
 
 K = 2.0
 W_BAR = 2.5
@@ -115,7 +114,7 @@ def criterion5_solves(u01, slow8):
     laws = [(f"l={l}/N={n}/zero={zero}", StrongBidLaw(slow8.member(l), zero), n)
             for l in (3, 5, 8) for n in (2, 5) for zero in (0.0, 0.25)]
     mixture = dist.mixture(
-        [(0.3, dist.uniform(0.0, 2.0)), (0.7, dist.beta_poly(0.0, 2.0, 2.0, 1.5))],
+        [(0.3, dist.uniform(0.0, 2.0)), (0.7, beta_poly(0.0, 2.0, 2.0, 1.5))],
         support=(0.0, 2.0),
     )
     laws.append(("mixture/N=2", StrongBidLaw(mixture), 2))
@@ -249,7 +248,7 @@ def test_criterion_5_rejects_scaled_schedule(reference_cases):
 
 def test_criterion_6_tournament_limit(p6_table):
     table, seconds = p6_table
-    gaps = table.gaps()
+    gaps = np.array([r.gap for r in table.rows])
     decreasing = bool(np.all(np.diff(gaps[-4:]) < 0))
     ok = decreasing and gaps[-1] <= 0.1 * K and seconds < 600.0
     report(6, ok, f"gaps {np.array2string(gaps, precision=4)}, final {gaps[-1]:.4f} "

@@ -183,6 +183,42 @@ def test_config_error_exit_and_no_outputs(tmp_path, capsys):
     assert any(v["path"] == "mechanism.reserve" for v in err["error"]["violations"])
 
 
+_FAMILY = {"family": {"kind": "slow_drain", "k": 2.0, "w_bar": 2.5, "size": 2}}
+
+
+@pytest.mark.parametrize("command, overrides, path", [
+    ("simulate", {"mechanism": {"kind": "ta_intervention", "intervention_p": 0.0}},
+     "mechanism.intervention_p"),
+    ("simulate", {"mechanism": {"kind": "ta_intervention", "intervention_p": 1.0}},
+     "mechanism.intervention_p"),
+    ("sweep", {"strong": _FAMILY, "sweep": {"prop": "S8"}}, "sweep.intervention_p"),
+    ("sweep", {"strong": _FAMILY, "sweep": {"prop": "S8", "intervention_p": 1.0}},
+     "sweep.intervention_p"),
+    ("sweep", {"strong": _FAMILY, "sweep": {"prop": "S8", "intervention_p": 0.4}},
+     "sweep.intervention_p"),   # p*k = 0.8 <= v_bar = 1
+    ("sweep", {"strong": _FAMILY,
+               "sweep": {"prop": "P7", "rule": {"kind": "constant", "value": 1.6}}},
+     "sweep.rule"),
+    ("sweep", {"strong": _FAMILY, "sweep": {"prop": "P8"}}, "sweep.rule"),
+    ("simulate", {"n_weak": 1, "mechanism": {"kind": "sa"}}, "n_weak"),
+    ("oa", {"n_weak": 0, "strong": None}, "strong.dist"),
+    ("simulate", {"strong": {"atom": {"k": 0.9, "p": 0.9}}, "mechanism": {"kind": "ta_discrete"}},
+     "strong.atom.k"),
+    ("sweep", {"strong": {"family": {**_FAMILY["family"], "k": 0.9}}, "sweep": {"prop": "P6"}},
+     "strong.family.k"),
+], ids=["ta_intervention-p0", "ta_intervention-p1", "S8-no-p", "S8-p1", "S8-pk",
+        "P7-constant", "P8-no-rule", "simulate-n_weak1", "oa-nothing-to-sell",
+        "atom-k", "family-k"])
+def test_model_rules_refused_as_config_errors(tmp_path, capsys, command, overrides, path):
+    # everything decidable from the config is refused before any computation
+    cfg = {k: v for k, v in base_config(**overrides).items() if v is not None}
+    out = tmp_path / "out"
+    assert run([command, "--config", write_config(tmp_path, cfg), "--out-dir", str(out)]) == 2
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err.strip())
+    assert [v["path"] for v in err["error"]["violations"]] == [path]
+
+
 def test_numeric_error_exit(tmp_path, capsys):
     cfg = base_config(
         strong={"family": {"kind": "fast_drain", "k": 2.0, "w_bar": 2.5, "size": 2}},

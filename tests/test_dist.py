@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from talab import dist
 from talab.dist import DistributionError
 from talab.rng import uniform_stream
 
-from conftest import quad_cdf, quad_partial_mean
+from conftest import beta_poly, piecewise_linear, quad_cdf, quad_partial_mean
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +253,9 @@ def test_invalid_constructions():
     with pytest.raises(DistributionError):
         dist.uniform(-0.5, 1.0)
     with pytest.raises(DistributionError):
-        dist.beta_poly(0.0, 1.0, 0.5, 2.0)
+        beta_poly(0.0, 1.0, 0.5, 2.0)
     with pytest.raises(DistributionError):
-        dist.piecewise_linear([0.0, 1.0], [0.0, 0.0])
+        piecewise_linear([0.0, 1.0], [0.0, 0.0])
     with pytest.raises(DistributionError):
         dist.mixture([(0.6, dist.uniform(0, 1)), (0.6, dist.uniform(0, 1))])
 
@@ -263,15 +264,15 @@ def test_positivity_and_smoothness_flags(gap_mixture, floored_mixture):
     assert not gap_mixture.interior_positive
     assert floored_mixture.interior_positive
     assert floored_mixture.density_c1
-    assert not dist.piecewise_linear([0, 1, 2], [0.2, 1.0, 0.2]).density_c1
+    assert not piecewise_linear([0, 1, 2], [0.2, 1.0, 0.2]).density_c1
 
 
 def test_json_roundtrip(test_distributions):
     for name, d in test_distributions.items():
-        d2 = dist.from_json(d.to_json())
+        d2 = dist.from_json_dict(json.loads(json.dumps(d.to_json_dict())))
         xs = np.linspace(d.support.lo, d.support.hi, 41)
         assert np.array_equal(d.cdf(xs), d2.cdf(xs)), name
-        assert d.to_json() == d2.to_json(), name
+        assert d.to_json_dict() == d2.to_json_dict(), name
 
 
 def test_json_schema_shape(u02):

@@ -14,17 +14,16 @@ from talab.equilibrium import (
     SolveOptions,
     StrongBidLaw,
     as_strong_law,
-    bid_ode_rhs,
     deviation_payoff,
-    discrete_atom_equilibrium,
     initial_bid_ratio,
     raw_bid_payoff,
     solve_ode,
     verify_best_response,
 )
+from talab.mechanisms import AuctionSpec, DiscreteAtomSpec, MechanismError
 from talab.sequences import make_family
 
-from conftest import schedule_defects
+from conftest import beta_poly, bid_ode_rhs, schedule_defects
 
 
 @pytest.fixture(scope="module")
@@ -173,7 +172,7 @@ def test_solve_counters_repeat(u01, bump_member):
 ])
 def test_underflow_names_gate_and_reports_counters(u01, u02, case, gate):
     fast = make_family("fast_drain", 2.0, 2.5, 8)
-    sqrt_edge = dist.beta_poly(0.0, 1.0, 1.0, 1.5)
+    sqrt_edge = beta_poly(0.0, 1.0, 1.0, 1.5)
     weak, strong, n = {
         "sqrt_edge": (sqrt_edge, u02, 3),
         "sqrt_edge_n5": (sqrt_edge, u02, 5),
@@ -250,7 +249,7 @@ def test_solution_extends_to_top(u01, bump_member):
     law = as_strong_law(bump_member)
     bid, _ = solve_ode(u01, bump_member, 2)
     v_bar = 1.0
-    assert bid.v_top == v_bar
+    assert bid.grid[-1] == v_bar
     assert v_bar < bid.b_top
     assert law.mean_below(bid.b_top) < v_bar  # below the band ceiling m^-1(v_bar)
 
@@ -353,19 +352,9 @@ def test_intervention_equilibrium_verifies(u01):
 # ---------------------------------------------------------------------------
 
 
-def test_discrete_equilibrium(u01):
-    eq = discrete_atom_equilibrium(0.75, 2.0, u01, 2)
-    assert eq.expected_revenue == pytest.approx(1.5, rel=1e-12)
-    assert eq.bid(0.4) == 2.0
-    assert eq.bid(0.0) == 0.0
-
-
-def test_discrete_revenue_approaches_k(u01):
-    for p in (0.9, 0.99, 0.999):
-        eq = discrete_atom_equilibrium(p, 2.0, u01, 2)
-        assert abs(eq.expected_revenue - 2.0) == pytest.approx(2.0 * (1 - p), rel=1e-12)
-
-
 def test_discrete_precondition(u01):
-    with pytest.raises(EquilibriumError, match="not guaranteed"):
-        discrete_atom_equilibrium(0.4, 2.0, u01, 2)
+    # the all-in equilibrium (bid k whenever v > 0) needs p*k > v_bar
+    with pytest.raises(MechanismError, match="not guaranteed") as err:
+        AuctionSpec("ta_discrete", 2, u01, DiscreteAtomSpec(k=2.0, p=0.4))
+    assert err.value.field == "strong"
+    AuctionSpec("ta_discrete", 2, u01, DiscreteAtomSpec(k=2.0, p=0.51))

@@ -18,6 +18,8 @@ from talab import dist, equilibrium
 from talab.equilibrium import StrongBidLaw, solve_ode
 from talab.sequences import make_family
 
+from conftest import beta_poly, piecewise_linear
+
 
 def bits(x: float) -> bytes:
     return struct.pack("<d", x)
@@ -26,16 +28,16 @@ def bits(x: float) -> bytes:
 # (name, single-component law, points to check); edges of the bump sit at
 # t = (x - c)/s = -1 and 1 exactly
 _BUMP = dist.cosine_bump(1.0, 0.5)
-_PW = dist.piecewise_linear([0.0, 0.5, 1.2, 2.2], [0.5, 1.0, 0.3, 0.4])
+_PW = piecewise_linear([0.0, 0.5, 1.2, 2.2], [0.5, 1.0, 0.3, 0.4])
 CASES = [
     ("uniform", dist.uniform(0.5, 2.0), [0.0, 0.5, 0.75, 1.3, 2.0, 2.5]),
     ("bump", _BUMP, [0.0, 0.25, 0.5, 0.5 + 1e-9, 0.8, 1.0, 1.37, 1.5 - 1e-12, 1.5, 1.75, 3.0]),
     ("bump_off_grid", dist.cosine_bump(2.0, 0.05), [1.94, 1.95, 1.9500001, 2.0, 2.049, 2.05, 2.2]),
     ("pw_linear", _PW, [0.0, 0.1, 0.5, 0.9, 1.2, 1.7, 2.2, 2.5]),
-    ("beta_a1", dist.beta_poly(0.0, 2.0, 1.0, 2.5), [0.0, 1e-9, 0.7, 1.99, 2.0, 2.4]),
-    ("beta_b1", dist.beta_poly(0.5, 2.0, 2.0, 1.0), [0.0, 0.5, 1.1, 2.0 - 1e-9, 2.0, 3.0]),
-    ("beta_a1_b1", dist.beta_poly(0.0, 1.0, 1.0, 1.0), [0.0, 0.3, 1.0, 1.5]),
-    ("beta_interior", dist.beta_poly(0.0, 1.0, 2.0, 3.0), [0.0, 0.2, 0.6, 1.0, 1.2]),
+    ("beta_a1", beta_poly(0.0, 2.0, 1.0, 2.5), [0.0, 1e-9, 0.7, 1.99, 2.0, 2.4]),
+    ("beta_b1", beta_poly(0.5, 2.0, 2.0, 1.0), [0.0, 0.5, 1.1, 2.0 - 1e-9, 2.0, 3.0]),
+    ("beta_a1_b1", beta_poly(0.0, 1.0, 1.0, 1.0), [0.0, 0.3, 1.0, 1.5]),
+    ("beta_interior", beta_poly(0.0, 1.0, 2.0, 3.0), [0.0, 0.2, 0.6, 1.0, 1.2]),
 ]
 
 
@@ -84,7 +86,7 @@ def _strong_laws():
     member = make_family("slow_drain", k=2.0, w_bar=2.5, size=8).member(5)
     every_kind = dist.mixture([
         (0.3, _PW),
-        (0.2, dist.beta_poly(0.0, 2.2, 1.0, 2.0)),
+        (0.2, beta_poly(0.0, 2.2, 1.0, 2.0)),
         (0.2, dist.uniform(0.0, 2.2)),
         (0.3, _BUMP),
     ], support=(0.0, 2.2))
@@ -146,7 +148,7 @@ def test_written_out_stages_match_tableau_loop(monkeypatch, u01, u02):
 
 def test_rhs_weak_sweep_matches_separate_calls():
     weak = dist.mixture([(0.6, dist.uniform(0.0, 1.0)), (0.25, dist.cosine_bump(0.6, 0.3)),
-                         (0.15, dist.beta_poly(0.0, 1.0, 1.0, 2.0))])
+                         (0.15, beta_poly(0.0, 1.0, 1.0, 2.0))])
     law = StrongBidLaw(_strong_laws()["every_kind"], 0.25)
     rhs = equilibrium._rhs_factory(weak, law, 3)
     for v in (0.05, 0.3, 0.6, 0.9, 1.0):

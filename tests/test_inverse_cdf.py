@@ -13,6 +13,8 @@ from talab.mechanisms import AuctionSpec, simulate_draws
 from talab.rng import uniform_stream
 from talab.sequences import make_family
 
+from conftest import beta_poly, piecewise_linear
+
 K, W_BAR = 2.0, 2.5
 F_TOL = 1e-12           # |F(Q(u)) - u|
 X_TOL = 1e-9            # |Q(u) - Q_bisect(u)| over the support width
@@ -106,7 +108,7 @@ def test_table_build_is_cheap(laws):
     for name, d in laws:
         times = []
         for _ in range(3):
-            fresh = dist.from_json(d.to_json())
+            fresh = dist.from_json_dict(d.to_json_dict())
             t0 = time.perf_counter()
             fresh._cdf_table
             times.append(time.perf_counter() - t0)
@@ -140,10 +142,10 @@ def components(draw, top):
         return dist.uniform(lo, hi)
     if kind == "beta_poly":
         a, b = draw(st.floats(1.0, 4.0)), draw(st.floats(1.0, 4.0))
-        return dist.beta_poly(lo, hi, a, b)
+        return beta_poly(lo, hi, a, b)
     ys = draw(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=5)
               .filter(lambda v: sum(v) > 0.1))
-    return dist.piecewise_linear(np.linspace(lo, hi, len(ys)), ys)
+    return piecewise_linear(np.linspace(lo, hi, len(ys)), ys)
 
 
 @st.composite

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,16 +11,96 @@ from talab.equilibrium import BidFunction, solve_ode
 from talab.mechanisms import (
     AuctionSpec,
     DiscreteAtomSpec,
-    Draw,
     MechanismError,
-    draw_from_uniforms,
-    run_once,
     sa_reserve_closed_form,
     simulate,
     simulate_draws,
 )
 from talab.myerson import oa_revenue
 from talab.rng import uniform_block
+
+# ---------------------------------------------------------------------------
+# scalar reference: one auction at a time, rule by rule, in the draw layout of
+# the mechanisms module docstring; the block engine must match it bit for bit
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Draw:
+    v: np.ndarray
+    w: float
+    tie_u: float
+    intervention_u: float
+
+
+@dataclass(frozen=True)
+class Outcome:
+    winner: str                # "weak" or "strong"
+    winner_index: int | None   # weak bidder index, None for the strong bidder
+    price: float
+    surplus: float             # winner's value
+
+    def __post_init__(self):
+        assert self.winner in ("weak", "strong")
+        assert self.price >= 0.0 and self.surplus >= 0.0
+
+
+def _pick_max(values: np.ndarray, tie_u: float) -> int:
+    ties = np.flatnonzero(values == values.max())
+    return int(ties[min(int(tie_u * ties.size), ties.size - 1)])
+
+
+def run_once(spec: AuctionSpec, draw: Draw) -> Outcome:
+    v, w = np.asarray(draw.v, dtype=float), float(draw.w)
+    assert v.shape == (spec.n_weak,)
+    if spec.kind == "sa":
+        allv = np.append(v, w)
+        i = _pick_max(allv, draw.tie_u)
+        price = float(np.sort(allv)[-2])
+        if i < spec.n_weak:
+            return Outcome("weak", i, price, float(v[i]))
+        return Outcome("strong", None, price, w)
+
+    if spec.kind == "sa_reserve":
+        v_sorted = np.sort(v)
+        if w >= spec.reserve:
+            return Outcome("strong", None, max(spec.reserve, float(v_sorted[-1])), w)
+        i = _pick_max(v, draw.tie_u)
+        return Outcome("weak", i, float(v_sorted[-2]), float(v[i]))
+
+    if spec.kind == "ta_discrete":
+        k = spec.strong.k
+        bids = np.where(v > 0.0, k, 0.0)
+        i = _pick_max(bids, draw.tie_u)
+        top_bid = float(bids[i])
+        strong_bid = k if w >= k else 0.0
+        if strong_bid >= top_bid:  # second-stage ties go to the strong bidder
+            return Outcome("strong", None, top_bid, w)
+        return Outcome("weak", i, strong_bid, float(v[i]))
+
+    # ta / ta_intervention
+    bids = spec.bid_fn(v)
+    i = _pick_max(bids, draw.tie_u)
+    top_bid = float(bids[i])
+    strong_bid = w
+    if spec.kind == "ta_intervention" and draw.intervention_u >= spec.intervention_p:
+        strong_bid = 0.0
+    weak_wins = top_bid > strong_bid or (top_bid == strong_bid and draw.tie_u < 0.5)
+    price = min(top_bid, strong_bid)
+    if weak_wins:
+        return Outcome("weak", i, price, float(v[i]))
+    return Outcome("strong", None, price, w)
+
+
+def draw_from_uniforms(spec: AuctionSpec, u: np.ndarray) -> Draw:
+    n = spec.n_weak
+    assert u.shape == (spec.stride,)
+    v = spec.weak.quantile(u[:n])
+    if isinstance(spec.strong, DiscreteAtomSpec):
+        w = spec.strong.k if u[n] < spec.strong.p else 0.0
+    else:
+        w = float(spec.strong.quantile(float(u[n])))
+    return Draw(v=v, w=w, tie_u=float(u[n + 1]), intervention_u=float(u[n + 2]))
 
 
 @pytest.fixture(scope="module")

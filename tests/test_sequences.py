@@ -246,7 +246,7 @@ def test_small_tournament_experiment(u01):
     # P6 smoke at desk scale: 3 indices, small n; gap shrinks along the family
     fam = make_family("slow_drain", K, W_BAR, 3)
     table = run_limit_experiment("P6", fam, u01, 2, n=20_000, seed=1)
-    gaps = table.gaps()
+    gaps = [r.gap for r in table.rows]
     assert gaps[-1] < gaps[0]
     assert all(r.max_regret <= 1e-4 for r in table.rows)
     assert table.extrapolated == pytest.approx(
@@ -276,4 +276,4 @@ def test_surplus_tracking_experiment(u01):
     table = run_limit_experiment("P4", fam, u01, 2, n=20_000, seed=2,
                                  surplus_gamma=2.0)
     assert table.notes[-1] == "surplus-tracks-revenue check passed"
-    assert np.all(table.surpluses() >= table.revenues() - 1e-9)
+    assert all(r.surplus >= r.revenue - 1e-9 for r in table.rows)
