@@ -32,19 +32,21 @@ from .equilibrium import (
     BandEscape,
     BidFunction,
     EquilibriumError,
+    InputError,
     StrongBidLaw,
+    check_weak_bidders,
     solve_ode,
     verify_best_response,
 )
-from .mechanisms import AuctionSpec, MechanismError, simulate, simulate_draws
+from .mechanisms import AuctionSpec, simulate, simulate_draws
 from .myerson import check_oa, oa_revenue, regularity_check, single_buyer_reserve
-from .sequences import ExperimentError, LimitTable, run_limit_experiment
+from .sequences import LimitTable, run_limit_experiment
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
 
-_NUMERIC_ERRORS = (EquilibriumError, MechanismError, ExperimentError, DistributionError)
+_NUMERIC_ERRORS = (EquilibriumError, InputError, DistributionError)
 
 
 class VerificationFailure(RuntimeError):
@@ -103,6 +105,14 @@ def _require(cfg_value, name: str):
     return cfg_value
 
 
+def _config_rule(paths: dict[str, str], fn, *args):
+    """fn(*args); its refusal is a config error at the path of the field it names."""
+    try:
+        fn(*args)
+    except InputError as exc:
+        raise ConfigError([(refusal_path(exc.field, paths), str(exc))]) from exc
+
+
 def _solve_bid(cfg: ExperimentConfig, strong, collect: list[str]):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RuntimeWarning)
@@ -137,6 +147,7 @@ def _solve_and_write(cfg: ExperimentConfig, args, notes: list[str]):
     to the failure, ``max_ode_residual`` null) before the error propagates."""
     _require(cfg.weak, "weak")
     strong = _require(cfg.strong_dist, "strong.dist")
+    _config_rule({}, check_weak_bidders, cfg.n_weak)
     tag = f"{cfg.config_hash}.s{cfg.mc_seed}"
     extra = {"config_hash": cfg.config_hash, "seed": cfg.mc_seed}
     try:
@@ -227,11 +238,7 @@ def cmd_oa(cfg: ExperimentConfig, args) -> dict:
         raise ConfigError([("strong.dist",
                             "oa needs a continuous strong distribution "
                             "(use sweep P5 for family benchmarks)")])
-    try:
-        check_oa(weak, strong, cfg.n_weak)
-    except MechanismError as exc:
-        raise ConfigError([(refusal_path(exc.field, {"strong": "strong.dist"}),
-                            str(exc))]) from exc
+    _config_rule({"strong": "strong.dist"}, check_oa, weak, strong, cfg.n_weak)
     est = oa_revenue(weak, strong, cfg.n_weak, cfg.mc_n, cfg.mc_seed,
                      threads=args.threads)
     result = {
@@ -300,7 +307,7 @@ def cmd_check_family(cfg: ExperimentConfig, args) -> dict:
     from .sequences import check_atom_convergence, check_low_drain
 
     fam = _require(cfg.family, "strong.family")
-    atom = check_atom_convergence(fam, tol=0.05 * fam.k)
+    atom = check_atom_convergence(fam)
     drain = check_low_drain(fam)
     result = {
         "config_hash": cfg.config_hash,

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 from . import dist
 from .dist import DistributionError, DistributionSpec
-from .equilibrium import SolveOptions
-from .mechanisms import DiscreteAtomSpec, InputError, check_auction
+from .equilibrium import InputError, SolveOptions
+from .mechanisms import DiscreteAtomSpec, check_auction
 from .sequences import FamilySpec, ReserveRule, check_experiment
 
 
@@ -107,6 +108,9 @@ class _Checker:
         val = obj
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             self.fail(path, f"expected a number, got {type(val).__name__}")
+            return None
+        if isinstance(val, float) and not math.isfinite(val):   # json reads NaN, Infinity
+            self.fail(path, f"expected a finite number, got {val}")
             return None
         if integer and int(val) != val:
             self.fail(path, f"expected an integer, got {val}")

@@ -15,10 +15,10 @@ no closed form exists (order-statistic integrals, construction-time norm check)
 with panel splits at the density knots; tests use it as the independent oracle
 for the closed forms.
 
-For the bid ODE each component also has a fused scalar ``eval3_s(x) -> (F, f,
-M)`` that computes the shared parts once (one sin and one cos per bump, one
-betainc(a, b, y) per beta). Its F and f equal the scalar ``cdf_s``/``pdf_s``
-bit for bit; the scalar ``partial_mean`` sums its M.
+A scalar goes through one evaluator per component, ``eval3_s(x) -> (F, f, M)``,
+which computes the shared parts once (one sin and one cos per bump, one
+betainc(a, b, y) per beta); the scalar ``cdf``, ``pdf`` and ``partial_mean``
+sum its F, f and M. Arrays go through the vector ``cdf_v``/``pdf_v``/``pm_v``.
 
 Supported kinds: ``uniform``, ``beta_poly`` (polynomial Beta-shaped density),
 ``cosine_bump`` (raised-cosine bump, C^1 everywhere), ``pw_linear``
@@ -61,8 +61,7 @@ _NEWTON_STEPS = 8          # then the unconverged levels finish by bisection
 _X_REL_TOL = 4.0 * np.finfo(float).eps   # a few ulps of x ...
 _X_ABS_TOL = 2.0**-64                    # ... or this share of the support width
 
-_KIND_CODES = {"uniform": 0, "beta_poly": 1, "cosine_bump": 2, "pw_linear": 3}
-_CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
+_CODE_KINDS = {0: "uniform", 1: "beta_poly", 2: "cosine_bump", 3: "pw_linear"}  # in a mixture
 
 
 class DistributionError(ValueError):
@@ -88,7 +87,7 @@ class SupportInterval:
 
 
 # ---------------------------------------------------------------------------
-# density components (scalar + vector evaluators)
+# density components (one scalar, three vector evaluators)
 # ---------------------------------------------------------------------------
 
 
@@ -101,26 +100,17 @@ class _Uniform:
         self.lo, self.hi = float(lo), float(hi)
         self.h = 1.0 / (hi - lo)
 
-    @property
-    def params(self):
-        return ()
-
-    def cdf_s(self, x: float) -> float:
-        if x <= self.lo:
-            return 0.0
-        if x >= self.hi:
-            return 1.0
-        return (x - self.lo) * self.h
-
-    def pdf_s(self, x: float) -> float:
-        return self.h if self.lo <= x <= self.hi else 0.0
-
     def eval3_s(self, x: float) -> tuple[float, float, float]:
-        lo, h = self.lo, self.h
-        if lo < x < self.hi:
+        lo, hi, h = self.lo, self.hi, self.h
+        if lo < x < hi:
             return (x - lo) * h, h, 0.5 * h * (x * x - lo * lo)
-        m = min(max(x, lo), self.hi)
-        return self.cdf_s(x), self.pdf_s(x), 0.5 * h * (m * m - lo * lo)
+        # the support's ends keep the density; NaN gives NaN F and M
+        f = h if x == lo or x == hi else 0.0
+        if x <= lo:
+            return 0.0, f, 0.0
+        if x >= hi:
+            return 1.0, f, 0.5 * h * (hi * hi - lo * lo)
+        return x, f, x
 
     def mean(self) -> float:
         return 0.5 * (self.lo + self.hi)
@@ -164,16 +154,12 @@ class _CosineBump:
     kind = "cosine_bump"
 
     def __init__(self, center: float, half_width: float):
-        if half_width <= 0:
+        if not half_width > 0:
             raise DistributionError(f"bump half_width must be > 0, got {half_width}")
         self.c, self.s = float(center), float(half_width)
         self.lo, self.hi = self.c - self.s, self.c + self.s
         # eval3_s at and beyond t = -1 and t = 1 (where f = 0)
         self._edges = ((0.0, 0.0, 0.0), (1.0, 0.0, self.c + self.s * self._a(1.0)))
-
-    @property
-    def params(self):
-        return (self.c, self.s)
 
     def _lower_series(self, r: float) -> tuple[float, float]:
         """(F, A(r)) for 0 <= r < _BUMP_SERIES_R, Horner in z = (pi r)^2."""
@@ -183,23 +169,6 @@ class _CosineBump:
             pf = z * (cf + pf)
             pa = z * (ca + pa)
         return 0.5 * r * pf, 0.5 * r * r * pa
-
-    def cdf_s(self, x: float) -> float:
-        t = (x - self.c) / self.s
-        if t <= -1.0:
-            return 0.0
-        if t >= 1.0:
-            return 1.0
-        r = (x - self.lo) / self.s
-        if r < _BUMP_SERIES_R:
-            return self._lower_series(r)[0]
-        return 0.5 * (1.0 + t + math.sin(math.pi * t) / math.pi)
-
-    def pdf_s(self, x: float) -> float:
-        t = (x - self.c) / self.s
-        if t < -1.0 or t > 1.0:
-            return 0.0
-        return (1.0 + math.cos(math.pi * t)) / (2.0 * self.s)
 
     def _a(self, t: float) -> float:
         # integral of u*(1+cos(pi u))/2 over [-1, t]
@@ -236,7 +205,7 @@ class _CosineBump:
         t += 1.0
         t += tail
         t *= 0.5
-        # sin(-pi)/pi is -3.9e-17, not 0: clip to the exact 0 and 1 of cdf_s
+        # sin(-pi)/pi is -3.9e-17, not 0: clip to the exact 0 and 1 of eval3_s
         return np.clip(t, 0.0, 1.0)
 
     def pdf_v(self, x: np.ndarray) -> np.ndarray:
@@ -266,22 +235,15 @@ class _BetaPoly:
     def __init__(self, lo: float, hi: float, a: float, b: float):
         if not lo < hi:
             raise DistributionError(f"beta_poly needs lo < hi, got [{lo}, {hi}]")
-        if a < 1.0 or b < 1.0:
+        if not (a >= 1.0 and b >= 1.0):
             raise DistributionError(f"beta_poly exponents must be >= 1, got a={a}, b={b}")
         self.lo, self.hi = float(lo), float(hi)
         self.a, self.b = float(a), float(b)
         self.width = self.hi - self.lo
         self.log_norm = betaln(self.a, self.b)
 
-    @property
-    def params(self):
-        return (self.a, self.b)
-
     def _y(self, x: float) -> float:
         return min(max((x - self.lo) / self.width, 0.0), 1.0)
-
-    def cdf_s(self, x: float) -> float:
-        return float(betainc(self.a, self.b, self._y(x)))
 
     def _pdf_y(self, y: float) -> float:
         if y < 0.0 or y > 1.0:
@@ -293,11 +255,6 @@ class _BetaPoly:
         la = (self.a - 1.0) * math.log(y) if self.a != 1.0 else 0.0
         lb = (self.b - 1.0) * math.log(1.0 - y) if self.b != 1.0 else 0.0
         return math.exp(la + lb - self.log_norm) / self.width
-
-    def pdf_s(self, x: float) -> float:
-        if x < self.lo or x > self.hi:
-            return 0.0
-        return self._pdf_y(self._y(x))
 
     def eval3_s(self, x: float) -> tuple[float, float, float]:
         y = self._y(x)
@@ -359,10 +316,6 @@ class _PwLinear:
         )
         self.cum_pm = np.concatenate([[0.0], np.cumsum(seg_pm)])
 
-    @property
-    def params(self):
-        return tuple(np.column_stack([self.xs, self.ys]).ravel())
-
     def _seg_pm(self, i: int, x: float) -> float:
         # integral of t*(y_i + m (t - x_i)) over [x_i, x]
         x0, y0, m = self.xs[i], self.ys[i], self.slopes[i]
@@ -373,28 +326,17 @@ class _PwLinear:
         i = int(np.searchsorted(self.xs, x, side="right")) - 1
         return min(max(i, 0), len(self.xs) - 2)
 
-    def cdf_s(self, x: float) -> float:
-        if x <= self.lo:
-            return 0.0
-        if x >= self.hi:
-            return 1.0
-        i = self._seg_idx_s(x)
-        d = x - self.xs[i]
-        return float(self.cum_mass[i] + self.ys[i] * d + 0.5 * self.slopes[i] * d * d)
-
-    def pdf_s(self, x: float) -> float:
-        if x < self.lo or x > self.hi:
-            return 0.0
-        i = self._seg_idx_s(x)
-        return float(self.ys[i] + self.slopes[i] * (x - self.xs[i]))
-
     def eval3_s(self, x: float) -> tuple[float, float, float]:
-        if x <= self.lo or x >= self.hi:
-            return self.cdf_s(x), self.pdf_s(x), 0.0 if x <= self.lo else float(self.cum_pm[-1])
+        if x < self.lo or x > self.hi:
+            return (0.0, 0.0, 0.0) if x < self.lo else (1.0, 0.0, float(self.cum_pm[-1]))
+        # on [lo, hi] f is its segment's line, lo included; NaN gives NaN
         i = self._seg_idx_s(x)
         d = x - self.xs[i]
-        return (float(self.cum_mass[i] + self.ys[i] * d + 0.5 * self.slopes[i] * d * d),
-                float(self.ys[i] + self.slopes[i] * d), float(self.cum_pm[i] + self._seg_pm(i, x)))
+        f = float(self.ys[i] + self.slopes[i] * d)
+        if x == self.hi:
+            return 1.0, f, float(self.cum_pm[-1])
+        return (float(self.cum_mass[i] + self.ys[i] * d + 0.5 * self.slopes[i] * d * d), f,
+                float(self.cum_pm[i] + self._seg_pm(i, x)))
 
     def mean(self) -> float:
         return float(self.cum_pm[-1])
@@ -425,9 +367,6 @@ class _PwLinear:
         return tuple(self.xs)
 
 
-_COMPONENT_KINDS = {"uniform", "beta_poly", "cosine_bump", "pw_linear"}
-
-
 # ---------------------------------------------------------------------------
 # DistributionSpec
 # ---------------------------------------------------------------------------
@@ -453,7 +392,7 @@ class DistributionSpec:
             raise DistributionError("weights and components must align and be nonempty")
         if any(w < 0 for w in self.weights):
             raise DistributionError("mixture weights must be nonnegative")
-        if abs(sum(self.weights) - 1.0) > 1e-12:
+        if not abs(sum(self.weights) - 1.0) <= 1e-12:   # NaN fails too
             raise DistributionError(f"mixture weights must sum to 1, got {sum(self.weights)}")
         for p in self.parts:
             if p.lo < self.support.lo - 1e-12 or p.hi > self.support.hi + 1e-12:
@@ -462,7 +401,7 @@ class DistributionSpec:
                     f"[{self.support.lo}, {self.support.hi}]"
                 )
         norm = self._quad_norm()
-        if abs(norm - 1.0) > _NORM_TOL:
+        if not abs(norm - 1.0) <= _NORM_TOL:
             raise DistributionError(f"density integrates to {norm}, not 1")
 
     # -- construction-time checks ------------------------------------------
@@ -520,7 +459,7 @@ class DistributionSpec:
                 out += w * p.cdf_v(x)
             return out
         xs = float(x)
-        return sum(w * p.cdf_s(xs) for w, p in zip(self.weights, self.parts))
+        return sum(w * ev(xs)[0] for w, ev in self._sweep)
 
     def pdf(self, x):
         if isinstance(x, np.ndarray):
@@ -531,7 +470,7 @@ class DistributionSpec:
             return out
         xs = float(x)
         self._check_domain_s(xs)
-        return sum(w * p.pdf_s(xs) for w, p in zip(self.weights, self.parts))
+        return sum(w * ev(xs)[1] for w, ev in self._sweep)
 
     def partial_mean(self, x):
         """M(x) = integral of t * pdf(t) over [lo, min(x, hi)]."""
@@ -691,10 +630,8 @@ class DistributionSpec:
         )
         return lo + float(val)
 
-    def mean_below(self, b):
+    def mean_below(self, b: float) -> float:
         """E[w | w <= b]; 0 at b = 0 by continuous extension."""
-        if isinstance(b, np.ndarray):
-            return np.array([self.mean_below(float(x)) for x in b])
         bf = float(b)
         if bf > self.support.hi + 1e-12:
             raise DistributionError(f"b={bf} above support top {self.support.hi}")
@@ -715,28 +652,6 @@ class DistributionSpec:
             raise DistributionError(f"no mass above reserve r={rf}")
         return (self.mean - self.partial_mean(rf)) / tail
 
-    # -- serialization ---------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        if self.kind == "mixture":
-            flat: list[float] = [float(len(self.parts))]
-            for w, p in zip(self.weights, self.parts):
-                params = p.params
-                flat += [float(w), float(_KIND_CODES[p.kind]), float(len(params))]
-                flat += [float(v) for v in params]
-                flat += [float(p.lo), float(p.hi)]
-            params_out = flat
-        else:
-            p = self.parts[0]
-            if p.kind == "uniform":
-                params_out = []
-            else:
-                params_out = [float(v) for v in p.params]
-        return {
-            "kind": self.kind,
-            "params": params_out,
-            "support": [self.support.lo, self.support.hi],
-        }
 
 def _part_from(kind: str, params: list[float], lo: float, hi: float):
     if kind == "uniform":

@@ -51,11 +51,13 @@ __all__ = [
     "BestResponseReport",
     "BidFunction",
     "EquilibriumError",
+    "InputError",
     "SingularStartError",
     "SolveOptions",
     "SolveReport",
     "StrongBidLaw",
     "as_strong_law",
+    "check_weak_bidders",
     "deviation_payoff",
     "initial_bid_ratio",
     "raw_bid_payoff",
@@ -66,6 +68,23 @@ __all__ = [
 
 class EquilibriumError(RuntimeError):
     pass
+
+
+class InputError(ValueError):
+    """An input breaks a rule of the model. ``field`` names the argument or
+    attribute at fault (``strong.k`` for attribute k of argument strong), so
+    a caller can point at where the input came from."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
+
+
+def check_weak_bidders(n_weak: int, error: type[InputError] = InputError):
+    """Refuse fewer than 2 weak bidders, as ``error`` naming ``n_weak``: the bid
+    ODE, every mechanism and every limit experiment but P5 need two."""
+    if n_weak < 2:
+        raise error(f"need at least 2 weak bidders, got {n_weak}", "n_weak")
 
 
 class BandEscape(EquilibriumError):
@@ -132,12 +151,8 @@ class StrongBidLaw:
     def partial_mean(self, b):
         return self.scale * self.dist.partial_mean(b)
 
-    def mean_below(self, b):
+    def mean_below(self, b: float) -> float:
         g = self.cdf(b)
-        if isinstance(b, np.ndarray):
-            with np.errstate(invalid="ignore", divide="ignore"):
-                out = self.partial_mean(b) / g
-            return np.where(g <= 0.0, 0.0, out)
         return 0.0 if g <= 0.0 else self.partial_mean(b) / g
 
     def eval3(self, b: float) -> tuple[float, float, float]:
@@ -226,14 +241,6 @@ class BidFunction:
             "values": self.values.tolist(),
             "slopes": self.slopes.tolist(),
         }
-
-    @staticmethod
-    def from_json_dict(obj: dict) -> "BidFunction":
-        return BidFunction(
-            np.asarray(obj["grid"], dtype=float),
-            np.asarray(obj["values"], dtype=float),
-            np.asarray(obj["slopes"], dtype=float),
-        )
 
     def csv_rows(self):
         for v, b, s in zip(self.grid, self.values, self.slopes):
@@ -414,8 +421,7 @@ def solve_ode(
     opts: SolveOptions = SolveOptions(),
 ) -> tuple[BidFunction, SolveReport]:
     """Integrate the bid ODE from the singular origin to the top of the support."""
-    if n_weak < 2:
-        raise EquilibriumError(f"need at least 2 weak bidders, got {n_weak}")
+    check_weak_bidders(n_weak)
     law = as_strong_law(strong)
     if weak.support.lo != 0.0 or law.dist.support.lo != 0.0:
         raise EquilibriumError("the model requires value supports starting at 0")
@@ -551,24 +557,18 @@ def raw_bid_payoff(v_true, raw_bid, weak: DistributionSpec, strong, n_weak: int)
     return float(out) if out.ndim == 0 else out
 
 
-def verify_best_response(
-    bid: BidFunction,
-    weak: DistributionSpec,
-    strong,
-    n_weak: int,
-    v_grid: np.ndarray | None = None,
-    dev_grid: np.ndarray | None = None,
-    n_raw_bids: int = 16,
-) -> BestResponseReport:
+_BR_VALUES = 50       # true values v_bar/50, ..., v_bar
+_BR_REPORTS = 200     # reported values 0, ..., v_bar
+_BR_RAW_BIDS = 16     # raw bids above b(v_bar), up to the strong support top
+
+
+def verify_best_response(bid: BidFunction, weak: DistributionSpec, strong,
+                         n_weak: int) -> BestResponseReport:
     """Max regret of the schedule against reported-value and raw-bid deviations."""
     law = as_strong_law(strong)
     v_bar = weak.support.hi
-    if v_grid is None:
-        v_grid = np.linspace(v_bar / 50, v_bar, 50)
-    if dev_grid is None:
-        dev_grid = np.linspace(0.0, v_bar, 200)
-    v_grid = np.asarray(v_grid, dtype=float)
-    dev_grid = np.asarray(dev_grid, dtype=float)
+    v_grid = np.linspace(v_bar / _BR_VALUES, v_bar, _BR_VALUES)
+    dev_grid = np.linspace(0.0, v_bar, _BR_REPORTS)
 
     pi = deviation_payoff(v_grid[:, None], dev_grid, bid, weak, law, n_weak)
     pi_eq = deviation_payoff(v_grid, v_grid, bid, weak, law, n_weak)
@@ -580,8 +580,8 @@ def verify_best_response(
 
     # raw bids above the top of the schedule (win the first stage outright)
     top = bid.b_top
-    if law.hi > top and n_raw_bids > 0:
-        raws = np.linspace(top, law.hi, n_raw_bids + 1)[1:]
+    if law.hi > top:
+        raws = np.linspace(top, law.hi, _BR_RAW_BIDS + 1)[1:]
         pi_raw = raw_bid_payoff(v_grid[:, None], raws, weak, law, n_weak)
         raw_regret = pi_raw - pi_eq[:, None]
         ri, rj = np.unravel_index(np.argmax(raw_regret), raw_regret.shape)

@@ -34,22 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import DistributionSpec
-from .equilibrium import BidFunction
+from .equilibrium import BidFunction, InputError, check_weak_bidders
 from .rng import uniform_block
 
 MECHANISMS = ("ta", "sa", "sa_reserve", "ta_intervention", "ta_discrete")
 STRIDE_EXTRA = 3       # strong draw + tie + intervention uniforms per replicate
 _BLOCK_REPLICATES = 1 << 15
-
-
-class InputError(ValueError):
-    """An input breaks a rule of the model. ``field`` names the argument or
-    attribute at fault (``strong.k`` for attribute k of argument strong), so
-    a caller can point at where the input came from."""
-
-    def __init__(self, message: str, field: str | None = None):
-        super().__init__(message)
-        self.field = field
 
 
 class MechanismError(InputError):
@@ -77,8 +67,7 @@ def check_auction(kind: str, n_weak: int, weak: DistributionSpec, strong,
     if kind not in MECHANISMS:
         raise MechanismError(f"unknown mechanism {kind!r}; expected one of {MECHANISMS}",
                              "kind")
-    if n_weak < 2:
-        raise MechanismError(f"need at least 2 weak bidders, got {n_weak}", "n_weak")
+    check_weak_bidders(n_weak, MechanismError)
     v_bar = weak.support.hi
 
     if kind == "sa_reserve":

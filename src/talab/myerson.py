@@ -27,21 +27,13 @@ from .mechanisms import STRIDE_EXTRA, MechanismError, RevenueEstimate, _estimate
 def virtual_value(d: DistributionSpec, x):
     """psi(x) = x - (1-D(x))/d(x); equals the support top there; -inf in density
     gaps; domain error outside the support."""
-    hi = d.support.hi
-    if isinstance(x, np.ndarray):
-        p = d.pdf(x)  # raises outside the support
-        c = d.cdf(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = x - (1.0 - c) / p
-        out = np.where(p <= 0.0, -np.inf, out)
-        return np.where(x >= hi, hi, out)
-    xs = float(x)
-    p = d.pdf(xs)
-    if xs >= hi:
-        return hi
-    if p <= 0.0:
-        return -math.inf
-    return xs - (1.0 - d.cdf(xs)) / p
+    x = np.asarray(x, dtype=float)
+    p = d.pdf(x)  # raises outside the support
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = x - (1.0 - d.cdf(x)) / p
+    out = np.where(p <= 0.0, -np.inf, out)
+    out = np.where(x >= d.support.hi, d.support.hi, out)
+    return float(out) if out.ndim == 0 else out
 
 
 def regularity_check(d: DistributionSpec, grid_size: int = 1000) -> dict:

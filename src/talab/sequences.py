@@ -51,9 +51,10 @@ import numpy as np
 
 from . import dist
 from .dist import DistributionSpec
-from .equilibrium import SolveOptions, StrongBidLaw, solve_ode, verify_best_response
-from .mechanisms import AuctionSpec, InputError, check_auction, sa_reserve_closed_form, simulate
-from .myerson import oa_revenue
+from .equilibrium import (InputError, SolveOptions, StrongBidLaw, check_weak_bidders, solve_ode,
+                          verify_best_response)
+from .mechanisms import AuctionSpec, check_auction, sa_reserve_closed_form, simulate
+from .myerson import check_oa, oa_revenue
 
 PROPS = ("P4", "P5", "P6", "P7", "P8", "P9", "P10", "S8")
 FAMILY_KINDS = ("slow_drain", "fast_drain", "smoothed_discrete", "split_atom")
@@ -178,13 +179,12 @@ def _nonincreasing(series: list[float], slack: float = 1e-9) -> bool:
     return all(b <= a + slack for a, b in zip(series, series[1:]))
 
 
-def check_atom_convergence(fam: FamilySpec, tol: float) -> dict:
-    """Mass of [k-tol, k+tol] per index; passes when it climbs to >= 0.99."""
-    masses = []
-    for member in fam.members():
-        lo = max(fam.k - tol, 0.0)
-        hi = min(fam.k + tol, fam.w_bar)
-        masses.append(float(member.cdf(hi) - member.cdf(lo)))
+def check_atom_convergence(fam: FamilySpec) -> dict:
+    """Mass of [k-tol, k+tol], tol = 0.05 k, per index; passes when it climbs
+    to >= 0.99."""
+    tol = 0.05 * fam.k
+    lo, hi = max(fam.k - tol, 0.0), min(fam.k + tol, fam.w_bar)
+    masses = [float(member.cdf(hi) - member.cdf(lo)) for member in fam.members()]
     tail = _last_half(masses)
     passed = _nonincreasing([-m for m in tail]) and masses[-1] >= 0.99
     return {"tol": tol, "masses": masses, "passed": passed}
@@ -375,7 +375,7 @@ def _checker_gate(prop: str, fam: FamilySpec, need_atom: bool, need_drain: bool)
     if fam.size < 8:
         fam = dataclasses.replace(fam, size=8)
     if need_atom:
-        atom = check_atom_convergence(fam, tol=0.05 * fam.k)
+        atom = check_atom_convergence(fam)
         _require(
             atom["passed"],
             f"{prop} requires convergence to the atom at k; family kind "
@@ -421,8 +421,10 @@ def check_experiment(prop: str, fam: FamilySpec, weak: DistributionSpec, n_weak:
     _require(prop in PROPS, f"unknown experiment {prop!r}; expected one of {PROPS}", "prop")
     v_bar, k = weak.support.hi, fam.k
     _require(k > v_bar, f"atom k={k} must exceed the weak support top {v_bar}", "fam.k")
-    if prop != "P5":  # the optimal auction also sells to fewer weak bidders
-        _require(n_weak >= 2, f"{prop} needs at least 2 weak bidders, got {n_weak}", "n_weak")
+    if prop == "P5":  # the optimal auction also sells to fewer weak bidders
+        check_oa(weak, fam.member(1), n_weak)
+    else:
+        check_weak_bidders(n_weak, ExperimentError)
     if prop == "S8":  # each row runs ta_intervention against a member
         check_auction("ta_intervention", n_weak, weak, fam.member(1),
                       intervention_p=intervention_p)

@@ -18,6 +18,30 @@ def piecewise_linear(xs, ys):
                                 "support": [xs[0], xs[-1]]})
 
 
+def _own_params(part) -> list:
+    """A component's parameters in the JSON encoding of its kind."""
+    if part.kind == "uniform":
+        return []
+    if part.kind == "cosine_bump":
+        return [part.c, part.s]
+    if part.kind == "beta_poly":
+        return [part.a, part.b]
+    return np.column_stack([part.xs, part.ys]).ravel().tolist()
+
+
+def to_json_dict(d) -> dict:
+    """The JSON encoding of a law that ``dist.from_json_dict`` reads."""
+    params = _own_params(d.parts[0])
+    if d.kind == "mixture":
+        codes = {kind: code for code, kind in dist._CODE_KINDS.items()}
+        params = [len(d.parts)]
+        for w, p in zip(d.weights, d.parts):
+            own = _own_params(p)
+            params += [w, codes[p.kind], len(own), *own, p.lo, p.hi]
+    return {"kind": d.kind, "params": [float(v) for v in params],
+            "support": [d.support.lo, d.support.hi]}
+
+
 def bid_ode_rhs(b: float, v: float, weak, strong, n_weak: int) -> float:
     """Equilibrium bid slope H(b, v) through the solver's own right-hand side;
     EquilibriumError outside the open band v < b < m^-1(v) or for v outside

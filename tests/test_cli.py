@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -206,9 +207,18 @@ _FAMILY = {"family": {"kind": "slow_drain", "k": 2.0, "w_bar": 2.5, "size": 2}}
      "strong.atom.k"),
     ("sweep", {"strong": {"family": {**_FAMILY["family"], "k": 0.9}}, "sweep": {"prop": "P6"}},
      "strong.family.k"),
+    ("solve", {"n_weak": 1}, "n_weak"),
+    ("verify", {"n_weak": 1}, "n_weak"),
+    ("sweep", {"n_weak": -1, "strong": _FAMILY, "sweep": {"prop": "P5"}}, "n_weak"),
+    # json reads NaN and Infinity; a non-finite number is refused at its path
+    ("simulate", {"mechanism": {"kind": "sa_reserve", "reserve": math.nan}},
+     "mechanism.reserve"),
+    ("simulate", {"mechanism": {"kind": "sa"}, "mc": {"n": math.inf}}, "mc.n"),
+    ("solve", {"solver": {"rk_tolerance": math.nan}}, "solver.rk_tolerance"),
 ], ids=["ta_intervention-p0", "ta_intervention-p1", "S8-no-p", "S8-p1", "S8-pk",
         "P7-constant", "P8-no-rule", "simulate-n_weak1", "oa-nothing-to-sell",
-        "atom-k", "family-k"])
+        "atom-k", "family-k", "solve-n_weak1", "verify-n_weak1", "P5-n_weak-1",
+        "reserve-nan", "mc-n-inf", "rk_tolerance-nan"])
 def test_model_rules_refused_as_config_errors(tmp_path, capsys, command, overrides, path):
     # everything decidable from the config is refused before any computation
     cfg = {k: v for k, v in base_config(**overrides).items() if v is not None}

@@ -1,16 +1,20 @@
-"""The fused scalar evaluators against the separate ones they replace.
+"""The fused scalar evaluators against independent references.
 
-``eval3_s`` returns (F, f, M) of one component from shared subexpressions, and
-``StrongBidLaw.eval3`` / the ODE right-hand side sum them in one sweep. F and f
-must equal ``cdf_s`` / ``pdf_s`` bit for bit, M must match quadrature, and the
-written-out Dormand-Prince stages must reproduce the loop over the tableau bit
-for bit.
+``eval3_s`` returns (F, f, M) of one component from shared subexpressions; it
+is the only scalar evaluator, and the scalar ``cdf``/``pdf``/``partial_mean``,
+``StrongBidLaw.eval3`` and the ODE right-hand side sum it over the components.
+F and f must match the vector ``cdf_v``/``pdf_v`` (F exactly 0 and 1 at and
+beyond the support ends) and NaN must give NaN F and M, as in ``cdf_v``; M
+must match quadrature of the vector density. The sums must equal the
+separate calls bit for bit, and the written-out Dormand-Prince stages must
+reproduce the loop over the tableau bit for bit.
 """
 
 import math
 import struct
 import warnings
 
+import numpy as np
 import pytest
 from scipy import integrate
 
@@ -48,20 +52,26 @@ def test_bump_edges_are_exact():
 
 @pytest.mark.parametrize("name,law,points", CASES, ids=[c[0] for c in CASES])
 def test_eval3_s_matches_cdf_pdf_bitwise(name, law, points):
+    # F and f against the vector forms; the law's scalar cdf and pdf are them bit for bit
     part = law.parts[0]
-    for x in points:
+    for x, F_v, f_v in zip(points, part.cdf_v(np.array(points)), part.pdf_v(np.array(points))):
         F, f, _ = part.eval3_s(x)
-        assert bits(F) == bits(part.cdf_s(x)), (name, x)
-        assert bits(f) == bits(part.pdf_s(x)), (name, x)
+        assert F == pytest.approx(F_v, rel=1e-14, abs=1e-16), (name, x)
+        assert f == pytest.approx(f_v, rel=1e-14, abs=1e-15), (name, x)
+        if x <= part.lo or x >= part.hi:
+            assert F == (0.0 if x <= part.lo else 1.0), (name, x)
+        assert bits(law.cdf(x)) == bits(F), (name, x)
+        if part.lo <= x <= part.hi:     # pdf refuses points outside the support
+            assert bits(law.pdf(x)) == bits(f), (name, x)
 
 
 @pytest.mark.parametrize("name,law,points", CASES, ids=[c[0] for c in CASES])
 def test_eval3_s_nan_like_separate_calls(name, law, points):
+    # NaN in gives NaN F, as in the vector cdf, and NaN M
     part = law.parts[0]
-    F, f, M = part.eval3_s(math.nan)
-    assert math.isnan(F) == math.isnan(part.cdf_s(math.nan))
-    assert math.isnan(f) == math.isnan(part.pdf_s(math.nan))
-    assert math.isnan(M)
+    F, _, M = part.eval3_s(math.nan)
+    assert math.isnan(F) and math.isnan(part.cdf_v(np.array([math.nan]))[0])
+    assert math.isnan(law.cdf(math.nan)) and math.isnan(M)
 
 
 def _quad_pm(part, x):
@@ -70,8 +80,8 @@ def _quad_pm(part, x):
     if hi <= part.lo:
         return 0.0
     pts = [k for k in part.knots() if part.lo < k < hi]
-    val, _ = integrate.quad(lambda t: t * part.pdf_s(t), part.lo, hi, points=pts or None,
-                            limit=200, epsabs=1e-14, epsrel=1e-13)
+    val, _ = integrate.quad(lambda t: t * part.pdf_v(np.array([t]))[0], part.lo, hi,
+                            points=pts or None, limit=200, epsabs=1e-14, epsrel=1e-13)
     return val
 
 

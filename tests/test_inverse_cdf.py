@@ -13,7 +13,7 @@ from talab.mechanisms import AuctionSpec, simulate_draws
 from talab.rng import uniform_stream
 from talab.sequences import make_family
 
-from conftest import beta_poly, piecewise_linear
+from conftest import beta_poly, piecewise_linear, to_json_dict
 
 K, W_BAR = 2.0, 2.5
 F_TOL = 1e-12           # |F(Q(u)) - u|
@@ -108,7 +108,7 @@ def test_table_build_is_cheap(laws):
     for name, d in laws:
         times = []
         for _ in range(3):
-            fresh = dist.from_json_dict(d.to_json_dict())
+            fresh = dist.from_json_dict(to_json_dict(d))
             t0 = time.perf_counter()
             fresh._cdf_table
             times.append(time.perf_counter() - t0)
