@@ -38,7 +38,7 @@ from .equilibrium import (
     solve_ode,
     verify_best_response,
 )
-from .mechanisms import AuctionSpec, simulate, simulate_draws
+from .mechanisms import AuctionSpec, MechanismError, simulate, simulate_draws
 from .myerson import check_oa, oa_revenue, regularity_check, single_buyer_reserve
 from .sequences import LimitTable, run_limit_experiment
 
@@ -111,6 +111,16 @@ def _config_rule(paths: dict[str, str], fn, *args):
         fn(*args)
     except InputError as exc:
         raise ConfigError([(refusal_path(exc.field, paths), str(exc))]) from exc
+
+
+def _replicates(fn, *args, **kwargs):
+    """fn(*args, **kwargs); its refusal of the replicate count n is one of mc.n."""
+    try:
+        return fn(*args, **kwargs)
+    except MechanismError as exc:
+        if exc.field != "n":
+            raise
+        raise ConfigError([("mc.n", str(exc))]) from exc
 
 
 def _solve_bid(cfg: ExperimentConfig, strong, collect: list[str]):
@@ -210,7 +220,7 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> dict:
         bid, _ = _solve_bid(cfg, law, notes)
     spec = AuctionSpec(mechanism, cfg.n_weak, cfg.weak, strong, reserve=cfg.reserve,
                        intervention_p=cfg.intervention_p, bid_fn=bid)
-    out = simulate(spec, cfg.mc_n, cfg.mc_seed, threads=args.threads)
+    out = _replicates(simulate, spec, cfg.mc_n, cfg.mc_seed, threads=args.threads)
     tag = f"{cfg.config_hash}.s{cfg.mc_seed}"
     result = {
         "config_hash": cfg.config_hash,
@@ -239,8 +249,8 @@ def cmd_oa(cfg: ExperimentConfig, args) -> dict:
                             "oa needs a continuous strong distribution "
                             "(use sweep P5 for family benchmarks)")])
     _config_rule({"strong": "strong.dist"}, check_oa, weak, strong, cfg.n_weak)
-    est = oa_revenue(weak, strong, cfg.n_weak, cfg.mc_n, cfg.mc_seed,
-                     threads=args.threads)
+    est = _replicates(oa_revenue, weak, strong, cfg.n_weak, cfg.mc_n, cfg.mc_seed,
+                      threads=args.threads)
     result = {
         "config_hash": cfg.config_hash,
         "seed": cfg.mc_seed,
@@ -276,7 +286,8 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> dict:
     _require(cfg.weak, "weak")
     fam = _require(cfg.family, "strong.family")
     prop = _require(cfg.sweep_prop, "sweep.prop")
-    table = run_limit_experiment(
+    table = _replicates(
+        run_limit_experiment,
         prop,
         fam,
         cfg.weak,

@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .dist import DistributionSpec, SortedIndex
 
@@ -185,11 +184,13 @@ def as_strong_law(strong) -> StrongBidLaw:
 class BidFunction:
     """Tabulated strictly increasing bid schedule with monotone-cubic interpolation.
 
-    A call finds each point's interval by an exact indexed search of the grid
-    (``dist.SortedIndex``) and evaluates the cubic Hermite spline's own
-    coefficients in scipy's term order, so it equals
+    The cubic Hermite spline through the nodes and slopes has, on interval i,
+    the coefficients c0 ... c3 of s^3 ... s^0 (s = v - grid[i]), computed with
+    the operations of scipy's ``CubicHermiteSpline``. A call finds each point's
+    interval by an exact indexed search of the grid (``dist.SortedIndex``) and
+    evaluates them in the term order of scipy's ``PPoly``, so it equals
     ``CubicHermiteSpline.__call__`` bit for bit. Scalar and array calls share
-    that path."""
+    that path. Nodes, values and slopes must be finite, as scipy requires."""
 
     grid: np.ndarray
     values: np.ndarray
@@ -201,6 +202,8 @@ class BidFunction:
         s = np.asarray(self.slopes, dtype=float)
         if not (g.ndim == 1 and g.shape == v.shape == s.shape and g.size >= 2):
             raise EquilibriumError("grid/values/slopes must be matching 1-D arrays")
+        if not all(np.isfinite(a).all() for a in (g, v, s)):
+            raise EquilibriumError("grid/values/slopes must be finite")
         if g[0] != 0.0 or v[0] != 0.0:
             raise EquilibriumError("bid schedule must start at (0, 0)")
         if not np.all(np.diff(g) > 0):
@@ -212,8 +215,12 @@ class BidFunction:
         object.__setattr__(self, "slopes", s)
 
     @cached_property
-    def _spline(self) -> CubicHermiteSpline:
-        return CubicHermiteSpline(self.grid, self.values, self.slopes)
+    def _coefficients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        dx = np.diff(self.grid)
+        k = self.slopes
+        slope = np.diff(self.values) / dx
+        t = (k[:-1] + k[1:] - 2 * slope) / dx
+        return t / dx, (slope - k[:-1]) / dx - t, k[:-1], self.values[:-1]
 
     @property
     def b_top(self) -> float:
@@ -228,7 +235,7 @@ class BidFunction:
     def __call__(self, v):
         x = np.clip(v, self.grid[0], self.grid[-1])
         i = self._interval(x)
-        c0, c1, c2, c3 = self._spline.c
+        c0, c1, c2, c3 = self._coefficients
         s = x - self.grid.take(i)
         ss = s * s
         # the terms and order of scipy's evaluate_poly1: bit-identical to PPoly

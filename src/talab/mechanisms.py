@@ -248,13 +248,23 @@ def run_blocks(seed: int, n: int, stride: int, block_fn, outs, threads: int = 1)
             work(i0)
 
 
+def replicate_arrays(n: int, count: int) -> list[np.ndarray]:
+    """``count`` per-replicate output arrays of length n. A count n below 1, or
+    one whose arrays cannot be allocated, is refused with ``field`` "n"."""
+    if n < 1:
+        raise MechanismError(f"n must be >= 1, got {n}", "n")
+    try:
+        return [np.empty(n) for _ in range(count)]
+    except MemoryError:
+        raise MechanismError(
+            f"n = {n} replicates need {8 * count * n / 2**30:.3g} GiB of per-replicate "
+            "outputs, more than can be allocated", "n") from None
+
+
 def simulate_draws(spec: AuctionSpec, n: int, seed: int,
                    threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Per-replicate (revenue, surplus) arrays, replicate index order."""
-    if n < 1:
-        raise MechanismError(f"need n >= 1 replicates, got {n}")
-    revenue = np.empty(n)
-    surplus = np.empty(n)
+    revenue, surplus = replicate_arrays(n, 2)
     run_blocks(seed, n, spec.stride, lambda u: _block_outcomes(spec, u),
                (revenue, surplus), threads)
     return revenue, surplus

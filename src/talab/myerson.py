@@ -21,7 +21,8 @@ from functools import cached_property
 import numpy as np
 
 from .dist import DistributionSpec, SortedIndex
-from .mechanisms import STRIDE_EXTRA, MechanismError, RevenueEstimate, _estimate, run_blocks
+from .mechanisms import (STRIDE_EXTRA, MechanismError, RevenueEstimate, _estimate, replicate_arrays,
+                         run_blocks)
 
 
 def virtual_value(d: DistributionSpec, x):
@@ -168,8 +169,7 @@ def oa_revenue(
     N_weak uniforms.
     """
     check_oa(weak, strong, n_weak)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    (values,) = replicate_arrays(n, 1)
     psi_w = ironed_virtual(weak, quantile_grid_size) if n_weak > 0 else None
     psi_s = ironed_virtual(strong, quantile_grid_size) if strong is not None else None
 
@@ -184,6 +184,5 @@ def oa_revenue(
             best = np.maximum(best, psi_s(u[:, n_weak]))
         return (best,)
 
-    values = np.empty(n)
     run_blocks(seed, n, n_weak + STRIDE_EXTRA, block, (values,), threads)
     return _estimate(values, n, seed)

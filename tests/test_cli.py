@@ -229,6 +229,34 @@ def test_model_rules_refused_as_config_errors(tmp_path, capsys, command, overrid
     assert [v["path"] for v in err["error"]["violations"]] == [path]
 
 
+@pytest.mark.parametrize("command, overrides", [
+    ("simulate", {"mechanism": {"kind": "ta"}}),
+    ("oa", {}),
+    ("sweep", {"strong": _FAMILY, "sweep": {"prop": "P6"}}),
+])
+def test_unallocatable_mc_n_refused(tmp_path, capsys, command, overrides):
+    # 10^15 replicates need petabytes of per-replicate outputs: refused at
+    # mc.n when they cannot be allocated, not a numpy MemoryError traceback
+    cfg = base_config(mc={"n": 10**15, "seed": 7}, **overrides)
+    path = write_config(tmp_path, cfg)
+    assert run([command, "--config", path, "--out-dir", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"]["type"] == "config"
+    (violation,) = err["error"]["violations"]
+    assert violation["path"] == "mc.n"
+    assert "more than can be allocated" in violation["message"]
+
+
+def test_beta_weak_with_large_exponents_simulates(tmp_path):
+    # 1/B(1000, 1000) overflows a double, which the vector pdf must not meet
+    weak = {"kind": "beta_poly", "params": [1000.0, 1000.0], "support": [0, 1]}
+    cfg = base_config(weak=weak, mechanism={"kind": "sa"})
+    out = tmp_path / "o"
+    assert run(["simulate", "--config", write_config(tmp_path, cfg), "--out-dir", str(out)]) == 0
+    body = json.loads(next(out.glob("simulate.*.json")).read_text())
+    assert 0.45 < body["revenue"]["mean"] < 0.55     # the second-highest of 3 values
+
+
 def test_numeric_error_exit(tmp_path, capsys):
     cfg = base_config(
         strong={"family": {"kind": "fast_drain", "k": 2.0, "w_bar": 2.5, "size": 2}},

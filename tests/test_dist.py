@@ -8,6 +8,7 @@ from scipy import integrate
 from talab import dist
 from talab.dist import DistributionError
 from talab.rng import uniform_stream
+from talab.sequences import FAMILY_KINDS, make_family
 
 from conftest import beta_poly, piecewise_linear, quad_cdf, quad_partial_mean, to_json_dict
 
@@ -267,7 +268,6 @@ def test_invalid_constructions():
      "support": [0.0, 1.0]},
     {"kind": "pw_linear", "params": [0.0, 1.0, 0.5, math.nan, 1.0, 1.0], "support": [0.0, 1.0]},
 ], ids=["bump-half_width", "beta-a", "mixture-weight", "pw_linear-density"])
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_non_finite_parameters_refused(obj):
     # NaN fails no order comparison, so each check must be written to fail it;
     # a NaN density reaches the norm check
@@ -301,3 +301,58 @@ def test_quadrature_reproducible(floored_mixture):
     a = floored_mixture.order_statistic_mean(3, 2)
     b = floored_mixture.order_statistic_mean(3, 2)
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# knot-panel quadrature, held to scipy's adaptive quad
+# ---------------------------------------------------------------------------
+
+_QUADRATURE_CASES = (
+    [pytest.param(lambda kind=kind, l=l: make_family(kind, 2.0, 2.5, 20).member(l),
+                  id=f"{kind}[{l}]") for kind in FAMILY_KINDS for l in (1, 8, 13, 20)]
+    + [pytest.param(lambda a=a, b=b: beta_poly(0.0, 1.0, a, b), id=f"beta({a}, {b})")
+       for a, b in ((1.0001, 500.0), (1.01, 1.01), (50.0, 50.0), (1000.0, 1000.0))]
+    + [pytest.param(lambda: piecewise_linear([0.0, 0.5, 1.0, 2.0], [0.2, 1.0, 0.6, 0.2]),
+                    id="pw_linear")]
+)
+
+
+def _adaptive(d, fn):
+    val, _ = integrate.quad(fn, d.support.lo, d.support.hi, points=d._interior_knots() or None,
+                            limit=200, epsabs=1e-12, epsrel=1e-10)
+    return val
+
+
+@pytest.mark.parametrize("make_law", _QUADRATURE_CASES)
+def test_quadrature_matches_adaptive_quad(make_law):
+    # the norms of the narrowest atoms sit near 1 + 1e-10 by either rule
+    d = make_law()
+    assert abs(d._quad_norm() - _adaptive(d, d.pdf)) <= 1e-9
+    for n in (2, 3, 5):
+        top = d.support.lo + _adaptive(d, lambda x: 1.0 - d.cdf(x) ** n)
+        second = d.support.lo + _adaptive(
+            d, lambda x: 1.0 - d.cdf(x) ** n - n * d.cdf(x) ** (n - 1) * (1.0 - d.cdf(x)))
+        assert abs(d.order_statistic_mean(n, 1) - top) <= 1e-12, n
+        assert abs(d.order_statistic_mean(n, 2) - second) <= 1e-12, n
+
+
+@pytest.mark.parametrize("a, b", [(1.0001, 500.0), (1000.0, 1000.0)])
+def test_norm_check_refuses_a_density_off_by_1e_7(a, b):
+    support = dist.SupportInterval(0.0, 1.0)
+    part = dist._BetaPoly(0.0, 1.0, a, b)
+    dist.DistributionSpec("beta_poly", support, (1.0,), (part,))    # exact: accepted
+    part.log_norm -= math.log1p(1e-7)                                # f scaled by 1 + 1e-7
+    with pytest.raises(DistributionError, match=r"density integrates to 1\.000000(1|09)"):
+        dist.DistributionSpec("beta_poly", support, (1.0,), (part,))
+
+
+def test_beta_with_large_exponents_vector_forms():
+    # 1/B(1000, 1000) overflows a double; the vector pdf works in log space
+    d = beta_poly(0.0, 1.0, 1000.0, 1000.0)
+    x = np.concatenate([np.linspace(0.0, 1.0, 2001), 0.5 + np.linspace(-0.1, 0.1, 2001)])
+    vec = d.pdf(x)
+    scalar = np.array([d.pdf(float(xi)) for xi in x])
+    assert np.max(vec) > 30.0
+    np.testing.assert_allclose(vec, scalar, rtol=1e-12, atol=0.0)
+    u = np.concatenate([uniform_stream(3, 0, 20_000), [1e-12, 0.5, 1.0 - 1e-12]])
+    assert np.max(np.abs(d.cdf(d.quantile(u)) - u)) <= 1e-12

@@ -1,6 +1,6 @@
 """The bucketed interval search against np.searchsorted, and the two lookups
 built on it (bid-spline evaluation, ironed virtual value) against the plain
-forms they replaced."""
+forms they replaced; scipy's CubicHermiteSpline is the bid spline's oracle."""
 
 import warnings
 
@@ -12,7 +12,7 @@ from scipy.interpolate import CubicHermiteSpline
 
 from talab import dist
 from talab.dist import SortedIndex
-from talab.equilibrium import solve_ode
+from talab.equilibrium import BidFunction, EquilibriumError, solve_ode
 from talab.myerson import ironed_virtual
 from talab.sequences import make_family
 
@@ -119,6 +119,20 @@ def test_bid_function_equals_scipy_spline(name, weak, strong, n):
     assert np.array_equal(got.view(np.uint64), expect.view(np.uint64)), name
     for xi in x[::41]:                         # scalar calls: the plain search
         assert bid(float(xi)) == float(spline(min(max(xi, g[0]), g[-1])))
+
+
+@pytest.mark.parametrize("field, bad", [("grid", np.inf), ("values", np.inf),
+                                        ("slopes", np.nan), ("slopes", -np.inf)])
+def test_bid_function_refuses_non_finite_nodes(field, bad):
+    # scipy's spline refuses them too, but only on the first call
+    grid = np.linspace(0.0, 1.0, 6)
+    arrays = {"grid": grid, "values": 2.0 * grid, "slopes": np.full(6, 2.0)}
+    arrays[field] = arrays[field].copy()
+    arrays[field][-1] = bad
+    with pytest.raises(ValueError):
+        CubicHermiteSpline(arrays["grid"], arrays["values"], arrays["slopes"])
+    with pytest.raises(EquilibriumError, match="must be finite"):
+        BidFunction(**arrays)
 
 
 def test_virtual_value_equals_searchsorted_lookup():
