@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: solve, verify, simulate, oa, sweep, check-family, report.
-Outputs are written atomically (temp file + rename); every output file name
-carries the config hash and seed, result JSON bodies repeat them as fields,
-and bodies contain nothing volatile, so reruns with the same config are
-byte-identical. Wall-clock metadata goes to a separate meta file.
+Each run reads and checks its config once, then a subcommand computes and
+writes its files through the run's ``Outputs`` (which names them). Files are
+written atomically (temp file + rename), and bodies contain nothing volatile,
+so reruns with the same config are byte-identical. Wall-clock metadata goes
+to a separate meta file.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 verification
 failure.
@@ -26,7 +27,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, load_config, refusal_path
+from .config import ConfigError, ExperimentConfig, load_config
 from .dist import DistributionError
 from .equilibrium import (
     BandEscape,
@@ -38,9 +39,9 @@ from .equilibrium import (
     solve_ode,
     verify_best_response,
 )
-from .mechanisms import AuctionSpec, MechanismError, simulate, simulate_draws
-from .myerson import check_oa, oa_revenue, regularity_check, single_buyer_reserve
-from .sequences import LimitTable, run_limit_experiment
+from .mechanisms import AuctionSpec, estimate, simulate_draws
+from .myerson import oa_revenue, regularity_check, single_buyer_reserve
+from .sequences import run_limit_experiment
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -54,7 +55,7 @@ class VerificationFailure(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# atomic output helpers
+# outputs
 # ---------------------------------------------------------------------------
 
 
@@ -85,9 +86,28 @@ def _fmt_cell(x):
     return x
 
 
-def _out_path(out_dir: str, stem: str, tag: str, ext: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, f"{stem}.{tag}.{ext}")
+class Outputs:
+    """The files of one run. Each is ``<stem>.<config hash>.s<seed>.<ext>`` in
+    the output directory, which is made at the first write; a JSON body also
+    carries ``config_hash`` and ``seed``. ``files`` maps each file's name in
+    the stdout listing to its path."""
+
+    def __init__(self, out_dir: str, cfg: ExperimentConfig):
+        self.out_dir = out_dir
+        self.tag = f"{cfg.config_hash}.s{cfg.mc_seed}"
+        self.header = {"config_hash": cfg.config_hash, "seed": cfg.mc_seed}
+        self.files: dict[str, str] = {}
+
+    def _path(self, name: str, stem: str, ext: str) -> str:
+        os.makedirs(self.out_dir, exist_ok=True)
+        self.files[name] = os.path.join(self.out_dir, f"{stem}.{self.tag}.{ext}")
+        return self.files[name]
+
+    def json(self, name: str, stem: str, body: dict):
+        write_json(self._path(name, stem, "json"), {**self.header, **body})
+
+    def csv(self, name: str, stem: str, header: list[str], rows):
+        write_csv(self._path(name, stem, "csv"), header, rows)
 
 
 def _estimate_dict(est) -> dict:
@@ -105,30 +125,27 @@ def _require(cfg_value, name: str):
     return cfg_value
 
 
-def _config_rule(paths: dict[str, str], fn, *args):
-    """fn(*args); its refusal is a config error at the path of the field it names."""
-    try:
-        fn(*args)
-    except InputError as exc:
-        raise ConfigError([(refusal_path(exc.field, paths), str(exc))]) from exc
-
-
-def _replicates(fn, *args, **kwargs):
-    """fn(*args, **kwargs); its refusal of the replicate count n is one of mc.n."""
+def _config_rule(paths: dict[str, str], fn, *args, **kwargs):
+    """fn(*args, **kwargs); a refusal of a field in ``paths`` is a config error
+    at that field's path, any other refusal propagates."""
     try:
         return fn(*args, **kwargs)
-    except MechanismError as exc:
-        if exc.field != "n":
+    except InputError as exc:
+        if exc.field not in paths:
             raise
-        raise ConfigError([("mc.n", str(exc))]) from exc
+        raise ConfigError([(paths[exc.field], str(exc))]) from exc
 
 
-def _solve_bid(cfg: ExperimentConfig, strong, collect: list[str]):
+_N_WEAK = {"n_weak": "n_weak"}
+_MC_N = {"n": "mc.n"}
+
+
+def _solve_bid(cfg: ExperimentConfig, strong):
+    """(bid, report, the solver's warnings) of solve_ode against strong."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RuntimeWarning)
         bid, report = solve_ode(cfg.weak, strong, cfg.n_weak, cfg.solver)
-    collect.extend(str(w.message) for w in caught)
-    return bid, report
+    return bid, report, [str(w.message) for w in caught]
 
 
 def _solve_report_dict(report) -> dict:
@@ -140,189 +157,137 @@ def _solve_report_dict(report) -> dict:
     return out
 
 
-def _write_bid_outputs(bid: BidFunction, report, out_dir, tag, extra: dict) -> dict:
-    files = {}
-    files["bid_csv"] = _out_path(out_dir, "bid_function", tag, "csv")
-    write_csv(files["bid_csv"], ["v", "b", "b_prime"], bid.csv_rows())
-    files["bid_json"] = _out_path(out_dir, "bid_function", tag, "json")
-    write_json(files["bid_json"], {**extra, "bid_function": bid.to_json_dict()})
-    files["solve_report"] = _out_path(out_dir, "solve_report", tag, "json")
-    write_json(files["solve_report"], {**extra, **_solve_report_dict(report)})
-    return files
-
-
-def _solve_and_write(cfg: ExperimentConfig, args, notes: list[str]):
+def _solve_and_write(cfg: ExperimentConfig, out: Outputs) -> tuple[BidFunction, list[str]]:
     """Solve against ``strong.dist`` and write the bid outputs. A solve that
     stops on a step-size underflow still writes its solve report (counters up
     to the failure, ``max_ode_residual`` null) before the error propagates."""
     _require(cfg.weak, "weak")
     strong = _require(cfg.strong_dist, "strong.dist")
-    _config_rule({}, check_weak_bidders, cfg.n_weak)
-    tag = f"{cfg.config_hash}.s{cfg.mc_seed}"
-    extra = {"config_hash": cfg.config_hash, "seed": cfg.mc_seed}
+    _config_rule(_N_WEAK, check_weak_bidders, cfg.n_weak)
     try:
-        bid, report = _solve_bid(cfg, strong, notes)
+        bid, report, notes = _solve_bid(cfg, strong)
     except BandEscape as exc:
         if exc.report is not None:
-            write_json(_out_path(args.out_dir, "solve_report", tag, "json"),
-                       {**extra, **_solve_report_dict(exc.report)})
+            out.json("solve_report", "solve_report", _solve_report_dict(exc.report))
         raise
-    return bid, report, _write_bid_outputs(bid, report, args.out_dir, tag, extra)
+    out.csv("bid_csv", "bid_function", ["v", "b", "b_prime"], bid.csv_rows())
+    out.json("bid_json", "bid_function", {"bid_function": bid.to_json_dict()})
+    out.json("solve_report", "solve_report", _solve_report_dict(report))
+    return bid, notes
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each computes, writes through ``out`` and returns its warnings
 # ---------------------------------------------------------------------------
 
 
-def cmd_solve(cfg: ExperimentConfig, args) -> dict:
-    notes: list[str] = []
-    _, report, files = _solve_and_write(cfg, args, notes)
-    return {"files": files, "solve": _solve_report_dict(report), "warnings": notes}
+def cmd_solve(cfg: ExperimentConfig, args, out: Outputs) -> list[str]:
+    return _solve_and_write(cfg, out)[1]
 
 
-def cmd_verify(cfg: ExperimentConfig, args) -> dict:
-    notes: list[str] = []
-    bid, _, files = _solve_and_write(cfg, args, notes)
+def cmd_verify(cfg: ExperimentConfig, args, out: Outputs) -> list[str]:
+    bid, notes = _solve_and_write(cfg, out)
     br = verify_best_response(bid, cfg.weak, cfg.strong_dist, cfg.n_weak)
     tol = cfg.verify_tolerance * cfg.weak.support.hi
-    tag = f"{cfg.config_hash}.s{cfg.mc_seed}"
-    extra = {"config_hash": cfg.config_hash, "seed": cfg.mc_seed}
-    result = {
-        **extra,
+    passed = br.max_regret <= tol
+    out.json("best_response", "best_response", {
         "max_regret": br.max_regret,
         "worst_pair": list(br.worst_pair),
         "grid_shape": list(br.grid_shape),
         "max_argmax_offset": br.max_argmax_offset,
         "tolerance": tol,
-        "passed": br.max_regret <= tol,
-    }
-    files["best_response"] = _out_path(args.out_dir, "best_response", tag, "json")
-    write_json(files["best_response"], result)
-    if not result["passed"]:
+        "passed": passed,
+    })
+    if not passed:
         raise VerificationFailure(
             f"max_regret {br.max_regret:.3g} exceeds tolerance {tol:.3g}"
         )
-    return {"files": files, "best_response": result, "warnings": notes}
+    return notes
 
 
-def cmd_simulate(cfg: ExperimentConfig, args) -> dict:
+def cmd_simulate(cfg: ExperimentConfig, args, out: Outputs) -> list[str]:
     # parse_config has run check_auction on the mechanism once weak is given
     _require(cfg.weak, "weak")
     mechanism = _require(cfg.mechanism, "mechanism.kind")
+    if args.per_draw and cfg.mc_n > 10_000:
+        raise ConfigError([("mc.n", "per-draw output is limited to n <= 10000")])
     strong = cfg.strong_atom if mechanism == "ta_discrete" else cfg.strong_dist
-    notes: list[str] = []
-    bid = None
+    bid, notes = None, []
     if mechanism in ("ta", "ta_intervention"):
         law = strong
         if mechanism == "ta_intervention":
             law = StrongBidLaw(strong, zero_bid_prob=1.0 - cfg.intervention_p)
-        bid, _ = _solve_bid(cfg, law, notes)
+        bid, _, notes = _solve_bid(cfg, law)
     spec = AuctionSpec(mechanism, cfg.n_weak, cfg.weak, strong, reserve=cfg.reserve,
                        intervention_p=cfg.intervention_p, bid_fn=bid)
-    out = _replicates(simulate, spec, cfg.mc_n, cfg.mc_seed, threads=args.threads)
-    tag = f"{cfg.config_hash}.s{cfg.mc_seed}"
-    result = {
-        "config_hash": cfg.config_hash,
-        "seed": cfg.mc_seed,
+    rev, sur = _config_rule(_MC_N, simulate_draws, spec, cfg.mc_n, cfg.mc_seed,
+                            threads=args.threads)
+    out.json("result", "simulate", {
         "mechanism": mechanism,
-        "revenue": _estimate_dict(out["revenue"]),
-        "surplus": _estimate_dict(out["surplus"]),
-    }
-    files = {"result": _out_path(args.out_dir, "simulate", tag, "json")}
-    write_json(files["result"], result)
+        "revenue": _estimate_dict(estimate(rev, cfg.mc_seed)),
+        "surplus": _estimate_dict(estimate(sur, cfg.mc_seed)),
+    })
     if args.per_draw:
-        if cfg.mc_n > 10_000:
-            raise ConfigError([("mc.n", "per-draw output is limited to n <= 10000")])
-        rev, sur = simulate_draws(spec, cfg.mc_n, cfg.mc_seed, threads=args.threads)
-        files["draws"] = _out_path(args.out_dir, "draws", tag, "csv")
-        write_csv(files["draws"], ["replicate", "revenue", "surplus"],
-                  ((i, float(r), float(s)) for i, (r, s) in enumerate(zip(rev, sur))))
-    return {"files": files, "result": result, "warnings": notes}
+        out.csv("draws", "draws", ["replicate", "revenue", "surplus"],
+                ((i, float(r), float(s)) for i, (r, s) in enumerate(zip(rev, sur))))
+    return notes
 
 
-def cmd_oa(cfg: ExperimentConfig, args) -> dict:
+def cmd_oa(cfg: ExperimentConfig, args, out: Outputs) -> list[str]:
     strong = cfg.strong_dist
     weak = cfg.weak
     if cfg.strong_atom is not None or cfg.family is not None:
         raise ConfigError([("strong.dist",
                             "oa needs a continuous strong distribution "
                             "(use sweep P5 for family benchmarks)")])
-    _config_rule({"strong": "strong.dist"}, check_oa, weak, strong, cfg.n_weak)
-    est = _replicates(oa_revenue, weak, strong, cfg.n_weak, cfg.mc_n, cfg.mc_seed,
-                      threads=args.threads)
-    result = {
-        "config_hash": cfg.config_hash,
-        "seed": cfg.mc_seed,
+    # oa_revenue runs check_oa before it allocates the replicates
+    est = _config_rule({**_N_WEAK, **_MC_N, "weak": "weak", "strong": "strong.dist"},
+                       oa_revenue, weak, strong, cfg.n_weak, cfg.mc_n, cfg.mc_seed,
+                       threads=args.threads)
+    out.json("result", "oa", {
         "revenue": est.mean,
         "se": est.std_error,
         "n": est.n,
         "regular_F": regularity_check(weak)["regular"] if weak is not None else None,
         "regular_G": regularity_check(strong)["regular"] if strong is not None else None,
         "reserve_single_buyer": single_buyer_reserve(strong) if strong is not None else None,
-    }
-    tag = f"{cfg.config_hash}.s{cfg.mc_seed}"
-    files = {"result": _out_path(args.out_dir, "oa", tag, "json")}
-    write_json(files["result"], result)
-    return {"files": files, "result": result, "warnings": []}
+    })
+    return []
 
 
 _TABLE_HEADER = ["l", "R_mean", "R_se", "S_mean", "S_se", "target", "gap",
                  "solver_method", "max_regret"]
 
 
-def _table_dict(table: LimitTable) -> dict:
-    return {
+def cmd_sweep(cfg: ExperimentConfig, args, out: Outputs) -> list[str]:
+    _require(cfg.weak, "weak")
+    fam = _require(cfg.family, "strong.family")
+    prop = _require(cfg.sweep_prop, "sweep.prop")
+    table = _config_rule(_MC_N, run_limit_experiment, prop, fam, cfg.weak, cfg.n_weak,
+                         rule=cfg.sweep_rule, n=cfg.mc_n, seed=cfg.mc_seed,
+                         threads=args.threads, intervention_p=cfg.sweep_intervention_p,
+                         solver=cfg.solver)
+    rows = [r.as_dict() for r in table.rows]
+    out.csv("table", "sweep_table", _TABLE_HEADER,
+            ([row[k] for k in _TABLE_HEADER] for row in rows))
+    out.json("result", "sweep", {
         "prop": table.prop,
         "target": table.target,
         "gap": table.gap,
         "extrapolated": table.extrapolated,
         "notes": list(table.notes),
-        "rows": [r.as_dict() for r in table.rows],
-    }
-
-
-def cmd_sweep(cfg: ExperimentConfig, args) -> dict:
-    _require(cfg.weak, "weak")
-    fam = _require(cfg.family, "strong.family")
-    prop = _require(cfg.sweep_prop, "sweep.prop")
-    table = _replicates(
-        run_limit_experiment,
-        prop,
-        fam,
-        cfg.weak,
-        cfg.n_weak,
-        rule=cfg.sweep_rule,
-        n=cfg.mc_n,
-        seed=cfg.mc_seed,
-        threads=args.threads,
-        intervention_p=cfg.sweep_intervention_p,
-        solver=cfg.solver,
-    )
-    tag = f"{cfg.config_hash}.s{cfg.mc_seed}"
-    files = {
-        "table": _out_path(args.out_dir, "sweep_table", tag, "csv"),
-        "result": _out_path(args.out_dir, "sweep", tag, "json"),
-    }
-    write_csv(files["table"], _TABLE_HEADER,
-              ([row.as_dict()[k] for k in _TABLE_HEADER] for row in table.rows))
-    write_json(files["result"], {
-        "config_hash": cfg.config_hash,
-        "seed": cfg.mc_seed,
-        **_table_dict(table),
+        "rows": rows,
     })
-    return {"files": files, "result": _table_dict(table), "warnings": []}
+    return []
 
 
-def cmd_check_family(cfg: ExperimentConfig, args) -> dict:
+def cmd_check_family(cfg: ExperimentConfig, args, out: Outputs) -> list[str]:
     from .sequences import check_atom_convergence, check_low_drain
 
     fam = _require(cfg.family, "strong.family")
     atom = check_atom_convergence(fam)
     drain = check_low_drain(fam)
-    result = {
-        "config_hash": cfg.config_hash,
-        "seed": cfg.mc_seed,
+    out.json("result", "family_checks", {
         "atom_convergence": {"tol": atom["tol"], "masses": atom["masses"],
                              "passed": atom["passed"]},
         "low_drain": {
@@ -333,19 +298,13 @@ def cmd_check_family(cfg: ExperimentConfig, args) -> dict:
             "cond_passed": drain["cond_passed"],
             "trend_agreement": drain["trend_agreement"],
         },
-    }
-    tag = f"{cfg.config_hash}.s{cfg.mc_seed}"
-    files = {
-        "result": _out_path(args.out_dir, "family_checks", tag, "json"),
-        "table": _out_path(args.out_dir, "family_masses", tag, "csv"),
-    }
-    write_json(files["result"], result)
-    write_csv(files["table"], ["l", "atom_mass"],
-              ((l + 1, m) for l, m in enumerate(atom["masses"])))
-    return {"files": files, "result": result, "warnings": []}
+    })
+    out.csv("table", "family_masses", ["l", "atom_mass"],
+            ((l + 1, m) for l, m in enumerate(atom["masses"])))
+    return []
 
 
-def cmd_report(args) -> dict:
+def cmd_report(args):
     with open(args.input, encoding="utf-8") as fh:
         obj = json.load(fh)
     lines = [f"report for {args.input}"]
@@ -386,39 +345,11 @@ def cmd_report(args) -> dict:
         lines.append(f"  drain: eq4={d['eq4_passed']} cond={d['cond_passed']} "
                      f"agree={d['trend_agreement']}")
     print("\n".join(lines))
-    return {"files": {}, "result": obj, "warnings": []}
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="talab",
-        description="numerical laboratory for two-stage tournament auctions",
-    )
-    parser.add_argument("--version", action="version", version=f"talab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="path to a JSON config")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config's Monte Carlo seed")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--out-dir", default=".", help="output directory")
-
-    for name in ("solve", "verify", "oa", "sweep", "check-family"):
-        add_common(sub.add_parser(name))
-    sim = sub.add_parser("simulate")
-    add_common(sim)
-    sim.add_argument("--per-draw", action="store_true",
-                     help="also write per-draw CSV (n <= 10000)")
-    rep = sub.add_parser("report")
-    rep.add_argument("input", help="a result JSON produced by another subcommand")
-    return parser
 
 
 _DISPATCH = {
@@ -431,6 +362,28 @@ _DISPATCH = {
 }
 
 
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="talab",
+        description="numerical laboratory for two-stage tournament auctions",
+    )
+    parser.add_argument("--version", action="version", version=f"talab {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    for name in _DISPATCH:
+        p = sub.add_parser(name)
+        p.add_argument("--config", required=True, help="path to a JSON config")
+        p.add_argument("--seed", type=int, default=None,
+                       help="override the config's Monte Carlo seed")
+        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--out-dir", default=".", help="output directory")
+    sub.choices["simulate"].add_argument("--per-draw", action="store_true",
+                                         help="also write per-draw CSV (n <= 10000)")
+    rep = sub.add_parser("report")
+    rep.add_argument("input", help="a result JSON produced by another subcommand")
+    return parser
+
+
 def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.monotonic()
@@ -438,10 +391,9 @@ def run(argv: list[str] | None = None) -> int:
         if args.command == "report":
             cmd_report(args)
             return 0
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg = cfg.with_seed(args.seed)
-        bundle = _DISPATCH[args.command](cfg, args)
+        cfg = load_config(args.config, args.seed)
+        out = Outputs(args.out_dir, cfg)
+        notes = _DISPATCH[args.command](cfg, args, out)
     except ConfigError as exc:
         _emit_error("config", exc)
         return EXIT_CONFIG
@@ -452,21 +404,16 @@ def run(argv: list[str] | None = None) -> int:
         _emit_error("numeric", exc)
         return EXIT_NUMERIC
 
-    meta = {
+    listing = sorted(out.files.items())
+    out.json("run_meta", "run_meta", {
         "command": args.command,
-        "config_hash": cfg.config_hash,
-        "seed": cfg.mc_seed,
         "wall_time_s": time.monotonic() - t0,
         "talab_version": __version__,
         "numpy_version": np.__version__,
-    }
-    if bundle["files"]:
-        meta_path = _out_path(args.out_dir, "run_meta",
-                              f"{cfg.config_hash}.s{cfg.mc_seed}", "json")
-        write_json(meta_path, meta)
-    for name, path in sorted(bundle["files"].items()):
+    })
+    for name, path in listing:
         print(f"{name}: {path}")
-    for note in bundle["warnings"]:
+    for note in notes:
         print(f"warning: {note}", file=sys.stderr)
     return 0
 

@@ -33,7 +33,6 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    version: str
     n_weak: int
     weak: DistributionSpec | None
     strong_dist: DistributionSpec | None
@@ -54,10 +53,6 @@ class ExperimentConfig:
     @property
     def config_hash(self) -> str:
         return hash_config(self.raw)
-
-    def with_seed(self, seed: int) -> "ExperimentConfig":
-        """This config with ``mc.seed`` replaced, validated and hashed anew."""
-        return parse_config({**self.raw, "mc": {**self.raw.get("mc", {}), "seed": seed}})
 
 
 def hash_config(obj: dict) -> str:
@@ -109,8 +104,13 @@ class _Checker:
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             self.fail(path, f"expected a number, got {type(val).__name__}")
             return None
-        if isinstance(val, float) and not math.isfinite(val):   # json reads NaN, Infinity
-            self.fail(path, f"expected a finite number, got {val}")
+        try:
+            finite = math.isfinite(val)    # json reads NaN, Infinity and any int
+        except OverflowError:
+            finite = False
+        if not finite:
+            self.fail(path, "expected a finite number" + (
+                f", got {val}" if isinstance(val, float) else " in the range of a double"))
             return None
         if integer and int(val) != val:
             self.fail(path, f"expected an integer, got {val}")
@@ -136,7 +136,7 @@ def _parse_distribution(ck: _Checker, obj, path: str) -> DistributionSpec | None
         return None
     try:
         return dist.from_json_dict(obj)
-    except (DistributionError, ValueError, TypeError) as exc:
+    except (DistributionError, ValueError, TypeError, OverflowError) as exc:
         ck.fail(path, str(exc))
         return None
 
@@ -161,9 +161,8 @@ def parse_config(obj: dict) -> ExperimentConfig:
         raise ConfigError([("", "config must be a JSON object")])
     ck.expect_keys(obj, "", _TOP_KEYS, {"version", "n_weak"})
 
-    version = obj.get("version")
-    if version is not None and version != "1":
-        ck.fail("version", f"unsupported version {version!r}")
+    if obj.get("version", "1") != "1":
+        ck.fail("version", f"unsupported version {obj['version']!r}")
 
     n_weak = ck.number(obj.get("n_weak", 2), "n_weak", integer=True)
 
@@ -234,6 +233,8 @@ def parse_config(obj: dict) -> ExperimentConfig:
         mc_n = ck.number(mc["n"], "mc.n", lo=1, integer=True) or mc_n
     if mc is not None and "seed" in mc:
         val = ck.number(mc["seed"], "mc.seed", lo=0, integer=True)
+        if val is not None and val >= 2**64:   # the Philox key; sweep row l keys seed + l
+            ck.fail("mc.seed", f"must be < 2^64, got {val}")
         mc_seed = mc_seed if val is None else val
 
     sweep_prop = sweep_rule = sweep_p = None
@@ -263,7 +264,6 @@ def parse_config(obj: dict) -> ExperimentConfig:
         raise ConfigError(ck.errors)
 
     return ExperimentConfig(
-        version=version or "1",
         n_weak=n_weak,
         weak=weak,
         strong_dist=strong_dist,
@@ -283,10 +283,15 @@ def parse_config(obj: dict) -> ExperimentConfig:
     )
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, seed: int | None = None) -> ExperimentConfig:
+    """The config at path, with ``mc.seed`` replaced by seed if one is given;
+    the hash covers the replaced seed."""
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError([("", f"not valid JSON: {exc}")]) from exc
+    # a malformed config or mc is left for parse_config to report
+    if seed is not None and isinstance(obj, dict) and isinstance(obj.get("mc", {}), dict):
+        obj = {**obj, "mc": {**obj.get("mc", {}), "seed": seed}}
     return parse_config(obj)

@@ -69,6 +69,9 @@ _PART_TABLE_POINTS = 65    # ... plus these over each component's own interval
 _NEWTON_STEPS = 8          # then the unconverged levels finish by bisection
 _X_REL_TOL = 4.0 * np.finfo(float).eps   # a few ulps of x ...
 _X_ABS_TOL = 2.0**-64                    # ... or this share of the support width
+# a subnormal cdf is flat over many tolerances of x: such levels stop on the
+# bracket width, where F(b) >= u, not on the Newton step
+_NEWTON_MIN_LEVEL = np.finfo(float).tiny
 
 _CODE_KINDS = {0: "uniform", 1: "beta_poly", 2: "cosine_bump", 3: "pw_linear"}  # in a mixture
 
@@ -456,7 +459,7 @@ class DistributionSpec:
         breaks = np.concatenate([a + half * cuts, 0.5 * (a + b), b - half * cuts[::-1]], axis=1)
         lo, hi = breaks[:, :-1].ravel(), breaks[:, 1:].ravel()
         r = 0.5 * (hi - lo)
-        x = (0.5 * (lo + hi))[:, None] + r[:, None] * _GL_X
+        x = (0.5 * lo + 0.5 * hi)[:, None] + r[:, None] * _GL_X
         return x.ravel(), (r[:, None] * _GL_W).ravel()
 
     @cached_property
@@ -564,10 +567,12 @@ class DistributionSpec:
         xs = np.unique(np.concatenate(grids))
         fs = np.maximum.accumulate(self.cdf(xs))
         # a flat row gives inf, as does a rise of a few subnormals (as in
-        # beta_poly(1000, 1000) far from its mode); no level in [2^-53, 1)
-        # falls in either
+        # beta_poly(1000, 1000) far from its mode). No level falls in a flat
+        # row; one in such a rise starts at the row's lower end, where a slope
+        # of 0 puts it. No level in [2^-53, 1) falls in either.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             slope = np.diff(xs) / np.diff(fs)
+        slope[np.isinf(slope)] = 0.0
         return xs, fs, slope
 
     def quantile(self, q):
@@ -623,7 +628,7 @@ class DistributionSpec:
             if off.any():
                 np.copyto(x, 0.5 * (a + b), where=off)
             tol = _X_REL_TOL * np.abs(x) + tiny
-            conv = (np.abs(r) <= tol) & (f > 0.0) & ~off
+            conv = (np.abs(r) <= tol) & (f > 0.0) & ~off & (u >= _NEWTON_MIN_LEVEL)
             done = conv | (b - a <= tol)
             del r, f, tol             # before the next cdf call allocates
             if done.any():
@@ -705,6 +710,15 @@ def _part_from(kind: str, params: list[float], lo: float, hi: float):
     raise DistributionError(f"unknown distribution kind {kind!r}")
 
 
+def _count(params: list[float], pos: int, what: str) -> int:
+    """params[pos] as a count of entries after it: an integer in [0, their number]."""
+    x = params[pos]
+    if not (x.is_integer() and 0 <= x < len(params) - pos):
+        raise DistributionError(f"mixture {what} must be an integer from 0 to "
+                                f"{len(params) - pos - 1}, got {x:g}")
+    return int(x)
+
+
 def from_json_dict(obj: dict) -> DistributionSpec:
     if not isinstance(obj, dict):
         raise DistributionError("distribution spec must be a JSON object")
@@ -718,15 +732,13 @@ def from_json_dict(obj: dict) -> DistributionSpec:
     if kind == "mixture":
         if not params:
             raise DistributionError("mixture params are empty")
-        m = int(params[0])
         pos = 1
         weights, parts = [], []
-        for _ in range(m):
+        for _ in range(_count(params, 0, "component count")):
             if pos + 3 > len(params):
                 raise DistributionError("truncated mixture encoding")
-            w = params[pos]
-            code = int(params[pos + 1])
-            np_ = int(params[pos + 2])
+            w, code = params[pos], params[pos + 1]
+            np_ = _count(params, pos + 2, "parameter count")
             pos += 3
             body = params[pos : pos + np_]
             pos += np_
@@ -735,9 +747,9 @@ def from_json_dict(obj: dict) -> DistributionSpec:
             plo, phi = params[pos], params[pos + 1]
             pos += 2
             if code not in _CODE_KINDS:
-                raise DistributionError(f"unknown component code {code}")
+                raise DistributionError(f"unknown component code {code:g}")
             weights.append(w)
-            parts.append(_part_from(_CODE_KINDS[code], body, plo, phi))
+            parts.append(_part_from(_CODE_KINDS[int(code)], body, plo, phi))
         if pos != len(params):
             raise DistributionError("trailing data in mixture encoding")
         return DistributionSpec("mixture", support, tuple(weights), tuple(parts))

@@ -447,9 +447,15 @@ def solve_ode(
     rtol, dtol = opts.rk_tolerance, opts.residual_tolerance
     atol = 1e-3 * rtol * v_bar
 
+    try:
+        k0 = rhs(v0, b0)
+    except _OutOfBand:
+        raise SingularStartError(
+            f"no valid series start: the bid ODE is undefined at v0={v0:.3g}, "
+            f"b0={b0:.3g} (the weak cdf is 0 there, or b0 is outside the band)") from None
     vs = [0.0, v0]
     bs = [0.0, b0]
-    ks = [slope0, rhs(v0, b0)]
+    ks = [slope0, k0]
 
     v, b = v0, b0
     k1 = ks[-1]

@@ -222,7 +222,9 @@ def _block_outcomes(spec: AuctionSpec, u: np.ndarray) -> tuple[np.ndarray, np.nd
     return price, surplus
 
 
-def _estimate(values: np.ndarray, n: int, seed: int) -> RevenueEstimate:
+def estimate(values: np.ndarray, seed: int) -> RevenueEstimate:
+    """Mean and standard error of the per-replicate values drawn with seed."""
+    n = values.size
     se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return RevenueEstimate(mean=float(values.mean()), std_error=se, n=n, seed=seed)
 
@@ -255,7 +257,7 @@ def replicate_arrays(n: int, count: int) -> list[np.ndarray]:
         raise MechanismError(f"n must be >= 1, got {n}", "n")
     try:
         return [np.empty(n) for _ in range(count)]
-    except MemoryError:
+    except (MemoryError, ValueError):     # numpy refuses sizes past its index range
         raise MechanismError(
             f"n = {n} replicates need {8 * count * n / 2**30:.3g} GiB of per-replicate "
             "outputs, more than can be allocated", "n") from None
@@ -274,8 +276,8 @@ def simulate(spec: AuctionSpec, n: int, seed: int, threads: int = 1) -> dict:
     """Monte Carlo revenue and surplus; bit-identical for any thread count."""
     revenue, surplus = simulate_draws(spec, n, seed, threads)
     return {
-        "revenue": _estimate(revenue, n, seed),
-        "surplus": _estimate(surplus, n, seed),
+        "revenue": estimate(revenue, seed),
+        "surplus": estimate(surplus, seed),
     }
 
 

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .dist import DistributionSpec, SortedIndex
-from .mechanisms import (STRIDE_EXTRA, MechanismError, RevenueEstimate, _estimate, replicate_arrays,
+from .mechanisms import (STRIDE_EXTRA, MechanismError, RevenueEstimate, estimate, replicate_arrays,
                          run_blocks)
 
 
@@ -79,10 +79,12 @@ class VirtualValueFn:
         return float(out) if np.isscalar(u) else out
 
 
-def ironed_virtual(d: DistributionSpec, quantile_grid_size: int = 20_000) -> VirtualValueFn:
+QUANTILE_GRID_SIZE = 20_000   # intervals of the quantile grid under the hull
+
+
+def ironed_virtual(d: DistributionSpec) -> VirtualValueFn:
     """Upper concave hull of R(s) = x(s) * s on a uniform quantile grid."""
-    m = int(quantile_grid_size)
-    q = np.linspace(0.0, 1.0, m + 1)
+    q = np.linspace(0.0, 1.0, QUANTILE_GRID_SIZE + 1)
     x = d.quantile(q)
     s = 1.0 - q[::-1]          # ascending 0 .. 1
     r = x[::-1] * s            # exact posted-price revenue at each grid point
@@ -157,7 +159,6 @@ def oa_revenue(
     n: int,
     seed: int,
     threads: int = 1,
-    quantile_grid_size: int = 20_000,
 ) -> RevenueEstimate:
     """Monte Carlo E[max(0, psi_bar over all bidders)] under the draw keying of
     the mechanism engine (stride N+3, replicate-indexed uniforms).
@@ -170,8 +171,8 @@ def oa_revenue(
     """
     check_oa(weak, strong, n_weak)
     (values,) = replicate_arrays(n, 1)
-    psi_w = ironed_virtual(weak, quantile_grid_size) if n_weak > 0 else None
-    psi_s = ironed_virtual(strong, quantile_grid_size) if strong is not None else None
+    psi_w = ironed_virtual(weak) if n_weak > 0 else None
+    psi_s = ironed_virtual(strong) if strong is not None else None
 
     def block(u: np.ndarray):
         best = np.zeros(u.shape[0])
@@ -185,4 +186,4 @@ def oa_revenue(
         return (best,)
 
     run_blocks(seed, n, n_weak + STRIDE_EXTRA, block, (values,), threads)
-    return _estimate(values, n, seed)
+    return estimate(values, seed)

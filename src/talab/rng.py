@@ -25,7 +25,7 @@ def uniform_stream(seed: int, start: int, count: int) -> np.ndarray:
         return np.empty(0)
     aligned = (start // _BLOCK) * _BLOCK
     pad = start - aligned
-    bg = np.random.Philox(key=np.uint64(seed))
+    bg = np.random.Philox(key=seed)
     bg.advance(aligned // _BLOCK)
     out = np.random.Generator(bg).random(pad + count)
     return out[pad:] if pad else out

@@ -1,8 +1,11 @@
 import json
 import math
 import os
+import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from talab.cli import run
 from talab.config import ConfigError, hash_config, parse_config
@@ -88,6 +91,70 @@ def test_hash_roundtrip_and_key_order():
                                                                   "reserve": 1.5}))
 
 
+_MIXTURE = {"kind": "mixture", "support": [0, 1],
+            "params": [2, 0.5, 0, 0, 0, 1, 0.5, 2, 2, 0.5, 0.4, 0.1, 0.9]}
+_SLOW3 = {"kind": "slow_drain", "k": 2.0, "w_bar": 2.5, "size": 3, "atom_share": 1.0,
+          "split_p": 0.5}
+# valid configs that together hold every config key
+_FUZZ_BASES = [
+    base_config(weak=_MIXTURE,
+                strong={"dist": {"kind": "beta_poly", "params": [2, 3], "support": [0, 2]}},
+                mechanism={"kind": "sa_reserve", "reserve": 1.5},
+                solver={"v0_fraction": 1e-4, "rk_tolerance": 1e-9, "residual_tolerance": 1e-6},
+                verify={"tolerance": 1e-4}),
+    base_config(n_weak=3, weak={"kind": "pw_linear", "params": [0, 0.5, 1, 1.5],
+                                "support": [0, 1]},
+                mechanism={"kind": "ta_intervention", "intervention_p": 0.6}),
+    base_config(strong={"atom": {"k": 2.0, "p": 0.75}}, mechanism={"kind": "ta_discrete"}),
+    base_config(strong={"family": _SLOW3}, sweep={"prop": "S8", "intervention_p": 0.75}),
+    base_config(strong={"family": _SLOW3},
+                sweep={"prop": "P7", "rule": {"kind": "block_steps", "eps": 0.5}}),
+]
+
+
+def _leaf_paths(obj, path=()):
+    if isinstance(obj, dict):
+        for key, val in obj.items():
+            yield from _leaf_paths(val, path + (key,))
+    elif isinstance(obj, list) and obj:
+        for i, val in enumerate(obj):
+            yield from _leaf_paths(val, path + (i,))
+    else:
+        yield path
+
+
+_FUZZ_LEAVES = [(i, path) for i, cfg in enumerate(_FUZZ_BASES) for path in _leaf_paths(cfg)]
+_ODD_VALUES = st.one_of(
+    st.sampled_from([None, True, False, "", "x", [], [1.0], {}, math.inf, -math.inf,
+                     math.nan, 2**64, 10**400, -10**400]),
+    st.integers(-2**70, 2**70),
+    st.floats(),
+    st.text(max_size=3),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(leaf=st.sampled_from(_FUZZ_LEAVES), value=_ODD_VALUES)
+@example(leaf=(0, ("weak", "params", 0)), value=math.inf)    # the mixture's component count
+@example(leaf=(0, ("weak", "params", 8)), value=-30)         # a component's parameter count
+@example(leaf=(3, ("strong", "family", "w_bar")), value=1e308)  # quadrature midpoints overflowed
+def test_config_fuzz_raises_only_config_errors(leaf, value):
+    # one leaf of a valid config replaced by an odd JSON value: the config is
+    # accepted or refused with a ConfigError, never another exception
+    i, path = leaf
+    cfg = json.loads(json.dumps(_FUZZ_BASES[i]))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            parse_config(cfg)
+        except ConfigError:
+            pass
+
+
 # ---------------------------------------------------------------------------
 # subcommand bundles
 # ---------------------------------------------------------------------------
@@ -162,10 +229,12 @@ def test_per_draw_output(tmp_path):
 
 
 def test_per_draw_rejected_for_large_n(tmp_path):
+    # refused before any computation: nothing is written
     cfg = base_config(mechanism={"kind": "sa"}, mc={"n": 20000, "seed": 1})
     path = write_config(tmp_path, cfg)
-    assert run(["simulate", "--config", path, "--out-dir", str(tmp_path / "o"),
-                "--per-draw"]) == 2
+    out = tmp_path / "o"
+    assert run(["simulate", "--config", path, "--out-dir", str(out), "--per-draw"]) == 2
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +284,19 @@ _FAMILY = {"family": {"kind": "slow_drain", "k": 2.0, "w_bar": 2.5, "size": 2}}
      "mechanism.reserve"),
     ("simulate", {"mechanism": {"kind": "sa"}, "mc": {"n": math.inf}}, "mc.n"),
     ("solve", {"solver": {"rk_tolerance": math.nan}}, "solver.rk_tolerance"),
+    # a mixture encoding with a malformed count
+    ("simulate", {"weak": {**_MIXTURE, "params": [math.inf, *_MIXTURE["params"][1:]]},
+                  "mechanism": {"kind": "sa"}}, "weak"),
+    ("simulate", {"weak": {**_MIXTURE, "params": [*_MIXTURE["params"][:8], -30,
+                                                  *_MIXTURE["params"][9:]]},
+                  "mechanism": {"kind": "sa"}}, "weak"),
+    # Philox takes a 64-bit seed
+    ("simulate", {"mechanism": {"kind": "sa"}, "mc": {"n": 100, "seed": 2**64}}, "mc.seed"),
 ], ids=["ta_intervention-p0", "ta_intervention-p1", "S8-no-p", "S8-p1", "S8-pk",
         "P7-constant", "P8-no-rule", "simulate-n_weak1", "oa-nothing-to-sell",
         "atom-k", "family-k", "solve-n_weak1", "verify-n_weak1", "P5-n_weak-1",
-        "reserve-nan", "mc-n-inf", "rk_tolerance-nan"])
+        "reserve-nan", "mc-n-inf", "rk_tolerance-nan", "mixture-count-inf",
+        "mixture-size-negative", "mc-seed-2**64"])
 def test_model_rules_refused_as_config_errors(tmp_path, capsys, command, overrides, path):
     # everything decidable from the config is refused before any computation
     cfg = {k: v for k, v in base_config(**overrides).items() if v is not None}
@@ -247,6 +325,38 @@ def test_unallocatable_mc_n_refused(tmp_path, capsys, command, overrides):
     assert "more than can be allocated" in violation["message"]
 
 
+def test_mc_n_past_numpy_index_range_refused(tmp_path, capsys):
+    # numpy refuses 10^20 elements outright, with a ValueError
+    cfg = base_config(mc={"n": 10**20, "seed": 7}, mechanism={"kind": "sa"})
+    out = tmp_path / "o"
+    assert run(["simulate", "--config", write_config(tmp_path, cfg), "--out-dir", str(out)]) == 2
+    (violation,) = json.loads(capsys.readouterr().err.strip())["error"]["violations"]
+    assert violation["path"] == "mc.n" and "more than can be allocated" in violation["message"]
+    assert not out.exists()
+
+
+def test_seed_override_parsed_with_the_config(tmp_path, capsys):
+    # --seed goes into the config before its one check: out of range, it is
+    # refused at mc.seed before anything is written
+    path = write_config(tmp_path, base_config(mechanism={"kind": "sa"}))
+    out = tmp_path / "o"
+    assert run(["simulate", "--config", path, "--out-dir", str(out),
+                "--seed", str(2**64)]) == 2
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err.strip())
+    assert [v["path"] for v in err["error"]["violations"]] == ["mc.seed"]
+
+
+def test_largest_seed_sweeps(tmp_path):
+    # sweep row l draws with key seed + l, past 2^64 for the largest seed
+    cfg = base_config(strong=_FAMILY, sweep={"prop": "P6"}, mc={"n": 100, "seed": 0})
+    out = tmp_path / "o"
+    assert run(["sweep", "--config", write_config(tmp_path, cfg), "--out-dir", str(out),
+                "--seed", str(2**64 - 1)]) == 0
+    body = json.loads(next(out.glob("sweep.*.json")).read_text())
+    assert body["seed"] == 2**64 - 1 and len(body["rows"]) == 2
+
+
 def test_beta_weak_with_large_exponents_simulates(tmp_path):
     # 1/B(1000, 1000) overflows a double, which the vector pdf must not meet
     weak = {"kind": "beta_poly", "params": [1000.0, 1000.0], "support": [0, 1]}
@@ -255,6 +365,19 @@ def test_beta_weak_with_large_exponents_simulates(tmp_path):
     assert run(["simulate", "--config", write_config(tmp_path, cfg), "--out-dir", str(out)]) == 0
     body = json.loads(next(out.glob("simulate.*.json")).read_text())
     assert 0.45 < body["revenue"]["mean"] < 0.55     # the second-highest of 3 values
+
+
+def test_singular_start_refused(tmp_path, capsys):
+    # beta(1000, 1000)'s cdf underflows to 0 at the series start, so the bid
+    # ODE is undefined there: a numeric refusal, not a traceback
+    weak = {"kind": "beta_poly", "params": [1000.0, 1000.0], "support": [0, 1]}
+    cfg = base_config(weak=weak, mechanism={"kind": "ta"}, mc={"n": 1000, "seed": 1})
+    out = tmp_path / "o"
+    assert run(["simulate", "--config", write_config(tmp_path, cfg), "--out-dir", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"]["type"] == "numeric"
+    assert "no valid series start" in err["error"]["message"]
+    assert not out.exists()
 
 
 def test_numeric_error_exit(tmp_path, capsys):

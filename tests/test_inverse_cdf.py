@@ -80,6 +80,18 @@ def test_extreme_levels_at_density_edges(test_distributions):
     assert np.all(np.diff(x[: tails.size]) <= 0.0)
 
 
+def test_subnormal_levels_start_inside_their_bracket():
+    # far below its mode the cdf of beta(1000, 1000) rises by a few subnormals
+    # per table row, where the row's dx/dF overflows; the levels there start
+    # inside their bracket and end at the leftmost x with F(x) >= u
+    d = beta_poly(0.0, 1.0, 1000.0, 1000.0)
+    for u in (5e-324, 1e-320, 1e-315, 1e-310):
+        x = d.quantile(u)
+        tol = dist._X_REL_TOL * x + dist._X_ABS_TOL * d.support.width
+        assert d.support.lo < x < d.support.hi
+        assert d.cdf(x) >= u > d.cdf(x - tol), u
+
+
 def test_scalar_matches_vector_bitwise(laws, levels):
     sub = levels[::97]
     for name, d in laws:

@@ -8,6 +8,7 @@ from scipy import integrate
 from talab import dist
 from talab.mechanisms import STRIDE_EXTRA
 from talab.myerson import (
+    QUANTILE_GRID_SIZE,
     ironed_virtual,
     oa_revenue,
     regularity_check,
@@ -97,8 +98,8 @@ def hull_indices_reference(s, r):
 
 def test_hull_matches_numpy_scalar_loop(two_bump):
     for d in (two_bump, make_family("slow_drain", 2.0, 2.5, 8).member(5)):
-        iv = ironed_virtual(d, 4000)
-        q = np.linspace(0.0, 1.0, 4001)
+        iv = ironed_virtual(d)
+        q = np.linspace(0.0, 1.0, QUANTILE_GRID_SIZE + 1)
         s = 1.0 - q[::-1]
         r = d.quantile(q)[::-1] * s
         keep = hull_indices_reference(s, r)
