@@ -7,8 +7,8 @@ written atomically (temp file + rename), and bodies contain nothing volatile,
 so reruns with the same config are byte-identical. Wall-clock metadata goes
 to a separate meta file.
 
-Exit codes: 0 success, 2 config error, 3 numeric failure, 4 verification
-failure.
+Exit codes: 0 success, 2 config error (a config, or a ``report`` input, that
+cannot be read or breaks a rule), 3 numeric failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, load_config, read_json
 from .dist import DistributionError
 from .equilibrium import (
     BandEscape,
@@ -248,8 +248,8 @@ def cmd_oa(cfg: ExperimentConfig, args, out: Outputs) -> list[str]:
         "revenue": est.mean,
         "se": est.std_error,
         "n": est.n,
-        "regular_F": regularity_check(weak)["regular"] if weak is not None else None,
-        "regular_G": regularity_check(strong)["regular"] if strong is not None else None,
+        "regular_F": regularity_check(weak) if weak is not None else None,
+        "regular_G": regularity_check(strong) if strong is not None else None,
         "reserve_single_buyer": single_buyer_reserve(strong) if strong is not None else None,
     })
     return []
@@ -305,9 +305,21 @@ def cmd_check_family(cfg: ExperimentConfig, args, out: Outputs) -> list[str]:
 
 
 def cmd_report(args):
-    with open(args.input, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    lines = [f"report for {args.input}"]
+    """Print a summary of a result JSON; refuse, as a config error naming the
+    file, one that is not an object with a field in the form talab writes."""
+    obj = read_json(args.input)
+    problem = "not an object with a field to report"
+    try:
+        lines = _report_lines(obj) if isinstance(obj, dict) else []
+    except (LookupError, TypeError, ValueError) as exc:
+        lines, problem = [], f"{type(exc).__name__}: {exc}"
+    if not lines:
+        raise ConfigError([("", f"{args.input} is not a talab result: {problem}")])
+    print("\n".join([f"report for {args.input}", *lines]))
+
+
+def _report_lines(obj: dict) -> list[str]:
+    lines = []
     for key in ("config_hash", "seed", "mechanism", "prop"):
         if key in obj:
             lines.append(f"  {key}: {obj[key]}")
@@ -344,7 +356,7 @@ def cmd_report(args):
         d = obj["low_drain"]
         lines.append(f"  drain: eq4={d['eq4_passed']} cond={d['cond_passed']} "
                      f"agree={d['trend_agreement']}")
-    print("\n".join(lines))
+    return lines
 
 
 # ---------------------------------------------------------------------------

@@ -283,14 +283,19 @@ def parse_config(obj: dict) -> ExperimentConfig:
     )
 
 
+def read_json(path: str):
+    """The JSON value in the file at path; a ConfigError at path "" if it cannot be read."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:     # the JSON and UTF-8 decode errors are ValueErrors
+        raise ConfigError([("", f"cannot read {path} as JSON: {exc}")]) from exc
+
+
 def load_config(path: str, seed: int | None = None) -> ExperimentConfig:
     """The config at path, with ``mc.seed`` replaced by seed if one is given;
     the hash covers the replaced seed."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError([("", f"not valid JSON: {exc}")]) from exc
+    obj = read_json(path)
     # a malformed config or mc is left for parse_config to report
     if seed is not None and isinstance(obj, dict) and isinstance(obj.get("mc", {}), dict):
         obj = {**obj, "mc": {**obj.get("mc", {}), "seed": seed}}

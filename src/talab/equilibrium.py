@@ -190,7 +190,10 @@ class BidFunction:
     interval by an exact indexed search of the grid (``dist.SortedIndex``) and
     evaluates them in the term order of scipy's ``PPoly``, so it equals
     ``CubicHermiteSpline.__call__`` bit for bit. Scalar and array calls share
-    that path. Nodes, values and slopes must be finite, as scipy requires."""
+    that path. Nodes, values and slopes must be finite, as scipy requires. The
+    cubic must also be monotone between nodes: on each interval both end slopes
+    lie in [0, 3 x the secant], Fritsch and Carlson's sufficient condition
+    ("Monotone piecewise cubic interpolation", SIAM J. Numer. Anal. 17(2), 1980)."""
 
     grid: np.ndarray
     values: np.ndarray
@@ -210,6 +213,10 @@ class BidFunction:
             raise EquilibriumError("grid must be strictly increasing")
         if not np.all(np.diff(v) > 0):
             raise EquilibriumError("bid values must be strictly increasing")
+        secant = np.diff(v) / np.diff(g)
+        if not (np.all(s >= 0.0) and np.all(np.maximum(s[:-1], s[1:]) <= 3.0 * secant)):
+            raise EquilibriumError("each slope must lie in [0, 3 x the secant] of its "
+                                   "intervals, so the cubic is monotone between nodes")
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "slopes", s)

@@ -15,14 +15,17 @@ index and reduced in index order, so the estimate is bit-identical for any
 thread count.
 
 A block is evaluated bidder by bidder: the weak uniforms are copied to an
-(N, m) array, so each bidder's values and bids are one contiguous row, and the
-ranking rules run over those rows instead of reducing along rows N wide. The
-first-price stage is a running max whose strict > keeps the first index, as
-argmax does, with a column-wise count of bids equal to the max; the
-second-price rules keep a running top two (largest and second largest, equal
-values counted twice). A tie is resolved by counting the tied (or, under
-``ta_discrete``, the positive) bidders in order and taking the (j+1)-th, j
-drawn from the tie uniform.
+(N, m) array, so each bidder's values are one contiguous row, and the rules
+run over those rows instead of reducing along rows N wide. The second-price
+rules keep a running top two (equal values counted twice). The tournament's
+first stage is ranked by value: its schedule is strictly increasing and covers
+the weak support (``BidFunction`` and ``AuctionSpec`` refuse any other), so the
+top weak bid is b(V_(1)), one schedule call per replicate, and equal bids come
+only from equal values. Only ``ta_discrete``, where every positive value bids
+k, resolves equal weak bids: it takes the (j+1)-th positive bidder, j drawn
+from the tie uniform. That uniform also breaks a tie between the top weak bid
+and the strong bid under ``ta`` and ``ta_intervention``; under ``ta_discrete``
+the strong bidder wins it.
 """
 
 from __future__ import annotations
@@ -120,6 +123,9 @@ class AuctionSpec:
             raise MechanismError(f"{self.kind} requires a bid schedule", "bid_fn")
         if not needs_bids and self.bid_fn is not None:
             raise MechanismError(f"{self.kind} does not take a bid schedule", "bid_fn")
+        if needs_bids and self.bid_fn.grid[-1] < self.weak.support.hi:
+            raise MechanismError(f"bid schedule ends at v = {self.bid_fn.grid[-1]}, below "
+                                 f"the weak support top {self.weak.support.hi}", "bid_fn")
 
     @property
     def stride(self) -> int:
@@ -199,26 +205,15 @@ def _block_outcomes(spec: AuctionSpec, u: np.ndarray) -> tuple[np.ndarray, np.nd
         surplus = np.where(clears, w, first)
         return price, surplus
 
-    # ta / ta_intervention: a running max whose strict > keeps the first index
-    bids = spec.bid_fn(v)
-    top = bids[0].copy()
-    v_win = v[0].copy()
-    for b_i, v_i in zip(bids[1:], v[1:]):
-        np.copyto(v_win, v_i, where=b_i > top)
-        np.maximum(top, b_i, out=top)
-    n_top = np.zeros(top.shape, dtype=np.int64)
-    for b_i in bids:
-        n_top += b_i == top
-    tied = np.flatnonzero(n_top > 1)
-    if tied.size:  # probability-zero under a continuous F; resolved uniformly
-        j = np.minimum((tie_u[tied] * n_top[tied]).astype(np.int64), n_top[tied] - 1)
-        v_win[tied] = _pick(v[:, tied], bids[:, tied] == top[tied], j)
+    # ta / ta_intervention: ranked by value, the top bid is the top value's bid
+    v_top = v.max(axis=0)
+    top = spec.bid_fn(v_top)
     strong_bid = w
     if spec.kind == "ta_intervention":
         strong_bid = np.where(u[:, n + 2] < spec.intervention_p, w, 0.0)
     weak_wins = (top > strong_bid) | ((top == strong_bid) & (tie_u < 0.5))
     price = np.minimum(top, strong_bid)
-    surplus = np.where(weak_wins, v_win, w)
+    surplus = np.where(weak_wins, v_top, w)
     return price, surplus
 
 

@@ -160,10 +160,7 @@ def _build_member(fam: FamilySpec, l: int) -> DistributionSpec:
     return dist.mixture(comps, support=(0.0, fam.w_bar))
 
 
-def make_family(kind: str, k: float, w_bar: float, size: int = 8, *,
-                atom_share: float = 1.0, split_p: float = 0.5) -> FamilySpec:
-    return FamilySpec(kind=kind, k=k, w_bar=w_bar, size=size,
-                      atom_share=atom_share, split_p=split_p)
+make_family = FamilySpec   # make_family(kind, k, w_bar, size), the public constructor name
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +172,8 @@ def _last_half(series: list[float]) -> list[float]:
     return series[len(series) // 2 :]
 
 
-def _nonincreasing(series: list[float], slack: float = 1e-9) -> bool:
-    return all(b <= a + slack for a, b in zip(series, series[1:]))
+def _nonincreasing(series: list[float]) -> bool:
+    return all(b <= a + 1e-9 for a, b in zip(series, series[1:]))
 
 
 def check_atom_convergence(fam: FamilySpec) -> dict:
@@ -190,7 +187,7 @@ def check_atom_convergence(fam: FamilySpec) -> dict:
     return {"tol": tol, "masses": masses, "passed": passed}
 
 
-_DEFAULT_FRACTIONS = ((0.4, 0.3), (0.7, 0.3), (0.4, 0.5), (0.7, 0.5), (0.4, 0.7), (0.7, 0.7))
+_DRAIN_FRACTIONS = ((0.4, 0.3), (0.7, 0.3), (0.4, 0.5), (0.7, 0.5), (0.4, 0.7), (0.7, 0.7))
 
 
 def _series_vanishes(series: list[float]) -> bool:
@@ -204,20 +201,15 @@ def _series_vanishes(series: list[float]) -> bool:
     )
 
 
-def check_low_drain(fam: FamilySpec, pairs: tuple[tuple[float, float], ...] | None = None) -> dict:
+def check_low_drain(fam: FamilySpec) -> dict:
     """Low-value drain diagnostics per index.
 
-    For each pair 0 < c1 < c2 < k: ratio_l = (G_l(c2) - G_l(c1)) / G_l(c2).
-    The equivalent conditional-mean diagnostic E[w_l | w_l <= c2] / c2 is
-    reported for each distinct c2; both must vanish along the family.
+    For each pair (c1, c2) = (a c2, b k), (a, b) in ``_DRAIN_FRACTIONS``:
+    ratio_l = (G_l(c2) - G_l(c1)) / G_l(c2). The equivalent conditional-mean
+    diagnostic E[w_l | w_l <= c2] / c2 is reported for each distinct c2; both
+    must vanish along the family.
     """
-    if pairs is None:
-        pairs = tuple(
-            (frac1 * frac2 * fam.k, frac2 * fam.k) for frac1, frac2 in _DEFAULT_FRACTIONS
-        )
-    for c1, c2 in pairs:
-        if not 0.0 < c1 < c2 < fam.k:
-            raise ExperimentError(f"need 0 < c1 < c2 < k, got ({c1}, {c2})")
+    pairs = tuple((a * b * fam.k, b * fam.k) for a, b in _DRAIN_FRACTIONS)
 
     members = fam.members()
     ratios = {}
@@ -465,7 +457,6 @@ def run_limit_experiment(
     threads: int = 1,
     intervention_p: float | None = None,
     solver: SolveOptions = SolveOptions(),
-    surplus_gamma: float | None = None,
 ) -> LimitTable:
     """Per-index revenue/surplus table for one limit result, with its target."""
     check_experiment(prop, fam, weak, n_weak, rule, intervention_p)
@@ -477,7 +468,7 @@ def run_limit_experiment(
         rows = _tournament_rows(fam, weak, n_weak, k, n, seed, threads, solver, None)
         notes = _strength_notes(fam, v_bar)
         if prop == "P4":
-            gamma = surplus_gamma if surplus_gamma is not None else 0.1 * k
+            gamma = 0.1 * k
             gamma_s = 1.5 * gamma
             misses = []
             for r in rows:

@@ -32,6 +32,7 @@ from talab.mechanisms import (
 )
 from talab.myerson import oa_revenue
 from talab.sequences import (
+    FamilySpec,
     ReserveRule,
     check_atom_convergence,
     check_low_drain,
@@ -308,7 +309,7 @@ def test_criterion_10_convergence_from_below(u01):
     details = []
     ok = True
     for p in (0.0, 0.5, 1.0):
-        fam = make_family("split_atom", K, W_BAR, 16, split_p=p)
+        fam = FamilySpec("split_atom", K, W_BAR, 16, split_p=p)
         table = run_limit_experiment("P10", fam, u01, 2,
                                      rule=ReserveRule("quantile_below"))
         target_s = p * (2.0 / 3.0) + (1.0 - p) * K
@@ -331,7 +332,7 @@ def test_criterion_11_intervention(u01):
 def test_criterion_12_family_checkers(slow8):
     fast = make_family("fast_drain", K, W_BAR, 8)
     smoothed = make_family("smoothed_discrete", K, W_BAR, 8)
-    split = make_family("split_atom", K, W_BAR, 8, split_p=0.5)
+    split = FamilySpec("split_atom", K, W_BAR, 8, split_p=0.5)
     slow_atom = check_atom_convergence(slow8)["passed"]
     slow_drain_ok = check_low_drain(slow8)
     fast_drain_ok = check_low_drain(fast)

@@ -253,6 +253,29 @@ def test_config_error_exit_and_no_outputs(tmp_path, capsys):
     assert any(v["path"] == "mechanism.reserve" for v in err["error"]["violations"])
 
 
+def _unreadable(tmp_path, case: str) -> str:
+    """A path that cannot be read as a JSON file: missing, a directory, or bytes
+    that are not UTF-8."""
+    path = tmp_path / f"{case}.json"
+    if case == "directory":
+        path.mkdir()
+    elif case == "latin1":
+        path.write_bytes(b'{"version": "1", "n_weak": 2, "note": "caf\xe9"}')
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "latin1"])
+def test_unreadable_config_refused(tmp_path, capsys, case):
+    path = _unreadable(tmp_path, case)
+    out = tmp_path / "out"
+    assert run(["solve", "--config", path, "--out-dir", str(out)]) == 2
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"]["type"] == "config"
+    (violation,) = err["error"]["violations"]
+    assert violation["path"] == "" and path in violation["message"]
+
+
 _FAMILY = {"family": {"kind": "slow_drain", "k": 2.0, "w_bar": 2.5, "size": 2}}
 
 
@@ -473,3 +496,29 @@ def test_report_renders_solve_counters(tmp_path, capsys):
     assert f"{rep['rejected_residual']} defect" in text
     assert f"max Gauss-point defect {rep['max_ode_residual']:.3g}" in text
     assert "series start v0" in text
+
+
+_NOT_RESULTS = {
+    "not-json": "revenue: 1\n",
+    "estimate-without-se": '{"revenue": {"mean": 1}}',
+    "revenue-not-a-number": '{"revenue": "high"}',
+    "list": '[{"revenue": 1}]',
+    "no-result-field": '{"note": 1}',
+}
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "latin1", *_NOT_RESULTS])
+def test_report_refuses_what_is_not_a_result(tmp_path, capsys, case):
+    if case in _NOT_RESULTS:
+        path = tmp_path / f"{case}.json"
+        path.write_text(_NOT_RESULTS[case])
+        path = str(path)
+    else:
+        path = _unreadable(tmp_path, case)
+    assert run(["report", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err.strip())
+    assert err["error"]["type"] == "config"
+    (violation,) = err["error"]["violations"]
+    assert violation["path"] == "" and path in violation["message"]

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.interpolate import CubicHermiteSpline
 
 from talab import dist
 from talab import equilibrium as eq
@@ -253,6 +254,25 @@ def test_solution_extends_to_top(u01, bump_member):
     assert bid.grid[-1] == v_bar
     assert v_bar < bid.b_top
     assert law.mean_below(bid.b_top) < v_bar  # below the band ceiling m^-1(v_bar)
+
+
+@pytest.mark.parametrize("slope, refused", [(-0.5, True), (-1e-12, True), (0.0, False),
+                                            (6.0, False), (6.0 + 1e-9, True), (12.0, True)])
+def test_bid_function_monotone_slopes(slope, refused):
+    # secant 2 on every interval; node 3's slope is an end slope of intervals 2
+    # and 3. Fritsch-Carlson: [0, 3 x secant] keeps the cubic monotone; a slope
+    # of -0.5 or 12 makes it turn down between nodes
+    grid = np.linspace(0.0, 1.0, 6)
+    slopes = np.full(6, 2.0)
+    slopes[3] = slope
+    if slope in (-0.5, 12.0):
+        x = np.linspace(grid[2], grid[4], 2001)
+        assert np.any(np.diff(CubicHermiteSpline(grid, 2.0 * grid, slopes)(x)) < 0)
+    if refused:
+        with pytest.raises(EquilibriumError, match="monotone"):
+            BidFunction(grid, 2.0 * grid, slopes)
+    else:
+        BidFunction(grid, 2.0 * grid, slopes)
 
 
 def test_strength_warning():

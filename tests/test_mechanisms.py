@@ -183,6 +183,17 @@ def test_first_stage_tie_uniform(u01, u02, doubling_bid):
 # ---------------------------------------------------------------------------
 
 
+def test_schedule_must_cover_weak_support(u01, u02):
+    # a schedule that stops at v = 0.6 bids 1.2 for every value above it, so the
+    # first stage could no longer be ranked by value
+    capped = BidFunction(np.linspace(0.0, 0.6, 31), np.linspace(0.0, 1.2, 31),
+                         np.full(31, 2.0))
+    for kind, p in (("ta", None), ("ta_intervention", 0.75)):
+        with pytest.raises(MechanismError, match="below the weak support top") as exc:
+            AuctionSpec(kind, 2, u01, u02, intervention_p=p, bid_fn=capped)
+        assert exc.value.field == "bid_fn"
+
+
 def test_spec_validation(u01, u02, doubling_bid):
     with pytest.raises(MechanismError, match="bid schedule"):
         AuctionSpec("ta", 2, u01, u02)
@@ -242,21 +253,14 @@ def crafted_block(n: int, stride: int, bid_fn=None) -> np.ndarray:
 
 
 def test_block_matches_run_once(u01, u02, solved_ta, doubling_bid):
-    # a schedule that stops at v = 0.6: every value above bids 1.2, so first-stage
-    # ties come from different values and the tie breaker decides the surplus
-    capped = BidFunction(np.linspace(0.0, 0.6, 31), np.linspace(0.0, 1.2, 31),
-                         np.full(31, 2.0))
     for n in (2, 3, 5):
         bid = solved_ta.bid_fn if n == 2 else solve_ode(u01, u02, n)[0]
         specs = [
             AuctionSpec("ta", n, u01, u02, bid_fn=bid),
             AuctionSpec("sa", n, u01, u02),
             AuctionSpec("sa_reserve", n, u01, u02, reserve=1.5),
-            AuctionSpec("ta", n, u01, u02, bid_fn=capped),
             AuctionSpec("ta_intervention", n, u01, u02, intervention_p=0.75,
                         bid_fn=doubling_bid),
-            AuctionSpec("ta_intervention", n, u01, u02, intervention_p=0.75,
-                        bid_fn=capped),
             AuctionSpec("ta_discrete", n, u01, DiscreteAtomSpec(k=2.0, p=0.75)),
         ]
         for spec in specs:
@@ -270,7 +274,7 @@ def test_block_matches_run_once(u01, u02, solved_ta, doubling_bid):
 
 
 def test_crafted_block_hits_tie_paths(u01, u02, doubling_bid):
-    """The crafted rows reach every tie path the engine has."""
+    """The crafted rows reach every tie the rules break."""
     for n in (2, 3, 5):
         u = crafted_block(n, n + 3, doubling_bid)
         v = u01.quantile(u[:, :n])

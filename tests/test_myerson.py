@@ -47,36 +47,33 @@ def test_virtual_value_below_identity(test_distributions):
 
 
 def test_regularity_uniform(u01):
-    assert regularity_check(u01)["regular"]
+    assert regularity_check(u01)
 
 
 def test_regularity_two_bump(two_bump):
-    report = regularity_check(two_bump)
-    assert not report["regular"]
-    assert report["violations"]
+    assert not regularity_check(two_bump)
 
 
 def test_regularity_matches_finite_differences():
     d = dist.cosine_bump(1.0, 0.4)
-    xs = np.linspace(0.601, 1.399, 400)
+    xs = np.linspace(0.6, 1.4, 1002)[1:-1]     # regularity_check's grid
     psi = virtual_value(d, xs)
     fd_drops = int(np.sum(psi[1:] < psi[:-1] - 1e-9))
-    report = regularity_check(d, grid_size=400)
-    assert (fd_drops > 0) == (not report["regular"])
+    assert (fd_drops > 0) == (not regularity_check(d))
 
 
 def test_ironed_equals_virtual_when_regular(u01, u02):
     # grid interpolation error is proportional to the support width
     for d in (u01, u02):
         iv = ironed_virtual(d)
-        assert not iv.ironed
+        assert iv.hull_slopes.size == QUANTILE_GRID_SIZE    # not ironed
         xs = np.linspace(d.support.lo + 1e-6, d.support.hi - 1e-6, 257)
         assert np.max(np.abs(iv(d.cdf(xs)) - virtual_value(d, xs))) <= 1e-4 * d.support.width
 
 
 def test_ironed_nondecreasing(two_bump):
     iv = ironed_virtual(two_bump)
-    assert iv.ironed
+    assert iv.hull_slopes.size < QUANTILE_GRID_SIZE    # ironed
     xs = np.linspace(0.0, 2.5, 3000)
     assert np.all(np.diff(iv(two_bump.cdf(xs))) >= -1e-12)
 

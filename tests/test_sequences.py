@@ -5,6 +5,7 @@ from talab import dist
 from talab.mechanisms import sa_reserve_closed_form
 from talab.sequences import (
     ExperimentError,
+    FamilySpec,
     ReserveRule,
     block_steps,
     check_atom_convergence,
@@ -59,7 +60,7 @@ def test_strength_index_reported(slow8):
 
 
 def test_smoothed_discrete_two_point_limit():
-    fam = make_family("smoothed_discrete", K, W_BAR, 8, atom_share=0.75)
+    fam = FamilySpec("smoothed_discrete", K, W_BAR, 8, atom_share=0.75)
     last = fam.member(8)
     # mass splits (1-p) near zero, p near k as widths shrink
     assert last.cdf(0.2) == pytest.approx(0.25, abs=0.01)
@@ -68,7 +69,7 @@ def test_smoothed_discrete_two_point_limit():
 
 def test_split_atom_cdf_at_k():
     for p in (0.0, 0.5, 1.0):
-        fam = make_family("split_atom", K, W_BAR, 12, split_p=p)
+        fam = FamilySpec("split_atom", K, W_BAR, 12, split_p=p)
         assert fam.member(12).cdf(K) == pytest.approx(p, abs=0.01)
 
 
@@ -117,8 +118,7 @@ def test_drain_checker_slow_vs_fast(slow8, fast8):
 
 
 def test_drain_ratio_decreases_toward_zero(slow8):
-    report = check_low_drain(slow8, pairs=((0.3 * K, 0.7 * K),))
-    (series,) = report["ratios"].values()
+    series = check_low_drain(slow8)["ratios"][(0.4 * 0.7 * K, 0.7 * K)]
     tail = series[len(series) // 2 :]
     assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
     assert series[-1] < 0.1 * series[0]
@@ -126,14 +126,9 @@ def test_drain_ratio_decreases_toward_zero(slow8):
 
 def test_drain_equivalence_trend_everywhere(slow8, fast8):
     sd = make_family("smoothed_discrete", K, W_BAR, 8)
-    sp = make_family("split_atom", K, W_BAR, 8, split_p=0.5)
+    sp = FamilySpec("split_atom", K, W_BAR, 8, split_p=0.5)
     for fam in (slow8, fast8, sd, sp):
         assert check_low_drain(fam)["trend_agreement"], fam.kind
-
-
-def test_drain_checker_rejects_bad_pair(slow8):
-    with pytest.raises(ExperimentError):
-        check_low_drain(slow8, pairs=((1.5, 1.0),))
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +149,7 @@ def test_from_below_window_and_monotonicity(slow16):
 
 def test_from_below_split_family_limits():
     for p in (0.0, 0.5, 1.0):
-        fam = make_family("split_atom", K, W_BAR, 16, split_p=p)
+        fam = FamilySpec("split_atom", K, W_BAR, 16, split_p=p)
         rs = from_below_reserves(fam)
         g_last = fam.member(16).cdf(rs[-1])
         assert g_last == pytest.approx(p, abs=0.01)
@@ -207,7 +202,7 @@ def test_p9_overshoot(slow16, u01):
 
 def test_p10_convergence_from_below(u01):
     for p in (0.0, 0.5, 1.0):
-        fam = make_family("split_atom", K, W_BAR, 16, split_p=p)
+        fam = FamilySpec("split_atom", K, W_BAR, 16, split_p=p)
         table = run_limit_experiment("P10", fam, u01, 2,
                                      rule=ReserveRule("quantile_below"))
         target_r = p / 3.0 + (1.0 - p) * K
@@ -261,7 +256,7 @@ def test_smoothed_discrete_tournament_revenue(u01):
     from talab.equilibrium import solve_ode
     from talab.mechanisms import AuctionSpec, simulate
 
-    fam = make_family("smoothed_discrete", K, W_BAR, 6, atom_share=0.75)
+    fam = FamilySpec("smoothed_discrete", K, W_BAR, 6, atom_share=0.75)
     member = fam.member(6)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -271,9 +266,10 @@ def test_smoothed_discrete_tournament_revenue(u01):
 
 
 def test_surplus_tracking_experiment(u01):
-    # surplus must track revenue wherever revenue is near the atom value
-    fam = make_family("slow_drain", K, W_BAR, 3)
-    table = run_limit_experiment("P4", fam, u01, 2, n=20_000, seed=2,
-                                 surplus_gamma=2.0)
+    # surplus must track revenue wherever revenue is within 0.1 k of the atom
+    # value; slow_drain members 6-8 at N = 2 are (member 8: k - R = 0.069)
+    fam = make_family("slow_drain", K, W_BAR, 8)
+    table = run_limit_experiment("P4", fam, u01, 2, n=20_000, seed=2)
+    assert any(abs(r.revenue - K) <= 0.1 * K for r in table.rows)
     assert table.notes[-1] == "surplus-tracks-revenue check passed"
     assert all(r.surplus >= r.revenue - 1e-9 for r in table.rows)
