@@ -10,16 +10,18 @@ v < b < m^{-1}(v); H blows up at the lower edge and vanishes at the upper one.
 
 ``solve_ode`` integrates it with an adaptive embedded Runge-Kutta method
 (Dormand-Prince 4(5)) that rejects steps leaving the band, starting from a
-series expansion at the singular origin. The returned schedule is the cubic
-Hermite interpolant of the accepted nodes and slopes; each step is also gated
-on its defect |b' - H(b, v)| / (1 + |H|) at both Gauss points of the interval
-(Enright & Hayes, "Robust and reliable defect control for Runge-Kutta
-methods", ACM TOMS 33(1), 2007), not at the midpoint, where the leading term
-of the derivative error vanishes. The defect scales like h^3 and sets the
-step size next to the error estimate; ``max_ode_residual`` is the worst
-accepted defect. The tests check the solver against scipy's DOP853 started
-from the same series-start node and recompute the defect from the returned
-schedule. An rhs evaluation sweeps each law's components once (``eval3_s``)
+series expansion at the singular origin. The returned schedule is the
+method's fourth-order continuous extension (Shampine, "Some practical
+Runge-Kutta formulas", Math. Comp. 46, 1986), built from the seven stages
+each step computes: on each interval the cubic Hermite interpolant of the
+accepted nodes and slopes plus one quartic bump. Each step is also gated on
+that quartic's defect |b' - H(b, v)| / (1 + |H|) at both Gauss points of the
+interval (Enright & Hayes, "Robust and reliable defect control for Runge-Kutta
+methods", ACM TOMS 33(1), 2007). The defect and the error estimate set the
+step size with one exponent, 1/5; ``max_ode_residual`` is the worst accepted
+defect. The tests check the solver against scipy's DOP853 started from the
+same series-start node, check the bump against the dense output of scipy's
+RK45 and recompute the defect from the returned schedule. An rhs evaluation sweeps each law's components once (``eval3_s``)
 and the stages are written out, with every floating-point operation of the
 separate cdf/pdf/partial_mean calls and of ``sum()`` over the tableau kept:
 the schedules are bit-identical to that form.
@@ -79,11 +81,18 @@ class InputError(ValueError):
         self.field = field
 
 
-def check_weak_bidders(n_weak: int, error: type[InputError] = InputError):
-    """Refuse fewer than 2 weak bidders, as ``error`` naming ``n_weak``: the bid
-    ODE, every mechanism and every limit experiment but P5 need two."""
-    if n_weak < 2:
-        raise error(f"need at least 2 weak bidders, got {n_weak}", "n_weak")
+MAX_WEAK_BIDDERS = 1000
+
+
+def check_weak_bidders(n_weak: int, error: type[InputError] = InputError, least: int = 2):
+    """Refuse fewer than ``least`` or more than ``MAX_WEAK_BIDDERS`` weak
+    bidders, as ``error`` naming ``n_weak``. The bid ODE, every mechanism and
+    every limit experiment but the optimal auction need two. A Monte Carlo
+    block holds 2^15 x (n_weak + 3) uniforms, 0.26 GB at the bound."""
+    if n_weak < least:
+        raise error(f"need at least {least} weak bidders, got {n_weak}", "n_weak")
+    if n_weak > MAX_WEAK_BIDDERS:
+        raise error(f"at most {MAX_WEAK_BIDDERS} weak bidders, got {n_weak}", "n_weak")
 
 
 class BandEscape(EquilibriumError):
@@ -182,52 +191,83 @@ def as_strong_law(strong) -> StrongBidLaw:
 
 @dataclass(frozen=True)
 class BidFunction:
-    """Tabulated strictly increasing bid schedule with monotone-cubic interpolation.
+    """Tabulated strictly increasing bid schedule, piecewise quartic.
 
-    The cubic Hermite spline through the nodes and slopes has, on interval i,
-    the coefficients c0 ... c3 of s^3 ... s^0 (s = v - grid[i]), computed with
-    the operations of scipy's ``CubicHermiteSpline``. A call finds each point's
-    interval by an exact indexed search of the grid (``dist.SortedIndex``) and
-    evaluates them in the term order of scipy's ``PPoly``, so it equals
-    ``CubicHermiteSpline.__call__`` bit for bit. Scalar and array calls share
-    that path. Nodes, values and slopes must be finite, as scipy requires. The
-    cubic must also be monotone between nodes: on each interval both end slopes
-    lie in [0, 3 x the secant], Fritsch and Carlson's sufficient condition
-    ("Monotone piecewise cubic interpolation", SIAM J. Numer. Anal. 17(2), 1980)."""
+    On interval i, with h = grid[i+1] - grid[i] and theta = (v - grid[i]) / h,
+    the schedule is the cubic Hermite interpolant of the end values and slopes
+    plus ``bumps[i]`` * theta^2 (1 - theta)^2, a term that leaves both end values
+    and slopes alone. ``solve_ode`` returns the Dormand-Prince step's own
+    fourth-order continuous extension in this form (Shampine, "Some practical
+    Runge-Kutta formulas", Math. Comp. 46, 1986); ``bumps`` defaults to zeros,
+    the cubic Hermite spline. The pieces are kept as power-form coefficients
+    c4 ... c0 of s^4 ... s^0 (s = v - grid[i]) and evaluated by Horner's rule
+    after an exact indexed search of the grid (``dist.SortedIndex``); scalar and
+    array calls share that path. Nodes, values, slopes and bumps must be finite
+    and the values strictly increasing. The schedule must also be monotone
+    between nodes: on each interval b' >= 0 at both ends and at the real roots
+    of b'' inside it, which is exact for a polynomial. Only a dip of rounding
+    size, 2^-45 of the sum of b''s term magnitudes, is let through, so that
+    the cubics on the edge of Fritsch and Carlson's box (end slopes in
+    [0, 3 x the secant], SIAM J. Numer. Anal. 17(2), 1980), whose b' touches
+    zero, pass."""
 
     grid: np.ndarray
     values: np.ndarray
     slopes: np.ndarray
+    bumps: np.ndarray | None = None
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
         v = np.asarray(self.values, dtype=float)
         s = np.asarray(self.slopes, dtype=float)
-        if not (g.ndim == 1 and g.shape == v.shape == s.shape and g.size >= 2):
-            raise EquilibriumError("grid/values/slopes must be matching 1-D arrays")
-        if not all(np.isfinite(a).all() for a in (g, v, s)):
-            raise EquilibriumError("grid/values/slopes must be finite")
+        e = np.zeros(max(g.size - 1, 0)) if self.bumps is None \
+            else np.asarray(self.bumps, dtype=float)
+        if not (g.ndim == 1 and g.shape == v.shape == s.shape and g.size >= 2
+                and e.shape == (g.size - 1,)):
+            raise EquilibriumError("grid/values/slopes must be matching 1-D arrays, "
+                                   "with one bump per interval")
+        if not all(np.isfinite(a).all() for a in (g, v, s, e)):
+            raise EquilibriumError("grid/values/slopes/bumps must be finite")
         if g[0] != 0.0 or v[0] != 0.0:
             raise EquilibriumError("bid schedule must start at (0, 0)")
         if not np.all(np.diff(g) > 0):
             raise EquilibriumError("grid must be strictly increasing")
         if not np.all(np.diff(v) > 0):
             raise EquilibriumError("bid values must be strictly increasing")
-        secant = np.diff(v) / np.diff(g)
-        if not (np.all(s >= 0.0) and np.all(np.maximum(s[:-1], s[1:]) <= 3.0 * secant)):
-            raise EquilibriumError("each slope must lie in [0, 3 x the secant] of its "
-                                   "intervals, so the cubic is monotone between nodes")
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "slopes", s)
+        object.__setattr__(self, "bumps", e)
+        if not self._monotone_between_nodes():
+            raise EquilibriumError("the schedule must be monotone between nodes: "
+                                   "b' >= 0 at each interval's ends and at the roots of b''")
 
     @cached_property
-    def _coefficients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _coefficients(self) -> tuple[np.ndarray, ...]:
         dx = np.diff(self.grid)
         k = self.slopes
         slope = np.diff(self.values) / dx
         t = (k[:-1] + k[1:] - 2 * slope) / dx
-        return t / dx, (slope - k[:-1]) / dx - t, k[:-1], self.values[:-1]
+        q = self.bumps / dx / dx
+        return q / dx / dx, t / dx - 2 * q / dx, (slope - k[:-1]) / dx - t + q, k[:-1], \
+            self.values[:-1]
+
+    def _monotone_between_nodes(self) -> bool:
+        # b'(theta) = k0 + B theta + C theta^2 + D theta^3 on each interval; the
+        # roots of b'' inside it are those of B + 2 C theta + 3 D theta^2, and a
+        # root outside [0, 1] (or none) is clipped to an end, which is checked anyway
+        c4, c3, c2, k0, _ = self._coefficients
+        dx = np.diff(self.grid)
+        B, C, D = 2.0 * c2 * dx, 3.0 * c3 * dx * dx, 4.0 * c4 * dx * dx * dx
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = -(C + np.copysign(np.sqrt(C * C - 3.0 * D * B), C))
+            thetas = [np.zeros_like(dx), np.ones_like(dx), q / (3.0 * D), B / q]
+        size = np.abs(k0) + np.abs(B) + np.abs(C) + np.abs(D)
+        for th in thetas:
+            th = np.clip(np.nan_to_num(th, nan=0.0, posinf=0.0, neginf=0.0), 0.0, 1.0)
+            if not np.all(k0 + th * (B + th * (C + th * D)) >= -2.0 ** -45 * size):
+                return False
+        return True
 
     @property
     def b_top(self) -> float:
@@ -235,18 +275,22 @@ class BidFunction:
 
     @cached_property
     def _interval(self) -> SortedIndex:
-        # on [grid[0], grid[-1]] the count of interior nodes <= x is PPoly's
+        # on [grid[0], grid[-1]] the count of interior nodes <= x is the
         # interval: searchsorted(grid, x, "right") - 1, clipped to [0, n - 2]
         return SortedIndex(self.grid[1:-1])
 
     def __call__(self, v):
         x = np.clip(v, self.grid[0], self.grid[-1])
         i = self._interval(x)
-        c0, c1, c2, c3 = self._coefficients
-        s = x - self.grid.take(i)
-        ss = s * s
-        # the terms and order of scipy's evaluate_poly1: bit-identical to PPoly
-        out = c3.take(i) + c2.take(i) * s + c1.take(i) * ss + c0.take(i) * (ss * s)
+        c4, *rest = self._coefficients
+        # Horner's rule, in place; i is in range, and mode="clip" lets take
+        # write into out without the buffer mode="raise" makes
+        s = x - self.grid.take(i, mode="clip")
+        out = c4.take(i, mode="clip")
+        term = np.empty_like(out)
+        for c in rest:
+            out *= s
+            out += c.take(i, out=term, mode="clip")
         return float(out) if np.isscalar(v) else out
 
     def to_json_dict(self) -> dict:
@@ -254,6 +298,7 @@ class BidFunction:
             "grid": self.grid.tolist(),
             "values": self.values.tolist(),
             "slopes": self.slopes.tolist(),
+            "bumps": self.bumps.tolist(),
         }
 
     def csv_rows(self):
@@ -342,21 +387,30 @@ _DP_A = (
 )
 _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+# theta^4 column of the continuous extension b + h sum_j (K P)_j theta^(j+1) (the
+# P matrix of scipy's RK45): at theta = 1 it is b5 with slope k7, so it is the
+# cubic Hermite of the step plus e theta^2 (1 - theta)^2, e = h (K P)_3
+_DP_E = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+         -10690763975 / 1880347072, 701980252875 / 199316789632,
+         -1453857185 / 822651844, 69997945 / 29380423)
 
 
 def _dp_stepper(rhs):
-    """One Dormand-Prince attempt (v, b, h, k1) -> (b5, b4, k7 = the next k1).
+    """One Dormand-Prince attempt (v, b, h, k1) -> (b5, b4, k7 = the next k1, e),
+    e the step's quartic bump (see ``_DP_E``).
 
-    Each sum keeps the terms and order of sum() over its _DP_* row (zero B5/B4
+    Each sum keeps the terms and order of sum() over its _DP_* row (zero
     weights skipped). Without sum()'s leading 0 only the sign of a zero total can
-    differ, and b + h * total hides it because b > 0: the results are bit-identical."""
+    differ; b + h * total hides it because b > 0, and a zero bump's sign changes
+    no value of the schedule: the results are bit-identical."""
     _, c2, c3, c4, c5, c6, c7 = _DP_C
     _, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
         (a61, a62, a63, a64, a65), (a71, a72, a73, a74, a75, a76) = _DP_A
     p1, _, p3, p4, p5, p6, _ = _DP_B5
     q1, _, q3, q4, q5, q6, q7 = _DP_B4
+    e1, _, e3, e4, e5, e6, e7 = _DP_E
 
-    def step(v: float, b: float, h: float, k1: float) -> tuple[float, float, float]:
+    def step(v: float, b: float, h: float, k1: float) -> tuple[float, float, float, float]:
         k2 = rhs(v + c2 * h, b + h * (a21 * k1))
         k3 = rhs(v + c3 * h, b + h * (a31 * k1 + a32 * k2))
         k4 = rhs(v + c4 * h, b + h * (a41 * k1 + a42 * k2 + a43 * k3))
@@ -366,7 +420,8 @@ def _dp_stepper(rhs):
                                       + a75 * k5 + a76 * k6))
         b5 = b + h * (p1 * k1 + p3 * k3 + p4 * k4 + p5 * k5 + p6 * k6)
         b4 = b + h * (q1 * k1 + q3 * k3 + q4 * k4 + q5 * k5 + q6 * k6 + q7 * k7)
-        return b5, b4, k7
+        e = h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7)
+        return b5, b4, k7, e
 
     return step
 
@@ -463,6 +518,7 @@ def solve_ode(
     vs = [0.0, v0]
     bs = [0.0, b0]
     ks = [slope0, k0]
+    es = [0.0]    # [0, v0] keeps the series start's cubic
 
     v, b = v0, b0
     k1 = ks[-1]
@@ -488,7 +544,7 @@ def solve_ode(
                 report,
             )
         try:
-            b5, b4, k_end = step(v, b, h, k1)
+            b5, b4, k_end, e = step(v, b, h, k1)
             err = abs(b5 - b4)
             scale = atol + rtol * max(abs(b), abs(b5))
             if not math.isfinite(err) or err > scale:
@@ -496,19 +552,19 @@ def solve_ode(
                 gate = "error-estimate"
                 h *= max(0.2, 0.9 * (scale / err) ** 0.2) if math.isfinite(err) else 0.5
                 continue
-            defect = _gauss_defect(rhs, v, b, b5, k1, k_end, h)
+            defect = _gauss_defect(rhs, v, b, b5, k1, k_end, h, e)
         except (_OutOfBand, OverflowError, ZeroDivisionError):
             n_band += 1
             gate = "band"
             h *= 0.5
             continue
-        # the returned schedule is this interval's cubic Hermite interpolant: its
-        # defect scales like h^3, so it sets the step as the error estimate does
-        grow_defect = 0.9 * (dtol / max(defect, 1e-300)) ** (1.0 / 3.0)
+        # the returned schedule is this interval's quartic; its defect sets the
+        # step as the error estimate does, with the same exponent
+        ratio = min(scale / max(err, 1e-300), dtol / max(defect, 1e-300))
         if not defect <= dtol:
             n_defect += 1
             gate = "defect"
-            h *= max(0.2, grow_defect)
+            h *= max(0.2, 0.9 * ratio ** 0.2)
             continue
         # accepted; k_end is f(v+h, b5) by the FSAL property
         if h < min_h:
@@ -520,10 +576,11 @@ def solve_ode(
         vs.append(v)
         bs.append(b)
         ks.append(k1)
-        h *= min(5.0, 0.9 * (scale / max(err, 1e-300)) ** 0.2, grow_defect)
+        es.append(e)
+        h *= min(5.0, 0.9 * ratio ** 0.2)
 
     vs[-1] = v_bar  # the last step lands within an ulp of the top; pin it
-    bid = BidFunction(np.asarray(vs), np.asarray(bs), np.asarray(ks))
+    bid = BidFunction(np.asarray(vs), np.asarray(bs), np.asarray(ks), np.asarray(es))
     return bid, SolveReport(max_defect, v0, len(vs) - 2, n_error, n_band, n_defect,
                             min_h, min_h_v, tuple(notes))
 
@@ -531,17 +588,20 @@ def solve_ode(
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0   # Gauss points at theta = 1/2 -+ this
 
 
-def _gauss_defect(rhs, v, b0, b1, k0, k1, h) -> float:
-    """max |b' - H(b, v)| / (1 + |H|) of the cubic Hermite interpolant of
-    (v, b0, k0), (v + h, b1, k1) at the two Gauss points of the interval.
+def _gauss_defect(rhs, v, b0, b1, k0, k1, h, e) -> float:
+    """max |b' - H(b, v)| / (1 + |H|) of the quartic schedule piece on
+    [v, v + h]: the cubic Hermite interpolant of (v, b0, k0), (v + h, b1, k1)
+    plus e theta^2 (1 - theta)^2, at the two Gauss points of the interval.
 
     At theta(1 - theta) = 1/6 the Hermite basis reduces to
     b = b0 + (4 theta/3 - 1/6) (b1 - b0) + h ((1 - theta) k0 - theta k1) / 6 and
-    b' = (b1 - b0)/h + (1/2 - theta)(k0 - k1)."""
+    b' = (b1 - b0)/h + (1/2 - theta)(k0 - k1); the bump adds e/36 to b and
+    (e/h)(1 - 2 theta)/3 to b'."""
     worst = 0.0
     for th in (0.5 - _GAUSS_OFFSET, 0.5 + _GAUSS_OFFSET):
-        bg = b0 + (4.0 * th / 3.0 - 1.0 / 6.0) * (b1 - b0) + h * ((1.0 - th) * k0 - th * k1) / 6.0
-        dg = (b1 - b0) / h + (0.5 - th) * (k0 - k1)
+        bg = (b0 + (4.0 * th / 3.0 - 1.0 / 6.0) * (b1 - b0) + h * ((1.0 - th) * k0 - th * k1) / 6.0
+              + e / 36.0)
+        dg = (b1 - b0) / h + (0.5 - th) * (k0 - k1) + (e / h) * (1.0 - 2.0 * th) / 3.0
         hg = rhs(v + th * h, bg)
         worst = max(worst, abs(dg - hg) / (1.0 + abs(hg)))
     return worst

@@ -21,6 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .dist import DistributionSpec, SortedIndex
+from .equilibrium import check_weak_bidders
 from .mechanisms import (STRIDE_EXTRA, MechanismError, RevenueEstimate, estimate, replicate_arrays,
                          run_blocks)
 
@@ -133,8 +134,7 @@ def single_buyer_reserve(d: DistributionSpec) -> dict:
 def check_oa(weak: DistributionSpec | None, strong: DistributionSpec | None, n_weak: int):
     """Refuse an optimal-auction benchmark with nothing to sell or a missing
     law; the error's ``field`` names the argument at fault."""
-    if n_weak < 0:
-        raise MechanismError(f"n_weak must be >= 0, got {n_weak}", "n_weak")
+    check_weak_bidders(n_weak, MechanismError, least=0)
     if n_weak > 0 and weak is None:
         raise MechanismError("weak distribution required when n_weak > 0", "weak")
     if n_weak == 0 and strong is None:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicHermiteSpline
+from scipy.interpolate import CubicHermiteSpline, PPoly
 
 from talab import dist
 from talab import equilibrium as eq
@@ -130,12 +130,25 @@ def quad_partial_mean(d, x):
 GAUSS_THETAS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 
 
+def schedule_ppoly(bid) -> PPoly:
+    """Independent form of a bid schedule: scipy's cubic Hermite spline through
+    its nodes and slopes, plus bumps[i] * theta^2 (1 - theta)^2 on interval i
+    (theta = s / h) expanded into powers of s, as a scipy ``PPoly``."""
+    cubic = CubicHermiteSpline(bid.grid, bid.values, bid.slopes)
+    h, e = np.diff(bid.grid), bid.bumps
+    c = np.vstack([np.zeros((1, h.size)), cubic.c])     # rows: s^4 ... s^0
+    c[0] += e / h**4
+    c[1] -= 2.0 * e / h**3
+    c[2] += e / h**2
+    return PPoly(c, bid.grid)
+
+
 def schedule_defects(bid, weak, law, n_weak, thetas=GAUSS_THETAS):
     """Independent defect oracle: signed (b' - H(b, v)) / (1 + |H|) of a bid
     schedule at a + theta h of each interval [a, a + h] from its series-start
-    node on, through ``__call__``, scipy's derivative of the same spline and
+    node on, through ``__call__``, the derivative of ``schedule_ppoly`` and
     ``bid_ode_rhs``; one row per theta."""
-    deriv = CubicHermiteSpline(bid.grid, bid.values, bid.slopes).derivative()
+    deriv = schedule_ppoly(bid).derivative()
     a, h = bid.grid[1:-1], np.diff(bid.grid[1:])
     rows = []
     for theta in thetas:

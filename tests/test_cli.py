@@ -358,6 +358,22 @@ def test_mc_n_past_numpy_index_range_refused(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, n_weak, overrides", [
+    ("simulate", 10**20, {"mechanism": {"kind": "sa"}}),   # past numpy's index range
+    ("simulate", 10**9, {"mechanism": {"kind": "sa"}}),    # 74.5 GiB of uniforms per block
+    ("oa", 10**9, {}),
+])
+def test_n_weak_past_its_bound_refused(tmp_path, capsys, command, n_weak, overrides):
+    # each Monte Carlo block asks for 2^15 x (n_weak + 3) uniforms at once
+    cfg = base_config(n_weak=n_weak, mc={"n": 10, "seed": 7}, **overrides)
+    out = tmp_path / "o"
+    assert run([command, "--config", write_config(tmp_path, cfg), "--out-dir", str(out)]) == 2
+    (violation,) = json.loads(capsys.readouterr().err.strip())["error"]["violations"]
+    assert violation["path"] == "n_weak" and "at most 1000 weak bidders" in violation["message"]
+    assert not out.exists()
+    parse_config(base_config(n_weak=1000, mechanism={"kind": "sa"}))   # the bound itself
+
+
 def test_seed_override_parsed_with_the_config(tmp_path, capsys):
     # --seed goes into the config before its one check: out of range, it is
     # refused at mc.seed before anything is written

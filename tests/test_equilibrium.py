@@ -1,8 +1,11 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.interpolate import CubicHermiteSpline
 
@@ -24,7 +27,7 @@ from talab.equilibrium import (
 from talab.mechanisms import AuctionSpec, DiscreteAtomSpec, MechanismError
 from talab.sequences import make_family
 
-from conftest import beta_poly, bid_ode_rhs, schedule_defects
+from conftest import beta_poly, bid_ode_rhs, schedule_defects, schedule_ppoly
 
 
 @pytest.fixture(scope="module")
@@ -208,8 +211,8 @@ def test_underflow_after_accepted_step_names_no_gate(u01, u02, monkeypatch):
             calls.append(h)
             if len(calls) <= 14:
                 raise eq._OutOfBand
-            b5, _, k_end = step(v, b, h, k1)
-            return b5, b5 + 0.999e-13, k_end   # atol = 1e-13 at v_bar = 1
+            b5, _, k_end, e = step(v, b, h, k1)
+            return b5, b5 + 0.999e-13, k_end, e   # atol = 1e-13 at v_bar = 1
 
         return attempt
 
@@ -222,29 +225,71 @@ def test_underflow_after_accepted_step_names_no_gate(u01, u02, monkeypatch):
 
 @pytest.mark.parametrize("l", [1, 5, 8])
 def test_defect_gate_fails_a_perturbed_node(u01, l):
-    # the leading defect term is antisymmetric about the midpoint, where it
-    # vanishes. Nudge the slope at one node of the worst interval by 2 tol
-    # (1 + |H|) in the sign that grows both of its Gauss-point defects: the
-    # midpoint residual moves by about tol / 2 and stays under the gate, the
-    # Gauss-point defect passes it, and the solver's gate rejects the schedule
+    # a bump's slope (e/h) 2 theta (1 - theta)(1 - 2 theta) is antisymmetric
+    # about the midpoint, where it vanishes. Nudge the bump of the worst
+    # interval so that its slope at the first Gauss point, (e/h) sqrt(3)/9, is
+    # 2 tol (1 + |H|) in the sign of that point's defect: the residual at the
+    # midpoint barely moves, the Gauss-point defect passes the gate, and the
+    # solver's gate rejects the schedule
     tol = SolveOptions().residual_tolerance
     law = StrongBidLaw(make_family("slow_drain", 2.0, 2.5, 8).member(l), 0.0)
     bid, report = solve_ode(u01, law, 2)
     gauss = schedule_defects(bid, u01, law, 2)
     j = int(np.argmax(np.abs(gauss).max(axis=0)))   # interval [grid[j+1], grid[j+2]]
-    i, sign = (j + 1, 1.0) if j >= 1 else (j + 2, -1.0)   # an interior node past v0
-    slopes = bid.slopes.copy()
-    slopes[i] += sign * np.sign(gauss[0, j]) * 2.0 * tol * (1.0 + abs(slopes[i]))
-    nudged = BidFunction(bid.grid, bid.values, slopes)
+    h = bid.grid[j + 2] - bid.grid[j + 1]
+    bumps = bid.bumps.copy()
+    bumps[j + 1] += (np.sign(gauss[0, j]) * 2.0 * tol * (1.0 + abs(bid.slopes[j + 1]))
+                     * h / (math.sqrt(3.0) / 9.0))
+    nudged = BidFunction(bid.grid, bid.values, bid.slopes, bumps)
 
-    midpoint = np.abs(schedule_defects(nudged, u01, law, 2, (0.5,))).max()
-    assert midpoint <= tol                    # the midpoint gate passes it
+    moved = schedule_defects(nudged, u01, law, 2, (0.5,)) - schedule_defects(bid, u01, law, 2, (0.5,))
+    assert np.abs(moved).max() <= tol / 10    # a midpoint gate cannot see it
     assert np.abs(schedule_defects(nudged, u01, law, 2)).max() > tol
     rhs = eq._rhs_factory(u01, law, 2)
-    g, b, k = nudged.grid, nudged.values, nudged.slopes
-    gate = max(eq._gauss_defect(rhs, g[m], b[m], b[m + 1], k[m], k[m + 1], g[m + 1] - g[m])
+    g, b, k, e = nudged.grid, nudged.values, nudged.slopes, nudged.bumps
+    gate = max(eq._gauss_defect(rhs, g[m], b[m], b[m + 1], k[m], k[m + 1], g[m + 1] - g[m], e[m])
                for m in range(1, g.size - 1))
     assert gate > tol and report.max_ode_residual <= tol
+
+
+def test_bump_is_the_dormand_prince_continuous_extension(u01):
+    # scipy's RK45 dense output on one accepted step, from its own P matrix and
+    # the step's seven stages, against the cubic Hermite of the step plus
+    # e theta^2 (1 - theta)^2 and against the returned schedule
+    from scipy.integrate._ivp.rk import RK45
+
+    law = StrongBidLaw(make_family("slow_drain", 2.0, 2.5, 8).member(5), 0.0)
+    bid, _ = solve_ode(u01, law, 2)
+    m = bid.grid.size // 2
+    v, b, h, k1 = bid.grid[m], bid.values[m], bid.grid[m + 1] - bid.grid[m], bid.slopes[m]
+    rhs, stages = eq._rhs_factory(u01, law, 2), [k1]
+
+    def recording(x, y):
+        stages.append(rhs(x, y))
+        return stages[-1]
+
+    b5, _, k7, e = eq._dp_stepper(recording)(v, b, h, k1)
+    assert (b5, k7, e) == (bid.values[m + 1], bid.slopes[m + 1], bid.bumps[m])
+    assert e != 0.0
+    Q = np.asarray(stages) @ RK45.P
+    theta = np.linspace(0.1, 0.9, 9)
+    dense = b + h * sum(Q[j] * theta ** (j + 1) for j in range(4))
+    hermite = ((1 + 2 * theta) * (1 - theta) ** 2 * b + theta**2 * (3 - 2 * theta) * b5
+               + h * theta * (1 - theta) * ((1 - theta) * k1 - theta * k7))
+    assert np.abs(hermite + e * theta**2 * (1 - theta) ** 2 - dense).max() <= 1e-14 * b5
+    assert np.abs(bid(v + theta * h) - dense).max() <= 1e-14 * b5
+
+
+def test_step_floor_follows_v0(u01):
+    # from the atom start at v0 = 1e-11 this solve needs steps below 1e-12 v_bar;
+    # a floor of 1e-12 v_bar would stop it, the floor 1e-4 v0 lets it finish
+    law = StrongBidLaw(make_family("slow_drain", 2.0, 2.5, 13).member(11), 0.25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        bid, report = solve_ode(u01, law, 5)
+    assert report.v0 < 1e-9 and report.min_step < 1e-12
+    assert report.max_ode_residual <= SolveOptions().residual_tolerance
+    assert verify_best_response(bid, u01, law, 5).max_regret <= 1e-4
 
 
 def test_solution_extends_to_top(u01, bump_member):
@@ -257,22 +302,60 @@ def test_solution_extends_to_top(u01, bump_member):
 
 
 @pytest.mark.parametrize("slope, refused", [(-0.5, True), (-1e-12, True), (0.0, False),
-                                            (6.0, False), (6.0 + 1e-9, True), (12.0, True)])
+                                            (6.0, False), (6.0 + 1e-9, False), (7.0, False),
+                                            (8.0, False), (8.0 + 1e-9, True), (12.0, True)])
 def test_bid_function_monotone_slopes(slope, refused):
     # secant 2 on every interval; node 3's slope is an end slope of intervals 2
-    # and 3. Fritsch-Carlson: [0, 3 x secant] keeps the cubic monotone; a slope
-    # of -0.5 or 12 makes it turn down between nodes
+    # and 3, whose other end slope is 2. Fritsch and Carlson's box [0, 3 x secant]
+    # ends at 6; the cubic stays monotone up to 8 (at 8, b'(theta) = 2 (2 - 3 theta)^2
+    # on interval 3, touching zero), and the exact rule accepts up to 8. A slope
+    # of -0.5, 8 + 1e-9 or 12 makes the cubic turn down between nodes
     grid = np.linspace(0.0, 1.0, 6)
     slopes = np.full(6, 2.0)
     slopes[3] = slope
-    if slope in (-0.5, 12.0):
+    if slope in (-0.5, 7.0, 12.0):
         x = np.linspace(grid[2], grid[4], 2001)
-        assert np.any(np.diff(CubicHermiteSpline(grid, 2.0 * grid, slopes)(x)) < 0)
+        falls = np.diff(CubicHermiteSpline(grid, 2.0 * grid, slopes)(x)) < 0
+        assert np.any(falls) == refused
     if refused:
         with pytest.raises(EquilibriumError, match="monotone"):
             BidFunction(grid, 2.0 * grid, slopes)
     else:
         BidFunction(grid, 2.0 * grid, slopes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 12), st.randoms(use_true_random=False))
+def test_bid_function_accepts_fritsch_carlson_box(size, rnd):
+    # every cubic with each slope in [0, 3 x the secant] of its intervals, the
+    # box's corners and edges included, passes the exact rule with zero bumps
+    grid = np.cumsum([0.0] + [10.0 ** rnd.uniform(-12, 0) for _ in range(size)])
+    values = np.cumsum([0.0] + [10.0 ** rnd.uniform(-12, 1) for _ in range(size)])
+    secant = np.diff(values) / np.diff(grid)
+    top = 3.0 * np.minimum(np.append(secant, np.inf), np.insert(secant, 0, np.inf))
+    slopes = np.array([rnd.choice([0.0, t, rnd.uniform(0.0, t)]) for t in top])
+    BidFunction(grid, values, slopes)
+
+
+@pytest.mark.parametrize("bump, refused", [(0.0, False), (-2.0, False), (-3.0, True),
+                                           (2.0, False), (3.0, True)])
+def test_bid_function_monotone_bumps(bump, refused):
+    # end slopes 2 = the secant on every interval of width h = 0.2; a bump e on
+    # interval 2 adds (e/h) 2 theta (1 - theta)(1 - 2 theta) to b', whose
+    # extremes are +-(e/h) sqrt(3)/9: b' dips to 2 - 0.962 |e| inside, below 0
+    # at |e| = 3 while every end slope stays 2 and the node values rise
+    grid = np.linspace(0.0, 1.0, 6)
+    arrays = {"grid": grid, "values": 2.0 * grid, "slopes": np.full(6, 2.0),
+              "bumps": np.zeros(5)}
+    arrays["bumps"][2] = bump
+    x = np.linspace(grid[2], grid[3], 2001)
+    falls = np.diff(schedule_ppoly(SimpleNamespace(**arrays))(x)) < 0
+    assert np.any(falls) == refused
+    if refused:
+        with pytest.raises(EquilibriumError, match="monotone"):
+            BidFunction(**arrays)
+    else:
+        BidFunction(**arrays)
 
 
 def test_strength_warning():

@@ -119,7 +119,7 @@ def test_strong_eval3_matches_separate_calls(name, zero_bid_prob):
 def _tableau_stepper(rhs):
     """The Dormand-Prince attempt as a loop over the _DP_* rows with sum()."""
     A, C = equilibrium._DP_A, equilibrium._DP_C
-    B5, B4 = equilibrium._DP_B5, equilibrium._DP_B4
+    B5, B4, E = equilibrium._DP_B5, equilibrium._DP_B4, equilibrium._DP_E
 
     def step(v, b, h, k1):
         stage = [k1] + [0.0] * 6
@@ -128,7 +128,8 @@ def _tableau_stepper(rhs):
             stage[i] = rhs(v + C[i] * h, bi)
         b5 = b + h * sum(w * stage[i] for i, w in enumerate(B5) if w)
         b4 = b + h * sum(w * stage[i] for i, w in enumerate(B4) if w)
-        return b5, b4, stage[-1]
+        e = h * sum(w * stage[i] for i, w in enumerate(E) if w)
+        return b5, b4, stage[-1], e
 
     return step
 
@@ -148,7 +149,7 @@ def test_written_out_stages_match_tableau_loop(monkeypatch, u01, u02):
             for weak, law, n in cases:
                 bid, report = solve_ode(weak, law, n)
                 out.append((bid.grid.tobytes(), bid.values.tobytes(), bid.slopes.tobytes(),
-                            report))
+                            bid.bumps.tobytes(), report))
         return out
 
     fused = solve_all()

@@ -415,13 +415,13 @@ def test_reserve_closed_form_vs_monte_carlo(u01, u02):
 # estimate as hex floats, for U[0,1] weak against U[0,2] strong at N = 2:
 # 3 blocks of 2**15 replicates plus a ragged tail of 5. The path has no libm
 # call (affine inverse cdf, the exact schedule 4v/3 as a spline on a squared
-# grid, rules and hull lookups), so the bits hold on any IEEE-754 machine; an
-# engine change that moves one of them fails here.
+# grid evaluated by Horner's rule, rules and hull lookups), so the bits hold
+# on any IEEE-754 machine; an engine change that moves one of them fails here.
 ENGINE_PINS = {
-    "ta": "4b6ae34417b96ad23bac862f669644b4195740ae5ada8ba3fcf13586062214f2",
+    "ta": "bb1b85e976fa49e2207ee45eb25f60980865251536721b822f05f8fe44182aab",
     "sa": "78a1d10138536cb3b50186e6b3cb04509ae35fc57916725717c61d445425e2a3",
     "sa_reserve": "833d5c59fe927fe53b6fbfd677fbd2d013d6cd662b564b2d2e96e698951d65d5",
-    "ta_intervention": "34ab9104dffe41b3776b0b216be0eb2b0161fb4ba0effc3ca3397df0fc2d8fe7",
+    "ta_intervention": "c0f4caa0714146ffc7fb759b786b5bb6e0b7ddbfd86bb130f67846344783f792",
     "ta_discrete": "be9c5e0f16a641166cd3dba9646eeeff96790c7d37660a99fa7a3861655a1767",
 }
 OA_PIN = ("0x1.7f1ae6657ae41p-1", "0x1.c5c8be2c68dd2p-10")

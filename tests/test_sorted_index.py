@@ -1,6 +1,7 @@
 """The bucketed interval search against np.searchsorted, and the two lookups
 built on it (bid-spline evaluation, ironed virtual value) against the plain
-forms they replaced; scipy's CubicHermiteSpline is the bid spline's oracle."""
+forms they replaced; scipy's PPoly, built from its cubic Hermite spline and
+the bumps, is the bid schedule's oracle."""
 
 import warnings
 
@@ -15,6 +16,8 @@ from talab.dist import SortedIndex
 from talab.equilibrium import BidFunction, EquilibriumError, solve_ode
 from talab.myerson import QUANTILE_GRID_SIZE, ironed_virtual
 from talab.sequences import make_family
+
+from conftest import schedule_ppoly
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -108,29 +111,35 @@ def test_bid_function_equals_scipy_spline(name, weak, strong, n):
         warnings.simplefilter("ignore")
         bid, _ = solve_ode(weak, strong, n)
     g = bid.grid
-    spline = CubicHermiteSpline(g, bid.values, bid.slopes)
+    assert np.any(bid.bumps != 0.0)
+    spline = schedule_ppoly(bid)
     x = np.concatenate([
         g, 0.5 * (g[1:] + g[:-1]), np.nextafter(g, np.inf), np.nextafter(g, -np.inf),
         [-1.0, -1e-300, g[-1] + 1e-9, 2.0 * g[-1], np.inf, -np.inf],
     ])
     assert x.size > g.size                     # the indexed path, not the plain search
+    # Horner's rule and PPoly's sum of powers round differently: a few ulps
+    tol = 4.0 * np.spacing(bid.b_top)
     expect = spline(np.clip(x, g[0], g[-1]))
     got = bid(x)
-    assert np.array_equal(got.view(np.uint64), expect.view(np.uint64)), name
+    assert np.max(np.abs(got - expect)) <= tol, name
     for xi in x[::41]:                         # scalar calls: the plain search
-        assert bid(float(xi)) == float(spline(min(max(xi, g[0]), g[-1])))
+        assert bid(float(xi)) == got[np.flatnonzero(x == xi)[0]]
 
 
 @pytest.mark.parametrize("field, bad", [("grid", np.inf), ("values", np.inf),
-                                        ("slopes", np.nan), ("slopes", -np.inf)])
+                                        ("slopes", np.nan), ("slopes", -np.inf),
+                                        ("bumps", np.nan)])
 def test_bid_function_refuses_non_finite_nodes(field, bad):
     # scipy's spline refuses them too, but only on the first call
     grid = np.linspace(0.0, 1.0, 6)
-    arrays = {"grid": grid, "values": 2.0 * grid, "slopes": np.full(6, 2.0)}
+    arrays = {"grid": grid, "values": 2.0 * grid, "slopes": np.full(6, 2.0),
+              "bumps": np.zeros(5)}
     arrays[field] = arrays[field].copy()
     arrays[field][-1] = bad
-    with pytest.raises(ValueError):
-        CubicHermiteSpline(arrays["grid"], arrays["values"], arrays["slopes"])
+    if field != "bumps":
+        with pytest.raises(ValueError):
+            CubicHermiteSpline(arrays["grid"], arrays["values"], arrays["slopes"])
     with pytest.raises(EquilibriumError, match="must be finite"):
         BidFunction(**arrays)
 
