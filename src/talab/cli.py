@@ -334,7 +334,7 @@ def _report_lines(obj: dict) -> list[str]:
     if "accepted_steps" in obj:
         defect = obj["max_ode_residual"]
         lines.append("  solve: " + ("failed (step size underflow)" if defect is None
-                                    else f"max Gauss-point defect {defect:.3g}")
+                                    else f"max defect bound {defect:.3g}")
                      + f", series start v0 = {obj['v0']:.6g}")
         smallest = ("none" if obj["min_step"] is None
                     else "{min_step:.3g} at v = {min_step_v:.6g}".format(**obj))

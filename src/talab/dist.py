@@ -437,7 +437,11 @@ class DistributionSpec:
         x, w = self._quadrature
         return float(np.sum(w * self.pdf(x)))
 
-    def _interior_knots(self) -> list[float]:
+    def interior_knots(self) -> list[float]:
+        """The components' knots strictly inside the support, sorted: their
+        edges and pw_linear nodes, where the density or a derivative of it may
+        jump, and the inner points the quadrature's panels also end at (a
+        cosine bump's centre, a beta's mode)."""
         lo, hi = self.support.lo, self.support.hi
         ks = sorted({k for p in self.parts for k in p.knots() if lo < k < hi})
         return ks
@@ -452,7 +456,7 @@ class DistributionSpec:
         Gauss-Legendre, so that an integrand like y^(a-1) at a knot converges
         at a fixed cost: 1,000 nodes per panel, one vector call.
         """
-        knots = np.array([self.support.lo, *self._interior_knots(), self.support.hi])
+        knots = np.array([self.support.lo, *self.interior_knots(), self.support.hi])
         a, b = knots[:-1, None], knots[1:, None]
         half = 0.5 * (b - a)
         cuts = np.concatenate([[0.0], 2.0 ** np.arange(-_GRADING_LEVELS, 0.0)])

@@ -15,16 +15,21 @@ method's fourth-order continuous extension (Shampine, "Some practical
 Runge-Kutta formulas", Math. Comp. 46, 1986), built from the seven stages
 each step computes: on each interval the cubic Hermite interpolant of the
 accepted nodes and slopes plus one quartic bump. Each step is also gated on
-that quartic's defect |b' - H(b, v)| / (1 + |H|) at both Gauss points of the
-interval (Enright & Hayes, "Robust and reliable defect control for Runge-Kutta
-methods", ACM TOMS 33(1), 2007). The defect and the error estimate set the
-step size with one exponent, 1/5; ``max_ode_residual`` is the worst accepted
-defect. The tests check the solver against scipy's DOP853 started from the
-same series-start node, check the bump against the dense output of scipy's
-RK45 and recompute the defect from the returned schedule. An rhs evaluation sweeps each law's components once (``eval3_s``)
-and the stages are written out, with every floating-point operation of the
-separate cdf/pdf/partial_mean calls and of ``sum()`` over the tableau kept:
-the schedules are bit-identical to that form.
+a bound of that quartic's defect |b' - H(b, v)| / (1 + |H|) over the
+interval, from samples at both Gauss points and the midpoint (continuous
+defect control: Enright & Hayes, "Robust and reliable defect control for
+Runge-Kutta methods", ACM TOMS 33(1), 2007). The defect and the error estimate
+set the step size with one exponent, 1/5; ``max_ode_residual`` is the largest
+accepted bound. Where the bids reach a knot of the strong law, at which its
+density or a derivative of it may jump and H is not smooth, a step is cut to
+end just past the knot, and a step across a knot of either law is also gated
+on its defect at 31 points. The tests check the solver against scipy's DOP853
+started from the same series-start node, check the bump against the dense
+output of scipy's RK45 and recompute the defect from the returned schedule. An
+rhs evaluation sweeps each law's components once (``eval3_s``) and the stages
+are written out, with every floating-point operation of the separate
+cdf/pdf/partial_mean calls and of ``sum()`` over the tableau kept: the
+schedules are bit-identical to that form.
 
 ``verify_best_response`` checks the solved schedule against grid deviations of
 the reported value (and raw bids above b(v_bar)), which is the acceptance
@@ -40,6 +45,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -81,24 +87,18 @@ class InputError(ValueError):
         self.field = field
 
 
-MAX_WEAK_BIDDERS = 1000
-
-
 def check_weak_bidders(n_weak: int, error: type[InputError] = InputError, least: int = 2):
-    """Refuse fewer than ``least`` or more than ``MAX_WEAK_BIDDERS`` weak
-    bidders, as ``error`` naming ``n_weak``. The bid ODE, every mechanism and
-    every limit experiment but the optimal auction need two. A Monte Carlo
-    block holds 2^15 x (n_weak + 3) uniforms, 0.26 GB at the bound."""
+    """Refuse fewer than ``least`` weak bidders, as ``error`` naming ``n_weak``:
+    the bid ODE, every mechanism and every limit experiment but the optimal
+    auction need two."""
     if n_weak < least:
         raise error(f"need at least {least} weak bidders, got {n_weak}", "n_weak")
-    if n_weak > MAX_WEAK_BIDDERS:
-        raise error(f"at most {MAX_WEAK_BIDDERS} weak bidders, got {n_weak}", "n_weak")
 
 
 class BandEscape(EquilibriumError):
     """The step size fell below its floor. The message names the gate that
     rejected the last attempt (the band b <= v or m(b) >= v, the error estimate,
-    or the Gauss-point defect), or says that none was rejected since the last
+    or the defect bound), or says that none was rejected since the last
     accepted step; ``report`` holds the solver counters up to there
     (``max_ode_residual`` nan)."""
 
@@ -308,12 +308,12 @@ class BidFunction:
 
 @dataclass(frozen=True)
 class SolveReport:
-    max_ode_residual: float     # worst Gauss-point defect of the accepted steps
+    max_ode_residual: float     # largest defect bound of the accepted steps
     v0: float                   # series-start node
     accepted_steps: int         # grid size - 2
     rejected_error: int         # rejected attempts: error estimate over tolerance,
     rejected_band: int          # an rhs outside the band (or overflow, zero division),
-    rejected_residual: int      # the Gauss-point defect gate
+    rejected_residual: int      # the defect gate
     min_step: float             # smallest accepted step and its left end
     min_step_v: float
     warnings: tuple[str, ...] = ()
@@ -331,7 +331,7 @@ class BestResponseReport:
 class SolveOptions:
     v0_fraction: float = 1e-4
     rk_tolerance: float = 1e-10
-    residual_tolerance: float = 5e-7   # Gauss-point defect |b' - H| / (1 + |H|) gate
+    residual_tolerance: float = 5e-7   # gate on the bound of |b' - H| / (1 + |H|)
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +520,7 @@ def solve_ode(
     ks = [slope0, k0]
     es = [0.0]    # [0, v0] keeps the series start's cubic
 
+    b_knots, v_knots = law.dist.interior_knots(), weak.interior_knots()
     v, b = v0, b0
     k1 = ks[-1]
     h = v0
@@ -552,7 +553,23 @@ def solve_ode(
                 gate = "error-estimate"
                 h *= max(0.2, 0.9 * (scale / err) ** 0.2) if math.isfinite(err) else 0.5
                 continue
-            defect = _gauss_defect(rhs, v, b, b5, k1, k_end, h, e)
+            # a law's density or a derivative of it may jump at a knot, so H is
+            # not smooth across one and the bound's model fails there. A step
+            # whose bids cross a knot of the strong law well inside it is cut to
+            # end just past the point where the chord from b to b5 meets the
+            # knot; a step that still crosses a knot of either law is also gated
+            # on the defect sampled at 31 points
+            j = bisect_right(b_knots, b)
+            crossing = j < len(b_knots) and b_knots[j] < b5
+            if crossing:
+                th = (b_knots[j] - b) / (b5 - b)
+                if 2.0 ** -8 < th < 1.0 - 2.0 ** -8:
+                    h = (v + h * th * (1.0 + 2.0 ** -10)) - v
+                    continue
+            defect = _defect_bound(rhs, v, b, b5, k1, k_end, h, e)
+            if crossing or bisect_right(v_knots, v) != bisect_right(v_knots, v + h):
+                defect = max(defect, max(abs(_defect_at(rhs, v, b, b5, k1, k_end, h, e, p))
+                                         for p in _KNOT_POINTS))
         except (_OutOfBand, OverflowError, ZeroDivisionError):
             n_band += 1
             gate = "band"
@@ -585,26 +602,56 @@ def solve_ode(
                             min_h, min_h_v, tuple(notes))
 
 
+def _basis(th: float) -> tuple[float, ...]:
+    """theta and the weights of one schedule piece at it: b = b0 + w1 (b1 - b0)
+    + h (w2 k0 + w3 k1) + w4 e and b' = d1 (b1 - b0)/h + d2 k0 + d3 k1 + d4 e/h,
+    from the cubic Hermite basis and the bump theta^2 (1 - theta)^2."""
+    u = th * (1.0 - th)
+    return (th, th * th * (3.0 - 2.0 * th), u * (1.0 - th), -u * th, u * u,
+            6.0 * u, (1.0 - th) * (1.0 - 3.0 * th), th * (3.0 * th - 2.0),
+            2.0 * u * (1.0 - 2.0 * th))
+
+
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0   # Gauss points at theta = 1/2 -+ this
+_ODD_PEAK = 1.0 / (12.0 * math.sqrt(3.0))   # max of x (1/4 - x^2) on [0, 1/2]
+_GATE_POINTS = tuple(_basis(th) for th in (0.5 - _GAUSS_OFFSET, 0.5, 0.5 + _GAUSS_OFFSET))
+_KNOT_POINTS = tuple(_basis(j / 32.0) for j in range(1, 32))
 
 
-def _gauss_defect(rhs, v, b0, b1, k0, k1, h, e) -> float:
-    """max |b' - H(b, v)| / (1 + |H|) of the quartic schedule piece on
+def _defect_at(rhs, v, b0, b1, k0, k1, h, e, point) -> float:
+    """Signed (b' - H(b, v)) / (1 + |H|) of the schedule piece on [v, v + h] at
+    one ``_basis`` point."""
+    th, w1, w2, w3, w4, d1, d2, d3, d4 = point
+    hb = rhs(v + th * h, b0 + w1 * (b1 - b0) + h * (w2 * k0 + w3 * k1) + w4 * e)
+    return (d1 * (b1 - b0) / h + d2 * k0 + d3 * k1 + d4 * e / h - hb) / (1.0 + abs(hb))
+
+
+def _defect_bound(rhs, v, b0, b1, k0, k1, h, e) -> float:
+    """Bound on |b' - H(b, v)| / (1 + |H|) over the quartic schedule piece on
     [v, v + h]: the cubic Hermite interpolant of (v, b0, k0), (v + h, b1, k1)
-    plus e theta^2 (1 - theta)^2, at the two Gauss points of the interval.
+    plus e theta^2 (1 - theta)^2.
 
-    At theta(1 - theta) = 1/6 the Hermite basis reduces to
-    b = b0 + (4 theta/3 - 1/6) (b1 - b0) + h ((1 - theta) k0 - theta k1) / 6 and
-    b' = (b1 - b0)/h + (1/2 - theta)(k0 - k1); the bump adds e/36 to b and
-    (e/h)(1 - 2 theta)/3 to b'."""
-    worst = 0.0
-    for th in (0.5 - _GAUSS_OFFSET, 0.5 + _GAUSS_OFFSET):
-        bg = (b0 + (4.0 * th / 3.0 - 1.0 / 6.0) * (b1 - b0) + h * ((1.0 - th) * k0 - th * k1) / 6.0
-              + e / 36.0)
-        dg = (b1 - b0) / h + (0.5 - th) * (k0 - k1) + (e / h) * (1.0 - 2.0 * th) / 3.0
-        hg = rhs(v + th * h, bg)
-        worst = max(worst, abs(dg - hg) / (1.0 + abs(hg)))
-    return worst
+    The defect d vanishes at both ends, where the piece's slopes are H. It is
+    sampled at the Gauss points x = -+ g (x = theta - 1/2, g = sqrt(3)/6) and
+    at the midpoint, and modelled as d(x) = (1/4 - x^2)(a + beta x + c x^2)
+    through the three samples: where H is smooth over the step, the leading
+    defect term of a piece whose end data are fifth-order accurate has this
+    form. Its even part peaks at the midpoint or at the interior extremum of
+    (1/4 - y)(a + c y), y = x^2; its odd part, beta x (1/4 - x^2), at
+    x = 1/(2 sqrt 3). The sum of the two peaks bounds the model on the whole
+    interval and is at most twice its largest value. The cubic's leading term
+    is odd and peaks at the Gauss points; the quartic's has an even part too,
+    largest at the midpoint, which the Gauss points alone would miss."""
+    dl, dm, dr = (_defect_at(rhs, v, b0, b1, k0, k1, h, e, p) for p in _GATE_POINTS)
+    # a + beta x + c x^2 takes 6 dl, 4 dm, 6 dr at x = -g, 0, g (g^2 = 1/12)
+    a = 4.0 * dm
+    beta = 3.0 * (dr - dl) / _GAUSS_OFFSET
+    c = 12.0 * (3.0 * (dl + dr) - a)
+    even = 0.25 * abs(a)
+    y = (0.25 * c - a) / (2.0 * c) if c != 0.0 else 0.0
+    if 0.0 < y < 0.25:
+        even = max(even, abs((0.25 - y) * (a + c * y)))
+    return even + _ODD_PEAK * abs(beta)
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,23 @@ class DiscreteAtomSpec:
             raise MechanismError(f"atom value must be positive, got {self.k}", "k")
 
 
+# a Monte Carlo block holds _BLOCK_REPLICATES x (n_weak + STRIDE_EXTRA)
+# uniforms at once: 0.26 GB at this bound
+MAX_WEAK_BIDDERS = 1000
+
+
+def check_block_bidders(n_weak: int, error: type[InputError], least: int):
+    """Refuse fewer than ``least`` or more than ``MAX_WEAK_BIDDERS`` weak
+    bidders, as ``error`` naming ``n_weak``. The upper bound is checked where
+    Monte Carlo blocks are sized: every mechanism, the optimal-auction
+    benchmark and the limit experiments that run them. A solve alone allocates
+    no block and takes any count."""
+    check_weak_bidders(n_weak, error, least)
+    if n_weak > MAX_WEAK_BIDDERS:
+        raise error(f"at most {MAX_WEAK_BIDDERS} weak bidders in a Monte Carlo run, "
+                    f"got {n_weak}", "n_weak")
+
+
 def check_auction(kind: str, n_weak: int, weak: DistributionSpec, strong,
                   reserve: float | None = None, intervention_p: float | None = None):
     """Refuse an auction outside the model; the error's ``field`` names the
@@ -70,7 +87,7 @@ def check_auction(kind: str, n_weak: int, weak: DistributionSpec, strong,
     if kind not in MECHANISMS:
         raise MechanismError(f"unknown mechanism {kind!r}; expected one of {MECHANISMS}",
                              "kind")
-    check_weak_bidders(n_weak, MechanismError)
+    check_block_bidders(n_weak, MechanismError, 2)
     v_bar = weak.support.hi
 
     if kind == "sa_reserve":

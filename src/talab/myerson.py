@@ -21,9 +21,8 @@ from functools import cached_property
 import numpy as np
 
 from .dist import DistributionSpec, SortedIndex
-from .equilibrium import check_weak_bidders
-from .mechanisms import (STRIDE_EXTRA, MechanismError, RevenueEstimate, estimate, replicate_arrays,
-                         run_blocks)
+from .mechanisms import (STRIDE_EXTRA, MechanismError, RevenueEstimate, check_block_bidders,
+                         estimate, replicate_arrays, run_blocks)
 
 
 def virtual_value(d: DistributionSpec, x):
@@ -134,7 +133,7 @@ def single_buyer_reserve(d: DistributionSpec) -> dict:
 def check_oa(weak: DistributionSpec | None, strong: DistributionSpec | None, n_weak: int):
     """Refuse an optimal-auction benchmark with nothing to sell or a missing
     law; the error's ``field`` names the argument at fault."""
-    check_weak_bidders(n_weak, MechanismError, least=0)
+    check_block_bidders(n_weak, MechanismError, 0)
     if n_weak > 0 and weak is None:
         raise MechanismError("weak distribution required when n_weak > 0", "weak")
     if n_weak == 0 and strong is None:

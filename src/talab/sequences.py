@@ -53,7 +53,8 @@ from . import dist
 from .dist import DistributionSpec
 from .equilibrium import (InputError, SolveOptions, StrongBidLaw, check_weak_bidders, solve_ode,
                           verify_best_response)
-from .mechanisms import AuctionSpec, check_auction, sa_reserve_closed_form, simulate
+from .mechanisms import (AuctionSpec, check_auction, check_block_bidders, sa_reserve_closed_form,
+                         simulate)
 from .myerson import check_oa, oa_revenue
 
 PROPS = ("P4", "P5", "P6", "P7", "P8", "P9", "P10", "S8")
@@ -415,6 +416,8 @@ def check_experiment(prop: str, fam: FamilySpec, weak: DistributionSpec, n_weak:
     _require(k > v_bar, f"atom k={k} must exceed the weak support top {v_bar}", "fam.k")
     if prop == "P5":  # the optimal auction also sells to fewer weak bidders
         check_oa(weak, fam.member(1), n_weak)
+    elif prop in ("P4", "P6", "S8"):  # Monte Carlo tournaments
+        check_block_bidders(n_weak, ExperimentError, 2)
     else:
         check_weak_bidders(n_weak, ExperimentError)
     if prop == "S8":  # each row runs ta_intervention against a member

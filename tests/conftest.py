@@ -108,7 +108,7 @@ def quad_cdf(d, x):
     lo = d.support.lo
     if x <= lo:
         return 0.0
-    pts = [k for k in d._interior_knots() if k < x]
+    pts = [k for k in d.interior_knots() if k < x]
     val, _ = integrate.quad(d.pdf, lo, x, points=pts or None, limit=200,
                             epsabs=1e-13, epsrel=1e-11)
     return val
@@ -121,13 +121,15 @@ def quad_partial_mean(d, x):
     lo = d.support.lo
     if x <= lo:
         return 0.0
-    pts = [k for k in d._interior_knots() if k < x]
+    pts = [k for k in d.interior_knots() if k < x]
     val, _ = integrate.quad(lambda t: t * d.pdf(t), lo, x, points=pts or None,
                             limit=200, epsabs=1e-13, epsrel=1e-11)
     return val
 
 
-GAUSS_THETAS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+# where the solver samples each interval's defect: both Gauss points and the midpoint
+GATE_THETAS = (0.5 - math.sqrt(3.0) / 6.0, 0.5, 0.5 + math.sqrt(3.0) / 6.0)
+DENSE_THETAS = tuple(np.linspace(0.0, 1.0, 34)[1:-1])
 
 
 def schedule_ppoly(bid) -> PPoly:
@@ -143,7 +145,7 @@ def schedule_ppoly(bid) -> PPoly:
     return PPoly(c, bid.grid)
 
 
-def schedule_defects(bid, weak, law, n_weak, thetas=GAUSS_THETAS):
+def schedule_defects(bid, weak, law, n_weak, thetas=GATE_THETAS):
     """Independent defect oracle: signed (b' - H(b, v)) / (1 + |H|) of a bid
     schedule at a + theta h of each interval [a, a + h] from its series-start
     node on, through ``__call__``, the derivative of ``schedule_ppoly`` and
@@ -157,3 +159,17 @@ def schedule_defects(bid, weak, law, n_weak, thetas=GAUSS_THETAS):
                       for v, b in zip(x, bid(x))])
         rows.append((deriv(x) - H) / (1.0 + np.abs(H)))
     return np.array(rows)
+
+
+def defect_model_sup(samples) -> np.ndarray:
+    """Per interval, the largest |d| on a fine grid of the degree-4 defect model
+    d(theta) = theta (1 - theta) q(theta), q quadratic, that takes the three
+    ``schedule_defects`` rows at ``GATE_THETAS``: the model the solver bounds,
+    evaluated through Lagrange weights rather than the solver's closed form."""
+    t = np.asarray(GATE_THETAS)
+    theta = np.linspace(0.0, 1.0, 2001)[:, None]
+    weights = [np.prod([(theta - t[m]) / (t[j] - t[m]) for m in range(3) if m != j], axis=0)
+               * theta * (1.0 - theta) / (t[j] * (1.0 - t[j])) for j in range(3)]
+    model = sum(w * np.asarray(samples)[j] for j, w in enumerate(weights))
+    return np.abs(model).max(axis=0)
+

@@ -42,7 +42,8 @@ from talab.sequences import (
     run_limit_experiment,
 )
 
-from conftest import beta_poly, bid_ode_rhs, schedule_defects, schedule_ppoly
+from conftest import (DENSE_THETAS, beta_poly, bid_ode_rhs, defect_model_sup, schedule_defects,
+                      schedule_ppoly)
 
 K = 2.0
 W_BAR = 2.5
@@ -207,13 +208,17 @@ def test_criterion_5_solver_cross_validation(reference_cases):
 
 
 def test_criterion_5_reported_defect_is_the_schedules(u01, criterion5_solves):
-    # max_ode_residual is the Gauss-point defect of the schedule the solver
-    # returns, recomputed here from the schedule alone, and within the gate
+    # max_ode_residual bounds the defect of the schedule the solver returns:
+    # recomputed from the schedule alone, through the model the gate fits to
+    # its three samples and at 32 points of every interval, the defect stays
+    # within it, and it stays within the gate. The bound (even peak plus odd
+    # peak) is at most twice the model's largest value
     tol = SolveOptions().residual_tolerance
     for name, law, n_weak, bid, rep in criterion5_solves:
-        defect = np.abs(schedule_defects(bid, u01, law, n_weak)).max()
-        assert abs(defect - rep.max_ode_residual) <= 1e-9, name
-        assert defect <= tol, (name, defect)
+        model = defect_model_sup(schedule_defects(bid, u01, law, n_weak)).max()
+        dense = np.abs(schedule_defects(bid, u01, law, n_weak, DENSE_THETAS)).max()
+        assert max(model, dense) <= rep.max_ode_residual <= tol, (name, model, dense)
+        assert rep.max_ode_residual <= 2.0 * model, name
 
 
 # fast_drain members 6-8 with no zero-bid atom, where the series start meets a
@@ -239,8 +244,9 @@ def test_atom_edge_cases_solve(u01, kind, l, zero, n_weak):
             assert reference_gap(bid, ref, bid.grid[1]) <= 1e-3   # criterion 5's bound
 
 
-# solves that the cubic schedule's step control could not finish (each raised
-# BandEscape): the quartic's defect, gated like the error estimate, lets them
+# solves that stopped with BandEscape under the cubic schedule's Gauss-point
+# gate: the quartic schedule, whose steps are cut just past the strong law's
+# knots, finishes them within the defect bound
 NEWLY_FINISHED = (
     [("fast_drain", 11, 0.0, n) for n in (2, 3, 5, 8)]
     + [("slow_drain", 12, 0.0, 3), ("slow_drain", 12, 0.0, 8), ("split_atom", 12, 0.25, 2)]
@@ -254,9 +260,9 @@ def test_deep_members_solve(u01, kind, l, zero, n_weak):
         warnings.simplefilter("ignore", RuntimeWarning)
         bid, rep = solve_ode(u01, law, n_weak)
         assert verify_best_response(bid, u01, law, n_weak).max_regret <= 1e-4
-    assert rep.max_ode_residual <= SolveOptions().residual_tolerance
-    defect = np.abs(schedule_defects(bid, u01, law, n_weak)).max()
-    assert defect <= SolveOptions().residual_tolerance
+    model = defect_model_sup(schedule_defects(bid, u01, law, n_weak)).max()
+    dense = np.abs(schedule_defects(bid, u01, law, n_weak, DENSE_THETAS)).max()
+    assert max(model, dense) <= rep.max_ode_residual <= SolveOptions().residual_tolerance
 
 
 def test_family_grid_schedules_are_monotone(u01):
@@ -279,7 +285,7 @@ def test_family_grid_schedules_are_monotone(u01):
                 g = bid.grid
                 slope = schedule_ppoly(bid).derivative()(g[:-1] + theta * np.diff(g))
                 assert np.all(slope >= 0.0), (kind, l, n_weak, zero)
-    assert solved >= 374
+    assert solved >= 390
 
 
 def test_criterion_5_rejects_scaled_schedule(reference_cases):

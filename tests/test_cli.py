@@ -362,6 +362,7 @@ def test_mc_n_past_numpy_index_range_refused(tmp_path, capsys):
     ("simulate", 10**20, {"mechanism": {"kind": "sa"}}),   # past numpy's index range
     ("simulate", 10**9, {"mechanism": {"kind": "sa"}}),    # 74.5 GiB of uniforms per block
     ("oa", 10**9, {}),
+    ("sweep", 10**9, {"strong": {"family": _SLOW3}, "sweep": {"prop": "P6"}}),
 ])
 def test_n_weak_past_its_bound_refused(tmp_path, capsys, command, n_weak, overrides):
     # each Monte Carlo block asks for 2^15 x (n_weak + 3) uniforms at once
@@ -372,6 +373,13 @@ def test_n_weak_past_its_bound_refused(tmp_path, capsys, command, n_weak, overri
     assert violation["path"] == "n_weak" and "at most 1000 weak bidders" in violation["message"]
     assert not out.exists()
     parse_config(base_config(n_weak=1000, mechanism={"kind": "sa"}))   # the bound itself
+
+
+def test_solve_takes_more_weak_bidders_than_monte_carlo(tmp_path, capsys):
+    # a solve sizes no Monte Carlo block, so the block bound does not apply
+    cfg = base_config(n_weak=1001)
+    assert run(["solve", "--config", write_config(tmp_path, cfg),
+                "--out-dir", str(tmp_path / "o")]) == 0
 
 
 def test_seed_override_parsed_with_the_config(tmp_path, capsys):
@@ -510,7 +518,7 @@ def test_report_renders_solve_counters(tmp_path, capsys):
     text = capsys.readouterr().out
     assert f"steps: {rep['accepted_steps']} accepted" in text
     assert f"{rep['rejected_residual']} defect" in text
-    assert f"max Gauss-point defect {rep['max_ode_residual']:.3g}" in text
+    assert f"max defect bound {rep['max_ode_residual']:.3g}" in text
     assert "series start v0" in text
 
 

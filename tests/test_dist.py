@@ -318,7 +318,7 @@ _QUADRATURE_CASES = (
 
 
 def _adaptive(d, fn):
-    val, _ = integrate.quad(fn, d.support.lo, d.support.hi, points=d._interior_knots() or None,
+    val, _ = integrate.quad(fn, d.support.lo, d.support.hi, points=d.interior_knots() or None,
                             limit=200, epsabs=1e-12, epsrel=1e-10)
     return val
 
