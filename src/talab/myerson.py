@@ -75,29 +75,55 @@ class VirtualValueFn:
 QUANTILE_GRID_SIZE = 20_000   # intervals of the quantile grid under the hull
 
 
+def _upper_hull(s: np.ndarray, r: np.ndarray) -> list[int]:
+    """Indices of the upper concave hull of the polyline (s, r), s ascending, by
+    Andrew's monotone chain (Inf. Process. Lett. 9(5), 1979).
+
+    The chain tests each point k against the top two of its stack. The test of
+    k against k - 2 and k - 1 is computed for every k in one numpy pass, by the
+    chain's expression in the chain's order, so it has the same bits. Where the
+    top two are k - 2 and k - 1 and that turn is right (cross < 0), the chain
+    pushes k without popping, and then each later point up to the next turn
+    that is not right: that run is pushed at once. So the Python loop runs once
+    per pop and once per run, not once per point.
+    """
+    n = s.size
+    crosses = (s[1:-1] - s[:-2]) * (r[2:] - r[:-2]) - (r[1:-1] - r[:-2]) * (s[2:] - s[:-2])
+    right = np.zeros(n, dtype=bool)
+    right[2:] = crosses < 0.0
+    # stop[k]: the first j >= k whose turn is not right, or n; stop[k] > k iff k's is
+    stop = np.minimum.accumulate(np.where(right, n, np.arange(n))[::-1])[::-1]
+    # Items of a memoryview are Python scalars, whose arithmetic here is about 3x
+    # faster than numpy scalars'; unlike tolist(), it does not hold all of them.
+    stop, sl, rl = memoryview(stop), memoryview(s), memoryview(r)
+    idx: list[int] = []
+    k = 0
+    while k < n:
+        j = stop[k]
+        if j > k and idx[-1] == k - 1 and idx[-2] == k - 2:
+            idx.extend(range(k, j))
+            k = j
+            continue
+        sk, rk = sl[k], rl[k]
+        while len(idx) >= 2:
+            a, b = idx[-2], idx[-1]
+            cross = (sl[b] - sl[a]) * (rk - rl[a]) - (rl[b] - rl[a]) * (sk - sl[a])
+            if cross >= 0:  # keeping b would dent the hull
+                idx.pop()
+            else:
+                break
+        idx.append(k)
+        k += 1
+    return idx
+
+
 def ironed_virtual(d: DistributionSpec) -> VirtualValueFn:
     """Upper concave hull of R(s) = x(s) * s on a uniform quantile grid."""
     q = np.linspace(0.0, 1.0, QUANTILE_GRID_SIZE + 1)
     x = d.quantile(q)
     s = 1.0 - q[::-1]          # ascending 0 .. 1
     r = x[::-1] * s            # exact posted-price revenue at each grid point
-
-    # monotone-chain upper hull over the (s, r) polyline. Items of a memoryview
-    # are Python floats, whose arithmetic here is about 3x faster than numpy
-    # scalars'; unlike tolist(), it does not hold all of them at once.
-    sl, rl = memoryview(s), memoryview(r)
-    idx: list[int] = []
-    for i in range(len(sl)):
-        si, ri = sl[i], rl[i]
-        while len(idx) >= 2:
-            a, b = idx[-2], idx[-1]
-            cross = (sl[b] - sl[a]) * (ri - rl[a]) - (rl[b] - rl[a]) * (si - sl[a])
-            if cross >= 0:  # keeping b would dent the hull
-                idx.pop()
-            else:
-                break
-        idx.append(i)
-    keep = np.asarray(idx)
+    keep = np.asarray(_upper_hull(s, r))
     hs = s[keep]
     hr = r[keep]
     slopes = np.diff(hr) / np.diff(hs)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy.interpolate import CubicHermiteSpline, PPoly
 
 from talab import dist
@@ -52,6 +53,35 @@ def bid_ode_rhs(b: float, v: float, weak, strong, n_weak: int) -> float:
         return eq._rhs_factory(weak, eq.as_strong_law(strong), n_weak)(v, b)
     except eq._OutOfBand:
         raise eq.EquilibriumError(f"(b, v)=({b}, {v}) outside the bid band") from None
+
+
+@st.composite
+def components(draw, top):
+    kind = draw(st.sampled_from(["uniform", "cosine_bump", "beta_poly", "pw_linear"]))
+    if kind == "cosine_bump":
+        s = draw(st.floats(0.01 * top, 0.5 * top))
+        c = draw(st.floats(s, top - s))
+        return dist.cosine_bump(c, s)
+    lo = draw(st.floats(0.0, 0.8 * top))
+    hi = draw(st.floats(lo + 0.1 * top, top))
+    if kind == "uniform":
+        return dist.uniform(lo, hi)
+    if kind == "beta_poly":
+        a, b = draw(st.floats(1.0, 4.0)), draw(st.floats(1.0, 4.0))
+        return beta_poly(lo, hi, a, b)
+    ys = draw(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=5)
+              .filter(lambda v: sum(v) > 0.1))
+    return piecewise_linear(np.linspace(lo, hi, len(ys)), ys)
+
+
+@st.composite
+def mixtures(draw):
+    top = draw(st.floats(0.5, 3.0))
+    parts = draw(st.lists(components(top), min_size=1, max_size=4))
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=len(parts),
+                               max_size=len(parts))))
+    w /= w.sum()
+    return dist.mixture(list(zip(w.tolist(), parts)))
 
 
 @pytest.fixture(scope="session")

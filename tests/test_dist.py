@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy import integrate
 
 from talab import dist
@@ -10,7 +11,8 @@ from talab.dist import DistributionError
 from talab.rng import uniform_stream
 from talab.sequences import FAMILY_KINDS, make_family
 
-from conftest import beta_poly, piecewise_linear, quad_cdf, quad_partial_mean, to_json_dict
+from conftest import (beta_poly, mixtures, piecewise_linear, quad_cdf, quad_partial_mean,
+                      to_json_dict)
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +69,20 @@ def test_partial_mean_matches_quadrature(test_distributions):
         lo, hi = d.support.lo, d.support.hi
         for x in np.linspace(lo + 0.11 * (hi - lo), hi, 5):
             assert d.partial_mean(x) == pytest.approx(quad_partial_mean(d, x), abs=1e-8), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixtures())
+def test_scalar_cdf_and_partial_mean_on_random_mixtures(d):
+    # 41 even points plus the interior knots, where the density or its slope may
+    # jump; the quadrature oracles split at the knots below each point
+    xs = np.union1d(np.linspace(d.support.lo, d.support.hi, 41), d.interior_knots()).tolist()
+    cdf = [d.cdf(x) for x in xs]
+    pm = [d.partial_mean(x) for x in xs]
+    assert np.all(np.diff(cdf) >= 0.0)
+    assert np.all(np.diff(pm) >= 0.0)
+    assert max(abs(f - quad_cdf(d, x)) for f, x in zip(cdf, xs)) <= 1e-9
+    assert max(abs(m - quad_partial_mean(d, x)) for m, x in zip(pm, xs)) <= 1e-9
 
 
 def test_uniform_pdf_examples(u01):

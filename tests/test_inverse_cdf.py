@@ -1,19 +1,20 @@
 """The inverse cdf (table bracket + safeguarded Newton) against the bisection it
-replaced, and its contract on random mixtures."""
+replaced, and its contract on random mixtures; cost guards of the cdf table
+and of the revenue-curve hull built from the inverse cdf."""
 
 import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from talab import dist
 from talab.mechanisms import AuctionSpec, simulate_draws
+from talab.myerson import QUANTILE_GRID_SIZE, ironed_virtual
 from talab.rng import uniform_stream
 from talab.sequences import make_family
 
-from conftest import beta_poly, piecewise_linear, to_json_dict
+from conftest import beta_poly, mixtures, piecewise_linear, to_json_dict
 
 K, W_BAR = 2.0, 2.5
 F_TOL = 1e-12           # |F(Q(u)) - u|
@@ -127,6 +128,43 @@ def test_table_build_is_cheap(laws):
         assert min(times) < 2e-3, name
 
 
+def _memoryview_hull_loop(s, r):
+    """The monotone chain with one Python step per grid point, in Python-float
+    arithmetic: the baseline the hull's cost is measured against."""
+    sl, rl = memoryview(s), memoryview(r)
+    idx: list[int] = []
+    for i in range(len(sl)):
+        si, ri = sl[i], rl[i]
+        while len(idx) >= 2:
+            a, b = idx[-2], idx[-1]
+            cross = (sl[b] - sl[a]) * (ri - rl[a]) - (rl[b] - rl[a]) * (si - sl[a])
+            if cross >= 0:  # keeping b would dent the hull
+                idx.pop()
+            else:
+                break
+        idx.append(i)
+    return idx
+
+
+def test_uniform_hull_is_cheap(u01):
+    # every grid point of U[0,1]'s revenue curve is a hull vertex, one run of
+    # right turns: ironing it costs about 0.1 of the per-point loop on the same
+    # curve; best of five each, so host speed and a busy host cancel
+    q = np.linspace(0.0, 1.0, QUANTILE_GRID_SIZE + 1)
+    s = 1.0 - q[::-1]
+    r = u01.quantile(q)[::-1] * s
+
+    def best(fn, *args):
+        times = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            fn(*args)
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
+    assert best(ironed_virtual, u01) < best(_memoryview_hull_loop, s, r) / 3.0
+
+
 def test_simulate_thread_invariant(floored_mixture):
     strong = make_family("slow_drain", K, W_BAR, 8).member(8)
     spec = AuctionSpec("sa", 2, floored_mixture, strong)
@@ -139,35 +177,6 @@ def test_simulate_thread_invariant(floored_mixture):
 # ---------------------------------------------------------------------------
 # properties on random mixtures
 # ---------------------------------------------------------------------------
-
-
-@st.composite
-def components(draw, top):
-    kind = draw(st.sampled_from(["uniform", "cosine_bump", "beta_poly", "pw_linear"]))
-    if kind == "cosine_bump":
-        s = draw(st.floats(0.01 * top, 0.5 * top))
-        c = draw(st.floats(s, top - s))
-        return dist.cosine_bump(c, s)
-    lo = draw(st.floats(0.0, 0.8 * top))
-    hi = draw(st.floats(lo + 0.1 * top, top))
-    if kind == "uniform":
-        return dist.uniform(lo, hi)
-    if kind == "beta_poly":
-        a, b = draw(st.floats(1.0, 4.0)), draw(st.floats(1.0, 4.0))
-        return beta_poly(lo, hi, a, b)
-    ys = draw(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=5)
-              .filter(lambda v: sum(v) > 0.1))
-    return piecewise_linear(np.linspace(lo, hi, len(ys)), ys)
-
-
-@st.composite
-def mixtures(draw):
-    top = draw(st.floats(0.5, 3.0))
-    parts = draw(st.lists(components(top), min_size=1, max_size=4))
-    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=len(parts),
-                               max_size=len(parts))))
-    w /= w.sum()
-    return dist.mixture(list(zip(w.tolist(), parts)))
 
 
 PROPERTY_LEVELS = np.concatenate([[0.0], np.sort(uniform_stream(5, 0, 2000)), [1.0]])

@@ -3,12 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from talab import dist
 from talab.mechanisms import STRIDE_EXTRA
 from talab.myerson import (
     QUANTILE_GRID_SIZE,
+    _upper_hull,
     ironed_virtual,
     oa_revenue,
     regularity_check,
@@ -16,7 +19,7 @@ from talab.myerson import (
     virtual_value,
 )
 from talab.rng import uniform_block
-from talab.sequences import make_family
+from talab.sequences import FAMILY_KINDS, make_family
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +82,8 @@ def test_ironed_nondecreasing(two_bump):
 
 
 def hull_indices_reference(s, r):
-    """Monotone-chain upper hull of (s, r) in numpy scalar arithmetic."""
+    """Monotone-chain upper hull of (s, r) in numpy scalar arithmetic, one
+    step per point: the oracle of ``_upper_hull``."""
     idx = []
     for i in range(s.size):
         while len(idx) >= 2:
@@ -93,16 +97,44 @@ def hull_indices_reference(s, r):
     return np.asarray(idx)
 
 
-def test_hull_matches_numpy_scalar_loop(two_bump):
-    for d in (two_bump, make_family("slow_drain", 2.0, 2.5, 8).member(5)):
+def test_hull_matches_numpy_scalar_loop(two_bump, u01, u02, gap_mixture):
+    # gap_mixture's flat quantile stretch puts collinear points on the curve
+    laws = [two_bump, u01, u02, gap_mixture]
+    for kind in FAMILY_KINDS:
+        laws += make_family(kind, 2.0, 2.5, 13).members()
+    for d in laws:
         iv = ironed_virtual(d)
         q = np.linspace(0.0, 1.0, QUANTILE_GRID_SIZE + 1)
         s = 1.0 - q[::-1]
         r = d.quantile(q)[::-1] * s
         keep = hull_indices_reference(s, r)
+        assert _upper_hull(s, r) == keep.tolist()
         # the grid s is strictly increasing, so the breakpoints give the indices
         assert np.array_equal(np.searchsorted(s, iv.hull_s), keep[:-1])
         assert np.array_equal(iv.hull_slopes, np.diff(r[keep]) / np.diff(s[keep]))
+
+
+@st.composite
+def polylines(draw):
+    """Ascending s and r on a 1/4 grid, so exact ties (cross == 0, which pops)
+    occur; or a concave run, one run of right turns, closed by a last point
+    above all the others."""
+    n = draw(st.integers(2, 40))
+    s = np.cumsum(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))) / 4.0
+    if draw(st.booleans()):
+        r = np.array(draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n))) / 4.0
+    else:
+        c = draw(st.sampled_from(s.tolist()))
+        r = -((s - c) ** 2)                 # exact on the 1/16 grid
+        r[-1] = 4.0 * np.abs(r).max() + 1.0
+    return s, r
+
+
+@settings(max_examples=500, deadline=None)
+@given(polylines())
+def test_hull_matches_loop_on_small_polylines(sr):
+    s, r = sr
+    assert _upper_hull(s, r) == hull_indices_reference(s, r).tolist()
 
 
 def oa_revenue_by_value(weak, strong, n_weak, n, seed, block=1 << 15):
