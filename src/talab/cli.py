@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: solve, verify, simulate, oa, sweep, check-family, report.
-Each run reads and checks its config once, then a subcommand computes and
+Each run reads and checks its config once, for its subcommand (``load_config``
+refuses all that the config decides), then the subcommand only computes and
 writes its files through the run's ``Outputs`` (which names them). Files are
 written atomically (temp file + rename), and bodies contain nothing volatile,
 so reruns with the same config are byte-identical. Wall-clock metadata goes
@@ -22,7 +23,6 @@ import math
 import os
 import sys
 import time
-import warnings
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .equilibrium import (
     EquilibriumError,
     InputError,
     StrongBidLaw,
-    check_weak_bidders,
     solve_ode,
     verify_best_response,
 )
@@ -119,35 +118,6 @@ def _estimate_dict(est) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _require(cfg_value, name: str):
-    if cfg_value is None:
-        raise ConfigError([(name, "required for this subcommand")])
-    return cfg_value
-
-
-def _config_rule(paths: dict[str, str], fn, *args, **kwargs):
-    """fn(*args, **kwargs); a refusal of a field in ``paths`` is a config error
-    at that field's path, any other refusal propagates."""
-    try:
-        return fn(*args, **kwargs)
-    except InputError as exc:
-        if exc.field not in paths:
-            raise
-        raise ConfigError([(paths[exc.field], str(exc))]) from exc
-
-
-_N_WEAK = {"n_weak": "n_weak"}
-_MC_N = {"n": "mc.n"}
-
-
-def _solve_bid(cfg: ExperimentConfig, strong):
-    """(bid, report, the solver's warnings) of solve_ode against strong."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", RuntimeWarning)
-        bid, report = solve_ode(cfg.weak, strong, cfg.n_weak, cfg.solver)
-    return bid, report, [str(w.message) for w in caught]
-
-
 def _solve_report_dict(report) -> dict:
     # a failed solve reports a nan defect (and an inf smallest step if it
     # accepted none); JSON has neither, so they are written as null
@@ -161,11 +131,8 @@ def _solve_and_write(cfg: ExperimentConfig, out: Outputs) -> tuple[BidFunction, 
     """Solve against ``strong.dist`` and write the bid outputs. A solve that
     stops on a step-size underflow still writes its solve report (counters up
     to the failure, ``max_ode_residual`` null) before the error propagates."""
-    _require(cfg.weak, "weak")
-    strong = _require(cfg.strong_dist, "strong.dist")
-    _config_rule(_N_WEAK, check_weak_bidders, cfg.n_weak)
     try:
-        bid, report, notes = _solve_bid(cfg, strong)
+        bid, report = solve_ode(cfg.weak, cfg.strong_dist, cfg.n_weak, cfg.solver)
     except BandEscape as exc:
         if exc.report is not None:
             out.json("solve_report", "solve_report", _solve_report_dict(exc.report))
@@ -173,7 +140,7 @@ def _solve_and_write(cfg: ExperimentConfig, out: Outputs) -> tuple[BidFunction, 
     out.csv("bid_csv", "bid_function", ["v", "b", "b_prime"], bid.csv_rows())
     out.json("bid_json", "bid_function", {"bid_function": bid.to_json_dict()})
     out.json("solve_report", "solve_report", _solve_report_dict(report))
-    return bid, notes
+    return bid, list(report.warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +173,7 @@ def cmd_verify(cfg: ExperimentConfig, args, out: Outputs) -> list[str]:
 
 
 def cmd_simulate(cfg: ExperimentConfig, args, out: Outputs) -> list[str]:
-    # parse_config has run check_auction on the mechanism once weak is given
-    _require(cfg.weak, "weak")
-    mechanism = _require(cfg.mechanism, "mechanism.kind")
+    mechanism = cfg.mechanism
     if args.per_draw and cfg.mc_n > 10_000:
         raise ConfigError([("mc.n", "per-draw output is limited to n <= 10000")])
     strong = cfg.strong_atom if mechanism == "ta_discrete" else cfg.strong_dist
@@ -217,11 +182,11 @@ def cmd_simulate(cfg: ExperimentConfig, args, out: Outputs) -> list[str]:
         law = strong
         if mechanism == "ta_intervention":
             law = StrongBidLaw(strong, zero_bid_prob=1.0 - cfg.intervention_p)
-        bid, _, notes = _solve_bid(cfg, law)
+        bid, report = solve_ode(cfg.weak, law, cfg.n_weak, cfg.solver)
+        notes = list(report.warnings)
     spec = AuctionSpec(mechanism, cfg.n_weak, cfg.weak, strong, reserve=cfg.reserve,
                        intervention_p=cfg.intervention_p, bid_fn=bid)
-    rev, sur = _config_rule(_MC_N, simulate_draws, spec, cfg.mc_n, cfg.mc_seed,
-                            threads=args.threads)
+    rev, sur = simulate_draws(spec, cfg.mc_n, cfg.mc_seed, threads=args.threads)
     out.json("result", "simulate", {
         "mechanism": mechanism,
         "revenue": _estimate_dict(estimate(rev, cfg.mc_seed)),
@@ -236,14 +201,7 @@ def cmd_simulate(cfg: ExperimentConfig, args, out: Outputs) -> list[str]:
 def cmd_oa(cfg: ExperimentConfig, args, out: Outputs) -> list[str]:
     strong = cfg.strong_dist
     weak = cfg.weak
-    if cfg.strong_atom is not None or cfg.family is not None:
-        raise ConfigError([("strong.dist",
-                            "oa needs a continuous strong distribution "
-                            "(use sweep P5 for family benchmarks)")])
-    # oa_revenue runs check_oa before it allocates the replicates
-    est = _config_rule({**_N_WEAK, **_MC_N, "weak": "weak", "strong": "strong.dist"},
-                       oa_revenue, weak, strong, cfg.n_weak, cfg.mc_n, cfg.mc_seed,
-                       threads=args.threads)
+    est = oa_revenue(weak, strong, cfg.n_weak, cfg.mc_n, cfg.mc_seed, threads=args.threads)
     out.json("result", "oa", {
         "revenue": est.mean,
         "se": est.std_error,
@@ -260,13 +218,10 @@ _TABLE_HEADER = ["l", "R_mean", "R_se", "S_mean", "S_se", "target", "gap",
 
 
 def cmd_sweep(cfg: ExperimentConfig, args, out: Outputs) -> list[str]:
-    _require(cfg.weak, "weak")
-    fam = _require(cfg.family, "strong.family")
-    prop = _require(cfg.sweep_prop, "sweep.prop")
-    table = _config_rule(_MC_N, run_limit_experiment, prop, fam, cfg.weak, cfg.n_weak,
-                         rule=cfg.sweep_rule, n=cfg.mc_n, seed=cfg.mc_seed,
-                         threads=args.threads, intervention_p=cfg.sweep_intervention_p,
-                         solver=cfg.solver)
+    table = run_limit_experiment(cfg.sweep_prop, cfg.family, cfg.weak, cfg.n_weak,
+                                 rule=cfg.sweep_rule, n=cfg.mc_n, seed=cfg.mc_seed,
+                                 threads=args.threads, intervention_p=cfg.sweep_intervention_p,
+                                 solver=cfg.solver)
     rows = [r.as_dict() for r in table.rows]
     out.csv("table", "sweep_table", _TABLE_HEADER,
             ([row[k] for k in _TABLE_HEADER] for row in rows))
@@ -284,9 +239,8 @@ def cmd_sweep(cfg: ExperimentConfig, args, out: Outputs) -> list[str]:
 def cmd_check_family(cfg: ExperimentConfig, args, out: Outputs) -> list[str]:
     from .sequences import check_atom_convergence, check_low_drain
 
-    fam = _require(cfg.family, "strong.family")
-    atom = check_atom_convergence(fam)
-    drain = check_low_drain(fam)
+    atom = check_atom_convergence(cfg.family)
+    drain = check_low_drain(cfg.family)
     out.json("result", "family_checks", {
         "atom_convergence": {"tol": atom["tol"], "masses": atom["masses"],
                              "passed": atom["passed"]},
@@ -374,6 +328,18 @@ _DISPATCH = {
 }
 
 
+def _dispatch(cfg: ExperimentConfig, args, out: Outputs) -> list[str]:
+    """The subcommand's warnings. The one refusal of a config that only a run
+    can make, an ``mc.n`` whose per-replicate outputs cannot be allocated, is
+    filed at ``mc.n``."""
+    try:
+        return _DISPATCH[args.command](cfg, args, out)
+    except InputError as exc:
+        if exc.field != "n":
+            raise
+        raise ConfigError([("mc.n", str(exc))]) from exc
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="talab",
@@ -403,9 +369,9 @@ def run(argv: list[str] | None = None) -> int:
         if args.command == "report":
             cmd_report(args)
             return 0
-        cfg = load_config(args.config, args.seed)
+        cfg = load_config(args.config, args.command, args.seed)
         out = Outputs(args.out_dir, cfg)
-        notes = _DISPATCH[args.command](cfg, args, out)
+        notes = _dispatch(cfg, args, out)
     except ConfigError as exc:
         _emit_error("config", exc)
         return EXIT_CONFIG

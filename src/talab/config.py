@@ -1,12 +1,13 @@
 """Experiment configuration: strict JSON schema and stable hashing.
 
-Configs are plain JSON objects. Validation is all-at-once: every violation is
-collected with its field path before raising, and unknown keys are rejected
-everywhere. This module checks the JSON's shape (keys, types, integers) and
-the bounds of the run settings (``mc``, ``solver``, ``verify``). Each rule of
-the model is stated once, in the domain module it concerns (the spec
-constructors, ``check_auction``, ``check_experiment``); config calls it and
-files its refusal under the config path of the field it names, before any
+Configs are plain JSON objects. ``KEYS`` states each key once: its path, its
+kind, whether it is required, its number bounds and, where no constructor has
+one, its default. One walk checks a config against it and collects every
+violation with its path before raising; unknown keys are refused everywhere.
+Each rule of the model is stated once, in the domain module it concerns (the
+constructors ``KEYS`` names, ``RULES``, and the rule of each subcommand in
+``COMMANDS``); config calls it and files its refusal under the config path of
+the field it names, so all that a config decides is refused before any
 computation starts.
 """
 
@@ -19,8 +20,9 @@ from dataclasses import dataclass, field
 
 from . import dist
 from .dist import DistributionError, DistributionSpec
-from .equilibrium import InputError, SolveOptions
+from .equilibrium import InputError, SolveOptions, check_bid_ode
 from .mechanisms import DiscreteAtomSpec, check_auction
+from .myerson import check_oa
 from .sequences import FamilySpec, ReserveRule, check_experiment
 
 
@@ -68,39 +70,168 @@ def refusal_path(field: str | None, paths: dict[str, str]) -> str:
     return f"{base}.{rest}" if rest else base
 
 
-def _under(path: str, keys) -> dict[str, str]:
-    return {key: f"{path}.{key}" for key in keys}
+ONE_OF = "one of"
+
+
+@dataclass(frozen=True)
+class Key:
+    """One config key. ``kind`` is int or float (a finite number, >= ``lo``
+    and < ``hi``), DistributionSpec (a distribution object), a tuple of the
+    values allowed, None (any value, judged by the rule that reads it) or, for
+    an object, dict (a plain section), ONE_OF (a section that holds exactly
+    one of its keys and stands for it) or the constructor its keys are passed
+    to by name. ``fills`` names the ExperimentConfig field the value fills."""
+
+    kind: object = None
+    required: bool = False
+    lo: float | None = None
+    hi: int | None = None
+    default: object = None
+    fills: str | None = None
+
+
+# every config key, by path; a default only where no constructor has one
+KEYS = {
+    "version": Key(("1",), required=True),
+    "n_weak": Key(int, required=True, fills="n_weak"),
+    "weak": Key(DistributionSpec, fills="weak"),
+    "strong": Key(ONE_OF),
+    "strong.dist": Key(DistributionSpec, fills="strong_dist"),
+    "strong.atom": Key(DiscreteAtomSpec, fills="strong_atom"),
+    "strong.atom.k": Key(float, required=True),
+    "strong.atom.p": Key(float, required=True),
+    "strong.family": Key(FamilySpec, fills="family"),
+    "strong.family.kind": Key(required=True),
+    "strong.family.k": Key(float, required=True),
+    "strong.family.w_bar": Key(float, required=True),
+    "strong.family.size": Key(int, default=8),
+    "strong.family.atom_share": Key(float),
+    "strong.family.split_p": Key(float),
+    "mechanism": Key(dict),
+    "mechanism.kind": Key(required=True, fills="mechanism"),
+    "mechanism.reserve": Key(float, fills="reserve"),
+    "mechanism.intervention_p": Key(float, fills="intervention_p"),
+    "solver": Key(SolveOptions, default=SolveOptions(), fills="solver"),
+    "solver.v0_fraction": Key(float, lo=1e-12),
+    "solver.rk_tolerance": Key(float, lo=1e-14),
+    "solver.residual_tolerance": Key(float, lo=1e-14),
+    "mc": Key(dict),
+    "mc.n": Key(int, lo=1, default=100_000, fills="mc_n"),
+    # the Philox key; sweep row l keys seed + l
+    "mc.seed": Key(int, lo=0, hi=2**64, default=0, fills="mc_seed"),
+    "sweep": Key(dict),
+    "sweep.prop": Key(required=True, fills="sweep_prop"),
+    "sweep.rule": Key(ReserveRule, fills="sweep_rule"),
+    "sweep.rule.kind": Key(required=True),
+    "sweep.rule.value": Key(float),
+    "sweep.rule.eps": Key(float),
+    "sweep.intervention_p": Key(float, fills="sweep_intervention_p"),
+    "verify": Key(dict),
+    "verify.tolerance": Key(float, lo=0.0, default=1e-4, fills="verify_tolerance"),
+}
+
+# the model rules that read more than one section: (rule, the config path of
+# each argument, the paths that must hold a valid value for it to run)
+RULES = (
+    (check_auction, {"kind": "mechanism.kind", "n_weak": "n_weak", "weak": "weak",
+                     "strong": "strong", "reserve": "mechanism.reserve",
+                     "intervention_p": "mechanism.intervention_p"}, ("mechanism", "weak")),
+    (check_experiment, {"prop": "sweep.prop", "fam": "strong.family", "weak": "weak",
+                        "n_weak": "n_weak", "rule": "sweep.rule",
+                        "intervention_p": "sweep.intervention_p"},
+     ("sweep", "strong.family", "weak")),
+)
+
+_BID_ODE = {"weak": "weak", "strong": "strong.dist", "n_weak": "n_weak"}
+# subcommand: (the paths it needs, its own rule and that rule's arguments)
+COMMANDS = {
+    "solve": (("weak", "strong.dist"), check_bid_ode, _BID_ODE),
+    "verify": (("weak", "strong.dist"), check_bid_ode, _BID_ODE),
+    "simulate": (("weak", "mechanism"), None, {}),
+    "oa": ((), check_oa, {"weak": "weak", "strong": "strong", "n_weak": "n_weak"}),
+    "sweep": (("weak", "strong.family", "sweep"), None, {}),
+    "check-family": (("strong.family",), None, {}),
+}
+
+
+def _children(prefix: str) -> dict[str, str]:
+    """Name -> path of each key in the object at prefix."""
+    return {path.rpartition(".")[2]: path for path in KEYS
+            if path.rpartition(".")[0] == prefix}
 
 
 class _Checker:
+    """One walk over a config: ``errors`` lists every violation, ``vals`` the
+    valid value at each path, ``bad`` each path refused or missing (and every
+    object holding one), ``member`` the path a ONE_OF section stands for."""
+
     def __init__(self):
         self.errors: list[tuple[str, str]] = []
+        self.vals: dict[str, object] = {}
+        self.bad: set[str] = set()
+        self.member: dict[str, str] = {}
 
     def fail(self, path: str, msg: str):
         self.errors.append((path, msg))
+        self.bad.add(path)
 
-    def expect_keys(self, obj: dict, path: str, allowed: set[str], required: set[str]):
-        for key in sorted(set(obj) - allowed):
-            self.fail(f"{path}.{key}" if path else key, "unknown key")
-        for key in sorted(required - set(obj)):
-            self.fail(f"{path}.{key}" if path else key, "missing required key")
+    def section(self, obj: dict, prefix: str):
+        """Check the keys of the object at prefix against KEYS and record
+        their values; an unknown key is refused but does not make it bad."""
+        keys = _children(prefix)
+        for name in sorted(set(obj) - set(keys)):
+            self.fail(f"{prefix}.{name}" if prefix else name, "unknown key")
+        for name, path in keys.items():
+            key = KEYS[path]
+            if name in obj:
+                self.value(obj[name], path, key)
+            elif key.required:
+                self.fail(path, "missing required key")
+            elif key.default is not None:
+                self.vals[path] = key.default
+            if path in self.bad and prefix:
+                self.bad.add(prefix)
 
-    def section(self, obj: dict, path: str, allowed: set[str],
-                required: set[str]) -> dict | None:
-        """The object at the last key of path in obj with its keys checked, or
-        None if it is absent or not an object."""
-        key = path.rpartition(".")[2]
-        if key not in obj:
+    def value(self, val, path: str, key: Key):
+        kind = key.kind
+        if kind in (int, float):
+            val = self.number(val, path, key.lo, key.hi, integer=kind is int)
+        elif kind is DistributionSpec:
+            val = self.distribution(val, path)
+        elif isinstance(kind, tuple):
+            if val not in kind:
+                self.fail(path, f"unsupported {path} {val!r}")
+        elif kind is not None:
+            if not isinstance(val, dict):
+                self.fail(path, "expected an object")
+                return
+            self.section(val, path)
+            val = self.build(val, path, kind)
+        if path not in self.bad:
+            self.vals[path] = val
+
+    def build(self, obj: dict, path: str, kind):
+        """The value of a section: the object itself, the value of a ONE_OF
+        section's one key, or the constructor called on its keys, which runs
+        only if none of them is refused or missing."""
+        keys = _children(path)
+        if kind is ONE_OF:
+            given = [p for name, p in keys.items() if name in obj]
+            if len(given) != 1:
+                self.fail(path, f"exactly one of {sorted(keys)} required")
+            elif path not in self.bad:
+                self.member[path] = given[0]
+                return self.vals[given[0]]
             return None
-        val = obj[key]
-        if not isinstance(val, dict):
-            self.fail(path, "expected an object")
-            return None
-        self.expect_keys(val, path, allowed, required)
-        return val
+        if kind is dict or path in self.bad:
+            return obj
+        out = self.domain(keys, kind, **{name: self.vals[p] for name, p in keys.items()
+                                         if p in self.vals})
+        if out is None:
+            self.bad.add(path)
+        return out
 
-    def number(self, obj, path, lo=None, integer=False):
-        val = obj
+    def number(self, val, path, lo=None, hi=None, integer=False):
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             self.fail(path, f"expected a number, got {type(val).__name__}")
             return None
@@ -111,176 +242,65 @@ class _Checker:
         if not finite:
             self.fail(path, "expected a finite number" + (
                 f", got {val}" if isinstance(val, float) else " in the range of a double"))
-            return None
-        if integer and int(val) != val:
+        elif integer and int(val) != val:
             self.fail(path, f"expected an integer, got {val}")
-            return None
-        if lo is not None and val < lo:
+        elif lo is not None and val < lo:
             self.fail(path, f"must be >= {lo}, got {val}")
-            return None
-        return int(val) if integer else float(val)
+        elif hi is not None and val >= hi:
+            self.fail(path, f"must be < {hi}, got {val}")
+        else:
+            return int(val) if integer else float(val)
+        return None
 
-    def domain(self, paths: dict[str, str], fn, *args, **kwargs):
-        """fn(*args, **kwargs), or None once its refusal is recorded at the
-        config path of the field it names."""
+    def distribution(self, obj, path: str) -> DistributionSpec | None:
+        if not isinstance(obj, dict):
+            self.fail(path, "expected a distribution object")
+            return None
         try:
-            return fn(*args, **kwargs)
+            return dist.from_json_dict(obj)
+        except (DistributionError, ValueError, TypeError, OverflowError) as exc:
+            self.fail(path, str(exc))
+            return None
+
+    def domain(self, paths: dict[str, str], fn, **kwargs):
+        """fn(**kwargs), or None once its refusal is recorded at the config
+        path of the field it names."""
+        try:
+            return fn(**kwargs)
         except InputError as exc:
             self.fail(refusal_path(exc.field, paths), str(exc))
             return None
 
-
-def _parse_distribution(ck: _Checker, obj, path: str) -> DistributionSpec | None:
-    if not isinstance(obj, dict):
-        ck.fail(path, "expected a distribution object")
-        return None
-    try:
-        return dist.from_json_dict(obj)
-    except (DistributionError, ValueError, TypeError, OverflowError) as exc:
-        ck.fail(path, str(exc))
-        return None
+    def rule(self, fn, args: dict[str, str], needs):
+        """fn on the values at the paths in args, once every path in needs
+        holds a valid value and no path in args is refused; a ONE_OF section
+        is read, and a refusal of it filed, at the key it holds."""
+        if all(p in self.vals for p in needs) and not any(p in self.bad for p in args.values()):
+            self.domain({arg: self.member.get(p, p) for arg, p in args.items()}, fn,
+                        **{arg: self.vals.get(p) for arg, p in args.items()})
 
 
-_TOP_KEYS = {"version", "n_weak", "weak", "strong", "mechanism", "solver", "mc",
-             "sweep", "verify"}
-_STRONG_KEYS = {"dist", "atom", "family"}
-_MECH_KEYS = {"kind", "reserve", "intervention_p"}
-_SOLVER_KEYS = {"v0_fraction", "rk_tolerance", "residual_tolerance"}
-_MC_KEYS = {"n", "seed"}
-_SWEEP_KEYS = {"prop", "rule", "intervention_p"}
-_RULE_KEYS = {"kind", "value", "eps"}
-_FAMILY_KEYS = {"kind", "k", "w_bar", "size", "atom_share", "split_p"}
-_ATOM_KEYS = {"k", "p"}
-_VERIFY_KEYS = {"tolerance"}
-
-
-def parse_config(obj: dict) -> ExperimentConfig:
-    """Validate a config object; raises ConfigError listing every violation."""
-    ck = _Checker()
+def parse_config(obj: dict, command: str | None = None) -> ExperimentConfig:
+    """Check a config, and what subcommand ``command`` needs of it; raises
+    ConfigError listing every violation."""
     if not isinstance(obj, dict):
         raise ConfigError([("", "config must be a JSON object")])
-    ck.expect_keys(obj, "", _TOP_KEYS, {"version", "n_weak"})
-
-    if obj.get("version", "1") != "1":
-        ck.fail("version", f"unsupported version {obj['version']!r}")
-
-    n_weak = ck.number(obj.get("n_weak", 2), "n_weak", integer=True)
-
-    weak = None
-    if "weak" in obj:
-        weak = _parse_distribution(ck, obj["weak"], "weak")
-
-    strong = strong_dist = strong_atom = family = None
-    strong_path, strong_ok = "strong", True
-    s = ck.section(obj, "strong", _STRONG_KEYS, set())
-    if s is not None:
-        n_errors = len(ck.errors)
-        given = sorted(_STRONG_KEYS & set(s))
-        if len(given) != 1:
-            ck.fail("strong", f"exactly one of {sorted(_STRONG_KEYS)} required")
-        if "dist" in s:
-            strong_dist = _parse_distribution(ck, s["dist"], "strong.dist")
-        a = ck.section(s, "strong.atom", _ATOM_KEYS, _ATOM_KEYS)
-        if a is not None:
-            k = ck.number(a.get("k", 1.0), "strong.atom.k")
-            p = ck.number(a.get("p", 0.5), "strong.atom.p")
-            if k is not None and p is not None:
-                strong_atom = ck.domain(_under("strong.atom", _ATOM_KEYS),
-                                        DiscreteAtomSpec, k=k, p=p)
-        f = ck.section(s, "strong.family", _FAMILY_KEYS, {"kind", "k", "w_bar"})
-        if f is not None:
-            fields = {
-                "kind": f.get("kind"),
-                "k": ck.number(f.get("k", 2.0), "strong.family.k"),
-                "w_bar": ck.number(f.get("w_bar", 2.5), "strong.family.w_bar"),
-                "size": ck.number(f.get("size", 8), "strong.family.size", integer=True),
-                "atom_share": ck.number(f.get("atom_share", 1.0), "strong.family.atom_share"),
-                "split_p": ck.number(f.get("split_p", 0.5), "strong.family.split_p"),
-            }
-            if None not in fields.values():
-                family = ck.domain(_under("strong.family", _FAMILY_KEYS), FamilySpec, **fields)
-        if len(given) == 1:
-            strong_path = f"strong.{given[0]}"
-            strong = {"dist": strong_dist, "atom": strong_atom, "family": family}[given[0]]
-        strong_ok = len(ck.errors) == n_errors
-
-    mechanism = reserve = intervention_p = None
-    m = ck.section(obj, "mechanism", _MECH_KEYS, {"kind"})
-    if m is not None:
-        n_errors = len(ck.errors)
-        mechanism = m.get("kind")
-        if "reserve" in m:
-            reserve = ck.number(m["reserve"], "mechanism.reserve")
-        if "intervention_p" in m:
-            intervention_p = ck.number(m["intervention_p"], "mechanism.intervention_p")
-        if len(ck.errors) == n_errors and strong_ok and None not in (weak, n_weak):
-            ck.domain({**_under("mechanism", _MECH_KEYS), "strong": strong_path},
-                      check_auction, mechanism, n_weak, weak, strong, reserve,
-                      intervention_p)
-
-    solver_kwargs = {}
-    sol = ck.section(obj, "solver", _SOLVER_KEYS, set())
-    for key, lo in (("v0_fraction", 1e-12), ("rk_tolerance", 1e-14),
-                    ("residual_tolerance", 1e-14)):
-        if sol is not None and key in sol:
-            val = ck.number(sol[key], f"solver.{key}", lo=lo)
-            if val is not None:
-                solver_kwargs[key] = val
-
-    mc_n, mc_seed = 100_000, 0
-    mc = ck.section(obj, "mc", _MC_KEYS, set())
-    if mc is not None and "n" in mc:
-        mc_n = ck.number(mc["n"], "mc.n", lo=1, integer=True) or mc_n
-    if mc is not None and "seed" in mc:
-        val = ck.number(mc["seed"], "mc.seed", lo=0, integer=True)
-        if val is not None and val >= 2**64:   # the Philox key; sweep row l keys seed + l
-            ck.fail("mc.seed", f"must be < 2^64, got {val}")
-        mc_seed = mc_seed if val is None else val
-
-    sweep_prop = sweep_rule = sweep_p = None
-    sw = ck.section(obj, "sweep", _SWEEP_KEYS, {"prop"})
-    if sw is not None:
-        n_errors = len(ck.errors)
-        sweep_prop = sw.get("prop")
-        if "intervention_p" in sw:
-            sweep_p = ck.number(sw["intervention_p"], "sweep.intervention_p")
-        r = ck.section(sw, "sweep.rule", _RULE_KEYS, {"kind"})
-        if r is not None:
-            value = ck.number(r["value"], "sweep.rule.value") if "value" in r else None
-            eps = ck.number(r["eps"], "sweep.rule.eps") if "eps" in r else None
-            sweep_rule = ck.domain(_under("sweep.rule", _RULE_KEYS), ReserveRule,
-                                   kind=r.get("kind"), value=value, eps=eps)
-        if len(ck.errors) == n_errors and None not in (family, weak, n_weak):
-            ck.domain({**_under("sweep", _SWEEP_KEYS), "fam": "strong.family"},
-                      check_experiment, sweep_prop, family, weak, n_weak, sweep_rule, sweep_p)
-
-    verify_tolerance = 1e-4
-    v = ck.section(obj, "verify", _VERIFY_KEYS, set())
-    if v is not None and "tolerance" in v:
-        val = ck.number(v["tolerance"], "verify.tolerance", lo=0.0)
-        verify_tolerance = verify_tolerance if val is None else val
-
+    ck = _Checker()
+    ck.section(obj, "")
+    rules = list(RULES)
+    if command is not None:
+        needs, rule, args = COMMANDS[command]
+        for path in needs:
+            if path not in ck.vals and path not in ck.bad:
+                ck.fail(path, f"required by {command}")
+        if rule is not None:
+            rules.append((rule, args, needs))
+    for rule, args, needs in rules:
+        ck.rule(rule, args, needs)
     if ck.errors:
         raise ConfigError(ck.errors)
-
-    return ExperimentConfig(
-        n_weak=n_weak,
-        weak=weak,
-        strong_dist=strong_dist,
-        strong_atom=strong_atom,
-        family=family,
-        mechanism=mechanism,
-        reserve=reserve,
-        intervention_p=intervention_p,
-        solver=SolveOptions(**solver_kwargs),
-        mc_n=mc_n,
-        mc_seed=mc_seed,
-        sweep_prop=sweep_prop,
-        sweep_rule=sweep_rule,
-        sweep_intervention_p=sweep_p,
-        verify_tolerance=verify_tolerance,
-        raw=obj,
-    )
+    return ExperimentConfig(**{key.fills: ck.vals.get(path, key.default)
+                               for path, key in KEYS.items() if key.fills}, raw=obj)
 
 
 def read_json(path: str):
@@ -292,11 +312,11 @@ def read_json(path: str):
         raise ConfigError([("", f"cannot read {path} as JSON: {exc}")]) from exc
 
 
-def load_config(path: str, seed: int | None = None) -> ExperimentConfig:
-    """The config at path, with ``mc.seed`` replaced by seed if one is given;
-    the hash covers the replaced seed."""
+def load_config(path: str, command: str, seed: int | None = None) -> ExperimentConfig:
+    """The config at path checked for subcommand ``command``, with ``mc.seed``
+    replaced by seed if one is given; the hash covers the replaced seed."""
     obj = read_json(path)
     # a malformed config or mc is left for parse_config to report
     if seed is not None and isinstance(obj, dict) and isinstance(obj.get("mc", {}), dict):
         obj = {**obj, "mc": {**obj.get("mc", {}), "seed": seed}}
-    return parse_config(obj)
+    return parse_config(obj, command)

@@ -44,7 +44,6 @@ kappa0 the atom-to-density ratio at the origin.
 from __future__ import annotations
 
 import math
-import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -64,6 +63,7 @@ __all__ = [
     "SolveReport",
     "StrongBidLaw",
     "as_strong_law",
+    "check_bid_ode",
     "check_weak_bidders",
     "deviation_payoff",
     "initial_bid_ratio",
@@ -93,6 +93,16 @@ def check_weak_bidders(n_weak: int, error: type[InputError] = InputError, least:
     auction need two."""
     if n_weak < least:
         raise error(f"need at least {least} weak bidders, got {n_weak}", "n_weak")
+
+
+def check_bid_ode(weak: DistributionSpec, strong, n_weak: int):
+    """Refuse a bid ODE outside the model, naming ``n_weak``, ``weak`` or
+    ``strong``: two weak bidders at least, and value supports that start at 0."""
+    check_weak_bidders(n_weak)
+    for name, law in (("weak", weak), ("strong", as_strong_law(strong).dist)):
+        if law.support.lo != 0.0:
+            raise InputError(f"the bid ODE needs value supports starting at 0; the {name} "
+                             f"support starts at {law.support.lo}", name)
 
 
 class BandEscape(EquilibriumError):
@@ -316,7 +326,7 @@ class SolveReport:
     rejected_residual: int      # the defect gate
     min_step: float             # smallest accepted step and its left end
     min_step_v: float
-    warnings: tuple[str, ...] = ()
+    warnings: tuple[str, ...] = ()   # model assumptions the inputs break; no RuntimeWarning
 
 
 @dataclass(frozen=True)
@@ -490,13 +500,9 @@ def solve_ode(
     opts: SolveOptions = SolveOptions(),
 ) -> tuple[BidFunction, SolveReport]:
     """Integrate the bid ODE from the singular origin to the top of the support."""
-    check_weak_bidders(n_weak)
+    check_bid_ode(weak, strong, n_weak)
     law = as_strong_law(strong)
-    if weak.support.lo != 0.0 or law.dist.support.lo != 0.0:
-        raise EquilibriumError("the model requires value supports starting at 0")
     notes = _model_warnings(weak, law)
-    for msg in notes:
-        warnings.warn(msg, RuntimeWarning, stacklevel=2)
 
     v_bar = weak.support.hi
     rhs = _rhs_factory(weak, law, n_weak)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import DistributionSpec
-from .equilibrium import BidFunction, InputError, check_weak_bidders
+from .equilibrium import BidFunction, InputError, check_bid_ode, check_weak_bidders
 from .rng import uniform_block
 
 MECHANISMS = ("ta", "sa", "sa_reserve", "ta_intervention", "ta_discrete")
@@ -120,6 +120,8 @@ def check_auction(kind: str, n_weak: int, weak: DistributionSpec, strong,
                 "equilibrium is not guaranteed", "strong")
     elif not isinstance(strong, DistributionSpec):
         raise MechanismError(f"{kind} requires a continuous strong distribution", "strong")
+    elif kind in ("ta", "ta_intervention"):    # bids come from the bid ODE
+        check_bid_ode(weak, strong, n_weak)
 
 
 @dataclass(frozen=True)

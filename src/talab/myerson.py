@@ -156,9 +156,13 @@ def single_buyer_reserve(d: DistributionSpec) -> dict:
     return {"r_star": float(r_star), "revenue": float(r_star * (1.0 - d.cdf(r_star)))}
 
 
-def check_oa(weak: DistributionSpec | None, strong: DistributionSpec | None, n_weak: int):
-    """Refuse an optimal-auction benchmark with nothing to sell or a missing
-    law; the error's ``field`` names the argument at fault."""
+def check_oa(weak: DistributionSpec | None, strong, n_weak: int):
+    """Refuse an optimal-auction benchmark with nothing to sell, a missing law
+    or a strong law that is not continuous; the error's ``field`` names the
+    argument at fault."""
+    if strong is not None and not isinstance(strong, DistributionSpec):
+        raise MechanismError("the optimal auction needs a continuous strong distribution "
+                             "(use sweep P5 for family benchmarks)", "strong")
     check_block_bidders(n_weak, MechanismError, 0)
     if n_weak > 0 and weak is None:
         raise MechanismError("weak distribution required when n_weak > 0", "weak")

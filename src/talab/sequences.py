@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -51,8 +50,8 @@ import numpy as np
 
 from . import dist
 from .dist import DistributionSpec
-from .equilibrium import (InputError, SolveOptions, StrongBidLaw, check_weak_bidders, solve_ode,
-                          verify_best_response)
+from .equilibrium import (InputError, SolveOptions, StrongBidLaw, check_bid_ode,
+                          check_weak_bidders, solve_ode, verify_best_response)
 from .mechanisms import (AuctionSpec, check_auction, check_block_bidders, sa_reserve_closed_form,
                          simulate)
 from .myerson import check_oa, oa_revenue
@@ -276,13 +275,6 @@ class ReserveRule:
         if self.kind == "block_steps" and (self.eps is None or self.eps <= 0):
             raise ExperimentError("block_steps rule needs eps > 0", "eps")
 
-    def reserves(self, fam: FamilySpec) -> np.ndarray:
-        if self.kind == "constant":
-            return np.full(fam.size, float(self.value))
-        if self.kind == "quantile_below":
-            return from_below_reserves(fam)
-        return block_steps(fam, float(self.eps))[0]
-
 
 def from_below_reserves(fam: FamilySpec) -> np.ndarray:
     """Reserves approaching k from below inside the window
@@ -362,18 +354,17 @@ def _require(condition: bool, message: str, field: str | None = None):
         raise ExperimentError(message, field)
 
 
-def _checker_gate(prop: str, fam: FamilySpec, need_atom: bool, need_drain: bool):
+def _checker_gate(prop: str, fam: FamilySpec, need_drain: bool):
     # the conditions concern the family's limit; judge them at a canonical
     # depth even when the experiment itself runs on a short index range
     if fam.size < 8:
         fam = dataclasses.replace(fam, size=8)
-    if need_atom:
-        atom = check_atom_convergence(fam)
-        _require(
-            atom["passed"],
-            f"{prop} requires convergence to the atom at k; family kind "
-            f"{fam.kind!r} fails the mass checker (final mass {atom['masses'][-1]:.3f})",
-        )
+    atom = check_atom_convergence(fam)
+    _require(
+        atom["passed"],
+        f"{prop} requires convergence to the atom at k; family kind "
+        f"{fam.kind!r} fails the mass checker (final mass {atom['masses'][-1]:.3f})",
+    )
     if need_drain:
         drain = check_low_drain(fam)
         _require(
@@ -416,8 +407,9 @@ def check_experiment(prop: str, fam: FamilySpec, weak: DistributionSpec, n_weak:
     _require(k > v_bar, f"atom k={k} must exceed the weak support top {v_bar}", "fam.k")
     if prop == "P5":  # the optimal auction also sells to fewer weak bidders
         check_oa(weak, fam.member(1), n_weak)
-    elif prop in ("P4", "P6", "S8"):  # Monte Carlo tournaments
+    elif prop in ("P4", "P6", "S8"):  # Monte Carlo tournaments on bid-ODE schedules
         check_block_bidders(n_weak, ExperimentError, 2)
+        check_bid_ode(weak, fam.member(1), n_weak)
     else:
         check_weak_bidders(n_weak, ExperimentError)
     if prop == "S8":  # each row runs ta_intervention against a member
@@ -467,7 +459,7 @@ def run_limit_experiment(
     k = fam.k
 
     if prop in ("P4", "P6"):
-        _checker_gate(prop, fam, need_atom=True, need_drain=True)
+        _checker_gate(prop, fam, need_drain=True)
         rows = _tournament_rows(fam, weak, n_weak, k, n, seed, threads, solver, None)
         notes = _strength_notes(fam, v_bar)
         if prop == "P4":
@@ -486,13 +478,13 @@ def run_limit_experiment(
         return _table(prop, rows, k, notes)
 
     if prop == "S8":
-        _checker_gate(prop, fam, need_atom=True, need_drain=False)
+        _checker_gate(prop, fam, need_drain=False)
         rows = _tournament_rows(fam, weak, n_weak, intervention_p * k, n, seed,
                                 threads, solver, intervention_p)
         return _table(prop, rows, intervention_p * k, _strength_notes(fam, v_bar))
 
     if prop == "P5":
-        _checker_gate(prop, fam, need_atom=True, need_drain=False)
+        _checker_gate(prop, fam, need_drain=False)
         rows = []
         for l in range(1, fam.size + 1):
             est = oa_revenue(weak, fam.member(l), n_weak, n, seed + l, threads)
@@ -501,7 +493,7 @@ def run_limit_experiment(
         return _table(prop, rows, k)
 
     # reserve second-price experiments, exact closed forms per index
-    _checker_gate(prop, fam, need_atom=True, need_drain=True)
+    _checker_gate(prop, fam, need_drain=True)
     ev1 = weak.order_statistic_mean(n_weak, 1)
     ev2 = weak.order_statistic_mean(n_weak, 2)
     notes = []
@@ -520,8 +512,10 @@ def run_limit_experiment(
 
     if prop == "P7":
         reserves, counts = block_steps(fam, float(rule.eps))
+    elif prop == "P10":
+        reserves = from_below_reserves(fam)
     else:
-        reserves = rule.reserves(fam)
+        reserves = np.full(fam.size, float(rule.value))
     rows = []
     for l in range(1, fam.size + 1):
         member = fam.member(l)
@@ -553,10 +547,8 @@ def _tournament_rows(fam, weak, n_weak, target, n, seed, threads, solver,
         member = fam.member(l)
         zero_prob = 0.0 if intervention_p is None else 1.0 - intervention_p
         law = StrongBidLaw(member, zero_bid_prob=zero_prob)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            bid, _ = solve_ode(weak, law, n_weak, solver)
-            br = verify_best_response(bid, weak, law, n_weak)
+        bid, _ = solve_ode(weak, law, n_weak, solver)
+        br = verify_best_response(bid, weak, law, n_weak)
         if intervention_p is None:
             spec = AuctionSpec("ta", n_weak, weak, member, bid_fn=bid)
         else:

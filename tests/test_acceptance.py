@@ -8,7 +8,6 @@ import itertools
 import json
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -75,19 +74,17 @@ def solved_instances(u01, u02, slow8):
     """criterion-2 instance grid: (N, strong) with solve time and verification."""
     bump3 = slow8.member(3)
     out = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for n_weak in (2, 3, 5):
-            for name, strong in (("u02", u02), ("bump3", bump3)):
-                t0 = time.monotonic()
-                bid, rep = solve_ode(u01, strong, n_weak)
-                br = verify_best_response(bid, u01, strong, n_weak)
-                out[(n_weak, name)] = {
-                    "bid": bid,
-                    "strong": strong,
-                    "regret": br.max_regret,
-                    "seconds": time.monotonic() - t0,
-                }
+    for n_weak in (2, 3, 5):
+        for name, strong in (("u02", u02), ("bump3", bump3)):
+            t0 = time.monotonic()
+            bid, rep = solve_ode(u01, strong, n_weak)
+            br = verify_best_response(bid, u01, strong, n_weak)
+            out[(n_weak, name)] = {
+                "bid": bid,
+                "strong": strong,
+                "regret": br.max_regret,
+                "seconds": time.monotonic() - t0,
+            }
     return out
 
 
@@ -122,10 +119,8 @@ def criterion5_solves(u01, slow8):
         support=(0.0, 2.0),
     )
     laws.append(("mixture/N=2", StrongBidLaw(mixture), 2))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return [(name, law, n_weak, *solve_ode(u01, law, n_weak))
-                for name, law, n_weak in laws]
+    return [(name, law, n_weak, *solve_ode(u01, law, n_weak))
+            for name, law, n_weak in laws]
 
 
 @pytest.fixture(scope="module")
@@ -133,11 +128,9 @@ def reference_cases(u01, criterion5_solves):
     """criterion-5 cases: (name, solve_ode schedule, DOP853 reference from its
     series-start node)."""
     out = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for name, law, n_weak, bid, _ in criterion5_solves:
-            ref = dop853_reference(u01, law, n_weak, (bid.grid[1], bid.values[1]))
-            out.append((name, bid, ref))
+    for name, law, n_weak, bid, _ in criterion5_solves:
+        ref = dop853_reference(u01, law, n_weak, (bid.grid[1], bid.values[1]))
+        out.append((name, bid, ref))
     return out
 
 
@@ -232,16 +225,14 @@ ATOM_EDGE_CASES = (
 @pytest.mark.parametrize("kind, l, zero, n_weak", ATOM_EDGE_CASES)
 def test_atom_edge_cases_solve(u01, kind, l, zero, n_weak):
     law = StrongBidLaw(make_family(kind, K, W_BAR, 8).member(l), zero)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        bid, rep = solve_ode(u01, law, n_weak)
-        assert verify_best_response(bid, u01, law, n_weak).max_regret <= 1e-4
-        assert rep.max_ode_residual <= SolveOptions().residual_tolerance
-        if zero > 0.0:   # the atom start; test_step_floor_follows_v0 pins its floor
-            assert rep.v0 < 1e-9
-        if (kind, l, n_weak) == ("fast_drain", 8, 3):
-            ref = dop853_reference(u01, law, n_weak, (bid.grid[1], bid.values[1]))
-            assert reference_gap(bid, ref, bid.grid[1]) <= 1e-3   # criterion 5's bound
+    bid, rep = solve_ode(u01, law, n_weak)
+    assert verify_best_response(bid, u01, law, n_weak).max_regret <= 1e-4
+    assert rep.max_ode_residual <= SolveOptions().residual_tolerance
+    if zero > 0.0:   # the atom start; test_step_floor_follows_v0 pins its floor
+        assert rep.v0 < 1e-9
+    if (kind, l, n_weak) == ("fast_drain", 8, 3):
+        ref = dop853_reference(u01, law, n_weak, (bid.grid[1], bid.values[1]))
+        assert reference_gap(bid, ref, bid.grid[1]) <= 1e-3   # criterion 5's bound
 
 
 # solves that stopped with BandEscape under the cubic schedule's Gauss-point
@@ -256,10 +247,8 @@ NEWLY_FINISHED = (
 @pytest.mark.parametrize("kind, l, zero, n_weak", NEWLY_FINISHED)
 def test_deep_members_solve(u01, kind, l, zero, n_weak):
     law = StrongBidLaw(make_family(kind, K, W_BAR, 12).member(l), zero)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        bid, rep = solve_ode(u01, law, n_weak)
-        assert verify_best_response(bid, u01, law, n_weak).max_regret <= 1e-4
+    bid, rep = solve_ode(u01, law, n_weak)
+    assert verify_best_response(bid, u01, law, n_weak).max_regret <= 1e-4
     model = defect_model_sup(schedule_defects(bid, u01, law, n_weak)).max()
     dense = np.abs(schedule_defects(bid, u01, law, n_weak, DENSE_THETAS)).max()
     assert max(model, dense) <= rep.max_ode_residual <= SolveOptions().residual_tolerance
@@ -272,19 +261,17 @@ def test_family_grid_schedules_are_monotone(u01):
     # schedule rises at 5 points inside every interval of its independent form
     theta = np.linspace(0.1, 0.9, 5)[:, None]
     solved = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for kind in ("fast_drain", "slow_drain", "smoothed_discrete", "split_atom"):
-            fam = make_family(kind, K, W_BAR, 13)
-            for l, n_weak, zero in itertools.product(range(1, 14), (2, 3, 5, 8), (0.0, 0.25)):
-                try:
-                    bid, _ = solve_ode(u01, StrongBidLaw(fam.member(l), zero), n_weak)
-                except BandEscape:
-                    continue
-                solved += 1
-                g = bid.grid
-                slope = schedule_ppoly(bid).derivative()(g[:-1] + theta * np.diff(g))
-                assert np.all(slope >= 0.0), (kind, l, n_weak, zero)
+    for kind in ("fast_drain", "slow_drain", "smoothed_discrete", "split_atom"):
+        fam = make_family(kind, K, W_BAR, 13)
+        for l, n_weak, zero in itertools.product(range(1, 14), (2, 3, 5, 8), (0.0, 0.25)):
+            try:
+                bid, _ = solve_ode(u01, StrongBidLaw(fam.member(l), zero), n_weak)
+            except BandEscape:
+                continue
+            solved += 1
+            g = bid.grid
+            slope = schedule_ppoly(bid).derivative()(g[:-1] + theta * np.diff(g))
+            assert np.all(slope >= 0.0), (kind, l, n_weak, zero)
     assert solved >= 390
 
 

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from talab.cli import run
-from talab.config import ConfigError, hash_config, parse_config
+from talab.config import KEYS, ConfigError, hash_config, parse_config
+from talab.dist import DistributionSpec
 
 
 def base_config(**overrides):
@@ -155,6 +156,66 @@ def test_config_fuzz_raises_only_config_errors(leaf, value):
             pass
 
 
+def _object_paths(obj, path=()):
+    """The path of every object in a config that KEYS describes, the config
+    itself included (a distribution object is dist's to read)."""
+    yield path
+    for key, val in obj.items():
+        if isinstance(val, dict) and KEYS[".".join(path + (key,))].kind is not DistributionSpec:
+            yield from _object_paths(val, path + (key,))
+
+
+_FUZZ_OBJECTS = [(i, path) for i, cfg in enumerate(_FUZZ_BASES) for path in _object_paths(cfg)]
+
+
+@pytest.mark.parametrize("i, path", _FUZZ_OBJECTS)
+def test_config_fuzz_object_paths(i, path):
+    # each key of each object deleted, and an unknown key added next to its
+    # keys: refused with a ConfigError at the unknown key's path, or at a
+    # deleted required key's path, never another exception
+    base = _FUZZ_BASES[i]
+    node = base
+    for key in path:
+        node = node[key]
+    for key in [*node, None]:
+        cfg = json.loads(json.dumps(base))
+        obj = cfg
+        for k in path:
+            obj = obj[k]
+        if key is None:
+            obj["bogus"] = 1
+            with pytest.raises(ConfigError) as err:
+                parse_config(cfg)
+            assert (".".join(path + ("bogus",)), "unknown key") in err.value.errors
+            continue
+        del obj[key]
+        full = ".".join(path + (key,))
+        try:
+            parse_config(cfg)
+        except ConfigError as exc:
+            assert full in {p for p, _ in exc.errors} or not KEYS[full].required
+        else:
+            assert not KEYS[full].required
+
+
+def test_family_kind_null_refused_at_its_path():
+    cfg = base_config(strong={"family": {**_SLOW3, "kind": None}}, sweep={"prop": "P6"})
+    with pytest.raises(ConfigError) as err:
+        parse_config(cfg)
+    assert [path for path, _ in err.value.errors] == ["strong.family.kind"]
+
+
+def test_missing_section_reported_with_every_other_violation(tmp_path, capsys):
+    # what a subcommand needs is checked in the same pass as the rest
+    cfg = base_config(solver={"bogus": 1})
+    del cfg["weak"]
+    out = tmp_path / "o"
+    assert run(["solve", "--config", write_config(tmp_path, cfg), "--out-dir", str(out)]) == 2
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err.strip())
+    assert sorted(v["path"] for v in err["error"]["violations"]) == ["solver.bogus", "weak"]
+
+
 # ---------------------------------------------------------------------------
 # subcommand bundles
 # ---------------------------------------------------------------------------
@@ -172,6 +233,17 @@ def test_solve_verify_bundle(tmp_path):
     bid_csv = next(out.glob("bid_function.*.csv")).read_text()
     assert bid_csv.splitlines()[0] == "v,b,b_prime"
     assert "\r" not in bid_csv and "," in bid_csv and ";" not in bid_csv.splitlines()[1]
+
+
+def test_solver_notes_on_stderr_and_in_the_solve_report(tmp_path, capsys):
+    # E[w] = 0.75 < v_bar = 1: the solve finishes and reports the broken
+    # assumption, on stderr and in its report; no RuntimeWarning is raised
+    cfg = base_config(strong={"dist": {"kind": "uniform", "params": [], "support": [0, 1.5]}})
+    out = tmp_path / "o"
+    assert run(["solve", "--config", write_config(tmp_path, cfg), "--out-dir", str(out)]) == 0
+    assert "warning: strength assumption violated" in capsys.readouterr().err
+    report = json.loads(next(out.glob("solve_report.*.json")).read_text())
+    assert any(note.startswith("strength assumption violated") for note in report["warnings"])
 
 
 def test_simulate_deterministic_across_runs_and_threads(tmp_path):
@@ -279,6 +351,10 @@ def test_unreadable_config_refused(tmp_path, capsys, case):
 _FAMILY = {"family": {"kind": "slow_drain", "k": 2.0, "w_bar": 2.5, "size": 2}}
 
 
+def _U(lo, hi):
+    return {"kind": "uniform", "params": [], "support": [lo, hi]}
+
+
 @pytest.mark.parametrize("command, overrides, path", [
     ("simulate", {"mechanism": {"kind": "ta_intervention", "intervention_p": 0.0}},
      "mechanism.intervention_p"),
@@ -294,7 +370,7 @@ _FAMILY = {"family": {"kind": "slow_drain", "k": 2.0, "w_bar": 2.5, "size": 2}}
      "sweep.rule"),
     ("sweep", {"strong": _FAMILY, "sweep": {"prop": "P8"}}, "sweep.rule"),
     ("simulate", {"n_weak": 1, "mechanism": {"kind": "sa"}}, "n_weak"),
-    ("oa", {"n_weak": 0, "strong": None}, "strong.dist"),
+    ("oa", {"n_weak": 0, "strong": None}, "strong"),
     ("simulate", {"strong": {"atom": {"k": 0.9, "p": 0.9}}, "mechanism": {"kind": "ta_discrete"}},
      "strong.atom.k"),
     ("sweep", {"strong": {"family": {**_FAMILY["family"], "k": 0.9}}, "sweep": {"prop": "P6"}},
@@ -315,11 +391,17 @@ _FAMILY = {"family": {"kind": "slow_drain", "k": 2.0, "w_bar": 2.5, "size": 2}}
                   "mechanism": {"kind": "sa"}}, "weak"),
     # Philox takes a 64-bit seed
     ("simulate", {"mechanism": {"kind": "sa"}, "mc": {"n": 100, "seed": 2**64}}, "mc.seed"),
+    # the bid ODE needs value supports starting at 0
+    ("solve", {"weak": _U(0.2, 1)}, "weak"),
+    ("solve", {"strong": {"dist": _U(0.5, 2)}}, "strong.dist"),
+    ("simulate", {"weak": _U(0.2, 1), "mechanism": {"kind": "ta"}}, "weak"),
+    ("sweep", {"weak": _U(0.2, 1), "strong": _FAMILY, "sweep": {"prop": "P6"}}, "weak"),
 ], ids=["ta_intervention-p0", "ta_intervention-p1", "S8-no-p", "S8-p1", "S8-pk",
         "P7-constant", "P8-no-rule", "simulate-n_weak1", "oa-nothing-to-sell",
         "atom-k", "family-k", "solve-n_weak1", "verify-n_weak1", "P5-n_weak-1",
         "reserve-nan", "mc-n-inf", "rk_tolerance-nan", "mixture-count-inf",
-        "mixture-size-negative", "mc-seed-2**64"])
+        "mixture-size-negative", "mc-seed-2**64", "solve-weak-above-0",
+        "solve-strong-above-0", "ta-weak-above-0", "P6-weak-above-0"])
 def test_model_rules_refused_as_config_errors(tmp_path, capsys, command, overrides, path):
     # everything decidable from the config is refused before any computation
     cfg = {k: v for k, v in base_config(**overrides).items() if v is not None}

@@ -15,7 +15,7 @@ set, by keyword or by position, in some call in ``src/talab`` or
 ``perfbench/``; an option only tests set is a constant. Calls are matched by
 bare name, a class's ``__init__`` by the class's name or a subclass's, and a
 call that passes the function itself as an argument, as in
-``_config_rule(paths, fn, *args)``, counts as a call of it with the arguments
+``domain(paths, fn, *args)``, counts as a call of it with the arguments
 after it. Dataclass fields are not parameters here.
 """
 

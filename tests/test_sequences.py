@@ -159,7 +159,6 @@ def test_block_steps_bound(slow16):
     eps = 0.5
     rs, ns = block_steps(slow16, eps)
     assert np.all(np.diff(ns) >= 0)
-    assert np.array_equal(ReserveRule("block_steps", eps=eps).reserves(slow16), rs)
     u01 = dist.uniform(0.0, 1.0)
     for l in range(1, slow16.size + 1):
         member = slow16.member(l)
@@ -251,16 +250,13 @@ def test_small_tournament_experiment(u01):
 
 def test_smoothed_discrete_tournament_revenue(u01):
     # tournament revenue on the smoothed two-point family approaches p*k
-    import warnings
-
+    
     from talab.equilibrium import solve_ode
     from talab.mechanisms import AuctionSpec, simulate
 
     fam = FamilySpec("smoothed_discrete", K, W_BAR, 6, atom_share=0.75)
     member = fam.member(6)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        bid, _ = solve_ode(u01, member, 2)
+    bid, _ = solve_ode(u01, member, 2)
     out = simulate(AuctionSpec("ta", 2, u01, member, bid_fn=bid), 400_000, seed=66)
     assert abs(out["revenue"].mean - 0.75 * K) / (0.75 * K) < 0.03
 

@@ -3,7 +3,6 @@ built on it (bid-spline evaluation, ironed virtual value) against the plain
 forms they replaced; scipy's PPoly, built from its cubic Hermite spline and
 the bumps, is the bid schedule's oracle."""
 
-import warnings
 
 import numpy as np
 import pytest
@@ -107,9 +106,7 @@ def _bid_cases():
 
 @pytest.mark.parametrize("name, weak, strong, n", _bid_cases(), ids=lambda c: str(c))
 def test_bid_function_equals_scipy_spline(name, weak, strong, n):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        bid, _ = solve_ode(weak, strong, n)
+    bid, _ = solve_ode(weak, strong, n)
     g = bid.grid
     assert np.any(bid.bumps != 0.0)
     spline = schedule_ppoly(bid)
