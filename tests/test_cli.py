@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from talab.cli import run
-from talab.config import KEYS, ConfigError, hash_config, parse_config
+from talab.config import COMMANDS, KEYS, ConfigError, hash_config, parse_config
 from talab.dist import DistributionSpec
 
 
@@ -135,13 +135,17 @@ _ODD_VALUES = st.one_of(
 
 
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
-@given(leaf=st.sampled_from(_FUZZ_LEAVES), value=_ODD_VALUES)
-@example(leaf=(0, ("weak", "params", 0)), value=math.inf)    # the mixture's component count
-@example(leaf=(0, ("weak", "params", 8)), value=-30)         # a component's parameter count
-@example(leaf=(3, ("strong", "family", "w_bar")), value=1e308)  # quadrature midpoints overflowed
-def test_config_fuzz_raises_only_config_errors(leaf, value):
+@given(leaf=st.sampled_from(_FUZZ_LEAVES), value=_ODD_VALUES,
+       command=st.sampled_from([None, *COMMANDS]))
+# the mixture's component count and a component's parameter count; then the
+# family member's quadrature midpoints, which overflowed
+@example(leaf=(0, ("weak", "params", 0)), value=math.inf, command=None)
+@example(leaf=(0, ("weak", "params", 8)), value=-30, command=None)
+@example(leaf=(3, ("strong", "family", "w_bar")), value=1e308, command="sweep")
+def test_config_fuzz_raises_only_config_errors(leaf, value, command):
     # one leaf of a valid config replaced by an odd JSON value: the config is
-    # accepted or refused with a ConfigError, never another exception
+    # accepted or refused with a ConfigError, never another exception, with or
+    # without a subcommand's needs and rule
     i, path = leaf
     cfg = json.loads(json.dumps(_FUZZ_BASES[i]))
     node = cfg
@@ -151,7 +155,7 @@ def test_config_fuzz_raises_only_config_errors(leaf, value):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         try:
-            parse_config(cfg)
+            parse_config(cfg, command)
         except ConfigError:
             pass
 
@@ -203,6 +207,16 @@ def test_family_kind_null_refused_at_its_path():
     with pytest.raises(ConfigError) as err:
         parse_config(cfg)
     assert [path for path, _ in err.value.errors] == ["strong.family.kind"]
+
+
+def test_unknown_key_does_not_block_the_model_rules():
+    # a refused value or a missing key in a section holds back the rules that
+    # read it; an unknown key beside valid values does not
+    cfg = base_config(strong={"atom": {"k": 0.9, "p": 0.9, "bogus": 1}},
+                      mechanism={"kind": "ta_discrete"})
+    with pytest.raises(ConfigError) as err:
+        parse_config(cfg)
+    assert sorted(path for path, _ in err.value.errors) == ["strong.atom.bogus", "strong.atom.k"]
 
 
 def test_missing_section_reported_with_every_other_violation(tmp_path, capsys):
