@@ -258,9 +258,12 @@ class _Checker:
             return None
         try:
             return dist.from_json_dict(obj)
-        except (DistributionError, ValueError, TypeError, OverflowError) as exc:
+        except DistributionError as exc:
+            self.fail(f"{path}.{exc.field}" if exc.field else path, str(exc))
+        except (ValueError, TypeError, OverflowError) as exc:
             self.fail(path, str(exc))
-            return None
+        self.bad.add(path)
+        return None
 
     def domain(self, paths: dict[str, str], fn, **kwargs):
         """fn(**kwargs), or None once its refusal is recorded at the config

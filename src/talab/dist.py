@@ -38,13 +38,20 @@ and f (Devroye, *Non-Uniform Random Variate Generation*, 1986, section 2.2):
 
 * F is tabulated once per law (a few hundred points over the support plus
   each component's own interval, made monotone by a running max);
-* each level u is bracketed by a search of that table and starts from linear
-  interpolation inside its bracket;
+* each level u is bracketed by the table row found by the table's guide-table
+  search (``SortedIndex``), and starts from linear interpolation inside it;
 * Newton steps x <- x - (F(x) - u)/f(x) shrink the bracket; a step that leaves
   it, or meets zero density, bisects instead;
 * a level is final once its step is within a few ulps where f > 0; levels
   still open after a few steps (flat stretches, density edges) finish by
   bisection inside their bracket, which keeps the leftmost-x contract.
+
+The iterations never leave a level's row, and each component lies wholly
+below, wholly above or partly inside each row. So the levels are grouped by
+row kind, and F and f sum only the components live in the row: one wholly
+below adds its constant, one wholly above nothing, in the component order of
+``cdf`` and ``pdf``, so every sum keeps its bits. Brackets move by ``select``,
+which has no branch per element.
 
 Every level iterates on its own, so a result never depends on the rest of the
 array: scalar and vector calls agree bit for bit, and so do Monte Carlo runs
@@ -72,12 +79,64 @@ _X_ABS_TOL = 2.0**-64                    # ... or this share of the support widt
 # a subnormal cdf is flat over many tolerances of x: such levels stop on the
 # bracket width, where F(b) >= u, not on the Newton step
 _NEWTON_MIN_LEVEL = np.finfo(float).tiny
+# a component counts as live in a cdf-table row this share of the support top
+# beyond its ends: about 2^20 ulps of any x, centre or end the inverse cdf uses
+_ROW_MARGIN = 2.0**-32
+# below this many elements numpy's call overhead outweighs branch mispredictions
+_SELECT_BRANCHLESS = 1024
 
 _CODE_KINDS = {0: "uniform", 1: "beta_poly", 2: "cosine_bump", 3: "pw_linear"}  # in a mixture
 
 
 class DistributionError(ValueError):
-    """Invalid distribution construction or out-of-contract evaluation."""
+    """Invalid distribution construction or out-of-contract evaluation.
+    ``field`` names the key of a distribution object at fault, if one is."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
+
+
+def select(mask: np.ndarray, x, y) -> np.ndarray:
+    """``np.where(mask, x, y)`` for float64 operands, bit for bit (NaN, -0.0
+    and inf included). x and y may be scalars or strided arrays.
+
+    From ``_SELECT_BRANCHLESS`` elements on it selects on the int64 bits,
+    y ^ ((x ^ y) & -mask), with no branch per element: over a mask that
+    follows no pattern, ``np.where`` and ``np.copyto(where=)`` mispredict
+    about every other element and cost 3-4x as much.
+    """
+    if mask.size < _SELECT_BRANCHLESS:
+        return np.where(mask, x, y)
+    xi, yi = (np.asarray(v, dtype=float).view(np.int64) for v in (x, y))
+    bits = np.bitwise_xor(xi, yi, out=np.empty(mask.shape, dtype=np.int64))
+    bits &= np.negative(mask.view(np.int8))
+    bits ^= yi
+    return bits.view(float)
+
+
+def _sum_cdf(x: np.ndarray, head: float, steps) -> np.ndarray:
+    """F at x: head plus each (weight, component) term's weight times the
+    component's F, and each (constant, None) term's constant, in order."""
+    out = np.full(x.shape, head)
+    for c, p in steps:
+        if p is None:
+            out += c
+        else:
+            t = p.cdf_v(x)
+            t *= c
+            out += t
+    return out
+
+
+def _sum_pdf(x: np.ndarray, dens) -> np.ndarray:
+    """f at x: the sum of weight times density over (weight, component) pairs."""
+    out = np.zeros(x.shape)
+    for w, p in dens:
+        t = p.pdf_v(x)
+        t *= w
+        out += t
+    return out
 
 
 @dataclass(frozen=True)
@@ -210,8 +269,13 @@ class _CosineBump:
     # The vector forms update in place where they can: the inverse cdf calls
     # them on every level, and each full-size temporary costs memory per thread.
 
+    def _t(self, x: np.ndarray) -> np.ndarray:
+        # far from a narrow bump (x - c)/s overflows to +-inf, which is outside
+        with np.errstate(over="ignore"):
+            return (x - self.c) / self.s
+
     def cdf_v(self, x: np.ndarray) -> np.ndarray:
-        t = np.clip((x - self.c) / self.s, -1.0, 1.0)
+        t = np.clip(self._t(x), -1.0, 1.0)
         tail = np.sin(np.pi * t)
         tail /= np.pi
         t += 1.0
@@ -221,7 +285,7 @@ class _CosineBump:
         return np.clip(t, 0.0, 1.0)
 
     def pdf_v(self, x: np.ndarray) -> np.ndarray:
-        t = (x - self.c) / self.s
+        t = self._t(x)
         inside = np.abs(t) <= 1.0
         t = np.cos(np.pi * np.clip(t, -1.0, 1.0))
         t += 1.0
@@ -229,7 +293,7 @@ class _CosineBump:
         return np.where(inside, t, 0.0)
 
     def pm_v(self, x: np.ndarray) -> np.ndarray:
-        t = np.clip((x - self.c) / self.s, -1.0, 1.0)
+        t = np.clip(self._t(x), -1.0, 1.0)
         a = 0.25 * (t * t - 1.0) + 0.5 * (
             t * np.sin(np.pi * t) / np.pi + (np.cos(np.pi * t) + 1.0) / np.pi**2
         )
@@ -497,20 +561,14 @@ class DistributionSpec:
 
     def cdf(self, x):
         if isinstance(x, np.ndarray):
-            out = np.zeros(x.shape, dtype=float)
-            for w, p in zip(self.weights, self.parts):
-                out += w * p.cdf_v(x)
-            return out
+            return _sum_cdf(x, 0.0, zip(self.weights, self.parts))
         xs = float(x)
         return sum(w * ev(xs)[0] for w, ev in self._sweep)
 
     def pdf(self, x):
         if isinstance(x, np.ndarray):
             self._check_domain_v(x)
-            out = np.zeros(x.shape, dtype=float)
-            for w, p in zip(self.weights, self.parts):
-                out += w * p.pdf_v(x)
-            return out
+            return _sum_pdf(x, zip(self.weights, self.parts))
         xs = float(x)
         self._check_domain_s(xs)
         return sum(w * ev(xs)[1] for w, ev in self._sweep)
@@ -580,7 +638,12 @@ class DistributionSpec:
         return xs, fs, slope
 
     def quantile(self, q):
-        """Leftmost x with cdf(x) >= q (flat-region infimum); q=1 maps to the support top."""
+        """Leftmost x with cdf(x) >= q (flat-region infimum); q=1 maps to the support top.
+
+        Levels are bracketed by a guide-table search of the cdf table and
+        refined by safeguarded Newton steps, then bisection, on the components
+        live in their table row (module docstring); the result has the bits
+        of the same iteration over every component."""
         if isinstance(q, np.ndarray):
             top = q.max() if q.size else 0.0
             if q.size and (q.min() < 0.0 or top > 1.0):
@@ -593,62 +656,134 @@ class DistributionSpec:
             return self._invert(q.reshape(-1)).reshape(q.shape)
         return float(self.quantile(np.array([float(q)]))[0])
 
+    @cached_property
+    def _row_search(self) -> SortedIndex:
+        return SortedIndex(self._cdf_table[1])
+
+    @cached_property
+    def _row_terms(self) -> tuple[np.ndarray, list]:
+        """(program id per table row, programs): the terms F and f sum over a
+        row of the cdf table, so that the inverse cdf evaluates only the
+        components live in it.
+
+        A component is live in row j, [x[j-1], x[j]], when its closed support
+        meets the row widened by ``_ROW_MARGIN`` of the support top on each
+        side. The margin covers every x the inverse cdf evaluates for a level
+        of the row (its start overshoots x[j] by a few ulps) and the rounding
+        of each component's clipped argument, so beyond it a component's
+        ``cdf_v`` is exactly its value at the support top (a component wholly
+        below the row) or 0 (wholly above), and its ``pdf_v`` is 0. A program
+        is (head, steps, dens): the sum of the leading constants, then the
+        other terms of F in component order, each ``(w, component)`` or
+        ``(w * cdf_v(hi), None)``, and the live (w, component) pairs of f.
+        Summed in component order, as ``cdf`` and ``pdf`` sum, F and f keep
+        their bits. Entry 0 of the ids is unused: levels fall in rows 1 and up.
+        """
+        xt = self._cdf_table[0]
+        margin = _ROW_MARGIN * self.support.hi
+        lo, hi = xt[:-1] - margin, xt[1:] + margin
+        # per row and component: 0 wholly above, 1 live, 2 wholly below. Each
+        # component's state only rises along the rows, so a row's states differ
+        # from every earlier run's once they differ from the previous row's.
+        states = np.stack([np.where(p.hi < lo, 2, np.where(p.lo > hi, 0, 1))
+                           for p in self.parts], axis=1)
+        new = np.any(states[1:] != states[:-1], axis=1)
+        ids = np.concatenate([[0, 0], np.cumsum(new)])
+        top = np.array([self.support.hi])
+        programs = []
+        for row in states[np.concatenate([[0], np.flatnonzero(new) + 1])]:
+            head, steps, dens = 0.0, [], []
+            for w, p, state in zip(self.weights, self.parts, row):
+                if state == 1:
+                    steps.append((w, p))
+                    dens.append((w, p))
+                elif state == 2:
+                    c = w * float(p.cdf_v(top)[0])
+                    if steps:
+                        steps.append((c, None))
+                    else:
+                        head += c
+            programs.append((head, tuple(steps), tuple(dens)))
+        return ids.astype(np.min_scalar_type(len(programs))), programs
+
     def _invert(self, q: np.ndarray) -> np.ndarray:
         """Table bracket, then safeguarded Newton, then bisection; elementwise.
 
         Each level's iterations depend on that level alone, so a result does not
-        depend on the other levels in the array. Brackets are updated in place
-        and converged levels leave the working arrays, to keep the temporaries
-        near those of a plain bisection (which Monte Carlo threads pay each).
+        depend on the other levels in the array. Newton and bisection stay in a
+        level's table row, so the levels are grouped by the terms of their row
+        (``_row_terms``) and each group evaluates only those. Converged
+        levels leave the working arrays, to keep the temporaries near those of
+        a plain bisection (which Monte Carlo threads pay each).
         """
         xt, ft, slope = self._cdf_table
+        row_ids, programs = self._row_terms
         finished = []                 # (positions, results), written out at the end
         # levels above the rounded F(hi) map to hi, like q = 1
         idx = np.flatnonzero((q > 0.0) & (q < 1.0) & (q <= ft[-1]))
-        u = q[idx]
-        j = np.searchsorted(ft, u)
-        b = xt[j]
-        j -= 1
-        a = xt[j]
-        x = u - ft[j]                 # linear interpolation inside the bracket
-        x *= slope[j]
-        x += a
-        del j
+        # the first row above the float below u (u > 0: its bits less one) is
+        # the first row with F >= u
+        j = self._row_search((q.take(idx).view(np.int64) - 1).view(float))
+        ids = row_ids.take(j)
+        if ids.size == 1 or ids.size and ids.min() == ids.max():
+            groups = [(programs[ids[0]], idx, j)]
+        else:
+            groups = []
+            for k, program in enumerate(programs):
+                sel = np.flatnonzero(ids == k)
+                if sel.size:
+                    groups.append((program, idx.take(sel), j.take(sel)))
+            groups.sort(key=lambda g: g[1].size)
+        del idx, j, ids               # the groups' arrays are the loop's alone
         tiny = self.support.width * _X_ABS_TOL
-        for _ in range(_NEWTON_STEPS):
-            if not idx.size:
-                break
-            r = self.cdf(x)
-            r -= u
-            below = r < 0.0
-            np.copyto(a, x, where=below)
-            np.copyto(b, x, where=~below)
-            f = self.pdf(x)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r /= f                # the Newton step
-            x -= r
-            # a step that leaves the bracket (or meets no density) bisects instead
-            off = (x < a) | (x > b) | np.isnan(x)
-            if off.any():
-                np.copyto(x, 0.5 * (a + b), where=off)
-            tol = _X_REL_TOL * np.abs(x) + tiny
-            conv = (np.abs(r) <= tol) & (f > 0.0) & ~off & (u >= _NEWTON_MIN_LEVEL)
-            done = conv | (b - a <= tol)
-            del r, f, tol             # before the next cdf call allocates
-            if done.any():
-                finished.append((idx[done], np.where(conv[done], x[done], b[done])))
-                keep = ~done
-                idx, u, x, a, b = idx[keep], u[keep], x[keep], a[keep], b[keep]
-        while idx.size:
-            mid = 0.5 * (a + b)
-            ge = self.cdf(mid) >= u
-            np.copyto(b, mid, where=ge)
-            np.copyto(a, mid, where=~ge)
-            done = b - a <= _X_REL_TOL * np.abs(b) + tiny
-            if done.any():
-                finished.append((idx[done], b[done]))
-                keep = ~done
-                idx, u, a, b = idx[keep], u[keep], a[keep], b[keep]
+        while groups:
+            (head, steps, dens), idx, j = groups.pop()
+            u = q.take(idx)
+            b = xt.take(j)
+            j -= 1
+            a = xt.take(j)
+            x = u - ft.take(j)        # linear interpolation inside the bracket
+            x *= slope.take(j)
+            x += a
+            del j
+            for _ in range(_NEWTON_STEPS):
+                if not idx.size:
+                    break
+                r = _sum_cdf(x, head, steps)
+                r -= u
+                below = r < 0.0
+                a = select(below, x, a)
+                b = select(below, b, x)
+                self._check_domain_v(x)
+                f = _sum_pdf(x, dens)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    r /= f            # the Newton step
+                x -= r
+                # a step that leaves the bracket (or meets no density) bisects instead
+                off = (x < a) | (x > b) | np.isnan(x)
+                if off.any():
+                    np.copyto(x, 0.5 * (a + b), where=off)
+                tol = _X_REL_TOL * np.abs(x) + tiny
+                conv = (np.abs(r) <= tol) & (f > 0.0) & ~off & (u >= _NEWTON_MIN_LEVEL)
+                done = conv | (b - a <= tol)
+                del r, f, tol         # before the next cdf call allocates
+                if done.any():
+                    end = np.flatnonzero(done)
+                    finished.append((idx.take(end), select(conv.take(end), x.take(end),
+                                                           b.take(end))))
+                    keep = np.flatnonzero(~done)
+                    idx, u, x, a, b = (v.take(keep) for v in (idx, u, x, a, b))
+            while idx.size:
+                mid = 0.5 * (a + b)
+                ge = _sum_cdf(mid, head, steps) >= u
+                b = select(ge, mid, b)
+                a = select(ge, a, mid)
+                done = b - a <= _X_REL_TOL * np.abs(b) + tiny
+                if done.any():
+                    end = np.flatnonzero(done)
+                    finished.append((idx.take(end), b.take(end)))
+                    keep = np.flatnonzero(~done)
+                    idx, u, a, b = (v.take(keep) for v in (idx, u, a, b))
         out = np.where(q <= 0.0, self.support.lo, self.support.hi)
         for pos, res in finished:
             out[pos] = res
@@ -723,12 +858,20 @@ def _count(params: list[float], pos: int, what: str) -> int:
     return int(x)
 
 
+_JSON_KEYS = ("kind", "params", "support")
+
+
 def from_json_dict(obj: dict) -> DistributionSpec:
+    """The law a distribution object encodes. An unknown or missing key is
+    refused with ``field`` naming it (the first, if several)."""
     if not isinstance(obj, dict):
         raise DistributionError("distribution spec must be a JSON object")
-    missing = {"kind", "params", "support"} - set(obj)
+    unknown = sorted(set(obj) - set(_JSON_KEYS), key=str)
+    if unknown:
+        raise DistributionError("unknown key", str(unknown[0]))
+    missing = [name for name in _JSON_KEYS if name not in obj]
     if missing:
-        raise DistributionError(f"distribution spec missing keys {sorted(missing)}")
+        raise DistributionError("missing required key", missing[0])
     kind = obj["kind"]
     lo, hi = (float(v) for v in obj["support"])
     support = SupportInterval(lo, hi)

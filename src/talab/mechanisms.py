@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import DistributionSpec
+from .dist import DistributionSpec, select
 from .equilibrium import BidFunction, InputError, check_bid_ode, check_weak_bidders
 from .rng import uniform_block
 
@@ -183,7 +183,7 @@ def _pick(v: np.ndarray, hit: np.ndarray, j: np.ndarray) -> np.ndarray:
     target = j + 1
     for v_i, hit_i in zip(v, hit):
         seen += hit_i
-        np.copyto(out, v_i, where=hit_i & (seen == target))
+        out = select(hit_i & (seen == target), v_i, out)
     return out
 
 
@@ -199,16 +199,16 @@ def _block_outcomes(spec: AuctionSpec, u: np.ndarray) -> tuple[np.ndarray, np.nd
 
     if spec.kind == "ta_discrete":
         k = spec.strong.k
-        w = np.where(u[:, n] < spec.strong.p, k, 0.0)
+        w = select(u[:, n] < spec.strong.p, k, 0.0)
         pos = v > 0.0                       # weak bid k, else 0
         n_pos = pos.sum(axis=0)
         top = np.where(n_pos > 0, k, 0.0)
         j = np.minimum((tie_u * np.maximum(n_pos, 1)).astype(np.int64), np.maximum(n_pos - 1, 0))
         v_win = _pick(v, pos, j)
-        strong_bid = np.where(w >= k, k, 0.0)
+        strong_bid = select(w >= k, k, 0.0)
         weak_wins = top > strong_bid
         price = np.minimum(top, strong_bid)
-        surplus = np.where(weak_wins, v_win, w)
+        surplus = select(weak_wins, v_win, w)
         return price, surplus
 
     w = spec.strong.quantile(u[:, n])
@@ -220,8 +220,8 @@ def _block_outcomes(spec: AuctionSpec, u: np.ndarray) -> tuple[np.ndarray, np.nd
     if spec.kind == "sa_reserve":
         first, second = _top_two(v)
         clears = w >= spec.reserve
-        price = np.where(clears, np.maximum(spec.reserve, first), second)
-        surplus = np.where(clears, w, first)
+        price = select(clears, np.maximum(spec.reserve, first), second)
+        surplus = select(clears, w, first)
         return price, surplus
 
     # ta / ta_intervention: ranked by value, the top bid is the top value's bid
@@ -229,10 +229,10 @@ def _block_outcomes(spec: AuctionSpec, u: np.ndarray) -> tuple[np.ndarray, np.nd
     top = spec.bid_fn(v_top)
     strong_bid = w
     if spec.kind == "ta_intervention":
-        strong_bid = np.where(u[:, n + 2] < spec.intervention_p, w, 0.0)
+        strong_bid = select(u[:, n + 2] < spec.intervention_p, w, 0.0)
     weak_wins = (top > strong_bid) | ((top == strong_bid) & (tie_u < 0.5))
     price = np.minimum(top, strong_bid)
-    surplus = np.where(weak_wins, v_top, w)
+    surplus = select(weak_wins, v_top, w)
     return price, surplus
 
 

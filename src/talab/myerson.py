@@ -178,8 +178,20 @@ def oa_revenue(
     seed: int,
     threads: int = 1,
 ) -> RevenueEstimate:
-    """Monte Carlo E[max(0, psi_bar over all bidders)] under the draw keying of
-    the mechanism engine (stride N+3, replicate-indexed uniforms).
+    """Monte Carlo E[max(0, psi_bar over all bidders)]: each law ironed, then
+    ``oa_estimate``."""
+    check_oa(weak, strong, n_weak)
+    return oa_estimate(ironed_virtual(weak) if n_weak > 0 else None,
+                       ironed_virtual(strong) if strong is not None else None,
+                       n_weak, n, seed, threads)
+
+
+def oa_estimate(psi_w: VirtualValueFn | None, psi_s: VirtualValueFn | None, n_weak: int,
+                n: int, seed: int, threads: int = 1) -> RevenueEstimate:
+    """Monte Carlo E[max(0, psi_bar over all bidders)] from the ironed virtual
+    values of the weak law (None without weak bidders) and of the strong law
+    (None without a strong bidder), under the draw keying of the mechanism
+    engine (stride N+3, replicate-indexed uniforms).
 
     A draw's value is the inverse cdf of its uniform u, and for these continuous
     laws D(Q(u)) = u, so psi-bar of the draw is the hull lookup at the level u
@@ -187,10 +199,7 @@ def oa_revenue(
     nondecreasing in u, so the weak side needs only the largest of a row's
     N_weak uniforms.
     """
-    check_oa(weak, strong, n_weak)
     (values,) = replicate_arrays(n, 1)
-    psi_w = ironed_virtual(weak) if n_weak > 0 else None
-    psi_s = ironed_virtual(strong) if strong is not None else None
 
     def block(u: np.ndarray):
         best = np.zeros(u.shape[0])

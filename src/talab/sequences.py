@@ -54,7 +54,7 @@ from .equilibrium import (InputError, SolveOptions, StrongBidLaw, check_bid_ode,
                           check_weak_bidders, solve_ode, verify_best_response)
 from .mechanisms import (AuctionSpec, check_auction, check_block_bidders, sa_reserve_closed_form,
                          simulate)
-from .myerson import check_oa, oa_revenue
+from .myerson import check_oa, ironed_virtual, oa_estimate
 
 PROPS = ("P4", "P5", "P6", "P7", "P8", "P9", "P10", "S8")
 FAMILY_KINDS = ("slow_drain", "fast_drain", "smoothed_discrete", "split_atom")
@@ -485,9 +485,12 @@ def run_limit_experiment(
 
     if prop == "P5":
         _checker_gate(prop, fam, need_drain=False)
+        # one weak law for every row: ironed once
+        psi_w = ironed_virtual(weak) if n_weak > 0 else None
         rows = []
         for l in range(1, fam.size + 1):
-            est = oa_revenue(weak, fam.member(l), n_weak, n, seed + l, threads)
+            est = oa_estimate(psi_w, ironed_virtual(fam.member(l)), n_weak, n, seed + l,
+                              threads)
             rows.append(LimitRow(l, est.mean, est.std_error, math.nan, math.nan,
                                  k, abs(est.mean - k), "oa", math.nan))
         return _table(prop, rows, k)

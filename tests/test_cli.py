@@ -160,16 +160,51 @@ def test_config_fuzz_raises_only_config_errors(leaf, value, command):
             pass
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_wide_family_support_parses_without_overflow_warning():
+    # the norm quadrature of a member evaluates its atom bump across [0, 1e308],
+    # where (x - c)/s passes the float range: no RuntimeWarning, as at w_bar 2.5
+    cfg = json.loads(json.dumps(_FUZZ_BASES[3]))
+    cfg["strong"]["family"]["w_bar"] = 1e308
+    assert parse_config(cfg, "sweep").family.w_bar == 1e308
+
+
+def test_distribution_object_refuses_unknown_keys(tmp_path, capsys):
+    cfg = base_config(mechanism={"kind": "sa"})
+    cfg["weak"] = {**cfg["weak"], "bogus": 1}
+    cfg["strong"]["dist"] = {**cfg["strong"]["dist"], "zz": [1]}
+    with pytest.raises(ConfigError) as err:
+        parse_config(cfg)
+    assert err.value.errors == [("weak.bogus", "unknown key"), ("strong.dist.zz", "unknown key")]
+    path = write_config(tmp_path, cfg)
+    assert run(["simulate", "--config", path, "--out-dir", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert [v["path"] for v in err["error"]["violations"]] == ["weak.bogus", "strong.dist.zz"]
+
+
 def _object_paths(obj, path=()):
-    """The path of every object in a config that KEYS describes, the config
-    itself included (a distribution object is dist's to read)."""
+    """The path of every object in a config, the config itself and its
+    distribution objects included."""
     yield path
     for key, val in obj.items():
-        if isinstance(val, dict) and KEYS[".".join(path + (key,))].kind is not DistributionSpec:
+        if isinstance(val, dict):
             yield from _object_paths(val, path + (key,))
 
 
-_FUZZ_OBJECTS = [(i, path) for i, cfg in enumerate(_FUZZ_BASES) for path in _object_paths(cfg)]
+def _required(path: str) -> bool:
+    """Whether a config key must be given: each key of a distribution object
+    must, and KEYS says for the others."""
+    head = path.rpartition(".")[0]
+    return head in KEYS and KEYS[head].kind is DistributionSpec or KEYS[path].required
+
+
+def _in_distribution(path: tuple) -> bool:
+    return bool(path) and KEYS[".".join(path)].kind is DistributionSpec
+
+
+# distribution objects last, so that each section keeps its case id
+_FUZZ_OBJECTS = sorted(((i, path) for i, cfg in enumerate(_FUZZ_BASES)
+                        for path in _object_paths(cfg)), key=lambda c: _in_distribution(c[1]))
 
 
 @pytest.mark.parametrize("i, path", _FUZZ_OBJECTS)
@@ -197,9 +232,9 @@ def test_config_fuzz_object_paths(i, path):
         try:
             parse_config(cfg)
         except ConfigError as exc:
-            assert full in {p for p, _ in exc.errors} or not KEYS[full].required
+            assert full in {p for p, _ in exc.errors} or not _required(full)
         else:
-            assert not KEYS[full].required
+            assert not _required(full)
 
 
 def test_family_kind_null_refused_at_its_path():

@@ -1,6 +1,8 @@
 """The inverse cdf (table bracket + safeguarded Newton) against the bisection it
-replaced, and its contract on random mixtures; cost guards of the cdf table
-and of the revenue-curve hull built from the inverse cdf."""
+replaced and, bit for bit, against the same iteration over every component
+without the guide-table search; its contract on random mixtures; the
+branch-free select; cost guards of the cdf table and of the revenue-curve hull
+built from the inverse cdf."""
 
 import time
 
@@ -34,6 +36,60 @@ def bisect_quantile(d, q):
     return np.where(q >= 1.0, d.support.hi, out)
 
 
+def reference_quantile(d, q):
+    """Oracle for ``quantile`` on a law that is not affine: the table bracket
+    by ``np.searchsorted``, then the same safeguarded Newton and bisection,
+    with F and f summed over every component in every round (``d.cdf`` and
+    ``d.pdf``) and ``np.copyto``/``np.where`` selects."""
+    q = np.asarray(q, dtype=float).reshape(-1)
+    xt, ft, slope = d._cdf_table
+    finished = []
+    idx = np.flatnonzero((q > 0.0) & (q < 1.0) & (q <= ft[-1]))
+    u = q[idx]
+    j = np.searchsorted(ft, u)
+    b = xt[j]
+    a = xt[j - 1]
+    x = (u - ft[j - 1]) * slope[j - 1] + a
+    tiny = d.support.width * dist._X_ABS_TOL
+    for _ in range(dist._NEWTON_STEPS):
+        if not idx.size:
+            break
+        r = d.cdf(x) - u
+        below = r < 0.0
+        np.copyto(a, x, where=below)
+        np.copyto(b, x, where=~below)
+        f = d.pdf(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r /= f
+        x -= r
+        off = (x < a) | (x > b) | np.isnan(x)
+        np.copyto(x, 0.5 * (a + b), where=off)
+        tol = dist._X_REL_TOL * np.abs(x) + tiny
+        conv = (np.abs(r) <= tol) & (f > 0.0) & ~off & (u >= dist._NEWTON_MIN_LEVEL)
+        done = conv | (b - a <= tol)
+        finished.append((idx[done], np.where(conv[done], x[done], b[done])))
+        keep = ~done
+        idx, u, x, a, b = idx[keep], u[keep], x[keep], a[keep], b[keep]
+    while idx.size:
+        mid = 0.5 * (a + b)
+        ge = d.cdf(mid) >= u
+        np.copyto(b, mid, where=ge)
+        np.copyto(a, mid, where=~ge)
+        done = b - a <= dist._X_REL_TOL * np.abs(b) + tiny
+        finished.append((idx[done], b[done]))
+        keep = ~done
+        idx, u, a, b = idx[keep], u[keep], a[keep], b[keep]
+    out = np.where(q <= 0.0, d.support.lo, d.support.hi)
+    for pos, res in finished:
+        out[pos] = res
+    return out
+
+
+def same_bits(x, y) -> bool:
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
 def _family_laws():
     laws = []
     for kind in ("slow_drain", "smoothed_discrete", "split_atom"):
@@ -64,6 +120,72 @@ def test_matches_bisection(laws, levels):
         assert np.max(np.abs(d.cdf(x[inner]) - levels[inner])) <= F_TOL, name
         ref = bisect_quantile(d, levels)
         assert np.max(np.abs(x - ref)) <= X_TOL * d.support.width, name
+
+
+def _edge_levels(d) -> np.ndarray:
+    """Levels in the cdf-table rows next to each component's ends, where a
+    component turns live, constant or absent: each such row's F values, their
+    float neighbours and nine levels across the row."""
+    xt, ft, _ = d._cdf_table
+    ends = np.array([e for p in d.parts for e in (p.lo, p.hi)])
+    rows = np.unique(np.clip(np.searchsorted(xt, ends)[:, None] + np.arange(-1, 3), 1,
+                             xt.size - 1))
+    lo, hi = ft[rows - 1], ft[rows]
+    across = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, 11)[1:-1]
+    out = np.concatenate([lo, hi, np.nextafter(lo, 1.0), np.nextafter(hi, 0.0),
+                          across.ravel()])
+    return out[(out >= 0.0) & (out <= 1.0)]
+
+
+def _near_row_end_laws():
+    """Uniform components that end two ulps above, or start one ulp below, a
+    cdf-table point (0.5): the rows where a component's density at its end, or
+    a start just past the row, would be dropped by too narrow a row margin."""
+    up = np.nextafter(np.nextafter(0.5, 1.0), 1.0)
+    down = np.nextafter(0.5, 0.0)
+    return [(f"U[{lo!r}, {hi!r}] + U[0, 1]",
+             dist.mixture([(0.5, dist.uniform(lo, hi)), (0.5, dist.uniform(0.0, 1.0))]))
+            for lo, hi in ((0.0, up), (down, 1.0))]
+
+
+def test_matches_full_component_oracle_bitwise(laws, levels):
+    # Monte Carlo levels and the even grid, every cdf-table value and its float
+    # neighbours, and levels in the rows next to each component's ends
+    for name, d in laws + _near_row_end_laws():
+        ft = d._cdf_table[1]
+        u = np.concatenate([levels, ft, np.nextafter(ft, 0.0), np.nextafter(ft, 1.0),
+                            _edge_levels(d)])
+        u = u[(u >= 0.0) & (u <= 1.0)]
+        assert same_bits(d.quantile(u), reference_quantile(d, u)), name
+
+
+def test_rows_skip_components_only_where_exact(laws):
+    # the per-row terms are not all live: the saving the oracle test guards
+    skipped = 0
+    for name, d in laws:
+        _, programs = d._row_terms
+        skipped += sum(len(d.parts) - len(dens) for _, _, dens in programs)
+    assert skipped > 0
+
+
+_SPECIAL = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 1.5, -2.0, 5e-324,
+                     np.finfo(float).max])
+
+
+@pytest.mark.parametrize("size", [7, dist._SELECT_BRANCHLESS, 3 * dist._SELECT_BRANCHLESS + 1])
+def test_select_matches_where_bitwise(size):
+    rng = np.random.default_rng(size)
+    x = rng.choice(_SPECIAL, size)
+    y = rng.choice(_SPECIAL, size)
+    mask = rng.random(size) < 0.5
+    assert same_bits(dist.select(mask, x, y), np.where(mask, x, y))
+    # strided columns, as the Monte Carlo blocks pass them
+    block = rng.choice(_SPECIAL, (size, 3))
+    assert same_bits(dist.select(mask, block[:, 0], block[:, 2]),
+                     np.where(mask, block[:, 0], block[:, 2]))
+    # scalar operands, on either side or both
+    for a, b in ((2.0, y), (x, -0.0), (np.nan, -np.inf), (-0.0, 0.0)):
+        assert same_bits(dist.select(mask, a, b), np.where(mask, a, b))
 
 
 def test_extreme_levels_at_density_edges(test_distributions):
@@ -190,3 +312,5 @@ def test_quantile_properties(d):
     assert x[0] == d.support.lo and x[-1] == d.support.hi
     assert np.max(np.abs(d.cdf(x[1:-1]) - PROPERTY_LEVELS[1:-1])) <= F_TOL
     assert d.quantile(0.0) == d.support.lo and d.quantile(1.0) == d.support.hi
+    if not d._affine_quantile:
+        assert same_bits(x, reference_quantile(d, PROPERTY_LEVELS))

@@ -1,7 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
-from talab import dist
+from talab import dist, myerson
 from talab.mechanisms import sa_reserve_closed_form
 from talab.sequences import (
     ExperimentError,
@@ -269,3 +271,26 @@ def test_surplus_tracking_experiment(u01):
     assert any(abs(r.revenue - K) <= 0.1 * K for r in table.rows)
     assert table.notes[-1] == "surplus-tracks-revenue check passed"
     assert all(r.surplus >= r.revenue - 1e-9 for r in table.rows)
+
+
+def test_p5_irons_the_weak_law_once(slow8, monkeypatch):
+    # a size-8 P5 sweep irons the weak law once and each member once (9
+    # calls, not 16), and its rows are oa_revenue's per member, bit for bit
+    weak = dist.mixture([(0.5, dist.uniform(0.0, 0.4)), (0.5, dist.uniform(0.0, 1.0))])
+    iron = myerson.ironed_virtual
+    ironed = []
+
+    def counted(d):
+        ironed.append(d)
+        return iron(d)
+
+    # every name the function is reachable by, whatever the import style
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "talab" and getattr(mod, "ironed_virtual", None) is iron:
+            monkeypatch.setattr(mod, "ironed_virtual", counted)
+    table = run_limit_experiment("P5", slow8, weak, 2, n=5_000, seed=3)
+    assert len(ironed) == 9 and sum(d is weak for d in ironed) == 1
+    monkeypatch.undo()
+    for row in table.rows:
+        est = myerson.oa_revenue(weak, slow8.member(row.index), 2, 5_000, 3 + row.index)
+        assert (row.revenue, row.revenue_se) == (est.mean, est.std_error)
