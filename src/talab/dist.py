@@ -725,7 +725,7 @@ class DistributionSpec:
         # the first row with F >= u
         j = self._row_search((q.take(idx).view(np.int64) - 1).view(float))
         ids = row_ids.take(j)
-        if ids.size == 1 or ids.size and ids.min() == ids.max():
+        if ids.size == 1 or ids.size and ids.min() == ids.max():   # nothing to split
             groups = [(programs[ids[0]], idx, j)]
         else:
             groups = []
