@@ -259,7 +259,10 @@ class _Checker:
         try:
             return dist.from_json_dict(obj)
         except DistributionError as exc:
-            self.fail(f"{path}.{exc.field}" if exc.field else path, str(exc))
+            for name, msg in exc.faults:
+                self.fail(f"{path}.{name}", msg)
+            if not exc.faults:
+                self.fail(path, str(exc))
         except (ValueError, TypeError, OverflowError) as exc:
             self.fail(path, str(exc))
         self.bad.add(path)

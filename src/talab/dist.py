@@ -51,7 +51,7 @@ below, wholly above or partly inside each row. So the levels are grouped by
 row kind, and F and f sum only the components live in the row: one wholly
 below adds its constant, one wholly above nothing, in the component order of
 ``cdf`` and ``pdf``, so every sum keeps its bits. Brackets move by ``select``,
-which has no branch per element.
+which has no branch per element from 1,024 levels on.
 
 Every level iterates on its own, so a result never depends on the rest of the
 array: scalar and vector calls agree bit for bit, and so do Monte Carlo runs
@@ -82,7 +82,10 @@ _NEWTON_MIN_LEVEL = np.finfo(float).tiny
 # a component counts as live in a cdf-table row this share of the support top
 # beyond its ends: about 2^20 ulps of any x, centre or end the inverse cdf uses
 _ROW_MARGIN = 2.0**-32
-# below this many elements numpy's call overhead outweighs branch mispredictions
+# select's crossover. Over fresh random masks (2-vCPU Xeon, numpy 2.4) np.where
+# takes 2.2, 4.4 and 8.1 us at 16, 512 and 1,024 elements, the int64 select 7.6,
+# 5.6 and 7.6 us; the late Newton and bisection rounds of a sweep's inverse cdf
+# select over a few dozen levels (about 1,200 calls a pass)
 _SELECT_BRANCHLESS = 1024
 
 _CODE_KINDS = {0: "uniform", 1: "beta_poly", 2: "cosine_bump", 3: "pw_linear"}  # in a mixture
@@ -90,11 +93,12 @@ _CODE_KINDS = {0: "uniform", 1: "beta_poly", 2: "cosine_bump", 3: "pw_linear"}  
 
 class DistributionError(ValueError):
     """Invalid distribution construction or out-of-contract evaluation.
-    ``field`` names the key of a distribution object at fault, if one is."""
+    ``faults`` holds a (key, message) pair for each key of a distribution
+    object at fault, if any is."""
 
-    def __init__(self, message: str, field: str | None = None):
+    def __init__(self, message: str, faults: tuple[tuple[str, str], ...] = ()):
         super().__init__(message)
-        self.field = field
+        self.faults = faults
 
 
 def select(mask: np.ndarray, x, y) -> np.ndarray:
@@ -270,12 +274,15 @@ class _CosineBump:
     # them on every level, and each full-size temporary costs memory per thread.
 
     def _t(self, x: np.ndarray) -> np.ndarray:
-        # far from a narrow bump (x - c)/s overflows to +-inf, which is outside
-        with np.errstate(over="ignore"):
-            return (x - self.c) / self.s
+        """t = (x - c)/s clipped to [-1, 1]. Clipping x - c to [-s, s] first
+        gives the same bits, and far from a narrow bump it keeps the division
+        from overflowing."""
+        t = np.clip(x - self.c, -self.s, self.s)
+        t /= self.s
+        return t
 
     def cdf_v(self, x: np.ndarray) -> np.ndarray:
-        t = np.clip(self._t(x), -1.0, 1.0)
+        t = self._t(x)
         tail = np.sin(np.pi * t)
         tail /= np.pi
         t += 1.0
@@ -285,15 +292,19 @@ class _CosineBump:
         return np.clip(t, 0.0, 1.0)
 
     def pdf_v(self, x: np.ndarray) -> np.ndarray:
-        t = self._t(x)
-        inside = np.abs(t) <= 1.0
-        t = np.cos(np.pi * np.clip(t, -1.0, 1.0))
+        d = x - self.c
+        # |t| <= 1 just when |d| <= s: d > s is at least s + ulp(s), and
+        # (s + ulp(s))/s rounds above 1
+        inside = np.abs(d) <= self.s
+        t = np.clip(d, -self.s, self.s)
+        t /= self.s
+        t = np.cos(np.pi * t)
         t += 1.0
         t /= 2.0 * self.s
         return np.where(inside, t, 0.0)
 
     def pm_v(self, x: np.ndarray) -> np.ndarray:
-        t = np.clip(self._t(x), -1.0, 1.0)
+        t = self._t(x)
         a = 0.25 * (t * t - 1.0) + 0.5 * (
             t * np.sin(np.pi * t) / np.pi + (np.cos(np.pi * t) + 1.0) / np.pi**2
         )
@@ -862,16 +873,15 @@ _JSON_KEYS = ("kind", "params", "support")
 
 
 def from_json_dict(obj: dict) -> DistributionSpec:
-    """The law a distribution object encodes. An unknown or missing key is
-    refused with ``field`` naming it (the first, if several)."""
+    """The law a distribution object encodes. Unknown and missing keys are
+    refused together, each in ``faults``."""
     if not isinstance(obj, dict):
         raise DistributionError("distribution spec must be a JSON object")
     unknown = sorted(set(obj) - set(_JSON_KEYS), key=str)
-    if unknown:
-        raise DistributionError("unknown key", str(unknown[0]))
-    missing = [name for name in _JSON_KEYS if name not in obj]
-    if missing:
-        raise DistributionError("missing required key", missing[0])
+    faults = tuple([(str(name), "unknown key") for name in unknown]
+                   + [(name, "missing required key") for name in _JSON_KEYS if name not in obj])
+    if faults:
+        raise DistributionError("; ".join(f"{msg}: {name}" for name, msg in faults), faults)
     kind = obj["kind"]
     lo, hi = (float(v) for v in obj["support"])
     support = SupportInterval(lo, hi)

@@ -182,6 +182,20 @@ def test_distribution_object_refuses_unknown_keys(tmp_path, capsys):
     assert [v["path"] for v in err["error"]["violations"]] == ["weak.bogus", "strong.dist.zz"]
 
 
+def test_distribution_object_refuses_every_bad_key():
+    # two unknown keys, and an unknown key next to a missing one: each refused
+    cfg = base_config(mechanism={"kind": "sa"})
+    cfg["weak"] = {**cfg["weak"], "bogus": 1, "extra": 2}
+    strong = dict(cfg["strong"]["dist"], zz=[1])
+    del strong["support"]
+    cfg["strong"]["dist"] = strong
+    with pytest.raises(ConfigError) as err:
+        parse_config(cfg)
+    assert err.value.errors == [("weak.bogus", "unknown key"), ("weak.extra", "unknown key"),
+                                ("strong.dist.zz", "unknown key"),
+                                ("strong.dist.support", "missing required key")]
+
+
 def _object_paths(obj, path=()):
     """The path of every object in a config, the config itself and its
     distribution objects included."""

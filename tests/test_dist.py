@@ -115,6 +115,25 @@ def test_bump_cdf_edges(gap_mixture):
     assert gap_mixture.quantile(np.array([0.25]))[0] == pytest.approx(0.1, abs=1e-10)
 
 
+@pytest.mark.parametrize("s", [0.1, 1.0, math.nextafter(2.0, 0.0), math.nextafter(0.5, 0.0), 3e-5])
+def test_bump_clipped_argument_keeps_bits(s):
+    # the vector forms clip x - c to [-s, s] before dividing by s: that gives
+    # the bits of (x - c)/s clipped to [-1, 1], and of its |t| <= 1 test, at
+    # each edge and its neighbours, far away and at NaN
+    b = dist.cosine_bump(3.0 * s, s).parts[0]
+    edges = np.array([b.lo, b.c, b.hi])
+    xs = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+                         b.c + s * np.linspace(-1.5, 1.5, 301), [1e308, np.nan, np.inf]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = (xs - b.c) / s
+    inside = np.abs(t) <= 1.0
+    t = np.clip(t, -1.0, 1.0)
+    F = np.clip(0.5 * (t + 1.0 + np.sin(np.pi * t) / np.pi), 0.0, 1.0)
+    f = np.where(inside, (np.cos(np.pi * t) + 1.0) / (2.0 * s), 0.0)
+    for got, want in ((b.cdf_v(xs), F), (b.pdf_v(xs), f)):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 @pytest.mark.parametrize("c, s", [(0.6, 0.6), (1.0, 0.4), (2.0, 0.05)])
 def test_bump_lower_edge_relative_accuracy(c, s):
     # F and M near the lower edge against quadrature of f = sin^2(pi r/2)/s in
