@@ -170,30 +170,21 @@ def test_wide_family_support_parses_without_overflow_warning():
 
 
 def test_distribution_object_refuses_unknown_keys(tmp_path, capsys):
-    cfg = base_config(mechanism={"kind": "sa"})
-    cfg["weak"] = {**cfg["weak"], "bogus": 1}
-    cfg["strong"]["dist"] = {**cfg["strong"]["dist"], "zz": [1]}
-    with pytest.raises(ConfigError) as err:
-        parse_config(cfg)
-    assert err.value.errors == [("weak.bogus", "unknown key"), ("strong.dist.zz", "unknown key")]
-    path = write_config(tmp_path, cfg)
-    assert run(["simulate", "--config", path, "--out-dir", str(tmp_path / "o")]) == 2
-    err = json.loads(capsys.readouterr().err.strip())
-    assert [v["path"] for v in err["error"]["violations"]] == ["weak.bogus", "strong.dist.zz"]
-
-
-def test_distribution_object_refuses_every_bad_key():
     # two unknown keys, and an unknown key next to a missing one: each refused
     cfg = base_config(mechanism={"kind": "sa"})
     cfg["weak"] = {**cfg["weak"], "bogus": 1, "extra": 2}
-    strong = dict(cfg["strong"]["dist"], zz=[1])
+    strong = {**cfg["strong"]["dist"], "zz": [1]}
     del strong["support"]
     cfg["strong"]["dist"] = strong
+    paths = ["weak.bogus", "weak.extra", "strong.dist.zz", "strong.dist.support"]
     with pytest.raises(ConfigError) as err:
         parse_config(cfg)
-    assert err.value.errors == [("weak.bogus", "unknown key"), ("weak.extra", "unknown key"),
-                                ("strong.dist.zz", "unknown key"),
-                                ("strong.dist.support", "missing required key")]
+    assert err.value.errors == [(p, "unknown key") for p in paths[:3]] + [
+        (paths[3], "missing required key")]
+    path = write_config(tmp_path, cfg)
+    assert run(["simulate", "--config", path, "--out-dir", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert [v["path"] for v in err["error"]["violations"]] == paths
 
 
 def _object_paths(obj, path=()):
