@@ -22,10 +22,12 @@ Importing this module loads numpy, not scipy: scipy's incomplete beta function
 is imported when a ``beta_poly`` component is built, so laws of the other
 kinds never load scipy.
 
-A scalar goes through one evaluator per component, ``eval3_s(x) -> (F, f, M)``,
-which computes the shared parts once (one sin and one cos per bump, one
-betainc(a, b, y) per beta); the scalar ``cdf``, ``pdf`` and ``partial_mean``
-sum its F, f and M. Arrays go through the vector ``cdf_v``/``pdf_v``/``pm_v``.
+A scalar goes through the law's ``kernel(x) -> (F, f, M)``, one generated
+straight-line function: each component kind states F, f and M once as source
+lines (one sin and one cos per bump, one betainc(a, b, y) per beta), and the
+kernel is its components' lines, then their weighted sums in component order.
+It is compiled once per sequence of kinds, with the law's numbers bound as
+default arguments. Arrays go through the vector ``cdf_v``/``pdf_v``/``pm_v``.
 
 Supported kinds: ``uniform``, ``beta_poly`` (polynomial Beta-shaped density),
 ``cosine_bump`` (raised-cosine bump, C^1 everywhere), ``pw_linear``
@@ -60,7 +62,9 @@ on any number of threads.
 
 from __future__ import annotations
 
+import linecache
 import math
+import types
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -162,12 +166,33 @@ class SupportInterval:
 
 
 # ---------------------------------------------------------------------------
-# density components (one scalar, three vector evaluators)
+# density components (scalar kernel lines, three vector evaluators)
 # ---------------------------------------------------------------------------
 
 
-class _Uniform:
+class _Component:
+    """``_KERNEL`` sets F{i}, f{i} and M{i} at x for component i; each {name}
+    stands for the parameter name{i}, bound to ``_kernel_values()[name]``. A
+    line that sets M{i} alone starts with it, so that it can be left out."""
+
+    _KERNEL = "F{i}, f{i}, M{i} = {ev}(x)\n"
+
+    def _kernel_values(self) -> dict:
+        return {"ev": self.eval3_s}
+
+
+class _Uniform(_Component):
     kind = "uniform"
+    _KERNEL = """\
+if {lo} < x < {hi}:
+    F{i} = (x - {lo}) * {h}
+    f{i} = {h}
+    M{i} = 0.5 * {h} * (x * x - {lo} * {lo})
+else:   # the support's ends keep the density; NaN gives NaN F and M
+    F{i} = 0.0 if x <= {lo} else 1.0 if x >= {hi} else x
+    f{i} = {h} if x == {lo} or x == {hi} else 0.0
+    M{i} = 0.0 if x <= {lo} else {m_hi} if x >= {hi} else x
+"""
 
     def __init__(self, lo: float, hi: float):
         if not lo < hi:
@@ -175,17 +200,9 @@ class _Uniform:
         self.lo, self.hi = float(lo), float(hi)
         self.h = 1.0 / (hi - lo)
 
-    def eval3_s(self, x: float) -> tuple[float, float, float]:
-        lo, hi, h = self.lo, self.hi, self.h
-        if lo < x < hi:
-            return (x - lo) * h, h, 0.5 * h * (x * x - lo * lo)
-        # the support's ends keep the density; NaN gives NaN F and M
-        f = h if x == lo or x == hi else 0.0
-        if x <= lo:
-            return 0.0, f, 0.0
-        if x >= hi:
-            return 1.0, f, 0.5 * h * (hi * hi - lo * lo)
-        return x, f, x
+    def _kernel_values(self) -> dict:
+        return {"lo": self.lo, "hi": self.hi, "h": self.h,
+                "m_hi": 0.5 * self.h * (self.hi * self.hi - self.lo * self.lo)}
 
     def mean(self) -> float:
         return 0.5 * (self.lo + self.hi)
@@ -209,7 +226,6 @@ class _Uniform:
 # F = (r/2) sum (-1)^(k+1) z^k / ((2k)! (2k+1)) and
 # A = (r^2/2) sum (-1)^(k+1) z^k / ((2k)! (2k+2)). Ten terms reach the
 # rounding floor below r = 0.25 (the k = 11 term is under 1e-20 of the first).
-_BUMP_SERIES_R = 0.25
 _PI2 = math.pi * math.pi
 _BUMP_SERIES = tuple(
     ((-1) ** (k + 1) / (math.factorial(2 * k) * (2 * k + 1)),
@@ -218,7 +234,15 @@ _BUMP_SERIES = tuple(
 )
 
 
-class _CosineBump:
+def _horner(coefs) -> str:
+    """The loop p = z * (c + p) from p = 0.0 over coefs, written out."""
+    p = "0.0"
+    for c in coefs:
+        p = f"z * ({c!r} + {p})"
+    return p
+
+
+class _CosineBump(_Component):
     """Raised-cosine density on [c-s, c+s]: f = (1 + cos(pi (x-c)/s)) / (2s).
 
     Near the lower edge 0.5 (1 + t + sin(pi t)/pi) cancels to an absolute error
@@ -227,45 +251,37 @@ class _CosineBump:
     A(r) = integral of rho (1 - cos(pi rho))/2 over [0, r]."""
 
     kind = "cosine_bump"
+    _KERNEL = """\
+t = (x - {c}) / {s}
+if t <= -1.0 or t >= 1.0:
+    F{i} = 0.0 if t < 0.0 else 1.0
+    f{i} = 0.0
+    M{i} = 0.0 if t < 0.0 else {m_hi}
+else:   # and NaN
+    u = PI * t
+    cs = cos(u)
+    f{i} = (1.0 + cs) / {two_s}
+    r = (x - {lo}) / {s}
+    if r < 0.25:   # the series, Horner in z = (pi r)^2
+        z = PI2 * r * r
+        F{i} = 0.5 * r * (%s)
+        M{i} = {lo} * F{i} + {s} * (0.5 * r * r * (%s))
+    else:
+        sn = sin(u)
+        F{i} = 0.5 * (1.0 + t + sn / PI)
+        M{i} = {c} * F{i} + {s} * (0.25 * (t * t - 1.0) + 0.5 * (t * sn / PI + (cs + 1.0) / PI2))
+""" % (_horner([cf for cf, _ in _BUMP_SERIES]), _horner([ca for _, ca in _BUMP_SERIES]))
 
     def __init__(self, center: float, half_width: float):
         if not half_width > 0:
             raise DistributionError(f"bump half_width must be > 0, got {half_width}")
         self.c, self.s = float(center), float(half_width)
         self.lo, self.hi = self.c - self.s, self.c + self.s
-        # eval3_s at and beyond t = -1 and t = 1 (where f = 0)
-        self._edges = ((0.0, 0.0, 0.0), (1.0, 0.0, self.c + self.s * self._a(1.0)))
 
-    def _lower_series(self, r: float) -> tuple[float, float]:
-        """(F, A(r)) for 0 <= r < _BUMP_SERIES_R, Horner in z = (pi r)^2."""
-        z = _PI2 * r * r
-        pf = pa = 0.0
-        for cf, ca in _BUMP_SERIES:
-            pf = z * (cf + pf)
-            pa = z * (ca + pa)
-        return 0.5 * r * pf, 0.5 * r * r * pa
-
-    def _a(self, t: float) -> float:
-        # integral of u*(1+cos(pi u))/2 over [-1, t]
-        return 0.25 * (t * t - 1.0) + 0.5 * (
-            t * math.sin(math.pi * t) / math.pi
-            + (math.cos(math.pi * t) + 1.0) / (math.pi * math.pi)
-        )
-
-    def eval3_s(self, x: float) -> tuple[float, float, float]:
-        t = (x - self.c) / self.s
-        if t <= -1.0 or t >= 1.0:
-            return self._edges[0] if t < 0.0 else self._edges[1]
-        u = math.pi * t
-        cs = math.cos(u)
-        r = (x - self.lo) / self.s
-        if r < _BUMP_SERIES_R:
-            F, A = self._lower_series(r)
-            return F, (1.0 + cs) / (2.0 * self.s), self.lo * F + self.s * A
-        sn = math.sin(u)
-        F = 0.5 * (1.0 + t + sn / math.pi)
-        a = 0.25 * (t * t - 1.0) + 0.5 * (t * sn / math.pi + (cs + 1.0) / (math.pi * math.pi))
-        return F, (1.0 + cs) / (2.0 * self.s), self.c * F + self.s * a
+    def _kernel_values(self) -> dict:
+        # M at t >= 1: the last M line at t = 1, whose bracket is 0.5 sin(pi)/pi
+        return {"c": self.c, "s": self.s, "lo": self.lo, "two_s": 2.0 * self.s,
+                "m_hi": self.c + self.s * (0.5 * (math.sin(math.pi) / math.pi))}
 
     def mean(self) -> float:
         return self.c
@@ -288,7 +304,7 @@ class _CosineBump:
         t += 1.0
         t += tail
         t *= 0.5
-        # sin(-pi)/pi is -3.9e-17, not 0: clip to the exact 0 and 1 of eval3_s
+        # sin(-pi)/pi is -3.9e-17, not 0: clip to the exact 0 and 1 of the scalar kernel
         return np.clip(t, 0.0, 1.0)
 
     def pdf_v(self, x: np.ndarray) -> np.ndarray:
@@ -314,7 +330,7 @@ class _CosineBump:
         return (self.lo, self.c, self.hi)
 
 
-class _BetaPoly:
+class _BetaPoly(_Component):
     """Beta(a, b)-shaped polynomial density rescaled to [lo, hi]; a, b >= 1."""
 
     kind = "beta_poly"
@@ -333,9 +349,6 @@ class _BetaPoly:
         self.log_norm = betaln(self.a, self.b)
         self._betainc = betainc
 
-    def _y(self, x: float) -> float:
-        return min(max((x - self.lo) / self.width, 0.0), 1.0)
-
     def _pdf_y(self, y: float) -> float:
         if y < 0.0 or y > 1.0:
             return 0.0
@@ -348,7 +361,7 @@ class _BetaPoly:
         return math.exp(la + lb - self.log_norm) / self.width
 
     def eval3_s(self, x: float) -> tuple[float, float, float]:
-        y = self._y(x)
+        y = min(max((x - self.lo) / self.width, 0.0), 1.0)
         F = float(self._betainc(self.a, self.b, y))
         f = 0.0 if x < self.lo or x > self.hi else self._pdf_y(y)
         tail = self.width * (self.a / (self.a + self.b)) * float(
@@ -390,7 +403,7 @@ class _BetaPoly:
         return (self.lo, self.hi)
 
 
-class _PwLinear:
+class _PwLinear(_Component):
     """Continuous piecewise-linear density through (xs[i], ys[i])."""
 
     kind = "pw_linear"
@@ -424,15 +437,11 @@ class _PwLinear:
         d = x - x0
         return y0 * (x * x - x0 * x0) / 2.0 + m * d * d * (x0 / 2.0 + d / 3.0)
 
-    def _seg_idx_s(self, x: float) -> int:
-        i = int(np.searchsorted(self.xs, x, side="right")) - 1
-        return min(max(i, 0), len(self.xs) - 2)
-
     def eval3_s(self, x: float) -> tuple[float, float, float]:
         if x < self.lo or x > self.hi:
             return (0.0, 0.0, 0.0) if x < self.lo else (1.0, 0.0, float(self.cum_pm[-1]))
         # on [lo, hi] f is its segment's line, lo included; NaN gives NaN
-        i = self._seg_idx_s(x)
+        i = min(max(int(np.searchsorted(self.xs, x, side="right")) - 1, 0), len(self.xs) - 2)
         d = x - self.xs[i]
         f = float(self.ys[i] + self.slopes[i] * d)
         if x == self.hi:
@@ -467,6 +476,24 @@ class _PwLinear:
 
     def knots(self):
         return tuple(self.xs)
+
+
+_KERNEL_GLOBALS = {"__name__": __name__, "cos": math.cos, "sin": math.sin,
+                   "PI": math.pi, "PI2": _PI2}
+_KERNEL_CODE: dict[str, types.CodeType] = {}    # source -> its function's code
+
+
+def compile_kernel(source: str, defaults) -> types.FunctionType:
+    """The one function ``source`` defines (its code is the module's first
+    constant), with ``defaults`` bound to its trailing parameters. Each distinct
+    source is compiled once, and its text goes to ``linecache``, so tracebacks
+    and ``inspect.getsource`` show it."""
+    code = _KERNEL_CODE.get(source)
+    if code is None:
+        filename = f"<talab kernel {hash(source):x}>"
+        linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+        code = _KERNEL_CODE[source] = compile(source, filename, "exec").co_consts[0]
+    return types.FunctionType(code, _KERNEL_GLOBALS, code.co_name, tuple(defaults))
 
 
 # ---------------------------------------------------------------------------
@@ -573,8 +600,7 @@ class DistributionSpec:
     def cdf(self, x):
         if isinstance(x, np.ndarray):
             return _sum_cdf(x, 0.0, zip(self.weights, self.parts))
-        xs = float(x)
-        return sum(w * ev(xs)[0] for w, ev in self._sweep)
+        return self.kernel(float(x))[0]
 
     def pdf(self, x):
         if isinstance(x, np.ndarray):
@@ -582,7 +608,7 @@ class DistributionSpec:
             return _sum_pdf(x, zip(self.weights, self.parts))
         xs = float(x)
         self._check_domain_s(xs)
-        return sum(w * ev(xs)[1] for w, ev in self._sweep)
+        return self.kernel(xs)[1]
 
     def partial_mean(self, x):
         """M(x) = integral of t * pdf(t) over [lo, min(x, hi)]."""
@@ -591,13 +617,29 @@ class DistributionSpec:
             for w, p in zip(self.weights, self.parts):
                 out += w * p.pm_v(x)
             return out
-        xs = float(x)
-        return sum(w * ev(xs)[2] for w, ev in self._sweep)
+        return self.kernel(float(x))[2]
+
+    def kernel_body(self, with_m: bool) -> tuple[str, dict]:
+        """(lines, params): function-body lines that set F, f and, if ``with_m``,
+        M at x (module docstring), and the value of each parameter they read.
+        Each sum runs in component order from 0.0, as sum() does."""
+        lines, params = [], {}
+        for i, (w, p) in enumerate(zip(self.weights, self.parts)):
+            bound = {"w": w, **p._kernel_values()}
+            params.update((f"{key}{i}", value) for key, value in bound.items())
+            source = p._KERNEL.format(i=i, **{key: f"{key}{i}" for key in bound})
+            lines += [line for line in source.splitlines()
+                      if with_m or not line.lstrip().startswith(f"M{i} =")]
+        lines += [f"{t} = 0.0" + "".join(f" + w{i} * {t}{i}" for i in range(len(self.parts)))
+                  for t in ("F", "f", "M")[:3 if with_m else 2]]
+        return "".join(f"    {line}\n" for line in lines), params
 
     @cached_property
-    def _sweep(self) -> tuple:
-        """(weight, component ``eval3_s``) pairs: F, f and M of a scalar in one pass."""
-        return tuple((w, p.eval3_s) for w, p in zip(self.weights, self.parts))
+    def kernel(self):
+        """x -> (F(x), f(x), M(x)) at a scalar x, in one straight-line call."""
+        body, params = self.kernel_body(True)
+        return compile_kernel(f"def kernel(x, {', '.join(params)}):\n{body}"
+                              "    return F, f, M\n", params.values())
 
     def _check_domain_s(self, x: float):
         if x < self.support.lo - 1e-12 or x > self.support.hi + 1e-12:

@@ -25,11 +25,11 @@ density or a derivative of it may jump and H is not smooth, a step is cut to
 end just past the knot, and a step across a knot of either law is also gated
 on its defect at 31 points. The tests check the solver against scipy's DOP853
 started from the same series-start node, check the bump against the dense
-output of scipy's RK45 and recompute the defect from the returned schedule. An
-rhs evaluation sweeps each law's components once (``eval3_s``) and the stages
-are written out, with every floating-point operation of the separate
-cdf/pdf/partial_mean calls and of ``sum()`` over the tableau kept: the
-schedules are bit-identical to that form.
+output of scipy's RK45 and recompute the defect from the returned schedule.
+The rhs is generated per solve: the weak law's kernel lines, then one call of
+the strong law's (``StrongBidLaw.eval3``). It and the written-out stages keep
+every floating-point operation of the separate cdf/pdf/partial_mean calls and
+of ``sum()`` over the tableau: the schedules are bit-identical to that form.
 
 ``verify_best_response`` checks the solved schedule against grid deviations of
 the reported value (and raw bids above b(v_bar)), which is the acceptance
@@ -50,7 +50,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dist import DistributionSpec, SortedIndex
+from .dist import DistributionSpec, SortedIndex, compile_kernel
 
 __all__ = [
     "BandEscape",
@@ -174,13 +174,8 @@ class StrongBidLaw:
         return 0.0 if g <= 0.0 else self.partial_mean(b) / g
 
     def eval3(self, b: float) -> tuple[float, float, float]:
-        """(cdf, pdf, partial_mean) at a scalar bid b >= 0, one component sweep."""
-        c = p = m = 0.0
-        for w, ev in self.dist._sweep:
-            F, f, M = ev(b)
-            c += w * F
-            p += w * f
-            m += w * M
+        """(cdf, pdf, partial_mean) at a scalar bid b >= 0: the kernel plus the atom."""
+        c, p, m = self.dist.kernel(b)
         z = self.zero_bid_prob
         s = 1.0 - z  # self.atom and self.scale, without the property calls
         return z + s * c, s * p, s * m
@@ -353,32 +348,28 @@ class _OutOfBand(Exception):
     pass
 
 
+# after the weak law's F and f at x = v; [v_lo, v_hi] is weak.pdf's domain
+_RHS_TAIL = """\
+    if F <= 0.0 or x <= 0.0:
+        raise OutOfBand
+    if x < v_lo or x > v_hi:
+        check_domain(x)
+    Gb, gb, Mb = eval3(b)
+    m = Mb / Gb if Gb > 0.0 else 0.0
+    if b <= x or m >= x or gb <= 0.0:
+        raise OutOfBand
+    return nm1 * (f / F) * (Gb / gb) * (x - m) / (b - x)
+"""
+
+
 def _rhs_factory(weak: DistributionSpec, law: StrongBidLaw, n_weak: int):
-    nm1 = float(n_weak - 1)
-    weak_sweep, eval3 = weak._sweep, law.eval3
-    v_lo, v_hi = weak.support.lo - 1e-12, weak.support.hi + 1e-12  # weak.pdf's domain
-
-    def rhs(v: float, b: float) -> float:
-        Fv = fv = 0.0  # weak.cdf(v) and weak.pdf(v) in one sweep
-        for w, ev in weak_sweep:
-            F, f, _ = ev(v)
-            Fv += w * F
-            fv += w * f
-        if Fv <= 0.0 or v <= 0.0:
-            raise _OutOfBand
-        if v < v_lo or v > v_hi:
-            weak._check_domain_s(v)
-        Gb, gb, Mb = eval3(b)
-        if b <= v:
-            raise _OutOfBand
-        m = Mb / Gb if Gb > 0.0 else 0.0
-        if m >= v:
-            raise _OutOfBand
-        if gb <= 0.0:
-            raise _OutOfBand
-        return nm1 * (fv / Fv) * (Gb / gb) * (v - m) / (b - v)
-
-    return rhs
+    """H as one generated function rhs(v, b): the weak law's F and f lines,
+    then the band checks around one ``law.eval3`` call."""
+    body, params = weak.kernel_body(False)
+    params.update(nm1=float(n_weak - 1), eval3=law.eval3, check_domain=weak._check_domain_s,
+                  OutOfBand=_OutOfBand, v_lo=weak.support.lo - 1e-12, v_hi=weak.support.hi + 1e-12)
+    return compile_kernel(f"def rhs(x, b, {', '.join(params)}):\n{body}{_RHS_TAIL}",
+                          params.values())
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +639,9 @@ def _defect_bound(rhs, v, b0, b1, k0, k1, h, e) -> float:
     interval and is at most twice its largest value. The cubic's leading term
     is odd and peaks at the Gauss points; the quartic's has an even part too,
     largest at the midpoint, which the Gauss points alone would miss."""
-    dl, dm, dr = (_defect_at(rhs, v, b0, b1, k0, k1, h, e, p) for p in _GATE_POINTS)
+    dl = _defect_at(rhs, v, b0, b1, k0, k1, h, e, _GATE_POINTS[0])
+    dm = _defect_at(rhs, v, b0, b1, k0, k1, h, e, _GATE_POINTS[1])
+    dr = _defect_at(rhs, v, b0, b1, k0, k1, h, e, _GATE_POINTS[2])
     # a + beta x + c x^2 takes 6 dl, 4 dm, 6 dr at x = -g, 0, g (g^2 = 1/12)
     a = 4.0 * dm
     beta = 3.0 * (dr - dl) / _GAUSS_OFFSET

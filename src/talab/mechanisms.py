@@ -211,13 +211,12 @@ def _block_outcomes(spec: AuctionSpec, u: np.ndarray) -> tuple[np.ndarray, np.nd
         surplus = select(weak_wins, v_win, w)
         return price, surplus
 
-    w = spec.strong.quantile(u[:, n])
-
     if spec.kind == "sa":
-        first, second = _top_two([*v, w])
+        first, second = _top_two([*v, spec.strong.quantile(u[:, n])])
         return second, first
 
     if spec.kind == "sa_reserve":
+        w = spec.strong.quantile(u[:, n])
         first, second = _top_two(v)
         clears = w >= spec.reserve
         price = select(clears, np.maximum(spec.reserve, first), second)
@@ -227,9 +226,15 @@ def _block_outcomes(spec: AuctionSpec, u: np.ndarray) -> tuple[np.ndarray, np.nd
     # ta / ta_intervention: ranked by value, the top bid is the top value's bid
     v_top = v.max(axis=0)
     top = spec.bid_fn(v_top)
-    strong_bid = w
-    if spec.kind == "ta_intervention":
-        strong_bid = select(u[:, n + 2] < spec.intervention_p, w, 0.0)
+    if spec.kind == "ta":
+        w = strong_bid = spec.strong.quantile(u[:, n])
+    else:
+        # a zeroed strong value is read only at a top bid of 0: invert no other
+        kept = u[:, n + 2] < spec.intervention_p
+        read = np.flatnonzero(kept | (top <= 0.0))
+        w = np.zeros(top.shape)
+        w[read] = spec.strong.quantile(u[:, n].take(read))
+        strong_bid = select(kept, w, 0.0)
     weak_wins = (top > strong_bid) | ((top == strong_bid) & (tie_u < 0.5))
     price = np.minimum(top, strong_bid)
     surplus = select(weak_wins, v_top, w)

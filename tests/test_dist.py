@@ -107,10 +107,11 @@ def test_bump_cdf_edges(gap_mixture):
     # sin(+-pi)/pi is not 0 in floating point: the vector cdf must still be
     # exactly 0 and 1 at and beyond the bump edges, like the scalar one
     for c, s in ((2.0, 0.1), (1.0, 0.4), (0.0625, 0.0625)):
-        b = dist.cosine_bump(c, s).parts[0]
+        law = dist.cosine_bump(c, s)
+        b = law.parts[0]
         xs = np.array([b.lo - 1.0, b.lo - 1e-9, b.lo, b.hi, b.hi + 1e-9, b.hi + 1.0])
         vec = b.cdf_v(xs)
-        assert vec.tolist() == [b.eval3_s(float(x))[0] for x in xs]
+        assert vec.tolist() == [law.kernel(float(x))[0] for x in xs]
         assert vec.tolist() == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
     assert gap_mixture.quantile(np.array([0.25]))[0] == pytest.approx(0.1, abs=1e-10)
 
@@ -138,7 +139,8 @@ def test_bump_clipped_argument_keeps_bits(s):
 def test_bump_lower_edge_relative_accuracy(c, s):
     # F and M near the lower edge against quadrature of f = sin^2(pi r/2)/s in
     # r = (x - lo)/s; 0.5 (1 + t + sin(pi t)/pi) is off by a factor 3e7 at r = 1e-8
-    b = dist.cosine_bump(c, s).parts[0]
+    law = dist.cosine_bump(c, s)
+    b = law.parts[0]
     below, above = math.nextafter(0.25, 0.0), math.nextafter(0.25, 1.0)
     for r in (1e-8, 1e-4, 1e-2, 0.2, below, above):
         x = b.lo + r * s
@@ -147,7 +149,7 @@ def test_bump_lower_edge_relative_accuracy(c, s):
                                epsabs=0.0, epsrel=2e-14)[0]
         M_ref = integrate.quad(lambda p: (b.lo + s * p) * math.sin(0.5 * math.pi * p) ** 2,
                                0.0, r, epsabs=0.0, epsrel=2e-14)[0]
-        F, _, M = b.eval3_s(x)
+        F, _, M = law.kernel(x)
         # the series (r < 0.25) is at the rounding floor; above it the closed
         # form's t = (x - c)/s carries the rounding of x - c
         rel = 1e-15 if r < 0.25 else 1e-14

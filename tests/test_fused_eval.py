@@ -1,17 +1,27 @@
-"""The fused scalar evaluators against independent references.
+"""The generated scalar kernels against the evaluators they replaced.
 
-``eval3_s`` returns (F, f, M) of one component from shared subexpressions; it
-is the only scalar evaluator, and the scalar ``cdf``/``pdf``/``partial_mean``,
-``StrongBidLaw.eval3`` and the ODE right-hand side sum it over the components.
-F and f must match the vector ``cdf_v``/``pdf_v`` (F exactly 0 and 1 at and
-beyond the support ends) and NaN must give NaN F and M, as in ``cdf_v``; M
-must match quadrature of the vector density. The sums must equal the
-separate calls bit for bit, and the written-out Dormand-Prince stages must
-reproduce the loop over the tableau bit for bit.
+Each law's kernel (``DistributionSpec.kernel``) returns (F, f, M) at a scalar
+from its components' source lines, written out; the scalar
+``cdf``/``pdf``/``partial_mean``, ``StrongBidLaw.eval3`` and the ODE
+right-hand side run it. The reference below is the code it replaced: one
+``eval3_s`` per component (the uniform's and the bump's copied here, the
+beta's and the pw_linear's still in ``dist``), summed with ``sum()`` in
+component order, and the right-hand side built on that sum. Kernel, strong
+law and solves must equal the reference bit for bit. F and f must also match
+the vector ``cdf_v``/``pdf_v`` (F exactly 0 and 1 at and beyond the support
+ends), NaN must give NaN F and M, as in ``cdf_v``, and M must match quadrature
+of the vector density. The written-out Dormand-Prince stages must reproduce
+the loop over the tableau bit for bit, each rhs call must make one
+``StrongBidLaw.eval3`` call, and a kernel's source must be readable, with the
+law's numbers bound rather than written into it.
 """
 
+import ast
+import functools
+import inspect
 import math
 import struct
+import traceback
 
 import numpy as np
 import pytest
@@ -26,6 +36,111 @@ from conftest import beta_poly, piecewise_linear
 
 def bits(x: float) -> bytes:
     return struct.pack("<d", x)
+
+
+# ---------------------------------------------------------------------------
+# the reference: per-component evaluators and their sums
+# ---------------------------------------------------------------------------
+
+
+def _uniform_eval3(p, x):
+    lo, hi, h = p.lo, p.hi, p.h
+    if lo < x < hi:
+        return (x - lo) * h, h, 0.5 * h * (x * x - lo * lo)
+    f = h if x == lo or x == hi else 0.0
+    if x <= lo:
+        return 0.0, f, 0.0
+    if x >= hi:
+        return 1.0, f, 0.5 * h * (hi * hi - lo * lo)
+    return x, f, x
+
+
+_SERIES = tuple(((-1) ** (k + 1) / (math.factorial(2 * k) * (2 * k + 1)),
+                 (-1) ** (k + 1) / (math.factorial(2 * k) * (2 * k + 2)))
+                for k in range(10, 0, -1))
+
+
+def _bump_lower_series(r):
+    z = math.pi * math.pi * r * r
+    pf = pa = 0.0
+    for cf, ca in _SERIES:
+        pf = z * (cf + pf)
+        pa = z * (ca + pa)
+    return 0.5 * r * pf, 0.5 * r * r * pa
+
+
+def _bump_a(t):
+    return 0.25 * (t * t - 1.0) + 0.5 * (
+        t * math.sin(math.pi * t) / math.pi
+        + (math.cos(math.pi * t) + 1.0) / (math.pi * math.pi))
+
+
+def _bump_eval3(p, x):
+    t = (x - p.c) / p.s
+    if t <= -1.0 or t >= 1.0:
+        return (0.0, 0.0, 0.0) if t < 0.0 else (1.0, 0.0, p.c + p.s * _bump_a(1.0))
+    u = math.pi * t
+    cs = math.cos(u)
+    r = (x - p.lo) / p.s
+    if r < 0.25:
+        F, A = _bump_lower_series(r)
+        return F, (1.0 + cs) / (2.0 * p.s), p.lo * F + p.s * A
+    sn = math.sin(u)
+    F = 0.5 * (1.0 + t + sn / math.pi)
+    a = 0.25 * (t * t - 1.0) + 0.5 * (t * sn / math.pi + (cs + 1.0) / (math.pi * math.pi))
+    return F, (1.0 + cs) / (2.0 * p.s), p.c * F + p.s * a
+
+
+def _ref_sweep(law):
+    """(weight, evaluator) pairs of the law's components."""
+    ev = {"uniform": _uniform_eval3, "cosine_bump": _bump_eval3}
+    return [(w, functools.partial(ev[p.kind], p) if p.kind in ev else p.eval3_s)
+            for w, p in zip(law.weights, law.parts)]
+
+
+def ref_kernel(law, x):
+    sweep = _ref_sweep(law)
+    return tuple(sum(w * e(x)[k] for w, e in sweep) for k in range(3))
+
+
+def ref_eval3(law, b):
+    c = p = m = 0.0
+    for w, ev in _ref_sweep(law.dist):
+        F, f, M = ev(b)
+        c += w * F
+        p += w * f
+        m += w * M
+    z = law.zero_bid_prob
+    s = 1.0 - z
+    return z + s * c, s * p, s * m
+
+
+def ref_rhs_factory(weak, law, n_weak):
+    nm1 = float(n_weak - 1)
+    weak_sweep = _ref_sweep(weak)
+    v_lo, v_hi = weak.support.lo - 1e-12, weak.support.hi + 1e-12
+
+    def rhs(v, b):
+        Fv = fv = 0.0
+        for w, ev in weak_sweep:
+            F, f, _ = ev(v)
+            Fv += w * F
+            fv += w * f
+        if Fv <= 0.0 or v <= 0.0:
+            raise equilibrium._OutOfBand
+        if v < v_lo or v > v_hi:
+            weak._check_domain_s(v)
+        Gb, gb, Mb = ref_eval3(law, b)
+        if b <= v:
+            raise equilibrium._OutOfBand
+        m = Mb / Gb if Gb > 0.0 else 0.0
+        if m >= v:
+            raise equilibrium._OutOfBand
+        if gb <= 0.0:
+            raise equilibrium._OutOfBand
+        return nm1 * (fv / Fv) * (Gb / gb) * (v - m) / (b - v)
+
+    return rhs
 
 
 # (name, single-component law, points to check); edges of the bump sit at
@@ -54,7 +169,7 @@ def test_eval3_s_matches_cdf_pdf_bitwise(name, law, points):
     # F and f against the vector forms; the law's scalar cdf and pdf are them bit for bit
     part = law.parts[0]
     for x, F_v, f_v in zip(points, part.cdf_v(np.array(points)), part.pdf_v(np.array(points))):
-        F, f, _ = part.eval3_s(x)
+        F, f, _ = law.kernel(x)
         assert F == pytest.approx(F_v, rel=1e-14, abs=1e-16), (name, x)
         assert f == pytest.approx(f_v, rel=1e-14, abs=1e-15), (name, x)
         if x <= part.lo or x >= part.hi:
@@ -68,7 +183,7 @@ def test_eval3_s_matches_cdf_pdf_bitwise(name, law, points):
 def test_eval3_s_nan_like_separate_calls(name, law, points):
     # NaN in gives NaN F, as in the vector cdf, and NaN M
     part = law.parts[0]
-    F, _, M = part.eval3_s(math.nan)
+    F, _, M = law.kernel(math.nan)
     assert math.isnan(F) and math.isnan(part.cdf_v(np.array([math.nan]))[0])
     assert math.isnan(law.cdf(math.nan)) and math.isnan(M)
 
@@ -88,7 +203,7 @@ def _quad_pm(part, x):
 def test_eval3_s_partial_mean_matches_quadrature(name, law, points):
     part = law.parts[0]
     for x in points:
-        assert part.eval3_s(x)[2] == pytest.approx(_quad_pm(part, x), rel=0, abs=1e-12), (name, x)
+        assert law.kernel(x)[2] == pytest.approx(_quad_pm(part, x), rel=0, abs=1e-12), (name, x)
 
 
 def _strong_laws():
@@ -167,3 +282,148 @@ def test_rhs_weak_sweep_matches_separate_calls():
     # above the weak support the density check of DistributionSpec.pdf still fires
     with pytest.raises(dist.DistributionError, match="outside support"):
         rhs(1.01, 1.5)
+
+
+# ---------------------------------------------------------------------------
+# the kernels against the reference
+# ---------------------------------------------------------------------------
+
+
+def _family_members():
+    return {f"{kind}[{l}]": member for kind in ("slow_drain", "smoothed_discrete", "split_atom")
+            for l, member in enumerate(make_family(kind, k=2.0, w_bar=2.5, size=8).members(), 1)}
+
+
+def _oracle_points(law, seed):
+    """Random points over the support and a little beyond it, every component's
+    ends (and a bump's centre and r = 1/4 point) and the support's ends with
+    their float neighbours, and NaN."""
+    lo, hi = law.support.lo, law.support.hi
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo), 300).tolist()
+    for p in law.parts:
+        marks = [p.lo, p.hi]
+        if p.kind == "cosine_bump":
+            marks += [p.c, p.lo + 0.25 * p.s]
+        for x in marks + [lo, hi]:
+            xs += [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]
+    return xs + [math.nan]
+
+
+def _same(got, want):
+    return [bits(g) for g in got] == [bits(w) for w in want]
+
+
+_ORACLE_LAWS = {**{name: law for name, law, _ in CASES},
+                "every_kind": _strong_laws()["every_kind"], **_family_members()}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_LAWS))
+def test_kernel_matches_reference_bitwise(name):
+    law = _ORACLE_LAWS[name]
+    for x in _oracle_points(law, len(name)):
+        want = ref_kernel(law, x)
+        assert _same(law.kernel(x), want), (name, x)
+        if law.support.lo <= x <= law.support.hi:
+            got = (law.cdf(x), law.pdf(x), law.partial_mean(x))
+            assert _same(got, want), (name, x)
+
+
+def test_oracle_points_reach_the_bump_branches():
+    # t = -1 and t = 1 exactly, and r at 1/4 and just below it, on the bump case
+    part = _BUMP.parts[0]
+    xs = _oracle_points(_BUMP, 0)
+    ts = {(x - part.c) / part.s for x in xs}
+    rs = {(x - part.lo) / part.s for x in xs}
+    assert {-1.0, 1.0} <= ts
+    assert 0.25 in rs and any(0.25 - 1e-15 < r < 0.25 for r in rs)
+
+
+@pytest.mark.parametrize("zero_bid_prob", [0.0, 0.25])
+def test_family_strong_eval3_matches_reference(zero_bid_prob):
+    for name, member in _family_members().items():
+        law = StrongBidLaw(member, zero_bid_prob)
+        for b in _oracle_points(member, 7):
+            assert _same(law.eval3(b), ref_eval3(law, b)), (name, b)
+
+
+def _solve_cases():
+    u01 = dist.uniform(0.0, 1.0)
+    cases = [(u01, StrongBidLaw(make_family(kind, k=2.0, w_bar=2.5, size=8).member(5), zb), n)
+             for kind in ("slow_drain", "smoothed_discrete", "split_atom")
+             for n in (2, 5) for zb in (0.0, 0.25)]
+    cases.append((piecewise_linear([0.0, 0.4, 1.0], [0.6, 1.4, 0.9]),
+                  StrongBidLaw(dist.uniform(0.0, 2.0)), 3))
+    cases.append((u01, StrongBidLaw(beta_poly(0.0, 3.0, 1.0, 1.5)), 2))
+    return cases
+
+
+def test_solves_match_reference_rhs(monkeypatch):
+    def solve_all():
+        out = []
+        for weak, law, n in _solve_cases():
+            bid, report = solve_ode(weak, law, n)
+            out.append((bid.grid.tobytes(), bid.values.tobytes(), bid.slopes.tobytes(),
+                        bid.bumps.tobytes(), report))
+        return out
+
+    generated = solve_all()
+    monkeypatch.setattr(equilibrium, "_rhs_factory", ref_rhs_factory)
+    assert solve_all() == generated
+
+
+def test_rhs_makes_one_strong_eval3_call(monkeypatch):
+    # as perfbench counts rhs evaluations: a wrapper on the class
+    calls = {"eval3": 0, "rhs": 0}
+    eval3 = StrongBidLaw.eval3
+
+    def counting(self, b):
+        calls["eval3"] += 1
+        return eval3(self, b)
+
+    monkeypatch.setattr(StrongBidLaw, "eval3", counting)
+    weak, law, n = _solve_cases()[3]
+    rhs = equilibrium._rhs_factory(weak, law, n)
+    for i, v in enumerate((0.05, 0.3, 0.6, 0.9, 1.0), 1):
+        rhs(v, 1.3 * v)
+        assert calls["eval3"] == i
+    calls["eval3"] = 0
+    factory = equilibrium._rhs_factory
+
+    def counted_factory(*args):
+        built = factory(*args)
+
+        def counted(v, b):
+            calls["rhs"] += 1
+            return built(v, b)
+
+        return counted
+
+    monkeypatch.setattr(equilibrium, "_rhs_factory", counted_factory)
+    solve_ode(weak, law, n)
+    assert calls["rhs"] > 1000 and calls["eval3"] == calls["rhs"]
+
+
+def _float_literals(source: str) -> set[float]:
+    return {n.value for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Constant) and isinstance(n.value, float)}
+
+
+def test_kernel_source_is_readable_with_numbers_bound():
+    law = dist.mixture([(0.37, dist.uniform(0.0, 1.3)), (0.63, dist.cosine_bump(0.73, 0.29))])
+    bump = law.parts[1]
+    numbers = {0.37, 0.63, 1.3, bump.c, bump.s, bump.lo, bump.hi, 2.0 * bump.s}
+    source = inspect.getsource(law.kernel)
+    assert source.startswith("def kernel(x, ") and "return F, f, M" in source
+    assert "cos(u)" in source and "F = 0.0 + w0 * F0 + w1 * F1" in source
+    assert not numbers & _float_literals(source)
+    assert numbers - {bump.hi} <= set(law.kernel.__defaults__)
+    # the rhs: the weak law's F and f lines, then the band checks
+    rhs = equilibrium._rhs_factory(law, StrongBidLaw(dist.uniform(0.0, 2.0)), 2)
+    source = inspect.getsource(rhs)
+    assert "M0" not in source and "Gb, gb, Mb = eval3(b)" in source
+    assert not numbers & _float_literals(source)
+    # a traceback through the rhs shows its line
+    with pytest.raises(dist.DistributionError) as info:
+        rhs(1.5, 1.8)
+    assert "check_domain(x)" in "".join(traceback.format_exception(info.value))

@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate
 
 import talab.mechanisms as mech
-from talab.equilibrium import BidFunction, solve_ode
+from talab.equilibrium import BidFunction, StrongBidLaw, solve_ode
 from talab.mechanisms import (
     AuctionSpec,
     DiscreteAtomSpec,
@@ -18,6 +18,7 @@ from talab.mechanisms import (
 )
 from talab.myerson import oa_revenue
 from talab.rng import uniform_block
+from talab.sequences import make_family
 
 # ---------------------------------------------------------------------------
 # scalar reference: one auction at a time, rule by rule, in the draw layout of
@@ -452,3 +453,35 @@ def test_revenue_estimate_fields(solved_ta):
     assert est.n == 1000 and est.seed == 9
     rev, _ = simulate_draws(solved_ta, 1000, seed=9)
     assert est.std_error == pytest.approx(rev.std(ddof=1) / math.sqrt(1000), rel=1e-12)
+
+
+def _intervention_with_every_strong_value(spec, u):
+    """A ta_intervention block as the engine evaluated it when it inverted
+    every strong uniform, zeroed or not."""
+    n = spec.n_weak
+    v_top = spec.weak.quantile(np.ascontiguousarray(u[:, :n].T)).max(axis=0)
+    top = spec.bid_fn(v_top)
+    w = spec.strong.quantile(u[:, n])
+    strong_bid = np.where(u[:, n + 2] < spec.intervention_p, w, 0.0)
+    weak_wins = (top > strong_bid) | ((top == strong_bid) & (u[:, n + 1] < 0.5))
+    return np.minimum(top, strong_bid), np.where(weak_wins, v_top, w)
+
+
+def test_intervention_skips_zeroed_strong_values_bit_for_bit(u01):
+    # the engine inverts a zeroed strong uniform only where the top bid is 0
+    member = make_family("slow_drain", k=2.0, w_bar=2.5, size=8).member(5)
+    bid, _ = solve_ode(u01, StrongBidLaw(member, 0.25), 2)
+    spec = AuctionSpec("ta_intervention", 2, u01, member, intervention_p=0.75, bid_fn=bid)
+    n = (1 << 15) + 1000                    # a full block and a ragged one
+    want = [np.empty(n), np.empty(n)]
+    mech.run_blocks(11, n, spec.stride, lambda u: _intervention_with_every_strong_value(spec, u),
+                    want)
+    for got, ref in zip(simulate_draws(spec, n, seed=11), want):
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    # a block where every weak value of some replicates is 0, so their top bid is 0
+    u = uniform_block(12, 0, 4000, spec.stride)
+    u[::5, :2] = 0.0
+    zeroed = u[:, 4] >= 0.75
+    assert (zeroed & (u[:, 3] >= 0.5) & (u[:, :2].max(axis=1) == 0.0)).sum() > 20
+    for got, ref in zip(mech._block_outcomes(spec, u), _intervention_with_every_strong_value(spec, u)):
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
