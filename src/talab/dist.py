@@ -23,11 +23,10 @@ is imported when a ``beta_poly`` component is built, so laws of the other
 kinds never load scipy.
 
 A scalar goes through the law's ``kernel(x) -> (F, f, M)``, one generated
-straight-line function: each component kind states F, f and M once as source
-lines (one sin and one cos per bump, one betainc(a, b, y) per beta), and the
-kernel is its components' lines, then their weighted sums in component order.
-It is compiled once per sequence of kinds, with the law's numbers bound as
-default arguments. Arrays go through the vector ``cdf_v``/``pdf_v``/``pm_v``.
+straight-line function: its components' source lines (each kind states F, f and
+M once: one sin and one cos per bump, one betainc(a, b, y) per beta), then their
+weighted sums in component order. It is compiled once per sequence of kinds, the
+law's numbers bound as default arguments. Arrays go through ``cdf_v``/``pdf_v``/``pm_v``.
 
 Supported kinds: ``uniform``, ``beta_poly`` (polynomial Beta-shaped density),
 ``cosine_bump`` (raised-cosine bump, C^1 everywhere), ``pw_linear``
@@ -171,9 +170,8 @@ class SupportInterval:
 
 
 class _Component:
-    """``_KERNEL`` sets F{i}, f{i} and M{i} at x for component i; each {name}
-    stands for the parameter name{i}, bound to ``_kernel_values()[name]``. A
-    line that sets M{i} alone starts with it, so that it can be left out."""
+    """``_KERNEL`` sets F{i}, f{i}, M{i} at x for component i, {name} standing for
+    parameter name{i} = ``_kernel_values()[name]``; a line that sets M{i} alone starts with it."""
 
     _KERNEL = "F{i}, f{i}, M{i} = {ev}(x)\n"
 
@@ -484,10 +482,9 @@ _KERNEL_CODE: dict[str, types.CodeType] = {}    # source -> its function's code
 
 
 def compile_kernel(source: str, defaults) -> types.FunctionType:
-    """The one function ``source`` defines (its code is the module's first
-    constant), with ``defaults`` bound to its trailing parameters. Each distinct
-    source is compiled once, and its text goes to ``linecache``, so tracebacks
-    and ``inspect.getsource`` show it."""
+    """The one function ``source`` defines (the module's first constant), with
+    ``defaults`` bound to its trailing parameters. Each source is compiled once, and
+    its text goes to ``linecache``, so tracebacks and ``inspect.getsource`` show it."""
     code = _KERNEL_CODE.get(source)
     if code is None:
         filename = f"<talab kernel {hash(source):x}>"
@@ -620,16 +617,14 @@ class DistributionSpec:
         return self.kernel(float(x))[2]
 
     def kernel_body(self, with_m: bool) -> tuple[str, dict]:
-        """(lines, params): function-body lines that set F, f and, if ``with_m``,
-        M at x (module docstring), and the value of each parameter they read.
-        Each sum runs in component order from 0.0, as sum() does."""
+        """(lines, params): body lines that set F, f and, if ``with_m``, M at x, and
+        each parameter's value. Each sum runs in component order from 0.0, as sum()."""
         lines, params = [], {}
         for i, (w, p) in enumerate(zip(self.weights, self.parts)):
             bound = {"w": w, **p._kernel_values()}
             params.update((f"{key}{i}", value) for key, value in bound.items())
-            source = p._KERNEL.format(i=i, **{key: f"{key}{i}" for key in bound})
-            lines += [line for line in source.splitlines()
-                      if with_m or not line.lstrip().startswith(f"M{i} =")]
+            source = p._KERNEL.format(i=i, **{key: f"{key}{i}" for key in bound}).splitlines()
+            lines += [ln for ln in source if with_m or not ln.lstrip().startswith(f"M{i} =")]
         lines += [f"{t} = 0.0" + "".join(f" + w{i} * {t}{i}" for i in range(len(self.parts)))
                   for t in ("F", "f", "M")[:3 if with_m else 2]]
         return "".join(f"    {line}\n" for line in lines), params
@@ -640,6 +635,9 @@ class DistributionSpec:
         body, params = self.kernel_body(True)
         return compile_kernel(f"def kernel(x, {', '.join(params)}):\n{body}"
                               "    return F, f, M\n", params.values())
+
+    def __getstate__(self):   # a kernel does not pickle: a copy compiles its own
+        return {k: v for k, v in self.__dict__.items() if k != "kernel"}
 
     def _check_domain_s(self, x: float):
         if x < self.support.lo - 1e-12 or x > self.support.hi + 1e-12:

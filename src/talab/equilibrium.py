@@ -348,7 +348,6 @@ class _OutOfBand(Exception):
     pass
 
 
-# after the weak law's F and f at x = v; [v_lo, v_hi] is weak.pdf's domain
 _RHS_TAIL = """\
     if F <= 0.0 or x <= 0.0:
         raise OutOfBand
@@ -363,8 +362,8 @@ _RHS_TAIL = """\
 
 
 def _rhs_factory(weak: DistributionSpec, law: StrongBidLaw, n_weak: int):
-    """H as one generated function rhs(v, b): the weak law's F and f lines,
-    then the band checks around one ``law.eval3`` call."""
+    """H as one generated function rhs(v, b): the weak law's F and f lines at x = v, then
+    the band checks ([v_lo, v_hi] is weak.pdf's domain) around one ``law.eval3`` call."""
     body, params = weak.kernel_body(False)
     params.update(nm1=float(n_weak - 1), eval3=law.eval3, check_domain=weak._check_domain_s,
                   OutOfBand=_OutOfBand, v_lo=weak.support.lo - 1e-12, v_hi=weak.support.hi + 1e-12)

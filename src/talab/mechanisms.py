@@ -211,12 +211,14 @@ def _block_outcomes(spec: AuctionSpec, u: np.ndarray) -> tuple[np.ndarray, np.nd
         surplus = select(weak_wins, v_win, w)
         return price, surplus
 
+    if spec.kind != "ta_intervention":
+        w = spec.strong.quantile(u[:, n])
+
     if spec.kind == "sa":
-        first, second = _top_two([*v, spec.strong.quantile(u[:, n])])
+        first, second = _top_two([*v, w])
         return second, first
 
     if spec.kind == "sa_reserve":
-        w = spec.strong.quantile(u[:, n])
         first, second = _top_two(v)
         clears = w >= spec.reserve
         price = select(clears, np.maximum(spec.reserve, first), second)
@@ -227,13 +229,14 @@ def _block_outcomes(spec: AuctionSpec, u: np.ndarray) -> tuple[np.ndarray, np.nd
     v_top = v.max(axis=0)
     top = spec.bid_fn(v_top)
     if spec.kind == "ta":
-        w = strong_bid = spec.strong.quantile(u[:, n])
+        strong_bid = w
     else:
         # a zeroed strong value is read only at a top bid of 0: invert no other
         kept = u[:, n + 2] < spec.intervention_p
         read = np.flatnonzero(kept | (top <= 0.0))
+        strong = spec.strong.quantile(u[:, n].take(read))
         w = np.zeros(top.shape)
-        w[read] = spec.strong.quantile(u[:, n].take(read))
+        w[read] = strong
         strong_bid = select(kept, w, 0.0)
     weak_wins = (top > strong_bid) | ((top == strong_bid) & (tie_u < 0.5))
     price = np.minimum(top, strong_bid)

@@ -20,6 +20,7 @@ import ast
 import functools
 import inspect
 import math
+import pickle
 import struct
 import traceback
 
@@ -157,6 +158,10 @@ CASES = [
     ("beta_a1_b1", beta_poly(0.0, 1.0, 1.0, 1.0), [0.0, 0.3, 1.0, 1.5]),
     ("beta_interior", beta_poly(0.0, 1.0, 2.0, 3.0), [0.0, 0.2, 0.6, 1.0, 1.2]),
 ]
+
+
+# The eval3_s in the names below is the per-component evaluator these tests
+# checked before each law's kernel replaced it.
 
 
 def test_bump_edges_are_exact():
@@ -427,3 +432,10 @@ def test_kernel_source_is_readable_with_numbers_bound():
     with pytest.raises(dist.DistributionError) as info:
         rhs(1.5, 1.8)
     assert "check_domain(x)" in "".join(traceback.format_exception(info.value))
+
+
+def test_law_pickles_after_its_kernel_is_built():
+    law = _strong_laws()["every_kind"]
+    before = law.kernel(1.1)
+    copy = pickle.loads(pickle.dumps(law))
+    assert "kernel" not in copy.__dict__ and _same(copy.kernel(1.1), before)
