@@ -89,13 +89,15 @@ class Outputs:
     """The files of one run. Each is ``<stem>.<config hash>.s<seed>.<ext>`` in
     the output directory, which is made at the first write; a JSON body also
     carries ``config_hash`` and ``seed``. ``files`` maps each file's name in
-    the stdout listing to its path."""
+    the stdout listing to its path; ``meta`` holds the subcommand's volatile
+    measurements, which go to the run's meta file, never to a body."""
 
     def __init__(self, out_dir: str, cfg: ExperimentConfig):
         self.out_dir = out_dir
         self.tag = f"{cfg.config_hash}.s{cfg.mc_seed}"
         self.header = {"config_hash": cfg.config_hash, "seed": cfg.mc_seed}
         self.files: dict[str, str] = {}
+        self.meta: dict = {}
 
     def _path(self, name: str, stem: str, ext: str) -> str:
         os.makedirs(self.out_dir, exist_ok=True)
@@ -186,11 +188,14 @@ def cmd_simulate(cfg: ExperimentConfig, args, out: Outputs) -> list[str]:
         notes = list(report.warnings)
     spec = AuctionSpec(mechanism, cfg.n_weak, cfg.weak, strong, reserve=cfg.reserve,
                        intervention_p=cfg.intervention_p, bid_fn=bid)
+    t0 = time.perf_counter()
     rev, sur = simulate_draws(spec, cfg.mc_n, cfg.mc_seed, threads=args.threads)
+    revenue, surplus = estimate(rev, cfg.mc_seed), estimate(sur, cfg.mc_seed)
+    out.meta["draws_per_s"] = cfg.mc_n / (time.perf_counter() - t0)
     out.json("result", "simulate", {
         "mechanism": mechanism,
-        "revenue": _estimate_dict(estimate(rev, cfg.mc_seed)),
-        "surplus": _estimate_dict(estimate(sur, cfg.mc_seed)),
+        "revenue": _estimate_dict(revenue),
+        "surplus": _estimate_dict(surplus),
     })
     if args.per_draw:
         out.csv("draws", "draws", ["replicate", "revenue", "surplus"],
@@ -201,7 +206,9 @@ def cmd_simulate(cfg: ExperimentConfig, args, out: Outputs) -> list[str]:
 def cmd_oa(cfg: ExperimentConfig, args, out: Outputs) -> list[str]:
     strong = cfg.strong_dist
     weak = cfg.weak
+    t0 = time.perf_counter()     # draws_per_s counts the ironing of both laws
     est = oa_revenue(weak, strong, cfg.n_weak, cfg.mc_n, cfg.mc_seed, threads=args.threads)
+    out.meta["draws_per_s"] = cfg.mc_n / (time.perf_counter() - t0)
     out.json("result", "oa", {
         "revenue": est.mean,
         "se": est.std_error,
@@ -340,6 +347,16 @@ def _dispatch(cfg: ExperimentConfig, args, out: Outputs) -> list[str]:
         raise ConfigError([("mc.n", str(exc))]) from exc
 
 
+def _thread_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="talab",
@@ -353,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config's Monte Carlo seed")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=_thread_count, default=1,
+                       help="worker threads for Monte Carlo blocks (at least 1)")
         p.add_argument("--out-dir", default=".", help="output directory")
     sub.choices["simulate"].add_argument("--per-draw", action="store_true",
                                          help="also write per-draw CSV (n <= 10000)")
@@ -386,6 +404,7 @@ def run(argv: list[str] | None = None) -> int:
     out.json("run_meta", "run_meta", {
         "command": args.command,
         "wall_time_s": time.monotonic() - t0,
+        **out.meta,
         "talab_version": __version__,
         "numpy_version": np.__version__,
     })

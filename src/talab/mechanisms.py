@@ -244,11 +244,40 @@ def _block_outcomes(spec: AuctionSpec, u: np.ndarray) -> tuple[np.ndarray, np.nd
     return price, surplus
 
 
+def _squared_deviations(values: np.ndarray, mean: float, buf: np.ndarray) -> float:
+    """Sum of (values - mean)**2 over numpy's pairwise tree for a contiguous
+    array: a span is halved, rounded down to a multiple of 8, until it holds at
+    most ``_BLOCK_REPLICATES`` values, and each such span's deviations are
+    written into ``buf`` and summed by numpy. The additions are those of
+    ``np.add.reduce((values - mean)**2)``, in the same order."""
+    m = values.size
+    if m <= _BLOCK_REPLICATES:
+        d = buf[:m]
+        np.subtract(values, mean, out=d)
+        np.multiply(d, d, out=d)
+        return np.add.reduce(d)
+    half = m // 2
+    half -= half % 8
+    return (_squared_deviations(values[:half], mean, buf)
+            + _squared_deviations(values[half:], mean, buf))
+
+
 def estimate(values: np.ndarray, seed: int) -> RevenueEstimate:
-    """Mean and standard error of the per-replicate values drawn with seed."""
+    """Mean and standard error of the per-replicate values drawn with seed.
+
+    Bit for bit ``values.mean()`` and ``values.std(ddof=1) / sqrt(n)`` on a
+    contiguous array, without the n-element temporary of ``np.std``: the
+    deviations are taken one span at a time into a buffer of at most
+    ``_BLOCK_REPLICATES`` doubles.
+    """
     n = values.size
-    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return RevenueEstimate(mean=float(values.mean()), std_error=se, n=n, seed=seed)
+    mean = np.add.reduce(values) / n
+    se = 0.0
+    if n > 1:
+        buf = np.empty(min(n, _BLOCK_REPLICATES))
+        var = _squared_deviations(values, mean, buf) / (n - 1)
+        se = float(np.sqrt(var) / math.sqrt(n))
+    return RevenueEstimate(mean=float(mean), std_error=se, n=n, seed=seed)
 
 
 def run_blocks(seed: int, n: int, stride: int, block_fn, outs, threads: int = 1):
@@ -274,7 +303,8 @@ def run_blocks(seed: int, n: int, stride: int, block_fn, outs, threads: int = 1)
 
 def replicate_arrays(n: int, count: int) -> list[np.ndarray]:
     """``count`` per-replicate output arrays of length n. A count n below 1, or
-    one whose arrays cannot be allocated, is refused with ``field`` "n"."""
+    one whose arrays cannot be allocated, is refused with ``field`` "n". They
+    are a Monte Carlo run's only arrays of length n (``estimate`` adds none)."""
     if n < 1:
         raise MechanismError(f"n must be >= 1, got {n}", "n")
     try:

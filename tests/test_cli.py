@@ -313,6 +313,30 @@ def test_simulate_deterministic_across_runs_and_threads(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_refused(tmp_path, capsys, threads):
+    path = write_config(tmp_path, base_config(mechanism={"kind": "sa"}))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run(["simulate", "--config", path, "--out-dir", str(out), "--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, stem, overrides", [
+    ("simulate", "simulate", {"mechanism": {"kind": "sa"}}),
+    ("oa", "oa", {}),
+])
+def test_run_meta_reports_draws_per_second(tmp_path, command, stem, overrides):
+    path = write_config(tmp_path, base_config(**overrides))
+    out = tmp_path / "out"
+    assert run([command, "--config", path, "--out-dir", str(out)]) == 0
+    meta = json.loads(next(out.glob("run_meta.*.json")).read_text())
+    assert math.isfinite(meta["draws_per_s"]) and meta["draws_per_s"] > 0
+    assert "draws_per_s" not in json.loads(next(out.glob(f"{stem}.*.json")).read_text())
+
 def test_sweep_deterministic(tmp_path):
     cfg = base_config(
         strong={"family": {"kind": "slow_drain", "k": 2.0, "w_bar": 2.5, "size": 2}},
