@@ -9,10 +9,6 @@ from talab import dist
 from talab import equilibrium as eq
 
 
-def beta_poly(lo, hi, a, b):
-    return dist.from_json_dict({"kind": "beta_poly", "params": [a, b], "support": [lo, hi]})
-
-
 def piecewise_linear(xs, ys):
     params = [float(c) for xy in zip(xs, ys) for c in xy]
     return dist.from_json_dict({"kind": "pw_linear", "params": params,
@@ -25,8 +21,6 @@ def _own_params(part) -> list:
         return []
     if part.kind == "cosine_bump":
         return [part.c, part.s]
-    if part.kind == "beta_poly":
-        return [part.a, part.b]
     return np.column_stack([part.xs, part.ys]).ravel().tolist()
 
 
@@ -57,7 +51,7 @@ def bid_ode_rhs(b: float, v: float, weak, strong, n_weak: int) -> float:
 
 @st.composite
 def components(draw, top):
-    kind = draw(st.sampled_from(["uniform", "cosine_bump", "beta_poly", "pw_linear"]))
+    kind = draw(st.sampled_from(["uniform", "cosine_bump", "pw_linear"]))
     if kind == "cosine_bump":
         s = draw(st.floats(0.01 * top, 0.5 * top))
         c = draw(st.floats(s, top - s))
@@ -66,9 +60,6 @@ def components(draw, top):
     hi = draw(st.floats(lo + 0.1 * top, top))
     if kind == "uniform":
         return dist.uniform(lo, hi)
-    if kind == "beta_poly":
-        a, b = draw(st.floats(1.0, 4.0)), draw(st.floats(1.0, 4.0))
-        return beta_poly(lo, hi, a, b)
     ys = draw(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=5)
               .filter(lambda v: sum(v) > 0.1))
     return piecewise_linear(np.linspace(lo, hi, len(ys)), ys)
@@ -119,14 +110,14 @@ def floored_mixture():
 @pytest.fixture(scope="session")
 def test_distributions(u01, u02, gap_mixture, floored_mixture):
     pw = piecewise_linear([0.0, 0.5, 1.0, 2.0], [0.2, 1.0, 0.6, 0.2])
-    bp = beta_poly(0.0, 1.0, 2.0, 3.0)
     return {
         "u01": u01,
         "u02": u02,
         "gap_mixture": gap_mixture,
         "floored_mixture": floored_mixture,
         "pw_linear": pw,
-        "beta_poly": bp,
+        # a density that vanishes at both ends of its support
+        "triangle": piecewise_linear([0.0, 0.3, 1.0], [0.0, 1.0, 0.0]),
         "bump": dist.cosine_bump(1.0, 0.4),
     }
 

@@ -41,7 +41,7 @@ from talab.sequences import (
     run_limit_experiment,
 )
 
-from conftest import (DENSE_THETAS, beta_poly, bid_ode_rhs, defect_model_sup, schedule_defects,
+from conftest import (DENSE_THETAS, bid_ode_rhs, defect_model_sup, schedule_defects,
                       schedule_ppoly)
 
 K = 2.0
@@ -115,7 +115,7 @@ def criterion5_solves(u01, slow8):
     laws = [(f"l={l}/N={n}/zero={zero}", StrongBidLaw(slow8.member(l), zero), n)
             for l in (3, 5, 8) for n in (2, 5) for zero in (0.0, 0.25)]
     mixture = dist.mixture(
-        [(0.3, dist.uniform(0.0, 2.0)), (0.7, beta_poly(0.0, 2.0, 2.0, 1.5))],
+        [(0.3, dist.uniform(0.0, 2.0)), (0.7, dist.cosine_bump(1.2, 0.8))],
         support=(0.0, 2.0),
     )
     laws.append(("mixture/N=2", StrongBidLaw(mixture), 2))

@@ -94,12 +94,15 @@ def test_hash_roundtrip_and_key_order():
 
 _MIXTURE = {"kind": "mixture", "support": [0, 1],
             "params": [2, 0.5, 0, 0, 0, 1, 0.5, 2, 2, 0.5, 0.4, 0.1, 0.9]}
+# 0.5 U[0, 0.4] + 0.5 U[0, 1]
+_WEAK_JUMP = {"kind": "mixture", "support": [0, 1],
+              "params": [2, 0.5, 0, 0, 0, 0.4, 0.5, 0, 0, 0, 1]}
 _SLOW3 = {"kind": "slow_drain", "k": 2.0, "w_bar": 2.5, "size": 3, "atom_share": 1.0,
           "split_p": 0.5}
 # valid configs that together hold every config key
 _FUZZ_BASES = [
     base_config(weak=_MIXTURE,
-                strong={"dist": {"kind": "beta_poly", "params": [2, 3], "support": [0, 2]}},
+                strong={"dist": {"kind": "cosine_bump", "params": [1, 1], "support": [0, 2]}},
                 mechanism={"kind": "sa_reserve", "reserve": 1.5},
                 solver={"v0_fraction": 1e-4, "rk_tolerance": 1e-9, "residual_tolerance": 1e-6},
                 verify={"tolerance": 1e-4}),
@@ -474,12 +477,18 @@ def _U(lo, hi):
     ("solve", {"strong": {"dist": _U(0.5, 2)}}, "strong.dist"),
     ("simulate", {"weak": _U(0.2, 1), "mechanism": {"kind": "ta"}}, "weak"),
     ("sweep", {"weak": _U(0.2, 1), "strong": _FAMILY, "sweep": {"prop": "P6"}}, "weak"),
+    # the beta_poly kind and its mixture code 1 are retired
+    ("simulate", {"weak": {"kind": "beta_poly", "params": [2, 3], "support": [0, 1]},
+                  "mechanism": {"kind": "sa"}}, "weak"),
+    ("simulate", {"weak": {"kind": "mixture", "params": [1, 1, 1, 2, 2, 3, 0, 1],
+                           "support": [0, 1]}, "mechanism": {"kind": "sa"}}, "weak"),
 ], ids=["ta_intervention-p0", "ta_intervention-p1", "S8-no-p", "S8-p1", "S8-pk",
         "P7-constant", "P8-no-rule", "simulate-n_weak1", "oa-nothing-to-sell",
         "atom-k", "family-k", "solve-n_weak1", "verify-n_weak1", "P5-n_weak-1",
         "reserve-nan", "mc-n-inf", "rk_tolerance-nan", "mixture-count-inf",
         "mixture-size-negative", "mc-seed-2**64", "solve-weak-above-0",
-        "solve-strong-above-0", "ta-weak-above-0", "P6-weak-above-0"])
+        "solve-strong-above-0", "ta-weak-above-0", "P6-weak-above-0", "weak-beta_poly",
+        "weak-mixture-code-1"])
 def test_model_rules_refused_as_config_errors(tmp_path, capsys, command, overrides, path):
     # everything decidable from the config is refused before any computation
     cfg = {k: v for k, v in base_config(**overrides).items() if v is not None}
@@ -564,20 +573,10 @@ def test_largest_seed_sweeps(tmp_path):
     assert body["seed"] == 2**64 - 1 and len(body["rows"]) == 2
 
 
-def test_beta_weak_with_large_exponents_simulates(tmp_path):
-    # 1/B(1000, 1000) overflows a double, which the vector pdf must not meet
-    weak = {"kind": "beta_poly", "params": [1000.0, 1000.0], "support": [0, 1]}
-    cfg = base_config(weak=weak, mechanism={"kind": "sa"})
-    out = tmp_path / "o"
-    assert run(["simulate", "--config", write_config(tmp_path, cfg), "--out-dir", str(out)]) == 0
-    body = json.loads(next(out.glob("simulate.*.json")).read_text())
-    assert 0.45 < body["revenue"]["mean"] < 0.55     # the second-highest of 3 values
-
-
 def test_singular_start_refused(tmp_path, capsys):
-    # beta(1000, 1000)'s cdf underflows to 0 at the series start, so the bid
-    # ODE is undefined there: a numeric refusal, not a traceback
-    weak = {"kind": "beta_poly", "params": [1000.0, 1000.0], "support": [0, 1]}
+    # the weak density is 0 below v = 0.2, so its cdf is 0 at the series start
+    # and the bid ODE is undefined there: a numeric refusal, not a traceback
+    weak = {"kind": "pw_linear", "params": [0, 0, 0.2, 0, 0.5, 1, 1, 1], "support": [0, 1]}
     cfg = base_config(weak=weak, mechanism={"kind": "ta"}, mc={"n": 1000, "seed": 1})
     out = tmp_path / "o"
     assert run(["simulate", "--config", write_config(tmp_path, cfg), "--out-dir", str(out)]) == 3
@@ -602,11 +601,10 @@ def test_numeric_error_exit(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["solve", "verify"])
 def test_failed_solve_writes_its_report(tmp_path, capsys, command):
-    # a weak density with a square-root edge at v_bar: the defect gate cannot
-    # be met above the step floor, so the solve stops with exit 3 and still
-    # writes its solve report, with a null defect
-    cfg = base_config(n_weak=3, weak={"kind": "beta_poly", "params": [1.0, 1.5],
-                                      "support": [0, 1]})
+    # a weak density that jumps at v = 0.4: the defect gate cannot be met
+    # above the step floor, so the solve stops with exit 3 and still writes its
+    # solve report, with a null defect
+    cfg = base_config(n_weak=3, weak=_WEAK_JUMP)
     path = write_config(tmp_path, cfg)
     out = tmp_path / "o"
     assert run([command, "--config", path, "--out-dir", str(out)]) == 3

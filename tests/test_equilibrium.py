@@ -26,7 +26,7 @@ from talab.equilibrium import (
 from talab.mechanisms import AuctionSpec, DiscreteAtomSpec, MechanismError
 from talab.sequences import make_family
 
-from conftest import beta_poly, bid_ode_rhs, piecewise_linear, schedule_defects, schedule_ppoly
+from conftest import bid_ode_rhs, piecewise_linear, schedule_defects, schedule_ppoly
 
 
 @pytest.fixture(scope="module")
@@ -177,16 +177,16 @@ def test_solve_counters_repeat(u01, bump_member):
 
 
 @pytest.mark.parametrize("case, gate", [
-    ("sqrt_edge", "defect"),         # beta(1, 1.5) density: sqrt edge at v_bar
-    ("sqrt_edge_n5", "defect"),      # the same at N = 5
+    ("weak_jump", "defect"),         # the weak density jumps at v = 0.4
+    ("weak_jump_n5", "defect"),      # the same at N = 5
     ("fast_drain_4_z06", "band"),    # bids run into the strong support top
 ])
 def test_underflow_names_gate_and_reports_counters(u01, u02, case, gate):
     fast = make_family("fast_drain", 2.0, 2.5, 8)
-    sqrt_edge = beta_poly(0.0, 1.0, 1.0, 1.5)
+    jump = dist.mixture([(0.5, dist.uniform(0.0, 0.4)), (0.5, u01)])
     weak, strong, n = {
-        "sqrt_edge": (sqrt_edge, u02, 3),
-        "sqrt_edge_n5": (sqrt_edge, u02, 5),
+        "weak_jump": (jump, u02, 3),
+        "weak_jump_n5": (jump, u02, 5),
         "fast_drain_4_z06": (u01, StrongBidLaw(fast.member(4), 0.6), 3),
     }[case]
     with pytest.raises(BandEscape, match=f"the {gate} gate rejected the last attempt") as err:
@@ -199,6 +199,8 @@ def test_underflow_names_gate_and_reports_counters(u01, u02, case, gate):
               f"{report.rejected_residual} defect")
     assert counts in str(err.value)
     assert (report.rejected_band if gate == "band" else report.rejected_residual) > 0
+    if case.startswith("weak_jump"):
+        assert "step size underflow at v=0.4 " in str(err.value)
 
 
 def test_underflow_after_accepted_step_names_no_gate(u01, u02, monkeypatch):

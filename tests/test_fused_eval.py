@@ -3,10 +3,9 @@
 Each law's kernel (``DistributionSpec.kernel``) returns (F, f, M) at a scalar
 from its components' source lines, written out; the scalar
 ``cdf``/``pdf``/``partial_mean``, ``StrongBidLaw.eval3`` and the ODE
-right-hand side run it. The reference below is the code it replaced: one
-``eval3_s`` per component (the uniform's and the bump's copied here, the
-beta's and the pw_linear's still in ``dist``), summed with ``sum()`` in
-component order, and the right-hand side built on that sum. Kernel, strong
+right-hand side run it. The reference below is the code it replaced, copied
+here: one ``eval3_s`` per component, summed with ``sum()`` in component order,
+and the right-hand side built on that sum. Kernel, strong
 law and solves must equal the reference bit for bit. F and f must also match
 the vector ``cdf_v``/``pdf_v`` (F exactly 0 and 1 at and beyond the support
 ends), NaN must give NaN F and M, as in ``cdf_v``, and M must match quadrature
@@ -32,7 +31,7 @@ from talab import dist, equilibrium
 from talab.equilibrium import StrongBidLaw, solve_ode
 from talab.sequences import make_family
 
-from conftest import beta_poly, piecewise_linear
+from conftest import piecewise_linear
 
 
 def bits(x: float) -> bytes:
@@ -92,11 +91,24 @@ def _bump_eval3(p, x):
     return F, (1.0 + cs) / (2.0 * p.s), p.c * F + p.s * a
 
 
+def _pw_eval3(p, x):
+    if x < p.lo or x > p.hi:
+        return (0.0, 0.0, 0.0) if x < p.lo else (1.0, 0.0, float(p.cum_pm[-1]))
+    # on [lo, hi] f is its segment's line, lo included; NaN gives NaN
+    i = min(max(int(np.searchsorted(p.xs, x, side="right")) - 1, 0), len(p.xs) - 2)
+    x0, y0, m = p.xs[i], p.ys[i], p.slopes[i]
+    d = x - x0
+    f = float(y0 + m * d)
+    if x == p.hi:
+        return 1.0, f, float(p.cum_pm[-1])
+    seg = y0 * (x * x - x0 * x0) / 2.0 + m * d * d * (x0 / 2.0 + d / 3.0)
+    return float(p.cum_mass[i] + y0 * d + 0.5 * m * d * d), f, float(p.cum_pm[i] + seg)
+
+
 def _ref_sweep(law):
     """(weight, evaluator) pairs of the law's components."""
-    ev = {"uniform": _uniform_eval3, "cosine_bump": _bump_eval3}
-    return [(w, functools.partial(ev[p.kind], p) if p.kind in ev else p.eval3_s)
-            for w, p in zip(law.weights, law.parts)]
+    ev = {"uniform": _uniform_eval3, "cosine_bump": _bump_eval3, "pw_linear": _pw_eval3}
+    return [(w, functools.partial(ev[p.kind], p)) for w, p in zip(law.weights, law.parts)]
 
 
 def ref_kernel(law, x):
@@ -153,10 +165,15 @@ CASES = [
     ("bump", _BUMP, [0.0, 0.25, 0.5, 0.5 + 1e-9, 0.8, 1.0, 1.37, 1.5 - 1e-12, 1.5, 1.75, 3.0]),
     ("bump_off_grid", dist.cosine_bump(2.0, 0.05), [1.94, 1.95, 1.9500001, 2.0, 2.049, 2.05, 2.2]),
     ("pw_linear", _PW, [0.0, 0.1, 0.5, 0.9, 1.2, 1.7, 2.2, 2.5]),
-    ("beta_a1", beta_poly(0.0, 2.0, 1.0, 2.5), [0.0, 1e-9, 0.7, 1.99, 2.0, 2.4]),
-    ("beta_b1", beta_poly(0.5, 2.0, 2.0, 1.0), [0.0, 0.5, 1.1, 2.0 - 1e-9, 2.0, 3.0]),
-    ("beta_a1_b1", beta_poly(0.0, 1.0, 1.0, 1.0), [0.0, 0.3, 1.0, 1.5]),
-    ("beta_interior", beta_poly(0.0, 1.0, 2.0, 3.0), [0.0, 0.2, 0.6, 1.0, 1.2]),
+    # density > 0 at lo and 0 at hi, on one segment; 0 at lo and > 0 at hi;
+    # flat; 0 at both ends
+    ("pw_linear_falling", piecewise_linear([0.0, 2.0], [1.0, 0.0]),
+     [0.0, 1e-9, 0.7, 1.99, 2.0, 2.4]),
+    ("pw_linear_rising", piecewise_linear([0.5, 1.1, 2.0], [0.0, 0.5, 1.0]),
+     [0.0, 0.5, 0.5 + 1e-9, 1.1, 2.0 - 1e-9, 2.0, 3.0]),
+    ("pw_linear_flat", piecewise_linear([0.0, 1.0], [1.0, 1.0]), [0.0, 0.3, 1.0, 1.5]),
+    ("pw_linear_zero_ends", piecewise_linear([0.0, 0.3, 0.7, 1.0], [0.0, 1.0, 0.4, 0.0]),
+     [0.0, 0.2, 0.3, 0.6, 0.7, 1.0 - 1e-9, 1.0, 1.2]),
 ]
 
 
@@ -215,7 +232,7 @@ def _strong_laws():
     member = make_family("slow_drain", k=2.0, w_bar=2.5, size=8).member(5)
     every_kind = dist.mixture([
         (0.3, _PW),
-        (0.2, beta_poly(0.0, 2.2, 1.0, 2.0)),
+        (0.2, piecewise_linear([0.0, 1.1, 2.2], [0.0, 1.0, 0.0])),
         (0.2, dist.uniform(0.0, 2.2)),
         (0.3, _BUMP),
     ], support=(0.0, 2.2))
@@ -276,7 +293,7 @@ def test_written_out_stages_match_tableau_loop(monkeypatch, u01, u02):
 
 def test_rhs_weak_sweep_matches_separate_calls():
     weak = dist.mixture([(0.6, dist.uniform(0.0, 1.0)), (0.25, dist.cosine_bump(0.6, 0.3)),
-                         (0.15, beta_poly(0.0, 1.0, 1.0, 2.0))])
+                         (0.15, piecewise_linear([0.0, 1.0], [1.0, 0.0]))])
     law = StrongBidLaw(_strong_laws()["every_kind"], 0.25)
     rhs = equilibrium._rhs_factory(weak, law, 3)
     for v in (0.05, 0.3, 0.6, 0.9, 1.0):
@@ -359,7 +376,7 @@ def _solve_cases():
              for n in (2, 5) for zb in (0.0, 0.25)]
     cases.append((piecewise_linear([0.0, 0.4, 1.0], [0.6, 1.4, 0.9]),
                   StrongBidLaw(dist.uniform(0.0, 2.0)), 3))
-    cases.append((u01, StrongBidLaw(beta_poly(0.0, 3.0, 1.0, 1.5)), 2))
+    cases.append((u01, StrongBidLaw(piecewise_linear([0.0, 1.0, 3.0], [1.0, 0.5, 0.0])), 2))
     return cases
 
 

@@ -16,7 +16,7 @@ from talab.myerson import QUANTILE_GRID_SIZE, ironed_virtual
 from talab.rng import uniform_stream
 from talab.sequences import make_family
 
-from conftest import beta_poly, mixtures, piecewise_linear, to_json_dict
+from conftest import mixtures, piecewise_linear, to_json_dict
 
 K, W_BAR = 2.0, 2.5
 F_TOL = 1e-12           # |F(Q(u)) - u|
@@ -110,7 +110,7 @@ def _family_laws():
 @pytest.fixture(scope="module")
 def laws(test_distributions):
     named = [(n, test_distributions[n])
-             for n in ("gap_mixture", "floored_mixture", "pw_linear", "beta_poly")]
+             for n in ("gap_mixture", "floored_mixture", "pw_linear", "triangle")]
     return _family_laws() + named
 
 
@@ -218,10 +218,13 @@ def test_extreme_levels_at_density_edges(test_distributions):
 
 
 def test_subnormal_levels_start_inside_their_bracket():
-    # far below its mode the cdf of beta(1000, 1000) rises by a few subnormals
-    # per table row, where the row's dx/dF overflows; the levels there start
-    # inside their bracket and end at the leftmost x with F(x) >= u
-    d = beta_poly(0.0, 1.0, 1000.0, 1000.0)
+    # below x = 0.5 the density rises from 0 to 1e-311, so the cdf rises by
+    # subnormals over 128 table rows, where each row's dx/dF overflows; the
+    # levels there start inside their bracket and end at the leftmost x with
+    # F(x) >= u
+    d = piecewise_linear([0.0, 0.5, 0.6, 1.0], [0.0, 1e-311, 1.0, 1.0])
+    _, ft, slope = d._cdf_table
+    assert np.sum((np.diff(ft) > 0.0) & (slope == 0.0)) == 128
     for u in (5e-324, 1e-320, 1e-315, 1e-310):
         x = d.quantile(u)
         tol = dist._X_REL_TOL * x + dist._X_ABS_TOL * d.support.width

@@ -17,11 +17,18 @@ bare name, a class's ``__init__`` by the class's name or a subclass's, and a
 call that passes the function itself as an argument, as in
 ``domain(paths, fn, *args)``, counts as a call of it with the arguments
 after it. Dataclass fields are not parameters here.
+
+A module under ``src/talab`` imports only the standard library, its own
+package and numpy, the one run-time dependency ``pyproject.toml`` lists (scipy
+is a test dependency), at module level or inside a function.
 """
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -181,3 +188,33 @@ def test_src_defaults_have_a_caller_that_sets_them():
             unset += [f"{file}: {fn.name}({p})" for p in defaulted
                       if not any(p in kw or p in positional[:len(args)] for args, kw in site)]
     assert not unset, "defaults no call under src/talab or perfbench sets:\n" + "\n".join(unset)
+
+
+def _foreign_imports(trees: dict[str, ast.Module], allowed: set[str]) -> list[str]:
+    """'file: module' of each import, at any depth, of a module that is neither
+    in the standard library, nor relative, nor a top-level package in allowed."""
+    out = []
+    for file, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            out += [f"{file}: {name}" for name in names
+                    if name.split(".")[0] not in sys.stdlib_module_names | allowed]
+    return out
+
+
+def test_src_imports_only_the_standard_library_and_numpy():
+    # the runtime dependencies pyproject.toml promises are numpy's alone
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert [d.split(">")[0] for d in project["dependencies"]] == ["numpy"]
+    foreign = _foreign_imports(_trees("src/talab"), {"numpy", "talab"})
+    assert not foreign, "imports beyond the standard library and numpy:\n" + "\n".join(foreign)
+    # a lazy import inside a function is one too
+    lazy = ast.parse("import math\nfrom . import dist\n\ndef f():\n"
+                     "    from scipy.special import betainc\n    import numpy.linalg\n")
+    assert _foreign_imports({"dist.py": lazy}, {"numpy"}) == ["dist.py: scipy.special"]
