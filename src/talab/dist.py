@@ -168,13 +168,10 @@ class SupportInterval:
 
 
 # ---------------------------------------------------------------------------
-# density components
-#
-# Each kind's ``_KERNEL`` sets F{i}, f{i}, M{i} at x for component i, {name}
-# standing for parameter name{i} = ``_kernel_values()[name]``. A line that sets
-# M{i} alone starts with it, and every block keeps a line without it, so that
-# the lines stay valid code when the M lines are left out. Three vector
-# evaluators, ``cdf_v``, ``pdf_v`` and ``pm_v``, serve arrays.
+# density components: each kind's ``_KERNEL`` sets F{i}, f{i}, M{i} at x for
+# component i, {name} standing for parameter name{i} = ``_kernel_values()[name]``.
+# A line that sets M{i} alone starts with it, and every block keeps another line,
+# so the lines stay code without M's. ``cdf_v``, ``pdf_v`` and ``pm_v`` take arrays.
 # ---------------------------------------------------------------------------
 
 
@@ -328,11 +325,12 @@ else:   # and NaN
 
 
 class _PwLinear:
-    """Continuous piecewise-linear density through (xs[i], ys[i])."""
+    """Continuous piecewise-linear density through (xs[i], ys[i]). On segment k
+    (the last with xs[k] <= x; hi and NaN take the last one), F and M are their
+    values at knot k plus the segment's integral up to x, capped at their values
+    at knot k + 1 (F's at most 1), which rounding could pass."""
 
     kind = "pw_linear"
-    # the segment k of x in [lo, hi] is the last with xs[k] <= x, clipped to
-    # 0 .. top - 1: hi and NaN search to top, so they take the last segment
     _KERNEL = """\
 if x < {lo} or x > {hi}:
     F{i} = 0.0 if x < {lo} else 1.0
@@ -347,8 +345,9 @@ else:   # on [lo, hi] f is its segment's line, lo included; NaN gives NaN
         F{i} = 1.0
         M{i} = {m_hi}
     else:
-        F{i} = {cum_mass}[k] + y0 * d + 0.5 * sl * d * d
+        F{i} = min({cum_mass}[k] + y0 * d + 0.5 * sl * d * d, {cum_mass}[k + 1])
         M{i} = {cum_pm}[k] + (y0 * (x * x - x0 * x0) / 2.0 + sl * d * d * (x0 / 2.0 + d / 3.0))
+        M{i} = min(M{i}, {cum_pm}[k + 1])
 """
 
     def __init__(self, xs, ys):
@@ -368,7 +367,7 @@ else:   # on [lo, hi] f is its segment's line, lo included; NaN gives NaN
         self.slopes = np.diff(self.ys) / np.diff(self.xs)
         # cumulative mass and cumulative first moment at the knots
         seg_mass = 0.5 * (self.ys[:-1] + self.ys[1:]) * np.diff(self.xs)
-        self.cum_mass = np.concatenate([[0.0], np.cumsum(seg_mass)])
+        self.cum_mass = np.minimum(np.concatenate([[0.0], np.cumsum(seg_mass)]), 1.0)
         seg = np.arange(len(self.xs) - 1)
         self.cum_pm = np.concatenate([[0.0], np.cumsum(self._seg_pm(seg, self.xs[1:]))])
 
@@ -394,7 +393,8 @@ else:   # on [lo, hi] f is its segment's line, lo included; NaN gives NaN
     def cdf_v(self, x: np.ndarray) -> np.ndarray:
         i = self._seg_idx_v(x)
         d = np.clip(x, self.lo, self.hi) - self.xs[i]
-        return self.cum_mass[i] + self.ys[i] * d + 0.5 * self.slopes[i] * d * d
+        return np.minimum(self.cum_mass[i] + self.ys[i] * d + 0.5 * self.slopes[i] * d * d,
+                          self.cum_mass[i + 1])
 
     def pdf_v(self, x: np.ndarray) -> np.ndarray:
         i = self._seg_idx_v(x)
@@ -403,7 +403,8 @@ else:   # on [lo, hi] f is its segment's line, lo included; NaN gives NaN
 
     def pm_v(self, x: np.ndarray) -> np.ndarray:
         i = self._seg_idx_v(x)
-        return self.cum_pm[i] + self._seg_pm(i, np.clip(x, self.lo, self.hi))
+        return np.minimum(self.cum_pm[i] + self._seg_pm(i, np.clip(x, self.lo, self.hi)),
+                          self.cum_pm[i + 1])
 
     def knots(self):
         return tuple(self.xs)
@@ -507,13 +508,11 @@ class DistributionSpec:
     def density_c1(self) -> bool:
         """Structural check: density continuously differentiable on the support."""
         lo, hi = self.support.lo, self.support.hi
-        for w, p in zip(self.weights, self.parts):
-            if w == 0 or p.kind == "cosine_bump":
-                continue  # a bump is C^1 everywhere, vanishes smoothly at its edges
-            spans = abs(p.lo - lo) < 1e-12 and abs(p.hi - hi) < 1e-12
-            if p.kind == "pw_linear" or not spans:
-                return False
-        return True
+        # a bump is C^1 everywhere and vanishes smoothly at its edges; a uniform
+        # is C^1 only if it spans the support, and a pw_linear has kinks
+        return all(w == 0 or p.kind == "cosine_bump" or p.kind == "uniform"
+                   and abs(p.lo - lo) < 1e-12 and abs(p.hi - hi) < 1e-12
+                   for w, p in zip(self.weights, self.parts))
 
     # -- pointwise evaluation ------------------------------------------------
 

@@ -84,6 +84,21 @@ def test_scalar_cdf_and_partial_mean_on_random_mixtures(d):
     assert max(abs(m - quad_partial_mean(d, x)) for m, x in zip(pm, xs)) <= 1e-9
 
 
+@pytest.mark.parametrize("lo, hi, ys", [
+    (0.003, 1.064, [0.87, 0.86, 0.0, 0.0]),     # F summed to 1 + 2^-52 on the flat tail
+    (0.281, 1.141, [0.47, 0.0, 0.6]),           # M summed past its knot value an ulp left of it
+])
+def test_pw_linear_cdf_and_partial_mean_never_fall(lo, hi, ys):
+    # the grid of the random-mixture test, whose knots and even points can
+    # differ by an ulp: each segment's sums are capped at the next knot's values
+    d = piecewise_linear(np.linspace(lo, hi, len(ys)), ys)
+    xs = np.union1d(np.linspace(lo, hi, 41), d.interior_knots())
+    for cdf, pm in (([d.cdf(x) for x in xs.tolist()], [d.partial_mean(x) for x in xs.tolist()]),
+                    (d.cdf(xs), d.partial_mean(xs))):
+        assert np.all(np.diff(cdf) >= 0.0) and max(cdf) == 1.0
+        assert np.all(np.diff(pm) >= 0.0) and pm[-1] == d.mean
+
+
 def test_uniform_pdf_examples(u01):
     assert u01.pdf(0.3) == 1.0
 

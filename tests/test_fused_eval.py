@@ -4,8 +4,9 @@ Each law's kernel (``DistributionSpec.kernel``) returns (F, f, M) at a scalar
 from its components' source lines, written out; the scalar
 ``cdf``/``pdf``/``partial_mean``, ``StrongBidLaw.eval3`` and the ODE
 right-hand side run it. The reference below is the code it replaced, copied
-here: one ``eval3_s`` per component, summed with ``sum()`` in component order,
-and the right-hand side built on that sum. Kernel, strong
+here: one ``eval3_s`` per component (the pw_linear's with its knot caps),
+summed with ``sum()`` in component order, and the right-hand side built on
+that sum. Kernel, strong
 law and solves must equal the reference bit for bit. F and f must also match
 the vector ``cdf_v``/``pdf_v`` (F exactly 0 and 1 at and beyond the support
 ends), NaN must give NaN F and M, as in ``cdf_v``, and M must match quadrature
@@ -102,7 +103,9 @@ def _pw_eval3(p, x):
     if x == p.hi:
         return 1.0, f, float(p.cum_pm[-1])
     seg = y0 * (x * x - x0 * x0) / 2.0 + m * d * d * (x0 / 2.0 + d / 3.0)
-    return float(p.cum_mass[i] + y0 * d + 0.5 * m * d * d), f, float(p.cum_pm[i] + seg)
+    # each capped at its value at knot i + 1
+    F = min(float(p.cum_mass[i] + y0 * d + 0.5 * m * d * d), float(p.cum_mass[i + 1]))
+    return F, f, min(float(p.cum_pm[i] + seg), float(p.cum_pm[i + 1]))
 
 
 def _ref_sweep(law):
