@@ -390,11 +390,13 @@ else:   # on [lo, hi] f is its segment's line, lo included; NaN gives NaN
         i = np.searchsorted(self.xs, x, side="right") - 1
         return np.clip(i, 0, len(self.xs) - 2)
 
+    # at and beyond hi, F is 1 and M the mean, as in the kernel: the knot
+    # tables' last entries can fall short of them by rounding
     def cdf_v(self, x: np.ndarray) -> np.ndarray:
         i = self._seg_idx_v(x)
         d = np.clip(x, self.lo, self.hi) - self.xs[i]
-        return np.minimum(self.cum_mass[i] + self.ys[i] * d + 0.5 * self.slopes[i] * d * d,
-                          self.cum_mass[i + 1])
+        return np.where(x >= self.hi, 1.0, np.minimum(
+            self.cum_mass[i] + self.ys[i] * d + 0.5 * self.slopes[i] * d * d, self.cum_mass[i + 1]))
 
     def pdf_v(self, x: np.ndarray) -> np.ndarray:
         i = self._seg_idx_v(x)
@@ -403,8 +405,8 @@ else:   # on [lo, hi] f is its segment's line, lo included; NaN gives NaN
 
     def pm_v(self, x: np.ndarray) -> np.ndarray:
         i = self._seg_idx_v(x)
-        return np.minimum(self.cum_pm[i] + self._seg_pm(i, np.clip(x, self.lo, self.hi)),
-                          self.cum_pm[i + 1])
+        return np.where(x >= self.hi, self.cum_pm[-1], np.minimum(
+            self.cum_pm[i] + self._seg_pm(i, np.clip(x, self.lo, self.hi)), self.cum_pm[i + 1]))
 
     def knots(self):
         return tuple(self.xs)
@@ -912,14 +914,24 @@ class SortedIndex:
     """``np.searchsorted(breaks, x, "right")``, exactly, by an indexed search.
 
     This is the guide table of Devroye (1986), section III.2.4. With n breaks,
-    [lo, hi] = [breaks[0], breaks[-1]] is cut into n - 1 equal buckets, plus one
-    for hi and above, and keys and breaks go through the same monotone
+    [lo, hi] = [breaks[0], breaks[-1]] is cut into n - 1 equal buckets (more
+    where breaks cluster, below), plus one for hi and above, and keys and
+    breaks go through the same monotone
     map to a bucket: x - lo clipped to [0, hi - lo], times the scale, truncated.
     A break in a lower (higher) bucket than a key therefore lies below (above)
     it, and the answer for a key in bucket k is ``first[k]`` (the breaks in
     lower buckets) plus at most the widest bucket's count. A fixed number of
     vectorised bisection steps, the bit length of that count, finish the
     search. NaN keys sort last, as in numpy.
+
+    Breaks that cluster (schedule nodes near the series start, cdf-table rows
+    below an atom) would make every key pay for the fullest bucket. So the
+    bucket count is doubled, up to 4096, while a bucket holds more than three
+    breaks. If one still does, and it would save two steps or more, a second
+    level cuts each bucket k that holds more than three into 8 x its count
+    equal parts (one part otherwise), plus one for the rounding of the map: the
+    part is floor((t - k) C_k), t the scaled position before truncation (t - k
+    is exact). That map is monotone too, and its parts replace the buckets.
 
     Calls with no more keys than breaks, or with fewer than two breaks, go
     straight to ``np.searchsorted``; the directory is built on the first larger
@@ -936,12 +948,20 @@ class SortedIndex:
         self._dir = None
 
     @staticmethod
-    def _bucket(x: np.ndarray, lo: float, span: float, scale: float) -> np.ndarray:
+    def _slot(x: np.ndarray, lo: float, span: float, scale: float, parts) -> np.ndarray:
         t = x - lo
         np.fmin(t, span, out=t)   # +inf and NaN go to the top bucket
         np.fmax(t, 0.0, out=t)
         t *= scale
-        return t.astype(np.intp)
+        k = t.astype(np.intp)
+        if parts is None:
+            return k
+        count, base = parts
+        t -= k
+        t *= count.take(k)
+        j = t.astype(np.intp)
+        j += base.take(k)
+        return j
 
     def _directory(self):
         """The bucket directory, built on first use (needs two or more breaks)."""
@@ -950,26 +970,39 @@ class SortedIndex:
             n = b.size
             lo = float(b[0])
             span = float(b[-1]) - lo
-            # span * scale rounds to n - 1 within an ulp, so buckets are 0 .. n - 1
-            scale = (n - 1) / span if span > 0.0 else 0.0
-            if not (math.isfinite(span) and math.isfinite(scale)):
-                span = scale = 0.0    # one bucket
-            first = np.searchsorted(self._bucket(b, lo, span, scale), np.arange(n))
+            buckets = n - 1
+            while True:
+                # span * scale rounds to buckets within an ulp: buckets 0 .. buckets
+                scale = buckets / span if span > 0.0 else 0.0
+                if not (math.isfinite(span) and math.isfinite(scale)):
+                    span = scale = 0.0    # one bucket
+                full = np.bincount(self._slot(b, lo, span, scale, None), minlength=buckets + 1)
+                if full.max() <= 3 or scale == 0.0 or 2 * buckets > 4096:
+                    break
+                buckets *= 2
+            parts, slots = None, buckets + 1
+            if full.max() > 3:
+                count = np.where(full > 3, 8.0 * full, 1.0)
+                sizes = count.astype(np.intp) + 1
+                fine = (count, np.cumsum(sizes) - sizes)
+                if np.bincount(self._slot(b, lo, span, scale, fine)).max() <= full.max() // 4:
+                    parts, slots = fine, int(sizes.sum())
+            first = np.searchsorted(self._slot(b, lo, span, scale, parts), np.arange(slots))
             depth = int(np.diff(first, append=n).max()).bit_length()
             # steps probe b[pos + step - 1]; +inf past the end is never before a key
             padded = np.concatenate([b, np.full((1 << depth) - 1, np.inf)])
             steps = tuple((1 << i, padded[(1 << i) - 1:]) for i in reversed(range(depth)))
-            self._dir = (lo, span, scale, first.astype(np.int32), steps)
+            self._dir = (lo, span, scale, parts, first.astype(np.int32), steps)
         return self._dir
 
     def __call__(self, x):
         b = self.breaks
         if np.size(x) <= b.size or b.size < 2:
             return np.searchsorted(b, x, "right")
-        lo, span, scale, first, steps = self._directory()
+        lo, span, scale, parts, first, steps = self._directory()
         x = np.asarray(x, dtype=float)
         keys = x.reshape(-1)
-        pos = first.take(self._bucket(keys, lo, span, scale)).astype(np.intp)
+        pos = first.take(self._slot(keys, lo, span, scale, parts)).astype(np.intp)
         before = np.empty(keys.shape, dtype=bool)
         for step, tail in steps:
             # is break pos + step - 1 at or before the key? (always, for a NaN key)

@@ -8,28 +8,31 @@ on 0 < v <= v_bar, b(0) = 0, where m(b) = E[w | w <= b] and (F, f) / (G, g)
 are the weak / strong value laws. Solutions live strictly inside the band
 v < b < m^{-1}(v); H blows up at the lower edge and vanishes at the upper one.
 
-``solve_ode`` integrates it with an adaptive embedded Runge-Kutta method
-(Dormand-Prince 4(5)) that rejects steps leaving the band, starting from a
-series expansion at the singular origin. The returned schedule is the
-method's fourth-order continuous extension (Shampine, "Some practical
-Runge-Kutta formulas", Math. Comp. 46, 1986), built from the seven stages
-each step computes: on each interval the cubic Hermite interpolant of the
-accepted nodes and slopes plus one quartic bump. Each step is also gated on
-a bound of that quartic's defect |b' - H(b, v)| / (1 + |H|) over the
-interval, from samples at both Gauss points and the midpoint (continuous
-defect control: Enright & Hayes, "Robust and reliable defect control for
-Runge-Kutta methods", ACM TOMS 33(1), 2007). The defect and the error estimate
-set the step size with one exponent, 1/5; ``max_ode_residual`` is the largest
-accepted bound. Where the bids reach a knot of the strong law, at which its
-density or a derivative of it may jump and H is not smooth, a step is cut to
-end just past the knot, and a step across a knot of either law is also gated
-on its defect at 31 points. The tests check the solver against scipy's DOP853
-started from the same series-start node, check the bump against the dense
-output of scipy's RK45 and recompute the defect from the returned schedule.
-The rhs is generated per solve: the weak law's kernel lines, then one call of
-the strong law's (``StrongBidLaw.eval3``). It and the written-out stages keep
-every floating-point operation of the separate cdf/pdf/partial_mean calls and
-of ``sum()`` over the tableau: the schedules are bit-identical to that form.
+``solve_ode`` integrates it with an adaptive embedded Runge-Kutta method,
+Dormand-Prince 8(7) ("DOP853": Hairer, Norsett & Wanner, Solving ODEs I, II.10),
+that rejects steps leaving the band, starting from a series expansion at the
+singular origin. The returned schedule is the method's order-7 continuous
+extension, built from the step's 12 stages, its FSAL stage and three more:
+on each interval the cubic Hermite interpolant of the accepted nodes and
+slopes plus theta^2 (1 - theta)^2 (F3 + theta F4 + theta (1 - theta) F5
++ theta^2 (1 - theta) F6), a piece of degree 7. Each step is also gated on a
+bound of that piece's defect |b' - H(b, v)| / (1 + |H|) over the interval,
+from samples at the six interior Gauss-Lobatto nodes (continuous defect
+control: Enright & Hayes, "Robust and reliable defect control for Runge-Kutta
+methods", ACM TOMS 33(1), 2007). The error estimate (order h^8) and the defect
+(order h^7) set the step size, each with its own exponent; the part of the
+defect that the rounding of the node values alone can cause sets none.
+``max_ode_residual`` is the largest accepted bound. Where the bids reach a knot
+of the strong law, at which its density or a derivative of it may jump and H is
+not smooth, a step is cut to end just past the knot, and a step across a knot
+of either law is also gated on its defect at 31 points and at each knot. The
+tests check the solver against scipy's DOP853 (its tableau, its dense output,
+and a solve from the same series-start node) and recompute the defect from the
+returned schedule. The rhs is generated per solve: the weak law's kernel lines,
+then one call of the strong law's (``StrongBidLaw.eval3``). It and the stages,
+written out from the tableau, keep every floating-point operation of the
+separate cdf/pdf/partial_mean calls and of ``sum()`` over the tableau rows: the
+schedules are bit-identical to that form.
 
 ``verify_best_response`` checks the solved schedule against grid deviations of
 the reported value (and raw bids above b(v_bar)), which is the acceptance
@@ -44,7 +47,7 @@ kappa0 the atom-to-density ratio at the origin.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -194,27 +197,60 @@ def as_strong_law(strong) -> StrongBidLaw:
 # ---------------------------------------------------------------------------
 
 
+# theta^m = sum over i >= m of C(i, m) / C(6, m) B(i, 6)(theta), so Bernstein
+# coefficient i of a degree-6 polynomial weighs its power-form coefficient m by
+# _BERNSTEIN[i][m], m <= i
+_BERNSTEIN = tuple(tuple(math.comb(i, m) / math.comb(6, m) for m in range(i + 1))
+                   for i in range(7))
+
+
+def _quintic_roots(r) -> np.ndarray:
+    """The real parts of the roots of r0 + r1 theta + ... + r5 theta^5, one row per
+    entry of the r arrays, as the eigenvalues of the batched companion matrices.
+
+    Each row is scaled to a largest coefficient of 1, and a leading coefficient
+    below 2^-40 is raised to it: that moves the polynomial on [0, 1] by at most
+    2^-40 of its largest coefficient and puts the extra roots far outside [0, 1].
+    A row of zeros gets the roots of theta^5. A complex root's real part adds a
+    point to check at most, where b' must be >= 0 anyway."""
+    r = np.stack(r, axis=-1)
+    top = np.abs(r).max(axis=-1, keepdims=True)
+    r = r / np.where(top > 0.0, top, 1.0)
+    lead = r[:, 5]
+    lead = np.where(np.abs(lead) >= 2.0 ** -40, lead, np.copysign(2.0 ** -40, lead))
+    companion = np.zeros((r.shape[0], 5, 5))
+    companion[:, np.arange(1, 5), np.arange(4)] = 1.0
+    companion[:, :, 4] = -r[:, :5] / lead[:, None]
+    return np.linalg.eigvals(companion).real
+
+
 @dataclass(frozen=True)
 class BidFunction:
-    """Tabulated strictly increasing bid schedule, piecewise quartic.
+    """Tabulated strictly increasing bid schedule, piecewise polynomial.
 
     On interval i, with h = grid[i+1] - grid[i] and theta = (v - grid[i]) / h,
     the schedule is the cubic Hermite interpolant of the end values and slopes
-    plus ``bumps[i]`` * theta^2 (1 - theta)^2, a term that leaves both end values
-    and slopes alone. ``solve_ode`` returns the Dormand-Prince step's own
-    fourth-order continuous extension in this form (Shampine, "Some practical
-    Runge-Kutta formulas", Math. Comp. 46, 1986); ``bumps`` defaults to zeros,
-    the cubic Hermite spline. The pieces are kept as power-form coefficients
-    c4 ... c0 of s^4 ... s^0 (s = v - grid[i]) and evaluated by Horner's rule
-    after an exact indexed search of the grid (``dist.SortedIndex``); scalar and
-    array calls share that path. Nodes, values, slopes and bumps must be finite
-    and the values strictly increasing. The schedule must also be monotone
-    between nodes: on each interval b' >= 0 at both ends and at the real roots
-    of b'' inside it, which is exact for a polynomial. Only a dip of rounding
-    size, 2^-45 of the sum of b''s term magnitudes, is let through, so that
-    the cubics on the edge of Fritsch and Carlson's box (end slopes in
+    plus a term that leaves both end values and slopes alone:
+    theta^2 (1 - theta)^2 (F3 + theta F4 + theta (1 - theta) F5
+    + theta^2 (1 - theta) F6) with ``bumps[i]`` = (F3, F4, F5, F6), a piece of
+    degree 7. ``solve_ode`` returns the DOP853 step's own order-7 continuous
+    extension in this form (Hairer, Norsett & Wanner, Solving ODEs I, II.10).
+    A 1-D ``bumps`` gives one coefficient per interval, ``bumps[i]`` theta^2
+    (1 - theta)^2, a quartic; ``bumps`` defaults to zeros, the cubic Hermite
+    spline. The pieces are kept as power-form coefficients c7 ... c0 (c4 ... c0
+    for a 1-D ``bumps``) of powers of s = v - grid[i] and evaluated by Horner's
+    rule after an exact indexed search of the grid (``dist.SortedIndex``);
+    scalar and array calls share that path. Nodes, values, slopes and bumps must
+    be finite and the values strictly increasing. The schedule must also be
+    monotone between nodes: on each interval b' >= 0 at both ends and at the
+    real roots of b'' inside it, which is exact for a polynomial. Only a dip of
+    rounding size, 2^-45 of the sum of b''s term magnitudes, is let through, so
+    that the cubics on the edge of Fritsch and Carlson's box (end slopes in
     [0, 3 x the secant], SIAM J. Numer. Anal. 17(2), 1980), whose b' touches
-    zero, pass."""
+    zero, pass. For rows of four, b'' is a quintic: its roots are the
+    eigenvalues of companion matrices, taken only on the intervals where b''s
+    Bernstein coefficients are not all >= 0 (where they are, b' >= 0 on the
+    whole interval)."""
 
     grid: np.ndarray
     values: np.ndarray
@@ -228,9 +264,9 @@ class BidFunction:
         e = np.zeros(max(g.size - 1, 0)) if self.bumps is None \
             else np.asarray(self.bumps, dtype=float)
         if not (g.ndim == 1 and g.shape == v.shape == s.shape and g.size >= 2
-                and e.shape == (g.size - 1,)):
+                and e.shape in ((g.size - 1,), (g.size - 1, 4))):
             raise EquilibriumError("grid/values/slopes must be matching 1-D arrays, "
-                                   "with one bump per interval")
+                                   "with one bump or one row of four per interval")
         if not all(np.isfinite(a).all() for a in (g, v, s, e)):
             raise EquilibriumError("grid/values/slopes/bumps must be finite")
         if g[0] != 0.0 or v[0] != 0.0:
@@ -253,24 +289,62 @@ class BidFunction:
         k = self.slopes
         slope = np.diff(self.values) / dx
         t = (k[:-1] + k[1:] - 2 * slope) / dx
-        q = self.bumps / dx / dx
-        return q / dx / dx, t / dx - 2 * q / dx, (slope - k[:-1]) / dx - t + q, k[:-1], \
-            self.values[:-1]
+        if self.bumps.ndim == 1:
+            q = self.bumps / dx / dx
+            return q / dx / dx, t / dx - 2 * q / dx, (slope - k[:-1]) / dx - t + q, k[:-1], \
+                self.values[:-1]
+        # the theta^j coefficient over h^j is the power-form coefficient of s^j
+        a = self._bump_theta_coefficients()
+        for j in range(6):
+            for _ in range(j + 2):
+                a[j] = a[j] / dx
+        return a[5], a[4], a[3], a[2], t / dx + a[1], (slope - k[:-1]) / dx - t + a[0], \
+            k[:-1], self.values[:-1]
+
+    def _bump_theta_coefficients(self) -> list[np.ndarray]:
+        """The coefficients of theta^2 ... theta^7 in theta^2 (1 - theta)^2
+        (p0 + p1 theta + p2 theta^2 + p3 theta^3), the 2-D ``bumps``' term."""
+        f3, f4, f5, f6 = self.bumps.T
+        p0, p1, p2, p3 = f3, f4 + f5, f6 - f5, -f6
+        return [p0, p1 - 2 * p0, p2 - 2 * p1 + p0, p3 - 2 * p2 + p1, p2 - 2 * p3, p3]
 
     def _monotone_between_nodes(self) -> bool:
-        # b'(theta) = k0 + B theta + C theta^2 + D theta^3 on each interval; the
-        # roots of b'' inside it are those of B + 2 C theta + 3 D theta^2, and a
-        # root outside [0, 1] (or none) is clipped to an end, which is checked anyway
-        c4, c3, c2, k0, _ = self._coefficients
+        # b'(theta) = k0 + D1 theta + ... + Dn theta^n on each interval; a root of
+        # b'' outside [0, 1] (or none) is clipped to an end, which is checked anyway
         dx = np.diff(self.grid)
-        B, C, D = 2.0 * c2 * dx, 3.0 * c3 * dx * dx, 4.0 * c4 * dx * dx * dx
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = -(C + np.copysign(np.sqrt(C * C - 3.0 * D * B), C))
-            thetas = [np.zeros_like(dx), np.ones_like(dx), q / (3.0 * D), B / q]
-        size = np.abs(k0) + np.abs(B) + np.abs(C) + np.abs(D)
-        for th in thetas:
+        k0 = self.slopes[:-1]
+        if self.bumps.ndim == 1:
+            # the roots of b'' are those of B + 2 C theta + 3 D theta^2
+            c4, c3, c2, _, _ = self._coefficients
+            B, C, D = 2.0 * c2 * dx, 3.0 * c3 * dx * dx, 4.0 * c4 * dx * dx * dx
+            with np.errstate(divide="ignore", invalid="ignore"):
+                q = -(C + np.copysign(np.sqrt(C * C - 3.0 * D * B), C))
+                thetas = [q / (3.0 * D), B / q]
+            terms = [B, C, D]
+        else:
+            # Dm = (m + 1) A(m+1) / h, A the theta-form coefficients: the cubic
+            # Hermite's and the bump's
+            k1, slope = self.slopes[1:], np.diff(self.values) / dx
+            a = self._bump_theta_coefficients()
+            terms = [2.0 * (3.0 * slope - 2.0 * k0 - k1 + a[0] / dx),
+                     3.0 * (k0 + k1 - 2.0 * slope + a[1] / dx)]
+            terms += [(m + 1) * (a[m - 1] / dx) for m in range(3, 7)]
+            # b' >= 0 on [0, 1] where its Bernstein coefficients are all >= 0, the
+            # common case; only the other intervals need the roots of b''
+            power = [k0, *terms]
+            easy = np.ones(k0.shape, dtype=bool)
+            for row in _BERNSTEIN:
+                easy &= sum(w * d for w, d in zip(row, power)) >= 0.0
+            k0, terms = k0[~easy], [d[~easy] for d in terms]
+            thetas = list(_quintic_roots([m * d for m, d in enumerate(terms, 1)]).T) \
+                if k0.size else []
+        size = np.abs(k0) + sum(np.abs(d) for d in terms)
+        for th in [np.zeros_like(k0), np.ones_like(k0)] + thetas:
             th = np.clip(np.nan_to_num(th, nan=0.0, posinf=0.0, neginf=0.0), 0.0, 1.0)
-            if not np.all(k0 + th * (B + th * (C + th * D)) >= -2.0 ** -45 * size):
+            rest = terms[-1]
+            for d in reversed(terms[:-1]):
+                rest = rest * th + d
+            if not np.all(k0 + th * rest >= -2.0 ** -45 * size):
                 return False
         return True
 
@@ -287,11 +361,11 @@ class BidFunction:
     def __call__(self, v):
         x = np.clip(v, self.grid[0], self.grid[-1])
         i = self._interval(x)
-        c4, *rest = self._coefficients
+        top, *rest = self._coefficients
         # Horner's rule, in place; i is in range, and mode="clip" lets take
         # write into out without the buffer mode="raise" makes
         s = x - self.grid.take(i, mode="clip")
-        out = c4.take(i, mode="clip")
+        out = top.take(i, mode="clip")
         term = np.empty_like(out)
         for c in rest:
             out *= s
@@ -372,58 +446,107 @@ def _rhs_factory(weak: DistributionSpec, law: StrongBidLaw, n_weak: int):
 
 
 # ---------------------------------------------------------------------------
-# Dormand-Prince 4(5) with band rejection
+# Dormand-Prince 8(7), "DOP853", with band rejection
 # ---------------------------------------------------------------------------
 
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
+# The doubles of the coefficients of Hairer's dop853.f (Hairer, Norsett & Wanner,
+# Solving ODEs I, II.10), as scipy's ``dop853_coefficients`` rounds them. Row i of
+# _DOP_A makes stage i + 1 from stages 1 .. i. Stages 1-12 make the step, its
+# eighth-order value b8 (weights: row 12, that of stage 13) and the fifth- and
+# third-order error estimates; stage 13 is H(v + h, b8), the next step's first
+# (FSAL); stages 14-16 serve the dense output only.
+_DOP_C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+          0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+          0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
+          0.7777777777777778)
+_DOP_A = (
     (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0, 0.08876275643042054),
+    (0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0, 0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0, 0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0, 0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+     20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0, 0, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+     15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (-0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+     -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+     27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+     0.6433927460157636),
+    (0.054293734116568765, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+     0.04471061572777259),
+    (0.056167502283047954, 0, 0, 0, 0, 0, 0.25350021021662483, -0.2462390374708025,
+     -0.12419142326381637, 0.15329179827876568, 0.00820105229563469, 0.007567897660545699,
+     -0.008298),
+    (0.03183464816350214, 0, 0, 0, 0, 0.028300909672366776, 0.053541988307438566,
+     -0.05492374857139099, 0, 0, -0.00010834732869724932, 0.0003825710908356584,
+     -0.00034046500868740456, 0.1413124436746325),
+    (-0.42889630158379194, 0, 0, 0, 0, -4.697621415361164, 7.683421196062599,
+     4.06898981839711, 0.3567271874552811, 0, 0, 0, -0.0013990241651590145,
+     2.9475147891527724, -9.15095847217987),
 )
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
-# theta^4 column of the continuous extension b + h sum_j (K P)_j theta^(j+1) (the
-# P matrix of scipy's RK45): at theta = 1 it is b5 with slope k7, so it is the
-# cubic Hermite of the step plus e theta^2 (1 - theta)^2, e = h (K P)_3
-_DP_E = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
-         -10690763975 / 1880347072, 701980252875 / 199316789632,
-         -1453857185 / 822651844, 69997945 / 29380423)
+_DOP_E5 = (0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044, -0.4957589496572502,
+           1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+           -0.022355307863886294)
+# b8's weights less those of the third-order solution
+_DOP_E3 = tuple(w - c for w, c in zip(_DOP_A[12], (
+    0.24409448818897638, 0, 0, 0, 0, 0, 0, 0, 0.7338466882816118, 0, 0, 0.022058823529411766)))
+# F3 ... F6 of the dense output, h times these rows over the 16 stages
+_DOP_D = (
+    (-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
+     2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+     -0.08899033645133331, 18.148505520854727, -9.194632392478356, -4.436036387594894),
+    (10.427508642579134, 0, 0, 0, 0, 242.28349177525817, 165.20045171727028, -374.5467547226902,
+     -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229,
+     15.697238121770845, -31.139403219565178, -9.35292435884448, 35.81684148639408),
+    (19.985053242002433, 0, 0, 0, 0, -387.0373087493518, -189.17813819516758, 527.8081592054236,
+     -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+     -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279),
+    (-25.69393346270375, 0, 0, 0, 0, -154.18974869023643, -231.5293791760455, 357.6391179106141,
+     93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605,
+     -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564),
+)
 
 
-def _dp_stepper(rhs):
-    """One Dormand-Prince attempt (v, b, h, k1) -> (b5, b4, k7 = the next k1, e),
-    e the step's quartic bump (see ``_DP_E``).
+def _terms(weights) -> str:
+    """The sum of weights[j] * k(j + 1) over the nonzero weights, in order, as source."""
+    return " + ".join(f"{w!r} * k{j}" for j, w in enumerate(weights, 1) if w)
 
-    Each sum keeps the terms and order of sum() over its _DP_* row (zero
-    weights skipped). Without sum()'s leading 0 only the sign of a zero total can
-    differ; b + h * total hides it because b > 0, and a zero bump's sign changes
-    no value of the schedule: the results are bit-identical."""
-    _, c2, c3, c4, c5, c6, c7 = _DP_C
-    _, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
-        (a61, a62, a63, a64, a65), (a71, a72, a73, a74, a75, a76) = _DP_A
-    p1, _, p3, p4, p5, p6, _ = _DP_B5
-    q1, _, q3, q4, q5, q6, q7 = _DP_B4
-    e1, _, e3, e4, e5, e6, e7 = _DP_E
 
-    def step(v: float, b: float, h: float, k1: float) -> tuple[float, float, float, float]:
-        k2 = rhs(v + c2 * h, b + h * (a21 * k1))
-        k3 = rhs(v + c3 * h, b + h * (a31 * k1 + a32 * k2))
-        k4 = rhs(v + c4 * h, b + h * (a41 * k1 + a42 * k2 + a43 * k3))
-        k5 = rhs(v + c5 * h, b + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4))
-        k6 = rhs(v + c6 * h, b + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5))
-        k7 = rhs(v + c7 * h, b + h * (a71 * k1 + a72 * k2 + a73 * k3 + a74 * k4
-                                      + a75 * k5 + a76 * k6))
-        b5 = b + h * (p1 * k1 + p3 * k3 + p4 * k4 + p5 * k5 + p6 * k6)
-        b4 = b + h * (q1 * k1 + q3 * k3 + q4 * k4 + q5 * k5 + q6 * k6 + q7 * k7)
-        e = h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7)
-        return b5, b4, k7, e
+def _stage(i: int) -> str:
+    return (f"    k{i + 1} = rhs(v + {_DOP_C[i]!r} * h, b + h * ({_terms(_DOP_A[i])}))\n")
 
-    return step
+
+_STAGES = ", ".join(f"k{i}" for i in range(1, 13))
+_DOP_SOURCE = (
+    "def attempt(v, b, h, k1, rhs):\n"
+    + "".join(_stage(i) for i in range(1, 12))
+    + f"    return (b + h * ({_terms(_DOP_A[12])}), {_terms(_DOP_E5)}, {_terms(_DOP_E3)},\n"
+    f"            ({_STAGES}))\n",
+    "def dense(v, b, h, stages, rhs):\n"
+    f"    {_STAGES}, k13 = stages\n"
+    + "".join(_stage(i) for i in range(13, 16))
+    + "    return (" + ", ".join(f"h * ({_terms(row)})" for row in _DOP_D) + ")\n",
+)
+
+
+def _dop853(rhs):
+    """The DOP853 attempt and dense output, generated from the tableau as straight-line
+    functions with ``rhs`` bound.
+
+    ``attempt(v, b, h, k1)`` -> (b8, e5, e3, stages 1-12): the step's value and the
+    sums its two error estimates weigh (h e5 and h e3 estimate b8's error).
+    ``dense(v, b, h, stages 1-13)`` -> (F3, F4, F5, F6): the dense output's
+    coefficients, from three more stages. Each sum keeps the terms and order of
+    sum() over its row (zero weights skipped): the results equal that loop's bit
+    for bit, but for the sign of a zero total, which no value of the step shows."""
+    return tuple(compile_kernel(source, (rhs,)) for source in _DOP_SOURCE)
 
 
 def _model_warnings(weak: DistributionSpec, law: StrongBidLaw) -> list[str]:
@@ -496,7 +619,7 @@ def solve_ode(
 
     v_bar = weak.support.hi
     rhs = _rhs_factory(weak, law, n_weak)
-    step = _dp_stepper(rhs)
+    attempt, dense = _dop853(rhs)
     v0, b0, slope0 = _series_start(weak, law, n_weak, opts.v0_fraction)
 
     # the floor follows v0 too: from an atom start at v0 = 1e-10 the sqrt(v)
@@ -514,7 +637,7 @@ def solve_ode(
     vs = [0.0, v0]
     bs = [0.0, b0]
     ks = [slope0, k0]
-    es = [0.0]    # [0, v0] keeps the series start's cubic
+    es = [(0.0, 0.0, 0.0, 0.0)]    # [0, v0] keeps the series start's cubic
 
     b_knots, v_knots = law.dist.interior_knots(), weak.interior_knots()
     v, b = v0, b0
@@ -524,6 +647,7 @@ def solve_ode(
     min_h, min_h_v = math.inf, v0
     max_defect = 0.0
     gate = None  # the gate that rejected the last attempt, if it was rejected
+    retries = 0  # attempts lengthened since the last accepted step
 
     while v < v_bar - 1e-15 * v_bar:
         # a step the grid represents exactly: the returned interpolant's
@@ -541,56 +665,71 @@ def solve_ode(
                 report,
             )
         try:
-            b5, b4, k_end, e = step(v, b, h, k1)
-            err = abs(b5 - b4)
-            scale = atol + rtol * max(abs(b), abs(b5))
+            b8, e5, e3, stages = attempt(v, b, h, k1)
+            # the error norm of Hairer's dop853.f, |h| e5^2 / sqrt(e5^2 + e3^2 / 100)
+            err = abs(h * e5) * (abs(e5) / math.hypot(e5, 0.1 * e3)) if e5 else 0.0
+            scale = atol + rtol * max(abs(b), abs(b8))
             if not math.isfinite(err) or err > scale:
                 n_error += 1
                 gate = "error-estimate"
-                h *= max(0.2, 0.9 * (scale / err) ** 0.2) if math.isfinite(err) else 0.5
+                h *= max(0.2, 0.9 * (scale / err) ** 0.125) if math.isfinite(err) else 0.5
                 continue
             # a law's density or a derivative of it may jump at a knot, so H is
             # not smooth across one and the bound's model fails there. A step
             # whose bids cross a knot of the strong law well inside it is cut to
-            # end just past the point where the chord from b to b5 meets the
+            # end just past the point where the chord from b to b8 meets the
             # knot; a step that still crosses a knot of either law is also gated
-            # on the defect sampled at 31 points
+            # on the defect sampled at ``_KNOT_POINTS`` and at each knot, where
+            # the defect has a corner (a strong knot's theta from the chord)
             j = bisect_right(b_knots, b)
-            crossing = j < len(b_knots) and b_knots[j] < b5
-            if crossing:
-                th = (b_knots[j] - b) / (b5 - b)
-                if 2.0 ** -8 < th < 1.0 - 2.0 ** -8:
-                    h = (v + h * th * (1.0 + 2.0 ** -10)) - v
-                    continue
-            defect = _defect_bound(rhs, v, b, b5, k1, k_end, h, e)
-            if crossing or bisect_right(v_knots, v) != bisect_right(v_knots, v + h):
-                defect = max(defect, max(abs(_defect_at(rhs, v, b, b5, k1, k_end, h, e, p))
-                                         for p in _KNOT_POINTS))
+            crossed = [(x - b) / (b8 - b) for x in b_knots[j:bisect_left(b_knots, b8)]]
+            if crossed and 2.0 ** -8 < crossed[0] < 1.0 - 2.0 ** -8:
+                h = (v + h * crossed[0] * (1.0 + 2.0 ** -10)) - v
+                continue
+            j = bisect_right(v_knots, v)
+            crossed += [(x - v) / h for x in v_knots[j:bisect_right(v_knots, v + h)]]
+            k_end = rhs(v + h, b8)
+            bump = dense(v, b, h, stages + (k_end,))
+            defect = _defect_bound(rhs, v, b, b8, k1, k_end, h, bump)
+            if crossed:
+                points = _KNOT_POINTS + tuple(_basis(th) for th in crossed)
+                defect = _worst_defect(rhs, v, b, b8, k1, k_end, h, bump, points, defect)
         except (_OutOfBand, OverflowError, ZeroDivisionError):
             n_band += 1
             gate = "band"
             h *= 0.5
             continue
-        # the returned schedule is this interval's quartic; its defect sets the
-        # step as the error estimate does, with the same exponent
-        ratio = min(scale / max(err, 1e-300), dtol / max(defect, 1e-300))
+        # the returned schedule is this interval's degree-7 piece; its defect
+        # (order h^7) sets the step as the error estimate (order h^8) does. The
+        # node values are floats, so the rise b8 - b can miss the one H sets by
+        # half an ulp of b8, which alone puts 6 theta (1 - theta) ulp / (2 h) into
+        # b'. ``noise`` is what that hump can add to the bound: it grows as h
+        # shrinks, so it sets no step, and a step it alone may have failed is
+        # retried longer, as far as the error estimate allows, up to three times
+        noise = _LEBESGUE * 0.75 * math.ulp(b8) / (h * (1.0 + min(abs(k1), abs(k_end))))
+        grow = 0.9 * (scale / max(err, 1e-300)) ** 0.125
+        ratio = min(grow, 0.9 * (dtol / max(defect - noise, 1e-300)) ** (1.0 / 7.0))
         if not defect <= dtol:
             n_defect += 1
             gate = "defect"
-            h *= max(0.2, 0.9 * ratio ** 0.2)
+            if defect <= noise and grow > 1.0 and retries < 3:
+                retries += 1
+                h *= min(2.0, grow)
+            else:
+                h *= max(0.2, min(0.9, ratio))
             continue
-        # accepted; k_end is f(v+h, b5) by the FSAL property
+        # accepted; k_end is H(v + h, b8), the next step's first stage. A step
+        # that follows a rejection does not grow (Hairer, Norsett & Wanner, II.4)
         if h < min_h:
             min_h, min_h_v = h, v
         max_defect = max(max_defect, defect)
-        v, b = v + h, b5
-        k1 = k_end
-        gate = None
-        vs.append(v)
-        bs.append(b)
-        ks.append(k1)
-        es.append(e)
-        h *= min(5.0, 0.9 * ratio ** 0.2)
+        vs.append(v + h)
+        bs.append(b8)
+        ks.append(k_end)
+        es.append(bump)
+        v, b, k1 = v + h, b8, k_end
+        h *= min(1.0 if gate else 5.0, ratio)
+        gate, retries = None, 0
 
     vs[-1] = v_bar  # the last step lands within an ulp of the top; pin it
     bid = BidFunction(np.asarray(vs), np.asarray(bs), np.asarray(ks), np.asarray(es))
@@ -598,58 +737,71 @@ def solve_ode(
                             min_h, min_h_v, tuple(notes))
 
 
+
 def _basis(th: float) -> tuple[float, ...]:
     """theta and the weights of one schedule piece at it: b = b0 + w1 (b1 - b0)
-    + h (w2 k0 + w3 k1) + w4 e and b' = d1 (b1 - b0)/h + d2 k0 + d3 k1 + d4 e/h,
-    from the cubic Hermite basis and the bump theta^2 (1 - theta)^2."""
+    + h (w2 k0 + w3 k1) + sum_j p_j F_j and b' = d1 (b1 - b0)/h + d2 k0 + d3 k1
+    + sum_j q_j F_j / h, from the cubic Hermite basis and the dense output's
+    theta^2 (1 - theta)^2 (1, theta, theta (1 - theta), theta^2 (1 - theta))."""
     u = th * (1.0 - th)
-    return (th, th * th * (3.0 - 2.0 * th), u * (1.0 - th), -u * th, u * u,
+    uu, du = u * u, 1.0 - 2.0 * th              # du = u'
+    return (th, th * th * (3.0 - 2.0 * th), u * (1.0 - th), -u * th,
+            uu, uu * th, uu * u, uu * u * th,
             6.0 * u, (1.0 - th) * (1.0 - 3.0 * th), th * (3.0 * th - 2.0),
-            2.0 * u * (1.0 - 2.0 * th))
+            2.0 * u * du, 2.0 * u * du * th + uu, 3.0 * uu * du, 3.0 * uu * du * th + uu * u)
 
 
-_GAUSS_OFFSET = math.sqrt(3.0) / 6.0   # Gauss points at theta = 1/2 -+ this
-_ODD_PEAK = 1.0 / (12.0 * math.sqrt(3.0))   # max of x (1/4 - x^2) on [0, 1/2]
-_GATE_POINTS = tuple(_basis(th) for th in (0.5 - _GAUSS_OFFSET, 0.5, 0.5 + _GAUSS_OFFSET))
+# The defect's leading term where H is smooth is theta (1 - theta) q(theta), q of
+# degree 5 (see ``_defect_bound``). It is sampled at the six interior nodes of the
+# 8-point Gauss-Lobatto rule, theta = (1 -+ x)/2 at the roots x of P7' (of
+# 429 x^6 - 495 x^4 + 135 x^2 - 5). _LEBESGUE bounds the Lebesgue constant of that
+# model's interpolation through them: the largest over [0, 1] of the sum over the
+# nodes of |theta (1 - theta) l_j(theta)| / (theta_j (1 - theta_j)), l_j the
+# Lagrange basis of the six nodes. It peaks at theta = 1/2 at 1.894242413878...
+_GATE_OFFSETS = (0.10464960895123944, 0.2958500907165711, 0.4358700742548033)
+_GATE_THETAS = (tuple(0.5 - x for x in reversed(_GATE_OFFSETS))
+                + tuple(0.5 + x for x in _GATE_OFFSETS))
+_LEBESGUE = 1.8943
+_GATE_POINTS = tuple(_basis(th) for th in _GATE_THETAS)
 _KNOT_POINTS = tuple(_basis(j / 32.0) for j in range(1, 32))
 
 
-def _defect_at(rhs, v, b0, b1, k0, k1, h, e, point) -> float:
+def _defect_at(rhs, v, b0, b1, k0, k1, h, bump, point) -> float:
     """Signed (b' - H(b, v)) / (1 + |H|) of the schedule piece on [v, v + h] at
     one ``_basis`` point."""
-    th, w1, w2, w3, w4, d1, d2, d3, d4 = point
-    hb = rhs(v + th * h, b0 + w1 * (b1 - b0) + h * (w2 * k0 + w3 * k1) + w4 * e)
-    return (d1 * (b1 - b0) / h + d2 * k0 + d3 * k1 + d4 * e / h - hb) / (1.0 + abs(hb))
+    th, w1, w2, w3, p3, p4, p5, p6, d1, d2, d3, q3, q4, q5, q6 = point
+    f3, f4, f5, f6 = bump
+    db = b1 - b0
+    hb = rhs(v + th * h, b0 + w1 * db + h * (w2 * k0 + w3 * k1)
+             + (p3 * f3 + p4 * f4 + p5 * f5 + p6 * f6))
+    return ((d1 * db + (q3 * f3 + q4 * f4 + q5 * f5 + q6 * f6)) / h + d2 * k0 + d3 * k1
+            - hb) / (1.0 + abs(hb))
 
 
-def _defect_bound(rhs, v, b0, b1, k0, k1, h, e) -> float:
-    """Bound on |b' - H(b, v)| / (1 + |H|) over the quartic schedule piece on
+def _defect_bound(rhs, v, b0, b1, k0, k1, h, bump) -> float:
+    """Bound on |b' - H(b, v)| / (1 + |H|) over the degree-7 schedule piece on
     [v, v + h]: the cubic Hermite interpolant of (v, b0, k0), (v + h, b1, k1)
-    plus e theta^2 (1 - theta)^2.
+    plus the dense output's theta^2 (1 - theta)^2 (F3 + theta F4 + ...).
 
-    The defect d vanishes at both ends, where the piece's slopes are H. It is
-    sampled at the Gauss points x = -+ g (x = theta - 1/2, g = sqrt(3)/6) and
-    at the midpoint, and modelled as d(x) = (1/4 - x^2)(a + beta x + c x^2)
-    through the three samples: where H is smooth over the step, the leading
-    defect term of a piece whose end data are fifth-order accurate has this
-    form. Its even part peaks at the midpoint or at the interior extremum of
-    (1/4 - y)(a + c y), y = x^2; its odd part, beta x (1/4 - x^2), at
-    x = 1/(2 sqrt 3). The sum of the two peaks bounds the model on the whole
-    interval and is at most twice its largest value. The cubic's leading term
-    is odd and peaks at the Gauss points; the quartic's has an even part too,
-    largest at the midpoint, which the Gauss points alone would miss."""
-    dl = _defect_at(rhs, v, b0, b1, k0, k1, h, e, _GATE_POINTS[0])
-    dm = _defect_at(rhs, v, b0, b1, k0, k1, h, e, _GATE_POINTS[1])
-    dr = _defect_at(rhs, v, b0, b1, k0, k1, h, e, _GATE_POINTS[2])
-    # a + beta x + c x^2 takes 6 dl, 4 dm, 6 dr at x = -g, 0, g (g^2 = 1/12)
-    a = 4.0 * dm
-    beta = 3.0 * (dr - dl) / _GAUSS_OFFSET
-    c = 12.0 * (3.0 * (dl + dr) - a)
-    even = 0.25 * abs(a)
-    y = (0.25 * c - a) / (2.0 * c) if c != 0.0 else 0.0
-    if 0.0 < y < 0.25:
-        even = max(even, abs((0.25 - y) * (a + c * y)))
-    return even + _ODD_PEAK * abs(beta)
+    The piece's error against the solution through (v, b0) is h^8 P(theta) to
+    leading order, P of degree 8 with double zeros at both ends: the piece starts
+    on the solution with its slope, and its end value (eighth order) and end
+    slope H(v + h, b1) leave errors of higher order. So where H is smooth the
+    defect, h^7 P'(theta) to leading order, is theta (1 - theta) q(theta) with q of
+    degree 5. It is sampled at ``_GATE_THETAS`` and modelled that way; the model's
+    largest value on [0, 1] is at most ``_LEBESGUE`` times the largest sample,
+    and at least the largest sample, so the bound is within 1.9x of the model's
+    peak."""
+    return _LEBESGUE * _worst_defect(rhs, v, b0, b1, k0, k1, h, bump, _GATE_POINTS, 0.0)
+
+
+def _worst_defect(rhs, v, b0, b1, k0, k1, h, bump, points, worst: float) -> float:
+    """The largest of ``worst`` and |defect| at ``points``, NaN if any is NaN."""
+    for point in points:
+        d = abs(_defect_at(rhs, v, b0, b1, k0, k1, h, bump, point))
+        if d > worst or d != d:
+            worst = d
+    return worst
 
 
 # ---------------------------------------------------------------------------

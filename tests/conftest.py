@@ -148,21 +148,32 @@ def quad_partial_mean(d, x):
     return val
 
 
-# where the solver samples each interval's defect: both Gauss points and the midpoint
-GATE_THETAS = (0.5 - math.sqrt(3.0) / 6.0, 0.5, 0.5 + math.sqrt(3.0) / 6.0)
+# where the solver samples each interval's defect: the six interior nodes of the
+# 8-point Gauss-Lobatto rule, the roots of P7' mapped to [0, 1]
+GATE_THETAS = tuple((np.sort(np.polynomial.legendre.Legendre.basis(7).deriv().roots()) + 1.0) / 2.0)
 DENSE_THETAS = tuple(np.linspace(0.0, 1.0, 34)[1:-1])
+
+# theta^2 (1 - theta)^2 times 1, theta, theta (1 - theta) and theta^2 (1 - theta):
+# the dense output's terms F3 ... F6, as ascending power coefficients in theta
+_P = np.polynomial.polynomial
+BUMP_BASIS = [_P.polymul(_P.polypow([0.0, 1.0, -1.0], 2), f)
+               for f in ([1.0], [0.0, 1.0], [0.0, 1.0, -1.0], [0.0, 0.0, 1.0, -1.0])]
 
 
 def schedule_ppoly(bid) -> PPoly:
     """Independent form of a bid schedule: scipy's cubic Hermite spline through
-    its nodes and slopes, plus bumps[i] * theta^2 (1 - theta)^2 on interval i
-    (theta = s / h) expanded into powers of s, as a scipy ``PPoly``."""
+    its nodes and slopes, plus on interval i either bumps[i] theta^2 (1 - theta)^2
+    (1-D bumps) or the sum of bumps[i, j] times the j-th ``BUMP_BASIS``
+    polynomial (rows of four), expanded into powers of s = theta h, as a scipy
+    ``PPoly``."""
     cubic = CubicHermiteSpline(bid.grid, bid.values, bid.slopes)
-    h, e = np.diff(bid.grid), bid.bumps
-    c = np.vstack([np.zeros((1, h.size)), cubic.c])     # rows: s^4 ... s^0
-    c[0] += e / h**4
-    c[1] -= 2.0 * e / h**3
-    c[2] += e / h**2
+    h, e = np.diff(bid.grid), np.asarray(bid.bumps)
+    rows = e.reshape(h.size, -1)
+    basis = BUMP_BASIS if rows.shape[1] == 4 else [_P.polypow([0.0, 1.0, -1.0], 2)]
+    c = np.vstack([np.zeros((4, h.size)), cubic.c])     # rows: s^7 ... s^0
+    for j, poly in enumerate(basis):
+        for power, coef in enumerate(poly):
+            c[7 - power] += coef * rows[:, j] / h**power
     return PPoly(c, bid.grid)
 
 
@@ -183,14 +194,13 @@ def schedule_defects(bid, weak, law, n_weak, thetas=GATE_THETAS):
 
 
 def defect_model_sup(samples) -> np.ndarray:
-    """Per interval, the largest |d| on a fine grid of the degree-4 defect model
-    d(theta) = theta (1 - theta) q(theta), q quadratic, that takes the three
+    """Per interval, the largest |d| on a fine grid of the degree-7 defect model
+    d(theta) = theta (1 - theta) q(theta), q of degree 5, that takes the six
     ``schedule_defects`` rows at ``GATE_THETAS``: the model the solver bounds,
-    evaluated through Lagrange weights rather than the solver's closed form."""
+    evaluated through Lagrange weights rather than the solver's bound."""
     t = np.asarray(GATE_THETAS)
     theta = np.linspace(0.0, 1.0, 2001)[:, None]
-    weights = [np.prod([(theta - t[m]) / (t[j] - t[m]) for m in range(3) if m != j], axis=0)
-               * theta * (1.0 - theta) / (t[j] * (1.0 - t[j])) for j in range(3)]
+    weights = [np.prod([(theta - t[m]) / (t[j] - t[m]) for m in range(t.size) if m != j], axis=0)
+               * theta * (1.0 - theta) / (t[j] * (1.0 - t[j])) for j in range(t.size)]
     model = sum(w * np.asarray(samples)[j] for j, w in enumerate(weights))
     return np.abs(model).max(axis=0)
-

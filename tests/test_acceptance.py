@@ -236,8 +236,8 @@ def test_atom_edge_cases_solve(u01, kind, l, zero, n_weak):
 
 
 # solves that stopped with BandEscape under the cubic schedule's Gauss-point
-# gate: the quartic schedule, whose steps are cut just past the strong law's
-# knots, finishes them within the defect bound
+# gate: the dense-output schedule, whose steps are cut just past the strong
+# law's knots, finishes them within the defect bound
 NEWLY_FINISHED = (
     [("fast_drain", 11, 0.0, n) for n in (2, 3, 5, 8)]
     + [("slow_drain", 12, 0.0, 3), ("slow_drain", 12, 0.0, 8), ("split_atom", 12, 0.25, 2)]
@@ -252,6 +252,32 @@ def test_deep_members_solve(u01, kind, l, zero, n_weak):
     model = defect_model_sup(schedule_defects(bid, u01, law, n_weak)).max()
     dense = np.abs(schedule_defects(bid, u01, law, n_weak, DENSE_THETAS)).max()
     assert max(model, dense) <= rep.max_ode_residual <= SolveOptions().residual_tolerance
+
+
+# family solves (size 13) where the defect at 99 points of an interval whose bids
+# cross a strong knot exceeded the 5e-7 gate (the first five) or the solve's own
+# max_ode_residual (the last) while the knot samples were 31 points at j/32
+KNOT_CROSSING_CASES = [("fast_drain", 12, 0.0, 2), ("fast_drain", 12, 0.25, 3),
+                       ("split_atom", 8, 0.0, 5), ("split_atom", 9, 0.25, 3),
+                       ("split_atom", 10, 0.0, 5), ("smoothed_discrete", 9, 0.25, 8)]
+
+
+@pytest.mark.parametrize("kind, l, zero, n_weak", KNOT_CROSSING_CASES)
+def test_knot_crossing_defect_within_gate(u01, kind, l, zero, n_weak):
+    law = StrongBidLaw(make_family(kind, K, W_BAR, 13).member(l), zero)
+    bid, rep = solve_ode(u01, law, n_weak)
+    b, knots = bid.values, np.array(law.dist.interior_knots())
+    crossing = [i for i in range(1, b.size - 1) if np.any((b[i] < knots) & (knots < b[i + 1]))]
+    assert crossing
+    deriv = schedule_ppoly(bid).derivative()
+    theta = np.arange(1, 100) / 100.0
+    worst = 0.0
+    for i in crossing:
+        x = bid.grid[i] + theta * (bid.grid[i + 1] - bid.grid[i])
+        H = np.array([bid_ode_rhs(float(bx), float(v), u01, law, n_weak)
+                      for v, bx in zip(x, bid(x))])
+        worst = max(worst, float(np.abs((deriv(x) - H) / (1.0 + np.abs(H))).max()))
+    assert worst <= rep.max_ode_residual <= SolveOptions().residual_tolerance, worst
 
 
 def test_family_grid_schedules_are_monotone(u01):

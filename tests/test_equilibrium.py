@@ -26,7 +26,8 @@ from talab.equilibrium import (
 from talab.mechanisms import AuctionSpec, DiscreteAtomSpec, MechanismError
 from talab.sequences import make_family
 
-from conftest import bid_ode_rhs, piecewise_linear, schedule_defects, schedule_ppoly
+from conftest import (GATE_THETAS, bid_ode_rhs, piecewise_linear,
+                      schedule_defects, schedule_ppoly)
 
 
 @pytest.fixture(scope="module")
@@ -187,7 +188,7 @@ def test_underflow_names_gate_and_reports_counters(u01, u02, case, gate):
     weak, strong, n = {
         "weak_jump": (jump, u02, 3),
         "weak_jump_n5": (jump, u02, 5),
-        "fast_drain_4_z06": (u01, StrongBidLaw(fast.member(4), 0.6), 3),
+        "fast_drain_4_z06": (u01, StrongBidLaw(fast.member(4), 0.6), 5),
     }[case]
     with pytest.raises(BandEscape, match=f"the {gate} gate rejected the last attempt") as err:
         solve_ode(weak, strong, n)
@@ -206,23 +207,23 @@ def test_underflow_names_gate_and_reports_counters(u01, u02, case, gate):
 def test_underflow_after_accepted_step_names_no_gate(u01, u02, monkeypatch):
     # v0 = 1.72e-8 puts the step floor at 1e-12 (not 1e-4 * v0); the first 14
     # attempts are rejected by the band gate (h 1.72e-8 -> 1.0498e-12); the
-    # next is accepted with an error estimate just under its bound, so the
-    # controller shrinks h by 0.9, below h_min, with no rejection since
-    real_stepper = eq._dp_stepper
+    # next is accepted with an error estimate |h e5| just under its bound, so
+    # the controller shrinks h by 0.9, below h_min, with no rejection since
+    real_stepper = eq._dop853
 
     def stepper(rhs):
-        step, calls = real_stepper(rhs), []
+        (attempt, dense), calls = real_stepper(rhs), []
 
-        def attempt(v, b, h, k1):
+        def wrapped(v, b, h, k1):
             calls.append(h)
             if len(calls) <= 14:
                 raise eq._OutOfBand
-            b5, _, k_end, e = step(v, b, h, k1)
-            return b5, b5 + 0.999e-13, k_end, e   # atol = 1e-13 at v_bar = 1
+            b8, _, _, stages = attempt(v, b, h, k1)
+            return b8, 0.999e-13 / h, 0.0, stages   # atol = 1e-13 at v_bar = 1
 
-        return attempt
+        return wrapped, dense
 
-    monkeypatch.setattr(eq, "_dp_stepper", stepper)
+    monkeypatch.setattr(eq, "_dop853", stepper)
     with pytest.raises(BandEscape, match="no attempt was rejected since the last accepted step") as err:
         solve_ode(u01, u02, 2, SolveOptions(v0_fraction=1.72e-8))
     report = err.value.report
@@ -232,13 +233,13 @@ def test_underflow_after_accepted_step_names_no_gate(u01, u02, monkeypatch):
 def _perturbed_worst_interval(u01, l, shape):
     # Perturb the worst interval [grid[m], grid[m+1]] of a solved schedule so
     # that its defect exceeds the gate where one set of sample points cannot
-    # see it:
-    # odd: add to its bump; the slope of e theta^2 (1 - theta)^2,
-    #   (e/h) 2 theta (1 - theta)(1 - 2 theta), vanishes at the midpoint and is
-    #   -+ (e/h) sqrt(3)/9 at the Gauss points;
-    # even: add kappa to both end slopes; b' moves by kappa (1 - 6 theta (1 - theta)),
-    #   0 at the Gauss points and -kappa/2 at the midpoint.
-    # Either way the solver's gate, which samples all three, rejects the piece
+    # see it. The perturbation adds to the interval's four bump coefficients
+    # and, for the midpoint shape, kappa to both its end slopes; it is solved,
+    # through the defect's response to each, to leave the defect at the blind
+    # nodes alone and to move it by 2 x the gate at one seen node:
+    # node: the three nodes left of the midpoint are blind;
+    # midpoint: the outer four nodes are blind, the two middle ones see it.
+    # Either way the solver's gate, which samples all six, rejects the piece
     tol = SolveOptions().residual_tolerance
     law = StrongBidLaw(make_family("slow_drain", 2.0, 2.5, 8).member(l), 0.0)
     bid, report = solve_ode(u01, law, 2)
@@ -246,89 +247,143 @@ def _perturbed_worst_interval(u01, l, shape):
     j = int(np.argmax(np.abs(gate_rows).max(axis=0)))   # rows start at grid[1]
     m = j + 1
     h = bid.grid[m + 1] - bid.grid[m]
-    slopes, bumps = bid.slopes.copy(), bid.bumps.copy()
-    if shape == "odd":
-        bumps[m] += (np.sign(gate_rows[0, j]) * 2.0 * tol * (1.0 + abs(slopes[m]))
-                     * h / (math.sqrt(3.0) / 9.0))
-        blind, seen = [1], [0, 2]          # the midpoint row cannot see it
-    else:
-        kappa = -np.sign(gate_rows[1, j]) * 4.0 * tol * (1.0 + abs(slopes[m]))
-        slopes[m:m + 2] += kappa
-        blind, seen = [0, 2], [1]          # the Gauss-point rows cannot see it
-    nudged = BidFunction(bid.grid, bid.values, slopes, bumps)
+    blind, seen = ([0, 1, 2], [3, 4, 5]) if shape == "node" else ([0, 1, 4, 5], [2, 3])
+    unknowns = 4 if shape == "node" else 5
+
+    def nudged_by(x):
+        slopes, bumps = bid.slopes.copy(), bid.bumps.copy()
+        bumps[m] += x[:4]
+        if unknowns == 5:
+            slopes[m:m + 2] += x[4]
+        return BidFunction(bid.grid, bid.values, slopes, bumps)
+
+    size = tol * (1.0 + abs(bid.slopes[m]))
+    scale = np.array([h, h, h, h, 1.0])[:unknowns] * size
+    response = np.column_stack([
+        (schedule_defects(nudged_by(scale * e), u01, law, 2) - gate_rows)[:, j]
+        for e in np.eye(unknowns)])
+    target = np.zeros(unknowns)
+    target[-1] = 2.0 * tol * np.sign(gate_rows[seen[-1], j])
+    nudged = nudged_by(scale * np.linalg.solve(response[blind + seen[-1:]], target))
 
     moved = (schedule_defects(nudged, u01, law, 2) - gate_rows)[:, j]
     assert np.abs(moved[blind]).max() <= tol / 10
     assert np.abs(schedule_defects(nudged, u01, law, 2)[seen, j]).max() > tol
     rhs = eq._rhs_factory(u01, law, 2)
     g, b, k, e = nudged.grid, nudged.values, nudged.slopes, nudged.bumps
-    assert eq._defect_bound(rhs, g[m], b[m], b[m + 1], k[m], k[m + 1], h, e[m]) > tol
+    assert eq._defect_bound(rhs, g[m], b[m], b[m + 1], k[m], k[m + 1], h, tuple(e[m])) > tol
     assert report.max_ode_residual <= tol
 
 
 @pytest.mark.parametrize("l", [1, 5, 8])
 def test_defect_gate_fails_a_perturbed_node(u01, l):
-    _perturbed_worst_interval(u01, l, "odd")
+    _perturbed_worst_interval(u01, l, "node")
 
 
 @pytest.mark.parametrize("l", [1, 5, 8])
 def test_defect_gate_fails_a_midpoint_perturbation(u01, l):
-    _perturbed_worst_interval(u01, l, "even")
+    _perturbed_worst_interval(u01, l, "midpoint")
+
+
+def _flat_piece_bound(D):
+    # An rhs H(v, b) = -D(x), x = theta - 1/2, against the flat piece b = 1, whose
+    # b' is 0, gives the defect D / (1 + |D|): for D of the model's form, the
+    # model the gate fits through its six samples is D itself (to the
+    # normalisation's 1e-7 at D's scale of 1e-6)
+    v0, h = 0.3, 0.01
+
+    def rhs(v, b):
+        return -D((v - v0) / h - 0.5)
+
+    return eq._defect_bound(rhs, v0, 1.0, 1.0, 0.0, 0.0, h, (0.0, 0.0, 0.0, 0.0))
 
 
 @pytest.mark.parametrize("a, c, beta", [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (1.0, -7.0, 0.0),
                                         (0.3, 5.0, -2.0), (-1.0, 12.0, 4.0), (0.0, 1.0, 0.0)])
 def test_defect_bound_covers_its_model(a, c, beta):
-    # An rhs H(v, b) = -D(x), x = theta - 1/2, against the flat piece b = 1, whose
-    # b' is 0, gives the defect D / (1 + |D|). For D = s (1/4 - x^2)(a + beta x + c x^2),
-    # the model the gate fits through its three samples is D itself (to the
-    # normalisation's 1e-7), so the bound holds D's largest value on the interval
-    # and exceeds it by at most the smaller of the even and odd peaks
-    v0, h, s = 0.3, 0.01, 1e-6
+    # D = s (1/4 - x^2)(a + beta x + c x^2) is of the model's form, theta (1 - theta)
+    # times a polynomial of degree 5: the bound holds D's largest value on the
+    # interval and exceeds it by at most the Lebesgue constant of the six nodes
+    s = 1e-6
 
     def D(x):
         return s * (0.25 - x * x) * (a + x * (beta + x * c))
 
-    def rhs(v, b):
-        return -D((v - v0) / h - 0.5)
-
-    bound = eq._defect_bound(rhs, v0, 1.0, 1.0, 0.0, 0.0, h, 0.0)
+    bound = _flat_piece_bound(D)
     x = np.linspace(-0.5, 0.5, 20001)
     sup = np.abs(D(x)).max()
-    even, odd = np.abs(D(x) + D(-x)).max() / 2, np.abs(D(x) - D(-x)).max() / 2
-    assert sup * (1 - 1e-6) <= bound <= (even + odd) * (1 + 1e-6)
+    assert sup * (1 - 1e-6) <= bound <= 1.9 * sup * (1 + 1e-6)
     if a == 1.0 and c == 0.0 and beta == 0.0:
-        # a pure midpoint peak: the Gauss points see 2/3 of it, the bound all of it
-        assert abs(bound - s / 4) <= 1e-6 * s
-        assert abs(D(-math.sqrt(3.0) / 6.0)) <= 0.67 * bound
+        # a pure midpoint peak: the nearest nodes see 0.956 of it, the bound 1.81 x it
+        samples = np.abs(D(np.asarray(GATE_THETAS) - 0.5))
+        assert abs(samples.max() - (0.25 - 0.10465 ** 2) * s) <= 1e-5 * s   # node 1/2 + 0.10465
+        assert abs(bound - eq._LEBESGUE * samples.max()) <= 1e-6 * bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6))
+def test_defect_bound_covers_degree_seven_models(q):
+    # the full model: theta (1 - theta) times any quintic q; Lagrange
+    # interpolation through the six nodes is exact for it
+    P = np.polynomial.polynomial
+    s = 1e-6
+
+    def D(x):
+        return s * (0.25 - x * x) * P.polyval(x, q)
+
+    x = np.linspace(-0.5, 0.5, 20001)
+    sup = np.abs(D(x)).max()
+    if sup < 1e-3 * s:
+        return
+    bound = _flat_piece_bound(D)
+    assert sup * (1 - 1e-6) <= bound <= eq._LEBESGUE * sup * (1 + 1e-6)
 
 
 def test_bump_is_the_dormand_prince_continuous_extension(u01):
-    # scipy's RK45 dense output on one accepted step, from its own P matrix and
-    # the step's seven stages, against the cubic Hermite of the step plus
-    # e theta^2 (1 - theta)^2 and against the returned schedule
-    from scipy.integrate._ivp.rk import RK45
+    # one accepted step, its 16 stages recorded, against scipy's DOP853: every
+    # stage's argument from scipy's tableau, the returned node, slope and bump
+    # row from the step, and scipy's order-7 dense output (its D matrix) against
+    # the cubic Hermite of the step plus the bump term and the returned schedule
+    from scipy.integrate._ivp import dop853_coefficients as dop
+    from scipy.integrate._ivp.rk import Dop853DenseOutput
 
     law = StrongBidLaw(make_family("slow_drain", 2.0, 2.5, 8).member(5), 0.0)
     bid, _ = solve_ode(u01, law, 2)
     m = bid.grid.size // 2
     v, b, h, k1 = bid.grid[m], bid.values[m], bid.grid[m + 1] - bid.grid[m], bid.slopes[m]
-    rhs, stages = eq._rhs_factory(u01, law, 2), [k1]
+    rhs, args, stages = eq._rhs_factory(u01, law, 2), [(v, b)], [k1]
 
     def recording(x, y):
+        args.append((x, y))
         stages.append(rhs(x, y))
         return stages[-1]
 
-    b5, _, k7, e = eq._dp_stepper(recording)(v, b, h, k1)
-    assert (b5, k7, e) == (bid.values[m + 1], bid.slopes[m + 1], bid.bumps[m])
-    assert e != 0.0
-    Q = np.asarray(stages) @ RK45.P
+    attempt, dense = eq._dop853(recording)
+    b8, _, _, first = attempt(v, b, h, k1)
+    k13 = recording(v + h, b8)
+    bump = dense(v, b, h, first + (k13,))
+    assert (b8, k13, bump) == (bid.values[m + 1], bid.slopes[m + 1], tuple(bid.bumps[m]))
+    K = np.asarray(stages)
+    assert K.shape == (16,)
+    for i in range(1, 16):
+        x, y = args[i]
+        assert x == v + dop.C[i] * h if i != 12 else x == v + h
+        assert y == pytest.approx(b + h * (dop.A[i, :i] @ K[:i]), rel=1e-15, abs=0)
+    F = np.empty((7, 1))
+    F[0], F[1], F[2] = b8 - b, h * k1 - (b8 - b), 2 * (b8 - b) - h * (k13 + k1)
+    F[3:, 0] = h * (dop.D @ K)
+    # the two sums round differently, each within a few ulps of its terms' size
+    assert np.all(np.abs(F[3:, 0] - bump) <= 1e-14 * h * (np.abs(dop.D) @ np.abs(K)))
+    assert np.any(F[3:] != 0.0)
     theta = np.linspace(0.1, 0.9, 9)
-    dense = b + h * sum(Q[j] * theta ** (j + 1) for j in range(4))
-    hermite = ((1 + 2 * theta) * (1 - theta) ** 2 * b + theta**2 * (3 - 2 * theta) * b5
-               + h * theta * (1 - theta) * ((1 - theta) * k1 - theta * k7))
-    assert np.abs(hermite + e * theta**2 * (1 - theta) ** 2 - dense).max() <= 1e-14 * b5
-    assert np.abs(bid(v + theta * h) - dense).max() <= 1e-14 * b5
+    scipy_dense = Dop853DenseOutput(v, v + h, np.array([b]), F)(v + theta * h)[0]
+    hermite = ((1 + 2 * theta) * (1 - theta) ** 2 * b + theta**2 * (3 - 2 * theta) * b8
+               + h * theta * (1 - theta) * ((1 - theta) * k1 - theta * k13))
+    u = theta**2 * (1 - theta) ** 2
+    term = u * (bump[0] + theta * bump[1] + theta * (1 - theta) * bump[2]
+                + theta**2 * (1 - theta) * bump[3])
+    assert np.abs(hermite + term - scipy_dense).max() <= 1e-14 * b8
+    assert np.abs(bid(v + theta * h) - scipy_dense).max() <= 1e-14 * b8
 
 
 @pytest.mark.parametrize("kind, l, zero", [("slow_drain", 8, 0.0), ("split_atom", 8, 0.25),
@@ -365,13 +420,42 @@ def test_defect_gate_holds_across_a_weak_knot(n_weak):
 
 
 def test_step_floor_follows_v0(u01):
-    # from the atom start at v0 = 1e-11 this solve needs steps below 1e-12 v_bar;
-    # a floor of 1e-12 v_bar would stop it, the floor 1e-4 v0 lets it finish
+    # from the atom start at v0 = 1e-11 this solve needs steps below 1e-12 v_bar
+    # right after the start; a floor of 1e-12 v_bar would stop it, the floor
+    # 1e-4 v0 lets it finish
     law = StrongBidLaw(make_family("slow_drain", 2.0, 2.5, 13).member(11), 0.25)
-    bid, report = solve_ode(u01, law, 5)
-    assert report.v0 < 1e-9 and report.min_step < 1e-12
+    bid, report = solve_ode(u01, law, 8)
+    assert report.v0 < 1e-9 and report.min_step < 1e-12 and report.min_step_v == report.v0
     assert report.max_ode_residual <= SolveOptions().residual_tolerance
-    assert verify_best_response(bid, u01, law, 5).max_regret <= 1e-4
+    assert verify_best_response(bid, u01, law, 8).max_regret <= 1e-4
+
+
+# Accepted steps and StrongBidLaw.eval3 calls that the Dormand-Prince 4(5)
+# stepper DOP853 replaced made on these solves (members 1, 4 and 8 of each
+# family, size 8, N = 2 and 5, zero-bid probability 0 and 0.25; summed over the
+# 12 solves of each family): slow_drain 7,414 steps and 70,464 calls,
+# smoothed_discrete 2,159 steps and 20,614 calls. The counts are deterministic
+DP5_COUNTS = {"slow_drain": (7414, 70464), "smoothed_discrete": (2159, 20614)}
+
+
+@pytest.mark.parametrize("kind", sorted(DP5_COUNTS))
+def test_step_budget(u01, kind, monkeypatch):
+    # DOP853 takes at most half the steps and 0.85 x the rhs calls (counted as
+    # perfbench counts them, on StrongBidLaw.eval3) of the stepper it replaced
+    calls = [0]
+    eval3 = StrongBidLaw.eval3
+
+    def counting(self, b):
+        calls[0] += 1
+        return eval3(self, b)
+
+    monkeypatch.setattr(StrongBidLaw, "eval3", counting)
+    fam = make_family(kind, 2.0, 2.5, 8)
+    steps = sum(solve_ode(u01, StrongBidLaw(fam.member(l), zero), n)[1].accepted_steps
+                for l in (1, 4, 8) for n in (2, 5) for zero in (0.0, 0.25))
+    dp5_steps, dp5_calls = DP5_COUNTS[kind]
+    assert steps <= 0.5 * dp5_steps, steps
+    assert calls[0] <= 0.85 * dp5_calls, calls[0]
 
 
 def test_solution_extends_to_top(u01, bump_member):
@@ -434,6 +518,31 @@ def test_bid_function_monotone_bumps(bump, refused):
     falls = np.diff(schedule_ppoly(SimpleNamespace(**arrays))(x)) < 0
     assert np.any(falls) == refused
     if refused:
+        with pytest.raises(EquilibriumError, match="monotone"):
+            BidFunction(**arrays)
+    else:
+        BidFunction(**arrays)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4), st.integers(0, 4))
+def test_bid_function_monotone_rows_of_four(row, i):
+    # end slopes 2 = the secant on every interval of width 0.2; a row of four on
+    # interval i. The exact rule must agree with scipy's PPoly: the least b' at
+    # 10^5 + 1 points and at the real roots of b'' that PPoly.roots finds (it can
+    # miss some when the leading coefficient is tiny), wherever that least value
+    # is clear of zero by more than b'' can bend it between the points (|b''| is
+    # at most about 10^3 here)
+    grid = np.linspace(0.0, 1.0, 6)
+    arrays = {"grid": grid, "values": 2.0 * grid, "slopes": np.full(6, 2.0),
+              "bumps": np.zeros((5, 4))}
+    arrays["bumps"][i] = row
+    ppoly = schedule_ppoly(SimpleNamespace(**arrays))
+    x = np.concatenate([np.linspace(0.0, 1.0, 100_001), ppoly.derivative(2).roots()])
+    low = ppoly.derivative()(x[(x >= 0.0) & (x <= 1.0)]).min()
+    if abs(low) < 1e-6:
+        return
+    if low < 0.0:
         with pytest.raises(EquilibriumError, match="monotone"):
             BidFunction(**arrays)
     else:

@@ -10,7 +10,7 @@ that sum. Kernel, strong
 law and solves must equal the reference bit for bit. F and f must also match
 the vector ``cdf_v``/``pdf_v`` (F exactly 0 and 1 at and beyond the support
 ends), NaN must give NaN F and M, as in ``cdf_v``, and M must match quadrature
-of the vector density. The written-out Dormand-Prince stages must reproduce
+of the vector density. The written-out DOP853 stages must reproduce
 the loop over the tableau bit for bit, each rhs call must make one
 ``StrongBidLaw.eval3`` call, and a kernel's source must be readable, with the
 law's numbers bound rather than written into it.
@@ -204,6 +204,26 @@ def test_eval3_s_matches_cdf_pdf_bitwise(name, law, points):
             assert bits(law.pdf(x)) == bits(f), (name, x)
 
 
+def test_pw_linear_vector_forms_reach_one_at_the_top():
+    # the knot tables' last F can round to 1 - 2^-53 (about a third of random
+    # laws); at and beyond hi the vector F and M are the kernel's 1.0 and mean
+    rng = np.random.default_rng(51)
+    short = 0
+    for _ in range(500):
+        size = int(rng.integers(2, 6))
+        xs = np.cumsum(rng.uniform(0.05, 1.5, size))
+        law = piecewise_linear(xs, rng.uniform(0.0, 1.0, size) + 0.01)
+        part, hi = law.parts[0], law.support.hi
+        short += part.cum_mass[-1] < 1.0
+        points = [hi, math.nextafter(hi, math.inf), hi + 1.0, math.inf]
+        F_v, M_v = part.cdf_v(np.array(points)), part.pm_v(np.array(points))
+        for x, F, M in zip(points, F_v, M_v):
+            want = law.kernel(x)
+            top = (bits(1.0), bits(part.mean()))
+            assert (bits(F), bits(M)) == (bits(want[0]), bits(want[2])) == top
+    assert short > 50
+
+
 @pytest.mark.parametrize("name,law,points", CASES, ids=[c[0] for c in CASES])
 def test_eval3_s_nan_like_separate_calls(name, law, points):
     # NaN in gives NaN F, as in the vector cdf, and NaN M
@@ -256,21 +276,26 @@ def test_strong_eval3_matches_separate_calls(name, zero_bid_prob):
 
 
 def _tableau_stepper(rhs):
-    """The Dormand-Prince attempt as a loop over the _DP_* rows with sum()."""
-    A, C = equilibrium._DP_A, equilibrium._DP_C
-    B5, B4, E = equilibrium._DP_B5, equilibrium._DP_B4, equilibrium._DP_E
+    """The DOP853 attempt and dense output as loops over the _DOP_* rows with sum()."""
+    A, C = equilibrium._DOP_A, equilibrium._DOP_C
 
-    def step(v, b, h, k1):
-        stage = [k1] + [0.0] * 6
-        for i in range(1, 7):
-            bi = b + h * sum(a * stage[j] for j, a in enumerate(A[i]))
-            stage[i] = rhs(v + C[i] * h, bi)
-        b5 = b + h * sum(w * stage[i] for i, w in enumerate(B5) if w)
-        b4 = b + h * sum(w * stage[i] for i, w in enumerate(B4) if w)
-        e = h * sum(w * stage[i] for i, w in enumerate(E) if w)
-        return b5, b4, stage[-1], e
+    def weigh(row, stage):
+        return sum(w * stage[j] for j, w in enumerate(row) if w)
 
-    return step
+    def attempt(v, b, h, k1):
+        stage = [k1]
+        for i in range(1, 12):
+            stage.append(rhs(v + C[i] * h, b + h * weigh(A[i], stage)))
+        return (b + h * weigh(A[12], stage), weigh(equilibrium._DOP_E5, stage),
+                weigh(equilibrium._DOP_E3, stage), tuple(stage))
+
+    def dense(v, b, h, stages):
+        stage = list(stages)
+        for i in range(13, 16):
+            stage.append(rhs(v + C[i] * h, b + h * weigh(A[i], stage)))
+        return tuple(h * weigh(row, stage) for row in equilibrium._DOP_D)
+
+    return attempt, dense
 
 
 def test_written_out_stages_match_tableau_loop(monkeypatch, u01, u02):
@@ -290,7 +315,7 @@ def test_written_out_stages_match_tableau_loop(monkeypatch, u01, u02):
         return out
 
     fused = solve_all()
-    monkeypatch.setattr(equilibrium, "_dp_stepper", _tableau_stepper)
+    monkeypatch.setattr(equilibrium, "_dop853", _tableau_stepper)
     assert solve_all() == fused
 
 
@@ -459,3 +484,17 @@ def test_law_pickles_after_its_kernel_is_built():
     before = law.kernel(1.1)
     copy = pickle.loads(pickle.dumps(law))
     assert "kernel" not in copy.__dict__ and _same(copy.kernel(1.1), before)
+
+
+def test_tableau_is_scipys():
+    # the written-out coefficients are the doubles of scipy's DOP853 tableau
+    from scipy.integrate._ivp import dop853_coefficients as dop
+
+    def same(ours, theirs):
+        return np.asarray(ours, dtype=float).tobytes() == np.asarray(theirs).tobytes()
+
+    assert same(equilibrium._DOP_C, dop.C)
+    assert all(same(equilibrium._DOP_A[i], dop.A[i, :i]) for i in range(16))
+    assert same(equilibrium._DOP_E5, dop.E5[:12]) and dop.E5[12] == 0.0
+    assert same(equilibrium._DOP_E3, dop.E3[:12]) and dop.E3[12] == 0.0
+    assert same(equilibrium._DOP_D, dop.D)

@@ -160,3 +160,22 @@ def test_virtual_value_equals_searchsorted_lookup():
     expect = iv.hull_slopes[j]
     assert np.array_equal(iv(u), expect)
     assert all(iv(float(ui)) == e for ui, e in zip(u[::997], expect[::997]))
+
+
+def test_clustered_breaks_stay_shallow():
+    # nodes that cluster by the series start and cdf-table rows below an atom
+    # fill one bucket of n - 1; more buckets (the schedule) and the second level
+    # (the table) keep every key within two bisection steps, where n - 1
+    # buckets alone took 3 and 8
+    bid, _ = solve_ode(dist.uniform(0.0, 1.0), dist.uniform(0.0, 2.0), 2)
+    grid_index = SortedIndex(bid.grid[1:-1])
+    member = make_family("slow_drain", 2.0, 2.5, 8).member(5)
+    member.quantile(np.array([0.5]))
+    table_index = member._row_search
+    for index in (grid_index, table_index):
+        breaks = index.breaks
+        steps = index._directory()[-1]
+        assert len(steps) <= 2
+        keys = np.concatenate([np.random.default_rng(3).uniform(breaks[0], breaks[-1], 5000),
+                               breaks, np.nextafter(breaks, np.inf)])
+        assert np.array_equal(index(keys), np.searchsorted(breaks, keys, "right"))
