@@ -236,7 +236,6 @@ def cmd_sweep(cfg: ExperimentConfig, args, out: Outputs) -> list[str]:
         "prop": table.prop,
         "target": table.target,
         "gap": table.gap,
-        "extrapolated": table.extrapolated,
         "notes": list(table.notes),
         "rows": rows,
     })

@@ -621,7 +621,7 @@ class DistributionSpec:
         of the same iteration over every component."""
         if isinstance(q, np.ndarray):
             top = q.max() if q.size else 0.0
-            if q.size and (q.min() < 0.0 or top > 1.0):
+            if q.size and not (q.min() >= 0.0 and top <= 1.0):
                 raise DistributionError("quantile levels must lie in [0, 1]")
             if self._affine_quantile:
                 x = self.support.lo + q * self.support.width

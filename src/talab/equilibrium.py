@@ -235,22 +235,21 @@ class BidFunction:
     + theta^2 (1 - theta) F6) with ``bumps[i]`` = (F3, F4, F5, F6), a piece of
     degree 7. ``solve_ode`` returns the DOP853 step's own order-7 continuous
     extension in this form (Hairer, Norsett & Wanner, Solving ODEs I, II.10).
-    A 1-D ``bumps`` gives one coefficient per interval, ``bumps[i]`` theta^2
-    (1 - theta)^2, a quartic; ``bumps`` defaults to zeros, the cubic Hermite
-    spline. The pieces are kept as power-form coefficients c7 ... c0 (c4 ... c0
-    for a 1-D ``bumps``) of powers of s = v - grid[i] and evaluated by Horner's
-    rule after an exact indexed search of the grid (``dist.SortedIndex``);
-    scalar and array calls share that path. Nodes, values, slopes and bumps must
-    be finite and the values strictly increasing. The schedule must also be
-    monotone between nodes: on each interval b' >= 0 at both ends and at the
-    real roots of b'' inside it, which is exact for a polynomial. Only a dip of
-    rounding size, 2^-45 of the sum of b''s term magnitudes, is let through, so
-    that the cubics on the edge of Fritsch and Carlson's box (end slopes in
-    [0, 3 x the secant], SIAM J. Numer. Anal. 17(2), 1980), whose b' touches
-    zero, pass. For rows of four, b'' is a quintic: its roots are the
-    eigenvalues of companion matrices, taken only on the intervals where b''s
-    Bernstein coefficients are not all >= 0 (where they are, b' >= 0 on the
-    whole interval)."""
+    ``bumps`` is one row of four per interval and defaults to zeros, the cubic
+    Hermite spline. The pieces are kept as power-form coefficients c7 ... c0 of
+    powers of s = v - grid[i] and evaluated by Horner's rule after an exact
+    indexed search of the grid (``dist.SortedIndex``); scalar and array calls
+    share that path. Nodes, values, slopes and bumps must be finite and the
+    values strictly increasing. The schedule must also be monotone between
+    nodes: on each interval b' >= 0 at both ends and at the real roots of b''
+    inside it, which is exact for a polynomial. b' is taken from the same
+    c7 ... c0 that a call evaluates. Only a dip of rounding size, 2^-45 of the
+    sum of b''s term magnitudes, is let through, so that the cubics on the edge
+    of Fritsch and Carlson's box (end slopes in [0, 3 x the secant], SIAM J.
+    Numer. Anal. 17(2), 1980), whose b' touches zero, pass. b'' is a quintic:
+    its roots are the eigenvalues of companion matrices, taken only on the
+    intervals where b''s Bernstein coefficients are not all >= 0 (where they
+    are, b' >= 0 on the whole interval)."""
 
     grid: np.ndarray
     values: np.ndarray
@@ -261,12 +260,12 @@ class BidFunction:
         g = np.asarray(self.grid, dtype=float)
         v = np.asarray(self.values, dtype=float)
         s = np.asarray(self.slopes, dtype=float)
-        e = np.zeros(max(g.size - 1, 0)) if self.bumps is None \
+        e = np.zeros((max(g.size - 1, 0), 4)) if self.bumps is None \
             else np.asarray(self.bumps, dtype=float)
-        if not (g.ndim == 1 and g.shape == v.shape == s.shape and g.size >= 2
-                and e.shape in ((g.size - 1,), (g.size - 1, 4))):
+        if not (g.shape == v.shape == s.shape == (g.size,) and g.size >= 2
+                and e.shape == (g.size - 1, 4)):
             raise EquilibriumError("grid/values/slopes must be matching 1-D arrays, "
-                                   "with one bump or one row of four per interval")
+                                   "with one row of four bumps per interval")
         if not all(np.isfinite(a).all() for a in (g, v, s, e)):
             raise EquilibriumError("grid/values/slopes/bumps must be finite")
         if g[0] != 0.0 or v[0] != 0.0:
@@ -285,60 +284,43 @@ class BidFunction:
 
     @cached_property
     def _coefficients(self) -> tuple[np.ndarray, ...]:
+        # c7 ... c0: the cubic Hermite's and the bump term's, whose theta-form
+        # theta^2 (1 - theta)^2 (p0 + p1 theta + p2 theta^2 + p3 theta^3) has
+        # theta^2 ... theta^7 coefficients a; the theta^j coefficient over h^j
+        # is the power-form coefficient of s^j
         dx = np.diff(self.grid)
         k = self.slopes
         slope = np.diff(self.values) / dx
         t = (k[:-1] + k[1:] - 2 * slope) / dx
-        if self.bumps.ndim == 1:
-            q = self.bumps / dx / dx
-            return q / dx / dx, t / dx - 2 * q / dx, (slope - k[:-1]) / dx - t + q, k[:-1], \
-                self.values[:-1]
-        # the theta^j coefficient over h^j is the power-form coefficient of s^j
-        a = self._bump_theta_coefficients()
+        f3, f4, f5, f6 = self.bumps.T
+        p0, p1, p2, p3 = f3, f4 + f5, f6 - f5, -f6
+        a = [p0, p1 - 2 * p0, p2 - 2 * p1 + p0, p3 - 2 * p2 + p1, p2 - 2 * p3, p3]
         for j in range(6):
             for _ in range(j + 2):
                 a[j] = a[j] / dx
         return a[5], a[4], a[3], a[2], t / dx + a[1], (slope - k[:-1]) / dx - t + a[0], \
             k[:-1], self.values[:-1]
 
-    def _bump_theta_coefficients(self) -> list[np.ndarray]:
-        """The coefficients of theta^2 ... theta^7 in theta^2 (1 - theta)^2
-        (p0 + p1 theta + p2 theta^2 + p3 theta^3), the 2-D ``bumps``' term."""
-        f3, f4, f5, f6 = self.bumps.T
-        p0, p1, p2, p3 = f3, f4 + f5, f6 - f5, -f6
-        return [p0, p1 - 2 * p0, p2 - 2 * p1 + p0, p3 - 2 * p2 + p1, p2 - 2 * p3, p3]
-
     def _monotone_between_nodes(self) -> bool:
-        # b'(theta) = k0 + D1 theta + ... + Dn theta^n on each interval; a root of
-        # b'' outside [0, 1] (or none) is clipped to an end, which is checked anyway
+        # b'(theta) = D0 + D1 theta + ... + D6 theta^6 on each interval, with
+        # Dm = (m + 1) c(m+1) h^m from the coefficients __call__ evaluates
         dx = np.diff(self.grid)
-        k0 = self.slopes[:-1]
-        if self.bumps.ndim == 1:
-            # the roots of b'' are those of B + 2 C theta + 3 D theta^2
-            c4, c3, c2, _, _ = self._coefficients
-            B, C, D = 2.0 * c2 * dx, 3.0 * c3 * dx * dx, 4.0 * c4 * dx * dx * dx
-            with np.errstate(divide="ignore", invalid="ignore"):
-                q = -(C + np.copysign(np.sqrt(C * C - 3.0 * D * B), C))
-                thetas = [q / (3.0 * D), B / q]
-            terms = [B, C, D]
-        else:
-            # Dm = (m + 1) A(m+1) / h, A the theta-form coefficients: the cubic
-            # Hermite's and the bump's
-            k1, slope = self.slopes[1:], np.diff(self.values) / dx
-            a = self._bump_theta_coefficients()
-            terms = [2.0 * (3.0 * slope - 2.0 * k0 - k1 + a[0] / dx),
-                     3.0 * (k0 + k1 - 2.0 * slope + a[1] / dx)]
-            terms += [(m + 1) * (a[m - 1] / dx) for m in range(3, 7)]
-            # b' >= 0 on [0, 1] where its Bernstein coefficients are all >= 0, the
-            # common case; only the other intervals need the roots of b''
-            power = [k0, *terms]
-            easy = np.ones(k0.shape, dtype=bool)
-            for row in _BERNSTEIN:
-                easy &= sum(w * d for w, d in zip(row, power)) >= 0.0
-            k0, terms = k0[~easy], [d[~easy] for d in terms]
-            thetas = list(_quintic_roots([m * d for m, d in enumerate(terms, 1)]).T) \
-                if k0.size else []
+        c = self._coefficients[::-1]
+        power, hm = [c[1]], np.ones_like(dx)
+        for m in range(1, 7):
+            hm = hm * dx
+            power.append((m + 1) * c[m + 1] * hm)
+        # b' >= 0 on [0, 1] where its Bernstein coefficients are all >= 0, the
+        # common case; only the other intervals need the roots of b''
+        easy = np.ones(dx.shape, dtype=bool)
+        for row in _BERNSTEIN:
+            easy &= sum(w * d for w, d in zip(row, power)) >= 0.0
+        k0, *terms = [d[~easy] for d in power]
+        thetas = list(_quintic_roots([m * d for m, d in enumerate(terms, 1)]).T) \
+            if k0.size else []
         size = np.abs(k0) + sum(np.abs(d) for d in terms)
+        # a root of b'' outside [0, 1] (or none) is clipped to an end, which is
+        # checked anyway
         for th in [np.zeros_like(k0), np.ones_like(k0)] + thetas:
             th = np.clip(np.nan_to_num(th, nan=0.0, posinf=0.0, neginf=0.0), 0.0, 1.0)
             rest = terms[-1]

@@ -59,8 +59,8 @@ class DiscreteAtomSpec:
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
             raise MechanismError(f"atom probability must be in (0, 1), got {self.p}", "p")
-        if self.k <= 0.0:
-            raise MechanismError(f"atom value must be positive, got {self.k}", "k")
+        if not 0.0 < self.k < math.inf:
+            raise MechanismError(f"atom value must be positive and finite, got {self.k}", "k")
 
 
 # a Monte Carlo block holds _BLOCK_REPLICATES x (n_weak + STRIDE_EXTRA)
@@ -93,10 +93,10 @@ def check_auction(kind: str, n_weak: int, weak: DistributionSpec, strong,
     if kind == "sa_reserve":
         if reserve is None:
             raise MechanismError("sa_reserve requires a reserve", "reserve")
-        if reserve < v_bar:
+        if not v_bar <= reserve < math.inf:
             raise MechanismError(
-                f"reserve {reserve} below the weak support top {v_bar}; the reserve "
-                "mechanism's closed forms are only valid for r >= v_bar", "reserve")
+                f"reserve {reserve} is not a finite r >= v_bar = {v_bar}; the reserve "
+                "mechanism's closed forms are only valid there", "reserve")
     elif reserve is not None:
         raise MechanismError(f"{kind} does not take a reserve", "reserve")
 

@@ -345,7 +345,6 @@ class LimitTable:
     rows: tuple[LimitRow, ...]
     target: float
     gap: float
-    extrapolated: float
     notes: tuple[str, ...] = ()
 
 
@@ -384,14 +383,11 @@ def _strength_notes(fam: FamilySpec, v_bar: float) -> list[str]:
 
 
 def _table(prop, rows, target, notes=()):
-    revs = [r.revenue for r in rows]
-    extrapolated = 2.0 * revs[-1] - revs[-2] if len(revs) >= 2 else revs[-1]
     return LimitTable(
         prop=prop,
         rows=tuple(rows),
         target=target,
-        gap=abs(revs[-1] - target),
-        extrapolated=extrapolated,
+        gap=abs(rows[-1].revenue - target),
         notes=tuple(notes),
     )
 

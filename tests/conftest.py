@@ -162,16 +162,13 @@ BUMP_BASIS = [_P.polymul(_P.polypow([0.0, 1.0, -1.0], 2), f)
 
 def schedule_ppoly(bid) -> PPoly:
     """Independent form of a bid schedule: scipy's cubic Hermite spline through
-    its nodes and slopes, plus on interval i either bumps[i] theta^2 (1 - theta)^2
-    (1-D bumps) or the sum of bumps[i, j] times the j-th ``BUMP_BASIS``
-    polynomial (rows of four), expanded into powers of s = theta h, as a scipy
-    ``PPoly``."""
+    its nodes and slopes, plus on interval i the sum of bumps[i, j] times the
+    j-th ``BUMP_BASIS`` polynomial, expanded into powers of s = theta h, as a
+    scipy ``PPoly``."""
     cubic = CubicHermiteSpline(bid.grid, bid.values, bid.slopes)
-    h, e = np.diff(bid.grid), np.asarray(bid.bumps)
-    rows = e.reshape(h.size, -1)
-    basis = BUMP_BASIS if rows.shape[1] == 4 else [_P.polypow([0.0, 1.0, -1.0], 2)]
+    h, rows = np.diff(bid.grid), np.asarray(bid.bumps)
     c = np.vstack([np.zeros((4, h.size)), cubic.c])     # rows: s^7 ... s^0
-    for j, poly in enumerate(basis):
+    for j, poly in enumerate(BUMP_BASIS):
         for power, coef in enumerate(poly):
             c[7 - power] += coef * rows[:, j] / h**power
     return PPoly(c, bid.grid)

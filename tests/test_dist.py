@@ -180,8 +180,13 @@ def test_cdf_quantile_roundtrip(test_distributions):
 
 
 def test_quantile_rejects_bad_level(u01):
-    with pytest.raises(DistributionError):
-        u01.quantile(1.5)
+    # NaN too, on the affine path and on the cdf table's (which returned the
+    # support top for it)
+    table = make_family("slow_drain", 2.0, 2.5, 8).member(3)
+    for law, level in [(u01, 1.5), (u01, math.nan), (table, math.nan),
+                       (table, np.array([0.5, math.nan]))]:
+        with pytest.raises(DistributionError, match=r"in \[0, 1\]"):
+            law.quantile(level)
 
 
 # ---------------------------------------------------------------------------

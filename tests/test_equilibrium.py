@@ -506,14 +506,15 @@ def test_bid_function_accepts_fritsch_carlson_box(size, rnd):
 @pytest.mark.parametrize("bump, refused", [(0.0, False), (-2.0, False), (-3.0, True),
                                            (2.0, False), (3.0, True)])
 def test_bid_function_monotone_bumps(bump, refused):
-    # end slopes 2 = the secant on every interval of width h = 0.2; a bump e on
-    # interval 2 adds (e/h) 2 theta (1 - theta)(1 - 2 theta) to b', whose
-    # extremes are +-(e/h) sqrt(3)/9: b' dips to 2 - 0.962 |e| inside, below 0
-    # at |e| = 3 while every end slope stays 2 and the node values rise
+    # end slopes 2 = the secant on every interval of width h = 0.2; the row
+    # (e, 0, 0, 0) on interval 2 is the quartic e theta^2 (1 - theta)^2, which
+    # adds (e/h) 2 theta (1 - theta)(1 - 2 theta) to b', whose extremes are
+    # +-(e/h) sqrt(3)/9: b' dips to 2 - 0.962 |e| inside, below 0 at |e| = 3
+    # while every end slope stays 2 and the node values rise
     grid = np.linspace(0.0, 1.0, 6)
     arrays = {"grid": grid, "values": 2.0 * grid, "slopes": np.full(6, 2.0),
-              "bumps": np.zeros(5)}
-    arrays["bumps"][2] = bump
+              "bumps": np.zeros((5, 4))}
+    arrays["bumps"][2, 0] = bump
     x = np.linspace(grid[2], grid[3], 2001)
     falls = np.diff(schedule_ppoly(SimpleNamespace(**arrays))(x)) < 0
     assert np.any(falls) == refused
@@ -522,6 +523,16 @@ def test_bid_function_monotone_bumps(bump, refused):
             BidFunction(**arrays)
     else:
         BidFunction(**arrays)
+
+
+@pytest.mark.parametrize("shape", [(5,), (5, 3)])
+def test_bid_function_takes_only_rows_of_four(shape):
+    # one row of four per interval is the only form; zero bumps of any other
+    # shape, a 1-D quartic coefficient among them, are refused
+    grid = np.linspace(0.0, 1.0, 6)
+    with pytest.raises(EquilibriumError, match="one row of four bumps per interval"):
+        BidFunction(grid, 2.0 * grid, np.full(6, 2.0), np.zeros(shape))
+    assert BidFunction(grid, 2.0 * grid, np.full(6, 2.0)).bumps.shape == (5, 4)
 
 
 @settings(max_examples=200, deadline=None)

@@ -199,14 +199,18 @@ def test_schedule_must_cover_weak_support(u01, u02):
 def test_spec_validation(u01, u02, doubling_bid):
     with pytest.raises(MechanismError, match="bid schedule"):
         AuctionSpec("ta", 2, u01, u02)
-    with pytest.raises(MechanismError, match="r >= v_bar"):
-        AuctionSpec("sa_reserve", 2, u01, u02, reserve=0.5)
+    for reserve in (0.5, math.nan, math.inf):
+        with pytest.raises(MechanismError, match="r >= v_bar"):
+            AuctionSpec("sa_reserve", 2, u01, u02, reserve=reserve)
     with pytest.raises(MechanismError, match="intervention_p"):
         AuctionSpec("ta_intervention", 2, u01, u02, bid_fn=doubling_bid)
     with pytest.raises(MechanismError, match="two-point"):
         AuctionSpec("ta_discrete", 2, u01, u02)
     with pytest.raises(MechanismError, match="exceed"):
         AuctionSpec("ta_discrete", 2, u01, DiscreteAtomSpec(k=0.8, p=0.9))
+    for k in (0.0, math.nan, math.inf):
+        with pytest.raises(MechanismError, match="positive and finite"):
+            DiscreteAtomSpec(k=k, p=0.75)
     with pytest.raises(MechanismError):
         AuctionSpec("sa", 1, u01, u02)
 
@@ -399,8 +403,9 @@ def test_reserve_at_support_top(u01, u02):
 
 
 def test_reserve_precondition(u01, u02):
-    with pytest.raises(MechanismError, match="r >= v_bar"):
-        sa_reserve_closed_form(u01, u02, 2, 0.5)
+    for reserve in (0.5, math.nan, math.inf):
+        with pytest.raises(MechanismError, match="r >= v_bar"):
+            sa_reserve_closed_form(u01, u02, 2, reserve)
 
 
 def test_reserve_closed_form_vs_monte_carlo(u01, u02):

@@ -245,9 +245,6 @@ def test_small_tournament_experiment(u01):
     gaps = [r.gap for r in table.rows]
     assert gaps[-1] < gaps[0]
     assert all(r.max_regret <= 1e-4 for r in table.rows)
-    assert table.extrapolated == pytest.approx(
-        2 * table.rows[-1].revenue - table.rows[-2].revenue
-    )
 
 
 def test_smoothed_discrete_tournament_revenue(u01):

@@ -131,7 +131,7 @@ def test_bid_function_refuses_non_finite_nodes(field, bad):
     # scipy's spline refuses them too, but only on the first call
     grid = np.linspace(0.0, 1.0, 6)
     arrays = {"grid": grid, "values": 2.0 * grid, "slopes": np.full(6, 2.0),
-              "bumps": np.zeros(5)}
+              "bumps": np.zeros((5, 4))}
     arrays[field] = arrays[field].copy()
     arrays[field][-1] = bad
     if field != "bumps":
