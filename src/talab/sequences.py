@@ -21,22 +21,12 @@ Checkers quantify the two convergence conditions on a finite index range:
 ``check_low_drain`` ((G(c2)-G(c1))/G(c2) -> 0 for 0 < c1 < c2 < k, together
 with the equivalent conditional-mean diagnostic E[w | w <= c2] -> 0).
 
-``run_limit_experiment`` reproduces the limit results at desk scale: per-index
-equilibrium solves + Monte Carlo for the tournament variants, exact closed
-forms for the reserve second-price auction, and the optimal-auction benchmark.
-Experiment tokens (also the CLI's --prop values):
-
-    P4   tournament run, checking that surplus tracks revenue near the atom
-    P5   optimal-auction revenue approaches the atom value k
-    P6   tournament revenue approaches k
-    P7   block reserve sequence k - eps/n achieves revenue approaching k
-    P8   constant reserve below k: revenue flattens at the reserve level
-    P9   constant reserve above k: revenue collapses to the weak second order
-         statistic, surplus to the first
-    P10  reserve approaching k from below through the cdf window, on a family
-         with G_l(k) -> p: revenue mixes the two regimes with weight p
-    S8   announced randomized zeroing of the strong bid: revenue approaches
-         p * k without any slow-drain requirement
+``run_limit_experiment`` reproduces the limit results at desk scale. Each
+experiment (a ``sweep.prop`` value in a config) is one entry of ``_PROPS``: the
+mechanism its rows run on every member (equilibrium solve + Monte Carlo for
+the tournament variants, exact closed forms for the reserve second-price
+auction, the optimal-auction benchmark), whether its family must also drain
+slowly, and the reserve rule it takes.
 """
 
 from __future__ import annotations
@@ -56,7 +46,6 @@ from .mechanisms import (AuctionSpec, check_auction, check_block_bidders, sa_res
                          simulate)
 from .myerson import check_oa, ironed_virtual, oa_estimate
 
-PROPS = ("P4", "P5", "P6", "P7", "P8", "P9", "P10", "S8")
 FAMILY_KINDS = ("slow_drain", "fast_drain", "smoothed_discrete", "split_atom")
 
 
@@ -325,18 +314,12 @@ class LimitRow:
     method: str
     max_regret: float
 
+    # the sweep table's columns, one per field in field order
+    COLUMNS = ("l", "R_mean", "R_se", "S_mean", "S_se", "target", "gap", "solver_method",
+               "max_regret")
+
     def as_dict(self) -> dict:
-        return {
-            "l": self.index,
-            "R_mean": self.revenue,
-            "R_se": self.revenue_se,
-            "S_mean": self.surplus,
-            "S_se": self.surplus_se,
-            "target": self.target,
-            "gap": self.gap,
-            "solver_method": self.method,
-            "max_regret": self.max_regret,
-        }
+        return dict(zip(self.COLUMNS, dataclasses.astuple(self)))
 
 
 @dataclass(frozen=True)
@@ -346,6 +329,37 @@ class LimitTable:
     target: float
     gap: float
     notes: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class _Prop:
+    mechanism: str           # what each row runs: ta, ta_intervention, oa or sa_reserve
+    drain: bool              # the family must also drain slowly, not only reach the atom
+    rule: str | None = None  # the reserve-rule kind the prop takes
+
+
+_PROPS = {
+    # tournament run, checking that surplus tracks revenue near the atom
+    "P4": _Prop("ta", drain=True),
+    # optimal-auction revenue approaches the atom value k
+    "P5": _Prop("oa", drain=False),
+    # tournament revenue approaches k
+    "P6": _Prop("ta", drain=True),
+    # block reserve sequence k - eps/n achieves revenue approaching k
+    "P7": _Prop("sa_reserve", drain=True, rule="block_steps"),
+    # constant reserve below k: revenue flattens at the reserve level
+    "P8": _Prop("sa_reserve", drain=True, rule="constant"),
+    # constant reserve above k: revenue collapses to the weak second order
+    # statistic, surplus to the first
+    "P9": _Prop("sa_reserve", drain=True, rule="constant"),
+    # reserve approaching k from below through the cdf window, on a family with
+    # G_l(k) -> p: revenue mixes the two regimes with weight p
+    "P10": _Prop("sa_reserve", drain=True, rule="quantile_below"),
+    # announced randomized zeroing of the strong bid: revenue approaches p * k
+    # without any slow-drain requirement
+    "S8": _Prop("ta_intervention", drain=False),
+}
+PROPS = tuple(_PROPS)
 
 
 def _require(condition: bool, message: str, field: str | None = None):
@@ -382,58 +396,47 @@ def _strength_notes(fam: FamilySpec, v_bar: float) -> list[str]:
     return []
 
 
-def _table(prop, rows, target, notes=()):
-    return LimitTable(
-        prop=prop,
-        rows=tuple(rows),
-        target=target,
-        gap=abs(rows[-1].revenue - target),
-        notes=tuple(notes),
-    )
-
-
 def check_experiment(prop: str, fam: FamilySpec, weak: DistributionSpec, n_weak: int,
                      rule: ReserveRule | None = None, intervention_p: float | None = None):
     """Refuse an experiment outside its model before any computation; the
     error's ``field`` names the argument at fault (``fam.k`` for the family's
     atom). The family checkers are computed, so ``run_limit_experiment``
     applies them."""
-    _require(prop in PROPS, f"unknown experiment {prop!r}; expected one of {PROPS}", "prop")
+    _require(prop in _PROPS, f"unknown experiment {prop!r}; expected one of {PROPS}", "prop")
+    entry = _PROPS[prop]
     v_bar, k = weak.support.hi, fam.k
     _require(k > v_bar, f"atom k={k} must exceed the weak support top {v_bar}", "fam.k")
-    if prop == "P5":  # the optimal auction also sells to fewer weak bidders
+    if entry.mechanism == "oa":  # the optimal auction also sells to fewer weak bidders
         check_oa(weak, fam.member(1), n_weak)
-    elif prop in ("P4", "P6", "S8"):  # Monte Carlo tournaments on bid-ODE schedules
+    elif entry.mechanism == "sa_reserve":
+        check_weak_bidders(n_weak, ExperimentError)
+    else:  # Monte Carlo tournaments on bid-ODE schedules
         check_block_bidders(n_weak, ExperimentError, 2)
         check_bid_ode(weak, fam.member(1), n_weak)
-    else:
-        check_weak_bidders(n_weak, ExperimentError)
-    if prop == "S8":  # each row runs ta_intervention against a member
+    if entry.mechanism == "ta_intervention":  # each row runs it against a member
         check_auction("ta_intervention", n_weak, weak, fam.member(1),
                       intervention_p=intervention_p)
         _require(intervention_p * k > v_bar,
-                 f"S8 requires p*k > v_bar, got {intervention_p * k:.6g} <= {v_bar}",
+                 f"{prop} requires p*k > v_bar, got {intervention_p * k:.6g} <= {v_bar}",
                  "intervention_p")
-    if prop not in ("P7", "P8", "P9", "P10"):
+    if entry.rule is None:
         return
     _require(rule is not None, f"{prop} requires a reserve rule", "rule")
+    _require(rule.kind == entry.rule, f"{prop} uses the {entry.rule} rule", "rule")
     if prop == "P7":
-        _require(rule.kind == "block_steps", "P7 uses the block_steps rule", "rule")
         _require(rule.eps < k - v_bar,
                  f"block eps must keep reserves above v_bar: eps < {k - v_bar}", "rule.eps")
     elif prop == "P8":
-        _require(rule.kind == "constant" and v_bar < rule.value < k,
+        _require(v_bar < rule.value < k,
                  f"P8 needs a constant rule with value in (v_bar, k) = ({v_bar}, {k})", "rule")
     elif prop == "P9":
-        _require(rule.kind == "constant" and rule.value > k,
-                 f"P9 needs a constant rule with value above k = {k}", "rule")
+        _require(rule.value > k, f"P9 needs a constant rule with value above k = {k}", "rule")
         _require(rule.value <= fam.w_bar,
                  f"overshoot level {rule.value} above the strong support top {fam.w_bar}",
                  "rule.value")
-    else:
+    elif prop == "P10":
         _require(fam.kind == "split_atom",
                  "P10 needs a split_atom family (G_l(k) converging to the chosen p)", "fam.kind")
-        _require(rule.kind == "quantile_below", "P10 uses the quantile_below rule", "rule")
 
 
 def run_limit_experiment(
@@ -451,118 +454,92 @@ def run_limit_experiment(
 ) -> LimitTable:
     """Per-index revenue/surplus table for one limit result, with its target."""
     check_experiment(prop, fam, weak, n_weak, rule, intervention_p)
-    v_bar = weak.support.hi
-    k = fam.k
+    entry = _PROPS[prop]
+    _checker_gate(prop, fam, entry.drain)
+    v_bar, k = weak.support.hi, fam.k
 
-    if prop in ("P4", "P6"):
-        _checker_gate(prop, fam, need_drain=True)
-        rows = _tournament_rows(fam, weak, n_weak, k, n, seed, threads, solver, None)
+    # the prop's target, and the notes that precede its rows
+    target, notes = k, []
+    if entry.mechanism in ("ta", "ta_intervention"):
         notes = _strength_notes(fam, v_bar)
-        if prop == "P4":
-            gamma = 0.1 * k
-            gamma_s = 1.5 * gamma
-            misses = []
-            for r in rows:
-                if abs(r.revenue - k) <= gamma and abs(r.surplus - k) > gamma_s:
-                    misses.append(
-                        f"index {r.index}: revenue within {gamma:.3g} of k but "
-                        f"surplus off by {abs(r.surplus - k):.3g}"
-                    )
-            notes += misses
-            notes.append("surplus-tracks-revenue check "
-                         + ("failed" if misses else "passed"))
-        return _table(prop, rows, k, notes)
-
+    if entry.mechanism == "sa_reserve":
+        ev1 = weak.order_statistic_mean(n_weak, 1)
+        ev2 = weak.order_statistic_mean(n_weak, 2)
     if prop == "S8":
-        _checker_gate(prop, fam, need_drain=False)
-        rows = _tournament_rows(fam, weak, n_weak, intervention_p * k, n, seed,
-                                threads, solver, intervention_p)
-        return _table(prop, rows, intervention_p * k, _strength_notes(fam, v_bar))
-
-    if prop == "P5":
-        _checker_gate(prop, fam, need_drain=False)
-        # one weak law for every row: ironed once
-        psi_w = ironed_virtual(weak) if n_weak > 0 else None
-        rows = []
-        for l in range(1, fam.size + 1):
-            est = oa_estimate(psi_w, ironed_virtual(fam.member(l)), n_weak, n, seed + l,
-                              threads)
-            rows.append(LimitRow(l, est.mean, est.std_error, math.nan, math.nan,
-                                 k, abs(est.mean - k), "oa", math.nan))
-        return _table(prop, rows, k)
-
-    # reserve second-price experiments, exact closed forms per index
-    _checker_gate(prop, fam, need_drain=True)
-    ev1 = weak.order_statistic_mean(n_weak, 1)
-    ev2 = weak.order_statistic_mean(n_weak, 2)
-    notes = []
-    if prop == "P7":
-        target = k
+        target = intervention_p * k
     elif prop == "P8":
         target = float(rule.value)
         notes.append(f"surplus target: {k:.6g} (full atom value despite the low reserve)")
     elif prop == "P9":
         target = ev2
         notes.append(f"surplus target: E[v_(1:N)] = {ev1:.6g}")
-    else:
+    elif prop == "P10":
         p = fam.split_p
         target = p * ev2 + (1.0 - p) * k
         notes.append(f"surplus target: {p * ev1 + (1.0 - p) * k:.6g}")
 
-    if prop == "P7":
+    reserves = None
+    if entry.rule == "block_steps":
         reserves, counts = block_steps(fam, float(rule.eps))
-    elif prop == "P10":
+    elif entry.rule == "quantile_below":
         reserves = from_below_reserves(fam)
-    else:
+    elif entry.rule == "constant":
         reserves = np.full(fam.size, float(rule.value))
-    rows = []
-    for l in range(1, fam.size + 1):
-        member = fam.member(l)
-        r_l = float(reserves[l - 1])
-        cf = sa_reserve_closed_form(weak, member, n_weak, r_l)
-        rows.append(LimitRow(l, cf["revenue"], 0.0, cf["surplus"], 0.0,
-                             target, abs(cf["revenue"] - target), "closed_form",
-                             math.nan))
-        if prop == "P7":
-            n_blk = int(counts[l - 1])
+    rows = _rows(entry.mechanism, fam, weak, n_weak, target, reserves, n, seed, threads,
+                 solver, intervention_p)
+
+    # the notes each prop reads off its rows
+    if prop == "P4":
+        gamma = 0.1 * k
+        gamma_s = 1.5 * gamma
+        misses = [f"index {r.index}: revenue within {gamma:.3g} of k but "
+                  f"surplus off by {abs(r.surplus - k):.3g}"
+                  for r in rows if abs(r.revenue - k) <= gamma and abs(r.surplus - k) > gamma_s]
+        notes += misses
+        notes.append("surplus-tracks-revenue check " + ("failed" if misses else "passed"))
+    elif prop == "P7":
+        for r, n_blk in zip(rows, counts.tolist()):
             bound = (1.0 - 1.0 / n_blk) * (k - float(rule.eps) / n_blk)
-            if cf["revenue"] < bound - 1e-12:
-                notes.append(f"index {l}: revenue {cf['revenue']:.6g} below "
+            if r.revenue < bound - 1e-12:
+                notes.append(f"index {r.index}: revenue {r.revenue:.6g} below "
                              f"block bound {bound:.6g}")
-        if prop == "P10":
-            g_r = member.cdf(r_l)
-            g_k = member.cdf(k)
-            if not (g_k - 1.0 / l < g_r < g_k):
-                notes.append(f"index {l}: reserve outside the cdf window")
-    if prop == "P7":
         notes.append("block lower bound " + ("violated" if notes else "holds"))
-    return _table(prop, rows, target, notes)
+    elif prop == "P10":
+        for r, r_l in zip(rows, reserves.tolist()):
+            member = fam.member(r.index)
+            g_r, g_k = member.cdf(r_l), member.cdf(k)
+            if not (g_k - 1.0 / r.index < g_r < g_k):
+                notes.append(f"index {r.index}: reserve outside the cdf window")
+    return LimitTable(prop, tuple(rows), target, abs(rows[-1].revenue - target),
+                      tuple(notes))
 
 
-def _tournament_rows(fam, weak, n_weak, target, n, seed, threads, solver,
-                     intervention_p) -> list[LimitRow]:
+def _rows(mechanism, fam, weak, n_weak, target, reserves, n, seed, threads, solver,
+          intervention_p) -> list[LimitRow]:
+    """One row per member: ``mechanism`` run against it, row l drawing with key
+    seed + l. ``oa`` estimates the optimal auction (the weak law ironed once),
+    ``sa_reserve`` takes its closed form at the member's reserve, and the
+    tournaments solve the bid ODE, check its best response and simulate."""
+    psi_w = ironed_virtual(weak) if mechanism == "oa" and n_weak > 0 else None
+    p = intervention_p if mechanism == "ta_intervention" else None
     rows = []
     for l in range(1, fam.size + 1):
-        member = fam.member(l)
-        zero_prob = 0.0 if intervention_p is None else 1.0 - intervention_p
-        law = StrongBidLaw(member, zero_bid_prob=zero_prob)
-        bid, _ = solve_ode(weak, law, n_weak, solver)
-        br = verify_best_response(bid, weak, law, n_weak)
-        if intervention_p is None:
-            spec = AuctionSpec("ta", n_weak, weak, member, bid_fn=bid)
+        member, key = fam.member(l), seed + l
+        if mechanism == "oa":
+            est = oa_estimate(psi_w, ironed_virtual(member), n_weak, n, key, threads)
+            out = (est.mean, est.std_error, math.nan, math.nan, "oa", math.nan)
+        elif mechanism == "sa_reserve":
+            cf = sa_reserve_closed_form(weak, member, n_weak, float(reserves[l - 1]))
+            out = (cf["revenue"], 0.0, cf["surplus"], 0.0, "closed_form", math.nan)
         else:
-            spec = AuctionSpec("ta_intervention", n_weak, weak, member,
-                               intervention_p=intervention_p, bid_fn=bid)
-        out = simulate(spec, n, seed + l, threads)
-        rows.append(LimitRow(
-            index=l,
-            revenue=out["revenue"].mean,
-            revenue_se=out["revenue"].std_error,
-            surplus=out["surplus"].mean,
-            surplus_se=out["surplus"].std_error,
-            target=target,
-            gap=abs(out["revenue"].mean - target),
-            method="ode",
-            max_regret=br.max_regret,
-        ))
+            law = StrongBidLaw(member, zero_bid_prob=0.0 if p is None else 1.0 - p)
+            bid, _ = solve_ode(weak, law, n_weak, solver)
+            br = verify_best_response(bid, weak, law, n_weak)
+            est = simulate(AuctionSpec(mechanism, n_weak, weak, member, intervention_p=p,
+                                       bid_fn=bid), n, key, threads)
+            rev, sur = est["revenue"], est["surplus"]
+            out = (rev.mean, rev.std_error, sur.mean, sur.std_error, "ode", br.max_regret)
+        revenue, revenue_se, surplus, surplus_se, method, regret = out
+        rows.append(LimitRow(l, revenue, revenue_se, surplus, surplus_se, target,
+                             abs(revenue - target), method, regret))
     return rows
