@@ -40,7 +40,7 @@ from .equilibrium import (
 )
 from .mechanisms import AuctionSpec, estimate, simulate_draws
 from .myerson import oa_revenue, regularity_check, single_buyer_reserve
-from .sequences import run_limit_experiment
+from .sequences import LimitRow, run_limit_experiment
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -220,18 +220,13 @@ def cmd_oa(cfg: ExperimentConfig, args, out: Outputs) -> list[str]:
     return []
 
 
-_TABLE_HEADER = ["l", "R_mean", "R_se", "S_mean", "S_se", "target", "gap",
-                 "solver_method", "max_regret"]
-
-
 def cmd_sweep(cfg: ExperimentConfig, args, out: Outputs) -> list[str]:
     table = run_limit_experiment(cfg.sweep_prop, cfg.family, cfg.weak, cfg.n_weak,
                                  rule=cfg.sweep_rule, n=cfg.mc_n, seed=cfg.mc_seed,
                                  threads=args.threads, intervention_p=cfg.sweep_intervention_p,
                                  solver=cfg.solver)
     rows = [r.as_dict() for r in table.rows]
-    out.csv("table", "sweep_table", _TABLE_HEADER,
-            ([row[k] for k in _TABLE_HEADER] for row in rows))
+    out.csv("table", "sweep_table", list(LimitRow.COLUMNS), (row.values() for row in rows))
     out.json("result", "sweep", {
         "prop": table.prop,
         "target": table.target,
