@@ -65,8 +65,20 @@ def _atomic_write(path: str, data: bytes):
     os.replace(tmp, path)
 
 
+def _finite_or_null(obj):
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def write_json(path: str, obj: dict):
-    body = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Write ``obj`` as strict JSON: JSON has no NaN or infinity, so a
+    non-finite float (a failed solve's defect, a P5 row's surplus) is null."""
+    body = json.dumps(_finite_or_null(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
     _atomic_write(path, body.encode("utf-8"))
 
 
@@ -120,15 +132,6 @@ def _estimate_dict(est) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _solve_report_dict(report) -> dict:
-    # a failed solve reports a nan defect (and an inf smallest step if it
-    # accepted none); JSON has neither, so they are written as null
-    out = {k: None if isinstance(v, float) and not math.isfinite(v) else v
-           for k, v in dataclasses.asdict(report).items()}
-    out["warnings"] = list(report.warnings)
-    return out
-
-
 def _solve_and_write(cfg: ExperimentConfig, out: Outputs) -> tuple[BidFunction, list[str]]:
     """Solve against ``strong.dist`` and write the bid outputs. A solve that
     stops on a step-size underflow still writes its solve report (counters up
@@ -137,11 +140,11 @@ def _solve_and_write(cfg: ExperimentConfig, out: Outputs) -> tuple[BidFunction, 
         bid, report = solve_ode(cfg.weak, cfg.strong_dist, cfg.n_weak, cfg.solver)
     except BandEscape as exc:
         if exc.report is not None:
-            out.json("solve_report", "solve_report", _solve_report_dict(exc.report))
+            out.json("solve_report", "solve_report", dataclasses.asdict(exc.report))
         raise
     out.csv("bid_csv", "bid_function", ["v", "b", "b_prime"], bid.csv_rows())
     out.json("bid_json", "bid_function", {"bid_function": bid.to_json_dict()})
-    out.json("solve_report", "solve_report", _solve_report_dict(report))
+    out.json("solve_report", "solve_report", dataclasses.asdict(report))
     return bid, list(report.warnings)
 
 
@@ -273,6 +276,11 @@ def cmd_report(args):
     print("\n".join([f"report for {args.input}", *lines]))
 
 
+def _num(x, spec: str = ".6g") -> str:
+    # write_json writes a non-finite number as null
+    return "n/a" if x is None else format(x, spec)
+
+
 def _report_lines(obj: dict) -> list[str]:
     lines = []
     for key in ("config_hash", "seed", "mechanism", "prop"):
@@ -280,31 +288,31 @@ def _report_lines(obj: dict) -> list[str]:
             lines.append(f"  {key}: {obj[key]}")
     if "revenue" in obj and isinstance(obj["revenue"], dict):
         r = obj["revenue"]
-        lines.append(f"  revenue: {r['mean']:.6g} +- {r['se']:.2g} (n={r['n']})")
+        lines.append(f"  revenue: {_num(r['mean'])} +- {_num(r['se'], '.2g')} (n={r['n']})")
     elif "revenue" in obj:
-        lines.append(f"  revenue: {obj['revenue']:.6g} +- {obj.get('se', 0):.2g}")
+        lines.append(f"  revenue: {_num(obj['revenue'])} +- {_num(obj.get('se', 0), '.2g')}")
     if "surplus" in obj and isinstance(obj["surplus"], dict):
         s = obj["surplus"]
-        lines.append(f"  surplus: {s['mean']:.6g} +- {s['se']:.2g}")
+        lines.append(f"  surplus: {_num(s['mean'])} +- {_num(s['se'], '.2g')}")
     if "accepted_steps" in obj:
         defect = obj["max_ode_residual"]
         lines.append("  solve: " + ("failed (step size underflow)" if defect is None
                                     else f"max defect bound {defect:.3g}")
-                     + f", series start v0 = {obj['v0']:.6g}")
+                     + f", series start v0 = {_num(obj['v0'])}")
         smallest = ("none" if obj["min_step"] is None
-                    else "{min_step:.3g} at v = {min_step_v:.6g}".format(**obj))
+                    else f"{obj['min_step']:.3g} at v = {_num(obj['min_step_v'])}")
         lines.append("  steps: {accepted_steps} accepted; rejected {rejected_error} error, "
                      "{rejected_band} band, {rejected_residual} defect; smallest "
                      .format(**obj) + smallest)
     if "max_regret" in obj:
-        lines.append(f"  max_regret: {obj['max_regret']:.3g} "
+        lines.append(f"  max_regret: {_num(obj['max_regret'], '.3g')} "
                      f"(passed: {obj.get('passed')})")
     if "rows" in obj:
-        lines.append(f"  rows: {len(obj['rows'])}, target {obj.get('target'):.6g}, "
-                     f"final gap {obj.get('gap'):.6g}")
+        lines.append(f"  rows: {len(obj['rows'])}, target {_num(obj['target'])}, "
+                     f"final gap {_num(obj['gap'])}")
         for row in obj["rows"]:
-            lines.append(f"    l={row['l']}: R={row['R_mean']:.6g} "
-                         f"S={row['S_mean']:.6g} gap={row['gap']:.6g}")
+            lines.append(f"    l={row['l']}: R={_num(row['R_mean'])} "
+                         f"S={_num(row['S_mean'])} gap={_num(row['gap'])}")
     if "atom_convergence" in obj:
         a = obj["atom_convergence"]
         lines.append(f"  atom masses -> {a['masses'][-1]:.4f} (passed: {a['passed']})")

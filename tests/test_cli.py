@@ -367,7 +367,7 @@ SWEEP_PINS = {
            "b13639e35c94abc08ace4a8f1dcd03f82471f31fbf88003fbc2d5ab5044310b5",
            "561260ab700667866f22241aa6556b166fa9c875995a717b294a06a45b819321"),
     "P5": ({"weak": _WEAK_JUMP, "strong": _family("slow_drain"), "sweep": {"prop": "P5"}},
-           "204cd78c564441b9baa3f2b73214194113ab40d616c6e541627daa4a7a8526bf",
+           "04d2ad48b5ef871f7269e918c51f635f61e59ae0ac7c1d6ddbd26c25235d064e",
            "4ff03d73f8ab6af7f61db287eee183971b7b148aca2e7a2e8930eae34b3eae1b"),
     "P6": ({"strong": _family("slow_drain"), "sweep": {"prop": "P6"}},
            "05e91af72500e12fddac94c05035e60d10071e5c8a2a55f9682942a0560c73ee",
@@ -378,19 +378,19 @@ SWEEP_PINS = {
            "be9741bfac705fa3e3e93a076d2122dc461f61e39bc3dd924e44930b769c00c9"),
     "P7": ({"strong": _family("slow_drain"),
             "sweep": {"prop": "P7", "rule": {"kind": "block_steps", "eps": 0.5}}},
-           "1ab0b6834dd66f009bda654478292f6b414e8cf64ebd7912336e2648b06d0299",
+           "b6ddf6fc959fe01323a847c8bcbba0139da1d65b5a66fd513ef15efd06aae5af",
            "7f56536a2ed9a5392f3307e9be9e027e1477b002360e29154d0516e1c400f0f6"),
     "P8": ({"strong": _family("slow_drain"),
             "sweep": {"prop": "P8", "rule": {"kind": "constant", "value": 1.6}}},
-           "f1b706c7c266f7609090ff1dec79558940c5252c19e1d5d87efaa29cf12fba8d",
+           "e6a727e942a7a53d0108c01e5ea85e334c2945e89ea97701e24e773dd458c117",
            "0ac0f86ae0536a4838eeb3f0b19820c4248cfafdeec194b57ff1079f73b3cbb7"),
     "P9": ({"strong": _family("slow_drain"),
             "sweep": {"prop": "P9", "rule": {"kind": "constant", "value": 2.2}}},
-           "d900e333f834c622000eb6da54571ea9603b4c0fdc81318684cd8653e85eb47d",
+           "0e36fca0e5ff165a8e67cc46ed055b02fb3f7b4bc46fd93e4981d3e102480824",
            "c69213a8fcb144690289c1e1d3abc5edd3391f53e52a26989a806bf2ab356691"),
     "P10": ({"strong": _family("split_atom"),
              "sweep": {"prop": "P10", "rule": {"kind": "quantile_below"}}},
-            "f2d3d193814386cf859cdbfef4666390d5f6a4cc8bb4d80ed70fee5c909a01ff",
+            "f25446924ba2efdb027dc3b0b339ac225f124169a33e22f65640b935d2dae36b",
             "74850fc57db4872bcadf0ba4a8f87d3e590926c4eebcba14f79ddc669bc0b368"),
 }
 
@@ -407,6 +407,27 @@ def test_sweep_bytes_pinned(tmp_path, prop):
     (table,) = out.glob("sweep_table.*.csv")
     assert hashlib.sha256(body.read_bytes()).hexdigest() == body_pin
     assert hashlib.sha256(table.read_bytes()).hexdigest() == table_pin
+
+
+def test_sweep_body_is_strict_json(tmp_path, capsys):
+    # a P5 row has no surplus or regret: JSON has no NaN, so they are null,
+    # and talab report prints them as n/a
+    overrides = SWEEP_PINS["P5"][0]
+    cfg = base_config(**overrides, mc={"n": 3000, "seed": 7})
+    out = tmp_path / "o"
+    assert run(["sweep", "--config", write_config(tmp_path, cfg), "--out-dir", str(out)]) == 0
+    (body,) = out.glob("sweep.*.json")
+
+    def no_constant(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    rows = json.loads(body.read_text(), parse_constant=no_constant)["rows"]
+    assert all(row[key] is None for row in rows for key in ("S_mean", "S_se", "max_regret"))
+    assert all(math.isfinite(row["R_mean"]) for row in rows)
+    capsys.readouterr()
+    assert run(["report", str(body)]) == 0
+    text = capsys.readouterr().out
+    assert f"l=1: R={rows[0]['R_mean']:.6g} S=n/a gap=" in text
 
 
 def test_seed_override_changes_results(tmp_path):
