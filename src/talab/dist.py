@@ -563,14 +563,16 @@ class DistributionSpec:
     def __getstate__(self):   # a kernel does not pickle: a copy compiles its own
         return {k: v for k, v in self.__dict__.items() if k != "kernel"}
 
+    # both domain checks are comparisons that fail on NaN, so NaN is refused
     def _check_domain_s(self, x: float):
-        if x < self.support.lo - 1e-12 or x > self.support.hi + 1e-12:
+        if not self.support.lo - 1e-12 <= x <= self.support.hi + 1e-12:
             raise DistributionError(
                 f"x={x} outside support [{self.support.lo}, {self.support.hi}]"
             )
 
     def _check_domain_v(self, x: np.ndarray):
-        if x.size and (x.min() < self.support.lo - 1e-12 or x.max() > self.support.hi + 1e-12):
+        if x.size and not (self.support.lo - 1e-12 <= x.min()
+                           and x.max() <= self.support.hi + 1e-12):
             raise DistributionError("values outside support")
 
     @cached_property

@@ -71,6 +71,9 @@ class FamilySpec:
         if self.kind not in FAMILY_KINDS:
             raise ExperimentError(f"unknown family kind {self.kind!r}; expected one of "
                                   f"{FAMILY_KINDS}", "kind")
+        if not 0.0 < self.w_bar < math.inf:   # NaN fails too
+            raise ExperimentError(f"w_bar must be finite and positive, got {self.w_bar}",
+                                  "w_bar")
         if not 0.0 < self.k < self.w_bar:
             raise ExperimentError(f"need 0 < k < w_bar, got k={self.k}, w_bar={self.w_bar}",
                                   "k")

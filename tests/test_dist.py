@@ -108,6 +108,16 @@ def test_pdf_domain_error(u01):
         u01.pdf(1.5)
 
 
+@pytest.mark.parametrize("law", ["uniform", "slow_drain"])
+@pytest.mark.parametrize("x", [math.nan, np.array([0.5, math.nan]), np.array([math.nan, 0.5])],
+                         ids=["scalar", "vector-last", "vector-first"])
+def test_pdf_refuses_nan(u01, law, x):
+    # a NaN is outside every support, as a scalar and inside an array alike
+    d = u01 if law == "uniform" else make_family("slow_drain", 2.0, 2.5, 8).member(3)
+    with pytest.raises(DistributionError, match="outside support"):
+        d.pdf(x)
+
+
 def test_quantile_examples(u01, gap_mixture, test_distributions):
     assert u01.quantile(0.25) == pytest.approx(0.25, abs=1e-12)
     # leftmost point of the flat cdf region

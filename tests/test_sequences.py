@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -80,6 +81,16 @@ def test_family_validation():
         make_family("nope", K, W_BAR, 8)
     with pytest.raises(ExperimentError):
         make_family("slow_drain", 3.0, 2.5, 8)  # k above w_bar
+
+
+@pytest.mark.parametrize("field", ["k", "w_bar"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_family_refuses_non_finite_bounds(field, value):
+    # refused at construction, naming the field, not later by a member's law
+    bounds = {"k": K, "w_bar": W_BAR, field: value}
+    with pytest.raises(ExperimentError) as err:
+        make_family("slow_drain", bounds["k"], bounds["w_bar"], 8)
+    assert err.value.field == field
 
 
 # ---------------------------------------------------------------------------
