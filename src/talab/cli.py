@@ -19,7 +19,6 @@ import csv
 import dataclasses
 import io
 import json
-import math
 import os
 import sys
 import time
@@ -65,20 +64,12 @@ def _atomic_write(path: str, data: bytes):
     os.replace(tmp, path)
 
 
-def _finite_or_null(obj):
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _finite_or_null(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_finite_or_null(v) for v in obj]
-    return obj
-
-
 def write_json(path: str, obj: dict):
     """Write ``obj`` as strict JSON: JSON has no NaN or infinity, so a
     non-finite float (a failed solve's defect, a P5 row's surplus) is null."""
-    body = json.dumps(_finite_or_null(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    # json writes them as NaN and Infinity tokens, which parse_constant reads back
+    obj = json.loads(json.dumps(obj), parse_constant=lambda _: None)
+    body = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     _atomic_write(path, body.encode("utf-8"))
 
 
