@@ -267,11 +267,6 @@ def cmd_report(args):
     print("\n".join([f"report for {args.input}", *lines]))
 
 
-def _num(x, spec: str = ".6g") -> str:
-    # write_json writes a non-finite number as null
-    return "n/a" if x is None else format(x, spec)
-
-
 def _report_lines(obj: dict) -> list[str]:
     lines = []
     for key in ("config_hash", "seed", "mechanism", "prop"):
@@ -279,31 +274,33 @@ def _report_lines(obj: dict) -> list[str]:
             lines.append(f"  {key}: {obj[key]}")
     if "revenue" in obj and isinstance(obj["revenue"], dict):
         r = obj["revenue"]
-        lines.append(f"  revenue: {_num(r['mean'])} +- {_num(r['se'], '.2g')} (n={r['n']})")
+        lines.append(f"  revenue: {r['mean']:.6g} +- {r['se']:.2g} (n={r['n']})")
     elif "revenue" in obj:
-        lines.append(f"  revenue: {_num(obj['revenue'])} +- {_num(obj.get('se', 0), '.2g')}")
+        lines.append(f"  revenue: {obj['revenue']:.6g} +- {obj.get('se', 0):.2g}")
     if "surplus" in obj and isinstance(obj["surplus"], dict):
         s = obj["surplus"]
-        lines.append(f"  surplus: {_num(s['mean'])} +- {_num(s['se'], '.2g')}")
+        lines.append(f"  surplus: {s['mean']:.6g} +- {s['se']:.2g}")
     if "accepted_steps" in obj:
         defect = obj["max_ode_residual"]
         lines.append("  solve: " + ("failed (step size underflow)" if defect is None
                                     else f"max defect bound {defect:.3g}")
-                     + f", series start v0 = {_num(obj['v0'])}")
+                     + f", series start v0 = {obj['v0']:.6g}")
         smallest = ("none" if obj["min_step"] is None
-                    else f"{obj['min_step']:.3g} at v = {_num(obj['min_step_v'])}")
+                    else "{min_step:.3g} at v = {min_step_v:.6g}".format(**obj))
         lines.append("  steps: {accepted_steps} accepted; rejected {rejected_error} error, "
                      "{rejected_band} band, {rejected_residual} defect; smallest "
                      .format(**obj) + smallest)
     if "max_regret" in obj:
-        lines.append(f"  max_regret: {_num(obj['max_regret'], '.3g')} "
+        lines.append(f"  max_regret: {obj['max_regret']:.3g} "
                      f"(passed: {obj.get('passed')})")
     if "rows" in obj:
-        lines.append(f"  rows: {len(obj['rows'])}, target {_num(obj['target'])}, "
-                     f"final gap {_num(obj['gap'])}")
+        lines.append(f"  rows: {len(obj['rows'])}, target {obj.get('target'):.6g}, "
+                     f"final gap {obj.get('gap'):.6g}")
         for row in obj["rows"]:
-            lines.append(f"    l={row['l']}: R={_num(row['R_mean'])} "
-                         f"S={_num(row['S_mean'])} gap={_num(row['gap'])}")
+            # a P5 row has no surplus: write_json wrote its nan as null
+            surplus = "n/a" if row["S_mean"] is None else f"{row['S_mean']:.6g}"
+            lines.append(f"    l={row['l']}: R={row['R_mean']:.6g} "
+                         f"S={surplus} gap={row['gap']:.6g}")
     if "atom_convergence" in obj:
         a = obj["atom_convergence"]
         lines.append(f"  atom masses -> {a['masses'][-1]:.4f} (passed: {a['passed']})")
