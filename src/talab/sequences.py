@@ -22,11 +22,12 @@ Checkers quantify the two convergence conditions on a finite index range:
 with the equivalent conditional-mean diagnostic E[w | w <= c2] -> 0).
 
 ``run_limit_experiment`` reproduces the limit results at desk scale. Each
-experiment (a ``sweep.prop`` value in a config) is one entry of ``_PROPS``: the
-mechanism its rows run on every member (equilibrium solve + Monte Carlo for
-the tournament variants, exact closed forms for the reserve second-price
-auction, the optimal-auction benchmark), whether its family must also drain
-slowly, and the reserve rule it takes.
+experiment (a ``sweep.prop`` value in a config) is one entry of ``_PROPS``, and
+the entry states all it does: the mechanism its rows run on every member
+(equilibrium solve + Monte Carlo for the tournament variants, exact closed
+forms for the reserve second-price auction, the optimal-auction benchmark),
+whether its family must also drain slowly, the reserve rule it takes, its
+target and its notes. No step reads the prop's name.
 """
 
 from __future__ import annotations
@@ -339,11 +340,14 @@ class _Prop:
     mechanism: str           # what each row runs: ta, ta_intervention, oa or sa_reserve
     drain: bool              # the family must also drain slowly, not only reach the atom
     rule: str | None = None  # the reserve-rule kind the prop takes
+    below: float | None = 0.0        # lim G_l(r_l) under a reserve; None: the family's split_p
+    surplus_note: str | None = None  # the surplus-target note, formatted with its value
+    tracks: bool = False             # check that surplus tracks revenue near the atom
 
 
 _PROPS = {
     # tournament run, checking that surplus tracks revenue near the atom
-    "P4": _Prop("ta", drain=True),
+    "P4": _Prop("ta", drain=True, tracks=True),
     # optimal-auction revenue approaches the atom value k
     "P5": _Prop("oa", drain=False),
     # tournament revenue approaches k
@@ -351,13 +355,16 @@ _PROPS = {
     # block reserve sequence k - eps/n achieves revenue approaching k
     "P7": _Prop("sa_reserve", drain=True, rule="block_steps"),
     # constant reserve below k: revenue flattens at the reserve level
-    "P8": _Prop("sa_reserve", drain=True, rule="constant"),
+    "P8": _Prop("sa_reserve", drain=True, rule="constant",
+                surplus_note="surplus target: {:.6g} (full atom value despite the low reserve)"),
     # constant reserve above k: revenue collapses to the weak second order
     # statistic, surplus to the first
-    "P9": _Prop("sa_reserve", drain=True, rule="constant"),
+    "P9": _Prop("sa_reserve", drain=True, rule="constant", below=1.0,
+                surplus_note="surplus target: E[v_(1:N)] = {:.6g}"),
     # reserve approaching k from below through the cdf window, on a family with
     # G_l(k) -> p: revenue mixes the two regimes with weight p
-    "P10": _Prop("sa_reserve", drain=True, rule="quantile_below"),
+    "P10": _Prop("sa_reserve", drain=True, rule="quantile_below", below=None,
+                 surplus_note="surplus target: {:.6g}"),
     # announced randomized zeroing of the strong bid: revenue approaches p * k
     # without any slow-drain requirement
     "S8": _Prop("ta_intervention", drain=False),
@@ -426,20 +433,21 @@ def check_experiment(prop: str, fam: FamilySpec, weak: DistributionSpec, n_weak:
         return
     _require(rule is not None, f"{prop} requires a reserve rule", "rule")
     _require(rule.kind == entry.rule, f"{prop} uses the {entry.rule} rule", "rule")
-    if prop == "P7":
+    if rule.kind == "block_steps":
         _require(rule.eps < k - v_bar,
                  f"block eps must keep reserves above v_bar: eps < {k - v_bar}", "rule.eps")
-    elif prop == "P8":
-        _require(v_bar < rule.value < k,
-                 f"P8 needs a constant rule with value in (v_bar, k) = ({v_bar}, {k})", "rule")
-    elif prop == "P9":
-        _require(rule.value > k, f"P9 needs a constant rule with value above k = {k}", "rule")
+    elif rule.kind == "quantile_below":
+        _require(fam.kind == "split_atom",
+                 f"{prop} needs a split_atom family (G_l(k) converging to the chosen p)",
+                 "fam.kind")
+    elif entry.below:   # a constant reserve above k, so all the strong mass is under it
+        _require(rule.value > k, f"{prop} needs a constant rule with value above k = {k}", "rule")
         _require(rule.value <= fam.w_bar,
                  f"overshoot level {rule.value} above the strong support top {fam.w_bar}",
                  "rule.value")
-    elif prop == "P10":
-        _require(fam.kind == "split_atom",
-                 "P10 needs a split_atom family (G_l(k) converging to the chosen p)", "fam.kind")
+    else:
+        _require(v_bar < rule.value < k, f"{prop} needs a constant rule with value in "
+                 f"(v_bar, k) = ({v_bar}, {k})", "rule")
 
 
 def run_limit_experiment(
@@ -461,25 +469,20 @@ def run_limit_experiment(
     _checker_gate(prop, fam, entry.drain)
     v_bar, k = weak.support.hi, fam.k
 
-    # the prop's target, and the notes that precede its rows
-    target, notes = k, []
-    if entry.mechanism in ("ta", "ta_intervention"):
-        notes = _strength_notes(fam, v_bar)
-    if entry.mechanism == "sa_reserve":
-        ev1 = weak.order_statistic_mean(n_weak, 1)
-        ev2 = weak.order_statistic_mean(n_weak, 2)
-    if prop == "S8":
+    # the prop's target, and the notes that precede its rows: a reserve
+    # auction's limit is g E[v_(2:N)] + (1 - g) r for revenue, with r the
+    # constant reserve or k, and g E[v_(1:N)] + (1 - g) k for surplus
+    target = k
+    notes = _strength_notes(fam, v_bar) if entry.mechanism in ("ta", "ta_intervention") else []
+    if entry.mechanism == "ta_intervention":
         target = intervention_p * k
-    elif prop == "P8":
-        target = float(rule.value)
-        notes.append(f"surplus target: {k:.6g} (full atom value despite the low reserve)")
-    elif prop == "P9":
-        target = ev2
-        notes.append(f"surplus target: E[v_(1:N)] = {ev1:.6g}")
-    elif prop == "P10":
-        p = fam.split_p
-        target = p * ev2 + (1.0 - p) * k
-        notes.append(f"surplus target: {p * ev1 + (1.0 - p) * k:.6g}")
+    elif entry.mechanism == "sa_reserve":
+        g = fam.split_p if entry.below is None else entry.below
+        r_inf = float(rule.value) if entry.rule == "constant" else k
+        target = g * weak.order_statistic_mean(n_weak, 2) + (1.0 - g) * r_inf
+        if entry.surplus_note is not None:
+            ev1 = weak.order_statistic_mean(n_weak, 1)
+            notes.append(entry.surplus_note.format(g * ev1 + (1.0 - g) * k))
 
     reserves = None
     if entry.rule == "block_steps":
@@ -492,22 +495,18 @@ def run_limit_experiment(
                  solver, intervention_p)
 
     # the notes each prop reads off its rows
-    if prop == "P4":
+    if entry.tracks:
         gamma = 0.1 * k
-        gamma_s = 1.5 * gamma
         misses = [f"index {r.index}: revenue within {gamma:.3g} of k but "
-                  f"surplus off by {abs(r.surplus - k):.3g}"
-                  for r in rows if abs(r.revenue - k) <= gamma and abs(r.surplus - k) > gamma_s]
-        notes += misses
-        notes.append("surplus-tracks-revenue check " + ("failed" if misses else "passed"))
-    elif prop == "P7":
-        for r, n_blk in zip(rows, counts.tolist()):
-            bound = (1.0 - 1.0 / n_blk) * (k - float(rule.eps) / n_blk)
-            if r.revenue < bound - 1e-12:
-                notes.append(f"index {r.index}: revenue {r.revenue:.6g} below "
-                             f"block bound {bound:.6g}")
-        notes.append("block lower bound " + ("violated" if notes else "holds"))
-    elif prop == "P10":
+                  f"surplus off by {abs(r.surplus - k):.3g}" for r in rows
+                  if abs(r.revenue - k) <= gamma and abs(r.surplus - k) > 1.5 * gamma]
+        notes += misses + ["surplus-tracks-revenue check " + ("failed" if misses else "passed")]
+    if entry.rule == "block_steps":
+        bounds = (1.0 - 1.0 / counts) * (k - float(rule.eps) / counts)
+        low = [f"index {r.index}: revenue {r.revenue:.6g} below block bound {b:.6g}"
+               for r, b in zip(rows, bounds.tolist()) if r.revenue < b - 1e-12]
+        notes += low + ["block lower bound " + ("violated" if low else "holds")]
+    elif entry.rule == "quantile_below":
         for r, r_l in zip(rows, reserves.tolist()):
             member = fam.member(r.index)
             g_r, g_k = member.cdf(r_l), member.cdf(k)
