@@ -41,13 +41,15 @@ import numpy as np
 
 from . import dist
 from .dist import DistributionSpec
-from .equilibrium import (InputError, SolveOptions, StrongBidLaw, check_bid_ode,
-                          check_weak_bidders, solve_ode, verify_best_response)
+from .equilibrium import (InputError, SolveOptions, StrongBidLaw, check_bid_ode, solve_ode,
+                          verify_best_response)
 from .mechanisms import (AuctionSpec, check_auction, check_block_bidders, sa_reserve_closed_form,
                          simulate)
 from .myerson import check_oa, ironed_virtual, oa_estimate
 
 FAMILY_KINDS = ("slow_drain", "fast_drain", "smoothed_discrete", "split_atom")
+# the field only one kind reads: (that kind, the field's default there)
+_KIND_FIELDS = {"atom_share": ("smoothed_discrete", 1.0), "split_p": ("split_atom", 0.5)}
 
 
 class ExperimentError(InputError):
@@ -65,8 +67,8 @@ class FamilySpec:
     k: float
     w_bar: float
     size: int
-    atom_share: float = 1.0   # smoothed_discrete mass at the atom
-    split_p: float = 0.5      # split_atom limit of G_l(k)
+    atom_share: float | None = None   # smoothed_discrete mass at the atom
+    split_p: float | None = None      # split_atom limit of G_l(k)
 
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
@@ -80,10 +82,16 @@ class FamilySpec:
                                   "k")
         if self.size < 2:
             raise ExperimentError(f"family needs at least 2 members, got {self.size}", "size")
-        if not 0.0 < self.atom_share <= 1.0:
+        for name, (kind, default) in _KIND_FIELDS.items():
+            if getattr(self, name) is None and self.kind == kind:
+                object.__setattr__(self, name, default)
+            elif getattr(self, name) is not None and self.kind != kind:
+                raise ExperimentError(f"{name} is read only by the {kind} family, not by "
+                                      f"{self.kind}", name)
+        if self.atom_share is not None and not 0.0 < self.atom_share <= 1.0:
             raise ExperimentError(f"atom_share must be in (0, 1], got {self.atom_share}",
                                   "atom_share")
-        if not 0.0 <= self.split_p <= 1.0:
+        if self.split_p is not None and not 0.0 <= self.split_p <= 1.0:
             raise ExperimentError(f"split_p must be in [0, 1], got {self.split_p}", "split_p")
 
     # per-index schedules -----------------------------------------------------
@@ -418,10 +426,9 @@ def check_experiment(prop: str, fam: FamilySpec, weak: DistributionSpec, n_weak:
     _require(k > v_bar, f"atom k={k} must exceed the weak support top {v_bar}", "fam.k")
     if entry.mechanism == "oa":  # the optimal auction also sells to fewer weak bidders
         check_oa(weak, fam.member(1), n_weak)
-    elif entry.mechanism == "sa_reserve":
-        check_weak_bidders(n_weak, ExperimentError)
-    else:  # Monte Carlo tournaments on bid-ODE schedules
+    else:  # Monte Carlo tournaments, and closed-form rows through check_auction's bound
         check_block_bidders(n_weak, ExperimentError, 2)
+    if entry.mechanism in ("ta", "ta_intervention"):  # rows solve the bid ODE
         check_bid_ode(weak, fam.member(1), n_weak)
     if entry.mechanism == "ta_intervention":  # each row runs it against a member
         check_auction("ta_intervention", n_weak, weak, fam.member(1),
@@ -429,7 +436,11 @@ def check_experiment(prop: str, fam: FamilySpec, weak: DistributionSpec, n_weak:
         _require(intervention_p * k > v_bar,
                  f"{prop} requires p*k > v_bar, got {intervention_p * k:.6g} <= {v_bar}",
                  "intervention_p")
+    else:
+        _require(intervention_p is None, f"{prop} does not take intervention_p",
+                 "intervention_p")
     if entry.rule is None:
+        _require(rule is None, f"{prop} does not take a reserve rule", "rule")
         return
     _require(rule is not None, f"{prop} requires a reserve rule", "rule")
     _require(rule.kind == entry.rule, f"{prop} uses the {entry.rule} rule", "rule")

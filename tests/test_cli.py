@@ -98,8 +98,7 @@ _MIXTURE = {"kind": "mixture", "support": [0, 1],
 # 0.5 U[0, 0.4] + 0.5 U[0, 1]
 _WEAK_JUMP = {"kind": "mixture", "support": [0, 1],
               "params": [2, 0.5, 0, 0, 0, 0.4, 0.5, 0, 0, 0, 1]}
-_SLOW3 = {"kind": "slow_drain", "k": 2.0, "w_bar": 2.5, "size": 3, "atom_share": 1.0,
-          "split_p": 0.5}
+_SLOW3 = {"kind": "slow_drain", "k": 2.0, "w_bar": 2.5, "size": 3}
 # valid configs that together hold every config key
 _FUZZ_BASES = [
     base_config(weak=_MIXTURE,
@@ -111,8 +110,9 @@ _FUZZ_BASES = [
                                 "support": [0, 1]},
                 mechanism={"kind": "ta_intervention", "intervention_p": 0.6}),
     base_config(strong={"atom": {"k": 2.0, "p": 0.75}}, mechanism={"kind": "ta_discrete"}),
-    base_config(strong={"family": _SLOW3}, sweep={"prop": "S8", "intervention_p": 0.75}),
-    base_config(strong={"family": _SLOW3},
+    base_config(strong={"family": {**_SLOW3, "kind": "smoothed_discrete", "atom_share": 1.0}},
+                sweep={"prop": "S8", "intervention_p": 0.75}),
+    base_config(strong={"family": {**_SLOW3, "kind": "split_atom", "split_p": 0.5}},
                 sweep={"prop": "P7", "rule": {"kind": "block_steps", "eps": 0.5}}),
 ]
 
@@ -524,6 +524,17 @@ def _U(lo, hi):
                "sweep": {"prop": "P7", "rule": {"kind": "constant", "value": 1.6}}},
      "sweep.rule"),
     ("sweep", {"strong": _FAMILY, "sweep": {"prop": "P8"}}, "sweep.rule"),
+    # a sweep key the prop does not read
+    ("sweep", {"strong": _FAMILY, "sweep": {"prop": "P6", "intervention_p": 0.75}},
+     "sweep.intervention_p"),
+    ("sweep", {"strong": _FAMILY,
+               "sweep": {"prop": "P6", "rule": {"kind": "constant", "value": 1.6}}},
+     "sweep.rule"),
+    # a family key its kind does not read
+    ("check-family", {"strong": {"family": {**_FAMILY["family"], "split_p": 0.3}}},
+     "strong.family.split_p"),
+    ("check-family", {"strong": {"family": {**_FAMILY["family"], "atom_share": 0.4}}},
+     "strong.family.atom_share"),
     ("simulate", {"n_weak": 1, "mechanism": {"kind": "sa"}}, "n_weak"),
     ("oa", {"n_weak": 0, "strong": None}, "strong"),
     ("simulate", {"strong": {"atom": {"k": 0.9, "p": 0.9}}, "mechanism": {"kind": "ta_discrete"}},
@@ -557,7 +568,8 @@ def _U(lo, hi):
     ("simulate", {"weak": {"kind": "mixture", "params": [1, 1, 1, 2, 2, 3, 0, 1],
                            "support": [0, 1]}, "mechanism": {"kind": "sa"}}, "weak"),
 ], ids=["ta_intervention-p0", "ta_intervention-p1", "S8-no-p", "S8-p1", "S8-pk",
-        "P7-constant", "P8-no-rule", "simulate-n_weak1", "oa-nothing-to-sell",
+        "P7-constant", "P8-no-rule", "P6-intervention_p", "P6-rule",
+        "slow_drain-split_p", "slow_drain-atom_share", "simulate-n_weak1", "oa-nothing-to-sell",
         "atom-k", "family-k", "solve-n_weak1", "verify-n_weak1", "P5-n_weak-1",
         "reserve-nan", "mc-n-inf", "rk_tolerance-nan", "mixture-count-inf",
         "mixture-size-negative", "mc-seed-2**64", "solve-weak-above-0",
@@ -606,6 +618,11 @@ def test_mc_n_past_numpy_index_range_refused(tmp_path, capsys):
     ("simulate", 10**9, {"mechanism": {"kind": "sa"}}),    # 74.5 GiB of uniforms per block
     ("oa", 10**9, {}),
     ("sweep", 10**9, {"strong": {"family": _SLOW3}, "sweep": {"prop": "P6"}}),
+    # the closed-form rows of the reserve props go through the same bound
+    ("sweep", 1001, {"strong": {"family": {**_SLOW3, "size": 4}},
+                     "sweep": {"prop": "P7", "rule": {"kind": "block_steps", "eps": 0.5}}}),
+    ("sweep", 1001, {"strong": {"family": {**_SLOW3, "kind": "split_atom"}},
+                     "sweep": {"prop": "P10", "rule": {"kind": "quantile_below"}}}),
 ])
 def test_n_weak_past_its_bound_refused(tmp_path, capsys, command, n_weak, overrides):
     # each Monte Carlo block asks for 2^15 x (n_weak + 3) uniforms at once

@@ -93,6 +93,19 @@ def test_family_refuses_non_finite_bounds(field, value):
     assert err.value.field == field
 
 
+def test_family_kind_fields():
+    # each kind-specific field takes its default on its own kind only, and a
+    # value given for another kind is refused at the field
+    assert FamilySpec("smoothed_discrete", K, W_BAR, 8).atom_share == 1.0
+    assert FamilySpec("split_atom", K, W_BAR, 8).split_p == 0.5
+    slow = FamilySpec("slow_drain", K, W_BAR, 8)
+    assert slow.atom_share is None and slow.split_p is None
+    for field, kind in (("atom_share", "split_atom"), ("split_p", "smoothed_discrete")):
+        with pytest.raises(ExperimentError) as err:
+            FamilySpec(kind, K, W_BAR, 8, **{field: 0.4})
+        assert err.value.field == field
+
+
 # ---------------------------------------------------------------------------
 # checkers
 # ---------------------------------------------------------------------------
