@@ -93,6 +93,10 @@ _ROW_MARGIN = 2.0**-32
 # 5.6 and 7.6 us; the late Newton and bisection rounds of a sweep's inverse cdf
 # select over a few dozen levels (about 1,200 calls a pass)
 _SELECT_BRANCHLESS = 1024
+# SortedIndex's crossover. On a 202-break schedule (same host) 1,000 keys take
+# 14 us by np.searchsorted, 170 us on the call that builds the directory and
+# 56 us after; from about 2,000 keys the built directory wins
+_INDEX_MIN_KEYS = 1024
 
 _CODE_KINDS = {0: "uniform", 2: "cosine_bump", 3: "pw_linear"}  # in a mixture; 1 is retired
 
@@ -540,23 +544,27 @@ class DistributionSpec:
             return out
         return self.kernel(float(x))[2]
 
-    def kernel_body(self, with_m: bool) -> tuple[str, dict]:
-        """(lines, params): body lines that set F, f and, if ``with_m``, M at x, and
-        each parameter's value. Each sum runs in component order from 0.0, as sum()."""
+    def kernel_body(self, sums=("F", "f", "M"), first: int = 0) -> tuple[str, dict]:
+        """(lines, params): body lines that set F, f and M at x under the names
+        ``sums`` (F and f alone, with two names), and each parameter's value.
+        Components are numbered from ``first``, so two laws' lines can share one
+        body. Each sum runs in component order from 0.0, as sum()."""
         lines, params = [], {}
-        for i, (w, p) in enumerate(zip(self.weights, self.parts)):
+        for i, (w, p) in enumerate(zip(self.weights, self.parts), first):
             bound = {"w": w, **p._kernel_values()}
             params.update((f"{key}{i}", value) for key, value in bound.items())
             source = p._KERNEL.format(i=i, **{key: f"{key}{i}" for key in bound}).splitlines()
-            lines += [ln for ln in source if with_m or not ln.lstrip().startswith(f"M{i} =")]
-        lines += [f"{t} = 0.0" + "".join(f" + w{i} * {t}{i}" for i in range(len(self.parts)))
-                  for t in ("F", "f", "M")[:3 if with_m else 2]]
+            lines += [ln for ln in source
+                      if len(sums) == 3 or not ln.lstrip().startswith(f"M{i} =")]
+        terms = range(first, first + len(self.parts))
+        lines += [f"{total} = 0.0" + "".join(f" + w{i} * {t}{i}" for i in terms)
+                  for total, t in zip(sums, ("F", "f", "M"))]
         return "".join(f"    {line}\n" for line in lines), params
 
     @cached_property
     def kernel(self):
         """x -> (F(x), f(x), M(x)) at a scalar x, in one straight-line call."""
-        body, params = self.kernel_body(True)
+        body, params = self.kernel_body()
         return compile_kernel(f"def kernel(x, {', '.join(params)}):\n{body}"
                               "    return F, f, M\n", params.values())
 
@@ -935,9 +943,11 @@ class SortedIndex:
     part is floor((t - k) C_k), t the scaled position before truncation (t - k
     is exact). That map is monotone too, and its parts replace the buckets.
 
-    Calls with no more keys than breaks, or with fewer than two breaks, go
-    straight to ``np.searchsorted``; the directory is built on the first larger
-    call and is only read after that. Threads that make the first large call
+    Calls with fewer than 1,024 keys, no more keys than breaks, or fewer than
+    two breaks go straight to ``np.searchsorted``: below that a directory costs
+    more to build than it saves on a short-lived table (a schedule searched
+    once by a few hundred keys). It is built on the first larger call and is
+    only read after that. Threads that make the first large call
     together may each build it; the directories are equal, and each call uses
     a whole one.
     """
@@ -999,7 +1009,8 @@ class SortedIndex:
 
     def __call__(self, x):
         b = self.breaks
-        if np.size(x) <= b.size or b.size < 2:
+        size = np.size(x)
+        if size < _INDEX_MIN_KEYS or size <= b.size or b.size < 2:
             return np.searchsorted(b, x, "right")
         lo, span, scale, parts, first, steps = self._directory()
         x = np.asarray(x, dtype=float)

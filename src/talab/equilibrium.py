@@ -28,11 +28,13 @@ not smooth, a step is cut to end just past the knot, and a step across a knot
 of either law is also gated on its defect at 31 points and at each knot. The
 tests check the solver against scipy's DOP853 (its tableau, its dense output,
 and a solve from the same series-start node) and recompute the defect from the
-returned schedule. The rhs is generated per solve: the weak law's kernel lines,
-then one call of the strong law's (``StrongBidLaw.eval3``). It and the stages,
-written out from the tableau, keep every floating-point operation of the
-separate cdf/pdf/partial_mean calls and of ``sum()`` over the tableau rows: the
-schedules are bit-identical to that form.
+returned schedule. The rhs is generated per solve: the weak law's kernel lines
+at v, the band checks, then the strong law's kernel lines at b and its atom, as
+``StrongBidLaw.eval3`` computes them, with no Python call but the weak law's
+domain check off its support. It and the stages, written out from the tableau,
+keep every floating-point operation of the separate cdf/pdf/partial_mean calls
+and of ``sum()`` over the tableau rows: the schedules are bit-identical to that
+form.
 
 ``verify_best_response`` checks the solved schedule against grid deviations of
 the reported value (and raw bids above b(v_bar)), which is the acceptance
@@ -173,11 +175,14 @@ class StrongBidLaw:
         return self.scale * self.dist.partial_mean(b)
 
     def mean_below(self, b: float) -> float:
-        g = self.cdf(b)
-        return 0.0 if g <= 0.0 else self.partial_mean(b) / g
+        if b < 0.0:
+            return 0.0
+        g, _, m = self.eval3(b)
+        return 0.0 if g <= 0.0 else m / g
 
     def eval3(self, b: float) -> tuple[float, float, float]:
-        """(cdf, pdf, partial_mean) at a scalar bid b >= 0: the kernel plus the atom."""
+        """(cdf, pdf, partial_mean) at a scalar bid b >= 0: the kernel plus the atom.
+        The bid-ODE rhs (``_rhs_factory``) writes out the same lines."""
         c, p, m = self.dist.kernel(b)
         z = self.zero_bid_prob
         s = 1.0 - z  # self.atom and self.scale, without the property calls
@@ -404,27 +409,38 @@ class _OutOfBand(Exception):
     pass
 
 
-_RHS_TAIL = """\
+_RHS_SOURCE = """\
+def rhs(x, b, {params}):
+{weak}\
     if F <= 0.0 or x <= 0.0:
         raise OutOfBand
     if x < v_lo or x > v_hi:
         check_domain(x)
-    Gb, gb, Mb = eval3(b)
+    v, x = x, b
+{strong}\
+    Gb = atom + scale * G
+    gb = scale * g
+    Mb = scale * M
     m = Mb / Gb if Gb > 0.0 else 0.0
-    if b <= x or m >= x or gb <= 0.0:
+    if b <= v or m >= v or gb <= 0.0:
         raise OutOfBand
-    return nm1 * (f / F) * (Gb / gb) * (x - m) / (b - x)
+    return nm1 * (f / F) * (Gb / gb) * (v - m) / (b - v)
 """
 
 
 def _rhs_factory(weak: DistributionSpec, law: StrongBidLaw, n_weak: int):
-    """H as one generated function rhs(v, b): the weak law's F and f lines at x = v, then
-    the band checks ([v_lo, v_hi] is weak.pdf's domain) around one ``law.eval3`` call."""
-    body, params = weak.kernel_body(False)
-    params.update(nm1=float(n_weak - 1), eval3=law.eval3, check_domain=weak._check_domain_s,
-                  OutOfBand=_OutOfBand, v_lo=weak.support.lo - 1e-12, v_hi=weak.support.hi + 1e-12)
-    return compile_kernel(f"def rhs(x, b, {', '.join(params)}):\n{body}{_RHS_TAIL}",
-                          params.values())
+    """H as one generated function rhs(v, b): the weak law's F and f lines at x = v,
+    the band checks ([v_lo, v_hi] is weak.pdf's domain), then the strong law's G, g
+    and M lines at x = b (its components numbered after the weak law's) and the
+    atom, as ``law.eval3`` computes them."""
+    weak_body, params = weak.kernel_body(("F", "f"))
+    strong_body, strong_params = law.dist.kernel_body(("G", "g", "M"), len(weak.parts))
+    params.update(strong_params, nm1=float(n_weak - 1), atom=law.zero_bid_prob,
+                  scale=1.0 - law.zero_bid_prob, check_domain=weak._check_domain_s,
+                  OutOfBand=_OutOfBand, v_lo=weak.support.lo - 1e-12,
+                  v_hi=weak.support.hi + 1e-12)
+    source = _RHS_SOURCE.format(params=", ".join(params), weak=weak_body, strong=strong_body)
+    return compile_kernel(source, params.values())
 
 
 # ---------------------------------------------------------------------------

@@ -430,26 +430,32 @@ def test_step_floor_follows_v0(u01):
     assert verify_best_response(bid, u01, law, 8).max_regret <= 1e-4
 
 
-# Accepted steps and StrongBidLaw.eval3 calls that the Dormand-Prince 4(5)
-# stepper DOP853 replaced made on these solves (members 1, 4 and 8 of each
-# family, size 8, N = 2 and 5, zero-bid probability 0 and 0.25; summed over the
-# 12 solves of each family): slow_drain 7,414 steps and 70,464 calls,
-# smoothed_discrete 2,159 steps and 20,614 calls. The counts are deterministic
+# Accepted steps and rhs calls (then StrongBidLaw.eval3 calls, one per rhs call)
+# that the Dormand-Prince 4(5) stepper DOP853 replaced made on these solves
+# (members 1, 4 and 8 of each family, size 8, N = 2 and 5, zero-bid probability 0
+# and 0.25; summed over the 12 solves of each family): slow_drain 7,414 steps and
+# 70,464 calls, smoothed_discrete 2,159 steps and 20,614 calls. The counts are
+# deterministic
 DP5_COUNTS = {"slow_drain": (7414, 70464), "smoothed_discrete": (2159, 20614)}
 
 
 @pytest.mark.parametrize("kind", sorted(DP5_COUNTS))
 def test_step_budget(u01, kind, monkeypatch):
-    # DOP853 takes at most half the steps and 0.85 x the rhs calls (counted as
-    # perfbench counts them, on StrongBidLaw.eval3) of the stepper it replaced
+    # DOP853 takes at most half the steps and 0.85 x the rhs calls of the
+    # stepper it replaced (DOP853 makes 56,779 and 15,862)
     calls = [0]
-    eval3 = StrongBidLaw.eval3
+    factory = eq._rhs_factory
 
-    def counting(self, b):
-        calls[0] += 1
-        return eval3(self, b)
+    def counted_factory(*args):
+        built = factory(*args)
 
-    monkeypatch.setattr(StrongBidLaw, "eval3", counting)
+        def counted(v, b):
+            calls[0] += 1
+            return built(v, b)
+
+        return counted
+
+    monkeypatch.setattr(eq, "_rhs_factory", counted_factory)
     fam = make_family(kind, 2.0, 2.5, 8)
     steps = sum(solve_ode(u01, StrongBidLaw(fam.member(l), zero), n)[1].accepted_steps
                 for l in (1, 4, 8) for n in (2, 5) for zero in (0.0, 0.25))

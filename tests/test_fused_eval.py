@@ -2,18 +2,18 @@
 
 Each law's kernel (``DistributionSpec.kernel``) returns (F, f, M) at a scalar
 from its components' source lines, written out; the scalar
-``cdf``/``pdf``/``partial_mean``, ``StrongBidLaw.eval3`` and the ODE
-right-hand side run it. The reference below is the code it replaced, copied
-here: one ``eval3_s`` per component (the pw_linear's with its knot caps),
-summed with ``sum()`` in component order, and the right-hand side built on
-that sum. Kernel, strong
-law and solves must equal the reference bit for bit. F and f must also match
-the vector ``cdf_v``/``pdf_v`` (F exactly 0 and 1 at and beyond the support
-ends), NaN must give NaN F and M, as in ``cdf_v``, and M must match quadrature
-of the vector density. The written-out DOP853 stages must reproduce
-the loop over the tableau bit for bit, each rhs call must make one
-``StrongBidLaw.eval3`` call, and a kernel's source must be readable, with the
-law's numbers bound rather than written into it.
+``cdf``/``pdf``/``partial_mean`` and ``StrongBidLaw.eval3`` run it, and the ODE
+right-hand side holds both laws' lines itself. The reference below is the code
+it replaced, copied here: one ``eval3_s`` per component (the pw_linear's with
+its knot caps), summed with ``sum()`` in component order, and the right-hand
+side built on that sum. Kernel, strong law and solves must equal the reference
+bit for bit. F and f must also match the vector ``cdf_v``/``pdf_v`` (F exactly
+0 and 1 at and beyond the support ends), NaN must give NaN F and M, as in
+``cdf_v``, and M must match quadrature of the vector density. The written-out
+DOP853 stages must reproduce the loop over the tableau bit for bit, an rhs call
+must make no ``eval3`` or ``kernel`` call, and the sources of a kernel and of
+the rhs must be readable, with the laws' numbers bound rather than written
+into them.
 """
 
 import ast
@@ -273,6 +273,10 @@ def test_strong_eval3_matches_separate_calls(name, zero_bid_prob):
         got = law.eval3(b)
         want = (law.cdf(b), law.pdf(b), law.partial_mean(b))
         assert [bits(g) for g in got] == [bits(w) for w in want], (name, b)
+        # mean_below reads G and M from eval3: the quotient of the separate calls
+        mean = 0.0 if want[0] <= 0.0 else want[2] / want[0]
+        assert bits(law.mean_below(b)) == bits(mean), (name, b)
+    assert law.mean_below(-1e-300) == law.mean_below(-1.0) == 0.0
 
 
 def _tableau_stepper(rhs):
@@ -405,6 +409,12 @@ def _solve_cases():
     cases.append((piecewise_linear([0.0, 0.4, 1.0], [0.6, 1.4, 0.9]),
                   StrongBidLaw(dist.uniform(0.0, 2.0)), 3))
     cases.append((u01, StrongBidLaw(piecewise_linear([0.0, 1.0, 3.0], [1.0, 0.5, 0.0])), 2))
+    # both laws of every kind but the uniform on the weak side: where the weak
+    # law's lines end and the strong law's begin, a name one of them clobbers shows
+    weak = dist.mixture([(0.6, piecewise_linear([0.0, 0.4, 1.0], [0.6, 1.4, 0.9])),
+                         (0.4, dist.cosine_bump(0.5, 0.3))])
+    cases += [(weak, StrongBidLaw(_strong_laws()["every_kind"], zb), n)
+              for n in (2, 3) for zb in (0.0, 0.25)]
     return cases
 
 
@@ -422,22 +432,27 @@ def test_solves_match_reference_rhs(monkeypatch):
     assert solve_all() == generated
 
 
-def test_rhs_makes_one_strong_eval3_call(monkeypatch):
-    # as perfbench counts rhs evaluations: a wrapper on the class
-    calls = {"eval3": 0, "rhs": 0}
-    eval3 = StrongBidLaw.eval3
+def test_rhs_makes_no_eval3_or_kernel_call(monkeypatch):
+    # the strong law's lines are written into the rhs: inside an rhs call no
+    # StrongBidLaw.eval3 runs and no law's kernel is fetched (outside one, the
+    # series start takes the strong law's mean below b0 through eval3)
+    calls = {"rhs": 0, "inside": 0, "outside": 0}
+    active = [False]
+    eval3, kernel = StrongBidLaw.eval3, dist.DistributionSpec.kernel.func
 
-    def counting(self, b):
-        calls["eval3"] += 1
+    def count():
+        calls["inside" if active[0] else "outside"] += 1
+
+    def counting_eval3(self, b):
+        count()
         return eval3(self, b)
 
-    monkeypatch.setattr(StrongBidLaw, "eval3", counting)
-    weak, law, n = _solve_cases()[3]
-    rhs = equilibrium._rhs_factory(weak, law, n)
-    for i, v in enumerate((0.05, 0.3, 0.6, 0.9, 1.0), 1):
-        rhs(v, 1.3 * v)
-        assert calls["eval3"] == i
-    calls["eval3"] = 0
+    def counting_kernel(self):
+        count()
+        return kernel(self)
+
+    monkeypatch.setattr(StrongBidLaw, "eval3", counting_eval3)
+    monkeypatch.setattr(dist.DistributionSpec, "kernel", property(counting_kernel))
     factory = equilibrium._rhs_factory
 
     def counted_factory(*args):
@@ -445,13 +460,18 @@ def test_rhs_makes_one_strong_eval3_call(monkeypatch):
 
         def counted(v, b):
             calls["rhs"] += 1
-            return built(v, b)
+            active[0] = True
+            try:
+                return built(v, b)
+            finally:
+                active[0] = False
 
         return counted
 
     monkeypatch.setattr(equilibrium, "_rhs_factory", counted_factory)
+    weak, law, n = _solve_cases()[3]
     solve_ode(weak, law, n)
-    assert calls["rhs"] > 1000 and calls["eval3"] == calls["rhs"]
+    assert calls["rhs"] > 1000 and calls["outside"] > 0 and calls["inside"] == 0, calls
 
 
 def _float_literals(source: str) -> set[float]:
@@ -468,11 +488,21 @@ def test_kernel_source_is_readable_with_numbers_bound():
     assert "cos(u)" in source and "F = 0.0 + w0 * F0 + w1 * F1" in source
     assert not numbers & _float_literals(source)
     assert numbers - {bump.hi} <= set(law.kernel.__defaults__)
-    # the rhs: the weak law's F and f lines, then the band checks
-    rhs = equilibrium._rhs_factory(law, StrongBidLaw(dist.uniform(0.0, 2.0)), 2)
+    # the rhs: the weak law's F and f lines, the band checks, then the strong
+    # law's lines as components 2 and 3 and the atom, every number bound
+    strong = dist.mixture([(0.41, dist.uniform(0.0, 2.3)), (0.59, dist.cosine_bump(1.17, 0.53))])
+    sbump = strong.parts[1]
+    strong_law = StrongBidLaw(strong, 0.23)
+    strong_numbers = {0.41, 0.59, 2.3, sbump.c, sbump.s, sbump.lo, sbump.hi, 2.0 * sbump.s,
+                      strong_law.atom, strong_law.scale}
+    rhs = equilibrium._rhs_factory(law, strong_law, 2)
     source = inspect.getsource(rhs)
-    assert "M0" not in source and "Gb, gb, Mb = eval3(b)" in source
-    assert not numbers & _float_literals(source)
+    assert "M0" not in source and "M1" not in source and "eval3" not in source
+    assert source.index("check_domain(x)") < source.index("t = (x - c3) / s3")
+    assert "G = 0.0 + w2 * F2 + w3 * F3" in source and "M = 0.0 + w2 * M2 + w3 * M3" in source
+    assert "Gb = atom + scale * G" in source
+    assert not (numbers | strong_numbers) & _float_literals(source)
+    assert (numbers | strong_numbers) - {bump.hi, sbump.hi} <= set(rhs.__defaults__)
     # a traceback through the rhs shows its line
     with pytest.raises(dist.DistributionError) as info:
         rhs(1.5, 1.8)

@@ -41,22 +41,26 @@ def sorted_breaks(draw):
     return np.sort(np.asarray(b, dtype=float))
 
 
-def keys_for(b, extra):
+def keys_for(b, extra, rnd=None):
     """Breaks, one ulp either side, outside the range (NaN sorts last), and the
-    drawn extras."""
+    drawn extras, shuffled by ``rnd`` if given, then tiled past 1,024 keys:
+    fewer go to the plain search."""
     out = [b, np.nextafter(b, np.inf), np.nextafter(b, -np.inf),
            [b[0] - 1.0, b[-1] + 1.0, -np.inf, np.inf, np.nan, -0.0, 0.0], extra]
-    return np.concatenate([np.asarray(k, dtype=float) for k in out])
+    keys = np.concatenate([np.asarray(k, dtype=float) for k in out])
+    if rnd is not None:
+        rnd.shuffle(keys)
+    return np.tile(keys, 1024 // keys.size + 1)
 
 
 @settings(max_examples=300, deadline=None)
 @given(sorted_breaks(), st.lists(finite, max_size=50), st.randoms(use_true_random=False))
 def test_matches_searchsorted(b, extra, rnd):
-    keys = keys_for(b, extra)
-    rnd.shuffle(keys)
+    keys = keys_for(b, extra, rnd)
     index = SortedIndex(b)
     expect = np.searchsorted(b, keys, "right")
     assert np.array_equal(index(keys), expect)            # builds the directory
+    assert (index._dir is not None) == (b.size >= 2)
     assert np.array_equal(index(keys[:1]), expect[:1])    # small call: plain search
     half = keys[: keys.size // 2 * 2].reshape(2, -1)
     assert np.array_equal(index(half), np.searchsorted(b, half, "right"))
@@ -72,7 +76,9 @@ def test_matches_searchsorted_edge_cases():
     ]
     for b in cases:
         keys = keys_for(b, [0.5, 1e-320])
-        assert np.array_equal(SortedIndex(b)(keys), np.searchsorted(b, keys, "right"))
+        index = SortedIndex(b)
+        assert np.array_equal(index(keys), np.searchsorted(b, keys, "right"))
+        assert (index._dir is not None) == (b.size >= 2)
 
 
 def test_scalar_and_empty_keys_and_breaks():
@@ -114,11 +120,11 @@ def test_bid_function_equals_scipy_spline(name, weak, strong, n):
         g, 0.5 * (g[1:] + g[:-1]), np.nextafter(g, np.inf), np.nextafter(g, -np.inf),
         [-1.0, -1e-300, g[-1] + 1e-9, 2.0 * g[-1], np.inf, -np.inf],
     ])
-    assert x.size > g.size                     # the indexed path, not the plain search
     # Horner's rule and PPoly's sum of powers round differently: a few ulps
     tol = 4.0 * np.spacing(bid.b_top)
     expect = spline(np.clip(x, g[0], g[-1]))
-    got = bid(x)
+    got = bid(np.tile(x, 1024 // x.size + 1))[:x.size]
+    assert bid._interval._dir is not None      # the indexed path, not the plain search
     assert np.max(np.abs(got - expect)) <= tol, name
     for xi in x[::41]:                         # scalar calls: the plain search
         assert bid(float(xi)) == got[np.flatnonzero(x == xi)[0]]
