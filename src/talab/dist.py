@@ -53,8 +53,10 @@ The iterations never leave a level's row, and each component lies wholly
 below, wholly above or partly inside each row. So the levels are grouped by
 row kind, and F and f sum only the components live in the row: one wholly
 below adds its constant, one wholly above nothing, in the component order of
-``cdf`` and ``pdf``, so every sum keeps its bits. Brackets move by ``select``,
-which has no branch per element from 1,024 levels on.
+``cdf`` and ``pdf``, so every sum keeps its bits. A Newton round sums F and f
+in one pass: a bump's sin and cos share one clipped argument, and a uniform
+spanning the row adds (x - lo) h unclipped and a scalar density. Brackets move
+by ``select``, which has no branch per element from 1,024 levels on.
 
 Every level iterates on its own, so a result never depends on the rest of the
 array: scalar and vector calls agree bit for bit, and so do Monte Carlo runs
@@ -130,10 +132,10 @@ def select(mask: np.ndarray, x, y) -> np.ndarray:
 
 
 def _sum_cdf(x: np.ndarray, head: float, steps) -> np.ndarray:
-    """F at x: head plus each (weight, component) term's weight times the
-    component's F, and each (constant, None) term's constant, in order."""
+    """F at x: head plus each (weight, component, ...) term's weight times the
+    component's F, and each (constant, None, ...) term's constant, in order."""
     out = np.full(x.shape, head)
-    for c, p in steps:
+    for c, p, *_ in steps:
         if p is None:
             out += c
         else:
@@ -151,6 +153,36 @@ def _sum_pdf(x: np.ndarray, dens) -> np.ndarray:
         t *= w
         out += t
     return out
+
+
+def _sum_cdf_pdf(x: np.ndarray, head: float, terms):
+    """(F, f) at finite x over a row program's terms (``_row_terms``), with the
+    bits of ``_sum_cdf`` and ``_sum_pdf``. F's leading constant and f's leading
+    scalars (spanning uniforms' densities) are added after the first array
+    term, which commutes; f is a float when every density term is a scalar."""
+    F = f = lead = None
+    for c, p, spans in terms:
+        if p is None:
+            F += c
+            continue
+        if spans:
+            t = x - p.lo
+            t *= p.h
+            d = c * p.h
+        else:
+            t, d = p.cdf_pdf_v(x) if p.kind == "cosine_bump" else (p.cdf_v(x), p.pdf_v(x))
+            d *= c
+        t *= c
+        if F is None:
+            F, t = t, head
+        F += t
+        if f is not None:
+            f += d
+        elif spans:
+            lead = d if lead is None else lead + d
+        else:
+            f = d if lead is None else np.add(d, lead, out=d)
+    return F, (lead if f is None else f)
 
 
 @dataclass(frozen=True)
@@ -316,6 +348,21 @@ else:   # and NaN
         t += 1.0
         t /= 2.0 * self.s
         return np.where(inside, t, 0.0)
+
+    def cdf_pdf_v(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(cdf_v(x), pdf_v(x))`` with their bits from one clipped argument, for
+        finite x only: 1 + cos(+-pi) = +0.0 beyond the bump stands in for the mask."""
+        t = self._t(x)
+        f = np.multiply(t, np.pi)
+        tail = np.sin(f)
+        np.cos(f, out=f)
+        f += 1.0
+        f /= 2.0 * self.s
+        tail /= np.pi
+        t += 1.0
+        t += tail
+        t *= 0.5
+        return np.clip(t, 0.0, 1.0, out=t), f
 
     def pm_v(self, x: np.ndarray) -> np.ndarray:
         t = self._t(x)
@@ -630,6 +677,7 @@ class DistributionSpec:
         live in their table row (module docstring); the result has the bits
         of the same iteration over every component."""
         if isinstance(q, np.ndarray):
+            q = np.asarray(q, dtype=float)   # no copy of float64; _invert reads its bits
             top = q.max() if q.size else 0.0
             if q.size and not (q.min() >= 0.0 and top <= 1.0):
                 raise DistributionError("quantile levels must lie in [0, 1]")
@@ -658,11 +706,13 @@ class DistributionSpec:
         of each component's clipped argument, so beyond it a component's
         ``cdf_v`` is exactly its value at the support top (a component wholly
         below the row) or 0 (wholly above), and its ``pdf_v`` is 0. A program
-        is (head, steps, dens): the sum of the leading constants, then the
-        other terms of F in component order, each ``(w, component)`` or
-        ``(w * cdf_v(hi), None)``, and the live (w, component) pairs of f.
-        Summed in component order, as ``cdf`` and ``pdf`` sum, F and f keep
-        their bits. Entry 0 of the ids is unused: levels fall in rows 1 and up.
+        is (head, terms): the sum of the leading constants, then the other
+        terms in component order, each ``(w, component, spans)`` or
+        ``(w * cdf_v(hi), None, False)``. A uniform *spans* a run of rows when
+        its support strictly contains each widened row: there its F is
+        (x - lo) h, inside (0, 1), and its density h. Summed in component
+        order, as ``cdf`` and ``pdf`` sum, F and f keep their bits. Entry 0 of
+        the ids is unused: levels fall in rows 1 and up.
         """
         xt = self._cdf_table[0]
         margin = _ROW_MARGIN * self.support.hi
@@ -674,21 +724,22 @@ class DistributionSpec:
                            for p in self.parts], axis=1)
         new = np.any(states[1:] != states[:-1], axis=1)
         ids = np.concatenate([[0, 0], np.cumsum(new)])
+        first = np.concatenate([[0], np.flatnonzero(new) + 1])
+        last = np.append(first[1:], len(states)) - 1
         top = np.array([self.support.hi])
         programs = []
-        for row in states[np.concatenate([[0], np.flatnonzero(new) + 1])]:
-            head, steps, dens = 0.0, [], []
+        for row, r0, r1 in zip(states[first], first, last):
+            head, terms = 0.0, []
             for w, p, state in zip(self.weights, self.parts, row):
-                if state == 1:
-                    steps.append((w, p))
-                    dens.append((w, p))
+                if state == 1:   # a run's uniform spans it when it spans all of its rows
+                    terms.append((w, p, p.kind == "uniform" and p.lo < lo[r0] and p.hi > hi[r1]))
                 elif state == 2:
                     c = w * float(p.cdf_v(top)[0])
-                    if steps:
-                        steps.append((c, None))
+                    if terms:
+                        terms.append((c, None, False))
                     else:
                         head += c
-            programs.append((head, tuple(steps), tuple(dens)))
+            programs.append((head, tuple(terms)))
         return ids.astype(np.min_scalar_type(len(programs))), programs
 
     def _invert(self, q: np.ndarray) -> np.ndarray:
@@ -697,9 +748,12 @@ class DistributionSpec:
         Each level's iterations depend on that level alone, so a result does not
         depend on the other levels in the array. Newton and bisection stay in a
         level's table row, so the levels are grouped by the terms of their row
-        (``_row_terms``) and each group evaluates only those. Converged
-        levels leave the working arrays, to keep the temporaries near those of
-        a plain bisection (which Monte Carlo threads pay each).
+        (``_row_terms``) and each group evaluates only those, F and f in one
+        pass per Newton round. Only the start is checked against the support:
+        every later x lies in its bracket. Converged levels leave the working
+        arrays, to keep the temporaries near those of a plain bisection (which
+        Monte Carlo threads pay each), once an eighth of them is done; before,
+        each is frozen at its result (a = b = x), which every round gives again.
         """
         xt, ft, slope = self._cdf_table
         row_ids, programs = self._row_terms
@@ -722,8 +776,9 @@ class DistributionSpec:
         del idx, j, ids               # the groups' arrays are the loop's alone
         tiny = self.support.width * _X_ABS_TOL
         while groups:
-            (head, steps, dens), idx, j = groups.pop()
+            (head, terms), idx, j = groups.pop()
             u = q.take(idx)
+            subnormal = u.min() < _NEWTON_MIN_LEVEL
             b = xt.take(j)
             j -= 1
             a = xt.take(j)
@@ -731,36 +786,41 @@ class DistributionSpec:
             x *= slope.take(j)
             x += a
             del j
+            self._check_domain_v(x)
             for _ in range(_NEWTON_STEPS):
                 if not idx.size:
                     break
-                r = _sum_cdf(x, head, steps)
+                r, f = _sum_cdf_pdf(x, head, terms)
                 r -= u
                 below = r < 0.0
                 a = select(below, x, a)
                 b = select(below, b, x)
-                self._check_domain_v(x)
-                f = _sum_pdf(x, dens)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     r /= f            # the Newton step
                 x -= r
-                # a step that leaves the bracket (or meets no density) bisects instead
-                off = (x < a) | (x > b) | np.isnan(x)
-                if off.any():
-                    np.copyto(x, 0.5 * (a + b), where=off)
+                # a step that leaves the bracket (inf or NaN where f = 0) bisects instead
+                inside = (x >= a) & (x <= b)
+                if not inside.all():
+                    np.copyto(x, 0.5 * (a + b), where=~inside)
                 tol = _X_REL_TOL * np.abs(x) + tiny
-                conv = (np.abs(r) <= tol) & (f > 0.0) & ~off & (u >= _NEWTON_MIN_LEVEL)
+                conv = np.abs(r) <= tol
+                conv &= inside
+                if subnormal:
+                    conv &= u >= _NEWTON_MIN_LEVEL
                 done = conv | (b - a <= tol)
                 del r, f, tol         # before the next cdf call allocates
                 if done.any():
                     end = np.flatnonzero(done)
-                    finished.append((idx.take(end), select(conv.take(end), x.take(end),
-                                                           b.take(end))))
-                    keep = np.flatnonzero(~done)
-                    idx, u, x, a, b = (v.take(keep) for v in (idx, u, x, a, b))
+                    res = select(conv.take(end), x.take(end), b.take(end))
+                    finished.append((idx.take(end), res))
+                    if 8 * end.size < idx.size:
+                        a[end] = b[end] = x[end] = res
+                    else:
+                        keep = np.flatnonzero(~done)
+                        idx, u, x, a, b = (v.take(keep) for v in (idx, u, x, a, b))
             while idx.size:
                 mid = 0.5 * (a + b)
-                ge = _sum_cdf(mid, head, steps) >= u
+                ge = _sum_cdf(mid, head, terms) >= u
                 b = select(ge, mid, b)
                 a = select(ge, a, mid)
                 done = b - a <= _X_REL_TOL * np.abs(b) + tiny

@@ -157,6 +157,24 @@ def test_bump_clipped_argument_keeps_bits(s):
     f = np.where(inside, (np.cos(np.pi * t) + 1.0) / (2.0 * s), 0.0)
     for got, want in ((b.cdf_v(xs), F), (b.pdf_v(xs), f)):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # the inverse cdf's fused form, on finite x (1e308 included)
+    finite = np.isfinite(xs)
+    for got, want in zip(b.cdf_pdf_v(xs[finite]), (F[finite], f[finite])):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("size", [1, 7, 1000])
+def test_one_plus_cos_of_pi_is_plus_zero(size):
+    # the inverse cdf's bump density has no mask: beyond the bump its argument
+    # is +-pi, and 1 + cos(+-pi) must be exactly +0.0, from libm and from
+    # numpy's loops over short and long arrays
+    assert math.cos(math.pi) == -1.0 and math.cos(-math.pi) == -1.0
+    for angle in (np.pi, -np.pi):
+        assert np.cos(angle) == -1.0
+        c = np.cos(np.full(size, angle))
+        assert np.all(c == -1.0)
+        z = 1.0 + c
+        assert np.all(z == 0.0) and not np.any(np.signbit(z))
 
 
 @pytest.mark.parametrize("c, s", [(0.6, 0.6), (1.0, 0.4), (2.0, 0.05)])

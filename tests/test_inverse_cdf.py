@@ -99,9 +99,9 @@ def same_bits(x, y) -> bool:
     return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
 
 
-def _family_laws():
+def _family_laws(kinds=("slow_drain", "smoothed_discrete", "split_atom")):
     laws = []
-    for kind in ("slow_drain", "smoothed_discrete", "split_atom"):
+    for kind in kinds:
         fam = make_family(kind, K, W_BAR, 8)
         laws += [(f"{kind}[{l}]", fam.member(l)) for l in range(1, 9)]
     return laws
@@ -150,36 +150,91 @@ def _row_edge_laws():
     """Uniform components that end two ulps above, or start one ulp below, a
     cdf-table point (0.5): the rows where a component's density at its end, or
     a start just past the row, would be dropped by too narrow a row margin.
-    And a pw_linear component on [0, 0.5] whose F past its top is
+    Uniforms that end one ulp inside, at, or one ulp outside the top of the
+    row below 0.5 widened by the row margin. A run of rows inside a uniform on
+    [0.25, 0.5 + 2 ulps]: U[0.375, 1] starts the run, and a uniform starting
+    just past the widened top of the row above 0.5 ends it at the row below;
+    the run's widened top lies past the uniform's end, its top table point
+    below it. And a pw_linear component on [0, 0.5] whose F past its top is
     1.0000000000000002, the constant it adds to each row above it."""
     up = np.nextafter(np.nextafter(0.5, 1.0), 1.0)
     down = np.nextafter(0.5, 0.0)
+    edge = 0.5 + dist._ROW_MARGIN
+    ends = [(0.0, up), (down, 1.0)] + [(0.0, e) for e in
+                                       (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0))]
     laws = [(f"U[{lo:.17g}, {hi:.17g}] + U[0, 1]",
              dist.mixture([(0.5, dist.uniform(lo, hi)), (0.5, dist.uniform(0.0, 1.0))]))
-            for lo, hi in ((0.0, up), (down, 1.0))]
+            for lo, hi in ends]
+    run = dist.mixture([(0.25, dist.uniform(lo, hi)) for lo, hi in
+                        ((0.0, 1.0), (0.25, up), (0.375, 1.0), (up + dist._ROW_MARGIN, 1.0))])
     pw = piecewise_linear([0.0, 0.25, 0.5], [0.3, 0.7, 0.1])
-    return laws + [("pw_linear[0, 0.5] + U[0, 1]",
+    return laws + [("U[0.25, 0.5 + 2 ulps] ending a run", run),
+                   ("pw_linear[0, 0.5] + U[0, 1]",
                     dist.mixture([(0.5, pw), (0.5, dist.uniform(0.0, 1.0))]))]
 
 
 def test_matches_full_component_oracle_bitwise(laws, levels):
     # Monte Carlo levels and the even grid, every cdf-table value and its float
-    # neighbours, and levels in the rows next to each component's ends
-    for name, d in laws + _row_edge_laws():
+    # neighbours, and levels in the rows next to each component's ends; then
+    # the calls a sweep makes: the ironing grid and one bidder's strided column
+    # of a Monte Carlo block
+    grid = np.linspace(0.0, 1.0, QUANTILE_GRID_SIZE + 1)
+    column = uniform_stream(405, 0, 4 * 8192).reshape(8192, 4)[:, 2]
+    for name, d in laws + _family_laws(("fast_drain",)) + _row_edge_laws():
         ft = d._cdf_table[1]
         u = np.concatenate([levels, ft, np.nextafter(ft, 0.0), np.nextafter(ft, 1.0),
                             _edge_levels(d)])
         u = u[(u >= 0.0) & (u <= 1.0)]
-        assert same_bits(d.quantile(u), reference_quantile(d, u)), name
+        for v in (u, grid, column):
+            assert same_bits(d.quantile(v), reference_quantile(d, v)), name
 
 
 def test_rows_skip_components(laws):
-    # rows where some component is not evaluated: the path the oracle test checks
+    # rows where some component is not evaluated, and slow_drain rows where a
+    # uniform spans the row beside a live bump: the paths the oracle test checks
     skipped = 0
     for name, d in laws:
         _, programs = d._row_terms
-        skipped += sum(len(d.parts) - len(dens) for _, _, dens in programs)
+        skipped += sum(len(d.parts) - sum(p is not None for _, p, _ in terms)
+                       for _, terms in programs)
+        if name.startswith("slow_drain"):
+            assert any(any(spans for _, _, spans in terms)
+                       and any(p is not None and p.kind == "cosine_bump" for _, p, _ in terms)
+                       for _, terms in programs), name
     assert skipped > 0
+
+
+def test_row_sums_match_full_sums_at_row_ends(laws):
+    # each rising row's fused F and f against cdf and pdf over every component,
+    # bit for bit, across the row, at its ends and the four floats above each
+    # (a start may overshoot the row by a few ulps), and half the row margin
+    # beyond them, inside the support
+    ulps = np.arange(5)[:, None]
+    for name, d in laws + _row_edge_laws():
+        xt, ft, _ = d._cdf_table
+        row_ids, programs = d._row_terms
+        half = 0.5 * dist._ROW_MARGIN * d.support.hi
+        for j in np.flatnonzero(np.diff(ft) > 0.0) + 1:
+            ends = xt[[j - 1, j]].view(np.int64) + ulps
+            x = np.concatenate([ends.view(float).ravel(), np.linspace(xt[j - 1], xt[j], 7),
+                                [xt[j - 1] - half, xt[j] + half]])
+            x = np.clip(x, d.support.lo, d.support.hi)
+            F, f = dist._sum_cdf_pdf(x, *programs[row_ids[j]])
+            assert same_bits(F, d.cdf(x)), (name, j)
+            assert same_bits(np.broadcast_to(f, x.shape), d.pdf(x)), (name, j)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float16])
+def test_low_precision_levels_invert_as_float64(u01, dtype):
+    # the levels' values, not their bits, are inverted, on an affine law and on
+    # one that inverts by Newton; even and odd lengths
+    strong = make_family("slow_drain", K, W_BAR, 8).member(4)
+    for q in ([0.1, 0.3, 0.7, 0.9], [0.0, 0.25, 0.5, 0.75, 1.0]):
+        low = np.array(q, dtype=dtype)
+        for d in (u01, strong):
+            x = d.quantile(low)
+            assert x.dtype == np.float64
+            assert same_bits(x, d.quantile(low.astype(float)))
 
 
 _SPECIAL = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 1.5, -2.0, 5e-324,
