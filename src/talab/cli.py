@@ -123,12 +123,22 @@ def _estimate_dict(est) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _solve(cfg: ExperimentConfig, strong, out: Outputs):
+    """``solve_ode`` of the config's weak law against ``strong``; its wall time
+    goes to the run's meta file as ``solve_s``."""
+    t0 = time.perf_counter()
+    try:
+        return solve_ode(cfg.weak, strong, cfg.n_weak, cfg.solver)
+    finally:
+        out.meta["solve_s"] = time.perf_counter() - t0
+
+
 def _solve_and_write(cfg: ExperimentConfig, out: Outputs) -> tuple[BidFunction, list[str]]:
     """Solve against ``strong.dist`` and write the bid outputs. A solve that
     stops on a step-size underflow still writes its solve report (counters up
     to the failure, ``max_ode_residual`` null) before the error propagates."""
     try:
-        bid, report = solve_ode(cfg.weak, cfg.strong_dist, cfg.n_weak, cfg.solver)
+        bid, report = _solve(cfg, cfg.strong_dist, out)
     except BandEscape as exc:
         if exc.report is not None:
             out.json("solve_report", "solve_report", dataclasses.asdict(exc.report))
@@ -178,7 +188,7 @@ def cmd_simulate(cfg: ExperimentConfig, args, out: Outputs) -> list[str]:
         law = strong
         if mechanism == "ta_intervention":
             law = StrongBidLaw(strong, zero_bid_prob=1.0 - cfg.intervention_p)
-        bid, report = solve_ode(cfg.weak, law, cfg.n_weak, cfg.solver)
+        bid, report = _solve(cfg, law, out)
         notes = list(report.warnings)
     spec = AuctionSpec(mechanism, cfg.n_weak, cfg.weak, strong, reserve=cfg.reserve,
                        intervention_p=cfg.intervention_p, bid_fn=bid)
@@ -269,9 +279,15 @@ def cmd_report(args):
 
 def _report_lines(obj: dict) -> list[str]:
     lines = []
-    for key in ("config_hash", "seed", "mechanism", "prop"):
+    for key in ("config_hash", "seed", "command", "mechanism", "prop"):
         if key in obj:
             lines.append(f"  {key}: {obj[key]}")
+    # a run_meta file's measurements
+    for key, label in (("wall_time_s", "wall time"), ("solve_s", "solve time")):
+        if key in obj:
+            lines.append(f"  {label}: {obj[key]:.3g} s")
+    if "draws_per_s" in obj:
+        lines.append(f"  draws per second: {obj['draws_per_s']:.4g}")
     if "revenue" in obj and isinstance(obj["revenue"], dict):
         r = obj["revenue"]
         lines.append(f"  revenue: {r['mean']:.6g} +- {r['se']:.2g} (n={r['n']})")

@@ -28,7 +28,11 @@ straight-line function: its components' source lines (each kind states F, f and
 M once: one sin and one cos per bump, one segment search per piecewise-linear
 density), then their weighted sums in component order. It is compiled once per
 sequence of kinds, the law's numbers bound as default arguments. Arrays go
-through ``cdf_v``/``pdf_v``/``pm_v``.
+through ``cdf_v``/``pdf_v``/``pm_v``. Between the cuts of ``kernel_pieces``
+(the components' edges and each bump's switch to its edge series) every
+component takes one branch of its lines, or lies wholly above or below x;
+``kernel_body`` writes a piece's lines with each live component's branch alone
+and the others folded into constants, for the bid-ODE rhs.
 
 Supported kinds: ``uniform``, ``cosine_bump`` (raised-cosine bump, C^1
 everywhere), ``pw_linear`` (piecewise-linear density) and flat ``mixture`` of
@@ -88,7 +92,8 @@ _X_ABS_TOL = 2.0**-64                    # ... or this share of the support widt
 # bracket width, where F(b) >= u, not on the Newton step
 _NEWTON_MIN_LEVEL = np.finfo(float).tiny
 # a component counts as live in a cdf-table row this share of the support top
-# beyond its ends: about 2^20 ulps of any x, centre or end the inverse cdf uses
+# beyond its ends: about 2^20 ulps of any x, centre or end the inverse cdf uses.
+# The kernel's pieces (``kernel_pieces``) are shrunk by it too
 _ROW_MARGIN = 2.0**-32
 # select's crossover. Over fresh random masks (2-vCPU Xeon, numpy 2.4) np.where
 # takes 2.2, 4.4 and 8.1 us at 16, 512 and 1,024 elements, the int64 select 7.6,
@@ -204,25 +209,32 @@ class SupportInterval:
 
 
 # ---------------------------------------------------------------------------
-# density components: each kind's ``_KERNEL`` sets F{i}, f{i}, M{i} at x for
-# component i, {name} standing for parameter name{i} = ``_kernel_values()[name]``.
-# A line that sets M{i} alone starts with it, and every block keeps another line,
-# so the lines stay code without M's. ``cdf_v``, ``pdf_v`` and ``pm_v`` take arrays.
+# density components: each kind's ``_LINES["kernel"]`` sets F{i}, f{i}, M{i} at x
+# for component i, {name} standing for parameter name{i} = ``_kernel_values()[name]``.
+# Its other ``_LINES`` are the branches those lines take between the component's
+# ``cuts()``, each alone (``live_state`` names the one a piece takes). A line that
+# sets M{i} alone starts with it, and every block keeps another line, so the lines
+# stay code without M's. ``cdf_v``, ``pdf_v`` and ``pm_v`` take arrays.
 # ---------------------------------------------------------------------------
+
+
+def _indent(lines: str, depth: int = 1) -> str:
+    return "".join("    " * depth + ln for ln in lines.splitlines(True))
 
 
 class _Uniform:
     kind = "uniform"
-    _KERNEL = """\
-if {lo} < x < {hi}:
-    F{i} = (x - {lo}) * {h}
-    f{i} = {h}
-    M{i} = 0.5 * {h} * (x * x - {lo} * {lo})
+    _IN = """\
+F{i} = (x - {lo}) * {h}
+f{i} = {h}
+M{i} = 0.5 * {h} * (x * x - {lo} * {lo})
+"""
+    _LINES = {"in": _IN, "kernel": "if {lo} < x < {hi}:\n" + _indent(_IN) + """\
 else:   # the support's ends keep the density; NaN gives NaN F and M
     F{i} = 0.0 if x <= {lo} else 1.0 if x >= {hi} else x
     f{i} = {h} if x == {lo} or x == {hi} else 0.0
     M{i} = 0.0 if x <= {lo} else {m_hi} if x >= {hi} else x
-"""
+"""}
 
     def __init__(self, lo: float, hi: float):
         if not lo < hi:
@@ -249,6 +261,11 @@ else:   # the support's ends keep the density; NaN gives NaN F and M
 
     def knots(self):
         return (self.lo, self.hi)
+
+    cuts = knots
+
+    def live_state(self, a: float) -> str:
+        return "in"
 
 
 # Lower-edge series of the cosine bump: with z = (pi r)^2,
@@ -281,26 +298,32 @@ class _CosineBump:
     A(r) = integral of rho (1 - cos(pi rho))/2 over [0, r]."""
 
     kind = "cosine_bump"
-    _KERNEL = """\
-t = (x - {c}) / {s}
+    _T = "t = (x - {c}) / {s}\n"
+    _INSIDE = """\
+u = PI * t
+cs = cos(u)
+f{i} = (1.0 + cs) / {two_s}
+"""
+    _R = "r = (x - {lo}) / {s}\n"   # the closed branch does not read r
+    _SERIES = """\
+z = PI2 * r * r
+F{i} = 0.5 * r * (%s)
+M{i} = {lo} * F{i} + {s} * (0.5 * r * r * (%s))
+""" % (_horner([cf for cf, _ in _BUMP_SERIES]), _horner([ca for _, ca in _BUMP_SERIES]))
+    _CLOSED = """\
+sn = sin(u)
+F{i} = 0.5 * (1.0 + t + sn / PI)
+M{i} = {c} * F{i} + {s} * (0.25 * (t * t - 1.0) + 0.5 * (t * sn / PI + (cs + 1.0) / PI2))
+"""
+    _LINES = {"series": _T + _INSIDE + _R + _SERIES, "closed": _T + _INSIDE + _CLOSED,
+              "kernel": _T + """\
 if t <= -1.0 or t >= 1.0:
     F{i} = 0.0 if t < 0.0 else 1.0
     f{i} = 0.0
     M{i} = 0.0 if t < 0.0 else {m_hi}
 else:   # and NaN
-    u = PI * t
-    cs = cos(u)
-    f{i} = (1.0 + cs) / {two_s}
-    r = (x - {lo}) / {s}
-    if r < 0.25:   # the series, Horner in z = (pi r)^2
-        z = PI2 * r * r
-        F{i} = 0.5 * r * (%s)
-        M{i} = {lo} * F{i} + {s} * (0.5 * r * r * (%s))
-    else:
-        sn = sin(u)
-        F{i} = 0.5 * (1.0 + t + sn / PI)
-        M{i} = {c} * F{i} + {s} * (0.25 * (t * t - 1.0) + 0.5 * (t * sn / PI + (cs + 1.0) / PI2))
-""" % (_horner([cf for cf, _ in _BUMP_SERIES]), _horner([ca for _, ca in _BUMP_SERIES]))
+""" + _indent(_INSIDE + _R) + "    if r < 0.25:   # the series, Horner in z = (pi r)^2\n"
+              + _indent(_SERIES, 2) + "    else:\n" + _indent(_CLOSED, 2)}
 
     def __init__(self, center: float, half_width: float):
         if not half_width > 0:
@@ -374,6 +397,12 @@ else:   # and NaN
     def knots(self):
         return (self.lo, self.c, self.hi)
 
+    def cuts(self):   # and the kernel's switch to the series, r = 1/4
+        return (self.lo, self.lo + 0.25 * self.s, self.hi)
+
+    def live_state(self, a: float) -> str:
+        return "closed" if a >= self.lo + 0.25 * self.s else "series"
+
 
 class _PwLinear:
     """Continuous piecewise-linear density through (xs[i], ys[i]). On segment k
@@ -382,7 +411,7 @@ class _PwLinear:
     at knot k + 1 (F's at most 1), which rounding could pass."""
 
     kind = "pw_linear"
-    _KERNEL = """\
+    _LINES = {"kernel": """\
 if x < {lo} or x > {hi}:
     F{i} = 0.0 if x < {lo} else 1.0
     f{i} = 0.0
@@ -399,7 +428,7 @@ else:   # on [lo, hi] f is its segment's line, lo included; NaN gives NaN
         F{i} = min({cum_mass}[k] + y0 * d + 0.5 * sl * d * d, {cum_mass}[k + 1])
         M{i} = {cum_pm}[k] + (y0 * (x * x - x0 * x0) / 2.0 + sl * d * d * (x0 / 2.0 + d / 3.0))
         M{i} = min(M{i}, {cum_pm}[k + 1])
-"""
+"""}
 
     def __init__(self, xs, ys):
         xs = np.asarray(xs, dtype=float)
@@ -462,10 +491,17 @@ else:   # on [lo, hi] f is its segment's line, lo included; NaN gives NaN
     def knots(self):
         return tuple(self.xs)
 
+    def cuts(self):
+        return (self.lo, self.hi)
+
+    def live_state(self, a: float) -> str:
+        return "kernel"
+
 
 _KERNEL_GLOBALS = {"__name__": __name__, "cos": math.cos, "sin": math.sin,
                    "bisect_right": bisect_right, "PI": math.pi, "PI2": _PI2}
 _KERNEL_CODE: dict[str, types.CodeType] = {}    # source -> its function's code
+_KERNEL_SHAPES: dict[tuple, tuple] = {}         # kernel_body's shape -> (lines, names)
 
 
 def compile_kernel(source: str, defaults) -> types.FunctionType:
@@ -591,22 +627,84 @@ class DistributionSpec:
             return out
         return self.kernel(float(x))[2]
 
-    def kernel_body(self, sums=("F", "f", "M"), first: int = 0) -> tuple[str, dict]:
+    @cached_property
+    def _part_values(self) -> tuple[dict, ...]:
+        """Each component's kernel parameters, its weight ``w`` first."""
+        return tuple({"w": w, **p._kernel_values()} for w, p in zip(self.weights, self.parts))
+
+    @cached_property
+    def kernel_pieces(self) -> tuple[list[float], list[tuple[float, float, tuple[str, ...]]]]:
+        """(cuts, pieces): the kernel's pieces. The cuts are the components'
+        edges and each cosine bump's switch to its series, sorted; x lies in
+        piece k = bisect_right(cuts, x). ``pieces[k - 1]``, 1 <= k < len(cuts),
+        is (lo, hi, states): the open interval (cuts[k - 1], cuts[k]) shrunk by
+        ``_ROW_MARGIN`` of the support top on each side, inside which no
+        rounding of x flips a branch of a component's lines, and each
+        component's state there: "below" (the component lies wholly below the
+        piece), "above", or the branch its lines take (``live_state``)."""
+        cuts = sorted({c for p in self.parts for c in p.cuts()})
+        margin = _ROW_MARGIN * self.support.hi
+        return cuts, [(a + margin, b - margin,
+                       tuple("below" if p.hi <= a else "above" if p.lo > a else p.live_state(a)
+                             for p in self.parts)) for a, b in zip(cuts, cuts[1:])]
+
+    def kernel_body(self, sums=("F", "f", "M"), first: int = 0,
+                    states: tuple[str, ...] | None = None) -> tuple[str, dict]:
         """(lines, params): body lines that set F, f and M at x under the names
         ``sums`` (F and f alone, with two names), and each parameter's value.
         Components are numbered from ``first``, so two laws' lines can share one
-        body. Each sum runs in component order from 0.0, as sum()."""
-        lines, params = [], {}
-        for i, (w, p) in enumerate(zip(self.weights, self.parts), first):
-            bound = {"w": w, **p._kernel_values()}
-            params.update((f"{key}{i}", value) for key, value in bound.items())
-            source = p._KERNEL.format(i=i, **{key: f"{key}{i}" for key in bound}).splitlines()
-            lines += [ln for ln in source
-                      if len(sums) == 3 or not ln.lstrip().startswith(f"M{i} =")]
-        terms = range(first, first + len(self.parts))
-        lines += [f"{total} = 0.0" + "".join(f" + w{i} * {t}{i}" for i in terms)
-                  for total, t in zip(sums, ("F", "f", "M"))]
-        return "".join(f"    {line}\n" for line in lines), params
+        body. Each sum runs in component order from 0.0, as sum().
+
+        ``states`` (one of ``kernel_pieces``) keeps each live component's branch
+        alone and folds the others into constants: F = 1, f = 0 and M = m_hi for
+        a component wholly below x, 0 for one wholly above. The weighted
+        constants before a sum's first live term are summed from 0.0 into
+        ``{sum}_head`` and a later one is added where its term stood; the
+        zeros, f's and those of components wholly above, are left out (a sum
+        run from 0.0 is never -0.0, so adding +0.0 moves no bit). At an x
+        where the states hold, every sum keeps the bits of the full lines'. The
+        lines and names depend only on the kinds, the states, ``sums`` and
+        ``first``, so each such shape is formatted once per process."""
+        states = states or ("kernel",) * len(self.parts)
+        key = (tuple(p.kind for p in self.parts), states, sums, first)
+        shape = _KERNEL_SHAPES.get(key)
+        build = shape is None          # then the names and lines follow the values
+        names, body, terms = [], [], {total: [] for total in sums}
+        folded = sums[::2]             # the sums a dead component adds to: F and M
+        values, heads, live = [], [], False
+        for i, (p, part, state) in enumerate(zip(self.parts, self._part_values, states), first):
+            if state == "above":
+                continue
+            if state == "below":
+                w = part["w"]
+                consts = (w * 1.0, w * part["m_hi"])[:len(folded)]
+                if not live:
+                    heads = [h + c for h, c in zip(heads or (0.0, 0.0), consts)]
+                    continue
+                values += consts
+                if build:
+                    for total in folded:
+                        names.append(f"{total}_c{i}")
+                        terms[total].append(f"{total}_c{i}")
+                continue
+            live = True
+            values += part.values()
+            if build:
+                names += [f"{k}{i}" for k in part]
+                source = p._LINES[state].format(i=i, **{k: f"{k}{i}" for k in part})
+                body += [ln for ln in source.splitlines()
+                         if len(sums) == 3 or not ln.lstrip().startswith(f"M{i} =")]
+                for total, t in zip(sums, "FfM"):
+                    terms[total].append(f"w{i} * {t}{i}")
+        values += heads
+        if build:
+            if heads:
+                names += [f"{total}_head" for total in folded]
+            body += [f"{total} = " + (f"{total}_head" if heads and total in folded else "0.0")
+                     + "".join(f" + {term}" for term in terms[total]) for total in sums]
+            shape = _KERNEL_SHAPES[key] = ("".join(f"    {ln}\n" for ln in body), tuple(names))
+        lines, names = shape
+        return lines, dict(zip(names, values))
 
     @cached_property
     def kernel(self):

@@ -31,10 +31,15 @@ and a solve from the same series-start node) and recompute the defect from the
 returned schedule. The rhs is generated per solve: the weak law's kernel lines
 at v, the band checks, then the strong law's kernel lines at b and its atom, as
 ``StrongBidLaw.eval3`` computes them, with no Python call but the weak law's
-domain check off its support. It and the stages, written out from the tableau,
-keep every floating-point operation of the separate cdf/pdf/partial_mean calls
-and of ``sum()`` over the tableau rows: the schedules are bit-identical to that
-form.
+domain check off its support. Each law's support is also cut into pieces at
+its components' edges and each cosine bump's series switch, and a step's calls
+all go to the rhs of the piece pair its start (v, b) lies in: there each law's
+lines hold only the components live in the piece, in the branch they take
+there, and the others are constants added where their terms stood. A call
+outside the piece pair falls back to the full rhs. The rhs and the stages,
+written out from the tableau, keep every floating-point operation of the
+separate cdf/pdf/partial_mean calls and of ``sum()`` over the tableau rows: the
+schedules are bit-identical to that form.
 
 ``verify_best_response`` checks the solved schedule against grid deviations of
 the reported value (and raw bids above b(v_bar)), which is the acceptance
@@ -70,7 +75,6 @@ __all__ = [
     "as_strong_law",
     "check_bid_ode",
     "check_weak_bidders",
-    "deviation_payoff",
     "initial_bid_ratio",
     "raw_bid_payoff",
     "solve_ode",
@@ -182,7 +186,8 @@ class StrongBidLaw:
 
     def eval3(self, b: float) -> tuple[float, float, float]:
         """(cdf, pdf, partial_mean) at a scalar bid b >= 0: the kernel plus the atom.
-        The bid-ODE rhs (``_rhs_factory``) writes out the same lines."""
+        The bid-ODE rhs (``_rhs_factory``) writes out the same lines, and the rhs
+        of each piece of the support the lines of the components live there."""
         c, p, m = self.dist.kernel(b)
         z = self.zero_bid_prob
         s = 1.0 - z  # self.atom and self.scale, without the property calls
@@ -411,11 +416,10 @@ class _OutOfBand(Exception):
 
 _RHS_SOURCE = """\
 def rhs(x, b, {params}):
-{weak}\
+{guard}{weak}\
     if F <= 0.0 or x <= 0.0:
         raise OutOfBand
-    if x < v_lo or x > v_hi:
-        check_domain(x)
+{domain}\
     v, x = x, b
 {strong}\
     Gb = atom + scale * G
@@ -426,21 +430,70 @@ def rhs(x, b, {params}):
         raise OutOfBand
     return nm1 * (f / F) * (Gb / gb) * (v - m) / (b - v)
 """
+_FULL_RHS = {"guard": "", "domain": "    if x < v_lo or x > v_hi:\n        check_domain(x)\n"}
+_PIECE_RHS = {"guard": "    if not (p_lo < b < p_hi and q_lo < x < q_hi):\n        return full(x, b)\n",
+              "domain": ""}
+_RHS_SOURCES: dict[tuple, str] = {}   # (weak lines, strong lines, parameters) -> source
 
 
-def _rhs_factory(weak: DistributionSpec, law: StrongBidLaw, n_weak: int):
+def _rhs_factory(weak: DistributionSpec, law: StrongBidLaw, n_weak: int, piece=None):
     """H as one generated function rhs(v, b): the weak law's F and f lines at x = v,
     the band checks ([v_lo, v_hi] is weak.pdf's domain), then the strong law's G, g
     and M lines at x = b (its components numbered after the weak law's) and the
-    atom, as ``law.eval3`` computes them."""
-    weak_body, params = weak.kernel_body(("F", "f"))
-    strong_body, strong_params = law.dist.kernel_body(("G", "g", "M"), len(weak.parts))
-    params.update(strong_params, nm1=float(n_weak - 1), atom=law.zero_bid_prob,
-                  scale=1.0 - law.zero_bid_prob, check_domain=weak._check_domain_s,
-                  OutOfBand=_OutOfBand, v_lo=weak.support.lo - 1e-12,
-                  v_hi=weak.support.hi + 1e-12)
-    source = _RHS_SOURCE.format(params=", ".join(params), weak=weak_body, strong=strong_body)
+    atom, as ``law.eval3`` computes them.
+
+    ``piece`` = (guard, weak states, strong states) makes the rhs of one piece
+    (``_piece_steppers``): each law's lines in those states (``kernel_body``),
+    and no domain check, as the piece lies inside the weak support. Its guard
+    hands any (v, b) outside p_lo < b < p_hi, q_lo < v < q_hi (and NaN) to
+    ``full``, so that every call keeps the full rhs's bits. The source depends
+    only on the laws' kinds and the states: every number is a parameter."""
+    guard, weak_states, strong_states = piece or ({}, None, None)
+    weak_body, weak_params = weak.kernel_body(("F", "f"), 0, weak_states)
+    strong_body, strong_params = law.dist.kernel_body(("G", "g", "M"), len(weak.parts),
+                                                      strong_states)
+    params = {**guard, **weak_params, **strong_params, "nm1": float(n_weak - 1),
+              "atom": law.zero_bid_prob, "scale": 1.0 - law.zero_bid_prob,
+              "OutOfBand": _OutOfBand}
+    if piece is None:
+        params.update(check_domain=weak._check_domain_s, v_lo=weak.support.lo - 1e-12,
+                      v_hi=weak.support.hi + 1e-12)
+    key = (weak_body, strong_body, tuple(params))
+    source = _RHS_SOURCES.get(key)
+    if source is None:
+        source = _RHS_SOURCES[key] = _RHS_SOURCE.format(
+            params=", ".join(params), weak=weak_body, strong=strong_body,
+            **(_FULL_RHS if piece is None else _PIECE_RHS))
     return compile_kernel(source, params.values())
+
+
+def _piece_steppers(weak: DistributionSpec, law: StrongBidLaw, n_weak: int, full):
+    """at(v, b) -> (rhs, attempt, dense) for a step that starts at (v, b).
+
+    The rhs is that of the piece pair (``kernel_pieces``: the strong law's at b,
+    the weak law's at v) the start lies in, built on first use: it evaluates
+    only the components live in the pieces, in the branch they take there. A
+    step's calls all go through it, and a call outside the shrunk pieces falls
+    back to ``full``. Beyond the outer cuts of either law a step takes ``full``
+    itself."""
+    b_cuts, b_pieces = law.dist.kernel_pieces
+    v_cuts, v_pieces = weak.kernel_pieces
+    steppers = {}
+
+    def at(v: float, b: float):
+        key = (bisect_right(b_cuts, b), bisect_right(v_cuts, v))
+        stepper = steppers.get(key)
+        if stepper is None:
+            i, j = key
+            rhs = full
+            if 0 < i < len(b_cuts) and 0 < j < len(v_cuts):
+                (p_lo, p_hi, b_states), (q_lo, q_hi, v_states) = b_pieces[i - 1], v_pieces[j - 1]
+                guard = {"p_lo": p_lo, "p_hi": p_hi, "q_lo": q_lo, "q_hi": q_hi, "full": full}
+                rhs = _rhs_factory(weak, law, n_weak, (guard, v_states, b_states))
+            stepper = steppers[key] = (rhs, *_dop853(rhs))
+        return stepper
+
+    return at
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +670,7 @@ def solve_ode(
 
     v_bar = weak.support.hi
     rhs = _rhs_factory(weak, law, n_weak)
-    attempt, dense = _dop853(rhs)
+    stepper_at = _piece_steppers(weak, law, n_weak, rhs)
     v0, b0, slope0 = _series_start(weak, law, n_weak, opts.v0_fraction)
 
     # the floor follows v0 too: from an atom start at v0 = 1e-10 the sqrt(v)
@@ -640,6 +693,7 @@ def solve_ode(
     b_knots, v_knots = law.dist.interior_knots(), weak.interior_knots()
     v, b = v0, b0
     k1 = ks[-1]
+    step_rhs, attempt, dense = stepper_at(v, b)
     h = v0
     n_error = n_band = n_defect = 0
     min_h, min_h_v = math.inf, v0
@@ -686,12 +740,12 @@ def solve_ode(
                 continue
             j = bisect_right(v_knots, v)
             crossed += [(x - v) / h for x in v_knots[j:bisect_right(v_knots, v + h)]]
-            k_end = rhs(v + h, b8)
+            k_end = step_rhs(v + h, b8)
             bump = dense(v, b, h, stages + (k_end,))
-            defect = _defect_bound(rhs, v, b, b8, k1, k_end, h, bump)
+            defect = _defect_bound(step_rhs, v, b, b8, k1, k_end, h, bump)
             if crossed:
                 points = _KNOT_POINTS + tuple(_basis(th) for th in crossed)
-                defect = _worst_defect(rhs, v, b, b8, k1, k_end, h, bump, points, defect)
+                defect = _worst_defect(step_rhs, v, b, b8, k1, k_end, h, bump, points, defect)
         except (_OutOfBand, OverflowError, ZeroDivisionError):
             n_band += 1
             gate = "band"
@@ -726,6 +780,7 @@ def solve_ode(
         ks.append(k_end)
         es.append(bump)
         v, b, k1 = v + h, b8, k_end
+        step_rhs, attempt, dense = stepper_at(v, b)
         h *= min(1.0 if gate else 5.0, ratio)
         gate, retries = None, 0
 
@@ -807,24 +862,9 @@ def _worst_defect(rhs, v, b0, b1, k0, k1, h, bump, points, worst: float) -> floa
 # ---------------------------------------------------------------------------
 
 
-def deviation_payoff(v_true, v_report, bid: BidFunction, weak: DistributionSpec,
-                     strong, n_weak: int):
-    """Expected payoff of a weak bidder of value v reporting v_report.
-
-    pi(r | v) = F(r)^(N-1) * integral over [0, b(r)] of (v - s) dG(s),
-    with the inner integral in closed form v*G(b) - M(b).
-    """
-    law = as_strong_law(strong)
-    r = np.asarray(v_report, dtype=float)
-    v = np.asarray(v_true, dtype=float)
-    b = bid(r)
-    win1 = weak.cdf(r) ** (n_weak - 1)
-    out = win1 * (v * law.cdf(b) - law.partial_mean(b))
-    return float(out) if out.ndim == 0 else out
-
-
 def raw_bid_payoff(v_true, raw_bid, weak: DistributionSpec, strong, n_weak: int):
-    """Payoff of bidding above the top of the schedule (first stage won surely)."""
+    """Payoff v G(b) - M(b) of bid b to a weak bidder of value v who has won the
+    first stage, as one who bids above the top of the schedule surely does."""
     law = as_strong_law(strong)
     b = np.asarray(raw_bid, dtype=float)
     v = np.asarray(v_true, dtype=float)
@@ -839,26 +879,33 @@ _BR_RAW_BIDS = 16     # raw bids above b(v_bar), up to the strong support top
 
 def verify_best_response(bid: BidFunction, weak: DistributionSpec, strong,
                          n_weak: int) -> BestResponseReport:
-    """Max regret of the schedule against reported-value and raw-bid deviations."""
-    law = as_strong_law(strong)
-    v_bar = weak.support.hi
-    v_grid = np.linspace(v_bar / _BR_VALUES, v_bar, _BR_VALUES)
-    dev_grid = np.linspace(0.0, v_bar, _BR_REPORTS)
+    """Max regret of the schedule against reported-value and raw-bid deviations.
 
-    pi = deviation_payoff(v_grid[:, None], dev_grid, bid, weak, law, n_weak)
-    pi_eq = deviation_payoff(v_grid, v_grid, bid, weak, law, n_weak)
+    Reporting r pays pi(r | v) = F(r)^(N-1) (v G(b(r)) - M(b(r))), the integral
+    of (v - s) dG(s) over [0, b(r)] in closed form, and a raw bid b above the
+    top of the schedule v G(b) - M(b) (``raw_bid_payoff``). Each law is
+    evaluated once, over every report, bid and raw bid."""
+    law = as_strong_law(strong)
+    v_grid = np.linspace(weak.support.hi / _BR_VALUES, weak.support.hi, _BR_VALUES)
+    dev_grid = np.linspace(0.0, weak.support.hi, _BR_REPORTS)
+    # raw bids above the top of the schedule (win the first stage outright)
+    raws = np.linspace(bid.b_top, law.hi, _BR_RAW_BIDS + 1)[1:] if law.hi > bid.b_top \
+        else np.empty(0)
+    reports = np.concatenate([dev_grid, v_grid])
+    pay = raw_bid_payoff(v_grid[:, None], np.concatenate([bid(reports), raws]), weak, law,
+                         n_weak)
+    win1 = weak.cdf(reports) ** (n_weak - 1)
+    d, e = dev_grid.size, reports.size
+    pi = win1[:d] * pay[:, :d]
+    pi_eq = win1[d:] * np.diagonal(pay[:, d:e])
 
     regret = pi - pi_eq[:, None]
     i, j = np.unravel_index(np.argmax(regret), regret.shape)
     max_regret = float(regret[i, j])
     worst = (float(v_grid[i]), float(dev_grid[j]))
 
-    # raw bids above the top of the schedule (win the first stage outright)
-    top = bid.b_top
-    if law.hi > top:
-        raws = np.linspace(top, law.hi, _BR_RAW_BIDS + 1)[1:]
-        pi_raw = raw_bid_payoff(v_grid[:, None], raws, weak, law, n_weak)
-        raw_regret = pi_raw - pi_eq[:, None]
+    if raws.size:
+        raw_regret = pay[:, e:] - pi_eq[:, None]
         ri, rj = np.unravel_index(np.argmax(raw_regret), raw_regret.shape)
         if float(raw_regret[ri, rj]) > max_regret:
             max_regret = float(raw_regret[ri, rj])

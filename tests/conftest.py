@@ -37,6 +37,20 @@ def to_json_dict(d) -> dict:
             "support": [d.support.lo, d.support.hi]}
 
 
+def deviation_payoff(v_true, v_report, bid, weak, strong, n_weak: int):
+    """Expected payoff of a weak bidder of value v reporting v_report.
+
+    pi(r | v) = F(r)^(N-1) * integral over [0, b(r)] of (v - s) dG(s),
+    with the inner integral in closed form v*G(b) - M(b)."""
+    law = eq.as_strong_law(strong)
+    r = np.asarray(v_report, dtype=float)
+    v = np.asarray(v_true, dtype=float)
+    b = bid(r)
+    win1 = weak.cdf(r) ** (n_weak - 1)
+    out = win1 * (v * law.cdf(b) - law.partial_mean(b))
+    return float(out) if out.ndim == 0 else out
+
+
 def bid_ode_rhs(b: float, v: float, weak, strong, n_weak: int) -> float:
     """Equilibrium bid slope H(b, v) through the solver's own right-hand side;
     EquilibriumError outside the open band v < b < m^-1(v) or for v outside

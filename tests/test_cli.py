@@ -341,6 +341,42 @@ def test_run_meta_reports_draws_per_second(tmp_path, command, stem, overrides):
     assert math.isfinite(meta["draws_per_s"]) and meta["draws_per_s"] > 0
     assert "draws_per_s" not in json.loads(next(out.glob(f"{stem}.*.json")).read_text())
 
+
+@pytest.mark.parametrize("command, overrides, solves", [
+    ("solve", {}, True),
+    ("verify", {}, True),
+    ("simulate", {"mechanism": {"kind": "ta"}}, True),
+    ("simulate", {"mechanism": {"kind": "ta_intervention", "intervention_p": 0.6}}, True),
+    ("simulate", {"mechanism": {"kind": "sa"}}, False),
+])
+def test_run_meta_reports_solve_seconds(tmp_path, command, overrides, solves):
+    # the wall time inside solve_ode goes to run_meta, never to a result body
+    path = write_config(tmp_path, base_config(**overrides))
+    out = tmp_path / "out"
+    assert run([command, "--config", path, "--out-dir", str(out)]) == 0
+    meta = json.loads(next(out.glob("run_meta.*.json")).read_text())
+    if solves:
+        assert math.isfinite(meta["solve_s"]) and 0.0 < meta["solve_s"] <= meta["wall_time_s"]
+    else:
+        assert "solve_s" not in meta
+    bodies = [p for p in out.glob("*.json") if not p.name.startswith("run_meta")]
+    assert bodies and all("solve_s" not in json.loads(p.read_text()) for p in bodies)
+
+
+def test_report_renders_run_meta(tmp_path, capsys):
+    path = write_config(tmp_path, base_config(mechanism={"kind": "ta"}, mc={"n": 1000, "seed": 3}))
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", path, "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    meta_path = next(out.glob("run_meta.*.json"))
+    meta = json.loads(meta_path.read_text())
+    assert run(["report", str(meta_path)]) == 0
+    text = capsys.readouterr().out
+    assert "command: simulate" in text
+    assert f"wall time: {meta['wall_time_s']:.3g} s" in text
+    assert f"solve time: {meta['solve_s']:.3g} s" in text
+    assert f"draws per second: {meta['draws_per_s']:.4g}" in text
+
 def test_sweep_deterministic(tmp_path):
     cfg = base_config(
         strong={"family": {"kind": "slow_drain", "k": 2.0, "w_bar": 2.5, "size": 2}},

@@ -17,7 +17,6 @@ from talab.equilibrium import (
     SolveOptions,
     StrongBidLaw,
     as_strong_law,
-    deviation_payoff,
     initial_bid_ratio,
     raw_bid_payoff,
     solve_ode,
@@ -26,7 +25,7 @@ from talab.equilibrium import (
 from talab.mechanisms import AuctionSpec, DiscreteAtomSpec, MechanismError
 from talab.sequences import make_family
 
-from conftest import (GATE_THETAS, bid_ode_rhs, piecewise_linear,
+from conftest import (GATE_THETAS, bid_ode_rhs, deviation_payoff, piecewise_linear,
                       schedule_defects, schedule_ppoly)
 
 
@@ -210,9 +209,10 @@ def test_underflow_after_accepted_step_names_no_gate(u01, u02, monkeypatch):
     # next is accepted with an error estimate |h e5| just under its bound, so
     # the controller shrinks h by 0.9, below h_min, with no rejection since
     real_stepper = eq._dop853
+    calls = []   # over every piece's stepper
 
     def stepper(rhs):
-        (attempt, dense), calls = real_stepper(rhs), []
+        attempt, dense = real_stepper(rhs)
 
         def wrapped(v, b, h, k1):
             calls.append(h)
@@ -228,6 +228,7 @@ def test_underflow_after_accepted_step_names_no_gate(u01, u02, monkeypatch):
         solve_ode(u01, u02, 2, SolveOptions(v0_fraction=1.72e-8))
     report = err.value.report
     assert (report.accepted_steps, report.rejected_band) == (1, 14)
+    assert len(calls) == 15
 
 
 def _perturbed_worst_interval(u01, l, shape):
@@ -439,19 +440,32 @@ def test_step_floor_follows_v0(u01):
 DP5_COUNTS = {"slow_drain": (7414, 70464), "smoothed_discrete": (2159, 20614)}
 
 
+# DOP853's rhs calls on the same solves. A call a piece hands to the full rhs
+# counts once, so these are also the calls of a solve that steps with the full
+# rhs alone: the pieces change no step
+DOP853_CALLS = {"slow_drain": 56779, "smoothed_discrete": 15862}
+
+
 @pytest.mark.parametrize("kind", sorted(DP5_COUNTS))
 def test_step_budget(u01, kind, monkeypatch):
     # DOP853 takes at most half the steps and 0.85 x the rhs calls of the
-    # stepper it replaced (DOP853 makes 56,779 and 15,862)
-    calls = [0]
+    # stepper it replaced. Every call a solve makes counts once, whether it
+    # goes to a piece's rhs or to the full one; a piece's fallback to the full
+    # rhs is the same call
+    calls = {"full": 0, "piece": 0, "fallback": 0}
+    depth = [0]
     factory = eq._rhs_factory
 
-    def counted_factory(*args):
-        built = factory(*args)
+    def counted_factory(weak, law, n_weak, piece=None):
+        built = factory(weak, law, n_weak, piece)
 
         def counted(v, b):
-            calls[0] += 1
-            return built(v, b)
+            calls["fallback" if depth[0] else "full" if piece is None else "piece"] += 1
+            depth[0] += 1
+            try:
+                return built(v, b)
+            finally:
+                depth[0] -= 1
 
         return counted
 
@@ -460,8 +474,12 @@ def test_step_budget(u01, kind, monkeypatch):
     steps = sum(solve_ode(u01, StrongBidLaw(fam.member(l), zero), n)[1].accepted_steps
                 for l in (1, 4, 8) for n in (2, 5) for zero in (0.0, 0.25))
     dp5_steps, dp5_calls = DP5_COUNTS[kind]
+    total = calls["full"] + calls["piece"]
     assert steps <= 0.5 * dp5_steps, steps
-    assert calls[0] <= 0.85 * dp5_calls, calls[0]
+    assert total <= 0.85 * dp5_calls, calls
+    assert total == DOP853_CALLS[kind], calls
+    # the series starts' calls go to the full rhs, nearly all others to pieces
+    assert calls["full"] == 12 and calls["fallback"] < 0.1 * calls["piece"], calls
 
 
 def test_solution_extends_to_top(u01, bump_member):

@@ -32,7 +32,7 @@ from talab import dist, equilibrium
 from talab.equilibrium import StrongBidLaw, solve_ode
 from talab.sequences import make_family
 
-from conftest import piecewise_linear
+from conftest import deviation_payoff, piecewise_linear
 
 
 def bits(x: float) -> bytes:
@@ -131,7 +131,8 @@ def ref_eval3(law, b):
     return z + s * c, s * p, s * m
 
 
-def ref_rhs_factory(weak, law, n_weak):
+def ref_rhs_factory(weak, law, n_weak, piece=None):
+    """The reference rhs, which serves a piece's calls too (``piece`` unread)."""
     nm1 = float(n_weak - 1)
     weak_sweep = _ref_sweep(weak)
     v_lo, v_hi = weak.support.lo - 1e-12, weak.support.hi + 1e-12
@@ -428,16 +429,26 @@ def test_solves_match_reference_rhs(monkeypatch):
         return out
 
     generated = solve_all()
-    monkeypatch.setattr(equilibrium, "_rhs_factory", ref_rhs_factory)
+    built = {"full": 0, "piece": 0}
+
+    def reference(weak, law, n_weak, piece=None):
+        built["full" if piece is None else "piece"] += 1
+        return ref_rhs_factory(weak, law, n_weak)
+
+    # the reference serves every call: the full rhs's and each piece's
+    monkeypatch.setattr(equilibrium, "_rhs_factory", reference)
     assert solve_all() == generated
+    assert built["full"] == len(_solve_cases()) and built["piece"] > built["full"], built
 
 
 def test_rhs_makes_no_eval3_or_kernel_call(monkeypatch):
-    # the strong law's lines are written into the rhs: inside an rhs call no
-    # StrongBidLaw.eval3 runs and no law's kernel is fetched (outside one, the
-    # series start takes the strong law's mean below b0 through eval3)
-    calls = {"rhs": 0, "inside": 0, "outside": 0}
-    active = [False]
+    # the strong law's lines are written into the rhs and into each piece's:
+    # inside an rhs call, a piece's or the full one (a piece's fallback
+    # included), no StrongBidLaw.eval3 runs and no law's kernel is fetched
+    # (outside one, the series start takes the strong law's mean below b0
+    # through eval3)
+    calls = {"rhs": 0, "piece": 0, "inside": 0, "outside": 0}
+    active = [0]
     eval3, kernel = StrongBidLaw.eval3, dist.DistributionSpec.kernel.func
 
     def count():
@@ -455,23 +466,204 @@ def test_rhs_makes_no_eval3_or_kernel_call(monkeypatch):
     monkeypatch.setattr(dist.DistributionSpec, "kernel", property(counting_kernel))
     factory = equilibrium._rhs_factory
 
-    def counted_factory(*args):
-        built = factory(*args)
+    def counted_factory(weak, law, n_weak, piece=None):
+        built = factory(weak, law, n_weak, piece)
 
         def counted(v, b):
-            calls["rhs"] += 1
-            active[0] = True
+            calls["rhs" if piece is None else "piece"] += 1
+            active[0] += 1
             try:
                 return built(v, b)
             finally:
-                active[0] = False
+                active[0] -= 1
 
         return counted
 
     monkeypatch.setattr(equilibrium, "_rhs_factory", counted_factory)
     weak, law, n = _solve_cases()[3]
     solve_ode(weak, law, n)
-    assert calls["rhs"] > 1000 and calls["outside"] > 0 and calls["inside"] == 0, calls
+    assert calls["piece"] > 1000 and calls["rhs"] > 0, calls
+    assert calls["outside"] > 0 and calls["inside"] == 0, calls
+
+
+def ref_verify_best_response(bid, weak, strong, n_weak):
+    """verify_best_response as it was before it evaluated each law once over
+    all its points: one deviation_payoff (conftest) or raw_bid_payoff
+    call per grid."""
+    eq = equilibrium
+    law = eq.as_strong_law(strong)
+    v_bar = weak.support.hi
+    v_grid = np.linspace(v_bar / eq._BR_VALUES, v_bar, eq._BR_VALUES)
+    dev_grid = np.linspace(0.0, v_bar, eq._BR_REPORTS)
+    pi = deviation_payoff(v_grid[:, None], dev_grid, bid, weak, law, n_weak)
+    pi_eq = deviation_payoff(v_grid, v_grid, bid, weak, law, n_weak)
+    regret = pi - pi_eq[:, None]
+    i, j = np.unravel_index(np.argmax(regret), regret.shape)
+    max_regret = float(regret[i, j])
+    worst = (float(v_grid[i]), float(dev_grid[j]))
+    top = bid.b_top
+    if law.hi > top:
+        raws = np.linspace(top, law.hi, eq._BR_RAW_BIDS + 1)[1:]
+        pi_raw = eq.raw_bid_payoff(v_grid[:, None], raws, weak, law, n_weak)
+        raw_regret = pi_raw - pi_eq[:, None]
+        ri, rj = np.unravel_index(np.argmax(raw_regret), raw_regret.shape)
+        if float(raw_regret[ri, rj]) > max_regret:
+            max_regret = float(raw_regret[ri, rj])
+            worst = (float(v_grid[ri]), float(raws[rj]))
+    arg = np.argmax(pi, axis=1)
+    nearest = np.searchsorted(dev_grid, v_grid)
+    nearest = np.clip(nearest, 1, dev_grid.size - 1)
+    nearest = np.where(
+        np.abs(dev_grid[nearest - 1] - v_grid) <= np.abs(dev_grid[nearest] - v_grid),
+        nearest - 1,
+        nearest,
+    )
+    return eq.BestResponseReport(max_regret=max(max_regret, 0.0), worst_pair=worst,
+                                 grid_shape=(v_grid.size, dev_grid.size),
+                                 max_argmax_offset=int(np.max(np.abs(arg - nearest))))
+
+
+def test_best_response_matches_separate_calls():
+    # one cdf and partial_mean call over all the points gives the report of
+    # the per-grid calls, field for field and max_regret bit for bit; the
+    # cases include schedules that end below the strong support top (raw bids)
+    raw = 0
+    for weak, law, n in _solve_cases():
+        bid, _ = solve_ode(weak, law, n)
+        got, want = equilibrium.verify_best_response(bid, weak, law, n), \
+            ref_verify_best_response(bid, weak, law, n)
+        assert got == want and got.max_regret.hex() == want.max_regret.hex(), (law, n)
+        assert [bits(x) for x in got.worst_pair] == [bits(x) for x in want.worst_pair]
+        raw += law.hi > bid.b_top
+    assert raw > 0
+
+
+# ---------------------------------------------------------------------------
+# the pieces: each piece's lines and rhs against the full kernel and rhs
+# ---------------------------------------------------------------------------
+
+
+def _piece_laws(kind):
+    if kind == "every_kind":
+        return {kind: _strong_laws()[kind]}
+    return {f"{kind}[{l}]": member
+            for l, member in enumerate(make_family(kind, k=2.0, w_bar=2.5, size=12).members(), 1)}
+
+
+# U[0, 2.5] reaches the strong support top, so that bids in and above the atom
+# have values in the band below them
+_PIECE_WEAK = {"u01": dist.uniform(0.0, 1.0), "mixture": _solve_cases()[-1][0],
+               "u025": dist.uniform(0.0, 2.5)}
+
+
+def _piece_ends(law, k):
+    """The ends of piece k of the law's kernel, inside which it claims its states."""
+    return law.kernel_pieces[1][k - 1][:2]
+
+
+def _inner_ulps(lo, hi, count=3):
+    """The first ``count`` floats inside (lo, hi) from each end."""
+    xs, a, b = [], lo, hi
+    for _ in range(count):
+        a, b = math.nextafter(a, math.inf), math.nextafter(b, -math.inf)
+        xs += [x for x in (a, b) if lo < x < hi]
+    return xs
+
+
+def _marks(law):
+    """Each component's edges and each bump's r = 1/4 point, and their float neighbours."""
+    xs = []
+    for p in law.parts:
+        marks = [p.lo, p.hi] + ([p.lo + 0.25 * p.s] if p.kind == "cosine_bump" else [])
+        for x in marks:
+            xs += [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]
+    return xs
+
+
+def _piece_points(law, k, rng):
+    """Random points inside piece k, its ends, every mark, NaN and the
+    midpoints of the pieces beside it (or points beyond the outer cuts)."""
+    lo, hi = _piece_ends(law, k)
+    cuts, _ = law.kernel_pieces
+    outside = [0.5 * (cuts[k - 2] + cuts[k - 1]) if k > 1 else cuts[0] - 0.1,
+               0.5 * (cuts[k] + cuts[k + 1]) if k + 1 < len(cuts) else cuts[-1] + 0.1]
+    inside = rng.uniform(lo, hi, 6).tolist() + _inner_ulps(lo, hi) if lo < hi else []
+    return inside + [lo, hi] + _marks(law) + [math.nan] + outside
+
+
+def _outcome(rhs, v, b):
+    try:
+        return bits(rhs(v, b))
+    except equilibrium._OutOfBand:
+        return "out of band"
+    except (ZeroDivisionError, OverflowError, dist.DistributionError) as exc:
+        return type(exc).__name__
+
+
+def _piece_kernel(law, states):
+    body, params = law.kernel_body(("F", "f", "M"), 0, states)
+    return dist.compile_kernel(f"def piece(x, {', '.join(params)}):\n{body}"
+                               "    return F, f, M\n", params.values())
+
+
+# the lower edge of cosine_bump(0.3, 0.24) rounds below c - s: one and two ulps
+# above it the kernel still takes its t <= -1 branch, which a piece without its
+# margin would not
+@pytest.mark.parametrize("law", [*_PIECE_WEAK.values(), _strong_laws()["every_kind"],
+                                 dist.cosine_bump(0.3, 0.24), *_piece_laws("slow_drain").values()])
+def test_piece_lines_match_kernel_bitwise(law):
+    # inside each piece, at random points and the floats next to its ends, the
+    # lines of its states give the kernel's F, f and M
+    rng = np.random.default_rng(3)
+    for k, (lo, hi, states) in enumerate(law.kernel_pieces[1], 1):
+        piece = _piece_kernel(law, states)
+        for x in rng.uniform(lo, hi, 40).tolist() + _inner_ulps(lo, hi):
+            assert _same(piece(x), law.kernel(x)), (k, states, x)
+
+
+@pytest.mark.parametrize("zero_bid_prob", [0.0, 0.25])
+@pytest.mark.parametrize("kind", ["slow_drain", "smoothed_discrete", "fast_drain",
+                                  "split_atom", "every_kind"])
+def test_piece_rhs_matches_full_rhs_bitwise(kind, zero_bid_prob):
+    # each piece's rhs, as a step takes it, against the full rhs at points inside
+    # the piece pair (each with a partner in the band where one exists), at its
+    # ends, at every mark of either law and its neighbours, at NaN and outside
+    # the pair, where the piece falls back to the full rhs: the same value, bit
+    # for bit, or the same exception
+    rng = np.random.default_rng(len(kind))
+    seen = {"pieces": 0, "values": 0, "calls": 0}
+    for name, member in _piece_laws(kind).items():
+        law = StrongBidLaw(member, zero_bid_prob)
+        b_cuts, _ = member.kernel_pieces
+        for weak_name, weak in _PIECE_WEAK.items():
+            full = equilibrium._rhs_factory(weak, law, 3)
+            at = equilibrium._piece_steppers(weak, law, 3, full)
+            v_cuts, _ = weak.kernel_pieces
+            for i in range(1, len(b_cuts)):
+                p_lo, p_hi = _piece_ends(member, i)
+                for j in range(1, len(v_cuts)):
+                    q_lo, q_hi = _piece_ends(weak, j)
+                    rhs = at(0.5 * (v_cuts[j - 1] + v_cuts[j]), 0.5 * (b_cuts[i - 1] + b_cuts[i]))[0]
+                    assert rhs is not full
+                    seen["pieces"] += 1
+                    pairs = []
+                    for b in _piece_points(member, i, rng):
+                        vs = rng.uniform(q_lo, q_hi, 2).tolist()
+                        if b == b and b > 0.0:   # and v in the band below it
+                            lo, hi = max(law.mean_below(min(b, member.support.hi)), q_lo), min(b, q_hi)
+                            vs += [0.5 * (lo + hi)] if lo < hi else []
+                        pairs += [(v, b) for v in vs]
+                    for v in _piece_points(weak, j, rng):   # b just above v is in the band
+                        lo = max(v, p_lo) if v == v else p_lo
+                        if lo < p_hi:
+                            pairs += [(v, lo + u * (p_hi - lo)) for u in (1e-3, rng.uniform())]
+                    for v, b in pairs:
+                        got = _outcome(rhs, v, b)
+                        assert got == _outcome(full, v, b), (name, weak_name, i, j, v, b)
+                        seen["values"] += isinstance(got, bytes)
+                        seen["calls"] += 1
+    # the pairs reach the band: a good share of them compare values, not exceptions
+    assert seen["values"] > 0.1 * seen["calls"], seen
 
 
 def _float_literals(source: str) -> set[float]:
@@ -507,6 +699,34 @@ def test_kernel_source_is_readable_with_numbers_bound():
     with pytest.raises(dist.DistributionError) as info:
         rhs(1.5, 1.8)
     assert "check_domain(x)" in "".join(traceback.format_exception(info.value))
+
+
+def test_piece_source_depends_on_shape_only():
+    # a piece's rhs holds only its live components' branches, and no literal
+    # the full rhs lacks (which holds no law's number, as
+    # test_kernel_source_is_readable_with_numbers_bound checks), so
+    # it is compiled once per shape: two members of a family share the code
+    # of each piece their states agree on
+    weak = dist.uniform(0.0, 1.0)
+    fam = make_family("slow_drain", k=2.0, w_bar=2.5, size=8)
+    codes = []
+    for l in (3, 6):
+        member = fam.member(l)
+        law = StrongBidLaw(member, 0.23)
+        at = equilibrium._piece_steppers(weak, law, 2, equilibrium._rhs_factory(weak, law, 2))
+        full = _float_literals(inspect.getsource(equilibrium._rhs_factory(weak, law, 2)))
+        pieces = {}
+        for k, (lo, hi, states) in enumerate(member.kernel_pieces[1], 1):
+            rhs = at(0.5, 0.5 * (lo + hi))[0]
+            source = inspect.getsource(rhs)
+            assert "return full(x, b)" in source and "check_domain" not in source
+            assert _float_literals(source) <= full, k
+            assert source.count("t = (x - c") == states.count("series") + states.count("closed")
+            assert ("sin(u)" in source) == ("closed" in states)
+            pieces[states] = rhs.__code__
+        codes.append(pieces)
+    shared = codes[0].keys() & codes[1].keys()
+    assert shared and all(codes[0][key] is codes[1][key] for key in shared)
 
 
 def test_law_pickles_after_its_kernel_is_built():
