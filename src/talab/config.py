@@ -117,7 +117,7 @@ KEYS = {
     "solver.residual_tolerance": Key(float, lo=1e-14),
     "mc": Key(dict),
     "mc.n": Key(int, lo=1, default=100_000, fills="mc_n"),
-    # the Philox key; sweep row l keys seed + l
+    # the Philox key; sweep row l keys seed * 2^64 + l
     "mc.seed": Key(int, lo=0, hi=2**64, default=0, fills="mc_seed"),
     "sweep": Key(dict),
     "sweep.prop": Key(required=True, fills="sweep_prop"),

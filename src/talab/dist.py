@@ -23,16 +23,17 @@ closed forms.
 
 The lab needs numpy only: importing or running it loads no scipy module.
 
-A scalar goes through the law's ``kernel(x) -> (F, f, M)``, one generated
-straight-line function: its components' source lines (each kind states F, f and
-M once: one sin and one cos per bump, one segment search per piecewise-linear
-density), then their weighted sums in component order. It is compiled once per
-sequence of kinds, the law's numbers bound as default arguments. Arrays go
-through ``cdf_v``/``pdf_v``/``pm_v``. Between the cuts of ``kernel_pieces``
-(the components' edges and each bump's switch to its edge series) every
-component takes one branch of its lines, or lies wholly above or below x;
-``kernel_body`` writes a piece's lines with each live component's branch alone
-and the others folded into constants, for the bid-ODE rhs.
+Each kind states F, f and M once, as one source text per branch (one sin and
+one cos per bump, one segment search per piecewise-linear density). A scalar
+goes through the law's ``kernel(x) -> (F, f, M)``: its components' lines, then
+their weighted sums in component order, compiled once per sequence of kinds
+with the law's numbers bound as default arguments. Between the cuts of
+``kernel_pieces`` (the components' edges and each bump's switch to its edge
+series) each component takes one branch or lies wholly above or below x, and
+``kernel_body`` writes a piece's lines: for floats (the bid-ODE rhs) or for
+arrays. An array's points inside a piece run its array lines, and the rest
+(near a cut, beyond the support, NaN) the scalar kernel, so vector and scalar
+F, f and M agree bit for bit.
 
 Supported kinds: ``uniform``, ``cosine_bump`` (raised-cosine bump, C^1
 everywhere), ``pw_linear`` (piecewise-linear density) and flat ``mixture`` of
@@ -53,14 +54,12 @@ and f (Devroye, *Non-Uniform Random Variate Generation*, 1986, section 2.2):
   still open after a few steps (flat stretches, density edges) finish by
   bisection inside their bracket, which keeps the leftmost-x contract.
 
-The iterations never leave a level's row, and each component lies wholly
-below, wholly above or partly inside each row. So the levels are grouped by
-row kind, and F and f sum only the components live in the row: one wholly
-below adds its constant, one wholly above nothing, in the component order of
-``cdf`` and ``pdf``, so every sum keeps its bits. A Newton round sums F and f
-in one pass: a bump's sin and cos share one clipped argument, and a uniform
-spanning the row adds (x - lo) h unclipped and a scalar density. Brackets move
-by ``select``, which has no branch per element from 1,024 levels on.
+The iterations never leave a level's row, and the table holds every cut, so
+each row lies in one piece. The levels are grouped by piece, and each Newton
+round runs the piece's F and f lines for arrays once. Only a group with levels
+in a row that touches a cut's margin tests its iterates against the piece, and
+sends those outside it to the scalar kernel. Brackets move by ``select``, which
+has no branch per element from 1,024 levels on.
 
 Every level iterates on its own, so a result never depends on the rest of the
 array: scalar and vector calls agree bit for bit, and so do Monte Carlo runs
@@ -71,10 +70,11 @@ from __future__ import annotations
 
 import linecache
 import math
+import re
 import types
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -91,9 +91,8 @@ _X_ABS_TOL = 2.0**-64                    # ... or this share of the support widt
 # a subnormal cdf is flat over many tolerances of x: such levels stop on the
 # bracket width, where F(b) >= u, not on the Newton step
 _NEWTON_MIN_LEVEL = np.finfo(float).tiny
-# a component counts as live in a cdf-table row this share of the support top
-# beyond its ends: about 2^20 ulps of any x, centre or end the inverse cdf uses.
-# The kernel's pieces (``kernel_pieces``) are shrunk by it too
+# the kernel's pieces (``kernel_pieces``) are shrunk by this share of the support
+# top at each cut: about 2^20 ulps of any x, centre or end the kernel uses
 _ROW_MARGIN = 2.0**-32
 # select's crossover. Over fresh random masks (2-vCPU Xeon, numpy 2.4) np.where
 # takes 2.2, 4.4 and 8.1 us at 16, 512 and 1,024 elements, the int64 select 7.6,
@@ -136,60 +135,6 @@ def select(mask: np.ndarray, x, y) -> np.ndarray:
     return bits.view(float)
 
 
-def _sum_cdf(x: np.ndarray, head: float, steps) -> np.ndarray:
-    """F at x: head plus each (weight, component, ...) term's weight times the
-    component's F, and each (constant, None, ...) term's constant, in order."""
-    out = np.full(x.shape, head)
-    for c, p, *_ in steps:
-        if p is None:
-            out += c
-        else:
-            t = p.cdf_v(x)
-            t *= c
-            out += t
-    return out
-
-
-def _sum_pdf(x: np.ndarray, dens) -> np.ndarray:
-    """f at x: the sum of weight times density over (weight, component) pairs."""
-    out = np.zeros(x.shape)
-    for w, p in dens:
-        t = p.pdf_v(x)
-        t *= w
-        out += t
-    return out
-
-
-def _sum_cdf_pdf(x: np.ndarray, head: float, terms):
-    """(F, f) at finite x over a row program's terms (``_row_terms``), with the
-    bits of ``_sum_cdf`` and ``_sum_pdf``. F's leading constant and f's leading
-    scalars (spanning uniforms' densities) are added after the first array
-    term, which commutes; f is a float when every density term is a scalar."""
-    F = f = lead = None
-    for c, p, spans in terms:
-        if p is None:
-            F += c
-            continue
-        if spans:
-            t = x - p.lo
-            t *= p.h
-            d = c * p.h
-        else:
-            t, d = p.cdf_pdf_v(x) if p.kind == "cosine_bump" else (p.cdf_v(x), p.pdf_v(x))
-            d *= c
-        t *= c
-        if F is None:
-            F, t = t, head
-        F += t
-        if f is not None:
-            f += d
-        elif spans:
-            lead = d if lead is None else lead + d
-        else:
-            f = d if lead is None else np.add(d, lead, out=d)
-    return F, (lead if f is None else f)
-
-
 @dataclass(frozen=True)
 class SupportInterval:
     lo: float
@@ -209,12 +154,14 @@ class SupportInterval:
 
 
 # ---------------------------------------------------------------------------
-# density components: each kind's ``_LINES["kernel"]`` sets F{i}, f{i}, M{i} at x
-# for component i, {name} standing for parameter name{i} = ``_kernel_values()[name]``.
-# Its other ``_LINES`` are the branches those lines take between the component's
-# ``cuts()``, each alone (``live_state`` names the one a piece takes). A line that
-# sets M{i} alone starts with it, and every block keeps another line, so the lines
-# stay code without M's. ``cdf_v``, ``pdf_v`` and ``pm_v`` take arrays.
+# density components: each kind's ``_LINES`` set F{i}, f{i}, M{i} at x for
+# component i, {name} standing for parameter name{i} = ``_kernel_values()[name]``.
+# Each entry but "kernel" is the one branch the lines take between two of the
+# component's ``cuts()`` (``live_state`` names it); "kernel" joins them for a
+# float x anywhere. A branch runs on floats and on arrays (``compile_kernel``),
+# F and f grown by augmented assignments that the float build folds (``_fold``).
+# A line that serves f{i} or M{i} alone starts with it, and every block keeps
+# another line, so the lines stay code without them.
 # ---------------------------------------------------------------------------
 
 
@@ -225,7 +172,8 @@ def _indent(lines: str, depth: int = 1) -> str:
 class _Uniform:
     kind = "uniform"
     _IN = """\
-F{i} = (x - {lo}) * {h}
+F{i} = x - {lo}
+F{i} *= {h}
 f{i} = {h}
 M{i} = 0.5 * {h} * (x * x - {lo} * {lo})
 """
@@ -248,16 +196,6 @@ else:   # the support's ends keep the density; NaN gives NaN F and M
 
     def mean(self) -> float:
         return 0.5 * (self.lo + self.hi)
-
-    def cdf_v(self, x: np.ndarray) -> np.ndarray:
-        return np.clip((x - self.lo) * self.h, 0.0, 1.0)
-
-    def pdf_v(self, x: np.ndarray) -> np.ndarray:
-        return np.where((x >= self.lo) & (x <= self.hi), self.h, 0.0)
-
-    def pm_v(self, x: np.ndarray) -> np.ndarray:
-        m = np.clip(x, self.lo, self.hi)
-        return 0.5 * self.h * (m * m - self.lo * self.lo)
 
     def knots(self):
         return (self.lo, self.hi)
@@ -293,28 +231,31 @@ class _CosineBump:
     """Raised-cosine density on [c-s, c+s]: f = (1 + cos(pi (x-c)/s)) / (2s).
 
     Near the lower edge 0.5 (1 + t + sin(pi t)/pi) cancels to an absolute error
-    of about 1e-16, so the scalar F and M there use r = (x - lo)/s and the
-    series of F = (r - sin(pi r)/pi)/2 and M = lo F + s A(r), with
+    of about 1e-16, so F and M there use r = (x - lo)/s and the series of
+    F = (r - sin(pi r)/pi)/2 and M = lo F + s A(r), with
     A(r) = integral of rho (1 - cos(pi rho))/2 over [0, r]."""
 
     kind = "cosine_bump"
-    _T = "t = (x - {c}) / {s}\n"
-    _INSIDE = """\
-u = PI * t
-cs = cos(u)
-f{i} = (1.0 + cs) / {two_s}
-"""
-    _R = "r = (x - {lo}) / {s}\n"   # the closed branch does not read r
-    _SERIES = """\
+    _T = "t = x - {c}\nt /= {s}\n"
+    _INSIDE = "u = t * PI\n"
+    _R = "r = x - {lo}\nr /= {s}\n"   # the closed branch does not read r
+    _COS = "f{i} = cos(u)\nf{i} += 1.0\n"   # u's last use: for arrays cos writes over it
+    _F = "f{i} /= {two_s}\n"   # after M's (1 + cos)/pi^2
+    _SERIES = _COS + _F + """\
 z = PI2 * r * r
 F{i} = 0.5 * r * (%s)
 M{i} = {lo} * F{i} + {s} * (0.5 * r * r * (%s))
 """ % (_horner([cf for cf, _ in _BUMP_SERIES]), _horner([ca for _, ca in _BUMP_SERIES]))
-    _CLOSED = """\
-sn = sin(u)
-F{i} = 0.5 * (1.0 + t + sn / PI)
-M{i} = {c} * F{i} + {s} * (0.25 * (t * t - 1.0) + 0.5 * (t * sn / PI + (cs + 1.0) / PI2))
-"""
+    # M's terms in t, sn and 1 + cos come first: then arrays build F in t and sn
+    _CLOSED = "sn = sin(u)\n" + _COS + """\
+M{i} = {s} * (0.25 * (t * t - 1.0) + 0.5 * (t * sn / PI + f{i} / PI2))
+sn /= PI
+F{i} = t
+F{i} += 1.0
+F{i} += sn
+F{i} *= 0.5
+M{i} += {c} * F{i}
+""" + _F
     _LINES = {"series": _T + _INSIDE + _R + _SERIES, "closed": _T + _INSIDE + _CLOSED,
               "kernel": _T + """\
 if t <= -1.0 or t >= 1.0:
@@ -339,61 +280,6 @@ else:   # and NaN
     def mean(self) -> float:
         return self.c
 
-    # The vector forms update in place where they can: the inverse cdf calls
-    # them on every level, and each full-size temporary costs memory per thread.
-
-    def _t(self, x: np.ndarray) -> np.ndarray:
-        """t = (x - c)/s clipped to [-1, 1]. Clipping x - c to [-s, s] first
-        gives the same bits, and far from a narrow bump it keeps the division
-        from overflowing."""
-        t = np.clip(x - self.c, -self.s, self.s)
-        t /= self.s
-        return t
-
-    def cdf_v(self, x: np.ndarray) -> np.ndarray:
-        t = self._t(x)
-        tail = np.sin(np.pi * t)
-        tail /= np.pi
-        t += 1.0
-        t += tail
-        t *= 0.5
-        # sin(-pi)/pi is -3.9e-17, not 0: clip to the exact 0 and 1 of the scalar kernel
-        return np.clip(t, 0.0, 1.0)
-
-    def pdf_v(self, x: np.ndarray) -> np.ndarray:
-        d = x - self.c
-        # |t| <= 1 just when |d| <= s: d > s is at least s + ulp(s), and
-        # (s + ulp(s))/s rounds above 1
-        inside = np.abs(d) <= self.s
-        t = np.clip(d, -self.s, self.s)
-        t /= self.s
-        t = np.cos(np.pi * t)
-        t += 1.0
-        t /= 2.0 * self.s
-        return np.where(inside, t, 0.0)
-
-    def cdf_pdf_v(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(cdf_v(x), pdf_v(x))`` with their bits from one clipped argument, for
-        finite x only: 1 + cos(+-pi) = +0.0 beyond the bump stands in for the mask."""
-        t = self._t(x)
-        f = np.multiply(t, np.pi)
-        tail = np.sin(f)
-        np.cos(f, out=f)
-        f += 1.0
-        f /= 2.0 * self.s
-        tail /= np.pi
-        t += 1.0
-        t += tail
-        t *= 0.5
-        return np.clip(t, 0.0, 1.0, out=t), f
-
-    def pm_v(self, x: np.ndarray) -> np.ndarray:
-        t = self._t(x)
-        a = 0.25 * (t * t - 1.0) + 0.5 * (
-            t * np.sin(np.pi * t) / np.pi + (np.cos(np.pi * t) + 1.0) / np.pi**2
-        )
-        return self.c * self.cdf_v(x) + self.s * a
-
     def knots(self):
         return (self.lo, self.c, self.hi)
 
@@ -411,23 +297,25 @@ class _PwLinear:
     at knot k + 1 (F's at most 1), which rounding could pass."""
 
     kind = "pw_linear"
-    _LINES = {"kernel": """\
+    _IN = """\
+k = bisect_right({xs}, x, 1, {top}) - 1
+x0, y0, sl = {xs}[k], {ys}[k], {slopes}[k]
+d = x - x0
+f{i} = y0 + sl * d
+F{i} = min({cum_mass}[k] + y0 * d + 0.5 * sl * d * d, {cum_mass}[k + 1])
+M{i} = {cum_pm}[k] + (y0 * (x * x - x0 * x0) / 2.0 + sl * d * d * (x0 / 2.0 + d / 3.0))
+M{i} = min(M{i}, {cum_pm}[k + 1])
+"""
+    _LINES = {"in": _IN, "kernel": """\
 if x < {lo} or x > {hi}:
     F{i} = 0.0 if x < {lo} else 1.0
     f{i} = 0.0
     M{i} = 0.0 if x < {lo} else {m_hi}
 else:   # on [lo, hi] f is its segment's line, lo included; NaN gives NaN
-    k = bisect_right({xs}, x, 1, {top}) - 1
-    x0, y0, sl = {xs}[k], {ys}[k], {slopes}[k]
-    d = x - x0
-    f{i} = y0 + sl * d
+""" + _indent(_IN) + """\
     if x == {hi}:
         F{i} = 1.0
         M{i} = {m_hi}
-    else:
-        F{i} = min({cum_mass}[k] + y0 * d + 0.5 * sl * d * d, {cum_mass}[k + 1])
-        M{i} = {cum_pm}[k] + (y0 * (x * x - x0 * x0) / 2.0 + sl * d * d * (x0 / 2.0 + d / 3.0))
-        M{i} = min(M{i}, {cum_pm}[k + 1])
 """}
 
     def __init__(self, xs, ys):
@@ -448,14 +336,10 @@ else:   # on [lo, hi] f is its segment's line, lo included; NaN gives NaN
         # cumulative mass and cumulative first moment at the knots
         seg_mass = 0.5 * (self.ys[:-1] + self.ys[1:]) * np.diff(self.xs)
         self.cum_mass = np.minimum(np.concatenate([[0.0], np.cumsum(seg_mass)]), 1.0)
-        seg = np.arange(len(self.xs) - 1)
-        self.cum_pm = np.concatenate([[0.0], np.cumsum(self._seg_pm(seg, self.xs[1:]))])
-
-    def _seg_pm(self, i, x):
-        # integral of t*(y_i + m (t - x_i)) over [x_i, x], elementwise
-        x0, y0, m = self.xs[i], self.ys[i], self.slopes[i]
-        d = x - x0
-        return y0 * (x * x - x0 * x0) / 2.0 + m * d * d * (x0 / 2.0 + d / 3.0)
+        x0, y0, m, x = self.xs[:-1], self.ys[:-1], self.slopes, self.xs[1:]
+        d = x - x0   # each segment's first moment, as the M line integrates it
+        seg_pm = y0 * (x * x - x0 * x0) / 2.0 + m * d * d * (x0 / 2.0 + d / 3.0)
+        self.cum_pm = np.concatenate([[0.0], np.cumsum(seg_pm)])
 
     def _kernel_values(self) -> dict:
         tables = {name: tuple(getattr(self, name).tolist())
@@ -466,28 +350,6 @@ else:   # on [lo, hi] f is its segment's line, lo included; NaN gives NaN
     def mean(self) -> float:
         return float(self.cum_pm[-1])
 
-    def _seg_idx_v(self, x: np.ndarray) -> np.ndarray:
-        i = np.searchsorted(self.xs, x, side="right") - 1
-        return np.clip(i, 0, len(self.xs) - 2)
-
-    # at and beyond hi, F is 1 and M the mean, as in the kernel: the knot
-    # tables' last entries can fall short of them by rounding
-    def cdf_v(self, x: np.ndarray) -> np.ndarray:
-        i = self._seg_idx_v(x)
-        d = np.clip(x, self.lo, self.hi) - self.xs[i]
-        return np.where(x >= self.hi, 1.0, np.minimum(
-            self.cum_mass[i] + self.ys[i] * d + 0.5 * self.slopes[i] * d * d, self.cum_mass[i + 1]))
-
-    def pdf_v(self, x: np.ndarray) -> np.ndarray:
-        i = self._seg_idx_v(x)
-        inside = (x >= self.lo) & (x <= self.hi)
-        return np.where(inside, self.ys[i] + self.slopes[i] * (x - self.xs[i]), 0.0)
-
-    def pm_v(self, x: np.ndarray) -> np.ndarray:
-        i = self._seg_idx_v(x)
-        return np.where(x >= self.hi, self.cum_pm[-1], np.minimum(
-            self.cum_pm[i] + self._seg_pm(i, np.clip(x, self.lo, self.hi)), self.cum_pm[i + 1]))
-
     def knots(self):
         return tuple(self.xs)
 
@@ -495,25 +357,53 @@ else:   # on [lo, hi] f is its segment's line, lo included; NaN gives NaN
         return (self.lo, self.hi)
 
     def live_state(self, a: float) -> str:
-        return "kernel"
+        return "in"
 
 
-_KERNEL_GLOBALS = {"__name__": __name__, "cos": math.cos, "sin": math.sin,
+_KERNEL_GLOBALS = {"__name__": __name__, "cos": math.cos, "sin": math.sin, "min": min,
                    "bisect_right": bisect_right, "PI": math.pi, "PI2": _PI2}
-_KERNEL_CODE: dict[str, types.CodeType] = {}    # source -> its function's code
+_ARRAY_GLOBALS = {**_KERNEL_GLOBALS, "sin": np.sin, "min": np.minimum,
+                  # cos writes over u, its last use: a temporary fewer per round
+                  "cos": lambda u: np.cos(u, out=u),
+                  "bisect_right": lambda a, x, lo, hi: np.searchsorted(a[lo:hi], x, "right") + lo}
+_KERNEL_CODE: dict[tuple, types.CodeType] = {}  # (source, arrays) -> its function's code
 _KERNEL_SHAPES: dict[tuple, tuple] = {}         # kernel_body's shape -> (lines, names)
 
 
-def compile_kernel(source: str, defaults) -> types.FunctionType:
+_SET = re.compile(r"(\s*)(\w+) = (.*)")
+_AUGMENT = re.compile(r"(\s*)(\w+) ([-+*/])= (.*)")
+_ATOM = re.compile(r"[\w.]+(\([\w., ]*\))?")   # a name, a number or a plain call
+
+
+def _fold(lines: list[str]) -> list[str]:
+    """The lines, each ``t = e`` followed by ``t op= e2`` (e2 not reading t)
+    made one line ``t = (e) op (e2)``: for a float x the same operations in
+    the same order, without a store and a load of t between them."""
+    out = []
+    for ln in lines:
+        aug = _AUGMENT.fullmatch(ln)
+        last = aug and out and _SET.fullmatch(out[-1])
+        if last and last.group(1, 2) == aug.group(1, 2) and not re.search(rf"\b{aug[2]}\b", aug[4]):
+            left, right = (e if _ATOM.fullmatch(e) else f"({e})" for e in (last[3], aug[4]))
+            out[-1] = f"{last[1]}{last[2]} = {left} {aug[3]} {right}"
+        else:
+            out.append(ln)
+    return out
+
+
+def compile_kernel(source: str, defaults, arrays: bool) -> types.FunctionType:
     """The one function ``source`` defines (the module's first constant), with
-    ``defaults`` bound to its trailing parameters. Each source is compiled once, and
-    its text goes to ``linecache``, so tracebacks and ``inspect.getsource`` show it."""
-    code = _KERNEL_CODE.get(source)
+    ``defaults`` bound to its trailing parameters, for a float x (math's cos,
+    sin, min, bisect_right) or for arrays (numpy's; tuple defaults as arrays).
+    Each is compiled once, its text in ``linecache`` for ``inspect.getsource``."""
+    code = _KERNEL_CODE.get((source, arrays))
     if code is None:
         filename = f"<talab kernel {hash(source):x}>"
         linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-        code = _KERNEL_CODE[source] = compile(source, filename, "exec").co_consts[0]
-    return types.FunctionType(code, _KERNEL_GLOBALS, code.co_name, tuple(defaults))
+        code = _KERNEL_CODE[source, arrays] = compile(source, filename, "exec").co_consts[0]
+    defaults = [np.array(v) if arrays and isinstance(v, tuple) else v for v in defaults]
+    return types.FunctionType(code, _ARRAY_GLOBALS if arrays else _KERNEL_GLOBALS,
+                              code.co_name, tuple(defaults))
 
 
 # ---------------------------------------------------------------------------
@@ -607,13 +497,13 @@ class DistributionSpec:
 
     def cdf(self, x):
         if isinstance(x, np.ndarray):
-            return _sum_cdf(x, 0.0, zip(self.weights, self.parts))
+            return self._vector(x, 1)[0]
         return self.kernel(float(x))[0]
 
     def pdf(self, x):
         if isinstance(x, np.ndarray):
             self._check_domain_v(x)
-            return _sum_pdf(x, zip(self.weights, self.parts))
+            return self._vector(x, 2)[1]
         xs = float(x)
         self._check_domain_s(xs)
         return self.kernel(xs)[1]
@@ -621,11 +511,43 @@ class DistributionSpec:
     def partial_mean(self, x):
         """M(x) = integral of t * pdf(t) over [lo, min(x, hi)]."""
         if isinstance(x, np.ndarray):
-            out = np.zeros(x.shape, dtype=float)
-            for w, p in zip(self.weights, self.parts):
-                out += w * p.pm_v(x)
-            return out
+            return self._vector(x, 3)[2]
         return self.kernel(float(x))[2]
+
+    def _vector(self, x: np.ndarray, n: int) -> np.ndarray:   # rows F, then f and M
+        flat = np.asarray(x, dtype=float).reshape(-1)
+        k = np.searchsorted(self.kernel_pieces[0], flat, "right")
+        lo, hi = self._piece_ends
+        k[~((flat > lo.take(k)) & (flat < hi.take(k)))] = 0
+        return [row.reshape(x.shape) for row in self._eval(flat, k, n)]
+
+    def _eval(self, x: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
+        """The first n of rows F, f, M at points x inside pieces k of
+        ``kernel_pieces``, by their lines for arrays, or by the scalar kernel
+        where k is 0: on or near a cut, beyond the outer cuts, NaN."""
+        out = np.empty((n, x.size))
+        counts = np.bincount(k)
+        for i in np.flatnonzero(counts):
+            sel = np.flatnonzero(k == i) if counts[i] < x.size else slice(None)
+            rows = (self._lines(i, n)(x[sel]) if i else
+                    np.array([self.kernel(v)[:n] for v in x[sel].tolist()]).T)
+            for o, v in zip(out, rows):
+                o[sel] = v
+        return out
+
+    def _at(self, k: int, x: np.ndarray):
+        """(F, f) at points x of piece k's rows of the cdf table (``_eval``)."""
+        lo, hi = self._piece_ends[:, k]
+        if lo < x.min() and x.max() < hi:    # NaN fails both
+            return self._lines(k, 2)(x)
+        return self._eval(x, np.where((x > lo) & (x < hi), k, 0), 2)
+
+    @cached_property
+    def _piece_ends(self) -> np.ndarray:
+        """Rows lo and hi: the ends of piece k of ``kernel_pieces`` as shrunk at
+        column k, and NaN, between which no point lies, at k = 0 and len(cuts)."""
+        ends = [(math.nan, math.nan)]
+        return np.array(ends + [piece[:2] for piece in self.kernel_pieces[1]] + ends).T
 
     @cached_property
     def _part_values(self) -> tuple[dict, ...]:
@@ -648,10 +570,10 @@ class DistributionSpec:
                        tuple("below" if p.hi <= a else "above" if p.lo > a else p.live_state(a)
                              for p in self.parts)) for a, b in zip(cuts, cuts[1:])]
 
-    def kernel_body(self, sums=("F", "f", "M"), first: int = 0,
-                    states: tuple[str, ...] | None = None) -> tuple[str, dict]:
-        """(lines, params): body lines that set F, f and M at x under the names
-        ``sums`` (F and f alone, with two names), and each parameter's value.
+    def kernel_body(self, sums: tuple[str, ...], first: int, states: tuple[str, ...] | None,
+                    arrays: bool) -> tuple[str, dict]:
+        """(lines, params): body lines that set the first len(sums) of F, f, M
+        at x under the names ``sums``, and each parameter's value.
         Components are numbered from ``first``, so two laws' lines can share one
         body. Each sum runs in component order from 0.0, as sum().
 
@@ -662,11 +584,13 @@ class DistributionSpec:
         ``{sum}_head`` and a later one is added where its term stood; the
         zeros, f's and those of components wholly above, are left out (a sum
         run from 0.0 is never -0.0, so adding +0.0 moves no bit). At an x
-        where the states hold, every sum keeps the bits of the full lines'. The
-        lines and names depend only on the kinds, the states, ``sums`` and
-        ``first``, so each such shape is formatted once per process."""
+        where the states hold, every sum keeps the bits of the full lines'. For
+        ``arrays`` each live term adds the sum so far to itself in place, which
+        swaps only the operands of each addition. The lines and names depend
+        only on the kinds, the states, ``sums``, ``first`` and ``arrays``, so
+        each such shape is formatted once per process."""
         states = states or ("kernel",) * len(self.parts)
-        key = (tuple(p.kind for p in self.parts), states, sums, first)
+        key = (tuple(p.kind for p in self.parts), states, sums, first, arrays)
         shape = _KERNEL_SHAPES.get(key)
         build = shape is None          # then the names and lines follow the values
         names, body, terms = [], [], {total: [] for total in sums}
@@ -685,36 +609,64 @@ class DistributionSpec:
                 if build:
                     for total in folded:
                         names.append(f"{total}_c{i}")
-                        terms[total].append(f"{total}_c{i}")
+                        terms[total].append((None, f"{total}_c{i}"))
                 continue
             live = True
             values += part.values()
             if build:
                 names += [f"{k}{i}" for k in part]
                 source = p._LINES[state].format(i=i, **{k: f"{k}{i}" for k in part})
-                body += [ln for ln in source.splitlines()
-                         if len(sums) == 3 or not ln.lstrip().startswith(f"M{i} =")]
+                unread = {f"{t}{i}" for t in "FfM"[len(sums):]}
+                lines = [ln for ln in source.splitlines()
+                         if ln.lstrip().split(" ", 1)[0] not in unread]
+                body += lines if arrays else _fold(lines)
                 for total, t in zip(sums, "FfM"):
-                    terms[total].append(f"w{i} * {t}{i}")
+                    terms[total].append((f"w{i}", f"{t}{i}"))
         values += heads
         if build:
             if heads:
                 names += [f"{total}_head" for total in folded]
-            body += [f"{total} = " + (f"{total}_head" if heads and total in folded else "0.0")
-                     + "".join(f" + {term}" for term in terms[total]) for total in sums]
+            for total in sums:
+                head = f"{total}_head" if heads and total in folded else "0.0"
+                if not arrays:
+                    body.append(f"{total} = {head}" + "".join(
+                        f" + {w} * {t}" if w else f" + {t}" for w, t in terms[total]))
+                    continue
+                acc = head     # the first term is a live component's, never a constant
+                for w, t in terms[total]:
+                    if w:      # a live term takes the sum so far: a + b is b + a
+                        body += [f"{t} *= {w}", f"{t} += {acc}"]
+                        acc = t
+                    else:
+                        body.append(f"{acc} += {t}")
+                body.append(f"{total} = {acc}")
             shape = _KERNEL_SHAPES[key] = ("".join(f"    {ln}\n" for ln in body), tuple(names))
         lines, names = shape
         return lines, dict(zip(names, values))
 
+    def compile_lines(self, sums: tuple[str, ...], states: tuple[str, ...] | None, arrays: bool):
+        """x -> the ``sums`` at x, from ``kernel_body``'s lines in ``states``,
+        compiled for a float x or for arrays (``compile_kernel``)."""
+        body, params = self.kernel_body(sums, 0, states, arrays)
+        return compile_kernel(f"def kernel(x, {', '.join(params)}):\n{body}"
+                              f"    return {', '.join(sums)},\n", params.values(), arrays)
+
     @cached_property
     def kernel(self):
         """x -> (F(x), f(x), M(x)) at a scalar x, in one straight-line call."""
-        body, params = self.kernel_body()
-        return compile_kernel(f"def kernel(x, {', '.join(params)}):\n{body}"
-                              "    return F, f, M\n", params.values())
+        return self.compile_lines(("F", "f", "M"), None, False)
 
-    def __getstate__(self):   # a kernel does not pickle: a copy compiles its own
-        return {k: v for k, v in self.__dict__.items() if k != "kernel"}
+    def _lines(self, k: int, n: int):
+        """Piece k's lines for arrays, x -> the first n of F, f, M, built on
+        first use (threads that race build equal ones)."""
+        built = self.__dict__.setdefault("_array_lines", {})
+        if (k, n) not in built:
+            built[k, n] = self.compile_lines(("F", "f", "M")[:n],
+                                             self.kernel_pieces[1][k - 1][2], True)
+        return built[k, n]
+
+    def __getstate__(self):   # compiled lines do not pickle: a copy compiles its own
+        return {k: v for k, v in self.__dict__.items() if k not in ("kernel", "_array_lines")}
 
     # both domain checks are comparisons that fail on NaN, so NaN is refused
     def _check_domain_s(self, x: float):
@@ -747,7 +699,7 @@ class DistributionSpec:
     @cached_property
     def _cdf_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(x, F(x), dx/dF per row) on a support-wide grid plus each component's
-        own interval.
+        own interval and the cuts of ``kernel_pieces``: each row lies in one piece.
 
         The running max keeps F monotone where rounding does not. F(lo) = 0, so
         every level in (0, 1) at or below the last row has a bracket row j >= 1
@@ -756,7 +708,7 @@ class DistributionSpec:
         lo, hi = self.support.lo, self.support.hi
         grids = [np.linspace(lo, hi, _TABLE_POINTS)]
         grids += [np.linspace(p.lo, p.hi, _PART_TABLE_POINTS) for p in self.parts]
-        xs = np.unique(np.concatenate(grids))
+        xs = np.unique(np.concatenate(grids + [np.clip(self.kernel_pieces[0], lo, hi)]))
         fs = np.maximum.accumulate(self.cdf(xs))
         # a flat row gives inf, as does a rise of a few subnormals (as where a
         # pw_linear density rises from 0 to 1e-311). No level falls in a flat
@@ -771,9 +723,9 @@ class DistributionSpec:
         """Leftmost x with cdf(x) >= q (flat-region infimum); q=1 maps to the support top.
 
         Levels are bracketed by a guide-table search of the cdf table and
-        refined by safeguarded Newton steps, then bisection, on the components
-        live in their table row (module docstring); the result has the bits
-        of the same iteration over every component."""
+        refined by safeguarded Newton steps, then bisection, on the lines of
+        the piece their table row lies in (module docstring); the result has
+        the bits of the same iteration on the law's own ``cdf`` and ``pdf``."""
         if isinstance(q, np.ndarray):
             q = np.asarray(q, dtype=float)   # no copy of float64; _invert reads its bits
             top = q.max() if q.size else 0.0
@@ -792,89 +744,52 @@ class DistributionSpec:
         return SortedIndex(self._cdf_table[1])
 
     @cached_property
-    def _row_terms(self) -> tuple[np.ndarray, list]:
-        """(program id per table row, programs): the terms F and f sum over a
-        row of the cdf table, so that the inverse cdf evaluates only the
-        components live in it.
-
-        A component is live in row j, [x[j-1], x[j]], when its closed support
-        meets the row widened by ``_ROW_MARGIN`` of the support top on each
-        side. The margin covers every x the inverse cdf evaluates for a level
-        of the row (its start overshoots x[j] by a few ulps) and the rounding
-        of each component's clipped argument, so beyond it a component's
-        ``cdf_v`` is exactly its value at the support top (a component wholly
-        below the row) or 0 (wholly above), and its ``pdf_v`` is 0. A program
-        is (head, terms): the sum of the leading constants, then the other
-        terms in component order, each ``(w, component, spans)`` or
-        ``(w * cdf_v(hi), None, False)``. A uniform *spans* a run of rows when
-        its support strictly contains each widened row: there its F is
-        (x - lo) h, inside (0, 1), and its density h. Summed in component
-        order, as ``cdf`` and ``pdf`` sum, F and f keep their bits. Entry 0 of
-        the ids is unused: levels fall in rows 1 and up.
-        """
+    def _row_pieces(self) -> tuple[np.ndarray, np.ndarray]:
+        """(piece, clear) per row j, [x[j-1], x[j]], of the cdf table: the piece
+        of ``kernel_pieces`` it lies in, and whether it lies inside the shrunk
+        piece when widened by ``_ROW_MARGIN`` of the support top, which every x
+        the inverse cdf evaluates for its levels does (a start overshoots x[j]
+        by a few ulps). Entry 0 is unused: levels fall in rows 1 and up."""
         xt = self._cdf_table[0]
         margin = _ROW_MARGIN * self.support.hi
-        lo, hi = xt[:-1] - margin, xt[1:] + margin
-        # per row and component: 0 wholly above, 1 live, 2 wholly below. Each
-        # component's state only rises along the rows, so a row's states differ
-        # from every earlier run's once they differ from the previous row's.
-        states = np.stack([np.where(p.hi < lo, 2, np.where(p.lo > hi, 0, 1))
-                           for p in self.parts], axis=1)
-        new = np.any(states[1:] != states[:-1], axis=1)
-        ids = np.concatenate([[0, 0], np.cumsum(new)])
-        first = np.concatenate([[0], np.flatnonzero(new) + 1])
-        last = np.append(first[1:], len(states)) - 1
-        top = np.array([self.support.hi])
-        programs = []
-        for row, r0, r1 in zip(states[first], first, last):
-            head, terms = 0.0, []
-            for w, p, state in zip(self.weights, self.parts, row):
-                if state == 1:   # a run's uniform spans it when it spans all of its rows
-                    terms.append((w, p, p.kind == "uniform" and p.lo < lo[r0] and p.hi > hi[r1]))
-                elif state == 2:
-                    c = w * float(p.cdf_v(top)[0])
-                    if terms:
-                        terms.append((c, None, False))
-                    else:
-                        head += c
-            programs.append((head, tuple(terms)))
-        return ids.astype(np.min_scalar_type(len(programs))), programs
+        k = np.searchsorted(self.kernel_pieces[0], xt[:-1], "right")
+        lo, hi = self._piece_ends
+        clear = (xt[:-1] - margin > lo.take(k)) & (xt[1:] + margin < hi.take(k))
+        return np.concatenate([[0], k]), np.concatenate([[False], clear])
 
     def _invert(self, q: np.ndarray) -> np.ndarray:
         """Table bracket, then safeguarded Newton, then bisection; elementwise.
 
         Each level's iterations depend on that level alone, so a result does not
         depend on the other levels in the array. Newton and bisection stay in a
-        level's table row, so the levels are grouped by the terms of their row
-        (``_row_terms``) and each group evaluates only those, F and f in one
-        pass per Newton round. Only the start is checked against the support:
-        every later x lies in its bracket. Converged levels leave the working
-        arrays, to keep the temporaries near those of a plain bisection (which
-        Monte Carlo threads pay each), once an eighth of them is done; before,
-        each is frozen at its result (a = b = x), which every round gives again.
+        level's table row, so the levels are grouped by the piece of their row
+        (``_row_pieces``); a group with levels in a row that is not clear tests
+        its iterates each round (``_at``). Only the start is checked against
+        the support: every later x lies in its bracket. Converged levels leave
+        the working arrays, whose temporaries each Monte Carlo thread pays, once
+        an eighth of them is done; before, each is frozen at its result
+        (a = b = x), which every round gives again.
         """
         xt, ft, slope = self._cdf_table
-        row_ids, programs = self._row_terms
+        row_piece, row_clear = self._row_pieces
         finished = []                 # (positions, results), written out at the end
         # levels above the rounded F(hi) map to hi, like q = 1
         idx = np.flatnonzero((q > 0.0) & (q < 1.0) & (q <= ft[-1]))
         # the first row above the float below u (u > 0: its bits less one) is
         # the first row with F >= u
         j = self._row_search((q.take(idx).view(np.int64) - 1).view(float))
-        ids = row_ids.take(j)
-        if ids.size == 1 or ids.size and ids.min() == ids.max():   # nothing to split
-            groups = [(programs[ids[0]], idx, j)]
-        else:
-            groups = []
-            for k, program in enumerate(programs):
-                sel = np.flatnonzero(ids == k)
-                if sel.size:
-                    groups.append((program, idx.take(sel), j.take(sel)))
-            groups.sort(key=lambda g: g[1].size)
-        del idx, j, ids               # the groups' arrays are the loop's alone
+        pieces = row_piece.take(j)
+        counts = np.bincount(pieces)
+        groups = []
+        for k in np.flatnonzero(counts):
+            sel = np.flatnonzero(pieces == k) if counts[k] < idx.size else slice(None)
+            groups.append((int(k), idx[sel], j[sel]))
+        groups.sort(key=lambda g: g[1].size)
+        del idx, j, pieces            # the groups' arrays are the loop's alone
         tiny = self.support.width * _X_ABS_TOL
         while groups:
-            (head, terms), idx, j = groups.pop()
+            k, idx, j = groups.pop()
+            lines = self._lines(k, 2) if row_clear.take(j).all() else partial(self._at, k)
             u = q.take(idx)
             subnormal = u.min() < _NEWTON_MIN_LEVEL
             b = xt.take(j)
@@ -888,7 +803,7 @@ class DistributionSpec:
             for _ in range(_NEWTON_STEPS):
                 if not idx.size:
                     break
-                r, f = _sum_cdf_pdf(x, head, terms)
+                r, f = lines(x)
                 r -= u
                 below = r < 0.0
                 a = select(below, x, a)
@@ -918,7 +833,7 @@ class DistributionSpec:
                         idx, u, x, a, b = (v.take(keep) for v in (idx, u, x, a, b))
             while idx.size:
                 mid = 0.5 * (a + b)
-                ge = _sum_cdf(mid, head, terms) >= u
+                ge = lines(mid)[0] >= u
                 b = select(ge, mid, b)
                 a = select(ge, a, mid)
                 done = b - a <= _X_REL_TOL * np.abs(b) + tiny

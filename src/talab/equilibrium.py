@@ -449,9 +449,9 @@ def _rhs_factory(weak: DistributionSpec, law: StrongBidLaw, n_weak: int, piece=N
     ``full``, so that every call keeps the full rhs's bits. The source depends
     only on the laws' kinds and the states: every number is a parameter."""
     guard, weak_states, strong_states = piece or ({}, None, None)
-    weak_body, weak_params = weak.kernel_body(("F", "f"), 0, weak_states)
+    weak_body, weak_params = weak.kernel_body(("F", "f"), 0, weak_states, False)
     strong_body, strong_params = law.dist.kernel_body(("G", "g", "M"), len(weak.parts),
-                                                      strong_states)
+                                                      strong_states, False)
     params = {**guard, **weak_params, **strong_params, "nm1": float(n_weak - 1),
               "atom": law.zero_bid_prob, "scale": 1.0 - law.zero_bid_prob,
               "OutOfBand": _OutOfBand}
@@ -464,7 +464,7 @@ def _rhs_factory(weak: DistributionSpec, law: StrongBidLaw, n_weak: int, piece=N
         source = _RHS_SOURCES[key] = _RHS_SOURCE.format(
             params=", ".join(params), weak=weak_body, strong=strong_body,
             **(_FULL_RHS if piece is None else _PIECE_RHS))
-    return compile_kernel(source, params.values())
+    return compile_kernel(source, params.values(), False)
 
 
 def _piece_steppers(weak: DistributionSpec, law: StrongBidLaw, n_weak: int, full):
@@ -597,7 +597,7 @@ def _dop853(rhs):
     coefficients, from three more stages. Each sum keeps the terms and order of
     sum() over its row (zero weights skipped): the results equal that loop's bit
     for bit, but for the sign of a zero total, which no value of the step shows."""
-    return tuple(compile_kernel(source, (rhs,)) for source in _DOP_SOURCE)
+    return tuple(compile_kernel(source, (rhs,), False) for source in _DOP_SOURCE)
 
 
 def _model_warnings(weak: DistributionSpec, law: StrongBidLaw) -> list[str]:

@@ -1,9 +1,9 @@
 """Counter-based uniform streams for reproducible, partition-independent Monte Carlo.
 
-Every stochastic quantity in the package is a pure function of ``(seed, index)``
-where ``index`` addresses a position in one fixed virtual stream of uniforms per
-seed. Workers may generate any contiguous window of that stream independently;
-the result never depends on how the index range was partitioned.
+Every stochastic quantity is a pure function of ``(key, index)``, ``index`` a
+position in the Philox stream of ``key`` < 2^128: a run's seed, or for sweep row
+l seed * 2^64 + l, so no two rows share a stream. Workers may generate any window
+independently; the result never depends on how the index range was partitioned.
 
 Philox natively emits blocks of 4 outputs per counter value, so jumping to an
 arbitrary absolute index means advancing to the enclosing block and discarding
@@ -18,7 +18,7 @@ _BLOCK = 4  # Philox outputs per counter increment
 
 
 def uniform_stream(seed: int, start: int, count: int) -> np.ndarray:
-    """Uniforms at absolute positions [start, start+count) of the seed's stream."""
+    """Uniforms at absolute positions [start, start+count) of the key's stream."""
     if start < 0 or count < 0:
         raise ValueError(f"need start >= 0 and count >= 0, got {start}, {count}")
     if count == 0:

@@ -529,15 +529,16 @@ def run_limit_experiment(
 
 def _rows(mechanism, fam, weak, n_weak, target, reserves, n, seed, threads, solver,
           intervention_p) -> list[LimitRow]:
-    """One row per member: ``mechanism`` run against it, row l drawing with key
-    seed + l. ``oa`` estimates the optimal auction (the weak law ironed once),
+    """One row per member: ``mechanism`` run against it, row l drawing with the
+    Philox key seed * 2^64 + l, below 2^128, so no two (seed, row) pairs share a
+    stream. ``oa`` estimates the optimal auction (the weak law ironed once),
     ``sa_reserve`` takes its closed form at the member's reserve, and the
     tournaments solve the bid ODE, check its best response and simulate."""
     psi_w = ironed_virtual(weak) if mechanism == "oa" and n_weak > 0 else None
     p = intervention_p if mechanism == "ta_intervention" else None
     rows = []
     for l in range(1, fam.size + 1):
-        member, key = fam.member(l), seed + l
+        member, key = fam.member(l), seed * 2**64 + l
         if mechanism == "oa":
             est = oa_estimate(psi_w, ironed_virtual(member), n_weak, n, key, threads)
             out = (est.mean, est.std_error, math.nan, math.nan, "oa", math.nan)

@@ -400,18 +400,18 @@ def _family(kind, size=6):
 # one sweep per prop: (config overrides, sha256 of the sweep JSON, of the CSV)
 SWEEP_PINS = {
     "P4": ({"strong": _family("slow_drain"), "sweep": {"prop": "P4"}},
-           "b13639e35c94abc08ace4a8f1dcd03f82471f31fbf88003fbc2d5ab5044310b5",
-           "561260ab700667866f22241aa6556b166fa9c875995a717b294a06a45b819321"),
+           "62e029758e83280dd1fc564f7a5c3aff6c1845cbcfdb183e8a38d1c8c3d2304e",
+           "d1ec99e9162f0be5fb3ef946ecc7a2c6984732b31f7da2c6133560573e65bb76"),
     "P5": ({"weak": _WEAK_JUMP, "strong": _family("slow_drain"), "sweep": {"prop": "P5"}},
-           "04d2ad48b5ef871f7269e918c51f635f61e59ae0ac7c1d6ddbd26c25235d064e",
-           "4ff03d73f8ab6af7f61db287eee183971b7b148aca2e7a2e8930eae34b3eae1b"),
+           "3535af48f44da2203ac081d2159d5213ee7ff1ee16cddc89f46384af178932fc",
+           "94e5a12c454c13e1355e42474fa757a0aa35bdd9ae462e57672a80cafa22d52e"),
     "P6": ({"strong": _family("slow_drain"), "sweep": {"prop": "P6"}},
-           "05e91af72500e12fddac94c05035e60d10071e5c8a2a55f9682942a0560c73ee",
-           "561260ab700667866f22241aa6556b166fa9c875995a717b294a06a45b819321"),
+           "3f6e4cf23dce4fdbe251a1d24fc466d1984d1ca080db9aa0cade64850b16dfa4",
+           "d1ec99e9162f0be5fb3ef946ecc7a2c6984732b31f7da2c6133560573e65bb76"),
     "S8": ({"strong": _family("smoothed_discrete"),
             "sweep": {"prop": "S8", "intervention_p": 0.75}},
-           "f0f8c86ceed4820e291b5574e0ea7e464a5922d3bc1f9d67a61ec8848bf08c4a",
-           "be9741bfac705fa3e3e93a076d2122dc461f61e39bc3dd924e44930b769c00c9"),
+           "04803eb433bcc38dd2127cc69da222d425d85539576a81e3b5e457422d5c89c5",
+           "9c57dfba44ef0e28e2a6dd1aea0be65bd917833c084fe1210e9efba97c53ffe4"),
     "P7": ({"strong": _family("slow_drain"),
             "sweep": {"prop": "P7", "rule": {"kind": "block_steps", "eps": 0.5}}},
            "b6ddf6fc959fe01323a847c8bcbba0139da1d65b5a66fd513ef15efd06aae5af",
@@ -691,7 +691,7 @@ def test_seed_override_parsed_with_the_config(tmp_path, capsys):
 
 
 def test_largest_seed_sweeps(tmp_path):
-    # sweep row l draws with key seed + l, past 2^64 for the largest seed
+    # sweep row l draws with key seed * 2^64 + l, near 2^128 for the largest seed
     cfg = base_config(strong=_FAMILY, sweep={"prop": "P6"}, mc={"n": 100, "seed": 0})
     out = tmp_path / "o"
     assert run(["sweep", "--config", write_config(tmp_path, cfg), "--out-dir", str(out),

@@ -134,7 +134,7 @@ def test_bump_cdf_edges(gap_mixture):
         law = dist.cosine_bump(c, s)
         b = law.parts[0]
         xs = np.array([b.lo - 1.0, b.lo - 1e-9, b.lo, b.hi, b.hi + 1e-9, b.hi + 1.0])
-        vec = b.cdf_v(xs)
+        vec = law.cdf(xs)
         assert vec.tolist() == [law.kernel(float(x))[0] for x in xs]
         assert vec.tolist() == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
     assert gap_mixture.quantile(np.array([0.25]))[0] == pytest.approx(0.1, abs=1e-10)
@@ -142,25 +142,21 @@ def test_bump_cdf_edges(gap_mixture):
 
 @pytest.mark.parametrize("s", [0.1, 1.0, math.nextafter(2.0, 0.0), math.nextafter(0.5, 0.0), 3e-5])
 def test_bump_clipped_argument_keeps_bits(s):
-    # the vector forms clip x - c to [-s, s] before dividing by s: that gives
-    # the bits of (x - c)/s clipped to [-1, 1], and of its |t| <= 1 test, at
-    # each edge and its neighbours, far away and at NaN
-    b = dist.cosine_bump(3.0 * s, s).parts[0]
-    edges = np.array([b.lo, b.c, b.hi])
+    # the vector F, f and M against the scalar kernel, bit for bit, at each edge
+    # and its neighbours, across and beyond the bump, far away and at NaN: the
+    # points near an edge go to the kernel, and 1e308 - c must not overflow
+    # into a wrong branch
+    law = dist.cosine_bump(3.0 * s, s)
+    b = law.parts[0]
+    edges = np.array([b.lo, b.lo + 0.25 * s, b.c, b.hi])
     xs = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
                          b.c + s * np.linspace(-1.5, 1.5, 301), [1e308, np.nan, np.inf]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = (xs - b.c) / s
-    inside = np.abs(t) <= 1.0
-    t = np.clip(t, -1.0, 1.0)
-    F = np.clip(0.5 * (t + 1.0 + np.sin(np.pi * t) / np.pi), 0.0, 1.0)
-    f = np.where(inside, (np.cos(np.pi * t) + 1.0) / (2.0 * s), 0.0)
-    for got, want in ((b.cdf_v(xs), F), (b.pdf_v(xs), f)):
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    # the inverse cdf's fused form, on finite x (1e308 included)
-    finite = np.isfinite(xs)
-    for got, want in zip(b.cdf_pdf_v(xs[finite]), (F[finite], f[finite])):
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    want = np.array([law.kernel(x) for x in xs.tolist()])
+    for got, col in ((law.cdf(xs), 0), (law.partial_mean(xs), 2)):
+        assert np.array_equal(got.view(np.int64), want[:, col].view(np.int64))
+    inside = (xs >= b.lo) & (xs <= b.hi)   # pdf refuses points outside the support
+    got = law.pdf(xs[inside])
+    assert np.array_equal(got.view(np.int64), want[inside, 1].view(np.int64))
 
 
 @pytest.mark.parametrize("size", [1, 7, 1000])
@@ -195,7 +191,7 @@ def test_bump_lower_edge_relative_accuracy(c, s):
         # the series (r < 0.25) is at the rounding floor; above it the closed
         # form's t = (x - c)/s carries the rounding of x - c
         rel = 1e-15 if r < 0.25 else 1e-14
-        assert F == pytest.approx(b.cdf_v(np.array([x]))[0], rel=0.0, abs=5e-16), r
+        assert law.cdf(np.array([x]))[0] == F, r
         assert F == pytest.approx(F_ref, rel=rel, abs=0.0), r
         assert M == pytest.approx(M_ref, rel=rel, abs=0.0), r
 

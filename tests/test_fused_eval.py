@@ -7,9 +7,10 @@ right-hand side holds both laws' lines itself. The reference below is the code
 it replaced, copied here: one ``eval3_s`` per component (the pw_linear's with
 its knot caps), summed with ``sum()`` in component order, and the right-hand
 side built on that sum. Kernel, strong law and solves must equal the reference
-bit for bit. F and f must also match the vector ``cdf_v``/``pdf_v`` (F exactly
-0 and 1 at and beyond the support ends), NaN must give NaN F and M, as in
-``cdf_v``, and M must match quadrature of the vector density. The written-out
+bit for bit. The vector ``cdf``, ``pdf`` and ``partial_mean`` must equal the
+kernel bit for bit, on each kind and on the family members (F exactly 0 and 1
+at and beyond the support ends), NaN must give NaN F and M, and M must match
+quadrature of the density. The written-out
 DOP853 stages must reproduce the loop over the tableau bit for bit, an rhs call
 must make no ``eval3`` or ``kernel`` call, and the sources of a kernel and of
 the rhs must be readable, with the laws' numbers bound rather than written
@@ -190,18 +191,60 @@ def test_bump_edges_are_exact():
     assert (0.5 - part.c) / part.s == -1.0 and (1.5 - part.c) / part.s == 1.0
 
 
-@pytest.mark.parametrize("name,law,points", CASES, ids=[c[0] for c in CASES])
+def _strong_laws():
+    member = make_family("slow_drain", k=2.0, w_bar=2.5, size=8).member(5)
+    every_kind = dist.mixture([
+        (0.3, _PW),
+        (0.2, piecewise_linear([0.0, 1.1, 2.2], [0.0, 1.0, 0.0])),
+        (0.2, dist.uniform(0.0, 2.2)),
+        (0.3, _BUMP),
+    ], support=(0.0, 2.2))
+    return {"slow_drain_5": member, "every_kind": every_kind}
+
+
+def _vector_points(law) -> list[float]:
+    """Random points in each piece of the law's kernel, each cut and its float
+    neighbours, points beyond the support, and NaN."""
+    rng = np.random.default_rng(26)
+    cuts, pieces = law.kernel_pieces
+    lo, hi = law.support.lo, law.support.hi
+    xs = [x for a, b, _ in pieces if a < b for x in rng.uniform(a, b, 8).tolist()]
+    xs += [y for c in cuts for y in (math.nextafter(c, -math.inf), c, math.nextafter(c, math.inf))]
+    return xs + [lo - 1.0, math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf),
+                 hi + 1.0, math.inf, -math.inf, math.nan]
+
+
+# the vector F, f and M against the kernel on the family members, a law of
+# every kind and a bump whose lower edge rounds below c - s (one and two ulps
+# above it the kernel takes its t <= -1 branch, the series lines would not);
+# their points are drawn in the test (``_vector_points``)
+ORACLE_CASES = [(f"{kind}[{l}]", member, None)
+                for kind in ("slow_drain", "smoothed_discrete", "fast_drain", "split_atom")
+                for l, member in enumerate(make_family(kind, k=2.0, w_bar=2.5, size=12).members(), 1)
+                ] + [("every_kind", _strong_laws()["every_kind"], None),
+                     ("bump_edge_below", dist.cosine_bump(0.3, 0.24), None)]
+
+
+@pytest.mark.parametrize("name,law,points", CASES + ORACLE_CASES,
+                         ids=[c[0] for c in CASES + ORACLE_CASES])
 def test_eval3_s_matches_cdf_pdf_bitwise(name, law, points):
-    # F and f against the vector forms; the law's scalar cdf and pdf are them bit for bit
+    # the vector F, f and M are the kernel's bit for bit (this also catches a
+    # host whose numpy sin and cos differ from libm's); so are the law's scalar
+    # cdf and pdf
+    points = _vector_points(law) if points is None else points
+    xs = np.array(points)
+    want = np.array([law.kernel(x) for x in points])
+    every = np.ones(xs.shape, dtype=bool)
+    inside = (xs >= law.support.lo) & (xs <= law.support.hi)   # pdf refuses the rest
+    for got, col, at in ((law.cdf(xs), 0, every), (law.partial_mean(xs), 2, every),
+                         (law.pdf(xs[inside]), 1, inside)):
+        assert np.array_equal(got.view(np.int64), want[at, col].view(np.int64)), (name, col)
     part = law.parts[0]
-    for x, F_v, f_v in zip(points, part.cdf_v(np.array(points)), part.pdf_v(np.array(points))):
-        F, f, _ = law.kernel(x)
-        assert F == pytest.approx(F_v, rel=1e-14, abs=1e-16), (name, x)
-        assert f == pytest.approx(f_v, rel=1e-14, abs=1e-15), (name, x)
-        if x <= part.lo or x >= part.hi:
+    for x, (F, f, _) in zip(points, want.tolist()):
+        if len(law.parts) == 1 and (x <= part.lo or x >= part.hi):
             assert F == (0.0 if x <= part.lo else 1.0), (name, x)
         assert bits(law.cdf(x)) == bits(F), (name, x)
-        if part.lo <= x <= part.hi:     # pdf refuses points outside the support
+        if law.support.lo <= x <= law.support.hi:     # pdf refuses points outside the support
             assert bits(law.pdf(x)) == bits(f), (name, x)
 
 
@@ -217,7 +260,7 @@ def test_pw_linear_vector_forms_reach_one_at_the_top():
         part, hi = law.parts[0], law.support.hi
         short += part.cum_mass[-1] < 1.0
         points = [hi, math.nextafter(hi, math.inf), hi + 1.0, math.inf]
-        F_v, M_v = part.cdf_v(np.array(points)), part.pm_v(np.array(points))
+        F_v, M_v = law.cdf(np.array(points)), law.partial_mean(np.array(points))
         for x, F, M in zip(points, F_v, M_v):
             want = law.kernel(x)
             top = (bits(1.0), bits(part.mean()))
@@ -228,39 +271,27 @@ def test_pw_linear_vector_forms_reach_one_at_the_top():
 @pytest.mark.parametrize("name,law,points", CASES, ids=[c[0] for c in CASES])
 def test_eval3_s_nan_like_separate_calls(name, law, points):
     # NaN in gives NaN F, as in the vector cdf, and NaN M
-    part = law.parts[0]
     F, _, M = law.kernel(math.nan)
-    assert math.isnan(F) and math.isnan(part.cdf_v(np.array([math.nan]))[0])
+    assert math.isnan(F) and math.isnan(law.cdf(np.array([math.nan]))[0])
     assert math.isnan(law.cdf(math.nan)) and math.isnan(M)
 
 
-def _quad_pm(part, x):
-    """First moment of the component over [lo, x], by tight adaptive quadrature."""
+def _quad_pm(law, x):
+    """First moment of a one-component law over [lo, x], by tight adaptive quadrature."""
+    part = law.parts[0]
     hi = min(x, part.hi)
     if hi <= part.lo:
         return 0.0
     pts = [k for k in part.knots() if part.lo < k < hi]
-    val, _ = integrate.quad(lambda t: t * part.pdf_v(np.array([t]))[0], part.lo, hi,
+    val, _ = integrate.quad(lambda t: t * law.pdf(t), part.lo, hi,
                             points=pts or None, limit=200, epsabs=1e-14, epsrel=1e-13)
     return val
 
 
 @pytest.mark.parametrize("name,law,points", CASES, ids=[c[0] for c in CASES])
 def test_eval3_s_partial_mean_matches_quadrature(name, law, points):
-    part = law.parts[0]
     for x in points:
-        assert law.kernel(x)[2] == pytest.approx(_quad_pm(part, x), rel=0, abs=1e-12), (name, x)
-
-
-def _strong_laws():
-    member = make_family("slow_drain", k=2.0, w_bar=2.5, size=8).member(5)
-    every_kind = dist.mixture([
-        (0.3, _PW),
-        (0.2, piecewise_linear([0.0, 1.1, 2.2], [0.0, 1.0, 0.0])),
-        (0.2, dist.uniform(0.0, 2.2)),
-        (0.3, _BUMP),
-    ], support=(0.0, 2.2))
-    return {"slow_drain_5": member, "every_kind": every_kind}
+        assert law.kernel(x)[2] == pytest.approx(_quad_pm(law, x), rel=0, abs=1e-12), (name, x)
 
 
 @pytest.mark.parametrize("zero_bid_prob", [0.0, 0.25])
@@ -600,10 +631,6 @@ def _outcome(rhs, v, b):
         return type(exc).__name__
 
 
-def _piece_kernel(law, states):
-    body, params = law.kernel_body(("F", "f", "M"), 0, states)
-    return dist.compile_kernel(f"def piece(x, {', '.join(params)}):\n{body}"
-                               "    return F, f, M\n", params.values())
 
 
 # the lower edge of cosine_bump(0.3, 0.24) rounds below c - s: one and two ulps
@@ -613,12 +640,17 @@ def _piece_kernel(law, states):
                                  dist.cosine_bump(0.3, 0.24), *_piece_laws("slow_drain").values()])
 def test_piece_lines_match_kernel_bitwise(law):
     # inside each piece, at random points and the floats next to its ends, the
-    # lines of its states give the kernel's F, f and M
+    # lines of its states give the kernel's F, f and M, compiled for a float and
+    # run on each point, and compiled for arrays and run on the points as one
     rng = np.random.default_rng(3)
     for k, (lo, hi, states) in enumerate(law.kernel_pieces[1], 1):
-        piece = _piece_kernel(law, states)
-        for x in rng.uniform(lo, hi, 40).tolist() + _inner_ulps(lo, hi):
+        piece = law.compile_lines(("F", "f", "M"), states, False)
+        piece_v = law.compile_lines(("F", "f", "M"), states, True)
+        xs = rng.uniform(lo, hi, 40).tolist() + _inner_ulps(lo, hi)
+        for x in xs:
             assert _same(piece(x), law.kernel(x)), (k, states, x)
+        got = [np.broadcast_to(v, (len(xs),)).tolist() for v in piece_v(np.array(xs))]
+        assert all(_same(g, law.kernel(x)) for x, g in zip(xs, zip(*got))), (k, states)
 
 
 @pytest.mark.parametrize("zero_bid_prob", [0.0, 0.25])

@@ -1,9 +1,10 @@
 """The inverse cdf (table bracket + safeguarded Newton) against the bisection it
-replaced and, bit for bit, against the same iteration over every component
-without the guide-table search; its contract on random mixtures; the
+replaced and, bit for bit, against the same iteration on the full law's cdf
+and pdf without the guide-table search; its contract on random mixtures; the
 branch-free select; cost guards of the cdf table and of the revenue-curve hull
 built from the inverse cdf."""
 
+import math
 import time
 
 import numpy as np
@@ -39,16 +40,9 @@ def bisect_quantile(d, q):
 def reference_quantile(d, q):
     """Oracle for ``quantile`` on a law that is not affine: the table bracket
     by ``np.searchsorted``, then the same safeguarded Newton and bisection,
-    with F and f summed over every component in every round and
+    with F and f from the full law's ``cdf`` and ``pdf`` in every round and
     ``np.copyto``/``np.where`` selects."""
-    terms = list(zip(d.weights, d.parts))
-
-    def cdf(x):
-        return sum(w * p.cdf_v(x) for w, p in terms)
-
-    def pdf(x):
-        d._check_domain_v(x)
-        return sum(w * p.pdf_v(x) for w, p in terms)
+    cdf, pdf = d.cdf, d.pdf
 
     q = np.asarray(q, dtype=float).reshape(-1)
     xt, ft, slope = d._cdf_table
@@ -190,38 +184,57 @@ def test_matches_full_component_oracle_bitwise(laws, levels):
 
 
 def test_rows_skip_components(laws):
-    # rows where some component is not evaluated, and slow_drain rows where a
-    # uniform spans the row beside a live bump: the paths the oracle test checks
+    # rows whose piece leaves a component out, slow_drain rows whose piece runs
+    # a uniform's lines beside a bump's series or closed branch, and rows that
+    # are not clear of their piece's cuts: the paths the oracle test checks
     skipped = 0
     for name, d in laws:
-        _, programs = d._row_terms
-        skipped += sum(len(d.parts) - sum(p is not None for _, p, _ in terms)
-                       for _, terms in programs)
+        cuts, pieces = d.kernel_pieces
+        row_piece, row_clear = d._row_pieces
+        states = [pieces[k - 1][2] for k in row_piece[1:] if 0 < k < len(cuts)]
+        skipped += sum(s.count("below") + s.count("above") for s in states)
+        assert not row_clear[1:].all(), name
         if name.startswith("slow_drain"):
-            assert any(any(spans for _, _, spans in terms)
-                       and any(p is not None and p.kind == "cosine_bump" for _, p, _ in terms)
-                       for _, terms in programs), name
+            for branch in ("series", "closed"):
+                assert any("in" in s and branch in s for s in states), (name, branch)
     assert skipped > 0
 
 
 def test_row_sums_match_full_sums_at_row_ends(laws):
-    # each rising row's fused F and f against cdf and pdf over every component,
-    # bit for bit, across the row, at its ends and the four floats above each
-    # (a start may overshoot the row by a few ulps), and half the row margin
-    # beyond them, inside the support
+    # each rising row's F and f as the inverse cdf computes them (its piece's
+    # lines for arrays in a clear row, else each point by the piece's test)
+    # against the scalar kernel, bit for bit, across the row, at its ends and
+    # the four floats above each (a start may overshoot the row by a few ulps),
+    # and half the row margin beyond them, inside the support
     ulps = np.arange(5)[:, None]
     for name, d in laws + _row_edge_laws():
         xt, ft, _ = d._cdf_table
-        row_ids, programs = d._row_terms
+        row_piece, row_clear = d._row_pieces
         half = 0.5 * dist._ROW_MARGIN * d.support.hi
         for j in np.flatnonzero(np.diff(ft) > 0.0) + 1:
             ends = xt[[j - 1, j]].view(np.int64) + ulps
             x = np.concatenate([ends.view(float).ravel(), np.linspace(xt[j - 1], xt[j], 7),
                                 [xt[j - 1] - half, xt[j] + half]])
             x = np.clip(x, d.support.lo, d.support.hi)
-            F, f = dist._sum_cdf_pdf(x, *programs[row_ids[j]])
-            assert same_bits(F, d.cdf(x)), (name, j)
-            assert same_bits(np.broadcast_to(f, x.shape), d.pdf(x)), (name, j)
+            k = int(row_piece[j])
+            F, f = d._lines(k, 2)(x) if row_clear[j] else d._at(k, x)
+            want = np.array([d.kernel(v)[:2] for v in x.tolist()])
+            assert same_bits(F, want[:, 0]), (name, j)
+            assert same_bits(np.broadcast_to(f, x.shape), want[:, 1]), (name, j)
+
+
+@pytest.mark.parametrize("u", [1e-15, 1e-13, 1e-12])
+def test_bump_lower_edge_quantile_matches_kernel_bisection(u):
+    # below a bump's series switch the inverse cdf runs the series lines, as
+    # the scalar kernel does: with the closed form's cancellation there, the
+    # quantile of cosine_bump(1, 0.4) at 1e-15 lay 2.8e-8 from the leftmost x
+    # with F(x) >= u
+    law = dist.cosine_bump(1.0, 0.4)
+    a, b = law.support.lo, law.support.hi
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        a, b = (a, mid) if law.kernel(mid)[0] >= u else (mid, b)
+    assert abs(law.quantile(u) - b) <= 4 * math.ulp(b)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float16])

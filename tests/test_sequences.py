@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from talab import dist, myerson
+from talab import dist, myerson, sequences
 from talab.mechanisms import sa_reserve_closed_form
 from talab.sequences import (
     ExperimentError,
@@ -313,5 +313,23 @@ def test_p5_irons_the_weak_law_once(slow8, monkeypatch):
     assert len(ironed) == 9 and sum(d is weak for d in ironed) == 1
     monkeypatch.undo()
     for row in table.rows:
-        est = myerson.oa_revenue(weak, slow8.member(row.index), 2, 5_000, 3 + row.index)
+        est = myerson.oa_revenue(weak, slow8.member(row.index), 2, 5_000, 3 * 2**64 + row.index)
         assert (row.revenue, row.revenue_se) == (est.mean, est.std_error)
+
+
+def test_adjacent_seeds_share_no_row_stream(slow8, u01, monkeypatch):
+    # each row's Philox key, as P5's Monte Carlo receives it: sweeps at seeds
+    # s and s + 1 draw every row from a stream of its own (with key seed + l,
+    # 7 of their 8 rows would share one)
+    estimate = sequences.oa_estimate
+    keys = []
+
+    def recorded(psi_w, psi_s, n_weak, n, seed, threads):
+        keys.append(seed)
+        return estimate(psi_w, psi_s, n_weak, n, seed, threads)
+
+    monkeypatch.setattr(sequences, "oa_estimate", recorded)
+    for seed in (5, 6, 2**64 - 1):
+        run_limit_experiment("P5", slow8, u01, 2, n=100, seed=seed)
+    assert len(keys) == 24 and len(set(keys)) == 24
+    assert max(keys) < 2**128
