@@ -55,11 +55,12 @@ and f (Devroye, *Non-Uniform Random Variate Generation*, 1986, section 2.2):
   bisection inside their bracket, which keeps the leftmost-x contract.
 
 The iterations never leave a level's row, and the table holds every cut, so
-each row lies in one piece. The levels are grouped by piece, and each Newton
-round runs the piece's F and f lines for arrays once. Only a group with levels
-in a row that touches a cut's margin tests its iterates against the piece, and
-sends those outside it to the scalar kernel. Brackets move by ``select``, which
-has no branch per element from 1,024 levels on.
+each row lies in one piece. The levels are grouped by piece, and each round
+tests a group's iterates against the piece, as any array's points are tested:
+when all lie inside it, the round runs the piece's F and f lines for arrays
+once, and otherwise each point goes by its own piece or the scalar kernel.
+Brackets move by ``select``, which has no branch per element from 1,024
+levels on.
 
 Every level iterates on its own, so a result never depends on the rest of the
 array: scalar and vector calls agree bit for bit, and so do Monte Carlo runs
@@ -74,7 +75,7 @@ import re
 import types
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -514,33 +515,31 @@ class DistributionSpec:
             return self._vector(x, 3)[2]
         return self.kernel(float(x))[2]
 
-    def _vector(self, x: np.ndarray, n: int) -> np.ndarray:   # rows F, then f and M
+    def _vector(self, x: np.ndarray, n: int) -> list[np.ndarray]:
+        """The first n of rows F, f, M at points x: by the lines for arrays of
+        the piece of ``kernel_pieces`` each point lies inside, or by the scalar
+        kernel on or near a cut, beyond the outer cuts and at NaN."""
         flat = np.asarray(x, dtype=float).reshape(-1)
         k = np.searchsorted(self.kernel_pieces[0], flat, "right")
         lo, hi = self._piece_ends
         k[~((flat > lo.take(k)) & (flat < hi.take(k)))] = 0
-        return [row.reshape(x.shape) for row in self._eval(flat, k, n)]
-
-    def _eval(self, x: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
-        """The first n of rows F, f, M at points x inside pieces k of
-        ``kernel_pieces``, by their lines for arrays, or by the scalar kernel
-        where k is 0: on or near a cut, beyond the outer cuts, NaN."""
-        out = np.empty((n, x.size))
+        out = np.empty((n, flat.size))
         counts = np.bincount(k)
         for i in np.flatnonzero(counts):
-            sel = np.flatnonzero(k == i) if counts[i] < x.size else slice(None)
-            rows = (self._lines(i, n)(x[sel]) if i else
-                    np.array([self.kernel(v)[:n] for v in x[sel].tolist()]).T)
+            sel = np.flatnonzero(k == i) if counts[i] < flat.size else slice(None)
+            rows = (self._lines(i, n)(flat[sel]) if i else
+                    np.array([self.kernel(v)[:n] for v in flat[sel].tolist()]).T)
             for o, v in zip(out, rows):
                 o[sel] = v
-        return out
+        return [row.reshape(x.shape) for row in out]
 
     def _at(self, k: int, x: np.ndarray):
-        """(F, f) at points x of piece k's rows of the cdf table (``_eval``)."""
+        """(F, f) at points x, by piece k's lines for arrays when every x lies
+        inside the piece, else by ``_vector``."""
         lo, hi = self._piece_ends[:, k]
         if lo < x.min() and x.max() < hi:    # NaN fails both
             return self._lines(k, 2)(x)
-        return self._eval(x, np.where((x > lo) & (x < hi), k, 0), 2)
+        return self._vector(x, 2)
 
     @cached_property
     def _piece_ends(self) -> np.ndarray:
@@ -744,18 +743,11 @@ class DistributionSpec:
         return SortedIndex(self._cdf_table[1])
 
     @cached_property
-    def _row_pieces(self) -> tuple[np.ndarray, np.ndarray]:
-        """(piece, clear) per row j, [x[j-1], x[j]], of the cdf table: the piece
-        of ``kernel_pieces`` it lies in, and whether it lies inside the shrunk
-        piece when widened by ``_ROW_MARGIN`` of the support top, which every x
-        the inverse cdf evaluates for its levels does (a start overshoots x[j]
-        by a few ulps). Entry 0 is unused: levels fall in rows 1 and up."""
+    def _row_pieces(self) -> np.ndarray:
+        """The piece of ``kernel_pieces`` each row j, [x[j-1], x[j]], of the cdf
+        table lies in. Entry 0 is unused: levels fall in rows 1 and up."""
         xt = self._cdf_table[0]
-        margin = _ROW_MARGIN * self.support.hi
-        k = np.searchsorted(self.kernel_pieces[0], xt[:-1], "right")
-        lo, hi = self._piece_ends
-        clear = (xt[:-1] - margin > lo.take(k)) & (xt[1:] + margin < hi.take(k))
-        return np.concatenate([[0], k]), np.concatenate([[False], clear])
+        return np.concatenate([[0], np.searchsorted(self.kernel_pieces[0], xt[:-1], "right")])
 
     def _invert(self, q: np.ndarray) -> np.ndarray:
         """Table bracket, then safeguarded Newton, then bisection; elementwise.
@@ -763,22 +755,21 @@ class DistributionSpec:
         Each level's iterations depend on that level alone, so a result does not
         depend on the other levels in the array. Newton and bisection stay in a
         level's table row, so the levels are grouped by the piece of their row
-        (``_row_pieces``); a group with levels in a row that is not clear tests
-        its iterates each round (``_at``). Only the start is checked against
-        the support: every later x lies in its bracket. Converged levels leave
-        the working arrays, whose temporaries each Monte Carlo thread pays, once
-        an eighth of them is done; before, each is frozen at its result
-        (a = b = x), which every round gives again.
+        (``_row_pieces``), and each round evaluates a group's iterates by
+        ``_at``. Only the start is checked against the support: every later x
+        lies in its bracket. Converged levels leave the working arrays, whose
+        temporaries each Monte Carlo thread pays, once an eighth of them is
+        done; before, each is frozen at its result (a = b = x), which every
+        round gives again.
         """
         xt, ft, slope = self._cdf_table
-        row_piece, row_clear = self._row_pieces
         finished = []                 # (positions, results), written out at the end
         # levels above the rounded F(hi) map to hi, like q = 1
         idx = np.flatnonzero((q > 0.0) & (q < 1.0) & (q <= ft[-1]))
         # the first row above the float below u (u > 0: its bits less one) is
         # the first row with F >= u
         j = self._row_search((q.take(idx).view(np.int64) - 1).view(float))
-        pieces = row_piece.take(j)
+        pieces = self._row_pieces.take(j)
         counts = np.bincount(pieces)
         groups = []
         for k in np.flatnonzero(counts):
@@ -789,7 +780,6 @@ class DistributionSpec:
         tiny = self.support.width * _X_ABS_TOL
         while groups:
             k, idx, j = groups.pop()
-            lines = self._lines(k, 2) if row_clear.take(j).all() else partial(self._at, k)
             u = q.take(idx)
             subnormal = u.min() < _NEWTON_MIN_LEVEL
             b = xt.take(j)
@@ -803,7 +793,7 @@ class DistributionSpec:
             for _ in range(_NEWTON_STEPS):
                 if not idx.size:
                     break
-                r, f = lines(x)
+                r, f = self._at(k, x)
                 r -= u
                 below = r < 0.0
                 a = select(below, x, a)
@@ -833,7 +823,7 @@ class DistributionSpec:
                         idx, u, x, a, b = (v.take(keep) for v in (idx, u, x, a, b))
             while idx.size:
                 mid = 0.5 * (a + b)
-                ge = lines(mid)[0] >= u
+                ge = self._at(k, mid)[0] >= u
                 b = select(ge, mid, b)
                 a = select(ge, a, mid)
                 done = b - a <= _X_REL_TOL * np.abs(b) + tiny

@@ -184,11 +184,12 @@ class StrongBidLaw:
         g, _, m = self.eval3(b)
         return 0.0 if g <= 0.0 else m / g
 
-    def eval3(self, b: float) -> tuple[float, float, float]:
-        """(cdf, pdf, partial_mean) at a scalar bid b >= 0: the kernel plus the atom.
-        The bid-ODE rhs (``_rhs_factory``) writes out the same lines, and the rhs
-        of each piece of the support the lines of the components live there."""
-        c, p, m = self.dist.kernel(b)
+    def eval3(self, b):
+        """(cdf, pdf, partial_mean) at bids b >= 0, a scalar or an array: the
+        kernel or the law's vector rows, plus the atom. The bid-ODE rhs
+        (``_rhs_factory``) writes out the same lines, and the rhs of each piece
+        of the support the lines of the components live there."""
+        c, p, m = self.dist._vector(b, 3) if isinstance(b, np.ndarray) else self.dist.kernel(b)
         z = self.zero_bid_prob
         s = 1.0 - z  # self.atom and self.scale, without the property calls
         return z + s * c, s * p, s * m
@@ -868,7 +869,8 @@ def raw_bid_payoff(v_true, raw_bid, weak: DistributionSpec, strong, n_weak: int)
     law = as_strong_law(strong)
     b = np.asarray(raw_bid, dtype=float)
     v = np.asarray(v_true, dtype=float)
-    out = v * law.cdf(b) - law.partial_mean(b)
+    G, _, M = law.eval3(b)
+    out = v * np.where(b < 0.0, 0.0, G) - M
     return float(out) if out.ndim == 0 else out
 
 

@@ -301,7 +301,8 @@ def test_strong_eval3_matches_separate_calls(name, zero_bid_prob):
     law = StrongBidLaw(base, zero_bid_prob)
     knots = [k for p in base.parts for k in p.knots()]
     grid = [i * base.support.hi / 97 for i in range(98)]
-    for b in sorted(set(knots + grid + [0.0, base.support.hi])):
+    points = sorted(set(knots + grid + [0.0, base.support.hi]))
+    for b in points:
         got = law.eval3(b)
         want = (law.cdf(b), law.pdf(b), law.partial_mean(b))
         assert [bits(g) for g in got] == [bits(w) for w in want], (name, b)
@@ -309,6 +310,16 @@ def test_strong_eval3_matches_separate_calls(name, zero_bid_prob):
         mean = 0.0 if want[0] <= 0.0 else want[2] / want[0]
         assert bits(law.mean_below(b)) == bits(mean), (name, b)
     assert law.mean_below(-1e-300) == law.mean_below(-1.0) == 0.0
+    # on an array of all the points, eval3 gives each scalar call's bits
+    rows = law.eval3(np.array(points))
+    for i, b in enumerate(points):
+        assert _same([r[i] for r in rows], law.eval3(b)), (name, b)
+    # raw_bid_payoff reads G and M from one eval3 call, G = 0 below bid 0
+    raws = np.array([-0.5, 0.0, *grid[1:-1:8], base.support.hi])
+    v = np.array([[0.4], [1.9]])
+    want = v * law.cdf(raws) - law.partial_mean(raws)
+    got = equilibrium.raw_bid_payoff(v, raws, base, law, 3)
+    assert got.tobytes() == want.tobytes(), name
 
 
 def _tableau_stepper(rhs):
@@ -519,8 +530,8 @@ def test_rhs_makes_no_eval3_or_kernel_call(monkeypatch):
 
 def ref_verify_best_response(bid, weak, strong, n_weak):
     """verify_best_response as it was before it evaluated each law once over
-    all its points: one deviation_payoff (conftest) or raw_bid_payoff
-    call per grid."""
+    all its points: one deviation_payoff (conftest) call per grid, and the raw
+    bids' payoffs from separate cdf and partial_mean calls."""
     eq = equilibrium
     law = eq.as_strong_law(strong)
     v_bar = weak.support.hi
@@ -535,7 +546,7 @@ def ref_verify_best_response(bid, weak, strong, n_weak):
     top = bid.b_top
     if law.hi > top:
         raws = np.linspace(top, law.hi, eq._BR_RAW_BIDS + 1)[1:]
-        pi_raw = eq.raw_bid_payoff(v_grid[:, None], raws, weak, law, n_weak)
+        pi_raw = v_grid[:, None] * law.cdf(raws) - law.partial_mean(raws)
         raw_regret = pi_raw - pi_eq[:, None]
         ri, rj = np.unravel_index(np.argmax(raw_regret), raw_regret.shape)
         if float(raw_regret[ri, rj]) > max_regret:

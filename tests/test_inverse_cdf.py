@@ -186,14 +186,15 @@ def test_matches_full_component_oracle_bitwise(laws, levels):
 def test_rows_skip_components(laws):
     # rows whose piece leaves a component out, slow_drain rows whose piece runs
     # a uniform's lines beside a bump's series or closed branch, and rows that
-    # are not clear of their piece's cuts: the paths the oracle test checks
+    # end on a cut, whose iterates may leave the shrunk piece (``_at``'s
+    # fallback): the paths the oracle test checks
     skipped = 0
     for name, d in laws:
         cuts, pieces = d.kernel_pieces
-        row_piece, row_clear = d._row_pieces
+        row_piece = d._row_pieces
         states = [pieces[k - 1][2] for k in row_piece[1:] if 0 < k < len(cuts)]
         skipped += sum(s.count("below") + s.count("above") for s in states)
-        assert not row_clear[1:].all(), name
+        assert np.isin(d._cdf_table[0][1:], cuts).any(), name
         if name.startswith("slow_drain"):
             for branch in ("series", "closed"):
                 assert any("in" in s and branch in s for s in states), (name, branch)
@@ -201,15 +202,14 @@ def test_rows_skip_components(laws):
 
 
 def test_row_sums_match_full_sums_at_row_ends(laws):
-    # each rising row's F and f as the inverse cdf computes them (its piece's
-    # lines for arrays in a clear row, else each point by the piece's test)
-    # against the scalar kernel, bit for bit, across the row, at its ends and
-    # the four floats above each (a start may overshoot the row by a few ulps),
-    # and half the row margin beyond them, inside the support
+    # each rising row's F and f as the inverse cdf computes them (``_at`` on
+    # the row's piece) against the scalar kernel, bit for bit, across the row,
+    # at its ends and the four floats above each (a start may overshoot the row
+    # by a few ulps), and half the row margin beyond them, inside the support
     ulps = np.arange(5)[:, None]
     for name, d in laws + _row_edge_laws():
         xt, ft, _ = d._cdf_table
-        row_piece, row_clear = d._row_pieces
+        row_piece = d._row_pieces
         half = 0.5 * dist._ROW_MARGIN * d.support.hi
         for j in np.flatnonzero(np.diff(ft) > 0.0) + 1:
             ends = xt[[j - 1, j]].view(np.int64) + ulps
@@ -217,7 +217,7 @@ def test_row_sums_match_full_sums_at_row_ends(laws):
                                 [xt[j - 1] - half, xt[j] + half]])
             x = np.clip(x, d.support.lo, d.support.hi)
             k = int(row_piece[j])
-            F, f = d._lines(k, 2)(x) if row_clear[j] else d._at(k, x)
+            F, f = d._at(k, x)
             want = np.array([d.kernel(v)[:2] for v in x.tolist()])
             assert same_bits(F, want[:, 0]), (name, j)
             assert same_bits(np.broadcast_to(f, x.shape), want[:, 1]), (name, j)
