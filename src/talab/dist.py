@@ -81,8 +81,20 @@ import numpy as np
 
 _NORM_TOL = 1e-8
 # knot-panel quadrature: Gauss-Legendre on each panel's subintervals, graded
-# geometrically toward both of its ends
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
+# geometrically toward both of its ends. The nodes and weights are numpy's
+# leggauss(20) bit for bit, written out so that no run imports numpy.polynomial
+_GL_X = np.array([
+    -0.993128599185095, -0.9639719272779138, -0.912234428251326, -0.8391169718222188,
+    -0.7463319064601508, -0.636053680726515, -0.5108670019508271, -0.37370608871541955,
+    -0.22778585114164507, -0.07652652113349734, 0.07652652113349734, 0.22778585114164507,
+    0.37370608871541955, 0.5108670019508271, 0.636053680726515, 0.7463319064601508,
+    0.8391169718222188, 0.912234428251326, 0.9639719272779138, 0.993128599185095])
+_GL_W = np.array([
+    0.017614007139150893, 0.040601429800386446, 0.06267204833410879, 0.08327674157670471,
+    0.1019301198172407, 0.1181945319615186, 0.1316886384491769, 0.1420961093183824,
+    0.14917298647260424, 0.15275338713072628, 0.15275338713072628, 0.14917298647260424,
+    0.1420961093183824, 0.1316886384491769, 0.1181945319615186, 0.1019301198172407,
+    0.08327674157670471, 0.06267204833410879, 0.040601429800386446, 0.017614007139150893])
 _GRADING_LEVELS = 24
 _TABLE_POINTS = 257        # inverse-cdf table rows over the whole support ...
 _PART_TABLE_POINTS = 65    # ... plus these over each component's own interval
@@ -707,7 +719,9 @@ class DistributionSpec:
         lo, hi = self.support.lo, self.support.hi
         grids = [np.linspace(lo, hi, _TABLE_POINTS)]
         grids += [np.linspace(p.lo, p.hi, _PART_TABLE_POINTS) for p in self.parts]
-        xs = np.unique(np.concatenate(grids + [np.clip(self.kernel_pieces[0], lo, hi)]))
+        # np.unique's sort and mask: np.unique imports numpy.ma on its first call
+        xs = np.sort(np.concatenate(grids + [np.clip(self.kernel_pieces[0], lo, hi)]))
+        xs = xs[np.concatenate([[True], xs[1:] != xs[:-1]])]
         fs = np.maximum.accumulate(self.cdf(xs))
         # a flat row gives inf, as does a rise of a few subnormals (as where a
         # pw_linear density rises from 0 to 1e-311). No level falls in a flat

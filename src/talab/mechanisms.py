@@ -31,7 +31,6 @@ the strong bidder wins it.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -294,6 +293,7 @@ def run_blocks(seed: int, n: int, stride: int, block_fn, outs, threads: int = 1)
 
     starts = range(0, n, _BLOCK_REPLICATES)
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor   # a one-thread run does not import it
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(work, starts))
     else:

@@ -388,6 +388,13 @@ def test_quadrature_reproducible(floored_mixture):
     assert a == b
 
 
+def test_gauss_legendre_literals_are_leggauss_20():
+    # written out so that no run imports numpy.polynomial (tests/test_startup.py)
+    x, w = np.polynomial.legendre.leggauss(20)
+    assert dist._GL_X.tobytes() == x.tobytes()
+    assert dist._GL_W.tobytes() == w.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # knot-panel quadrature, held to scipy's adaptive quad
 # ---------------------------------------------------------------------------

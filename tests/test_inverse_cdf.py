@@ -15,7 +15,7 @@ from talab import dist
 from talab.mechanisms import AuctionSpec, simulate_draws
 from talab.myerson import QUANTILE_GRID_SIZE, ironed_virtual
 from talab.rng import uniform_stream
-from talab.sequences import make_family
+from talab.sequences import FAMILY_KINDS, make_family
 
 from conftest import mixtures, piecewise_linear, to_json_dict
 
@@ -333,6 +333,28 @@ def test_table_build_is_cheap(laws):
             fresh._cdf_table
             times.append(time.perf_counter() - t0)
         assert min(times) < 2e-3, name
+
+
+def test_table_points_are_np_unique_of_the_grid(test_distributions):
+    # the build sorts and drops repeats itself, as np.unique imports numpy.ma on
+    # its first call (tests/test_startup.py); members 1-12 of each family and a
+    # uniform/pw_linear mixture, whose grids repeat the shared ends and cuts
+    laws = [(f"{kind}[{l}]", make_family(kind, K, W_BAR, 12).member(l))
+            for kind in FAMILY_KINDS for l in range(1, 13)]
+    laws.append(("U[0, 1] + pw_linear", dist.mixture([(0.5, dist.uniform(0.0, 1.0)),
+                                                      (0.5, test_distributions["pw_linear"])])))
+    repeats = 0
+    for name, d in laws:
+        lo, hi = d.support.lo, d.support.hi
+        grid = np.concatenate([np.linspace(lo, hi, dist._TABLE_POINTS)]
+                              + [np.linspace(p.lo, p.hi, dist._PART_TABLE_POINTS)
+                                 for p in d.parts]
+                              + [np.clip(d.kernel_pieces[0], lo, hi)])
+        xs = np.unique(grid)
+        assert same_bits(d._cdf_table[0], xs), name
+        assert same_bits(d._cdf_table[1], np.maximum.accumulate(d.cdf(xs))), name
+        repeats += grid.size - xs.size
+    assert repeats > 0
 
 
 def _memoryview_hull_loop(s, r):
