@@ -431,7 +431,7 @@ def _emit_error(kind: str, exc: Exception):
 
 
 def main() -> None:
-    sys.exit(run())
+    sys.exit(run(sys.argv[1:]))
 
 
 if __name__ == "__main__":

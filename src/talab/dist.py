@@ -33,7 +33,8 @@ series) each component takes one branch or lies wholly above or below x, and
 ``kernel_body`` writes a piece's lines: for floats (the bid-ODE rhs) or for
 arrays. An array's points inside a piece run its array lines, and the rest
 (near a cut, beyond the support, NaN) the scalar kernel, so vector and scalar
-F, f and M agree bit for bit.
+F, f and M agree bit for bit. The construction-time norm check, which needs
+no such agreement, runs every node between the outer cuts by its piece's lines.
 
 Supported kinds: ``uniform``, ``cosine_bump`` (raised-cosine bump, C^1
 everywhere), ``pw_linear`` (piecewise-linear density) and flat ``mixture`` of
@@ -429,7 +430,7 @@ class DistributionSpec:
     """Immutable univariate distribution on a bounded support.
 
     Build through the constructors at the bottom of this module (``uniform``,
-    ``cosine_bump``, ``mixture``) or, for any kind, via ``from_json_dict``.
+    ``mixture``) or, for any kind, via ``from_json_dict``.
     ``weights``/``parts`` always describe a mixture; single-kind distributions
     are one-component mixtures.
     """
@@ -459,8 +460,15 @@ class DistributionSpec:
     # -- construction-time checks ------------------------------------------
 
     def _quad_norm(self) -> float:
+        """The knot-panel rule's integral of the density. Each node runs the
+        array lines of the piece it lies in, near a cut too, and only a node
+        beyond the outer cuts the scalar kernel: a check to 1e-8 needs no bit
+        for bit agreement with the kernel."""
         x, w = self._quadrature
-        return float(np.sum(w * self.pdf(x)))
+        cuts = self.kernel_pieces[0]
+        k = np.searchsorted(cuts, x, "right")
+        k[k == len(cuts)] = 0
+        return float(np.sum(w * self._by_piece(x, k, 2)[1]))
 
     def interior_knots(self) -> list[float]:
         """The components' knots strictly inside the support, sorted: their
@@ -535,15 +543,20 @@ class DistributionSpec:
         k = np.searchsorted(self.kernel_pieces[0], flat, "right")
         lo, hi = self._piece_ends
         k[~((flat > lo.take(k)) & (flat < hi.take(k)))] = 0
-        out = np.empty((n, flat.size))
+        return [row.reshape(x.shape) for row in self._by_piece(flat, k, n)]
+
+    def _by_piece(self, x: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
+        """The first n of rows F, f, M at flat points x: x[j] by piece k[j]'s
+        lines for arrays, or by the scalar kernel where k[j] is 0."""
+        out = np.empty((n, x.size))
         counts = np.bincount(k)
         for i in np.flatnonzero(counts):
-            sel = np.flatnonzero(k == i) if counts[i] < flat.size else slice(None)
-            rows = (self._lines(i, n)(flat[sel]) if i else
-                    np.array([self.kernel(v)[:n] for v in flat[sel].tolist()]).T)
+            sel = np.flatnonzero(k == i) if counts[i] < x.size else slice(None)
+            rows = (self._lines(i, n)(x[sel]) if i else
+                    np.array([self.kernel(v)[:n] for v in x[sel].tolist()]).T)
             for o, v in zip(out, rows):
                 o[sel] = v
-        return [row.reshape(x.shape) for row in out]
+        return out
 
     def _at(self, k: int, x: np.ndarray):
         """(F, f) at points x, by piece k's lines for arrays when every x lies
@@ -937,7 +950,7 @@ def from_json_dict(obj: dict) -> DistributionSpec:
         if not params:
             raise DistributionError("mixture params are empty")
         pos = 1
-        weights, parts = [], []
+        components = []
         for _ in range(_count(params, 0, "component count")):
             if pos + 3 > len(params):
                 raise DistributionError("truncated mixture encoding")
@@ -952,11 +965,12 @@ def from_json_dict(obj: dict) -> DistributionSpec:
             pos += 2
             if code not in _CODE_KINDS:
                 raise DistributionError(f"unknown component code {code:g}")
-            weights.append(w)
-            parts.append(_part_from(_CODE_KINDS[int(code)], body, plo, phi))
+            components.append((w, _CODE_KINDS[int(code)], body, plo, phi))
         if pos != len(params):
             raise DistributionError("trailing data in mixture encoding")
-        return DistributionSpec("mixture", support, tuple(weights), tuple(parts))
+        return mixture(components, (lo, hi))
+    if kind == "uniform":
+        return uniform(lo, hi)
     part = _part_from(kind, params, lo, hi)
     return DistributionSpec(kind, support, (1.0,), (part,))
 
@@ -970,26 +984,13 @@ def uniform(lo: float, hi: float) -> DistributionSpec:
     return DistributionSpec("uniform", SupportInterval(lo, hi), (1.0,), (_Uniform(lo, hi),))
 
 
-def cosine_bump(center: float, half_width: float) -> DistributionSpec:
-    part = _CosineBump(center, half_width)
-    return DistributionSpec(
-        "cosine_bump", SupportInterval(part.lo, part.hi), (1.0,), (part,)
-    )
-
-
-def mixture(components, support: tuple[float, float] | None = None) -> DistributionSpec:
-    """Mixture of (weight, DistributionSpec) pairs; nested mixtures are rejected."""
-    weights, parts = [], []
-    for w, spec in components:
-        if spec.kind == "mixture":
-            raise DistributionError("nested mixtures are not supported")
-        weights.append(float(w))
-        parts.append(spec.parts[0])
-    if support is None:
-        support = (min(p.lo for p in parts), max(p.hi for p in parts))
-    return DistributionSpec(
-        "mixture", SupportInterval(*support), tuple(weights), tuple(parts)
-    )
+def mixture(components, support: tuple[float, float]) -> DistributionSpec:
+    """The mixture on ``support`` of (weight, kind, params, lo, hi) components,
+    each read as a JSON mixture's (``_part_from``): a uniform spans [lo, hi]
+    and reads no params, a cosine bump's [center, half_width] lies in [lo, hi]."""
+    return DistributionSpec("mixture", SupportInterval(*support),
+                            tuple(float(c[0]) for c in components),
+                            tuple(_part_from(*c[1:]) for c in components))
 
 
 # ---------------------------------------------------------------------------

@@ -143,22 +143,23 @@ def _build_member(fam: FamilySpec, l: int) -> DistributionSpec:
     delta = fam.low_mass(l)
     eta = fam.atom_width(l)
     a = fam.low_width(l)
+    span = (0.0, fam.w_bar)            # the support, and each component's interval
     comps = []
     if delta > 0.0:
-        comps.append((delta, dist.cosine_bump(a / 2.0, a / 2.0)))
-    comps.append((eps, dist.uniform(0.0, fam.w_bar)))
+        comps.append((delta, "cosine_bump", [a / 2.0, a / 2.0], *span))
+    comps.append((eps, "uniform", [], *span))
     atom_mass = 1.0 - delta - eps
     if atom_mass <= 0.0:
         raise ExperimentError(f"no mass left for the atom at index {l}")
     if fam.kind == "split_atom":
         p = fam.split_p
         if p > 0.0:
-            comps.append((p * atom_mass, dist.cosine_bump(fam.k - eta, eta)))
+            comps.append((p * atom_mass, "cosine_bump", [fam.k - eta, eta], *span))
         if p < 1.0:
-            comps.append(((1.0 - p) * atom_mass, dist.cosine_bump(fam.k + eta, eta)))
+            comps.append(((1.0 - p) * atom_mass, "cosine_bump", [fam.k + eta, eta], *span))
     else:
-        comps.append((atom_mass, dist.cosine_bump(fam.k, eta)))
-    return dist.mixture(comps, support=(0.0, fam.w_bar))
+        comps.append((atom_mass, "cosine_bump", [fam.k, eta], *span))
+    return dist.mixture(comps, span)
 
 
 make_family = FamilySpec   # make_family(kind, k, w_bar, size), the public constructor name

@@ -15,6 +15,23 @@ def piecewise_linear(xs, ys):
                                 "support": [xs[0], xs[-1]]})
 
 
+def cosine_bump(center, half_width):
+    """The raised-cosine law on [center - half_width, center + half_width]."""
+    return dist.from_json_dict({"kind": "cosine_bump", "params": [center, half_width],
+                                "support": [center - half_width, center + half_width]})
+
+
+def mixture_of(laws, support=None):
+    """The mixture of (weight, one-component law) pairs, on the components'
+    hull unless ``support`` is given: the laws' own components, not rebuilt."""
+    weights = tuple(float(w) for w, _ in laws)
+    parts = tuple(part for _, law in laws for part in law.parts)
+    assert len(parts) == len(weights), "nested mixtures are not supported"
+    if support is None:
+        support = (min(p.lo for p in parts), max(p.hi for p in parts))
+    return dist.DistributionSpec("mixture", dist.SupportInterval(*support), weights, parts)
+
+
 def _own_params(part) -> list:
     """A component's parameters in the JSON encoding of its kind."""
     if part.kind == "uniform":
@@ -69,7 +86,7 @@ def components(draw, top):
     if kind == "cosine_bump":
         s = draw(st.floats(0.01 * top, 0.5 * top))
         c = draw(st.floats(s, top - s))
-        return dist.cosine_bump(c, s)
+        return cosine_bump(c, s)
     lo = draw(st.floats(0.0, 0.8 * top))
     hi = draw(st.floats(lo + 0.1 * top, top))
     if kind == "uniform":
@@ -86,7 +103,7 @@ def mixtures(draw):
     w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=len(parts),
                                max_size=len(parts))))
     w /= w.sum()
-    return dist.mixture(list(zip(w.tolist(), parts)))
+    return mixture_of(list(zip(w.tolist(), parts)))
 
 
 @pytest.fixture(scope="session")
@@ -102,8 +119,8 @@ def u02():
 @pytest.fixture(scope="session")
 def gap_mixture():
     # 0.25 mass uniform on [0, 0.1], 0.75 mass raised-cosine bump at 2 (half-width 0.1)
-    return dist.mixture(
-        [(0.25, dist.uniform(0.0, 0.1)), (0.75, dist.cosine_bump(2.0, 0.1))],
+    return mixture_of(
+        [(0.25, dist.uniform(0.0, 0.1)), (0.75, cosine_bump(2.0, 0.1))],
         support=(0.0, 2.1),
     )
 
@@ -111,11 +128,11 @@ def gap_mixture():
 @pytest.fixture(scope="session")
 def floored_mixture():
     # strong-side style law: low bump + uniform floor + atom bump, positive everywhere
-    return dist.mixture(
+    return mixture_of(
         [
-            (0.05, dist.cosine_bump(0.125, 0.125)),
+            (0.05, cosine_bump(0.125, 0.125)),
             (0.01, dist.uniform(0.0, 2.5)),
-            (0.94, dist.cosine_bump(2.0, 0.05)),
+            (0.94, cosine_bump(2.0, 0.05)),
         ],
         support=(0.0, 2.5),
     )
@@ -132,7 +149,7 @@ def test_distributions(u01, u02, gap_mixture, floored_mixture):
         "pw_linear": pw,
         # a density that vanishes at both ends of its support
         "triangle": piecewise_linear([0.0, 0.3, 1.0], [0.0, 1.0, 0.0]),
-        "bump": dist.cosine_bump(1.0, 0.4),
+        "bump": cosine_bump(1.0, 0.4),
     }
 
 

@@ -41,8 +41,8 @@ from talab.sequences import (
     run_limit_experiment,
 )
 
-from conftest import (DENSE_THETAS, bid_ode_rhs, defect_model_sup, schedule_defects,
-                      schedule_ppoly)
+from conftest import (DENSE_THETAS, bid_ode_rhs, cosine_bump, defect_model_sup, mixture_of,
+                      schedule_defects, schedule_ppoly)
 
 K = 2.0
 W_BAR = 2.5
@@ -114,8 +114,8 @@ def criterion5_solves(u01, slow8):
     slow_drain members and one smooth mixture."""
     laws = [(f"l={l}/N={n}/zero={zero}", StrongBidLaw(slow8.member(l), zero), n)
             for l in (3, 5, 8) for n in (2, 5) for zero in (0.0, 0.25)]
-    mixture = dist.mixture(
-        [(0.3, dist.uniform(0.0, 2.0)), (0.7, dist.cosine_bump(1.2, 0.8))],
+    mixture = mixture_of(
+        [(0.3, dist.uniform(0.0, 2.0)), (0.7, cosine_bump(1.2, 0.8))],
         support=(0.0, 2.0),
     )
     laws.append(("mixture/N=2", StrongBidLaw(mixture), 2))

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -6,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from scipy import integrate
 
-from talab import dist
+from talab import dist, sequences
 from talab.dist import DistributionError
 from talab.rng import uniform_stream
 from talab.sequences import FAMILY_KINDS, make_family
 
-from conftest import mixtures, piecewise_linear, quad_cdf, quad_partial_mean, to_json_dict
+from conftest import (cosine_bump, mixtures, piecewise_linear, quad_cdf, quad_partial_mean,
+                      to_json_dict)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +133,7 @@ def test_bump_cdf_edges(gap_mixture):
     # sin(+-pi)/pi is not 0 in floating point: the vector cdf must still be
     # exactly 0 and 1 at and beyond the bump edges, like the scalar one
     for c, s in ((2.0, 0.1), (1.0, 0.4), (0.0625, 0.0625)):
-        law = dist.cosine_bump(c, s)
+        law = cosine_bump(c, s)
         b = law.parts[0]
         xs = np.array([b.lo - 1.0, b.lo - 1e-9, b.lo, b.hi, b.hi + 1e-9, b.hi + 1.0])
         vec = law.cdf(xs)
@@ -146,7 +148,7 @@ def test_bump_clipped_argument_keeps_bits(s):
     # and its neighbours, across and beyond the bump, far away and at NaN: the
     # points near an edge go to the kernel, and 1e308 - c must not overflow
     # into a wrong branch
-    law = dist.cosine_bump(3.0 * s, s)
+    law = cosine_bump(3.0 * s, s)
     b = law.parts[0]
     edges = np.array([b.lo, b.lo + 0.25 * s, b.c, b.hi])
     xs = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
@@ -177,7 +179,7 @@ def test_one_plus_cos_of_pi_is_plus_zero(size):
 def test_bump_lower_edge_relative_accuracy(c, s):
     # F and M near the lower edge against quadrature of f = sin^2(pi r/2)/s in
     # r = (x - lo)/s; 0.5 (1 + t + sin(pi t)/pi) is off by a factor 3e7 at r = 1e-8
-    law = dist.cosine_bump(c, s)
+    law = cosine_bump(c, s)
     b = law.parts[0]
     below, above = math.nextafter(0.25, 0.0), math.nextafter(0.25, 1.0)
     for r in (1e-8, 1e-4, 1e-2, 0.2, below, above):
@@ -343,7 +345,7 @@ def test_invalid_constructions():
     with pytest.raises(DistributionError):
         piecewise_linear([0.0, 1.0], [0.0, 0.0])
     with pytest.raises(DistributionError):
-        dist.mixture([(0.6, dist.uniform(0, 1)), (0.6, dist.uniform(0, 1))])
+        dist.mixture([(0.6, "uniform", [], 0.0, 1.0), (0.6, "uniform", [], 0.0, 1.0)], (0.0, 1.0))
 
 
 @pytest.mark.parametrize("obj", [
@@ -434,3 +436,44 @@ def test_norm_check_refuses_a_density_off_by_1e_7(hi):
     part.h *= 1.0 + 1e-7                                           # f scaled by 1 + 1e-7
     with pytest.raises(DistributionError, match=r"density integrates to 1\.000000(1|09)"):
         dist.DistributionSpec("uniform", support, (1.0,), (part,))
+
+
+def test_norm_check_refuses_a_bump_off_by_1e_7():
+    # a member-like law whose atom is split_atom[20]'s width: some of its nodes
+    # lie within the kernel's margin of the bump's switch to its series
+    support = dist.SupportInterval(0.0, 2.5)
+    weights = (0.05, 0.01, 0.94)
+
+    def parts():
+        return (dist._CosineBump(0.025, 0.025), dist._Uniform(0.0, 2.5),
+                dist._CosineBump(2.0, 0.2 * 2.0**-19))
+
+    dist.DistributionSpec("mixture", support, weights, parts())          # exact: accepted
+    heavy = parts()
+    values = heavy[2]._kernel_values()     # the atom's f scaled by 1 + 1e-7
+    heavy[2]._kernel_values = lambda: {**values, "two_s": values["two_s"] / (1.0 + 1e-7)}
+    with pytest.raises(DistributionError, match=r"density integrates to 1\.00000009[34]"):
+        dist.DistributionSpec("mixture", support, weights, heavy)
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_norm_check_runs_the_piece_lines_inside_the_outer_cuts(kind, monkeypatch):
+    # each node between the outer cuts runs its piece's lines for arrays, the
+    # nodes within the kernel's margin of a cut too: none reaches the scalar kernel
+    seen = []
+    scalar = dist.DistributionSpec.kernel.func
+
+    def kernel(self):
+        run = scalar(self)
+        return lambda x: seen.append(x) or run(x)
+
+    recording = functools.cached_property(kernel)
+    recording.__set_name__(dist.DistributionSpec, "kernel")
+    monkeypatch.setattr(dist.DistributionSpec, "kernel", recording)
+    fam = make_family(kind, 2.0, 2.5, 20)
+    for l in range(1, 21):
+        seen.clear()
+        law = sequences._build_member.__wrapped__(fam, l)   # built afresh, not cached
+        cuts = law.kernel_pieces[0]
+        assert not [x for x in seen if cuts[0] <= x <= cuts[-1]], l
+        assert abs(law._quad_norm() - 1.0) <= 1e-9, l

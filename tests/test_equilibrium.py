@@ -25,8 +25,8 @@ from talab.equilibrium import (
 from talab.mechanisms import AuctionSpec, DiscreteAtomSpec, MechanismError
 from talab.sequences import make_family
 
-from conftest import (GATE_THETAS, bid_ode_rhs, deviation_payoff, piecewise_linear,
-                      schedule_defects, schedule_ppoly)
+from conftest import (GATE_THETAS, bid_ode_rhs, cosine_bump, deviation_payoff, mixture_of,
+                      piecewise_linear, schedule_defects, schedule_ppoly)
 
 
 @pytest.fixture(scope="module")
@@ -40,11 +40,11 @@ def bump_member():
     # slow-drain style strong law, index 3 sharpness
     l = 3
     d, e, a, eta = 0.15 * l**-1.5, 0.02 / l**2, 1 / l, 0.4 * 2.0 ** (1 - l)
-    return dist.mixture(
+    return mixture_of(
         [
-            (d, dist.cosine_bump(a / 2, a / 2)),
+            (d, cosine_bump(a / 2, a / 2)),
             (e, dist.uniform(0.0, 2.5)),
-            (1 - d - e, dist.cosine_bump(2.0, eta)),
+            (1 - d - e, cosine_bump(2.0, eta)),
         ],
         support=(0.0, 2.5),
     )
@@ -183,7 +183,7 @@ def test_solve_counters_repeat(u01, bump_member):
 ])
 def test_underflow_names_gate_and_reports_counters(u01, u02, case, gate):
     fast = make_family("fast_drain", 2.0, 2.5, 8)
-    jump = dist.mixture([(0.5, dist.uniform(0.0, 0.4)), (0.5, u01)])
+    jump = mixture_of([(0.5, dist.uniform(0.0, 0.4)), (0.5, u01)])
     weak, strong, n = {
         "weak_jump": (jump, u02, 3),
         "weak_jump_n5": (jump, u02, 5),
@@ -664,8 +664,8 @@ def test_raw_bids_above_top_suboptimal(uniform_solution, u01, u02):
 
 
 def test_intervention_equilibrium_verifies(u01):
-    strong = dist.mixture(
-        [(0.003125, dist.uniform(0.0, 2.5)), (0.996875, dist.cosine_bump(2.0, 0.05))],
+    strong = mixture_of(
+        [(0.003125, dist.uniform(0.0, 2.5)), (0.996875, cosine_bump(2.0, 0.05))],
         support=(0.0, 2.5),
     )
     law = StrongBidLaw(strong, zero_bid_prob=0.25)

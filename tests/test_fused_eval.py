@@ -33,7 +33,7 @@ from talab import dist, equilibrium
 from talab.equilibrium import StrongBidLaw, solve_ode
 from talab.sequences import make_family
 
-from conftest import deviation_payoff, piecewise_linear
+from conftest import cosine_bump, deviation_payoff, mixture_of, piecewise_linear
 
 
 def bits(x: float) -> bytes:
@@ -163,12 +163,12 @@ def ref_rhs_factory(weak, law, n_weak, piece=None):
 
 # (name, single-component law, points to check); edges of the bump sit at
 # t = (x - c)/s = -1 and 1 exactly
-_BUMP = dist.cosine_bump(1.0, 0.5)
+_BUMP = cosine_bump(1.0, 0.5)
 _PW = piecewise_linear([0.0, 0.5, 1.2, 2.2], [0.5, 1.0, 0.3, 0.4])
 CASES = [
     ("uniform", dist.uniform(0.5, 2.0), [0.0, 0.5, 0.75, 1.3, 2.0, 2.5]),
     ("bump", _BUMP, [0.0, 0.25, 0.5, 0.5 + 1e-9, 0.8, 1.0, 1.37, 1.5 - 1e-12, 1.5, 1.75, 3.0]),
-    ("bump_off_grid", dist.cosine_bump(2.0, 0.05), [1.94, 1.95, 1.9500001, 2.0, 2.049, 2.05, 2.2]),
+    ("bump_off_grid", cosine_bump(2.0, 0.05), [1.94, 1.95, 1.9500001, 2.0, 2.049, 2.05, 2.2]),
     ("pw_linear", _PW, [0.0, 0.1, 0.5, 0.9, 1.2, 1.7, 2.2, 2.5]),
     # density > 0 at lo and 0 at hi, on one segment; 0 at lo and > 0 at hi;
     # flat; 0 at both ends
@@ -193,7 +193,7 @@ def test_bump_edges_are_exact():
 
 def _strong_laws():
     member = make_family("slow_drain", k=2.0, w_bar=2.5, size=8).member(5)
-    every_kind = dist.mixture([
+    every_kind = mixture_of([
         (0.3, _PW),
         (0.2, piecewise_linear([0.0, 1.1, 2.2], [0.0, 1.0, 0.0])),
         (0.2, dist.uniform(0.0, 2.2)),
@@ -222,7 +222,7 @@ ORACLE_CASES = [(f"{kind}[{l}]", member, None)
                 for kind in ("slow_drain", "smoothed_discrete", "fast_drain", "split_atom")
                 for l, member in enumerate(make_family(kind, k=2.0, w_bar=2.5, size=12).members(), 1)
                 ] + [("every_kind", _strong_laws()["every_kind"], None),
-                     ("bump_edge_below", dist.cosine_bump(0.3, 0.24), None)]
+                     ("bump_edge_below", cosine_bump(0.3, 0.24), None)]
 
 
 @pytest.mark.parametrize("name,law,points", CASES + ORACLE_CASES,
@@ -367,7 +367,7 @@ def test_written_out_stages_match_tableau_loop(monkeypatch, u01, u02):
 
 
 def test_rhs_weak_sweep_matches_separate_calls():
-    weak = dist.mixture([(0.6, dist.uniform(0.0, 1.0)), (0.25, dist.cosine_bump(0.6, 0.3)),
+    weak = mixture_of([(0.6, dist.uniform(0.0, 1.0)), (0.25, cosine_bump(0.6, 0.3)),
                          (0.15, piecewise_linear([0.0, 1.0], [1.0, 0.0]))])
     law = StrongBidLaw(_strong_laws()["every_kind"], 0.25)
     rhs = equilibrium._rhs_factory(weak, law, 3)
@@ -454,8 +454,8 @@ def _solve_cases():
     cases.append((u01, StrongBidLaw(piecewise_linear([0.0, 1.0, 3.0], [1.0, 0.5, 0.0])), 2))
     # both laws of every kind but the uniform on the weak side: where the weak
     # law's lines end and the strong law's begin, a name one of them clobbers shows
-    weak = dist.mixture([(0.6, piecewise_linear([0.0, 0.4, 1.0], [0.6, 1.4, 0.9])),
-                         (0.4, dist.cosine_bump(0.5, 0.3))])
+    weak = mixture_of([(0.6, piecewise_linear([0.0, 0.4, 1.0], [0.6, 1.4, 0.9])),
+                         (0.4, cosine_bump(0.5, 0.3))])
     cases += [(weak, StrongBidLaw(_strong_laws()["every_kind"], zb), n)
               for n in (2, 3) for zb in (0.0, 0.25)]
     return cases
@@ -648,7 +648,7 @@ def _outcome(rhs, v, b):
 # above it the kernel still takes its t <= -1 branch, which a piece without its
 # margin would not
 @pytest.mark.parametrize("law", [*_PIECE_WEAK.values(), _strong_laws()["every_kind"],
-                                 dist.cosine_bump(0.3, 0.24), *_piece_laws("slow_drain").values()])
+                                 cosine_bump(0.3, 0.24), *_piece_laws("slow_drain").values()])
 def test_piece_lines_match_kernel_bitwise(law):
     # inside each piece, at random points and the floats next to its ends, the
     # lines of its states give the kernel's F, f and M, compiled for a float and
@@ -715,7 +715,7 @@ def _float_literals(source: str) -> set[float]:
 
 
 def test_kernel_source_is_readable_with_numbers_bound():
-    law = dist.mixture([(0.37, dist.uniform(0.0, 1.3)), (0.63, dist.cosine_bump(0.73, 0.29))])
+    law = mixture_of([(0.37, dist.uniform(0.0, 1.3)), (0.63, cosine_bump(0.73, 0.29))])
     bump = law.parts[1]
     numbers = {0.37, 0.63, 1.3, bump.c, bump.s, bump.lo, bump.hi, 2.0 * bump.s}
     source = inspect.getsource(law.kernel)
@@ -725,7 +725,7 @@ def test_kernel_source_is_readable_with_numbers_bound():
     assert numbers - {bump.hi} <= set(law.kernel.__defaults__)
     # the rhs: the weak law's F and f lines, the band checks, then the strong
     # law's lines as components 2 and 3 and the atom, every number bound
-    strong = dist.mixture([(0.41, dist.uniform(0.0, 2.3)), (0.59, dist.cosine_bump(1.17, 0.53))])
+    strong = mixture_of([(0.41, dist.uniform(0.0, 2.3)), (0.59, cosine_bump(1.17, 0.53))])
     sbump = strong.parts[1]
     strong_law = StrongBidLaw(strong, 0.23)
     strong_numbers = {0.41, 0.59, 2.3, sbump.c, sbump.s, sbump.lo, sbump.hi, 2.0 * sbump.s,

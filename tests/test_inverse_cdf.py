@@ -17,7 +17,7 @@ from talab.myerson import QUANTILE_GRID_SIZE, ironed_virtual
 from talab.rng import uniform_stream
 from talab.sequences import FAMILY_KINDS, make_family
 
-from conftest import mixtures, piecewise_linear, to_json_dict
+from conftest import cosine_bump, mixture_of, mixtures, piecewise_linear, to_json_dict
 
 K, W_BAR = 2.0, 2.5
 F_TOL = 1e-12           # |F(Q(u)) - u|
@@ -157,14 +157,14 @@ def _row_edge_laws():
     ends = [(0.0, up), (down, 1.0)] + [(0.0, e) for e in
                                        (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0))]
     laws = [(f"U[{lo:.17g}, {hi:.17g}] + U[0, 1]",
-             dist.mixture([(0.5, dist.uniform(lo, hi)), (0.5, dist.uniform(0.0, 1.0))]))
+             mixture_of([(0.5, dist.uniform(lo, hi)), (0.5, dist.uniform(0.0, 1.0))]))
             for lo, hi in ends]
-    run = dist.mixture([(0.25, dist.uniform(lo, hi)) for lo, hi in
+    run = mixture_of([(0.25, dist.uniform(lo, hi)) for lo, hi in
                         ((0.0, 1.0), (0.25, up), (0.375, 1.0), (up + dist._ROW_MARGIN, 1.0))])
     pw = piecewise_linear([0.0, 0.25, 0.5], [0.3, 0.7, 0.1])
     return laws + [("U[0.25, 0.5 + 2 ulps] ending a run", run),
                    ("pw_linear[0, 0.5] + U[0, 1]",
-                    dist.mixture([(0.5, pw), (0.5, dist.uniform(0.0, 1.0))]))]
+                    mixture_of([(0.5, pw), (0.5, dist.uniform(0.0, 1.0))]))]
 
 
 def test_matches_full_component_oracle_bitwise(laws, levels):
@@ -229,7 +229,7 @@ def test_bump_lower_edge_quantile_matches_kernel_bisection(u):
     # the scalar kernel does: with the closed form's cancellation there, the
     # quantile of cosine_bump(1, 0.4) at 1e-15 lay 2.8e-8 from the leftmost x
     # with F(x) >= u
-    law = dist.cosine_bump(1.0, 0.4)
+    law = cosine_bump(1.0, 0.4)
     a, b = law.support.lo, law.support.hi
     for _ in range(200):
         mid = 0.5 * (a + b)
@@ -341,7 +341,7 @@ def test_table_points_are_np_unique_of_the_grid(test_distributions):
     # uniform/pw_linear mixture, whose grids repeat the shared ends and cuts
     laws = [(f"{kind}[{l}]", make_family(kind, K, W_BAR, 12).member(l))
             for kind in FAMILY_KINDS for l in range(1, 13)]
-    laws.append(("U[0, 1] + pw_linear", dist.mixture([(0.5, dist.uniform(0.0, 1.0)),
+    laws.append(("U[0, 1] + pw_linear", mixture_of([(0.5, dist.uniform(0.0, 1.0)),
                                                       (0.5, test_distributions["pw_linear"])])))
     repeats = 0
     for name, d in laws:

@@ -21,15 +21,17 @@ from talab.myerson import (
 from talab.rng import uniform_block
 from talab.sequences import FAMILY_KINDS, make_family
 
+from conftest import cosine_bump, mixture_of
+
 
 @pytest.fixture(scope="module")
 def two_bump():
     # classic irregular shape: mass at low values and near the top
-    return dist.mixture(
+    return mixture_of(
         [
-            (0.4, dist.cosine_bump(0.5, 0.3)),
+            (0.4, cosine_bump(0.5, 0.3)),
             (0.1, dist.uniform(0.0, 2.5)),
-            (0.5, dist.cosine_bump(2.0, 0.2)),
+            (0.5, cosine_bump(2.0, 0.2)),
         ],
         support=(0.0, 2.5),
     )
@@ -58,7 +60,7 @@ def test_regularity_two_bump(two_bump):
 
 
 def test_regularity_matches_finite_differences():
-    d = dist.cosine_bump(1.0, 0.4)
+    d = cosine_bump(1.0, 0.4)
     xs = np.linspace(0.6, 1.4, 1002)[1:-1]     # regularity_check's grid
     psi = virtual_value(d, xs)
     fd_drops = int(np.sum(psi[1:] < psi[:-1] - 1e-9))

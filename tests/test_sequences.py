@@ -18,6 +18,8 @@ from talab.sequences import (
     run_limit_experiment,
 )
 
+from conftest import mixture_of
+
 K, W_BAR = 2.0, 2.5
 
 
@@ -47,6 +49,22 @@ def test_members_are_valid_distributions(slow8, fast8):
             assert member.interior_positive
             assert member.density_c1
             assert member.support.hi == W_BAR
+
+
+@pytest.mark.parametrize("kind", sequences.FAMILY_KINDS)
+def test_a_member_is_built_once_with_one_norm_check(kind, monkeypatch):
+    counts = {"__post_init__": 0, "_quad_norm": 0}
+    for name in counts:
+        real = getattr(dist.DistributionSpec, name)
+
+        def counted(self, real=real, name=name):
+            counts[name] += 1
+            return real(self)
+
+        monkeypatch.setattr(dist.DistributionSpec, name, counted)
+    fam = make_family(kind, K, W_BAR, 8)
+    sequences._build_member.__wrapped__(fam, 5)   # built afresh, not cached
+    assert counts == {"__post_init__": 1, "_quad_norm": 1}
 
 
 def test_schedules_shrink(slow8):
@@ -297,7 +315,7 @@ def test_surplus_tracking_experiment(u01):
 def test_p5_irons_the_weak_law_once(slow8, monkeypatch):
     # a size-8 P5 sweep irons the weak law once and each member once (9
     # calls, not 16), and its rows are oa_revenue's per member, bit for bit
-    weak = dist.mixture([(0.5, dist.uniform(0.0, 0.4)), (0.5, dist.uniform(0.0, 1.0))])
+    weak = mixture_of([(0.5, dist.uniform(0.0, 0.4)), (0.5, dist.uniform(0.0, 1.0))])
     iron = myerson.ironed_virtual
     ironed = []
 

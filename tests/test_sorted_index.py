@@ -16,7 +16,7 @@ from talab.equilibrium import BidFunction, EquilibriumError, solve_ode
 from talab.myerson import QUANTILE_GRID_SIZE, ironed_virtual
 from talab.sequences import make_family
 
-from conftest import schedule_ppoly
+from conftest import cosine_bump, mixture_of, schedule_ppoly
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -148,9 +148,9 @@ def test_bid_function_refuses_non_finite_nodes(field, bad):
 
 
 def test_virtual_value_equals_searchsorted_lookup():
-    two_bump = dist.mixture(
-        [(0.4, dist.cosine_bump(0.5, 0.3)), (0.1, dist.uniform(0.0, 2.5)),
-         (0.5, dist.cosine_bump(2.0, 0.2))],
+    two_bump = mixture_of(
+        [(0.4, cosine_bump(0.5, 0.3)), (0.1, dist.uniform(0.0, 2.5)),
+         (0.5, cosine_bump(2.0, 0.2))],
         support=(0.0, 2.5),
     )
     iv = ironed_virtual(two_bump)
