@@ -81,6 +81,9 @@ from functools import cached_property
 import numpy as np
 
 _NORM_TOL = 1e-8
+# by this much a point may lie outside a law's support, and a component outside
+# its declared interval or the support
+SUPPORT_TOL = 1e-12
 # knot-panel quadrature: Gauss-Legendre on each panel's subintervals, graded
 # geometrically toward both of its ends. The nodes and weights are numpy's
 # leggauss(20) bit for bit, written out so that no run imports numpy.polynomial
@@ -429,13 +432,11 @@ def compile_kernel(source: str, defaults, arrays: bool) -> types.FunctionType:
 class DistributionSpec:
     """Immutable univariate distribution on a bounded support.
 
-    Build through the constructors at the bottom of this module (``uniform``,
-    ``mixture``) or, for any kind, via ``from_json_dict``.
-    ``weights``/``parts`` always describe a mixture; single-kind distributions
-    are one-component mixtures.
+    Build through ``mixture`` at the bottom of this module, which ``uniform``
+    and ``from_json_dict`` call. ``weights``/``parts`` always describe a
+    mixture; a single-kind distribution is a one-component mixture.
     """
 
-    kind: str
     support: SupportInterval
     weights: tuple[float, ...]
     parts: tuple[object, ...] = field(repr=False)
@@ -448,7 +449,7 @@ class DistributionSpec:
         if not abs(sum(self.weights) - 1.0) <= 1e-12:   # NaN fails too
             raise DistributionError(f"mixture weights must sum to 1, got {sum(self.weights)}")
         for p in self.parts:
-            if p.lo < self.support.lo - 1e-12 or p.hi > self.support.hi + 1e-12:
+            if p.lo < self.support.lo - SUPPORT_TOL or p.hi > self.support.hi + SUPPORT_TOL:
                 raise DistributionError(
                     f"component [{p.lo}, {p.hi}] escapes support "
                     f"[{self.support.lo}, {self.support.hi}]"
@@ -694,14 +695,14 @@ class DistributionSpec:
 
     # both domain checks are comparisons that fail on NaN, so NaN is refused
     def _check_domain_s(self, x: float):
-        if not self.support.lo - 1e-12 <= x <= self.support.hi + 1e-12:
+        if not self.support.lo - SUPPORT_TOL <= x <= self.support.hi + SUPPORT_TOL:
             raise DistributionError(
                 f"x={x} outside support [{self.support.lo}, {self.support.hi}]"
             )
 
     def _check_domain_v(self, x: np.ndarray):
-        if x.size and not (self.support.lo - 1e-12 <= x.min()
-                           and x.max() <= self.support.hi + 1e-12):
+        if x.size and not (self.support.lo - SUPPORT_TOL <= x.min()
+                           and x.max() <= self.support.hi + SUPPORT_TOL):
             raise DistributionError("values outside support")
 
     @cached_property
@@ -882,7 +883,7 @@ class DistributionSpec:
     def mean_below(self, b: float) -> float:
         """E[w | w <= b]; 0 at b = 0 by continuous extension."""
         bf = float(b)
-        if bf > self.support.hi + 1e-12:
+        if bf > self.support.hi + SUPPORT_TOL:
             raise DistributionError(f"b={bf} above support top {self.support.hi}")
         if bf <= self.support.lo:
             return float(self.support.lo)
@@ -903,21 +904,27 @@ class DistributionSpec:
 
 
 def _part_from(kind: str, params: list[float], lo: float, hi: float):
+    """The component of a kind and params, which must lie in its declared
+    [lo, hi]: a uniform spans it and takes no params."""
     if kind == "uniform":
-        return _Uniform(lo, hi)
-    if kind == "cosine_bump":
+        if params:
+            raise DistributionError(f"uniform takes no params, got {len(params)}")
+        part = _Uniform(lo, hi)
+    elif kind == "cosine_bump":
         if len(params) != 2:
             raise DistributionError("cosine_bump needs params [center, half_width]")
         part = _CosineBump(params[0], params[1])
-        if part.lo < lo - 1e-12 or part.hi > hi + 1e-12:
-            raise DistributionError("cosine_bump escapes its declared interval")
-        return part
-    if kind == "pw_linear":
+    elif kind == "pw_linear":
         if len(params) < 4 or len(params) % 2:
             raise DistributionError("pw_linear needs params [x0, y0, x1, y1, ...]")
         arr = np.asarray(params, dtype=float).reshape(-1, 2)
-        return _PwLinear(arr[:, 0], arr[:, 1])
-    raise DistributionError(f"unknown distribution kind {kind!r}")
+        part = _PwLinear(arr[:, 0], arr[:, 1])
+    else:
+        raise DistributionError(f"unknown distribution kind {kind!r}")
+    if part.lo < lo - SUPPORT_TOL or part.hi > hi + SUPPORT_TOL:
+        raise DistributionError(f"{kind} [{part.lo}, {part.hi}] escapes its declared "
+                                f"interval [{lo}, {hi}]")
+    return part
 
 
 def _count(params: list[float], pos: int, what: str) -> int:
@@ -944,7 +951,7 @@ def from_json_dict(obj: dict) -> DistributionSpec:
         raise DistributionError("; ".join(f"{msg}: {name}" for name, msg in faults), faults)
     kind = obj["kind"]
     lo, hi = (float(v) for v in obj["support"])
-    support = SupportInterval(lo, hi)
+    SupportInterval(lo, hi)     # a bad support is refused before the params are read
     params = [float(v) for v in obj["params"]]
     if kind == "mixture":
         if not params:
@@ -969,10 +976,7 @@ def from_json_dict(obj: dict) -> DistributionSpec:
         if pos != len(params):
             raise DistributionError("trailing data in mixture encoding")
         return mixture(components, (lo, hi))
-    if kind == "uniform":
-        return uniform(lo, hi)
-    part = _part_from(kind, params, lo, hi)
-    return DistributionSpec(kind, support, (1.0,), (part,))
+    return mixture([(1.0, kind, params, lo, hi)], (lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -981,14 +985,14 @@ def from_json_dict(obj: dict) -> DistributionSpec:
 
 
 def uniform(lo: float, hi: float) -> DistributionSpec:
-    return DistributionSpec("uniform", SupportInterval(lo, hi), (1.0,), (_Uniform(lo, hi),))
+    return mixture([(1.0, "uniform", [], lo, hi)], (lo, hi))
 
 
 def mixture(components, support: tuple[float, float]) -> DistributionSpec:
     """The mixture on ``support`` of (weight, kind, params, lo, hi) components,
-    each read as a JSON mixture's (``_part_from``): a uniform spans [lo, hi]
-    and reads no params, a cosine bump's [center, half_width] lies in [lo, hi]."""
-    return DistributionSpec("mixture", SupportInterval(*support),
+    each read as a JSON mixture's (``_part_from``): it lies in its [lo, hi], and
+    a uniform spans it. Every law is built here."""
+    return DistributionSpec(SupportInterval(*support),
                             tuple(float(c[0]) for c in components),
                             tuple(_part_from(*c[1:]) for c in components))
 

@@ -60,7 +60,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dist import DistributionSpec, SortedIndex, compile_kernel
+from .dist import SUPPORT_TOL, DistributionSpec, SortedIndex, compile_kernel
 
 __all__ = [
     "BandEscape",
@@ -96,12 +96,11 @@ class InputError(ValueError):
         self.field = field
 
 
-def check_weak_bidders(n_weak: int, error: type[InputError] = InputError, least: int = 2):
-    """Refuse fewer than ``least`` weak bidders, as ``error`` naming ``n_weak``:
-    the bid ODE, every mechanism and every limit experiment but the optimal
-    auction need two."""
+def check_weak_bidders(n_weak: int, least: int = 2):
+    """Refuse fewer than ``least`` weak bidders, naming ``n_weak``: the bid ODE,
+    every mechanism and every limit experiment but the optimal auction need two."""
     if n_weak < least:
-        raise error(f"need at least {least} weak bidders, got {n_weak}", "n_weak")
+        raise InputError(f"need at least {least} weak bidders, got {n_weak}", "n_weak")
 
 
 def check_bid_ode(weak: DistributionSpec, strong, n_weak: int):
@@ -142,7 +141,8 @@ def initial_bid_ratio(n_weak: int) -> float:
 
 @dataclass(frozen=True)
 class StrongBidLaw:
-    """Strong bidder's bid distribution: base value law plus optional atom at 0."""
+    """Strong bidder's bid distribution: base value law plus optional atom at 0,
+    read at bids through ``eval3`` alone."""
 
     dist: DistributionSpec
     zero_bid_prob: float = 0.0
@@ -155,28 +155,9 @@ class StrongBidLaw:
     def hi(self) -> float:
         return self.dist.support.hi
 
-    @property
-    def atom(self) -> float:
-        return self.zero_bid_prob
-
-    @property
-    def scale(self) -> float:
-        return 1.0 - self.zero_bid_prob
-
     @cached_property
     def mean(self) -> float:
-        return self.scale * self.dist.mean
-
-    def cdf(self, b):
-        if isinstance(b, np.ndarray):
-            return np.where(b < 0.0, 0.0, self.atom + self.scale * self.dist.cdf(b))
-        return 0.0 if b < 0.0 else self.atom + self.scale * self.dist.cdf(b)
-
-    def pdf(self, b):
-        return self.scale * self.dist.pdf(b)
-
-    def partial_mean(self, b):
-        return self.scale * self.dist.partial_mean(b)
+        return (1.0 - self.zero_bid_prob) * self.dist.mean
 
     def mean_below(self, b: float) -> float:
         if b < 0.0:
@@ -191,7 +172,7 @@ class StrongBidLaw:
         of the support the lines of the components live there."""
         c, p, m = self.dist._vector(b, 3) if isinstance(b, np.ndarray) else self.dist.kernel(b)
         z = self.zero_bid_prob
-        s = 1.0 - z  # self.atom and self.scale, without the property calls
+        s = 1.0 - z
         return z + s * c, s * p, s * m
 
 
@@ -457,8 +438,8 @@ def _rhs_factory(weak: DistributionSpec, law: StrongBidLaw, n_weak: int, piece=N
               "atom": law.zero_bid_prob, "scale": 1.0 - law.zero_bid_prob,
               "OutOfBand": _OutOfBand}
     if piece is None:
-        params.update(check_domain=weak._check_domain_s, v_lo=weak.support.lo - 1e-12,
-                      v_hi=weak.support.hi + 1e-12)
+        params.update(check_domain=weak._check_domain_s, v_lo=weak.support.lo - SUPPORT_TOL,
+                      v_hi=weak.support.hi + SUPPORT_TOL)
     key = (weak_body, strong_body, tuple(params))
     source = _RHS_SOURCES.get(key)
     if source is None:
@@ -621,7 +602,7 @@ def _model_warnings(weak: DistributionSpec, law: StrongBidLaw) -> list[str]:
             "assumes f(0) > 0 (the solution self-corrects forward, the start "
             "transient may be off)"
         )
-    if law.atom == 0.0 and law.pdf(law.dist.support.lo) <= 0.0:
+    if law.zero_bid_prob == 0.0 and law.eval3(float(law.dist.support.lo))[1] <= 0.0:
         notes.append(
             "strong density vanishes at the origin; the singular-start bid ratio "
             "assumes g(0) > 0"
@@ -633,7 +614,7 @@ def _series_start(weak, law, n_weak, v0_fraction):
     """Starting point (v0, b0, slope0) consistent with the origin asymptotics."""
     v_bar = weak.support.hi
     v0 = v0_fraction * v_bar
-    if law.atom == 0.0:
+    if law.zero_bid_prob == 0.0:
         beta0 = initial_bid_ratio(n_weak)
         for _ in range(40):
             b0 = beta0 * v0
@@ -642,13 +623,13 @@ def _series_start(weak, law, n_weak, v0_fraction):
             v0 *= 0.1
         raise SingularStartError("no in-band series start found (smooth law)")
     # zero-atom law: b ~ sqrt(2 (N-1)/N * kappa0 * v)
-    g0 = law.pdf(law.dist.support.lo)
+    g0 = law.eval3(float(law.dist.support.lo))[1]
     if g0 <= 0.0:
         raise SingularStartError("strong density vanishes at 0; atom start undefined")
-    kappa0 = law.atom / g0
+    kappa0 = law.zero_bid_prob / g0
     for _ in range(60):
         b0 = math.sqrt(2.0 * (n_weak - 1) / n_weak * kappa0 * v0)
-        g_at = law.pdf(min(b0, law.hi))
+        g_at = law.eval3(float(min(b0, law.hi)))[1]
         density_flat = g0 > 0 and abs(g_at - g0) <= 0.25 * g0
         if b0 < law.hi and density_flat and law.mean_below(b0) < v0 and b0 > v0:
             return v0, b0, b0 / v0

@@ -44,10 +44,6 @@ STRIDE_EXTRA = 3       # strong draw + tie + intervention uniforms per replicate
 _BLOCK_REPLICATES = 1 << 15
 
 
-class MechanismError(InputError):
-    pass
-
-
 @dataclass(frozen=True)
 class DiscreteAtomSpec:
     """Two-point strong value: k with probability p, else 0."""
@@ -57,9 +53,9 @@ class DiscreteAtomSpec:
 
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
-            raise MechanismError(f"atom probability must be in (0, 1), got {self.p}", "p")
+            raise InputError(f"atom probability must be in (0, 1), got {self.p}", "p")
         if not 0.0 < self.k < math.inf:
-            raise MechanismError(f"atom value must be positive and finite, got {self.k}", "k")
+            raise InputError(f"atom value must be positive and finite, got {self.k}", "k")
 
 
 # a Monte Carlo block holds _BLOCK_REPLICATES x (n_weak + STRIDE_EXTRA)
@@ -67,15 +63,15 @@ class DiscreteAtomSpec:
 MAX_WEAK_BIDDERS = 1000
 
 
-def check_block_bidders(n_weak: int, error: type[InputError], least: int):
+def check_block_bidders(n_weak: int, least: int):
     """Refuse fewer than ``least`` or more than ``MAX_WEAK_BIDDERS`` weak
-    bidders, as ``error`` naming ``n_weak``. The upper bound is checked where
+    bidders, naming ``n_weak``. The upper bound is checked where
     Monte Carlo blocks are sized: every mechanism, the optimal-auction
     benchmark and the limit experiments that run them. A solve alone allocates
     no block and takes any count."""
-    check_weak_bidders(n_weak, error, least)
+    check_weak_bidders(n_weak, least)
     if n_weak > MAX_WEAK_BIDDERS:
-        raise error(f"at most {MAX_WEAK_BIDDERS} weak bidders in a Monte Carlo run, "
+        raise InputError(f"at most {MAX_WEAK_BIDDERS} weak bidders in a Monte Carlo run, "
                     f"got {n_weak}", "n_weak")
 
 
@@ -84,41 +80,40 @@ def check_auction(kind: str, n_weak: int, weak: DistributionSpec, strong,
     """Refuse an auction outside the model; the error's ``field`` names the
     argument at fault. Every rule on these inputs is stated here once."""
     if kind not in MECHANISMS:
-        raise MechanismError(f"unknown mechanism {kind!r}; expected one of {MECHANISMS}",
-                             "kind")
-    check_block_bidders(n_weak, MechanismError, 2)
+        raise InputError(f"unknown mechanism {kind!r}; expected one of {MECHANISMS}", "kind")
+    check_block_bidders(n_weak, 2)
     v_bar = weak.support.hi
 
     if kind == "sa_reserve":
         if reserve is None:
-            raise MechanismError("sa_reserve requires a reserve", "reserve")
+            raise InputError("sa_reserve requires a reserve", "reserve")
         if not v_bar <= reserve < math.inf:
-            raise MechanismError(
+            raise InputError(
                 f"reserve {reserve} is not a finite r >= v_bar = {v_bar}; the reserve "
                 "mechanism's closed forms are only valid there", "reserve")
     elif reserve is not None:
-        raise MechanismError(f"{kind} does not take a reserve", "reserve")
+        raise InputError(f"{kind} does not take a reserve", "reserve")
 
     if kind == "ta_intervention":
         if intervention_p is None or not 0.0 < intervention_p < 1.0:
-            raise MechanismError("ta_intervention requires intervention_p in (0, 1)",
-                                 "intervention_p")
+            raise InputError("ta_intervention requires intervention_p in (0, 1)",
+                             "intervention_p")
     elif intervention_p is not None:
-        raise MechanismError(f"{kind} does not take intervention_p", "intervention_p")
+        raise InputError(f"{kind} does not take intervention_p", "intervention_p")
 
     if kind == "ta_discrete":
         if not isinstance(strong, DiscreteAtomSpec):
-            raise MechanismError("ta_discrete requires a two-point strong spec", "strong")
+            raise InputError("ta_discrete requires a two-point strong spec", "strong")
         if strong.k <= v_bar:
-            raise MechanismError(
+            raise InputError(
                 f"atom value k={strong.k} must exceed the weak support top {v_bar}",
                 "strong.k")
         if strong.p * strong.k <= v_bar:
-            raise MechanismError(
+            raise InputError(
                 f"p*k = {strong.p * strong.k:.6g} <= v_bar = {v_bar}: the all-in "
                 "equilibrium is not guaranteed", "strong")
     elif not isinstance(strong, DistributionSpec):
-        raise MechanismError(f"{kind} requires a continuous strong distribution", "strong")
+        raise InputError(f"{kind} requires a continuous strong distribution", "strong")
     elif kind in ("ta", "ta_intervention"):    # bids come from the bid ODE
         check_bid_ode(weak, strong, n_weak)
 
@@ -138,12 +133,12 @@ class AuctionSpec:
                       self.intervention_p)
         needs_bids = self.kind in ("ta", "ta_intervention")
         if needs_bids and self.bid_fn is None:
-            raise MechanismError(f"{self.kind} requires a bid schedule", "bid_fn")
+            raise InputError(f"{self.kind} requires a bid schedule", "bid_fn")
         if not needs_bids and self.bid_fn is not None:
-            raise MechanismError(f"{self.kind} does not take a bid schedule", "bid_fn")
+            raise InputError(f"{self.kind} does not take a bid schedule", "bid_fn")
         if needs_bids and self.bid_fn.grid[-1] < self.weak.support.hi:
-            raise MechanismError(f"bid schedule ends at v = {self.bid_fn.grid[-1]}, below "
-                                 f"the weak support top {self.weak.support.hi}", "bid_fn")
+            raise InputError(f"bid schedule ends at v = {self.bid_fn.grid[-1]}, below "
+                             f"the weak support top {self.weak.support.hi}", "bid_fn")
 
     @property
     def stride(self) -> int:
@@ -306,11 +301,11 @@ def replicate_arrays(n: int, count: int) -> list[np.ndarray]:
     one whose arrays cannot be allocated, is refused with ``field`` "n". They
     are a Monte Carlo run's only arrays of length n (``estimate`` adds none)."""
     if n < 1:
-        raise MechanismError(f"n must be >= 1, got {n}", "n")
+        raise InputError(f"n must be >= 1, got {n}", "n")
     try:
         return [np.empty(n) for _ in range(count)]
     except (MemoryError, ValueError):     # numpy refuses sizes past its index range
-        raise MechanismError(
+        raise InputError(
             f"n = {n} replicates need {8 * count * n / 2**30:.3g} GiB of per-replicate "
             "outputs, more than can be allocated", "n") from None
 

@@ -21,8 +21,9 @@ from functools import cached_property
 import numpy as np
 
 from .dist import DistributionSpec, SortedIndex
-from .mechanisms import (STRIDE_EXTRA, MechanismError, RevenueEstimate, check_block_bidders,
-                         estimate, replicate_arrays, run_blocks)
+from .equilibrium import InputError
+from .mechanisms import (STRIDE_EXTRA, RevenueEstimate, check_block_bidders, estimate,
+                         replicate_arrays, run_blocks)
 
 
 def virtual_value(d: DistributionSpec, x):
@@ -161,13 +162,13 @@ def check_oa(weak: DistributionSpec | None, strong, n_weak: int):
     or a strong law that is not continuous; the error's ``field`` names the
     argument at fault."""
     if strong is not None and not isinstance(strong, DistributionSpec):
-        raise MechanismError("the optimal auction needs a continuous strong distribution "
-                             "(use sweep P5 for family benchmarks)", "strong")
-    check_block_bidders(n_weak, MechanismError, 0)
+        raise InputError("the optimal auction needs a continuous strong distribution "
+                         "(use sweep P5 for family benchmarks)", "strong")
+    check_block_bidders(n_weak, 0)
     if n_weak > 0 and weak is None:
-        raise MechanismError("weak distribution required when n_weak > 0", "weak")
+        raise InputError("weak distribution required when n_weak > 0", "weak")
     if n_weak == 0 and strong is None:
-        raise MechanismError("nothing to sell: no weak bidders and no strong bidder", "strong")
+        raise InputError("nothing to sell: no weak bidders and no strong bidder", "strong")
 
 
 def oa_revenue(

@@ -52,10 +52,6 @@ FAMILY_KINDS = ("slow_drain", "fast_drain", "smoothed_discrete", "split_atom")
 _KIND_FIELDS = {"atom_share": ("smoothed_discrete", 1.0), "split_p": ("split_atom", 0.5)}
 
 
-class ExperimentError(InputError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # family construction
 # ---------------------------------------------------------------------------
@@ -72,27 +68,25 @@ class FamilySpec:
 
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
-            raise ExperimentError(f"unknown family kind {self.kind!r}; expected one of "
-                                  f"{FAMILY_KINDS}", "kind")
+            raise InputError(f"unknown family kind {self.kind!r}; expected one of "
+                             f"{FAMILY_KINDS}", "kind")
         if not 0.0 < self.w_bar < math.inf:   # NaN fails too
-            raise ExperimentError(f"w_bar must be finite and positive, got {self.w_bar}",
-                                  "w_bar")
+            raise InputError(f"w_bar must be finite and positive, got {self.w_bar}", "w_bar")
         if not 0.0 < self.k < self.w_bar:
-            raise ExperimentError(f"need 0 < k < w_bar, got k={self.k}, w_bar={self.w_bar}",
-                                  "k")
+            raise InputError(f"need 0 < k < w_bar, got k={self.k}, w_bar={self.w_bar}", "k")
         if self.size < 2:
-            raise ExperimentError(f"family needs at least 2 members, got {self.size}", "size")
+            raise InputError(f"family needs at least 2 members, got {self.size}", "size")
         for name, (kind, default) in _KIND_FIELDS.items():
             if getattr(self, name) is None and self.kind == kind:
                 object.__setattr__(self, name, default)
             elif getattr(self, name) is not None and self.kind != kind:
-                raise ExperimentError(f"{name} is read only by the {kind} family, not by "
-                                      f"{self.kind}", name)
+                raise InputError(f"{name} is read only by the {kind} family, not by "
+                                 f"{self.kind}", name)
         if self.atom_share is not None and not 0.0 < self.atom_share <= 1.0:
-            raise ExperimentError(f"atom_share must be in (0, 1], got {self.atom_share}",
-                                  "atom_share")
+            raise InputError(f"atom_share must be in (0, 1], got {self.atom_share}",
+                             "atom_share")
         if self.split_p is not None and not 0.0 <= self.split_p <= 1.0:
-            raise ExperimentError(f"split_p must be in [0, 1], got {self.split_p}", "split_p")
+            raise InputError(f"split_p must be in [0, 1], got {self.split_p}", "split_p")
 
     # per-index schedules -----------------------------------------------------
 
@@ -123,7 +117,7 @@ class FamilySpec:
 
     def member(self, l: int) -> DistributionSpec:
         if not 1 <= l <= self.size:
-            raise ExperimentError(f"index {l} outside 1..{self.size}")
+            raise InputError(f"index {l} outside 1..{self.size}")
         return _build_member(self, l)
 
     def members(self):
@@ -150,7 +144,7 @@ def _build_member(fam: FamilySpec, l: int) -> DistributionSpec:
     comps.append((eps, "uniform", [], *span))
     atom_mass = 1.0 - delta - eps
     if atom_mass <= 0.0:
-        raise ExperimentError(f"no mass left for the atom at index {l}")
+        raise InputError(f"no mass left for the atom at index {l}")
     if fam.kind == "split_atom":
         p = fam.split_p
         if p > 0.0:
@@ -271,11 +265,11 @@ class ReserveRule:
 
     def __post_init__(self):
         if self.kind not in ("constant", "quantile_below", "block_steps"):
-            raise ExperimentError(f"unknown reserve rule {self.kind!r}", "kind")
+            raise InputError(f"unknown reserve rule {self.kind!r}", "kind")
         if self.kind == "constant" and self.value is None:
-            raise ExperimentError("constant rule needs a value", "value")
+            raise InputError("constant rule needs a value", "value")
         if self.kind == "block_steps" and (self.eps is None or self.eps <= 0):
-            raise ExperimentError("block_steps rule needs eps > 0", "eps")
+            raise InputError("block_steps rule needs eps > 0", "eps")
 
 
 def from_below_reserves(fam: FamilySpec) -> np.ndarray:
@@ -383,7 +377,7 @@ PROPS = tuple(_PROPS)
 
 def _require(condition: bool, message: str, field: str | None = None):
     if not condition:
-        raise ExperimentError(message, field)
+        raise InputError(message, field)
 
 
 def _checker_gate(prop: str, fam: FamilySpec, need_drain: bool):
@@ -428,7 +422,7 @@ def check_experiment(prop: str, fam: FamilySpec, weak: DistributionSpec, n_weak:
     if entry.mechanism == "oa":  # the optimal auction also sells to fewer weak bidders
         check_oa(weak, fam.member(1), n_weak)
     else:  # Monte Carlo tournaments, and closed-form rows through check_auction's bound
-        check_block_bidders(n_weak, ExperimentError, 2)
+        check_block_bidders(n_weak, 2)
     if entry.mechanism in ("ta", "ta_intervention"):  # rows solve the bid ODE
         check_bid_ode(weak, fam.member(1), n_weak)
     if entry.mechanism == "ta_intervention":  # each row runs it against a member

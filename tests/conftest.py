@@ -29,7 +29,7 @@ def mixture_of(laws, support=None):
     assert len(parts) == len(weights), "nested mixtures are not supported"
     if support is None:
         support = (min(p.lo for p in parts), max(p.hi for p in parts))
-    return dist.DistributionSpec("mixture", dist.SupportInterval(*support), weights, parts)
+    return dist.DistributionSpec(dist.SupportInterval(*support), weights, parts)
 
 
 def _own_params(part) -> list:
@@ -42,16 +42,36 @@ def _own_params(part) -> list:
 
 
 def to_json_dict(d) -> dict:
-    """The JSON encoding of a law that ``dist.from_json_dict`` reads."""
-    params = _own_params(d.parts[0])
-    if d.kind == "mixture":
+    """The JSON encoding of a law that ``dist.from_json_dict`` reads: a single
+    kind for one component that spans the support, else a mixture."""
+    first = d.parts[0]
+    if len(d.parts) == 1 and (first.lo, first.hi) == (d.support.lo, d.support.hi):
+        kind, params = first.kind, _own_params(first)
+    else:
         codes = {kind: code for code, kind in dist._CODE_KINDS.items()}
-        params = [len(d.parts)]
+        kind, params = "mixture", [len(d.parts)]
         for w, p in zip(d.weights, d.parts):
             own = _own_params(p)
             params += [w, codes[p.kind], len(own), *own, p.lo, p.hi]
-    return {"kind": d.kind, "params": [float(v) for v in params],
+    return {"kind": kind, "params": [float(v) for v in params],
             "support": [d.support.lo, d.support.hi]}
+
+
+def strong_rows(law, b):
+    """(G, g, M) of a strong bid law at bids b, a float or an array, from its
+    base law's own cdf, pdf and partial_mean and its atom z, never from
+    ``eval3``: G = z + (1 - z) F, or 0 below bid 0, g = (1 - z) f, or 0 off the
+    base law's support, and M = (1 - z) times the base law's."""
+    base, z = law.dist, law.zero_bid_prob
+    s = 1.0 - z
+    lo, hi = base.support.lo, base.support.hi
+    if isinstance(b, np.ndarray):
+        inside = (b >= lo) & (b <= hi)
+        g = np.zeros(b.shape)
+        g[inside] = s * base.pdf(b[inside])
+        return np.where(b < 0.0, 0.0, z + s * base.cdf(b)), g, s * base.partial_mean(b)
+    g = s * base.pdf(b) if lo <= b <= hi else 0.0
+    return (0.0 if b < 0.0 else z + s * base.cdf(b)), g, s * base.partial_mean(b)
 
 
 def deviation_payoff(v_true, v_report, bid, weak, strong, n_weak: int):
@@ -59,12 +79,12 @@ def deviation_payoff(v_true, v_report, bid, weak, strong, n_weak: int):
 
     pi(r | v) = F(r)^(N-1) * integral over [0, b(r)] of (v - s) dG(s),
     with the inner integral in closed form v*G(b) - M(b)."""
-    law = eq.as_strong_law(strong)
     r = np.asarray(v_report, dtype=float)
     v = np.asarray(v_true, dtype=float)
     b = bid(r)
+    G, _, M = strong_rows(eq.as_strong_law(strong), b)
     win1 = weak.cdf(r) ** (n_weak - 1)
-    out = win1 * (v * law.cdf(b) - law.partial_mean(b))
+    out = win1 * (v * G - M)
     return float(out) if out.ndim == 0 else out
 
 

@@ -603,6 +603,11 @@ def _U(lo, hi):
                   "mechanism": {"kind": "sa"}}, "weak"),
     ("simulate", {"weak": {"kind": "mixture", "params": [1, 1, 1, 2, 2, 3, 0, 1],
                            "support": [0, 1]}, "mechanism": {"kind": "sa"}}, "weak"),
+    # a component lies in its declared interval, and a uniform takes no params
+    ("simulate", {"weak": {**_U(0, 1), "params": [5, 7]}, "mechanism": {"kind": "sa"}}, "weak"),
+    ("simulate", {"weak": {"kind": "mixture", "support": [0, 1], "params": [
+        2, 0.5, 0, 0, 0, 1, 0.5, 3, 6, 0, 0, 0.25, 4, 0.5, 0, 0.9, 0.95]},
+                  "mechanism": {"kind": "sa"}}, "weak"),
 ], ids=["ta_intervention-p0", "ta_intervention-p1", "S8-no-p", "S8-p1", "S8-pk",
         "P7-constant", "P8-no-rule", "P6-intervention_p", "P6-rule",
         "slow_drain-split_p", "slow_drain-atom_share", "simulate-n_weak1", "oa-nothing-to-sell",
@@ -610,7 +615,7 @@ def _U(lo, hi):
         "reserve-nan", "mc-n-inf", "rk_tolerance-nan", "mixture-count-inf",
         "mixture-size-negative", "mc-seed-2**64", "solve-weak-above-0",
         "solve-strong-above-0", "ta-weak-above-0", "P6-weak-above-0", "weak-beta_poly",
-        "weak-mixture-code-1"])
+        "weak-mixture-code-1", "weak-uniform-params", "weak-pw_linear-outside"])
 def test_model_rules_refused_as_config_errors(tmp_path, capsys, command, overrides, path):
     # everything decidable from the config is refused before any computation
     cfg = {k: v for k, v in base_config(**overrides).items() if v is not None}

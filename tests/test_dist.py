@@ -362,6 +362,28 @@ def test_non_finite_parameters_refused(obj):
         dist.from_json_dict(obj)
 
 
+# 0.5 U[0, 1] + 0.5 of a triangle on [0, 0.5], that component declared on [lo, hi]
+def _triangle_mixture(lo, hi):
+    return {"kind": "mixture", "support": [0.0, 1.0],
+            "params": [2, 0.5, 0, 0, 0.0, 1.0, 0.5, 3, 6, 0.0, 0.0, 0.25, 4.0, 0.5, 0.0, lo, hi]}
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"kind": "uniform", "params": [5.0, 7.0], "support": [0.0, 1.0]},
+     "uniform takes no params, got 2"),
+    ({"kind": "mixture", "params": [1, 1.0, 0, 2, 5.0, 7.0, 0.0, 1.0], "support": [0.0, 1.0]},
+     "uniform takes no params, got 2"),
+    (_triangle_mixture(0.9, 0.95),
+     r"pw_linear \[0.0, 0.5\] escapes its declared interval \[0.9, 0.95\]"),
+], ids=["uniform-params", "mixture-uniform-params", "mixture-pw_linear-outside"])
+def test_component_must_lie_in_its_declared_interval(obj, message):
+    # one rule for every kind: a uniform spans its interval and takes no
+    # params, a bump or a pw_linear lies inside it
+    with pytest.raises(DistributionError, match=message):
+        dist.from_json_dict(obj)
+    assert dist.from_json_dict(_triangle_mixture(0.0, 0.5)).parts[1].hi == 0.5
+
+
 def test_positivity_and_smoothness_flags(gap_mixture, floored_mixture):
     assert not gap_mixture.interior_positive
     assert floored_mixture.interior_positive
@@ -432,10 +454,10 @@ def test_quadrature_matches_adaptive_quad(make_law):
 def test_norm_check_refuses_a_density_off_by_1e_7(hi):
     support = dist.SupportInterval(0.0, hi)
     part = dist._Uniform(0.0, hi)
-    dist.DistributionSpec("uniform", support, (1.0,), (part,))     # exact: accepted
-    part.h *= 1.0 + 1e-7                                           # f scaled by 1 + 1e-7
+    dist.DistributionSpec(support, (1.0,), (part,))     # exact: accepted
+    part.h *= 1.0 + 1e-7                                # f scaled by 1 + 1e-7
     with pytest.raises(DistributionError, match=r"density integrates to 1\.000000(1|09)"):
-        dist.DistributionSpec("uniform", support, (1.0,), (part,))
+        dist.DistributionSpec(support, (1.0,), (part,))
 
 
 def test_norm_check_refuses_a_bump_off_by_1e_7():
@@ -448,12 +470,12 @@ def test_norm_check_refuses_a_bump_off_by_1e_7():
         return (dist._CosineBump(0.025, 0.025), dist._Uniform(0.0, 2.5),
                 dist._CosineBump(2.0, 0.2 * 2.0**-19))
 
-    dist.DistributionSpec("mixture", support, weights, parts())          # exact: accepted
+    dist.DistributionSpec(support, weights, parts())    # exact: accepted
     heavy = parts()
     values = heavy[2]._kernel_values()     # the atom's f scaled by 1 + 1e-7
     heavy[2]._kernel_values = lambda: {**values, "two_s": values["two_s"] / (1.0 + 1e-7)}
     with pytest.raises(DistributionError, match=r"density integrates to 1\.00000009[34]"):
-        dist.DistributionSpec("mixture", support, weights, heavy)
+        dist.DistributionSpec(support, weights, heavy)
 
 
 @pytest.mark.parametrize("kind", FAMILY_KINDS)

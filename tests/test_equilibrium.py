@@ -14,6 +14,7 @@ from talab.equilibrium import (
     BandEscape,
     BidFunction,
     EquilibriumError,
+    InputError,
     SolveOptions,
     StrongBidLaw,
     as_strong_law,
@@ -22,7 +23,7 @@ from talab.equilibrium import (
     solve_ode,
     verify_best_response,
 )
-from talab.mechanisms import AuctionSpec, DiscreteAtomSpec, MechanismError
+from talab.mechanisms import AuctionSpec, DiscreteAtomSpec
 from talab.sequences import make_family
 
 from conftest import (GATE_THETAS, bid_ode_rhs, cosine_bump, deviation_payoff, mixture_of,
@@ -683,7 +684,7 @@ def test_intervention_equilibrium_verifies(u01):
 
 def test_discrete_precondition(u01):
     # the all-in equilibrium (bid k whenever v > 0) needs p*k > v_bar
-    with pytest.raises(MechanismError, match="not guaranteed") as err:
+    with pytest.raises(InputError, match="not guaranteed") as err:
         AuctionSpec("ta_discrete", 2, u01, DiscreteAtomSpec(k=2.0, p=0.4))
     assert err.value.field == "strong"
     AuctionSpec("ta_discrete", 2, u01, DiscreteAtomSpec(k=2.0, p=0.51))

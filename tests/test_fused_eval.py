@@ -33,7 +33,7 @@ from talab import dist, equilibrium
 from talab.equilibrium import StrongBidLaw, solve_ode
 from talab.sequences import make_family
 
-from conftest import cosine_bump, deviation_payoff, mixture_of, piecewise_linear
+from conftest import cosine_bump, deviation_payoff, mixture_of, piecewise_linear, strong_rows
 
 
 def bits(x: float) -> bytes:
@@ -304,7 +304,7 @@ def test_strong_eval3_matches_separate_calls(name, zero_bid_prob):
     points = sorted(set(knots + grid + [0.0, base.support.hi]))
     for b in points:
         got = law.eval3(b)
-        want = (law.cdf(b), law.pdf(b), law.partial_mean(b))
+        want = strong_rows(law, b)
         assert [bits(g) for g in got] == [bits(w) for w in want], (name, b)
         # mean_below reads G and M from eval3: the quotient of the separate calls
         mean = 0.0 if want[0] <= 0.0 else want[2] / want[0]
@@ -317,7 +317,8 @@ def test_strong_eval3_matches_separate_calls(name, zero_bid_prob):
     # raw_bid_payoff reads G and M from one eval3 call, G = 0 below bid 0
     raws = np.array([-0.5, 0.0, *grid[1:-1:8], base.support.hi])
     v = np.array([[0.4], [1.9]])
-    want = v * law.cdf(raws) - law.partial_mean(raws)
+    G, _, M = strong_rows(law, raws)
+    want = v * G - M
     got = equilibrium.raw_bid_payoff(v, raws, base, law, 3)
     assert got.tobytes() == want.tobytes(), name
 
@@ -373,7 +374,7 @@ def test_rhs_weak_sweep_matches_separate_calls():
     rhs = equilibrium._rhs_factory(weak, law, 3)
     for v in (0.05, 0.3, 0.6, 0.9, 1.0):
         b = 1.3 * v
-        G, g, M = law.cdf(b), law.pdf(b), law.partial_mean(b)
+        G, g, M = strong_rows(law, b)
         want = 2.0 * (weak.pdf(v) / weak.cdf(v)) * (G / g) * (v - M / G) / (b - v)
         assert bits(rhs(v, b)) == bits(want), v
     # above the weak support the density check of DistributionSpec.pdf still fires
@@ -546,7 +547,8 @@ def ref_verify_best_response(bid, weak, strong, n_weak):
     top = bid.b_top
     if law.hi > top:
         raws = np.linspace(top, law.hi, eq._BR_RAW_BIDS + 1)[1:]
-        pi_raw = v_grid[:, None] * law.cdf(raws) - law.partial_mean(raws)
+        G, _, M = strong_rows(law, raws)
+        pi_raw = v_grid[:, None] * G - M
         raw_regret = pi_raw - pi_eq[:, None]
         ri, rj = np.unravel_index(np.argmax(raw_regret), raw_regret.shape)
         if float(raw_regret[ri, rj]) > max_regret:
@@ -728,8 +730,9 @@ def test_kernel_source_is_readable_with_numbers_bound():
     strong = mixture_of([(0.41, dist.uniform(0.0, 2.3)), (0.59, cosine_bump(1.17, 0.53))])
     sbump = strong.parts[1]
     strong_law = StrongBidLaw(strong, 0.23)
+    atom = strong_rows(strong_law, 0.0)[0]      # G at bid 0, where F = 0: the atom
     strong_numbers = {0.41, 0.59, 2.3, sbump.c, sbump.s, sbump.lo, sbump.hi, 2.0 * sbump.s,
-                      strong_law.atom, strong_law.scale}
+                      atom, 1.0 - atom}
     rhs = equilibrium._rhs_factory(law, strong_law, 2)
     source = inspect.getsource(rhs)
     assert "M0" not in source and "M1" not in source and "eval3" not in source

@@ -18,6 +18,9 @@ call that passes the function itself as an argument, as in
 ``domain(paths, fn, *args)``, counts as a call of it with the arguments
 after it. Dataclass fields are not parameters here.
 
+Every law is built by ``dist.mixture``: no other code under ``src/talab`` calls
+``DistributionSpec(...)``.
+
 A module under ``src/talab`` imports only the standard library, its own
 package and numpy, the one run-time dependency ``pyproject.toml`` lists (scipy
 is a test dependency), at module level or inside a function.
@@ -188,6 +191,27 @@ def test_src_defaults_have_a_caller_that_sets_them():
             unset += [f"{file}: {fn.name}({p})" for p in defaulted
                       if not any(p in kw or p in positional[:len(args)] for args, kw in site)]
     assert not unset, "defaults no call under src/talab or perfbench sets:\n" + "\n".join(unset)
+
+
+def _spec_builds_outside_mixture(trees: dict[str, ast.Module]) -> list[str]:
+    """'file:line' of each ``DistributionSpec(...)`` call outside the body of
+    ``dist.mixture``, the one constructor every law is built by."""
+    inside = {id(n) for node in trees["dist.py"].body
+              if isinstance(node, ast.FunctionDef) and node.name == "mixture"
+              for n in ast.walk(node)}
+    return [f"{file}:{n.lineno}" for file, tree in trees.items() for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and _name(n.func) == "DistributionSpec"
+            and id(n) not in inside]
+
+
+def test_only_mixture_builds_a_distribution_spec():
+    outside = _spec_builds_outside_mixture(_trees("src/talab"))
+    assert not outside, "DistributionSpec built outside dist.mixture:\n" + "\n".join(outside)
+    # a direct build in another function of dist.py or another module is seen
+    trees = {"dist.py": ast.parse("def mixture(c, s):\n    return DistributionSpec(s, c, c)\n\n"
+                                  "def uniform(lo, hi):\n    return DistributionSpec(lo, hi, 1)\n"),
+             "sequences.py": ast.parse("from . import dist\nx = dist.DistributionSpec(1, 2, 3)\n")}
+    assert _spec_builds_outside_mixture(trees) == ["dist.py:5", "sequences.py:2"]
 
 
 def _foreign_imports(trees: dict[str, ast.Module], allowed: set[str]) -> list[str]:

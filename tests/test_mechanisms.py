@@ -8,11 +8,10 @@ import pytest
 from scipy import integrate
 
 import talab.mechanisms as mech
-from talab.equilibrium import BidFunction, StrongBidLaw, solve_ode
+from talab.equilibrium import BidFunction, InputError, StrongBidLaw, solve_ode
 from talab.mechanisms import (
     AuctionSpec,
     DiscreteAtomSpec,
-    MechanismError,
     sa_reserve_closed_form,
     simulate,
     simulate_draws,
@@ -191,27 +190,27 @@ def test_schedule_must_cover_weak_support(u01, u02):
     capped = BidFunction(np.linspace(0.0, 0.6, 31), np.linspace(0.0, 1.2, 31),
                          np.full(31, 2.0))
     for kind, p in (("ta", None), ("ta_intervention", 0.75)):
-        with pytest.raises(MechanismError, match="below the weak support top") as exc:
+        with pytest.raises(InputError, match="below the weak support top") as exc:
             AuctionSpec(kind, 2, u01, u02, intervention_p=p, bid_fn=capped)
         assert exc.value.field == "bid_fn"
 
 
 def test_spec_validation(u01, u02, doubling_bid):
-    with pytest.raises(MechanismError, match="bid schedule"):
+    with pytest.raises(InputError, match="bid schedule"):
         AuctionSpec("ta", 2, u01, u02)
     for reserve in (0.5, math.nan, math.inf):
-        with pytest.raises(MechanismError, match="r >= v_bar"):
+        with pytest.raises(InputError, match="r >= v_bar"):
             AuctionSpec("sa_reserve", 2, u01, u02, reserve=reserve)
-    with pytest.raises(MechanismError, match="intervention_p"):
+    with pytest.raises(InputError, match="intervention_p"):
         AuctionSpec("ta_intervention", 2, u01, u02, bid_fn=doubling_bid)
-    with pytest.raises(MechanismError, match="two-point"):
+    with pytest.raises(InputError, match="two-point"):
         AuctionSpec("ta_discrete", 2, u01, u02)
-    with pytest.raises(MechanismError, match="exceed"):
+    with pytest.raises(InputError, match="exceed"):
         AuctionSpec("ta_discrete", 2, u01, DiscreteAtomSpec(k=0.8, p=0.9))
     for k in (0.0, math.nan, math.inf):
-        with pytest.raises(MechanismError, match="positive and finite"):
+        with pytest.raises(InputError, match="positive and finite"):
             DiscreteAtomSpec(k=k, p=0.75)
-    with pytest.raises(MechanismError):
+    with pytest.raises(InputError):
         AuctionSpec("sa", 1, u01, u02)
 
 
@@ -404,7 +403,7 @@ def test_reserve_at_support_top(u01, u02):
 
 def test_reserve_precondition(u01, u02):
     for reserve in (0.5, math.nan, math.inf):
-        with pytest.raises(MechanismError, match="r >= v_bar"):
+        with pytest.raises(InputError, match="r >= v_bar"):
             sa_reserve_closed_form(u01, u02, 2, reserve)
 
 

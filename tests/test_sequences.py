@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from talab import dist, myerson, sequences
+from talab.equilibrium import InputError
 from talab.mechanisms import sa_reserve_closed_form
 from talab.sequences import (
-    ExperimentError,
     FamilySpec,
     ReserveRule,
     block_steps,
@@ -95,9 +95,9 @@ def test_split_atom_cdf_at_k():
 
 
 def test_family_validation():
-    with pytest.raises(ExperimentError):
+    with pytest.raises(InputError):
         make_family("nope", K, W_BAR, 8)
-    with pytest.raises(ExperimentError):
+    with pytest.raises(InputError):
         make_family("slow_drain", 3.0, 2.5, 8)  # k above w_bar
 
 
@@ -106,7 +106,7 @@ def test_family_validation():
 def test_family_refuses_non_finite_bounds(field, value):
     # refused at construction, naming the field, not later by a member's law
     bounds = {"k": K, "w_bar": W_BAR, field: value}
-    with pytest.raises(ExperimentError) as err:
+    with pytest.raises(InputError) as err:
         make_family("slow_drain", bounds["k"], bounds["w_bar"], 8)
     assert err.value.field == field
 
@@ -119,7 +119,7 @@ def test_family_kind_fields():
     slow = FamilySpec("slow_drain", K, W_BAR, 8)
     assert slow.atom_share is None and slow.split_p is None
     for field, kind in (("atom_share", "split_atom"), ("split_p", "smoothed_discrete")):
-        with pytest.raises(ExperimentError) as err:
+        with pytest.raises(InputError) as err:
             FamilySpec(kind, K, W_BAR, 8, **{field: 0.4})
         assert err.value.field == field
 
@@ -213,11 +213,11 @@ def test_block_steps_bound(slow16):
 
 
 def test_rule_validation():
-    with pytest.raises(ExperimentError):
+    with pytest.raises(InputError):
         ReserveRule("constant")
-    with pytest.raises(ExperimentError):
+    with pytest.raises(InputError):
         ReserveRule("block_steps")
-    with pytest.raises(ExperimentError):
+    with pytest.raises(InputError):
         ReserveRule("mystery", value=1.0)
 
 
@@ -266,17 +266,17 @@ def test_p7_block_bound_recorded(slow16, u01):
 
 
 def test_refusals(slow16, fast8, u01):
-    with pytest.raises(ExperimentError, match="drain"):
+    with pytest.raises(InputError, match="drain"):
         run_limit_experiment("P6", fast8, u01, 2, n=10)
-    with pytest.raises(ExperimentError, match="constant rule with value in"):
+    with pytest.raises(InputError, match="constant rule with value in"):
         run_limit_experiment("P8", slow16, u01, 2,
                              rule=ReserveRule("constant", value=2.5))
-    with pytest.raises(ExperimentError, match="split_atom"):
+    with pytest.raises(InputError, match="split_atom"):
         run_limit_experiment("P10", slow16, u01, 2, rule=ReserveRule("quantile_below"))
-    with pytest.raises(ExperimentError, match="p\\*k > v_bar"):
+    with pytest.raises(InputError, match="p\\*k > v_bar"):
         sd = make_family("smoothed_discrete", K, W_BAR, 4)
         run_limit_experiment("S8", sd, u01, 2, intervention_p=0.4, n=10)
-    with pytest.raises(ExperimentError, match="atom"):
+    with pytest.raises(InputError, match="atom"):
         run_limit_experiment("P6", slow16, dist.uniform(0.0, 2.2), 2, n=10)
 
 

@@ -110,7 +110,16 @@ def _bid_cases():
     return cases
 
 
-@pytest.mark.parametrize("name, weak, strong, n", _bid_cases(), ids=lambda c: str(c))
+def _case_id(value) -> str:
+    """str() of a case value, a law's as its repr read while DistributionSpec
+    had a kind field (uniform or mixture here): the case ids stay as they were."""
+    if not isinstance(value, dist.DistributionSpec):
+        return str(value)
+    kind = "uniform" if len(value.parts) == 1 else "mixture"
+    return repr(value).replace("DistributionSpec(", f"DistributionSpec(kind={kind!r}, ", 1)
+
+
+@pytest.mark.parametrize("name, weak, strong, n", _bid_cases(), ids=_case_id)
 def test_bid_function_equals_scipy_spline(name, weak, strong, n):
     bid, _ = solve_ode(weak, strong, n)
     g = bid.grid
