@@ -149,7 +149,8 @@ class StrongBidLaw:
 
     def __post_init__(self):
         if not 0.0 <= self.zero_bid_prob < 1.0:
-            raise EquilibriumError(f"zero_bid_prob must be in [0, 1), got {self.zero_bid_prob}")
+            raise InputError(f"zero_bid_prob must be in [0, 1), got {self.zero_bid_prob}",
+                             "zero_bid_prob")
 
     @property
     def hi(self) -> float:
@@ -181,7 +182,7 @@ def as_strong_law(strong) -> StrongBidLaw:
         return strong
     if isinstance(strong, DistributionSpec):
         return StrongBidLaw(strong, 0.0)
-    raise EquilibriumError(f"not a strong-side law: {type(strong).__name__}")
+    raise InputError(f"not a strong-side law: {type(strong).__name__}", "strong")
 
 
 # ---------------------------------------------------------------------------

@@ -677,6 +677,22 @@ def test_intervention_equilibrium_verifies(u01):
     assert bid(0.5) > 1.5
 
 
+@pytest.mark.parametrize("bad", [1.0, -0.25, math.nan])
+def test_zero_bid_prob_outside_unit_interval_is_an_input_error(u02, bad):
+    # a bad input, not a solver failure: the error names the field at fault
+    with pytest.raises(InputError, match="zero_bid_prob must be in") as err:
+        StrongBidLaw(u02, zero_bid_prob=bad)
+    assert err.value.field == "zero_bid_prob" and not isinstance(err.value, EquilibriumError)
+
+
+def test_strong_side_that_is_no_law_is_an_input_error(u01):
+    with pytest.raises(InputError, match="not a strong-side law: float") as err:
+        as_strong_law(2.0)
+    assert err.value.field == "strong" and not isinstance(err.value, EquilibriumError)
+    with pytest.raises(InputError, match="not a strong-side law"):
+        solve_ode(u01, "U[0,2]", 2)
+
+
 # ---------------------------------------------------------------------------
 # discrete two-point benchmark
 # ---------------------------------------------------------------------------

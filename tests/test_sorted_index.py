@@ -107,19 +107,10 @@ def _bid_cases():
     cases = [(f"U[0,2] N={n}", u01, u02, n) for n in range(2, 9)]
     cases += [(f"slow_drain[{l}] N={n}", u01, fam.member(l), n)
               for l in (1, 5, 8) for n in (2, 5)]
-    return cases
+    return [pytest.param(*case, id=case[0]) for case in cases]
 
 
-def _case_id(value) -> str:
-    """str() of a case value, a law's as its repr read while DistributionSpec
-    had a kind field (uniform or mixture here): the case ids stay as they were."""
-    if not isinstance(value, dist.DistributionSpec):
-        return str(value)
-    kind = "uniform" if len(value.parts) == 1 else "mixture"
-    return repr(value).replace("DistributionSpec(", f"DistributionSpec(kind={kind!r}, ", 1)
-
-
-@pytest.mark.parametrize("name, weak, strong, n", _bid_cases(), ids=_case_id)
+@pytest.mark.parametrize("name, weak, strong, n", _bid_cases())
 def test_bid_function_equals_scipy_spline(name, weak, strong, n):
     bid, _ = solve_ode(weak, strong, n)
     g = bid.grid
