@@ -70,6 +70,7 @@ on any number of threads.
 
 from __future__ import annotations
 
+import ast
 import linecache
 import math
 import re
@@ -188,6 +189,7 @@ def _indent(lines: str, depth: int = 1) -> str:
 
 class _Uniform:
     kind = "uniform"
+    fixed = {"f": "h"}   # in a piece, terms that are parameters (another kind has none)
     _IN = """\
 F{i} = x - {lo}
 F{i} *= {h}
@@ -408,6 +410,41 @@ def _fold(lines: list[str]) -> list[str]:
     return out
 
 
+def _clear(v: float) -> bool:
+    """v's sign bit is clear: +0.0 or more (or such a NaN)."""
+    return math.copysign(1.0, v) > 0.0
+
+
+class _Identities(ast.NodeTransformer):
+    """Leaves out p * e, e * p, e / p (e *= p, e /= p) for a name p ``ids`` binds
+    to 1.0, and e - q (e -= q) for q bound to +0.0 or the product of two such:
+    each is e to the bit, -0.0, infinities and NaN too."""
+
+    def __init__(self, ids):
+        self.ids = dict(ids)
+
+    def _identity(self, op, q) -> bool:   # e op q is e
+        match op, q:
+            case ast.Mult() | ast.Div(), ast.Name(p):
+                return self.ids.get(p) == 1.0
+            case ast.Sub(), ast.BinOp(ast.Name(p), ast.Mult(), ast.Name(r)):
+                return self.ids.get(p) == self.ids.get(r) == 0.0
+            case ast.Sub(), ast.Name(p):
+                return self.ids.get(p) == 0.0
+        return False
+
+    def visit(self, node):   # each node after its children
+        node = self.generic_visit(node)
+        match node:
+            case ast.BinOp(ast.Name() as p, ast.Mult(), e) if self._identity(node.op, p):
+                return e
+            case ast.BinOp(e, op, q) if self._identity(op, q):
+                return e
+            case ast.AugAssign(_, op, q) if self._identity(op, q):
+                return None
+        return node
+
+
 def compile_kernel(source: str, defaults, arrays: bool) -> types.FunctionType:
     """The one function ``source`` defines (the module's first constant), with
     ``defaults`` bound to its trailing parameters, for a float x (math's cos,
@@ -598,76 +635,76 @@ class DistributionSpec:
     def kernel_body(self, sums: tuple[str, ...], first: int, states: tuple[str, ...] | None,
                     arrays: bool) -> tuple[str, dict]:
         """(lines, params): body lines that set the first len(sums) of F, f, M
-        at x under the names ``sums``, and each parameter's value.
+        at x under the names ``sums``, and each parameter they read and its value.
         Components are numbered from ``first``, so two laws' lines can share one
         body. Each sum runs in component order from 0.0, as sum().
 
         ``states`` (one of ``kernel_pieces``) keeps each live component's branch
         alone and folds the others into constants: F = 1, f = 0 and M = m_hi for
-        a component wholly below x, 0 for one wholly above. The weighted
-        constants before a sum's first live term are summed from 0.0 into
-        ``{sum}_head`` and a later one is added where its term stood; the
-        zeros, f's and those of components wholly above, are left out (a sum
-        run from 0.0 is never -0.0, so adding +0.0 moves no bit). At an x
-        where the states hold, every sum keeps the bits of the full lines'. For
-        ``arrays`` each live term adds the sum so far to itself in place, which
-        swaps only the operands of each addition. The lines and names depend
-        only on the kinds, the states, ``sums``, ``first`` and ``arrays``, so
-        each such shape is formatted once per process."""
+        a component wholly below x, 0 for one wholly above, and for a float x a
+        uniform's density. The weighted constants before a sum's first live term
+        are summed from 0.0 into ``{sum}_head`` and a later one is added where
+        its term stood; the zeros are left out (a sum is never -0.0, so adding
+        +0.0 moves no bit). For a float x a piece's sum leaves out its 0.0 start
+        before a uniform's or cosine bump's term whose weight and lo are >= +0.0
+        (never -0.0 there; 0.0 + e is e for any other e), and the operations
+        that a parameter of 1.0 or +0.0 makes identities (``_Identities``). At
+        an x where the states hold, every sum keeps the bits of the full lines'.
+        For ``arrays`` each live term adds the sum so far to itself in place,
+        which swaps only the operands of each addition. The lines depend only on
+        the kinds, the states, ``sums``, ``first``, ``arrays``, those signs and
+        which parameters are 1.0 or +0.0: each shape is formatted once."""
+        piece = states is not None and not arrays
         states = states or ("kernel",) * len(self.parts)
-        key = (tuple(p.kind for p in self.parts), states, sums, first, arrays)
-        shape = _KERNEL_SHAPES.get(key)
-        build = shape is None          # then the names and lines follow the values
-        names, body, terms = [], [], {total: [] for total in sums}
-        folded = sums[::2]             # the sums a dead component adds to: F and M
-        values, heads, live = [], [], False
+        clear = tuple(piece and p.kind != "pw_linear" and _clear(w) and _clear(p.lo)
+                      for w, p in zip(self.weights, self.parts))
+        ids = () if arrays else tuple(
+            (f"{k}{i}", v) for i, part in enumerate(self._part_values, first)
+            for k, v in part.items() if type(v) is float and v in (0.0, 1.0) and _clear(v))
+        key = (tuple(p.kind for p in self.parts), states, sums, first, arrays, clear, ids)
+        lines = _KERNEL_SHAPES.get(key)
+        # each sum's terms: (weight, term, never -0.0) or (None, constant's name, its value)
+        params, body, terms = {}, [], {total: [] for total in sums}
         for i, (p, part, state) in enumerate(zip(self.parts, self._part_values, states), first):
-            if state == "above":
+            w, fixed = part["w"], getattr(p, "fixed", {}) if piece else {}
+            if state in ("below", "above"):
+                for total, c in zip(sums[::2], (1.0, part["m_hi"]) if state == "below" else ()):
+                    terms[total].append((None, f"{total}_c{i}", w * c))
                 continue
-            if state == "below":
-                w = part["w"]
-                consts = (w * 1.0, w * part["m_hi"])[:len(folded)]
-                if not live:
-                    heads = [h + c for h, c in zip(heads or (0.0, 0.0), consts)]
-                    continue
-                values += consts
-                if build:
-                    for total in folded:
-                        names.append(f"{total}_c{i}")
-                        terms[total].append((None, f"{total}_c{i}"))
-                continue
-            live = True
-            values += part.values()
-            if build:
-                names += [f"{k}{i}" for k in part]
+            params.update((f"{k}{i}", v) for k, v in part.items())
+            for total, t in zip(sums, "FfM"):
+                terms[total].append((None, f"{total}_c{i}", w * part[fixed[t]]) if t in fixed
+                                    else (f"w{i}", f"{t}{i}", clear[i - first]))
+            if lines is None:
                 source = p._LINES[state].format(i=i, **{k: f"{k}{i}" for k in part})
-                unread = {f"{t}{i}" for t in "FfM"[len(sums):]}
-                lines = [ln for ln in source.splitlines()
-                         if ln.lstrip().split(" ", 1)[0] not in unread]
-                body += lines if arrays else _fold(lines)
-                for total, t in zip(sums, "FfM"):
-                    terms[total].append((f"w{i}", f"{t}{i}"))
-        values += heads
-        if build:
-            if heads:
-                names += [f"{total}_head" for total in folded]
-            for total in sums:
-                head = f"{total}_head" if heads and total in folded else "0.0"
-                if not arrays:
-                    body.append(f"{total} = {head}" + "".join(
-                        f" + {w} * {t}" if w else f" + {t}" for w, t in terms[total]))
-                    continue
-                acc = head     # the first term is a live component's, never a constant
-                for w, t in terms[total]:
+                unread = {f"{t}{i}" for t in "FfM"[len(sums):] + "".join(fixed)}
+                kept = [ln for ln in source.splitlines()
+                        if ln.lstrip().split(" ", 1)[0] not in unread]
+                body += kept if arrays else _fold(kept)
+        for total in sums:
+            seq = terms[total]
+            n = next((k for k, (w, _, _) in enumerate(seq) if w), len(seq))
+            acc = f"{total}_head" if n else None if seq and seq[0][2] else "0.0"
+            for _, _, c in seq[:n]:
+                params[acc] = params.get(acc, 0.0) + c
+            params.update((t, c) for w, t, c in seq[n:] if not w)
+            if lines is None and not arrays:
+                body.append(f"{total} = " + " + ".join(
+                    ([acc] if acc else []) + [f"{w} * {t}" if w else t for w, t, _ in seq[n:]]))
+            elif lines is None:
+                for w, t, _ in seq[n:]:   # the first is a live component's, never a constant
                     if w:      # a live term takes the sum so far: a + b is b + a
                         body += [f"{t} *= {w}", f"{t} += {acc}"]
                         acc = t
                     else:
                         body.append(f"{acc} += {t}")
                 body.append(f"{total} = {acc}")
-            shape = _KERNEL_SHAPES[key] = ("".join(f"    {ln}\n" for ln in body), tuple(names))
-        lines, names = shape
-        return lines, dict(zip(names, values))
+        if lines is None:
+            if ids:
+                body = ast.unparse(_Identities(ids).visit(ast.parse("\n".join(body)))).splitlines()
+            text = "".join(f"    {ln}\n" for ln in body)
+            lines = _KERNEL_SHAPES[key] = text, set(re.findall(r"\w+", text))
+        return lines[0], {k: v for k, v in params.items() if k in lines[1]}
 
     def compile_lines(self, sums: tuple[str, ...], states: tuple[str, ...] | None, arrays: bool):
         """x -> the ``sums`` at x, from ``kernel_body``'s lines in ``states``,

@@ -14,7 +14,8 @@ quadrature of the density. The written-out
 DOP853 stages must reproduce the loop over the tableau bit for bit, an rhs call
 must make no ``eval3`` or ``kernel`` call, and the sources of a kernel and of
 the rhs must be readable, with the laws' numbers bound rather than written
-into them.
+into them. An operation the scalar lines leave out as an identity must give
+its operand bit for bit, at signed zeros, infinities and NaN too.
 """
 
 import ast
@@ -648,9 +649,19 @@ def _outcome(rhs, v, b):
 
 # the lower edge of cosine_bump(0.3, 0.24) rounds below c - s: one and two ulps
 # above it the kernel still takes its t <= -1 branch, which a piece without its
-# margin would not
+# margin would not. In the two laws after it the first live term of a piece's
+# sums is -0.0 (a weight of -0.0), or M's is near the piece's lower end (a
+# subnormal weight times the M < 0 of a uniform from lo = -1e-12, which the
+# support tolerance admits), where the kernel's sums from 0.0 are +0.0
+_SIGNED_ZERO_LAWS = [
+    mixture_of([(-0.0, dist.uniform(0.0, 1.0)), (1.0, dist.uniform(1.0, 2.0))]),
+    dist.mixture([(5e-324, "uniform", [], -1e-12, 1e-6), (1.0, "uniform", [], 5e-7, 1e-6)],
+                 (0.0, 1e-6))]
+
+
 @pytest.mark.parametrize("law", [*_PIECE_WEAK.values(), _strong_laws()["every_kind"],
-                                 cosine_bump(0.3, 0.24), *_piece_laws("slow_drain").values()])
+                                 cosine_bump(0.3, 0.24), *_SIGNED_ZERO_LAWS,
+                                 *_piece_laws("slow_drain").values()])
 def test_piece_lines_match_kernel_bitwise(law):
     # inside each piece, at random points and the floats next to its ends, the
     # lines of its states give the kernel's F, f and M, compiled for a float and
@@ -773,6 +784,57 @@ def test_piece_source_depends_on_shape_only():
         codes.append(pieces)
     shared = codes[0].keys() & codes[1].keys()
     assert shared and all(codes[0][key] is codes[1][key] for key in shared)
+
+
+_SPECIALS = [0.0, -0.0, 1.0, -2.5, 5e-324, -5e-324, 1e308, math.inf, -math.inf, math.nan]
+
+
+def test_left_out_identities_keep_every_bit():
+    # each operation _Identities leaves out gives its operand to the bit, at
+    # signed zeros, subnormals, infinities and NaN; the others stay
+    source = """\
+def k(x, y, one, zero, half):
+    a = one * x + x * one - zero
+    b = (x - zero) / one * y
+    c = x * x - zero * zero
+    d = y / one * (one * half)
+    y *= one
+    y -= zero
+    y /= one
+    return a, b, c, d, y, x - half * zero
+"""
+    tree = dist._Identities((("one", 1.0), ("zero", 0.0))).visit(ast.parse(source))
+    text = ast.unparse(tree)
+    assert "one" not in text.split(":", 1)[1] and text.count("zero") == 2, text
+    assert "x - half * zero" in text and "* half" in text
+    full, left_out = {}, {}
+    exec(source, full)
+    exec(text, left_out)
+    for x in _SPECIALS:
+        for y in _SPECIALS:
+            assert [bits(r) for r in left_out["k"](x, y, 1.0, 0.0, 0.5)] \
+                == [bits(r) for r in full["k"](x, y, 1.0, 0.0, 0.5)], (x, y)
+
+
+@pytest.mark.parametrize("zero_bid_prob, n_weak", [(0.0, 2), (0.25, 3)])
+def test_piece_rhs_leaves_out_identities(zero_bid_prob, n_weak):
+    # weak U[0, 1] against U[0, 2]: a weight of 1.0, supports from 0.0 and
+    # U[0, 1]'s density 1.0 leave no operation on them; neither does N - 1 at
+    # N = 2 nor an atom of 0; inside the piece the sums start from their first
+    # term, and a uniform's density is a bound constant
+    weak, law = dist.uniform(0.0, 1.0), StrongBidLaw(dist.uniform(0.0, 2.0), zero_bid_prob)
+    full = equilibrium._rhs_factory(weak, law, n_weak)
+    rhs = equilibrium._piece_steppers(weak, law, n_weak, full)(0.5, 0.7)[0]
+    source = inspect.getsource(rhs)
+    body = source.split("return full(x, b)", 1)[1]
+    assert "0.0 +" not in body and "F0 = x\n" in body and "f = f_head\n" in body
+    assert not {"w0", "lo0", "h0", "w1", "lo1"} & set(rhs.__code__.co_varnames)
+    if zero_bid_prob:
+        assert "Gb = atom + scale * G" in body and "nm1 * (f / F)" in body
+    else:
+        assert "Gb = F1\n" in body and "gb = gb_head\n" in body and "atom" not in body
+        assert "return (f / F) * (Gb / gb)" in body
+    assert not _float_literals(source) - _float_literals(inspect.getsource(full))
 
 
 def test_law_pickles_after_its_kernel_is_built():
