@@ -410,11 +410,6 @@ def _fold(lines: list[str]) -> list[str]:
     return out
 
 
-def _clear(v: float) -> bool:
-    """v's sign bit is clear: +0.0 or more (or such a NaN)."""
-    return math.copysign(1.0, v) > 0.0
-
-
 class _Identities(ast.NodeTransformer):
     """Leaves out p * e, e * p, e / p (e *= p, e /= p) for a name p ``ids`` binds
     to 1.0, and e - q (e -= q) for q bound to +0.0 or the product of two such:
@@ -645,22 +640,25 @@ class DistributionSpec:
         uniform's density. The weighted constants before a sum's first live term
         are summed from 0.0 into ``{sum}_head`` and a later one is added where
         its term stood; the zeros are left out (a sum is never -0.0, so adding
-        +0.0 moves no bit). For a float x a piece's sum leaves out its 0.0 start
-        before a uniform's or cosine bump's term whose weight and lo are >= +0.0
-        (never -0.0 there; 0.0 + e is e for any other e), and the operations
-        that a parameter of 1.0 or +0.0 makes identities (``_Identities``). At
-        an x where the states hold, every sum keeps the bits of the full lines'.
-        For ``arrays`` each live term adds the sum so far to itself in place,
-        which swaps only the operands of each addition. The lines depend only on
-        the kinds, the states, ``sums``, ``first``, ``arrays``, those signs and
-        which parameters are 1.0 or +0.0: each shape is formatted once."""
-        piece = states is not None and not arrays
+        +0.0 moves no bit). For a float x a piece's lines also leave out a sum's
+        0.0 start before a uniform's or cosine bump's term whose weight and lo
+        are >= +0.0 (never -0.0 there; 0.0 + e is e for any other e), and each
+        identity a parameter of 1.0 or +0.0 makes (``_Identities``). Where the
+        states hold, every sum keeps the bits of the full lines'. For ``arrays``
+        each live term adds the sum so far to itself in place: a + b is b + a.
+        The lines depend only on the kinds, the states, ``sums``, ``first``,
+        ``arrays``, those signs and identities (formatted once per shape)."""
+        args, memo = (sums, first, states, arrays), self.__dict__.setdefault("_bodies", {})
+        if args in memo:   # each law's lines and numbers are built once per args
+            return memo[args]
+        piece = states is not None and not arrays   # copysign(1.0, v) > 0.0: v >= +0.0
         states = states or ("kernel",) * len(self.parts)
-        clear = tuple(piece and p.kind != "pw_linear" and _clear(w) and _clear(p.lo)
-                      for w, p in zip(self.weights, self.parts))
-        ids = () if arrays else tuple(
+        clear = tuple(piece and p.kind != "pw_linear" and math.copysign(1.0, w) > 0.0
+                      and math.copysign(1.0, p.lo) > 0.0 for w, p in zip(self.weights, self.parts))
+        ids = () if not piece else tuple(
             (f"{k}{i}", v) for i, part in enumerate(self._part_values, first)
-            for k, v in part.items() if type(v) is float and v in (0.0, 1.0) and _clear(v))
+            for k, v in part.items() if type(v) is float and v in (0.0, 1.0)
+            and math.copysign(1.0, v) > 0.0)
         key = (tuple(p.kind for p in self.parts), states, sums, first, arrays, clear, ids)
         lines = _KERNEL_SHAPES.get(key)
         # each sum's terms: (weight, term, never -0.0) or (None, constant's name, its value)
@@ -704,7 +702,7 @@ class DistributionSpec:
                 body = ast.unparse(_Identities(ids).visit(ast.parse("\n".join(body)))).splitlines()
             text = "".join(f"    {ln}\n" for ln in body)
             lines = _KERNEL_SHAPES[key] = text, set(re.findall(r"\w+", text))
-        return lines[0], {k: v for k, v in params.items() if k in lines[1]}
+        return memo.setdefault(args, (lines[0], {k: v for k, v in params.items() if k in lines[1]}))
 
     def compile_lines(self, sums: tuple[str, ...], states: tuple[str, ...] | None, arrays: bool):
         """x -> the ``sums`` at x, from ``kernel_body``'s lines in ``states``,

@@ -39,8 +39,8 @@ there, and the others are constants added where their terms stood. A call
 outside the piece pair falls back to the full rhs. The rhs and the stages,
 written out from the tableau, keep every floating-point operation of the
 separate cdf/pdf/partial_mean calls and of ``sum()`` over the tableau rows but
-identities, which give their operand to the bit (``kernel_body``; Gb = G with no
-atom, N - 1 = 1.0 at N = 2): the schedules are bit-identical to that form.
+the identities a piece's rhs leaves out (``_rhs_factory``), which give their
+operand to the bit: the schedules are bit-identical to that form.
 
 ``verify_best_response`` checks the solved schedule against grid deviations of
 the reported value (and raw bids above b(v_bar)), which is the acceptance
@@ -428,16 +428,17 @@ def _rhs_factory(weak: DistributionSpec, law: StrongBidLaw, n_weak: int, piece=N
     (``_piece_steppers``): each law's lines in those states (``kernel_body``),
     and no domain check, as the piece lies inside the weak support. Its guard
     hands any (v, b) outside p_lo < b < p_hi, q_lo < v < q_hi (and NaN) to
-    ``full``, so that every call keeps the full rhs's bits. The source depends
-    only on the laws' kinds, the states and which numbers are identities
-    (``kernel_body``, an atom of 0, N = 2): every number is a parameter."""
+    ``full``, so that every call keeps the full rhs's bits, and leaves out each
+    identity (``kernel_body``; Gb = 0.0 + 1.0 * G with no atom, as a sum is never
+    -0.0; 1.0 * y at N = 2). The source depends only on the laws' kinds, the
+    states and those identities: every number is a parameter."""
     guard, weak_states, strong_states = piece or ({}, None, None)
     weak_body, weak_params = weak.kernel_body(("F", "f"), 0, weak_states, False)
-    atom = law.zero_bid_prob != 0.0   # else Gb = 0.0 + 1.0 * G is G: a sum is never -0.0
+    atom, nm1 = piece is None or law.zero_bid_prob != 0.0, piece is None or n_weak > 2
     sums = ("G", "g", "M") if atom else ("Gb", "gb", "Mb")
     strong_body, strong_params = law.dist.kernel_body(sums, len(weak.parts), strong_states, False)
     params = {**guard, **weak_params, **strong_params, "OutOfBand": _OutOfBand,
-              **({"nm1": float(n_weak - 1)} if n_weak > 2 else {}),   # 1.0 * y is y
+              **({"nm1": float(n_weak - 1)} if nm1 else {}),
               **({"atom": law.zero_bid_prob, "scale": 1.0 - law.zero_bid_prob} if atom else {})}
     if piece is None:
         params.update(check_domain=weak._check_domain_s, v_lo=weak.support.lo - SUPPORT_TOL,
@@ -447,7 +448,7 @@ def _rhs_factory(weak: DistributionSpec, law: StrongBidLaw, n_weak: int, piece=N
     if source is None:
         source = _RHS_SOURCES[key] = _RHS_SOURCE.format(
             params=", ".join(params), weak=weak_body, strong=strong_body,
-            atom=_ATOM_LINES if atom else "", nm1="nm1 * " if n_weak > 2 else "",
+            atom=_ATOM_LINES if atom else "", nm1="nm1 * " if nm1 else "",
             **(_FULL_RHS if piece is None else _PIECE_RHS))
     return compile_kernel(source, params.values(), False)
 
