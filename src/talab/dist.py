@@ -386,7 +386,7 @@ _ARRAY_GLOBALS = {**_KERNEL_GLOBALS, "sin": np.sin, "min": np.minimum,
                   "cos": lambda u: np.cos(u, out=u),
                   "bisect_right": lambda a, x, lo, hi: np.searchsorted(a[lo:hi], x, "right") + lo}
 _KERNEL_CODE: dict[tuple, types.CodeType] = {}  # (source, arrays) -> its function's code
-_KERNEL_SHAPES: dict[tuple, tuple] = {}         # kernel_body's shape -> (lines, names)
+_KERNEL_SHAPES: dict[tuple, tuple] = {}         # kernel_body's shape -> (lines, names read)
 
 
 _SET = re.compile(r"(\s*)(\w+) = (.*)")
@@ -411,9 +411,9 @@ def _fold(lines: list[str]) -> list[str]:
 
 
 class _Identities(ast.NodeTransformer):
-    """Leaves out p * e, e * p, e / p (e *= p, e /= p) for a name p ``ids`` binds
-    to 1.0, and e - q (e -= q) for q bound to +0.0 or the product of two such:
-    each is e to the bit, -0.0, infinities and NaN too."""
+    """Leaves out p * e, e * p and e / p for a name p ``ids`` binds to 1.0, and
+    e - q for q bound to +0.0 or the product of two such: each is e to the bit,
+    -0.0, infinities and NaN too."""
 
     def __init__(self, ids):
         self.ids = dict(ids)
@@ -435,8 +435,6 @@ class _Identities(ast.NodeTransformer):
                 return e
             case ast.BinOp(e, op, q) if self._identity(op, q):
                 return e
-            case ast.AugAssign(_, op, q) if self._identity(op, q):
-                return None
         return node
 
 
@@ -644,10 +642,10 @@ class DistributionSpec:
         0.0 start before a uniform's or cosine bump's term whose weight and lo
         are >= +0.0 (never -0.0 there; 0.0 + e is e for any other e), and each
         identity a parameter of 1.0 or +0.0 makes (``_Identities``). Where the
-        states hold, every sum keeps the bits of the full lines'. For ``arrays``
-        each live term adds the sum so far to itself in place: a + b is b + a.
-        The lines depend only on the kinds, the states, ``sums``, ``first``,
-        ``arrays``, those signs and identities (formatted once per shape)."""
+        states hold, every sum keeps the full lines' bits. For ``arrays`` each
+        live term adds the sum so far to itself in place: a + b is b + a. Lines
+        are formatted once per shape: kinds, states, ``sums``, ``first``,
+        ``arrays``, those signs and identities."""
         args, memo = (sums, first, states, arrays), self.__dict__.setdefault("_bodies", {})
         if args in memo:   # each law's lines and numbers are built once per args
             return memo[args]
@@ -660,20 +658,20 @@ class DistributionSpec:
             for k, v in part.items() if type(v) is float and v in (0.0, 1.0)
             and math.copysign(1.0, v) > 0.0)
         key = (tuple(p.kind for p in self.parts), states, sums, first, arrays, clear, ids)
-        lines = _KERNEL_SHAPES.get(key)
-        # each sum's terms: (weight, term, never -0.0) or (None, constant's name, its value)
-        params, body, terms = {}, [], {total: [] for total in sums}
+        shape = _KERNEL_SHAPES.get(key)    # then the names follow the values
+        names, values, body = [], [], []
+        terms = {total: [] for total in sums}   # (component, its term's letter or None, constant)
         for i, (p, part, state) in enumerate(zip(self.parts, self._part_values, states), first):
             w, fixed = part["w"], getattr(p, "fixed", {}) if piece else {}
             if state in ("below", "above"):
                 for total, c in zip(sums[::2], (1.0, part["m_hi"]) if state == "below" else ()):
-                    terms[total].append((None, f"{total}_c{i}", w * c))
+                    terms[total].append((i, None, w * c))
                 continue
-            params.update((f"{k}{i}", v) for k, v in part.items())
+            values += part.values()
             for total, t in zip(sums, "FfM"):
-                terms[total].append((None, f"{total}_c{i}", w * part[fixed[t]]) if t in fixed
-                                    else (f"w{i}", f"{t}{i}", clear[i - first]))
-            if lines is None:
+                terms[total].append((i, None, w * part[fixed[t]]) if t in fixed else (i, t, None))
+            if shape is None:
+                names += [f"{k}{i}" for k in part]
                 source = p._LINES[state].format(i=i, **{k: f"{k}{i}" for k in part})
                 unread = {f"{t}{i}" for t in "FfM"[len(sums):] + "".join(fixed)}
                 kept = [ln for ln in source.splitlines()
@@ -681,28 +679,33 @@ class DistributionSpec:
                 body += kept if arrays else _fold(kept)
         for total in sums:
             seq = terms[total]
-            n = next((k for k, (w, _, _) in enumerate(seq) if w), len(seq))
-            acc = f"{total}_head" if n else None if seq and seq[0][2] else "0.0"
+            n = next((k for k, (_, t, _) in enumerate(seq) if t), len(seq))
+            head = 0.0
             for _, _, c in seq[:n]:
-                params[acc] = params.get(acc, 0.0) + c
-            params.update((t, c) for w, t, c in seq[n:] if not w)
-            if lines is None and not arrays:
-                body.append(f"{total} = " + " + ".join(
-                    ([acc] if acc else []) + [f"{w} * {t}" if w else t for w, t, _ in seq[n:]]))
-            elif lines is None:
-                for w, t, _ in seq[n:]:   # the first is a live component's, never a constant
-                    if w:      # a live term takes the sum so far: a + b is b + a
-                        body += [f"{t} *= {w}", f"{t} += {acc}"]
-                        acc = t
-                    else:
-                        body.append(f"{acc} += {t}")
-                body.append(f"{total} = {acc}")
-        if lines is None:
+                head += c
+            values += [head] * bool(n) + [c for _, t, c in seq[n:] if not t]
+            if shape is not None:
+                continue
+            acc = f"{total}_head" if n else None if seq and clear[seq[0][0] - first] else "0.0"
+            names += [acc] * bool(n) + [f"{total}_c{i}" for i, t, _ in seq[n:] if not t]
+            if not arrays:
+                body.append(f"{total} = " + " + ".join([acc] * bool(acc) + [
+                    f"w{i} * {t}{i}" if t else f"{total}_c{i}" for i, t, _ in seq[n:]]))
+                continue
+            for i, t, _ in seq[n:]:   # the first is a live component's, never a constant
+                if t:      # a live term takes the sum so far: a + b is b + a
+                    body += [f"{t}{i} *= w{i}", f"{t}{i} += {acc}"]
+                    acc = f"{t}{i}"
+                else:
+                    body.append(f"{acc} += {total}_c{i}")
+            body.append(f"{total} = {acc}")
+        if shape is None:
             if ids:
                 body = ast.unparse(_Identities(ids).visit(ast.parse("\n".join(body)))).splitlines()
             text = "".join(f"    {ln}\n" for ln in body)
-            lines = _KERNEL_SHAPES[key] = text, set(re.findall(r"\w+", text))
-        return memo.setdefault(args, (lines[0], {k: v for k, v in params.items() if k in lines[1]}))
+            used = set(re.findall(r"\w+", text))
+            shape = _KERNEL_SHAPES[key] = text, [(j, k) for j, k in enumerate(names) if k in used]
+        return memo.setdefault(args, (shape[0], {k: values[j] for j, k in shape[1]}))
 
     def compile_lines(self, sums: tuple[str, ...], states: tuple[str, ...] | None, arrays: bool):
         """x -> the ``sums`` at x, from ``kernel_body``'s lines in ``states``,

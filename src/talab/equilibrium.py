@@ -39,8 +39,7 @@ there, and the others are constants added where their terms stood. A call
 outside the piece pair falls back to the full rhs. The rhs and the stages,
 written out from the tableau, keep every floating-point operation of the
 separate cdf/pdf/partial_mean calls and of ``sum()`` over the tableau rows but
-the identities a piece's rhs leaves out (``_rhs_factory``), which give their
-operand to the bit: the schedules are bit-identical to that form.
+identities (``_rhs_factory``): the schedules are bit-identical to that form.
 
 ``verify_best_response`` checks the solved schedule against grid deviations of
 the reported value (and raw bids above b(v_bar)), which is the acceptance
@@ -428,10 +427,9 @@ def _rhs_factory(weak: DistributionSpec, law: StrongBidLaw, n_weak: int, piece=N
     (``_piece_steppers``): each law's lines in those states (``kernel_body``),
     and no domain check, as the piece lies inside the weak support. Its guard
     hands any (v, b) outside p_lo < b < p_hi, q_lo < v < q_hi (and NaN) to
-    ``full``, so that every call keeps the full rhs's bits, and leaves out each
-    identity (``kernel_body``; Gb = 0.0 + 1.0 * G with no atom, as a sum is never
-    -0.0; 1.0 * y at N = 2). The source depends only on the laws' kinds, the
-    states and those identities: every number is a parameter."""
+    ``full``, so that every call keeps the full rhs's bits; it leaves out 1.0 * y
+    at N = 2 and, with no atom, Gb = 0.0 + 1.0 * G (G is never -0.0). The source
+    depends only on the kinds, states and identities: numbers are parameters."""
     guard, weak_states, strong_states = piece or ({}, None, None)
     weak_body, weak_params = weak.kernel_body(("F", "f"), 0, weak_states, False)
     atom, nm1 = piece is None or law.zero_bid_prob != 0.0, piece is None or n_weak > 2

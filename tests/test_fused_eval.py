@@ -798,10 +798,7 @@ def k(x, y, one, zero, half):
     b = (x - zero) / one * y
     c = x * x - zero * zero
     d = y / one * (one * half)
-    y *= one
-    y -= zero
-    y /= one
-    return a, b, c, d, y, x - half * zero
+    return a, b, c, d, x - half * zero
 """
     tree = dist._Identities((("one", 1.0), ("zero", 0.0))).visit(ast.parse(source))
     text = ast.unparse(tree)
