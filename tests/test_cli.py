@@ -445,6 +445,32 @@ def test_sweep_bytes_pinned(tmp_path, prop):
     assert hashlib.sha256(table.read_bytes()).hexdigest() == table_pin
 
 
+# check-family JSON per family at size 12: the low-drain ratios and the
+# conditional means E[w | w <= c2] / c2 it writes; sha256 of the body
+CHECK_FAMILY_PINS = {
+    "slow_drain": ({},
+                   "fe979186780eb3990f9e50af3cff381c76f772dd46290f7668a3c15d2008f3c8"),
+    "fast_drain": ({},
+                   "5fa76bedbd7d0dd19aef11ca0a7876099f7f2ea0272e0e27aab2f5cbfe6f52b8"),
+    "smoothed_discrete": ({"atom_share": 0.6},
+                          "9f9d8b16a2b209941e30c63033f782c553f2e431249daaf3d54119259aa84c97"),
+    "split_atom": ({"split_p": 0.3},
+                   "0f9f1a16ffae9ae7f2fa1bf52f154ae0463668531d3499b28b82df2fe1738273"),
+}
+
+
+@pytest.mark.parametrize("kind", CHECK_FAMILY_PINS)
+def test_check_family_bytes_pinned(tmp_path, kind):
+    extra, pin = CHECK_FAMILY_PINS[kind]
+    family = _family(kind, size=12)
+    family["family"].update(extra)
+    out = tmp_path / "o"
+    assert run(["check-family", "--config", write_config(tmp_path, base_config(strong=family)),
+                "--out-dir", str(out)]) == 0
+    (body,) = out.glob("family_checks.*.json")
+    assert hashlib.sha256(body.read_bytes()).hexdigest() == pin
+
+
 def test_sweep_body_is_strict_json(tmp_path, capsys):
     # a P5 row has no surplus or regret: JSON has no NaN, so they are null,
     # and talab report prints them as n/a

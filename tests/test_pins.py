@@ -9,6 +9,9 @@ them. These pins hash the outputs themselves:
   ``float.hex``) of weak U[0, 1] against members 1-13 of each family, at N = 2
   and 5 and zero-bid probability 0 and 0.25, and against U[0, 2] at N = 2 and 5.
   A solve that fails adds its exception's type, message and report.
+* ``SOLVE_PINS_N4``: the same solves at N = 4. N - 1 = 3 is no power of two, so
+  an rhs that reorders a product moves these bits where N = 2 and 5, whose
+  N - 1 scales exactly, may not.
 * ``QUANTILE_PINS``: the inverse cdf of members 1-12 of slow_drain and
   smoothed_discrete at 32,768 fixed levels and on the optimal auction's
   20,001-level ironing grid.
@@ -35,6 +38,14 @@ SOLVE_PINS = {
     "U[0,2]": "c340f8ca4ef3c6d7daebc5398af3b0b2f3d51b4476c0dae554e3693227306936",
 }
 
+SOLVE_PINS_N4 = {
+    "slow_drain": "bcfd8c60ae4b7907517d6bae7bae37fdccd6b3ea44f7464fea183814afff82ed",
+    "fast_drain": "856f927d5d5f630e2ed122167965d1e101cd479dcf3fddc7eda09c04777aaab4",
+    "smoothed_discrete": "bacf89bbc84d901ce06e9ab366955fe1ffb59c53239e9f72f806bdd92a24f5a8",
+    "split_atom": "e1e13d5ea079be3dcc61b48c49258a7120d90580188833383b69a04a4a0cca20",
+    "U[0,2]": "9cfe7bed898e979fd78471ba6b1779e7aabd7591017aa4825bed97ac9e18774f",
+}
+
 QUANTILE_PINS = {
     "slow_drain": "108128e3c2a216cf0d15686c44a0f4c7d414597cdf645fa1642e69640f60e3b9",
     "smoothed_discrete": "82d7114690dfb9608215cccdde68f63718fe6bdb03197d32b5744563759b204a",
@@ -52,11 +63,10 @@ def _strong_laws(name):
     return make_family(name, k=2.0, w_bar=2.5, size=13).members()
 
 
-@pytest.mark.parametrize("name", SOLVE_PINS)
-def test_solve_pins(name):
+def _solve_digest(name, ns) -> str:
     weak, digest = dist.uniform(0.0, 1.0), hashlib.sha256()
     for member in _strong_laws(name):
-        for n in (2, 5):
+        for n in ns:
             for zero_bid in ((0.0,) if name == "U[0,2]" else (0.0, 0.25)):
                 try:
                     bid, report = solve_ode(weak, StrongBidLaw(member, zero_bid), n)
@@ -67,7 +77,17 @@ def test_solve_pins(name):
                 for a in (bid.grid, bid.values, bid.slopes, bid.bumps):
                     digest.update(a.tobytes())
                 digest.update(_report_text(report).encode())
-    assert digest.hexdigest() == SOLVE_PINS[name]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", SOLVE_PINS)
+def test_solve_pins(name):
+    assert _solve_digest(name, (2, 5)) == SOLVE_PINS[name]
+
+
+@pytest.mark.parametrize("name", SOLVE_PINS_N4)
+def test_solve_pins_n4(name):
+    assert _solve_digest(name, (4,)) == SOLVE_PINS_N4[name]
 
 
 # fixed levels in [0, 1): the fractional parts of l times the golden ratio's inverse
