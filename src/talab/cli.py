@@ -143,7 +143,7 @@ def _solve_and_write(cfg: ExperimentConfig, out: Outputs) -> tuple[BidFunction, 
         if exc.report is not None:
             out.json("solve_report", "solve_report", dataclasses.asdict(exc.report))
         raise
-    out.csv("bid_csv", "bid_function", ["v", "b", "b_prime"], bid.csv_rows())
+    out.csv("bid_csv", "bid_function", ["v", "b", "b_prime"], zip(bid.grid, bid.values, bid.slopes))
     out.json("bid_json", "bid_function", {"bid_function": bid.to_json_dict()})
     out.json("solve_report", "solve_report", dataclasses.asdict(report))
     return bid, list(report.warnings)

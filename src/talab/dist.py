@@ -8,9 +8,10 @@ density kind carries exact piecewise closed forms for
 * ``pdf``            f(x)
 * ``partial_mean``   M(x) = integral of t f(t) over [lo, x]
 
-which makes the conditional means E[w | w <= b] = M(b)/F(b) and
-E[w | w >= r] = (mean - M(r))/(1 - F(r)) cheap and accurate enough for the
-ODE right-hand side. Where no closed form exists (order-statistic integrals,
+read through ``rows`` alone. From them the strong law's conditional means are
+exact quotients: E[w | w <= b] = M(b)/F(b) (``equilibrium.StrongBidLaw``, the
+bid ODE's m(b)) and E[w | w >= r] = (mean - M(r))/(1 - F(r)) (the reserve
+closed form in ``mechanisms``). Where no closed form exists (order-statistic integrals,
 the construction-time norm check) one fixed rule integrates: 20-point
 Gauss-Legendre on the panels between the density knots, each panel cut
 geometrically toward both of its ends, with the whole integrand evaluated in
@@ -547,24 +548,23 @@ class DistributionSpec:
 
     # -- pointwise evaluation ------------------------------------------------
 
-    def cdf(self, x):
+    def rows(self, x, n: int):
+        """The first n of F, f, M at x: by ``kernel`` for a float, by ``_vector``
+        for an array (each row shaped as x). Every read of them goes through here."""
         if isinstance(x, np.ndarray):
-            return self._vector(x, 1)[0]
-        return self.kernel(float(x))[0]
+            return self._vector(x, n)
+        return self.kernel(float(x))[:n]
+
+    def cdf(self, x):
+        return self.rows(x, 1)[0]
 
     def pdf(self, x):
-        if isinstance(x, np.ndarray):
-            self._check_domain_v(x)
-            return self._vector(x, 2)[1]
-        xs = float(x)
-        self._check_domain_s(xs)
-        return self.kernel(xs)[1]
+        self._check_domain(x)
+        return self.rows(x, 2)[1]
 
     def partial_mean(self, x):
         """M(x) = integral of t * pdf(t) over [lo, min(x, hi)]."""
-        if isinstance(x, np.ndarray):
-            return self._vector(x, 3)[2]
-        return self.kernel(float(x))[2]
+        return self.rows(x, 3)[2]
 
     def _vector(self, x: np.ndarray, n: int) -> list[np.ndarray]:
         """The first n of rows F, f, M at points x: by the lines for arrays of
@@ -731,17 +731,13 @@ class DistributionSpec:
     def __getstate__(self):   # compiled lines do not pickle: a copy compiles its own
         return {k: v for k, v in self.__dict__.items() if k not in ("kernel", "_array_lines")}
 
-    # both domain checks are comparisons that fail on NaN, so NaN is refused
-    def _check_domain_s(self, x: float):
-        if not self.support.lo - SUPPORT_TOL <= x <= self.support.hi + SUPPORT_TOL:
-            raise DistributionError(
-                f"x={x} outside support [{self.support.lo}, {self.support.hi}]"
-            )
-
-    def _check_domain_v(self, x: np.ndarray):
+    def _check_domain(self, x):
+        """Refuses x, a float or an array, unless every point lies in the
+        support: the comparisons fail on NaN, so NaN is refused."""
+        x = np.asarray(x)
         if x.size and not (self.support.lo - SUPPORT_TOL <= x.min()
                            and x.max() <= self.support.hi + SUPPORT_TOL):
-            raise DistributionError("values outside support")
+            raise DistributionError(f"x={x} outside support [{self.support.lo}, {self.support.hi}]")
 
     @cached_property
     def mean(self) -> float:
@@ -855,7 +851,7 @@ class DistributionSpec:
             x *= slope.take(j)
             x += a
             del j
-            self._check_domain_v(x)
+            self._check_domain(x)
             for _ in range(_NEWTON_STEPS):
                 if not idx.size:
                     break
@@ -917,28 +913,6 @@ class DistributionSpec:
         if rank == 2:
             tail -= n * Fx ** (n - 1) * (1.0 - Fx)
         return self.support.lo + float(np.sum(w * tail))
-
-    def mean_below(self, b: float) -> float:
-        """E[w | w <= b]; 0 at b = 0 by continuous extension."""
-        bf = float(b)
-        if bf > self.support.hi + SUPPORT_TOL:
-            raise DistributionError(f"b={bf} above support top {self.support.hi}")
-        if bf <= self.support.lo:
-            return float(self.support.lo)
-        g = self.cdf(bf)
-        if g <= 0.0:
-            raise DistributionError(f"no mass at or below b={bf}")
-        return self.partial_mean(bf) / g
-
-    def mean_above(self, r: float) -> float:
-        """E[w | w >= r]."""
-        rf = float(r)
-        if rf >= self.support.hi:
-            raise DistributionError(f"r={rf} at or above support top {self.support.hi}")
-        tail = 1.0 - self.cdf(rf)
-        if tail <= 1e-12:
-            raise DistributionError(f"no mass above reserve r={rf}")
-        return (self.mean - self.partial_mean(rf)) / tail
 
 
 def _part_from(kind: str, params: list[float], lo: float, hi: float):

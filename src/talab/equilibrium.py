@@ -152,15 +152,12 @@ class StrongBidLaw:
             raise InputError(f"zero_bid_prob must be in [0, 1), got {self.zero_bid_prob}",
                              "zero_bid_prob")
 
-    @property
-    def hi(self) -> float:
-        return self.dist.support.hi
-
     @cached_property
     def mean(self) -> float:
         return (1.0 - self.zero_bid_prob) * self.dist.mean
 
     def mean_below(self, b: float) -> float:
+        """E[w | w <= b] = M(b) / G(b), the bid ODE's m(b); 0 where G(b) = 0."""
         if b < 0.0:
             return 0.0
         g, _, m = self.eval3(b)
@@ -168,10 +165,10 @@ class StrongBidLaw:
 
     def eval3(self, b):
         """(cdf, pdf, partial_mean) at bids b >= 0, a scalar or an array: the
-        kernel or the law's vector rows, plus the atom. The bid-ODE rhs
-        (``_rhs_factory``) writes out the same lines, and the rhs of each piece
-        of the support the lines of the components live there."""
-        c, p, m = self.dist._vector(b, 3) if isinstance(b, np.ndarray) else self.dist.kernel(b)
+        law's ``rows``, plus the atom. The bid-ODE rhs (``_rhs_factory``) writes
+        out the same lines, and the rhs of each piece of the support the lines
+        of the components live there."""
+        c, p, m = self.dist.rows(b, 3)
         z = self.zero_bid_prob
         s = 1.0 - z
         return z + s * c, s * p, s * m
@@ -355,10 +352,6 @@ class BidFunction:
             "bumps": self.bumps.tolist(),
         }
 
-    def csv_rows(self):
-        for v, b, s in zip(self.grid, self.values, self.slopes):
-            yield v, b, s
-
 
 @dataclass(frozen=True)
 class SolveReport:
@@ -439,7 +432,7 @@ def _rhs_factory(weak: DistributionSpec, law: StrongBidLaw, n_weak: int, piece=N
               **({"nm1": float(n_weak - 1)} if nm1 else {}),
               **({"atom": law.zero_bid_prob, "scale": 1.0 - law.zero_bid_prob} if atom else {})}
     if piece is None:
-        params.update(check_domain=weak._check_domain_s, v_lo=weak.support.lo - SUPPORT_TOL,
+        params.update(check_domain=weak._check_domain, v_lo=weak.support.lo - SUPPORT_TOL,
                       v_hi=weak.support.hi + SUPPORT_TOL)
     key = (weak_body, strong_body, tuple(params))
     source = _RHS_SOURCES.get(key)
@@ -628,12 +621,12 @@ def _series_start(weak, law, n_weak, v0_fraction):
     g0 = law.eval3(float(law.dist.support.lo))[1]
     if g0 <= 0.0:
         raise SingularStartError("strong density vanishes at 0; atom start undefined")
-    kappa0 = law.zero_bid_prob / g0
+    kappa0, hi = law.zero_bid_prob / g0, law.dist.support.hi
     for _ in range(60):
         b0 = math.sqrt(2.0 * (n_weak - 1) / n_weak * kappa0 * v0)
-        g_at = law.eval3(float(min(b0, law.hi)))[1]
+        g_at = law.eval3(float(min(b0, hi)))[1]
         density_flat = g0 > 0 and abs(g_at - g0) <= 0.25 * g0
-        if b0 < law.hi and density_flat and law.mean_below(b0) < v0 and b0 > v0:
+        if b0 < hi and density_flat and law.mean_below(b0) < v0 and b0 > v0:
             return v0, b0, b0 / v0
         v0 *= 0.1
         if v0 < 1e-300:
@@ -874,8 +867,8 @@ def verify_best_response(bid: BidFunction, weak: DistributionSpec, strong,
     v_grid = np.linspace(weak.support.hi / _BR_VALUES, weak.support.hi, _BR_VALUES)
     dev_grid = np.linspace(0.0, weak.support.hi, _BR_REPORTS)
     # raw bids above the top of the schedule (win the first stage outright)
-    raws = np.linspace(bid.b_top, law.hi, _BR_RAW_BIDS + 1)[1:] if law.hi > bid.b_top \
-        else np.empty(0)
+    hi = law.dist.support.hi
+    raws = np.linspace(bid.b_top, hi, _BR_RAW_BIDS + 1)[1:] if hi > bid.b_top else np.empty(0)
     reports = np.concatenate([dev_grid, v_grid])
     pay = raw_bid_payoff(v_grid[:, None], np.concatenate([bid(reports), raws]), weak, law,
                          n_weak)

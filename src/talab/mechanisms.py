@@ -338,19 +338,18 @@ def sa_reserve_closed_form(weak: DistributionSpec, strong: DistributionSpec,
     """Exact revenue/surplus of the second-price auction with a strong-side reserve.
 
     revenue = G(r) E[v_(2:N)] + (1 - G(r)) r
-    surplus = G(r) E[v_(1:N)] + (1 - G(r)) E[w | w >= r]
+    surplus = G(r) E[v_(1:N)] + (1 - G(r)) E[w | w >= r],
+    E[w | w >= r] = (mean - M(r)) / (1 - G(r)),
 
     valid for r >= v_bar (the reserve binds only against the strong bidder);
     above the strong support top G(r) = 1 and the reserve never binds.
     """
     check_auction("sa_reserve", n_weak, weak, strong, reserve=reserve)
     g_at_r = strong.cdf(reserve)
+    tail = 1.0 - g_at_r
     ev2 = weak.order_statistic_mean(n_weak, 2)
     ev1 = weak.order_statistic_mean(n_weak, 1)
-    revenue = g_at_r * ev2 + (1.0 - g_at_r) * reserve
-    if 1.0 - g_at_r > 1e-12:
-        tail_mean = strong.mean_above(reserve)
-    else:
-        tail_mean = 0.0
-    surplus = g_at_r * ev1 + (1.0 - g_at_r) * tail_mean
+    revenue = g_at_r * ev2 + tail * reserve
+    tail_mean = (strong.mean - strong.partial_mean(reserve)) / tail if tail > 1e-12 else 0.0
+    surplus = g_at_r * ev1 + tail * tail_mean
     return {"revenue": float(revenue), "surplus": float(surplus)}

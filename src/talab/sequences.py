@@ -218,7 +218,7 @@ def check_low_drain(fam: FamilySpec) -> dict:
 
     cond_means = {}
     for c2 in sorted({c2 for _, c2 in pairs}):
-        cond_means[c2] = [float(m.mean_below(c2) / c2) for m in members]
+        cond_means[c2] = [float(StrongBidLaw(m).mean_below(c2) / c2) for m in members]
 
     ratio_ok = {pair: _series_vanishes(s) for pair, s in ratios.items()}
     cond_ok = {c2: _series_vanishes(s) for c2, s in cond_means.items()}

@@ -9,6 +9,8 @@ from scipy import integrate
 
 from talab import dist, sequences
 from talab.dist import DistributionError
+from talab.equilibrium import StrongBidLaw
+from talab.mechanisms import sa_reserve_closed_form
 from talab.rng import uniform_stream
 from talab.sequences import FAMILY_KINDS, make_family
 
@@ -282,20 +284,21 @@ def test_order_stat_monte_carlo_oracle(floored_mixture):
 # ---------------------------------------------------------------------------
 
 
+# E[w | w <= b] is read through StrongBidLaw.mean_below, the bid ODE's m(b)
 def test_mean_below_uniform(u01, u02):
-    assert u01.mean_below(0.8) == pytest.approx(0.4, abs=1e-12)
-    assert u02.mean_below(2.0) == pytest.approx(u02.mean, abs=1e-12)
+    assert StrongBidLaw(u01).mean_below(0.8) == pytest.approx(0.4, abs=1e-12)
+    assert StrongBidLaw(u02).mean_below(2.0) == pytest.approx(u02.mean, abs=1e-12)
 
 
 def test_mean_below_total_mean(test_distributions):
     for name, d in test_distributions.items():
-        assert d.mean_below(d.support.hi) == pytest.approx(d.mean, abs=1e-10), name
+        assert StrongBidLaw(d).mean_below(d.support.hi) == pytest.approx(d.mean, abs=1e-10), name
 
 
 def test_mean_below_small_b_slope(u02):
     # conditional-mean ratio tends to 1/2 at the bottom of the support
     b = 1e-4
-    ratio = u02.mean_below(b) / b
+    ratio = StrongBidLaw(u02).mean_below(b) / b
     assert ratio == pytest.approx(0.5, abs=1e-6)
     # independent quadrature oracle at the same point
     from scipy import integrate
@@ -305,29 +308,32 @@ def test_mean_below_small_b_slope(u02):
 
 
 def test_mean_below_strictly_below_b(floored_mixture):
+    law = StrongBidLaw(floored_mixture)
     bs = np.linspace(1e-3, floored_mixture.support.hi, 1000)
-    vals = np.array([floored_mixture.mean_below(float(b)) for b in bs])
+    vals = np.array([law.mean_below(float(b)) for b in bs])
     assert np.all(vals < bs)
     assert np.all(np.diff(vals) > -1e-12)
 
 
-def test_mean_below_domain_error(u02):
-    with pytest.raises(DistributionError):
-        u02.mean_below(2.5)
+def _tail_mean(strong, r):
+    """E[w | w >= r] as ``sa_reserve_closed_form``'s surplus holds it: against
+    weak U[0, r] at N = 2, G(r) E[v_(1:2)] + (1 - G(r)) E[w | w >= r]."""
+    weak, g = dist.uniform(0.0, r), strong.cdf(r)
+    surplus = sa_reserve_closed_form(weak, strong, 2, r)["surplus"]
+    return (surplus - g * weak.order_statistic_mean(2, 1)) / (1.0 - g)
 
 
 def test_mean_above(u02, floored_mixture):
-    assert u02.mean_above(1.0) == pytest.approx(1.5, abs=1e-12)
-    assert u02.mean_above(0.0) == pytest.approx(u02.mean, abs=1e-12)
-    with pytest.raises(DistributionError):
-        u02.mean_above(2.0)
+    assert _tail_mean(u02, 1.0) == pytest.approx(1.5, abs=1e-12)
+    # the least reserve a weak law allows: (r + 2) / 2 rounds to the mean
+    assert _tail_mean(u02, 2.0**-60) == pytest.approx(u02.mean, abs=1e-12)
     # rejection-sampling oracle near the atom bump
     r = 1.95
     n = 400_000
     xs = floored_mixture.quantile(uniform_stream(21, 0, n))
     kept = xs[xs >= r]
     se = kept.std(ddof=1) / math.sqrt(len(kept))
-    assert abs(kept.mean() - floored_mixture.mean_above(r)) < 3 * se
+    assert abs(kept.mean() - _tail_mean(floored_mixture, r)) < 3 * se
 
 
 # ---------------------------------------------------------------------------

@@ -148,7 +148,7 @@ def ref_rhs_factory(weak, law, n_weak, piece=None):
         if Fv <= 0.0 or v <= 0.0:
             raise equilibrium._OutOfBand
         if v < v_lo or v > v_hi:
-            weak._check_domain_s(v)
+            weak._check_domain(v)
         Gb, gb, Mb = ref_eval3(law, b)
         if b <= v:
             raise equilibrium._OutOfBand
@@ -546,8 +546,8 @@ def ref_verify_best_response(bid, weak, strong, n_weak):
     max_regret = float(regret[i, j])
     worst = (float(v_grid[i]), float(dev_grid[j]))
     top = bid.b_top
-    if law.hi > top:
-        raws = np.linspace(top, law.hi, eq._BR_RAW_BIDS + 1)[1:]
+    if law.dist.support.hi > top:
+        raws = np.linspace(top, law.dist.support.hi, eq._BR_RAW_BIDS + 1)[1:]
         G, _, M = strong_rows(law, raws)
         pi_raw = v_grid[:, None] * G - M
         raw_regret = pi_raw - pi_eq[:, None]
@@ -579,7 +579,7 @@ def test_best_response_matches_separate_calls():
             ref_verify_best_response(bid, weak, law, n)
         assert got == want and got.max_regret.hex() == want.max_regret.hex(), (law, n)
         assert [bits(x) for x in got.worst_pair] == [bits(x) for x in want.worst_pair]
-        raw += law.hi > bid.b_top
+        raw += law.dist.support.hi > bid.b_top
     assert raw > 0
 
 

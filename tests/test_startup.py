@@ -54,7 +54,7 @@ for law in (strong, fam.member(8), pw):
 sequences.check_atom_convergence(fam)
 for law in (weak, fam.member(8), pw):
     law.order_statistic_mean(3, 2)
-    law.mean_above(0.5)
+    mechanisms.sa_reserve_closed_form(dist.uniform(0.0, 0.5), law, 2, 0.5)
 one = mechanisms.simulate(spec, 1 << 16, 3)
 seen["compute"] = loaded(("scipy",))
 seen["compute_unused"] = loaded(UNUSED)
