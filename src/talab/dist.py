@@ -1,4 +1,4 @@
-"""Value distributions on bounded supports and their conditional-mean machinery.
+"""Value distributions on bounded supports: F, f, M, quantiles, order statistics.
 
 Everything downstream (bid ODE, mechanism simulation, optimal-auction benchmark,
 limit families) consumes distributions through this module. Each supported
@@ -8,11 +8,11 @@ density kind carries exact piecewise closed forms for
 * ``pdf``            f(x)
 * ``partial_mean``   M(x) = integral of t f(t) over [lo, x]
 
-read through ``rows`` alone. From them the strong law's conditional means are
-exact quotients: E[w | w <= b] = M(b)/F(b) (``equilibrium.StrongBidLaw``, the
-bid ODE's m(b)) and E[w | w >= r] = (mean - M(r))/(1 - F(r)) (the reserve
-closed form in ``mechanisms``). Where no closed form exists (order-statistic integrals,
-the construction-time norm check) one fixed rule integrates: 20-point
+read through ``rows`` alone. The conditional means are quotients of them:
+E[w | w <= b] = M(b)/F(b) (``equilibrium.StrongBidLaw.mean_below``, the bid
+ODE's m(b)) and E[w | w >= r] = (mean - M(r))/(1 - F(r)) (the reserve closed
+form in ``mechanisms``). Where no closed form exists (order-statistic
+integrals, the construction-time norm check) one fixed rule integrates: 20-point
 Gauss-Legendre on the panels between the density knots, each panel cut
 geometrically toward both of its ends, with the whole integrand evaluated in
 one vector call. The grading resolves the boundary layer of 1 - F^n at the

@@ -338,8 +338,8 @@ def sa_reserve_closed_form(weak: DistributionSpec, strong: DistributionSpec,
     """Exact revenue/surplus of the second-price auction with a strong-side reserve.
 
     revenue = G(r) E[v_(2:N)] + (1 - G(r)) r
-    surplus = G(r) E[v_(1:N)] + (1 - G(r)) E[w | w >= r],
-    E[w | w >= r] = (mean - M(r)) / (1 - G(r)),
+    surplus = G(r) E[v_(1:N)] + (1 - G(r)) E[w | w >= r]
+    E[w | w >= r] = (mean - M(r)) / (1 - G(r)), 0 where 1 - G(r) <= 1e-12
 
     valid for r >= v_bar (the reserve binds only against the strong bidder);
     above the strong support top G(r) = 1 and the reserve never binds.
