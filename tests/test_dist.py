@@ -325,7 +325,7 @@ def _tail_mean(strong, r):
 
 def test_mean_above(u02, floored_mixture):
     assert _tail_mean(u02, 1.0) == pytest.approx(1.5, abs=1e-12)
-    # the least reserve a weak law allows: (r + 2) / 2 rounds to the mean
+    # r = 0 is refused (a weak law needs r >= v_bar > 0); here (r + 2) / 2 rounds to the mean
     assert _tail_mean(u02, 2.0**-60) == pytest.approx(u02.mean, abs=1e-12)
     # rejection-sampling oracle near the atom bump
     r = 1.95
